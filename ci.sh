@@ -7,11 +7,18 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+# --workspace covers the root package's tests/*.rs and every crate's
+# tests/ (parallel/cache/horizon determinism, pull flood, chaos recovery,
+# cascade campaigns), so none of them is re-run by name below.
 echo "==> cargo test -q --workspace (mem backend)"
 cargo test -q --workspace
 
 echo "==> cargo test -q --workspace (disk backend)"
 STELLAR_STORE_BACKEND=disk cargo test -q --workspace
+
+echo "==> repo benchmark builds against the crates (its own package, outside the workspace): unit tests + --smoke"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -29,21 +36,8 @@ BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_clo
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_close_perf.json"
 grep -q '"schema": "stellar-bench/v2"' BENCH_close_perf.json  # committed full sweep
 
-echo "==> parallel apply determinism (twin-run threads 1 vs 2/4/8, escape re-run, path-payment fallback; both backends)"
-cargo test -q --test parallel_determinism
-STELLAR_STORE_BACKEND=disk cargo test -q --test parallel_determinism
-
-echo "==> cache determinism (caches on vs off externalize identical hashes)"
-cargo test -q --test cache_determinism
-
-echo "==> pull-mode flooding (twin-run determinism + lossy-link chaos)"
-cargo test -q --test pull_flood
-
 echo "==> overlay pull smoke (exp_overlay_pull --quick; gates schema + flood-byte regression vs committed BENCH_overlay_pull.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_overlay_pull -- --quick
-
-echo "==> crash-restart recovery (amnesia A/B, restart storm, persistence twin run)"
-cargo test -q -p stellar-chaos --test recovery
 
 echo "==> recovery smoke (exp_recovery --quick -> schema-valid BENCH_recovery.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_recovery -- --quick
@@ -62,25 +56,12 @@ BENCH_OUT_DIR="$SMOKE_DIR" STELLAR_STORE_BACKEND=disk cargo run --release -q -p 
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_trace.json"
 grep -q '"schema": "stellar-bench/v2"' BENCH_trace.json  # committed full sweep
 
-echo "==> horizon indexer twin-run determinism (pipeline on/off externalize identical artifacts; both backends)"
-cargo test -q --test horizon_determinism
-STELLAR_STORE_BACKEND=disk cargo test -q --test horizon_determinism
-
-echo "==> horizon ingestion correctness (indexed history vs naive rescan, restart-mid-ingestion recovery)"
-cargo test -q --test horizon_ingest
-
 echo "==> horizon pipeline smoke (exp_horizon --quick; in-run gates: pipeline on/off twin headers, 10x burst shed without close stall, bounded admission table at 250k clients)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_horizon -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_horizon.json"
 BENCH_OUT_DIR="$SMOKE_DIR" STELLAR_STORE_BACKEND=disk cargo run --release -q -p stellar-bench --bin exp_horizon -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_horizon.json"
 grep -q '"schema": "stellar-bench/v2"' BENCH_horizon.json  # committed full sweep
-
-echo "==> cascade campaigns (survival frontier, halt-and-reconfigure healing, 25-seed storm; both backends)"
-cargo test -q -p stellar-chaos --test cascade
-STELLAR_STORE_BACKEND=disk cargo test -q -p stellar-chaos --test cascade
-cargo test -q --test cascade_storm
-STELLAR_STORE_BACKEND=disk cargo test -q --test cascade_storm
 
 echo "==> cascade smoke (exp_cascade --quick; in-run gates: twin-regenerated frontier curves byte-identical, below/past-frontier empirical cross-check)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_cascade -- --quick

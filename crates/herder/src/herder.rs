@@ -209,36 +209,8 @@ impl Herder {
         if let Some(disk) = store.disk() {
             buckets.attach_disk(disk, 0);
         }
-        let mut header = LedgerHeader::genesis(Hash256::ZERO);
-        header.snapshot_hash = buckets.hash();
-        let last_store_stats = store.io_stats();
-        Herder {
-            node_id,
-            store,
-            buckets,
-            archive: HistoryArchive::new(),
-            header,
-            last_store_stats,
-            ingest_buffer: None,
-            ingest_cap: 0,
-            ingest_dropped: 0,
-            queue: TxQueue::new(),
-            sig_cache: SigVerifyCache::new(1 << 16),
-            upgrade_policy: UpgradePolicy::default(),
-            known_tx_sets: HashMap::new(),
-            now: 1,
-            clock_ms: 1000,
-            max_time_slip: 60,
-            key_registry,
-            telemetry: NodeTelemetry::new(node_id.0),
-            persist: DurableStore::new(),
-            outbox: Vec::new(),
-            timer_requests: Vec::new(),
-            pending_externalize: Vec::new(),
-            events: Vec::new(),
-            close_stats: Vec::new(),
-            stalled_externalize: Vec::new(),
-        }
+        let header = LedgerHeader::genesis(buckets.hash());
+        Herder::from_recovered(node_id, store, buckets, header, key_registry)
     }
 
     /// Creates a herder from state recovered off a durable data disk
@@ -532,7 +504,6 @@ impl Herder {
                 apply_us,
             },
         );
-        self.record_results(&result.results);
         self.known_tx_sets.insert(value.tx_set_hash, set);
         // Data disk first, then the write-ahead LCL record: the LCL
         // never vouches for state the data disk has not made durable.
@@ -555,17 +526,20 @@ impl Herder {
         true
     }
 
-    fn record_results(&mut self, _results: &[TxResult]) {
-        // Results are hashed into the header; per-tx result storage would
-        // live in horizon's database, outside this reproduction's scope.
-    }
-
     /// Catches up from a peer's history archive: replays every archived
-    /// transaction set past our current ledger, verifying each replayed
-    /// header hash against the archived one (paper §5.4 — the archive is
-    /// how rejoining nodes recover history that naïve flooding will never
-    /// retransmit). Stops at the first hash mismatch, leaving state at
-    /// the last verified ledger. Returns the number of ledgers applied.
+    /// transaction set past our current ledger (paper §5.4 — the archive
+    /// is how rejoining nodes recover history that naïve flooding will
+    /// never retransmit). Returns the number of ledgers applied.
+    ///
+    /// Nothing is applied on the archive's word alone. Before a ledger
+    /// touches `store` or `buckets`, its archived header must extend our
+    /// tip and its archived set must be the one that header names and
+    /// must chain from our tip too; a tampered or foreign archive stops
+    /// there (`ledger.catchup_refused`), leaving store, buckets and
+    /// header at the last verified ledger. What only applying can check —
+    /// results hash, fee pool, snapshot hash — is compared afterwards; a
+    /// mismatch there means this node's own prior state differs from the
+    /// archived chain's, and the header is not advanced over it.
     pub fn catch_up_from(&mut self, archive: &HistoryArchive) -> u64 {
         let Some(target) = archive.latest_seq() else {
             return 0;
@@ -575,6 +549,15 @@ impl Herder {
             let (Some(set), Some(expected)) = (archive.tx_set(seq), archive.header(seq)) else {
                 break; // gap in the archive; cannot replay further
             };
+            let tip = self.header.hash();
+            if expected.ledger_seq != seq
+                || expected.prev_header_hash != tip
+                || set.prev_ledger_hash != tip
+                || set.hash() != expected.tx_set_hash
+            {
+                self.telemetry.registry.inc("ledger.catchup_refused");
+                break;
+            }
             let start = std::time::Instant::now();
             // Replay with the archived consensus params but this node's
             // own thread knob — apply_threads is not consensus state, so
@@ -595,8 +578,7 @@ impl Herder {
             let mut header = result.header;
             header.snapshot_hash = self.buckets.hash();
             if header.hash() != expected.hash() {
-                // Divergent history: refuse it, keep the verified prefix.
-                break;
+                break; // our apply disagrees with the archived outcome
             }
             self.archive.publish(&header, set, &mut self.buckets);
             self.header = header;
@@ -668,6 +650,25 @@ impl Herder {
         }
     }
 
+    /// Writes `bytes` under `key` on the node disk, fsyncs, and accounts
+    /// for both in `persist.*`. Returns whether the sync succeeded and
+    /// how many bytes hit the disk.
+    fn write_durable(&mut self, key: &str, bytes: &[u8]) -> (bool, u64) {
+        let before = self.persist.stats().bytes_written;
+        self.persist.write(key, bytes);
+        let ok = self.persist.sync();
+        let written = self.persist.stats().bytes_written - before;
+        let reg = &mut self.telemetry.registry;
+        reg.add("persist.bytes_written", written);
+        if ok {
+            reg.inc("persist.syncs");
+            reg.inc("persist.fsyncs");
+        } else {
+            reg.inc("persist.failed_syncs");
+        }
+        (ok, written)
+    }
+
     /// Write-ahead persists the given SCP slot snapshots and fsyncs.
     ///
     /// Returns `false` when the fsync failed: the state is NOT on disk
@@ -678,26 +679,13 @@ impl Herder {
         if !self.persist.is_enabled() {
             return true;
         }
-        let before = self.persist.stats().bytes_written;
         // Same wire layout as `Vec<SlotSnapshot>`: u64 count + elements.
         let mut buf = Vec::new();
         (snaps.len() as u64).encode(&mut buf);
         for s in snaps {
             s.encode(&mut buf);
         }
-        self.persist.write(SCP_SNAPSHOT_KEY, &buf);
-        let ok = self.persist.sync();
-        let written = self.persist.stats().bytes_written - before;
-        self.telemetry
-            .registry
-            .add("persist.bytes_written", written);
-        if ok {
-            self.telemetry.registry.inc("persist.syncs");
-            self.telemetry.registry.inc("persist.fsyncs");
-        } else {
-            self.telemetry.registry.inc("persist.failed_syncs");
-        }
-        ok
+        self.write_durable(SCP_SNAPSHOT_KEY, &buf).0
     }
 
     /// Persists the latest-closed-ledger record (header + bucket level
@@ -712,22 +700,10 @@ impl Herder {
             header: self.header.clone(),
             bucket_hashes: self.buckets.level_hashes(),
         };
-        let before = self.persist.stats().bytes_written;
-        self.persist.write(LCL_KEY, &rec.to_bytes());
-        let ok = self.persist.sync();
-        let written = self.persist.stats().bytes_written - before;
-        self.telemetry
-            .registry
-            .add("persist.bytes_written", written);
+        let (ok, written) = self.write_durable(LCL_KEY, &rec.to_bytes());
         self.telemetry
             .registry
             .observe("persist.lcl_bytes", written);
-        if ok {
-            self.telemetry.registry.inc("persist.syncs");
-            self.telemetry.registry.inc("persist.fsyncs");
-        } else {
-            self.telemetry.registry.inc("persist.failed_syncs");
-        }
         ok
     }
 

@@ -9,7 +9,11 @@
 //! * `DiskBackend` (`crates/store`) — a log-structured store over the
 //!   simulated disk in `crates/persist`, with a bounded write-back cache.
 //!
-//! The trait deliberately returns *owned* entries: a disk backend cannot
+//! The read half is its own trait, [`LedgerRead`], because backends are
+//! not the only thing transactions read through: every
+//! [`crate::store::LedgerDelta`] is a `LedgerRead` over another one.
+//!
+//! Reads deliberately return *owned* entries: a disk backend cannot
 //! hand out references into its cache without freezing it, and the apply
 //! path already copies entries into the bucket list anyway. Reads take
 //! `&self`; backends with interior caches use interior mutability.
@@ -138,12 +142,12 @@ pub struct StoreIoStats {
     pub disk_bytes: u64,
 }
 
-/// Storage backend for the ledger store: the four entry maps plus the
-/// order-book index, behind get/put/delete/iterate.
-pub trait LedgerBackend {
-    /// A short name for reports ("mem" / "disk").
-    fn name(&self) -> &'static str;
-
+/// The read surface transaction execution sees: point lookups of the
+/// four entry kinds plus ordered book pages. Every layer a
+/// [`crate::store::LedgerDelta`] can sit on implements it — a backend,
+/// another delta, or the parallel path's recording snapshot view — so a
+/// read-only layer never has to stub the mutating half of a backend.
+pub trait LedgerRead {
     /// Looks up an account.
     fn account(&self, id: AccountId) -> Option<AccountEntry>;
     /// Looks up a trustline.
@@ -152,8 +156,6 @@ pub trait LedgerBackend {
     fn offer(&self, id: u64) -> Option<OfferEntry>;
     /// Looks up a data entry.
     fn data(&self, id: AccountId, name: &str) -> Option<DataEntry>;
-    /// All trustlines of one account (Horizon's account view).
-    fn trustlines_of(&self, id: AccountId) -> Vec<TrustLineEntry>;
 
     /// Book positions for a pair strictly after `after`, best price
     /// first, ties by id, up to `limit`.
@@ -164,6 +166,16 @@ pub trait LedgerBackend {
         after: Option<BookCursor>,
         limit: usize,
     ) -> Vec<BookCursor>;
+}
+
+/// Storage backend for the ledger store: [`LedgerRead`] over the four
+/// entry maps and the order-book index, plus put/delete/iterate.
+pub trait LedgerBackend: LedgerRead {
+    /// A short name for reports ("mem" / "disk").
+    fn name(&self) -> &'static str;
+
+    /// All trustlines of one account (Horizon's account view).
+    fn trustlines_of(&self, id: AccountId) -> Vec<TrustLineEntry>;
 
     /// Applies a committed change feed: `Some` upserts, `None` deletes.
     /// The feed is the same one handed to the bucket list.
@@ -243,11 +255,7 @@ impl MemBackend {
     }
 }
 
-impl LedgerBackend for MemBackend {
-    fn name(&self) -> &'static str {
-        "mem"
-    }
-
+impl LedgerRead for MemBackend {
     fn account(&self, id: AccountId) -> Option<AccountEntry> {
         self.accounts.get(&id).cloned()
     }
@@ -264,13 +272,6 @@ impl LedgerBackend for MemBackend {
         self.data.get(&id)?.get(name).cloned()
     }
 
-    fn trustlines_of(&self, id: AccountId) -> Vec<TrustLineEntry> {
-        self.trustlines
-            .get(&id)
-            .map(|m| m.values().cloned().collect())
-            .unwrap_or_default()
-    }
-
     fn book_page(
         &self,
         selling: &Asset,
@@ -279,6 +280,19 @@ impl LedgerBackend for MemBackend {
         limit: usize,
     ) -> Vec<BookCursor> {
         book_range(&self.book, selling, buying, after, limit)
+    }
+}
+
+impl LedgerBackend for MemBackend {
+    fn name(&self) -> &'static str {
+        "mem"
+    }
+
+    fn trustlines_of(&self, id: AccountId) -> Vec<TrustLineEntry> {
+        self.trustlines
+            .get(&id)
+            .map(|m| m.values().cloned().collect())
+            .unwrap_or_default()
     }
 
     fn apply(&mut self, feed: &[(LedgerKey, Option<LedgerEntry>)]) {

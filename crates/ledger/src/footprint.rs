@@ -24,7 +24,7 @@
 //!   imprecise, and the transaction always takes the sequential fallback.
 
 use crate::asset::Asset;
-use crate::backend::LedgerBackend;
+use crate::backend::LedgerRead;
 use crate::entry::AccountId;
 use crate::tx::{Operation, TransactionEnvelope};
 use std::collections::{BTreeSet, HashMap};
@@ -124,7 +124,7 @@ const CROSS_SLACK: usize = 4;
 /// the same close are caught by escape detection instead.
 fn declare_makers(
     fp: &mut Footprint,
-    base: &dyn LedgerBackend,
+    base: &dyn LedgerRead,
     selling: &Asset,
     buying: &Asset,
     amount: i64,
@@ -159,7 +159,7 @@ fn declare_makers(
 
 /// Compiles one transaction's footprint. `base` is the pre-close store
 /// state, used only for the book peek (`ManageOffer` maker declaration).
-pub fn tx_footprint(base: &dyn LedgerBackend, env: &TransactionEnvelope) -> Footprint {
+pub fn tx_footprint(base: &dyn LedgerRead, env: &TransactionEnvelope) -> Footprint {
     let mut fp = Footprint {
         precise: true,
         ..Footprint::default()

@@ -52,7 +52,7 @@ pub mod txset;
 
 pub use amount::{Price, STROOPS_PER_XLM};
 pub use asset::{Asset, AssetCode};
-pub use backend::{LedgerBackend, MemBackend, StoreIoStats};
+pub use backend::{LedgerBackend, LedgerRead, MemBackend, StoreIoStats};
 pub use entry::{AccountEntry, AccountId, DataEntry, OfferEntry, TrustLineEntry};
 pub use header::LedgerHeader;
 pub use parallel::ApplyStats;

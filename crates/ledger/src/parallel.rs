@@ -9,8 +9,10 @@
 //!    non-conflicting transactions (canonical order preserved for every
 //!    conflicting pair).
 //! 2. **Snapshot.** Per wave, the union of declared keys is prefetched
-//!    from the current master state into an owned, `Sync` snapshot (the
-//!    master itself holds `Rc`-backed backends and cannot cross threads).
+//!    from the master — one [`LedgerDelta`] over the backend holding
+//!    every transaction committed so far this close — into an owned,
+//!    `Sync` snapshot (the master itself sits on `Rc`-backed backends and
+//!    cannot cross threads).
 //! 3. **Execute.** Workers run each transaction against the snapshot
 //!    through a recording view that logs every read and flags any access
 //!    outside the transaction's own declared footprint (an **escape**) —
@@ -20,13 +22,15 @@
 //! 4. **Commit.** Transactions commit in canonical order. A transaction
 //!    that escaped — or whose recorded reads overlap keys written by an
 //!    earlier re-run in the same wave — is discarded and **re-run
-//!    sequentially** against the master (Block-STM-style fallback: never
-//!    wrong, only slower). Everything else absorbs its worker delta
-//!    as-is.
-//! 5. **Renumber.** After all waves, provisional offer ids are renumbered
-//!    to the exact ids sequential apply would have allocated (the mapping
-//!    is order-preserving, so price-time priority never observes the
-//!    difference), and the accumulated maps become the commit feed.
+//!    sequentially** in a delta over the master (Block-STM-style
+//!    fallback: never wrong, only slower). Either way the master absorbs
+//!    the transaction's change set, exactly as the sequential close's
+//!    delta absorbs a transaction fork.
+//! 5. **Renumber.** After all waves, provisional offer ids in the
+//!    master's changes are renumbered to the exact ids sequential apply
+//!    would have allocated (the mapping is order-preserving, so
+//!    price-time priority never observes the difference), and the result
+//!    becomes the commit feed.
 //!
 //! Determinism therefore never rests on footprint accuracy: a wrong or
 //! incomplete footprint can only cause re-runs, and the twin-run gate
@@ -34,7 +38,7 @@
 
 use crate::apply::apply_transaction_with_keys;
 use crate::asset::Asset;
-use crate::backend::{book_key, BookCursor, LedgerBackend};
+use crate::backend::{BookCursor, LedgerRead};
 use crate::entry::{
     AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
 };
@@ -46,7 +50,7 @@ use crate::store::{DeltaChanges, LedgerDelta, LedgerStore};
 use crate::tx::{TransactionEnvelope, TxResult};
 use crate::txset::TransactionSet;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use stellar_crypto::sign::PublicKey;
@@ -79,182 +83,6 @@ pub struct ApplyStats {
     pub threads: u64,
 }
 
-/// Accumulated master overlay: every committed transaction's changes so
-/// far this close, layered over the real backend. Mirrors the maps of
-/// one big sequential [`LedgerDelta`], with [`absorb`](Master::absorb)
-/// mirroring `LedgerDelta::absorb`, so the final maps are field-for-field
-/// what sequential apply would have produced.
-#[derive(Default)]
-struct Master {
-    accounts: BTreeMap<AccountId, Option<AccountEntry>>,
-    trustlines: BTreeMap<AccountId, BTreeMap<Asset, Option<TrustLineEntry>>>,
-    offers: BTreeMap<u64, Option<OfferEntry>>,
-    data: BTreeMap<AccountId, BTreeMap<String, Option<DataEntry>>>,
-}
-
-impl Master {
-    fn absorb(&mut self, changes: DeltaChanges) {
-        self.accounts.extend(changes.accounts);
-        for (id, by_asset) in changes.trustlines {
-            self.trustlines.entry(id).or_default().extend(by_asset);
-        }
-        self.offers.extend(changes.offers);
-        for (id, by_name) in changes.data {
-            self.data.entry(id).or_default().extend(by_name);
-        }
-    }
-
-    fn offer(&self, base: &dyn LedgerBackend, id: u64) -> Option<OfferEntry> {
-        match self.offers.get(&id) {
-            Some(slot) => slot.clone(),
-            None => base.offer(id),
-        }
-    }
-}
-
-/// Read-only [`LedgerBackend`] view of master-over-base: what sequential
-/// apply would observe at this point of the close. Serves wave-snapshot
-/// prefetch and sequential re-runs; never mutated through the trait.
-struct MasterView<'a> {
-    base: &'a dyn LedgerBackend,
-    master: &'a Master,
-}
-
-impl LedgerBackend for MasterView<'_> {
-    fn name(&self) -> &'static str {
-        "master-view"
-    }
-
-    fn account(&self, id: AccountId) -> Option<AccountEntry> {
-        match self.master.accounts.get(&id) {
-            Some(slot) => slot.clone(),
-            None => self.base.account(id),
-        }
-    }
-
-    fn trustline(&self, id: AccountId, asset: &Asset) -> Option<TrustLineEntry> {
-        match self.master.trustlines.get(&id).and_then(|m| m.get(asset)) {
-            Some(slot) => slot.clone(),
-            None => self.base.trustline(id, asset),
-        }
-    }
-
-    fn offer(&self, id: u64) -> Option<OfferEntry> {
-        self.master.offer(self.base, id)
-    }
-
-    fn data(&self, id: AccountId, name: &str) -> Option<DataEntry> {
-        match self.master.data.get(&id).and_then(|m| m.get(name)) {
-            Some(slot) => slot.clone(),
-            None => self.base.data(id, name),
-        }
-    }
-
-    fn trustlines_of(&self, id: AccountId) -> Vec<TrustLineEntry> {
-        let mut by_asset: BTreeMap<Asset, Option<TrustLineEntry>> = self
-            .base
-            .trustlines_of(id)
-            .into_iter()
-            .map(|t| (t.asset.clone(), Some(t)))
-            .collect();
-        if let Some(overlay) = self.master.trustlines.get(&id) {
-            for (asset, slot) in overlay {
-                by_asset.insert(asset.clone(), slot.clone());
-            }
-        }
-        by_asset.into_values().flatten().collect()
-    }
-
-    fn book_page(
-        &self,
-        selling: &Asset,
-        buying: &Asset,
-        after: Option<BookCursor>,
-        limit: usize,
-    ) -> Vec<BookCursor> {
-        // Merge the master's offer overlay with the base index in book
-        // order — the same merge LedgerDelta::offers_page performs.
-        const CHUNK: usize = 64;
-        let mut overlay: Vec<BookCursor> = self
-            .master
-            .offers
-            .values()
-            .filter_map(Option::as_ref)
-            .filter(|o| &o.selling == selling && &o.buying == buying)
-            .map(book_key)
-            .filter(|k| after.is_none_or(|cursor| *k > cursor))
-            .collect();
-        overlay.sort_unstable();
-        let mut overlay = overlay.into_iter().peekable();
-
-        let mut base_buf: VecDeque<BookCursor> = VecDeque::new();
-        let mut base_cursor = after;
-        let mut base_done = false;
-        let mut out = Vec::new();
-        while out.len() < limit {
-            while base_buf.is_empty() && !base_done {
-                let chunk = self.base.book_page(selling, buying, base_cursor, CHUNK);
-                if chunk.len() < CHUNK {
-                    base_done = true;
-                }
-                if let Some(&last) = chunk.last() {
-                    base_cursor = Some(last);
-                }
-                base_buf.extend(
-                    chunk
-                        .into_iter()
-                        .filter(|(_, id)| !self.master.offers.contains_key(id)),
-                );
-            }
-            match (base_buf.front().copied(), overlay.peek().copied()) {
-                (None, None) => break,
-                (Some(_), None) => out.push(base_buf.pop_front().expect("peeked")),
-                (None, Some(_)) => out.push(overlay.next().expect("peeked")),
-                (Some(bk), Some(ok)) => {
-                    if ok < bk {
-                        out.push(overlay.next().expect("peeked"));
-                    } else {
-                        out.push(base_buf.pop_front().expect("peeked"));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn apply(&mut self, _feed: &[(LedgerKey, Option<LedgerEntry>)]) {
-        unreachable!("MasterView is read-only");
-    }
-
-    fn next_offer_id(&self) -> u64 {
-        unreachable!("deltas over MasterView set their allocator explicitly");
-    }
-
-    fn set_next_offer_id(&mut self, _id: u64) {
-        unreachable!("MasterView is read-only");
-    }
-
-    fn account_count(&self) -> usize {
-        0
-    }
-
-    fn offer_count(&self) -> usize {
-        0
-    }
-
-    fn all_entries(&self) -> Vec<LedgerEntry> {
-        unreachable!("never enumerated during apply");
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-
-    fn boxed_clone(&self) -> Box<dyn LedgerBackend> {
-        unreachable!("MasterView is borrowed, not owned");
-    }
-}
-
 /// A prefetched, owned, thread-shareable snapshot of every key a wave's
 /// transactions declared. A key *present* in a map (even as `None`) was
 /// prefetched; an *absent* key was not, and reading it is an escape.
@@ -276,7 +104,7 @@ struct BookSnap {
     complete: bool,
 }
 
-fn build_snapshot(view: &MasterView<'_>, wave_footprints: &[&Footprint]) -> WaveSnapshot {
+fn build_snapshot(view: &dyn LedgerRead, wave_footprints: &[&Footprint]) -> WaveSnapshot {
     let mut snap = WaveSnapshot::default();
     let fetch_book = |snap: &mut WaveSnapshot, selling: &Asset, buying: &Asset| {
         let dir = (selling.clone(), buying.clone());
@@ -286,9 +114,7 @@ fn build_snapshot(view: &MasterView<'_>, wave_footprints: &[&Footprint]) -> Wave
         let cursors = view.book_page(selling, buying, None, BOOK_PREFETCH);
         let complete = cursors.len() < BOOK_PREFETCH;
         for &(_, id) in &cursors {
-            snap.offers
-                .entry(id)
-                .or_insert_with(|| view.master.offer(view.base, id));
+            snap.offers.entry(id).or_insert_with(|| view.offer(id));
         }
         snap.books.insert(dir, BookSnap { cursors, complete });
     };
@@ -352,11 +178,7 @@ impl RecordingView<'_> {
     }
 }
 
-impl LedgerBackend for RecordingView<'_> {
-    fn name(&self) -> &'static str {
-        "wave-snapshot"
-    }
-
+impl LedgerRead for RecordingView<'_> {
     fn account(&self, id: AccountId) -> Option<AccountEntry> {
         self.log.borrow_mut().accounts.insert(id);
         if !self.allowed.covers(&FpKey::Account(id)) {
@@ -420,13 +242,6 @@ impl LedgerBackend for RecordingView<'_> {
         }
     }
 
-    fn trustlines_of(&self, _id: AccountId) -> Vec<TrustLineEntry> {
-        // Never called by operation execution; treat as an escape so a
-        // future caller cannot silently observe an empty view.
-        self.escape();
-        Vec::new()
-    }
-
     fn book_page(
         &self,
         selling: &Asset,
@@ -457,38 +272,6 @@ impl LedgerBackend for RecordingView<'_> {
         }
         book.cursors[start..start + available.min(limit)].to_vec()
     }
-
-    fn apply(&mut self, _feed: &[(LedgerKey, Option<LedgerEntry>)]) {
-        unreachable!("RecordingView is read-only");
-    }
-
-    fn next_offer_id(&self) -> u64 {
-        unreachable!("worker deltas set their allocator explicitly");
-    }
-
-    fn set_next_offer_id(&mut self, _id: u64) {
-        unreachable!("RecordingView is read-only");
-    }
-
-    fn account_count(&self) -> usize {
-        0
-    }
-
-    fn offer_count(&self) -> usize {
-        0
-    }
-
-    fn all_entries(&self) -> Vec<LedgerEntry> {
-        unreachable!("never enumerated during apply");
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-
-    fn boxed_clone(&self) -> Box<dyn LedgerBackend> {
-        unreachable!("RecordingView is borrowed, not owned");
-    }
 }
 
 /// One worker-executed transaction, pending commit-time validation.
@@ -513,10 +296,11 @@ struct DirtySet {
 }
 
 impl DirtySet {
-    /// Records everything `changes` writes. `prior` resolves the asset
-    /// pair of offers deleted by id (for book invalidation); tombstones
-    /// of never-committed provisional ids resolve to nothing.
-    fn add(&mut self, changes: &DeltaChanges, base: &dyn LedgerBackend, prior: &Master) {
+    /// Records everything `changes` writes. `prior` (the master before
+    /// absorbing them) resolves the asset pair of offers deleted by id,
+    /// for book invalidation; tombstones of never-committed provisional
+    /// ids resolve to nothing.
+    fn add(&mut self, changes: &DeltaChanges, prior: &dyn LedgerRead) {
         self.active = true;
         self.accounts.extend(changes.accounts.keys().copied());
         for (id, by_asset) in &changes.trustlines {
@@ -533,9 +317,7 @@ impl DirtySet {
             self.offers.insert(*id);
             let pair_of = match slot {
                 Some(o) => Some(book_pair(&o.selling, &o.buying)),
-                None => prior
-                    .offer(base, *id)
-                    .map(|o| book_pair(&o.selling, &o.buying)),
+                None => prior.offer(*id).map(|o| book_pair(&o.selling, &o.buying)),
             };
             if let Some(p) = pair_of {
                 self.books.insert(p);
@@ -704,7 +486,7 @@ pub(crate) fn close_parallel(
     let footprints = &ctx.footprints;
     let signer_keys = &ctx.signer_keys;
 
-    let mut master = Master::default();
+    let mut master = LedgerDelta::over(store.backend(), initial_next);
     let mut results: Vec<Option<TxResult>> = (0..n).map(|_| None).collect();
     // Offer allocations per committed transaction, for final renumbering.
     let mut alloc_counts: Vec<u64> = vec![0; n];
@@ -730,12 +512,8 @@ pub(crate) fn close_parallel(
 
         let mut executed: HashMap<usize, TxExec> = HashMap::new();
         if !runnable.is_empty() {
-            let view = MasterView {
-                base: store.backend(),
-                master: &master,
-            };
             let wave_fps: Vec<&Footprint> = runnable.iter().map(|&t| &footprints[t]).collect();
-            let snapshot = Arc::new(build_snapshot(&view, &wave_fps));
+            let snapshot = Arc::new(build_snapshot(&master, &wave_fps));
 
             if threads > 1 && runnable.len() > 1 {
                 let chunk = runnable.len().div_ceil(threads);
@@ -806,11 +584,7 @@ pub(crate) fn close_parallel(
                 }
                 // Remaining case: a solo-wave transaction, sequential
                 // by design — neither counter.
-                let view = MasterView {
-                    base: store.backend(),
-                    master: &master,
-                };
-                let mut delta = LedgerDelta::over(&view, provisional_base(initial_next, t));
+                let mut delta = LedgerDelta::over(&master, provisional_base(initial_next, t));
                 let result = apply_transaction_with_keys(
                     &mut delta,
                     &tx_set.txs[t],
@@ -820,7 +594,7 @@ pub(crate) fn close_parallel(
                     &signer_keys[t],
                 );
                 let changes = delta.into_changes();
-                dirty.add(&changes, store.backend(), &master);
+                dirty.add(&changes, &master);
                 (result, changes)
             };
             alloc_counts[t] = changes
@@ -851,27 +625,23 @@ pub(crate) fn close_parallel(
             next_real += 1;
         }
     }
-    let mut offers: BTreeMap<u64, Option<OfferEntry>> = BTreeMap::new();
-    for (id, slot) in master.offers {
-        let real = if id >= provisional_floor {
-            *id_map.get(&id).expect("every provisional id was allocated")
-        } else {
-            id
-        };
-        let slot = slot.map(|mut o| {
-            o.id = real;
-            o
-        });
-        offers.insert(real, slot);
-    }
-
-    let changes = DeltaChanges {
-        accounts: master.accounts,
-        trustlines: master.trustlines,
-        offers,
-        data: master.data,
-        next_offer_id: next_real,
-    };
+    let mut changes = master.into_changes();
+    changes.next_offer_id = next_real;
+    changes.offers = std::mem::take(&mut changes.offers)
+        .into_iter()
+        .map(|(id, slot)| {
+            let real = if id >= provisional_floor {
+                *id_map.get(&id).expect("every provisional id was allocated")
+            } else {
+                id
+            };
+            let slot = slot.map(|mut o| {
+                o.id = real;
+                o
+            });
+            (real, slot)
+        })
+        .collect();
     let feed = store.commit(changes);
     let results = results
         .into_iter()

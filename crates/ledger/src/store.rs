@@ -1,4 +1,4 @@
-//! The ledger entry store with copy-on-write deltas.
+//! The ledger entry store and its scratch overlay.
 //!
 //! Production `stellar-core` keeps the ledger in a SQL database; this
 //! reproduction substitutes a pluggable [`LedgerBackend`] behind the same
@@ -8,6 +8,17 @@
 //! [`LedgerDelta`] overlay that is either *committed* into the base store
 //! or discarded — which is how "transactions are atomic: if any operation
 //! fails, none of them execute" (§5.2) is implemented.
+//!
+//! There is one overlay type and it layers. A delta holds only its own
+//! writes and reads through to whatever [`LedgerRead`] it sits on — the
+//! backend, or another delta. The close applies a whole transaction set
+//! to one delta over the backend; each transaction runs its operations
+//! in a [`fork`](LedgerDelta::fork) of that delta and, on success, moves
+//! its writes down with [`absorb`](LedgerDelta::absorb). Both cost what
+//! the transaction touched, never what the close has accumulated. Depth
+//! is bounded by construction: transaction fork → close delta → backend,
+//! one deeper for `quote_path`'s dry run and for the parallel path's
+//! sequential re-runs.
 //!
 //! The store also tracks, per ledger close, which entries changed; that
 //! change feed drives both the backend and the bucket list in
@@ -27,7 +38,7 @@
 //!   book costs only what it fills.
 
 use crate::asset::Asset;
-use crate::backend::{LedgerBackend, MemBackend, StoreIoStats};
+use crate::backend::{LedgerBackend, LedgerRead, MemBackend, StoreIoStats};
 use crate::entry::{
     AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
 };
@@ -219,21 +230,14 @@ impl LedgerStore {
     }
 
     /// The backend as a read surface (crate-internal: the parallel apply
-    /// path layers views and snapshots directly over it).
-    pub(crate) fn backend(&self) -> &dyn LedgerBackend {
+    /// path layers its master delta directly over it).
+    pub(crate) fn backend(&self) -> &dyn LedgerRead {
         self.backend.as_ref()
     }
 
     /// Starts a delta (scratch overlay) over this store.
     pub fn begin(&self) -> LedgerDelta<'_> {
-        LedgerDelta {
-            base: self.backend.as_ref(),
-            accounts: BTreeMap::new(),
-            trustlines: BTreeMap::new(),
-            offers: BTreeMap::new(),
-            data: BTreeMap::new(),
-            next_offer_id: self.backend.next_offer_id(),
-        }
+        LedgerDelta::over(self.backend.as_ref(), self.backend.next_offer_id())
     }
 
     /// Applies a committed delta's changes, returning the change feed for
@@ -271,11 +275,12 @@ impl LedgerStore {
     }
 }
 
-/// The owned changes extracted from a delta at commit time.
+/// The owned changes extracted from a delta: what that one layer wrote,
+/// nothing inherited from the layers below it.
 ///
 /// Fields are `pub(crate)` so the parallel apply path
-/// ([`crate::parallel`]) can renumber provisional offer ids and merge
-/// per-transaction change sets without round-tripping through a delta.
+/// ([`crate::parallel`]) can renumber provisional offer ids and record
+/// which keys a re-run dirtied.
 #[derive(Debug, Default)]
 pub struct DeltaChanges {
     pub(crate) accounts: BTreeMap<AccountId, Option<AccountEntry>>,
@@ -285,67 +290,140 @@ pub struct DeltaChanges {
     pub(crate) next_offer_id: u64,
 }
 
-/// A copy-on-write overlay over a [`LedgerStore`].
+/// A scratch overlay over any [`LedgerRead`]: a backend or another delta.
 ///
-/// Reads fall through to the base store; writes land in the overlay.
+/// Reads fall through to the layer below; writes land in this layer.
 /// `None` in an overlay slot means "deleted". Dropping the delta discards
-/// all changes; [`LedgerDelta::into_changes`] extracts them for commit.
+/// its writes; [`LedgerDelta::into_changes`] extracts them for
+/// [`LedgerStore::commit`] or a parent's [`LedgerDelta::absorb`].
 pub struct LedgerDelta<'a> {
-    base: &'a dyn LedgerBackend,
-    accounts: BTreeMap<AccountId, Option<AccountEntry>>,
-    trustlines: BTreeMap<AccountId, BTreeMap<Asset, Option<TrustLineEntry>>>,
-    offers: BTreeMap<u64, Option<OfferEntry>>,
-    data: BTreeMap<AccountId, BTreeMap<String, Option<DataEntry>>>,
-    next_offer_id: u64,
+    base: &'a dyn LedgerRead,
+    changes: DeltaChanges,
 }
 
 impl<'a> LedgerDelta<'a> {
-    /// Starts an empty delta over an arbitrary backend with an explicit
-    /// offer-id allocator base. The parallel apply path uses this to run
-    /// transactions over wave snapshots (and over the accumulated master
-    /// state) with per-transaction provisional id ranges.
-    pub(crate) fn over(base: &'a dyn LedgerBackend, next_offer_id: u64) -> LedgerDelta<'a> {
+    /// Starts an empty delta over `base`, allocating offer ids from
+    /// `next_offer_id`. The parallel apply path passes per-transaction
+    /// provisional bases here; everything else goes through
+    /// [`LedgerStore::begin`] and [`LedgerDelta::fork`].
+    pub(crate) fn over(base: &'a dyn LedgerRead, next_offer_id: u64) -> LedgerDelta<'a> {
         LedgerDelta {
             base,
-            accounts: BTreeMap::new(),
-            trustlines: BTreeMap::new(),
-            offers: BTreeMap::new(),
-            data: BTreeMap::new(),
-            next_offer_id,
+            changes: DeltaChanges {
+                next_offer_id,
+                ..DeltaChanges::default()
+            },
         }
+    }
+}
+
+impl LedgerRead for LedgerDelta<'_> {
+    fn account(&self, id: AccountId) -> Option<AccountEntry> {
+        match self.changes.accounts.get(&id) {
+            Some(slot) => slot.clone(),
+            None => self.base.account(id),
+        }
+    }
+
+    fn trustline(&self, id: AccountId, asset: &Asset) -> Option<TrustLineEntry> {
+        match self.changes.trustlines.get(&id).and_then(|m| m.get(asset)) {
+            Some(slot) => slot.clone(),
+            None => self.base.trustline(id, asset),
+        }
+    }
+
+    fn offer(&self, id: u64) -> Option<OfferEntry> {
+        match self.changes.offers.get(&id) {
+            Some(slot) => slot.clone(),
+            None => self.base.offer(id),
+        }
+    }
+
+    fn data(&self, id: AccountId, name: &str) -> Option<DataEntry> {
+        match self.changes.data.get(&id).and_then(|m| m.get(name)) {
+            Some(slot) => slot.clone(),
+            None => self.base.data(id, name),
+        }
+    }
+
+    /// The one overlay-over-lower-layer book merge. The lower layer pages
+    /// in bounded chunks (so a disk backend, or a deeper delta, produces
+    /// only what the merge consumes), this layer contributes the offers
+    /// it wrote, and both sides order by [`book_key`] so the merged order
+    /// cannot diverge from the backend's index.
+    fn book_page(
+        &self,
+        selling: &Asset,
+        buying: &Asset,
+        after: Option<BookCursor>,
+        limit: usize,
+    ) -> Vec<BookCursor> {
+        const CHUNK: usize = 64;
+        let offers = &self.changes.offers;
+        let mut overlay: Vec<BookCursor> = offers
+            .values()
+            .filter_map(Option::as_ref)
+            .filter(|o| &o.selling == selling && &o.buying == buying)
+            .map(book_key)
+            .filter(|k| after.is_none_or(|cursor| *k > cursor))
+            .collect();
+        overlay.sort_unstable();
+        let mut overlay = overlay.into_iter().peekable();
+
+        let mut lower: VecDeque<BookCursor> = VecDeque::new();
+        let mut lower_cursor = after;
+        let mut lower_done = false;
+        let mut out = Vec::new();
+        while out.len() < limit {
+            // Refill from below, skipping ids this layer has a slot for
+            // (updated, deleted, or merely re-written): it owns those.
+            while lower.is_empty() && !lower_done {
+                let chunk = self.base.book_page(selling, buying, lower_cursor, CHUNK);
+                if chunk.len() < CHUNK {
+                    lower_done = true;
+                }
+                if let Some(&last) = chunk.last() {
+                    lower_cursor = Some(last);
+                }
+                lower.extend(chunk.into_iter().filter(|(_, id)| !offers.contains_key(id)));
+            }
+            let next = match (lower.front().copied(), overlay.peek().copied()) {
+                (None, None) => break,
+                (Some(lk), Some(ok)) if ok < lk => overlay.next(),
+                (None, Some(_)) => overlay.next(),
+                (Some(_), _) => lower.pop_front(),
+            };
+            out.extend(next);
+        }
+        out
     }
 }
 
 impl LedgerDelta<'_> {
     /// Looks up an account through the overlay.
     pub fn account(&self, id: AccountId) -> Option<AccountEntry> {
-        match self.accounts.get(&id) {
-            Some(slot) => slot.clone(),
-            None => self.base.account(id),
-        }
+        LedgerRead::account(self, id)
     }
 
     /// Writes an account.
     pub fn put_account(&mut self, account: AccountEntry) {
-        self.accounts.insert(account.id, Some(account));
+        self.changes.accounts.insert(account.id, Some(account));
     }
 
     /// Deletes an account.
     pub fn delete_account(&mut self, id: AccountId) {
-        self.accounts.insert(id, None);
+        self.changes.accounts.insert(id, None);
     }
 
     /// Looks up a trustline through the overlay.
     pub fn trustline(&self, id: AccountId, asset: &Asset) -> Option<TrustLineEntry> {
-        match self.trustlines.get(&id).and_then(|m| m.get(asset)) {
-            Some(slot) => slot.clone(),
-            None => self.base.trustline(id, asset),
-        }
+        LedgerRead::trustline(self, id, asset)
     }
 
     /// Writes a trustline.
     pub fn put_trustline(&mut self, tl: TrustLineEntry) {
-        self.trustlines
+        self.changes
+            .trustlines
             .entry(tl.account)
             .or_default()
             .insert(tl.asset.clone(), Some(tl));
@@ -353,7 +431,8 @@ impl LedgerDelta<'_> {
 
     /// Deletes a trustline.
     pub fn delete_trustline(&mut self, id: AccountId, asset: &Asset) {
-        self.trustlines
+        self.changes
+            .trustlines
             .entry(id)
             .or_default()
             .insert(asset.clone(), None);
@@ -361,40 +440,35 @@ impl LedgerDelta<'_> {
 
     /// Looks up an offer through the overlay.
     pub fn offer(&self, id: u64) -> Option<OfferEntry> {
-        match self.offers.get(&id) {
-            Some(slot) => slot.clone(),
-            None => self.base.offer(id),
-        }
+        LedgerRead::offer(self, id)
     }
 
     /// Writes an offer.
     pub fn put_offer(&mut self, offer: OfferEntry) {
-        self.offers.insert(offer.id, Some(offer));
+        self.changes.offers.insert(offer.id, Some(offer));
     }
 
     /// Deletes an offer.
     pub fn delete_offer(&mut self, id: u64) {
-        self.offers.insert(id, None);
+        self.changes.offers.insert(id, None);
     }
 
     /// Allocates a fresh ledger-unique offer id.
     pub fn allocate_offer_id(&mut self) -> u64 {
-        let id = self.next_offer_id;
-        self.next_offer_id += 1;
+        let id = self.changes.next_offer_id;
+        self.changes.next_offer_id += 1;
         id
     }
 
     /// Looks up a data entry through the overlay.
     pub fn data(&self, id: AccountId, name: &str) -> Option<DataEntry> {
-        match self.data.get(&id).and_then(|m| m.get(name)) {
-            Some(slot) => slot.clone(),
-            None => self.base.data(id, name),
-        }
+        LedgerRead::data(self, id, name)
     }
 
     /// Writes a data entry.
     pub fn put_data(&mut self, entry: DataEntry) {
-        self.data
+        self.changes
+            .data
             .entry(entry.account)
             .or_default()
             .insert(entry.name.clone(), Some(entry));
@@ -402,26 +476,22 @@ impl LedgerDelta<'_> {
 
     /// Deletes a data entry.
     pub fn delete_data(&mut self, id: AccountId, name: &str) {
-        self.data
+        self.changes
+            .data
             .entry(id)
             .or_default()
             .insert(name.to_string(), None);
     }
 
-    /// Offers for a pair, merged overlay-over-base, best price first.
+    /// Offers for a pair, merged through every layer, best price first.
     pub fn offers_for_pair(&self, selling: &Asset, buying: &Asset) -> Vec<OfferEntry> {
         self.offers_page(selling, buying, None, usize::MAX)
     }
 
     /// Up to `limit` offers for a pair strictly after `after` in book
-    /// order (best price first, ties by id), merged overlay-over-base.
-    ///
-    /// This is the matching engine's lazy view of the book: the base side
-    /// pages through the backend's index in bounded chunks (so a disk
-    /// backend fetches only what the merge consumes), the overlay side is
-    /// the handful of offers the current transaction already touched, and
-    /// both merge through [`book_key`] so ordering cannot diverge from
-    /// the index.
+    /// order (best price first, ties by id) — the matching engine's lazy
+    /// view of the book: [`LedgerRead::book_page`] for the positions,
+    /// then one point read per offer actually returned.
     pub fn offers_page(
         &self,
         selling: &Asset,
@@ -429,101 +499,37 @@ impl LedgerDelta<'_> {
         after: Option<BookCursor>,
         limit: usize,
     ) -> Vec<OfferEntry> {
-        const CHUNK: usize = 64;
-        let mut base_buf: VecDeque<BookCursor> = VecDeque::new();
-        let mut base_cursor = after;
-        let mut base_done = false;
-
-        // Overlay offers for this pair past the cursor, in book order.
-        let mut overlay: Vec<&OfferEntry> = self
-            .offers
-            .values()
-            .filter_map(Option::as_ref)
-            .filter(|o| &o.selling == selling && &o.buying == buying)
-            .filter(|o| after.is_none_or(|cursor| book_key(o) > cursor))
-            .collect();
-        overlay.sort_by_key(|o| book_key(o));
-        let mut overlay = overlay.into_iter().peekable();
-
-        let mut out = Vec::new();
-        while out.len() < limit {
-            // Refill the base buffer, skipping entries shadowed by any
-            // overlay slot (updated, deleted, or merely re-written): the
-            // overlay owns those ids.
-            while base_buf.is_empty() && !base_done {
-                let chunk = self.base.book_page(selling, buying, base_cursor, CHUNK);
-                if chunk.len() < CHUNK {
-                    base_done = true;
-                }
-                if let Some(&last) = chunk.last() {
-                    base_cursor = Some(last);
-                }
-                base_buf.extend(
-                    chunk
-                        .into_iter()
-                        .filter(|(_, id)| !self.offers.contains_key(id)),
-                );
-            }
-            let base_key = base_buf.front().copied();
-            let overlay_key = overlay.peek().map(|o| book_key(o));
-            match (base_key, overlay_key) {
-                (None, None) => break,
-                (Some(_), None) => {
-                    let (_, id) = base_buf.pop_front().expect("peeked");
-                    out.push(self.base.offer(id).expect("indexed offer exists"));
-                }
-                (None, Some(_)) => out.push(overlay.next().expect("peeked").clone()),
-                (Some(bk), Some(ok)) => {
-                    if ok < bk {
-                        out.push(overlay.next().expect("peeked").clone());
-                    } else {
-                        let (_, id) = base_buf.pop_front().expect("peeked");
-                        out.push(self.base.offer(id).expect("indexed offer exists"));
-                    }
-                }
-            }
-        }
-        out
+        self.book_page(selling, buying, after, limit)
+            .into_iter()
+            .map(|(_, id)| self.offer(id).expect("indexed offer exists"))
+            .collect()
     }
 
-    /// Extracts the accumulated changes for commit.
+    /// Extracts this layer's writes, for commit or a parent's `absorb`.
     pub fn into_changes(self) -> DeltaChanges {
-        DeltaChanges {
-            accounts: self.accounts,
-            trustlines: self.trustlines,
-            offers: self.offers,
-            data: self.data,
-            next_offer_id: self.next_offer_id,
-        }
+        self.changes
     }
 
-    /// Merges a nested (per-transaction) delta's changes into this one.
-    pub fn absorb(&mut self, changes: DeltaChanges) {
-        self.accounts.extend(changes.accounts);
-        for (id, by_asset) in changes.trustlines {
-            self.trustlines.entry(id).or_default().extend(by_asset);
+    /// Moves a child's writes into this layer, newest wins.
+    pub fn absorb(&mut self, child: DeltaChanges) {
+        let own = &mut self.changes;
+        own.accounts.extend(child.accounts);
+        for (id, by_asset) in child.trustlines {
+            own.trustlines.entry(id).or_default().extend(by_asset);
         }
-        self.offers.extend(changes.offers);
-        for (id, by_name) in changes.data {
-            self.data.entry(id).or_default().extend(by_name);
+        own.offers.extend(child.offers);
+        for (id, by_name) in child.data {
+            own.data.entry(id).or_default().extend(by_name);
         }
-        self.next_offer_id = self.next_offer_id.max(changes.next_offer_id);
+        own.next_offer_id = own.next_offer_id.max(child.next_offer_id);
     }
 
-    /// Starts a nested scratch delta that snapshots this delta's current
-    /// state (used per-operation group inside a transaction).
+    /// Starts a nested scratch delta: empty, reading through `self`, and
+    /// continuing its offer-id allocator. Drop it to roll back, or
+    /// [`absorb`](LedgerDelta::absorb) its changes to keep them. The
+    /// borrow freezes `self` for as long as the fork lives.
     pub fn fork(&self) -> LedgerDelta<'_> {
-        // A fork layers fresh maps over a frozen clone of our maps by
-        // copying them: cheap relative to transaction sizes (a handful of
-        // touched entries each).
-        LedgerDelta {
-            base: self.base,
-            accounts: self.accounts.clone(),
-            trustlines: self.trustlines.clone(),
-            offers: self.offers.clone(),
-            data: self.data.clone(),
-            next_offer_id: self.next_offer_id,
-        }
+        LedgerDelta::over(self, self.changes.next_offer_id)
     }
 }
 
@@ -709,6 +715,119 @@ mod tests {
         inner.put_account(a);
         outer.absorb(inner.into_changes());
         assert_eq!(outer.account(acct(1)).unwrap().balance, 42);
+    }
+
+    fn change_count(c: &DeltaChanges) -> usize {
+        c.accounts.len()
+            + c.trustlines.values().map(BTreeMap::len).sum::<usize>()
+            + c.offers.len()
+            + c.data.values().map(BTreeMap::len).sum::<usize>()
+    }
+
+    fn offer(id: u64, price: u32, usd: &Asset) -> OfferEntry {
+        OfferEntry {
+            id,
+            account: acct(1),
+            selling: Asset::Native,
+            buying: usd.clone(),
+            amount: 10,
+            price: Price::new(price, 1),
+            passive: false,
+        }
+    }
+
+    /// The per-transaction cost of a fork must not depend on how much the
+    /// close has already written: a fork carries only its own writes.
+    #[test]
+    fn fork_starts_empty_however_much_the_parent_holds() {
+        let store = LedgerStore::new();
+        let mut outer = store.begin();
+        for n in 0..100 {
+            outer.put_account(AccountEntry::new(acct(n), 1));
+        }
+        assert_eq!(change_count(&outer.fork().into_changes()), 0);
+        let mut inner = outer.fork();
+        inner.put_account(AccountEntry::new(acct(7), 2));
+        assert_eq!(change_count(&inner.into_changes()), 1);
+    }
+
+    #[test]
+    fn dropping_a_fork_leaves_the_parent_untouched() {
+        let mut store = LedgerStore::new();
+        store.put_account(AccountEntry::new(acct(1), 100));
+        let mut outer = store.begin();
+        outer.put_account(AccountEntry::new(acct(2), 5));
+        {
+            let mut inner = outer.fork();
+            inner.delete_account(acct(1));
+            inner.put_account(AccountEntry::new(acct(2), 6));
+            inner.allocate_offer_id();
+            assert!(inner.account(acct(1)).is_none());
+        }
+        assert_eq!(outer.account(acct(1)).unwrap().balance, 100);
+        assert_eq!(outer.account(acct(2)).unwrap().balance, 5);
+        assert_eq!(change_count(&outer.into_changes()), 1);
+    }
+
+    #[test]
+    fn child_delete_shadows_parent_put_and_base_entry() {
+        let mut store = LedgerStore::new();
+        let usd = Asset::issued(acct(9), "USD");
+        store.put_account(AccountEntry::new(acct(1), 100)); // base entry
+        let mut d = store.begin();
+        d.put_offer(offer(1, 2, &usd));
+        store.commit(d.into_changes()); // base offer
+        let mut outer = store.begin();
+        outer.put_account(AccountEntry::new(acct(2), 5)); // parent put
+        outer.put_offer(offer(2, 3, &usd));
+        let mut inner = outer.fork();
+        inner.delete_account(acct(1));
+        inner.delete_account(acct(2));
+        inner.delete_offer(1);
+        inner.delete_offer(2);
+        assert!(inner.account(acct(1)).is_none());
+        assert!(inner.account(acct(2)).is_none());
+        assert!(inner.offer(1).is_none() && inner.offer(2).is_none());
+        assert!(inner.offers_for_pair(&Asset::Native, &usd).is_empty());
+        // The parent still sees both until it absorbs the deletes.
+        assert_eq!(outer.offers_for_pair(&Asset::Native, &usd).len(), 2);
+    }
+
+    #[test]
+    fn child_reprice_of_base_offer_lists_it_once_at_the_new_position() {
+        let mut store = LedgerStore::new();
+        let usd = Asset::issued(acct(9), "USD");
+        let mut d = store.begin();
+        d.put_offer(offer(1, 2, &usd));
+        d.put_offer(offer(2, 4, &usd));
+        store.commit(d.into_changes());
+        let mut outer = store.begin();
+        outer.put_offer(offer(3, 3, &usd)); // parent insert between them
+        let mut inner = outer.fork();
+        inner.put_offer(offer(1, 5, &usd)); // base offer 1: best -> worst
+        let book = inner.offers_for_pair(&Asset::Native, &usd);
+        assert_eq!(book.iter().map(|o| o.id).collect::<Vec<_>>(), vec![3, 2, 1]);
+        assert_eq!(book[2].price, Price::new(5, 1));
+        // Paging from a cursor past the offer's *old* position must not
+        // resurrect it there.
+        let page = inner.offers_page(&Asset::Native, &usd, Some((Price::new(2, 1), 0)), 1);
+        assert_eq!(page[0].id, 3);
+    }
+
+    #[test]
+    fn offer_id_allocation_continues_across_fork_and_absorb() {
+        let store = LedgerStore::new();
+        let mut outer = store.begin();
+        let a = outer.allocate_offer_id();
+        let mut inner = outer.fork();
+        let b = inner.allocate_offer_id();
+        let c = inner.allocate_offer_id();
+        outer.absorb(inner.into_changes());
+        let d = outer.allocate_offer_id();
+        assert_eq!([b, c, d], [a + 1, a + 2, a + 3]);
+        // A discarded fork's allocations are handed out again.
+        let e = outer.fork().allocate_offer_id();
+        assert_eq!(e, outer.allocate_offer_id());
     }
 
     #[test]

@@ -33,7 +33,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use stellar_crypto::codec::{Decode, Encode};
 use stellar_ledger::backend::{
-    approx_entry_bytes, book_apply, book_range, BookCursor, BookIndex, LedgerBackend, StoreIoStats,
+    approx_entry_bytes, book_apply, book_range, BookCursor, BookIndex, LedgerBackend, LedgerRead,
+    StoreIoStats,
 };
 use stellar_ledger::entry::{
     AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
@@ -610,11 +611,7 @@ impl DiskBackend {
     }
 }
 
-impl LedgerBackend for DiskBackend {
-    fn name(&self) -> &'static str {
-        "disk"
-    }
-
+impl LedgerRead for DiskBackend {
     fn account(&self, id: AccountId) -> Option<AccountEntry> {
         match self.fetch(&LedgerKey::Account(id))? {
             LedgerEntry::Account(a) => Some(a),
@@ -641,6 +638,22 @@ impl LedgerBackend for DiskBackend {
             LedgerEntry::Data(d) => Some(d),
             _ => None,
         }
+    }
+
+    fn book_page(
+        &self,
+        selling: &Asset,
+        buying: &Asset,
+        after: Option<BookCursor>,
+        limit: usize,
+    ) -> Vec<BookCursor> {
+        book_range(&self.book, selling, buying, after, limit)
+    }
+}
+
+impl LedgerBackend for DiskBackend {
+    fn name(&self) -> &'static str {
+        "disk"
     }
 
     fn trustlines_of(&self, id: AccountId) -> Vec<TrustLineEntry> {
@@ -670,16 +683,6 @@ impl LedgerBackend for DiskBackend {
                 _ => None,
             })
             .collect()
-    }
-
-    fn book_page(
-        &self,
-        selling: &Asset,
-        buying: &Asset,
-        after: Option<BookCursor>,
-        limit: usize,
-    ) -> Vec<BookCursor> {
-        book_range(&self.book, selling, buying, after, limit)
     }
 
     fn apply(&mut self, feed: &[(LedgerKey, Option<LedgerEntry>)]) {

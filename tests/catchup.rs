@@ -27,6 +27,27 @@ fn acct(n: u64) -> AccountId {
     AccountId(keys(n).public())
 }
 
+fn payment(from: u64, to: u64, seq_num: u64, amount: i64, memo: Memo) -> TransactionEnvelope {
+    TransactionEnvelope::sign(
+        Transaction {
+            source: acct(from),
+            seq_num,
+            fee: BASE_FEE,
+            time_bounds: None,
+            memo,
+            operations: vec![SourcedOperation {
+                source: None,
+                op: Operation::Payment {
+                    destination: acct(to),
+                    asset: Asset::Native,
+                    amount,
+                },
+            }],
+        },
+        &[&keys(from)],
+    )
+}
+
 /// Runs a single-node chain for `n_ledgers`, publishing to an archive.
 fn run_chain(n_ledgers: u64) -> (LedgerStore, LedgerHeader, BucketList, HistoryArchive) {
     let mut store = LedgerStore::new();
@@ -43,24 +64,7 @@ fn run_chain(n_ledgers: u64) -> (LedgerStore, LedgerHeader, BucketList, HistoryA
         let from = l % 4;
         let to = (l + 1) % 4;
         let seq = seqs.entry(from).and_modify(|s| *s += 1).or_insert(1);
-        let env = TransactionEnvelope::sign(
-            Transaction {
-                source: acct(from),
-                seq_num: *seq,
-                fee: BASE_FEE,
-                time_bounds: None,
-                memo: Memo::Id(l),
-                operations: vec![SourcedOperation {
-                    source: None,
-                    op: Operation::Payment {
-                        destination: acct(to),
-                        asset: Asset::Native,
-                        amount: 100 + l as i64,
-                    },
-                }],
-            },
-            &[&keys(from)],
-        );
+        let env = payment(from, to, *seq, 100 + l as i64, Memo::Id(l));
         let set = TransactionSet::assemble(header.hash(), vec![env], 100);
         let res = close_ledger(
             &mut store,
@@ -188,6 +192,15 @@ fn chain_genesis_store() -> LedgerStore {
     store
 }
 
+/// A rebooted node: a herder over nothing but that genesis store.
+fn genesis_herder() -> stellar::herder::Herder {
+    stellar::herder::Herder::new(
+        stellar::scp::NodeId(0),
+        chain_genesis_store(),
+        std::collections::BTreeMap::new(),
+    )
+}
+
 #[test]
 fn restart_on_checkpoint_boundary_replays_cleanly() {
     // 63 closes on top of genesis (seq 1) put the tip at seq 64 — exactly
@@ -202,11 +215,7 @@ fn restart_on_checkpoint_boundary_replays_cleanly() {
     assert_eq!(cp.header.ledger_seq, 64, "checkpoint lands on the tip");
     assert_eq!(cp.header.hash(), live_header.hash());
 
-    let mut herder = stellar::herder::Herder::new(
-        stellar::scp::NodeId(0),
-        chain_genesis_store(),
-        std::collections::BTreeMap::new(),
-    );
+    let mut herder = genesis_herder();
     let replayed = herder.catch_up_from(&archive);
     assert_eq!(replayed, 63, "every post-genesis ledger replays once");
     assert_eq!(herder.header.ledger_seq, 64);
@@ -238,11 +247,7 @@ fn restart_before_first_checkpoint_replays_from_genesis() {
     );
     assert_eq!(archive.checkpoint_count(), 0);
 
-    let mut herder = stellar::herder::Herder::new(
-        stellar::scp::NodeId(0),
-        chain_genesis_store(),
-        std::collections::BTreeMap::new(),
-    );
+    let mut herder = genesis_herder();
     let replayed = herder.catch_up_from(&archive);
     assert_eq!(replayed, 10);
     assert_eq!(
@@ -250,6 +255,68 @@ fn restart_before_first_checkpoint_replays_from_genesis() {
         live_header.hash(),
         "genesis replay must reproduce the live chain"
     );
+}
+
+/// Republishes ledgers `2..=through` of `archive`, passing each
+/// transaction set through `swap` first.
+fn republish(
+    archive: &HistoryArchive,
+    through: u64,
+    swap: impl Fn(u64, &TransactionSet) -> TransactionSet,
+) -> HistoryArchive {
+    let mut out = HistoryArchive::new();
+    let mut unused = BucketList::new(); // no checkpoint falls due below 64
+    for seq in 2..=through {
+        let set = swap(seq, archive.tx_set(seq).expect("archived set"));
+        out.publish(
+            archive.header(seq).expect("archived header"),
+            &set,
+            &mut unused,
+        );
+    }
+    out
+}
+
+#[test]
+fn tampered_archive_is_refused_before_it_touches_state() {
+    let (_, _, _, archive) = run_chain(10);
+    // Ledger 6's set swapped for one that chains from the same parent and
+    // would apply cleanly (account 2 has used sequence 1 by then) — only
+    // the archived header says it is not the set consensus chose.
+    let forged = TransactionSet::assemble(
+        archive.header(5).unwrap().hash(),
+        vec![payment(2, 3, 2, xlm(999), Memo::None)],
+        100,
+    );
+    let tampered = republish(&archive, 11, |seq, set| {
+        if seq == 6 {
+            forged.clone()
+        } else {
+            set.clone()
+        }
+    });
+    let verified_prefix = republish(&archive, 5, |_, set| set.clone());
+
+    let mut victim = genesis_herder();
+    assert_eq!(victim.catch_up_from(&tampered), 4, "ledgers 2..=5 verify");
+    let mut reference = genesis_herder();
+    assert_eq!(reference.catch_up_from(&verified_prefix), 4);
+
+    assert_eq!(victim.header.ledger_seq, 5);
+    assert_eq!(victim.header, reference.header);
+    assert_eq!(
+        victim.store.all_entries().collect::<Vec<_>>(),
+        reference.store.all_entries().collect::<Vec<_>>(),
+        "the forged set must not have reached the store"
+    );
+    assert_eq!(victim.buckets.hash(), reference.buckets.hash());
+    assert_eq!(
+        victim.telemetry.registry.counter("ledger.catchup_refused"),
+        1
+    );
+    // The honest archive still takes the node the rest of the way.
+    assert_eq!(victim.catch_up_from(&archive), 6);
+    assert_eq!(victim.header.hash(), archive.header(11).unwrap().hash());
 }
 
 #[test]

@@ -738,6 +738,343 @@ proptest! {
     }
 }
 
+// ---------- layered delta vs. flat clone-per-fork model ----------
+
+mod layered_delta {
+    use super::*;
+    use std::collections::BTreeMap;
+    use stellar::ledger::entry::{DataEntry, OfferEntry};
+    use stellar::ledger::store::{book_key, BookCursor, LedgerDelta};
+    use stellar::store::{open, BackendKind, DiskConfig};
+
+    type Base = BTreeMap<LedgerKey, LedgerEntry>;
+
+    /// The reference model: one flat overlay whose fork clones every map
+    /// and whose absorb copies the child's maps back over the parent's —
+    /// what `LedgerDelta` did before it layered. Kept here, and only
+    /// here, as the semantics the layered overlay must reproduce.
+    #[derive(Clone)]
+    struct Flat {
+        overlay: BTreeMap<LedgerKey, Option<LedgerEntry>>,
+        next_offer_id: u64,
+    }
+
+    impl Flat {
+        fn get(&self, base: &Base, key: &LedgerKey) -> Option<LedgerEntry> {
+            match self.overlay.get(key) {
+                Some(slot) => slot.clone(),
+                None => base.get(key).cloned(),
+            }
+        }
+
+        /// Every visible offer, naive scan: base overlaid by this layer.
+        fn offers(&self, base: &Base) -> Vec<OfferEntry> {
+            let keys: BTreeSet<&LedgerKey> = base.keys().chain(self.overlay.keys()).collect();
+            keys.into_iter()
+                .filter_map(|k| match self.get(base, k) {
+                    Some(LedgerEntry::Offer(o)) => Some(o),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn book(&self, base: &Base, selling: &Asset, buying: &Asset) -> Vec<OfferEntry> {
+            let mut v = self.offers(base);
+            v.retain(|o| &o.selling == selling && &o.buying == buying);
+            v.sort_by_key(book_key);
+            v
+        }
+
+        fn absorb(&mut self, child: Flat) {
+            self.overlay.extend(child.overlay);
+            self.next_offer_id = self.next_offer_id.max(child.next_offer_id);
+        }
+    }
+
+    fn id(n: u64) -> AccountId {
+        AccountId(PublicKey(n))
+    }
+
+    fn assets() -> [Asset; 3] {
+        [
+            Asset::Native,
+            Asset::issued(id(99), "USD"),
+            Asset::issued(id(99), "EUR"),
+        ]
+    }
+
+    /// Directional pairs the generated offers rest on.
+    fn pairs() -> [(Asset, Asset); 3] {
+        let [xlm, usd, eur] = assets();
+        [(xlm.clone(), usd.clone()), (usd.clone(), xlm), (usd, eur)]
+    }
+
+    fn get(delta: &LedgerDelta<'_>, key: &LedgerKey) -> Option<LedgerEntry> {
+        match key {
+            LedgerKey::Account(a) => delta.account(*a).map(LedgerEntry::Account),
+            LedgerKey::TrustLine(a, asset) => {
+                delta.trustline(*a, asset).map(LedgerEntry::TrustLine)
+            }
+            LedgerKey::Offer(o) => delta.offer(*o).map(LedgerEntry::Offer),
+            LedgerKey::Data(a, name) => delta.data(*a, name).map(LedgerEntry::Data),
+        }
+    }
+
+    fn put(delta: &mut LedgerDelta<'_>, flat: &mut Flat, entry: LedgerEntry) {
+        flat.overlay.insert(entry.key(), Some(entry.clone()));
+        match entry {
+            LedgerEntry::Account(a) => delta.put_account(a),
+            LedgerEntry::TrustLine(t) => delta.put_trustline(t),
+            LedgerEntry::Offer(o) => delta.put_offer(o),
+            LedgerEntry::Data(d) => delta.put_data(d),
+        }
+    }
+
+    fn delete(delta: &mut LedgerDelta<'_>, flat: &mut Flat, key: LedgerKey) {
+        match &key {
+            LedgerKey::Account(a) => delta.delete_account(*a),
+            LedgerKey::TrustLine(a, asset) => delta.delete_trustline(*a, asset),
+            LedgerKey::Offer(o) => delta.delete_offer(*o),
+            LedgerKey::Data(a, name) => delta.delete_data(*a, name),
+        }
+        flat.overlay.insert(key, None);
+    }
+
+    /// Every non-offer key an op can touch (offers are `1..next id`).
+    fn universe() -> Vec<LedgerKey> {
+        let [_, usd, eur] = assets();
+        let mut keys = Vec::new();
+        for a in 0..4 {
+            keys.push(LedgerKey::Account(id(a)));
+            keys.push(LedgerKey::TrustLine(id(a), usd.clone()));
+            keys.push(LedgerKey::TrustLine(id(a), eur.clone()));
+            keys.push(LedgerKey::Data(id(a), "a".into()));
+            keys.push(LedgerKey::Data(id(a), "b".into()));
+        }
+        keys
+    }
+
+    /// One layer against its flat twin: all point reads, the full book of
+    /// every pair, and every page of sizes 1..=5 from every cursor.
+    fn check(delta: &LedgerDelta<'_>, flat: &Flat, base: &Base, cursors: &BTreeSet<BookCursor>) {
+        for key in universe()
+            .into_iter()
+            .chain((1..flat.next_offer_id + 2).map(LedgerKey::Offer))
+        {
+            assert_eq!(get(delta, &key), flat.get(base, &key), "point read {key:?}");
+        }
+        for (s, b) in pairs() {
+            let book = flat.book(base, &s, &b);
+            assert_eq!(delta.offers_for_pair(&s, &b), book, "book {s:?}/{b:?}");
+            for cursor in std::iter::once(None).chain(cursors.iter().copied().map(Some)) {
+                let rest: Vec<&OfferEntry> = book
+                    .iter()
+                    .filter(|o| cursor.is_none_or(|c| book_key(o) > c))
+                    .collect();
+                for size in 1..=5 {
+                    let page = delta.offers_page(&s, &b, cursor, size);
+                    let want: Vec<&OfferEntry> = rest.iter().copied().take(size).collect();
+                    assert_eq!(
+                        page.iter().collect::<Vec<_>>(),
+                        want,
+                        "page {cursor:?}+{size}"
+                    );
+                }
+            }
+        }
+    }
+
+    type RawOp = (u8, u64, u32, u32);
+
+    /// Applies ops to `delta` and its flat twin until they run out or
+    /// this layer is closed. Returns whether the layer's writes are kept.
+    /// `ancestors` re-checks every frozen layer below this one.
+    fn drive(
+        delta: &mut LedgerDelta<'_>,
+        flat: &mut Flat,
+        base: &Base,
+        ops: &mut std::slice::Iter<'_, RawOp>,
+        cursors: &mut BTreeSet<BookCursor>,
+        depth: usize,
+        ancestors: &dyn Fn(&BTreeSet<BookCursor>),
+    ) -> bool {
+        let [_, usd, eur] = assets();
+        while let Some(&(kind, pick, n, d)) = ops.next() {
+            let who = id(pick % 4);
+            let pick_offer = |flat: &Flat| {
+                let visible = flat.offers(base);
+                (!visible.is_empty()).then(|| visible[pick as usize % visible.len()].clone())
+            };
+            match kind {
+                0 | 1 => put(
+                    delta,
+                    flat,
+                    LedgerEntry::Account(AccountEntry::new(who, n as i64)),
+                ),
+                2 => delete(delta, flat, LedgerKey::Account(who)),
+                3 => {
+                    let tl = TrustLineEntry {
+                        account: who,
+                        asset: if d % 2 == 0 { usd.clone() } else { eur.clone() },
+                        balance: n as i64,
+                        limit: 1_000,
+                        authorized: true,
+                    };
+                    put(delta, flat, LedgerEntry::TrustLine(tl));
+                }
+                4 => {
+                    let asset = if d % 2 == 0 { usd.clone() } else { eur.clone() };
+                    delete(delta, flat, LedgerKey::TrustLine(who, asset));
+                }
+                5 => {
+                    let entry = DataEntry {
+                        account: who,
+                        name: if d % 2 == 0 { "a" } else { "b" }.into(),
+                        value: vec![n as u8],
+                    };
+                    put(delta, flat, LedgerEntry::Data(entry));
+                }
+                6 => {
+                    let name = if d % 2 == 0 { "a" } else { "b" };
+                    delete(delta, flat, LedgerKey::Data(who, name.into()));
+                }
+                7..=9 => {
+                    let (selling, buying) = pairs()[pick as usize % 3].clone();
+                    let offer_id = delta.allocate_offer_id();
+                    assert_eq!(offer_id, flat.next_offer_id);
+                    flat.next_offer_id += 1;
+                    let o = OfferEntry {
+                        id: offer_id,
+                        account: who,
+                        selling,
+                        buying,
+                        amount: 10,
+                        price: Price::new(n, d),
+                        passive: false,
+                    };
+                    cursors.insert(book_key(&o));
+                    put(delta, flat, LedgerEntry::Offer(o));
+                }
+                // Reprice a visible offer (possibly to an Ord-equal,
+                // field-different price such as 2/4 for 1/2).
+                10 | 11 => {
+                    if let Some(mut o) = pick_offer(flat) {
+                        o.price = Price::new(n, d);
+                        cursors.insert(book_key(&o));
+                        put(delta, flat, LedgerEntry::Offer(o));
+                    }
+                }
+                12 => {
+                    if let Some(o) = pick_offer(flat) {
+                        delete(delta, flat, LedgerKey::Offer(o.id));
+                    }
+                }
+                13 | 14 if depth < 3 => {
+                    let mut child_flat = flat.clone();
+                    let mut child = delta.fork();
+                    let here = |cursors: &BTreeSet<BookCursor>| {
+                        check(delta, flat, base, cursors);
+                        ancestors(cursors);
+                    };
+                    let keep = drive(
+                        &mut child,
+                        &mut child_flat,
+                        base,
+                        ops,
+                        cursors,
+                        depth + 1,
+                        &here,
+                    );
+                    if keep {
+                        let changes = child.into_changes();
+                        delta.absorb(changes);
+                        flat.absorb(child_flat);
+                    }
+                }
+                15 if depth > 1 => return true,
+                16 if depth > 1 => return false,
+                _ => {}
+            }
+            check(delta, flat, base, cursors);
+            ancestors(cursors);
+        }
+        true
+    }
+
+    fn genesis() -> Vec<LedgerEntry> {
+        let [_, usd, _] = assets();
+        let mut entries = vec![
+            LedgerEntry::Account(AccountEntry::new(id(0), 100)),
+            LedgerEntry::Account(AccountEntry::new(id(1), 200)),
+            LedgerEntry::TrustLine(TrustLineEntry {
+                account: id(1),
+                asset: usd,
+                balance: 5,
+                limit: 1_000,
+                authorized: true,
+            }),
+            LedgerEntry::Data(DataEntry {
+                account: id(0),
+                name: "a".into(),
+                value: vec![7],
+            }),
+        ];
+        for (i, (selling, buying)) in pairs().into_iter().enumerate() {
+            for k in 0..3u64 {
+                entries.push(LedgerEntry::Offer(OfferEntry {
+                    id: 1 + 3 * i as u64 + k,
+                    account: id(1),
+                    selling: selling.clone(),
+                    buying: buying.clone(),
+                    amount: 10,
+                    price: Price::new(2 + k as u32, 2),
+                    passive: false,
+                }));
+            }
+        }
+        entries
+    }
+
+    proptest! {
+        /// Random put/delete/fork/absorb/discard sequences, forks nested
+        /// to depth 3, over a seeded store on the backend CI selects:
+        /// after every step every live layer reads exactly what the flat
+        /// clone-per-fork model reads, and each committed round leaves
+        /// the store holding exactly the model's entries.
+        #[test]
+        fn layered_delta_matches_flat_clone_model(
+            ops in proptest::collection::vec((0u8..17, any::<u64>(), 1u32..6, 1u32..6), 1..48),
+        ) {
+            let cfg = DiskConfig { cache_capacity: 8, ..DiskConfig::default() };
+            let mut store = open(&LedgerStore::from_entries(genesis()), BackendKind::from_env(), &cfg);
+            let mut base: Base = genesis().into_iter().map(|e| (e.key(), e)).collect();
+            let mut cursors: BTreeSet<BookCursor> = base
+                .values()
+                .filter_map(|e| match e {
+                    LedgerEntry::Offer(o) => Some(book_key(o)),
+                    _ => None,
+                })
+                .collect();
+            for (round, chunk) in ops.chunks(16).enumerate() {
+                let mut flat = Flat { overlay: BTreeMap::new(), next_offer_id: store.next_offer_id() };
+                let mut root = store.begin();
+                drive(&mut root, &mut flat, &base, &mut chunk.iter(), &mut cursors, 1, &|_| {});
+                store.commit(root.into_changes());
+                prop_assert!(store.flush(round as u64 + 1));
+                for (key, slot) in flat.overlay {
+                    match slot {
+                        Some(entry) => base.insert(key, entry),
+                        None => base.remove(&key),
+                    };
+                }
+                let committed: Base = store.all_entries().map(|e| (e.key(), e)).collect();
+                prop_assert_eq!(&committed, &base);
+                prop_assert_eq!(store.next_offer_id(), flat.next_offer_id);
+            }
+        }
+    }
+}
+
 // ---------- footprints & parallel apply ----------
 
 mod footprints {
