@@ -38,6 +38,11 @@ pub const SCP_SNAPSHOT_KEY: &str = "scp";
 /// every ledger close).
 pub const LCL_KEY: &str = "lcl";
 
+/// Closed slots a node keeps protocol state for: SCP slots and learned
+/// transaction sets older than `current_slot − SLOT_WINDOW` are only of
+/// use to stragglers, who catch up from the archive instead.
+pub const SLOT_WINDOW: u64 = 4;
+
 /// The durable latest-closed-ledger record: the header plus the bucket
 /// level hashes it commits to. Used after a restart to cross-check the
 /// state rebuilt from the history archive against what this node had
@@ -148,7 +153,13 @@ pub struct Herder {
     /// Governance stance.
     pub upgrade_policy: UpgradePolicy,
     /// Known transaction sets by hash (gossiped alongside SCP traffic).
+    /// Sets that arrive through [`Herder::make_proposal`] and
+    /// [`Herder::learn_tx_set`] are forgotten [`SLOT_WINDOW`] closes later.
     pub known_tx_sets: HashMap<Hash256, TransactionSet>,
+    /// The slot that was current when each ageing set was last proposed
+    /// or learned. A set inserted into `known_tx_sets` directly has no
+    /// entry here and is never aged.
+    tx_set_learned_at: HashMap<Hash256, SlotIndex>,
     /// Wall clock, supplied by the embedder (seconds). Close-time
     /// validation measures against this.
     pub now: u64,
@@ -244,6 +255,7 @@ impl Herder {
             sig_cache: SigVerifyCache::new(1 << 16),
             upgrade_policy: UpgradePolicy::default(),
             known_tx_sets: HashMap::new(),
+            tx_set_learned_at: HashMap::new(),
             now: 1,
             clock_ms: 1000,
             max_time_slip: 60,
@@ -357,7 +369,8 @@ impl Herder {
             self.header.params.max_tx_set_ops,
         );
         let close_time = self.now.max(self.header.close_time + 1);
-        let mut value = StellarValue::new(set.hash(), close_time);
+        let tx_set_hash = self.remember_tx_set(&set);
+        let mut value = StellarValue::new(tx_set_hash, close_time);
         if self.upgrade_policy.governing {
             value.upgrades = self
                 .upgrade_policy
@@ -367,7 +380,6 @@ impl Herder {
                 .cloned()
                 .collect();
         }
-        self.known_tx_sets.insert(set.hash(), set.clone());
         // Tracing: every transaction in the proposal reached the
         // nominated-in-txset milestone on this node.
         if self.telemetry.spans.enabled() {
@@ -383,9 +395,50 @@ impl Herder {
 
     /// Registers a transaction set learned from a peer.
     pub fn learn_tx_set(&mut self, set: TransactionSet) {
-        self.known_tx_sets.insert(set.hash(), set);
+        self.remember_tx_set(&set);
         // A stalled externalization may now be appliable.
         self.try_apply_stalled();
+    }
+
+    /// Files `set` under its hash, stamped with the current slot for
+    /// [`Herder::forget_old_tx_sets`]. Returns the hash.
+    fn remember_tx_set(&mut self, set: &TransactionSet) -> Hash256 {
+        let hash = set.hash();
+        self.known_tx_sets.insert(hash, set.clone());
+        self.tx_set_learned_at.insert(hash, self.current_slot());
+        hash
+    }
+
+    /// Drops every set last learned more than [`SLOT_WINDOW`] slots ago,
+    /// except one a parked externalization is still waiting to apply.
+    fn forget_old_tx_sets(&mut self) {
+        let keep_from = self.current_slot().saturating_sub(SLOT_WINDOW);
+        let before = self.tx_set_learned_at.len();
+        self.tx_set_learned_at.retain(|hash, learned_at| {
+            let keep = *learned_at >= keep_from
+                || self
+                    .stalled_externalize
+                    .iter()
+                    .any(|(_, parked)| parked.tx_set_hash == *hash);
+            if !keep {
+                self.known_tx_sets.remove(hash);
+            }
+            keep
+        });
+        let pruned = before - self.tx_set_learned_at.len();
+        self.telemetry
+            .registry
+            .add("herder.tx_sets_pruned", pruned as u64);
+    }
+
+    /// Parks an externalized value that cannot be applied yet; a slot is
+    /// parked once however often SCP re-announces its decision.
+    fn park_externalized(&mut self, slot: SlotIndex, value: &StellarValue) {
+        if self.stalled_externalize.iter().any(|(s, _)| *s == slot) {
+            self.telemetry.registry.inc("herder.stalled_dropped");
+        } else {
+            self.stalled_externalize.push((slot, value.clone()));
+        }
     }
 
     /// Validates a [`StellarValue`] for `slot` (the [`Driver`] hook body).
@@ -429,24 +482,13 @@ impl Herder {
         if slot != self.current_slot() {
             // Stale or future slot; future slots wait for their turn.
             if slot > self.current_slot() {
-                self.stalled_externalize.push((slot, value.clone()));
+                self.park_externalized(slot, value);
             }
             return false;
         }
-        // Move the set out rather than cloning it: cloning envelopes
-        // resets their memoized hashes, which the apply path is about to
-        // reuse. The set is reinserted below.
-        let Some(set) = self.known_tx_sets.remove(&value.tx_set_hash) else {
-            self.stalled_externalize.push((slot, value.clone()));
+        let Some(set) = self.known_tx_sets.get(&value.tx_set_hash).cloned() else {
+            self.park_externalized(slot, value);
             return false;
-        };
-        // Tracing: capture the member trace ids up front (the set is
-        // moved through the close path and reinserted below); the close
-        // milestones are stamped once the close is durable.
-        let traced: Vec<u64> = if self.telemetry.spans.enabled() {
-            set.txs.iter().map(|tx| tx.hash().prefix_u64()).collect()
-        } else {
-            Vec::new()
         };
         let start = std::time::Instant::now();
         let mut params = self.header.params;
@@ -504,7 +546,6 @@ impl Herder {
                 apply_us,
             },
         );
-        self.known_tx_sets.insert(value.tx_set_hash, set);
         // Data disk first, then the write-ahead LCL record: the LCL
         // never vouches for state the data disk has not made durable.
         self.flush_store();
@@ -512,16 +553,20 @@ impl Herder {
         // Per-transaction lifecycle milestones, in pipeline order. They
         // share one simulated-ms timestamp (the close is atomic in sim
         // time); wall-clock apply cost lives in `ledger.apply_us`.
-        let t = self.clock_ms;
-        for trace in traced {
-            self.telemetry
-                .span(trace, t, SpanPhase::Externalized { slot });
-            self.telemetry.span(trace, t, SpanPhase::Applied { slot });
-            self.telemetry.span(trace, t, SpanPhase::Archived { slot });
-            self.telemetry.span(trace, t, SpanPhase::Flushed { slot });
-            self.telemetry
-                .span(trace, t, SpanPhase::HorizonVisible { slot });
+        if self.telemetry.spans.enabled() {
+            let t = self.clock_ms;
+            for tx in &set.txs {
+                let trace = tx.hash().prefix_u64();
+                self.telemetry
+                    .span(trace, t, SpanPhase::Externalized { slot });
+                self.telemetry.span(trace, t, SpanPhase::Applied { slot });
+                self.telemetry.span(trace, t, SpanPhase::Archived { slot });
+                self.telemetry.span(trace, t, SpanPhase::Flushed { slot });
+                self.telemetry
+                    .span(trace, t, SpanPhase::HorizonVisible { slot });
+            }
         }
+        self.forget_old_tx_sets();
         self.try_apply_stalled();
         true
     }
@@ -609,6 +654,7 @@ impl Herder {
             self.queue.prune(&self.store);
             self.flush_store();
             self.persist_lcl();
+            self.forget_old_tx_sets();
             self.try_apply_stalled();
         }
         applied
@@ -640,13 +686,20 @@ impl Herder {
         self.last_store_stats = s;
     }
 
+    /// Applies the parked externalization for the current slot, if any.
+    /// A successful close calls back here, so a run of parked slots
+    /// applies in order; the rest stay parked (and keep their sets).
     fn try_apply_stalled(&mut self) {
-        let mut stalled = std::mem::take(&mut self.stalled_externalize);
-        stalled.sort_by_key(|(slot, _)| *slot);
-        for (slot, value) in stalled {
-            if slot >= self.current_slot() {
-                self.apply_externalized(slot, &value);
-            }
+        let current = self.current_slot();
+        self.stalled_externalize
+            .retain(|(slot, _)| *slot >= current);
+        let due = self
+            .stalled_externalize
+            .iter()
+            .position(|(slot, _)| *slot == current);
+        if let Some(i) = due {
+            let (slot, value) = self.stalled_externalize.swap_remove(i);
+            self.apply_externalized(slot, &value);
         }
     }
 
@@ -1061,6 +1114,65 @@ mod tests {
         // Slot 3 unparked automatically.
         assert_eq!(h.header.ledger_seq, 3);
         assert_eq!(h.store.account(acct(2)).unwrap().balance, xlm(100) + 1);
+    }
+
+    fn close_empty_ledger(h: &mut Herder) {
+        let (value, _) = h.make_proposal();
+        assert!(h.apply_externalized(h.current_slot(), &value));
+    }
+
+    #[test]
+    fn tx_sets_age_out_of_the_slot_window_unless_parked() {
+        let mut h = herder();
+        let old = TransactionSet::empty(stellar_crypto::sha256::sha256(b"learned at slot 2"));
+        let awaited = TransactionSet::empty(stellar_crypto::sha256::sha256(b"far ahead"));
+        h.learn_tx_set(old.clone());
+        h.learn_tx_set(awaited.clone());
+        // An externalization for a slot far ahead parks, naming `awaited`.
+        let parked = StellarValue::new(awaited.hash(), h.now + 1);
+        assert!(!h.apply_externalized(100, &parked));
+        for _ in 0..SLOT_WINDOW {
+            close_empty_ledger(&mut h);
+            assert!(h.known_tx_sets.contains_key(&old.hash()));
+        }
+        // The fifth close moves slot 2 out of the window.
+        close_empty_ledger(&mut h);
+        assert!(!h.known_tx_sets.contains_key(&old.hash()));
+        assert!(h.known_tx_sets.contains_key(&awaited.hash()));
+        // What is left: `awaited` and our own last four proposals.
+        assert_eq!(h.known_tx_sets.len(), 1 + SLOT_WINDOW as usize);
+        assert_eq!(h.telemetry.registry.counter("herder.tx_sets_pruned"), 2);
+        // A set put into the public map directly is never aged.
+        h.known_tx_sets.insert(old.hash(), old.clone());
+        for _ in 0..=SLOT_WINDOW {
+            close_empty_ledger(&mut h);
+        }
+        assert!(h.known_tx_sets.contains_key(&old.hash()));
+        assert_eq!(h.known_tx_sets.len(), 2 + SLOT_WINDOW as usize);
+    }
+
+    #[test]
+    fn duplicate_externalize_notifications_park_once() {
+        let mut h = herder();
+        let env = payment_env(&h, 0, 1, 1);
+        let set = TransactionSet::assemble(h.header.hash(), vec![env], 100);
+        let value = StellarValue::new(set.hash(), h.now + 1);
+        let next = StellarValue::new(stellar_crypto::sha256::sha256(b"unseen"), h.now + 2);
+        // Current slot, set unknown — announced three times; next slot twice.
+        for _ in 0..3 {
+            assert!(!h.apply_externalized(2, &value));
+        }
+        for _ in 0..2 {
+            assert!(!h.apply_externalized(3, &next));
+        }
+        assert_eq!(h.stalled_externalize.len(), 2);
+        assert_eq!(h.telemetry.registry.counter("herder.stalled_dropped"), 3);
+        // The set arrives: slot 2 closes once, slot 3 stays parked.
+        h.learn_tx_set(set);
+        assert_eq!(h.header.ledger_seq, 2);
+        assert_eq!(h.close_stats.len(), 1);
+        assert_eq!(h.stalled_externalize.len(), 1);
+        assert_eq!(h.stalled_externalize[0].0, 3);
     }
 
     #[test]

@@ -228,8 +228,8 @@ mod tests {
             q.submit(&s, env(1, 0, BASE_FEE), &mut nc()),
             Err(QueueError::StaleSequence)
         );
-        let mut unsigned = env(1, 1, BASE_FEE);
-        unsigned.signatures.clear();
+        let unsigned =
+            TransactionEnvelope::new(env(1, 1, BASE_FEE).tx.clone(), Vec::new(), Vec::new());
         assert_eq!(
             q.submit(&s, unsigned, &mut nc()),
             Err(QueueError::BadSignature)

@@ -13,7 +13,7 @@
 //! are buffered in the herder, so the embedding simulator stays fully
 //! deterministic.
 
-use crate::herder::Herder;
+use crate::herder::{Herder, SLOT_WINDOW};
 use crate::queue::QueueError;
 use crate::value::StellarValue;
 use std::collections::BTreeMap;
@@ -202,7 +202,7 @@ impl Validator {
         }
         // Old slots' SCP state is only useful for stragglers; keep a
         // short window.
-        let keep_from = self.herder.current_slot().saturating_sub(4);
+        let keep_from = self.herder.current_slot().saturating_sub(SLOT_WINDOW);
         self.scp.prune_slots_below(keep_from);
     }
 

@@ -452,13 +452,9 @@ mod tests {
     fn unsigned_transaction_rejected() {
         let mut store = funded_store(&[1, 2]);
         let prev = LedgerHeader::genesis(Hash256::ZERO);
-        let mut env = payment_env(1, 2, 1, xlm(1));
-        env.signatures.clear();
-        let set = TransactionSet {
-            prev_ledger_hash: prev.hash(),
-            txs: vec![env],
-            base_fee_rate: BASE_FEE,
-        };
+        let tx = payment_env(1, 2, 1, xlm(1)).tx.clone();
+        let env = TransactionEnvelope::new(tx, Vec::new(), Vec::new());
+        let set = TransactionSet::new(prev.hash(), vec![env], BASE_FEE);
         let res = close_ledger(&mut store, &prev, &set, 1000, LedgerParams::default());
         assert_eq!(res.results[0], TxResult::Invalid(TxError::BadAuth));
     }
@@ -468,13 +464,9 @@ mod tests {
         let mut store = funded_store(&[1, 2]);
         let prev = LedgerHeader::genesis(Hash256::ZERO);
         let k_wrong = keys(5);
-        let tx = payment_env(1, 2, 1, xlm(1)).tx;
+        let tx = payment_env(1, 2, 1, xlm(1)).tx.clone();
         let env = TransactionEnvelope::sign(tx, &[&k_wrong]);
-        let set = TransactionSet {
-            prev_ledger_hash: prev.hash(),
-            txs: vec![env],
-            base_fee_rate: BASE_FEE,
-        };
+        let set = TransactionSet::new(prev.hash(), vec![env], BASE_FEE);
         let res = close_ledger(&mut store, &prev, &set, 1000, LedgerParams::default());
         assert_eq!(res.results[0], TxResult::Invalid(TxError::BadAuth));
     }
@@ -498,13 +490,9 @@ mod tests {
         let res = close_ledger(&mut store, &prev, &set, 1000, LedgerParams::default());
         assert_eq!(res.results[0], TxResult::Invalid(TxError::BadAuth));
         // Master + extra signer: accepted.
-        let tx = payment_env(1, 2, 1, xlm(1)).tx;
+        let tx = payment_env(1, 2, 1, xlm(1)).tx.clone();
         let env = TransactionEnvelope::sign(tx, &[&k1, &k_extra]);
-        let set2 = TransactionSet {
-            prev_ledger_hash: prev.hash(),
-            txs: vec![env],
-            base_fee_rate: BASE_FEE,
-        };
+        let set2 = TransactionSet::new(prev.hash(), vec![env], BASE_FEE);
         let res2 = close_ledger(&mut store, &prev, &set2, 1000, LedgerParams::default());
         assert!(res2.results[0].is_success(), "{:?}", res2.results[0]);
     }
@@ -514,17 +502,13 @@ mod tests {
         let mut store = funded_store(&[1, 2]);
         let prev = LedgerHeader::genesis(Hash256::ZERO);
         let k = keys(1);
-        let mut tx = payment_env(1, 2, 1, xlm(1)).tx;
+        let mut tx = payment_env(1, 2, 1, xlm(1)).tx.clone();
         tx.time_bounds = Some(crate::tx::TimeBounds {
             min_time: 500,
             max_time: 800,
         });
         let env = TransactionEnvelope::sign(tx, &[&k]);
-        let set = TransactionSet {
-            prev_ledger_hash: prev.hash(),
-            txs: vec![env],
-            base_fee_rate: BASE_FEE,
-        };
+        let set = TransactionSet::new(prev.hash(), vec![env], BASE_FEE);
         let res = close_ledger(&mut store, &prev, &set, 1000, LedgerParams::default());
         assert_eq!(res.results[0], TxResult::Invalid(TxError::TooLate));
         let res2 = close_ledger(&mut store, &prev, &set, 600, LedgerParams::default());
@@ -536,11 +520,7 @@ mod tests {
         let mut store = funded_store(&[1, 2]);
         let prev = LedgerHeader::genesis(Hash256::ZERO);
         let env = payment_env(1, 2, 1, xlm(10));
-        let set = TransactionSet {
-            prev_ledger_hash: prev.hash(),
-            txs: vec![env.clone()],
-            base_fee_rate: BASE_FEE,
-        };
+        let set = TransactionSet::new(prev.hash(), vec![env.clone()], BASE_FEE);
         let res1 = close_ledger(&mut store, &prev, &set, 1000, LedgerParams::default());
         assert!(res1.results[0].is_success());
         // Same envelope again: sequence has moved on.
@@ -700,11 +680,7 @@ mod tests {
         // Both users sign the single transaction.
         let env = TransactionEnvelope::sign(swap, &[&k1, &k2]);
         let prev2 = LedgerHeader::genesis(Hash256::ZERO);
-        let set = TransactionSet {
-            prev_ledger_hash: prev2.hash(),
-            txs: vec![env],
-            base_fee_rate: BASE_FEE,
-        };
+        let set = TransactionSet::new(prev2.hash(), vec![env], BASE_FEE);
         let res = close_ledger(&mut store, &prev2, &set, 20, LedgerParams::default());
         assert!(res.results[0].is_success(), "{:?}", res.results[0]);
         let d = store.begin();

@@ -10,7 +10,8 @@
 use crate::amount::{Price, BASE_FEE};
 use crate::asset::Asset;
 use crate::entry::{AccountId, Signer, ThresholdLevel};
-use std::sync::OnceLock;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use stellar_crypto::codec::{Decode, DecodeError, Encode};
 use stellar_crypto::sign::{KeyPair, PublicKey, Signature};
 use stellar_crypto::Hash256;
@@ -435,16 +436,24 @@ impl Transaction {
     }
 }
 
-/// A transaction plus its signatures.
+/// A transaction plus its signatures: an immutable, shared handle.
 ///
-/// The envelope memoizes both its own hash and the transaction (signing)
-/// hash: a transaction is hashed at submission, nomination, and apply, and
-/// canonical tx-set ordering hashes every envelope O(log n) times during
-/// sorting — memoization makes all of those a single SHA-256 per envelope.
-/// The caches are content-derived, so they are excluded from equality,
-/// encoding, and cloning (a clone may be mutated; it re-hashes lazily).
+/// A transaction is hashed at submission, nomination, and apply, canonical
+/// tx-set ordering hashes every envelope O(log n) times during sorting, and
+/// the same envelope sits in the queue, every proposal that includes it,
+/// the archive and the close feed. The handle makes all of that one
+/// allocation and one SHA-256 per hash: `clone()` bumps a reference count
+/// and keeps the memoized hashes. That is safe because nothing can change
+/// an envelope once built — the fields are readable through `Deref` but
+/// there is no `&mut` path to them, so a content-derived memo has nothing
+/// to go stale against. A changed envelope is a new one from
+/// [`TransactionEnvelope::new`].
+#[derive(Clone, Debug)]
+pub struct TransactionEnvelope(Arc<EnvelopeData>);
+
+/// The contents of a [`TransactionEnvelope`], read through `Deref`.
 #[derive(Debug)]
-pub struct TransactionEnvelope {
+pub struct EnvelopeData {
     /// The transaction.
     pub tx: Transaction,
     /// Signatures: the signing public key and its signature over the
@@ -460,24 +469,20 @@ pub struct TransactionEnvelope {
     cached_env_hash: OnceLock<Hash256>,
 }
 
-impl Clone for TransactionEnvelope {
-    fn clone(&self) -> TransactionEnvelope {
-        // The hash caches deliberately do not survive cloning: callers are
-        // free to mutate a clone's public fields, and a stale memoized hash
-        // would let a tampered transaction masquerade as signed.
-        TransactionEnvelope::new(
-            self.tx.clone(),
-            self.signatures.clone(),
-            self.preimages.clone(),
-        )
+impl Deref for TransactionEnvelope {
+    type Target = EnvelopeData;
+
+    fn deref(&self) -> &EnvelopeData {
+        &self.0
     }
 }
 
 impl PartialEq for TransactionEnvelope {
     fn eq(&self, other: &TransactionEnvelope) -> bool {
-        self.tx == other.tx
-            && self.signatures == other.signatures
-            && self.preimages == other.preimages
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.tx == other.tx
+                && self.signatures == other.signatures
+                && self.preimages == other.preimages)
     }
 }
 
@@ -508,13 +513,13 @@ impl TransactionEnvelope {
         signatures: Vec<(PublicKey, Signature)>,
         preimages: Vec<Vec<u8>>,
     ) -> TransactionEnvelope {
-        TransactionEnvelope {
+        TransactionEnvelope(Arc::new(EnvelopeData {
             tx,
             signatures,
             preimages,
             cached_tx_hash: OnceLock::new(),
             cached_env_hash: OnceLock::new(),
-        }
+        }))
     }
 
     /// Wraps and signs `tx` with each of `keys`.
@@ -529,13 +534,12 @@ impl TransactionEnvelope {
         env
     }
 
-    /// Attaches a revealed hash preimage (builder style).
+    /// Attaches a revealed hash preimage (builder style). Preimages are
+    /// covered by the envelope hash, so this is a new envelope.
     pub fn with_preimage(self, preimage: Vec<u8>) -> TransactionEnvelope {
-        let mut preimages = self.preimages;
+        let mut preimages = self.preimages.clone();
         preimages.push(preimage);
-        // Preimages are covered by the envelope hash; rebuild so the
-        // memoized value cannot go stale.
-        TransactionEnvelope::new(self.tx, self.signatures, preimages)
+        TransactionEnvelope::new(self.tx.clone(), self.signatures.clone(), preimages)
     }
 
     /// The transaction (signing) hash, computed at most once per envelope.
@@ -727,9 +731,38 @@ mod tests {
         let keys = env.valid_signer_keys();
         assert!(keys.contains(&k1.public()) && keys.contains(&k2.public()));
 
-        let mut tampered = env.clone();
-        tampered.tx.fee += 1;
+        // An envelope cannot be edited in place; one rebuilt with a field
+        // changed is a different transaction that nobody signed, even
+        // though the original's hashes were already memoized.
+        let mut tx = env.tx.clone();
+        tx.fee += 1;
+        let tampered = TransactionEnvelope::new(tx, env.signatures.clone(), Vec::new());
+        assert_ne!(tampered.tx_hash(), env.tx_hash());
+        assert_ne!(tampered.hash(), env.hash());
         assert!(tampered.valid_signer_keys().is_empty());
+    }
+
+    #[test]
+    fn clone_shares_storage_and_memoized_hashes() {
+        let k = KeyPair::from_seed(1);
+        let env = TransactionEnvelope::sign(payment_tx(2), &[&k]);
+        let h = env.hash();
+        let copy = env.clone();
+        assert!(std::ptr::eq::<EnvelopeData>(&*env, &*copy));
+        assert_eq!(
+            copy.tx.operations.as_ptr(),
+            env.tx.operations.as_ptr(),
+            "a clone is the same allocation, not a deep copy"
+        );
+        // The memo survives the clone and agrees with a from-scratch hash
+        // of separately decoded bytes.
+        let decoded = TransactionEnvelope::from_bytes(&env.to_bytes()).unwrap();
+        assert!(!std::ptr::eq::<EnvelopeData>(&*env, &*decoded));
+        assert_eq!(decoded, env);
+        assert_eq!(copy.hash(), h);
+        assert_eq!(decoded.hash(), h);
+        assert_eq!(decoded.tx_hash(), copy.tx_hash());
+        assert_eq!(h, stellar_crypto::hash_xdr(&env));
     }
 
     #[test]

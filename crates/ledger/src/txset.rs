@@ -8,12 +8,21 @@
 
 use crate::amount::BASE_FEE;
 use crate::tx::TransactionEnvelope;
-use stellar_crypto::codec::Encode;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+use stellar_crypto::codec::{Decode, DecodeError, Encode};
 use stellar_crypto::Hash256;
 
-/// An ordered set of transactions for one ledger.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TransactionSet {
+/// An ordered set of transactions for one ledger: an immutable, shared
+/// handle like [`TransactionEnvelope`]. `clone()` bumps a reference count,
+/// and the content hash and encoded size are computed at most once per
+/// set however many holders (proposal map, flood payload, archive) ask.
+#[derive(Clone, Debug)]
+pub struct TransactionSet(Arc<TxSetData>);
+
+/// The contents of a [`TransactionSet`], read through `Deref`.
+#[derive(Debug)]
+pub struct TxSetData {
     /// Hash of the previous ledger header (binds the set to a position in
     /// the chain, Fig. 3).
     pub prev_ledger_hash: Hash256,
@@ -21,22 +30,65 @@ pub struct TransactionSet {
     pub txs: Vec<TransactionEnvelope>,
     /// The Dutch-auction clearing fee rate (stroops per operation).
     pub base_fee_rate: i64,
+    /// Memoized content hash and encoded size (one encoding yields both).
+    memo: OnceLock<(Hash256, usize)>,
 }
 
-stellar_crypto::impl_codec_struct!(TransactionSet {
-    prev_ledger_hash,
-    txs,
-    base_fee_rate
-});
+impl Deref for TransactionSet {
+    type Target = TxSetData;
+
+    fn deref(&self) -> &TxSetData {
+        &self.0
+    }
+}
+
+impl PartialEq for TransactionSet {
+    fn eq(&self, other: &TransactionSet) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.prev_ledger_hash == other.prev_ledger_hash
+                && self.txs == other.txs
+                && self.base_fee_rate == other.base_fee_rate)
+    }
+}
+
+impl Eq for TransactionSet {}
+
+impl Encode for TransactionSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.prev_ledger_hash.encode(out);
+        self.txs.encode(out);
+        self.base_fee_rate.encode(out);
+    }
+}
+
+impl Decode for TransactionSet {
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(TransactionSet::new(
+            Decode::decode(input)?,
+            Decode::decode(input)?,
+            Decode::decode(input)?,
+        ))
+    }
+}
 
 impl TransactionSet {
+    /// A set holding exactly `txs`, in the given order.
+    pub fn new(
+        prev_ledger_hash: Hash256,
+        txs: Vec<TransactionEnvelope>,
+        base_fee_rate: i64,
+    ) -> TransactionSet {
+        TransactionSet(Arc::new(TxSetData {
+            prev_ledger_hash,
+            txs,
+            base_fee_rate,
+            memo: OnceLock::new(),
+        }))
+    }
+
     /// An empty set for `prev_ledger_hash`.
     pub fn empty(prev_ledger_hash: Hash256) -> TransactionSet {
-        TransactionSet {
-            prev_ledger_hash,
-            txs: Vec::new(),
-            base_fee_rate: BASE_FEE,
-        }
+        TransactionSet::new(prev_ledger_hash, Vec::new(), BASE_FEE)
     }
 
     /// Assembles a set from candidates under an operation budget.
@@ -80,24 +132,23 @@ impl TransactionSet {
         };
         // Canonical apply order: deterministic and seq-respecting — by
         // (source, seq), then hash.
-        let mut set = TransactionSet {
-            prev_ledger_hash,
-            txs,
-            base_fee_rate,
-        };
-        set.sort_canonical();
-        set
-    }
-
-    fn sort_canonical(&mut self) {
-        self.txs.sort_by(|a, b| {
+        txs.sort_by(|a, b| {
             (a.tx.source, a.tx.seq_num, a.hash()).cmp(&(b.tx.source, b.tx.seq_num, b.hash()))
         });
+        TransactionSet::new(prev_ledger_hash, txs, base_fee_rate)
     }
 
-    /// Content hash (the SCP-agreed identifier of this set).
+    fn hash_and_size(&self) -> (Hash256, usize) {
+        *self.memo.get_or_init(|| {
+            let bytes = self.to_bytes();
+            (stellar_crypto::sha256::sha256(&bytes), bytes.len())
+        })
+    }
+
+    /// Content hash (the SCP-agreed identifier of this set), computed at
+    /// most once per set.
     pub fn hash(&self) -> Hash256 {
-        stellar_crypto::hash_xdr(self)
+        self.hash_and_size().0
     }
 
     /// Total operations across all transactions (the §5.3 nomination
@@ -119,9 +170,10 @@ impl TransactionSet {
             .min(self.base_fee_rate * tx.tx.op_count().max(1) as i64)
     }
 
-    /// Encoded size in bytes (overlay accounting).
+    /// Encoded size in bytes (overlay and archive accounting), from the
+    /// same single encoding as [`hash`](Self::hash).
     pub fn wire_size(&self) -> usize {
-        self.to_bytes().len()
+        self.hash_and_size().1
     }
 }
 
@@ -233,6 +285,47 @@ mod tests {
         );
         assert_ne!(a.hash(), b.hash());
         assert_ne!(a.hash(), TransactionSet::empty(Hash256::ZERO).hash());
+    }
+
+    #[test]
+    fn memoized_hash_and_size_match_a_fresh_encoding() {
+        let surge = TransactionSet::assemble(
+            Hash256::ZERO,
+            (1..=5)
+                .map(|s| envelope(s, 1, BASE_FEE * s as i64, 1))
+                .collect(),
+            3,
+        );
+        assert!(surge.base_fee_rate > BASE_FEE);
+        for set in [
+            TransactionSet::empty(Hash256::ZERO),
+            TransactionSet::assemble(Hash256::ZERO, vec![envelope(1, 1, BASE_FEE, 1)], 10),
+            surge,
+        ] {
+            // Asked twice: the second answer comes from the memo.
+            for _ in 0..2 {
+                assert_eq!(set.hash(), stellar_crypto::hash_xdr(&set));
+                assert_eq!(set.wire_size(), set.to_bytes().len());
+            }
+        }
+    }
+
+    #[test]
+    fn clone_shares_storage_and_decoding_does_not() {
+        let set = TransactionSet::assemble(
+            Hash256::ZERO,
+            vec![envelope(1, 1, BASE_FEE, 1), envelope(2, 1, BASE_FEE, 2)],
+            10,
+        );
+        let h = set.hash();
+        let copy = set.clone();
+        assert!(std::ptr::eq::<TxSetData>(&*set, &*copy));
+        assert_eq!(copy.txs.as_ptr(), set.txs.as_ptr());
+        let decoded = TransactionSet::from_bytes(&set.to_bytes()).unwrap();
+        assert_ne!(decoded.txs.as_ptr(), set.txs.as_ptr());
+        assert_eq!(decoded, set);
+        assert_eq!(copy.hash(), h);
+        assert_eq!(decoded.hash(), h);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl FloodMessage {
     pub fn wire_size(&self) -> usize {
         match self {
             FloodMessage::Scp(e) => e.to_bytes().len(),
-            FloodMessage::TxSet(s) => s.to_bytes().len(),
+            FloodMessage::TxSet(s) => s.wire_size(),
             FloodMessage::Tx(t) => t.to_bytes().len(),
             FloodMessage::Advert(ids) | FloodMessage::Demand(ids) => 4 + 32 * ids.len(),
         }

@@ -72,7 +72,7 @@ pub enum Event {
         /// Receiving node.
         to: NodeId,
         /// The transaction.
-        tx: Box<TransactionEnvelope>,
+        tx: TransactionEnvelope,
     },
     /// A pull-mode flood tick: the node drains its advert batch and
     /// retries expired demands. Armed lazily — only while the node's

@@ -18,11 +18,14 @@ use crate::watchdog::{HealthWatchdog, WatchdogConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use stellar_buckets::BucketList;
 use stellar_crypto::codec::Decode;
-use stellar_crypto::sign::KeyPair;
+use stellar_crypto::sign::{KeyPair, PublicKey};
 use stellar_crypto::Hash256;
 use stellar_herder::validator::{Outputs, Validator};
 use stellar_horizon::{AdmissionConfig, Horizon, HorizonError, HorizonPipeline};
+use stellar_ledger::header::LedgerHeader;
+use stellar_ledger::store::LedgerStore;
 use stellar_overlay::{
     DemandScheduler, FloodMessage, FloodMode, FloodState, LinkFaultTable, MsgKind, PayloadCache,
     PeerGraph, TrafficStats, MAX_DEMAND_ATTEMPTS,
@@ -268,9 +271,9 @@ pub struct Simulation {
     puppet_inbox: BTreeMap<NodeId, Vec<(NodeId, Flooded)>>,
     /// Event trace, recorded when enabled (see [`Simulation::enable_trace`]).
     trace: Option<Vec<TraceEntry>>,
-    /// The genesis ledger store, retained so a crash-restart can rebuild
-    /// a validator from scratch (disk + archives only, no magic RAM).
-    genesis: stellar_ledger::store::LedgerStore,
+    /// The genesis ledger, retained so a crash-restart can rebuild a
+    /// validator from scratch (disk + archives only, no magic RAM).
+    genesis: Genesis,
     /// The shared signing-key registry, retained for restart rebuilds.
     registry: BTreeMap<NodeId, stellar_crypto::sign::PublicKey>,
     /// Recovery bookkeeping: restarts performed this run.
@@ -290,6 +293,55 @@ pub struct Simulation {
     horizon_metrics: Registry,
 }
 
+/// The genesis ledger every validator starts from, built once per
+/// simulation: the entry store template, the bucket list seeded from it
+/// (level hashes already computed) and the header committing to both.
+struct Genesis {
+    store: LedgerStore,
+    buckets: BucketList,
+    header: LedgerHeader,
+}
+
+impl Genesis {
+    fn new(store: LedgerStore) -> Genesis {
+        let mut buckets = BucketList::seed(store.all_entries());
+        let header = LedgerHeader::genesis(buckets.hash());
+        Genesis {
+            store,
+            buckets,
+            header,
+        }
+    }
+
+    /// A validator at genesis with its own store on the configured
+    /// backend (`Mem` clones the template, `Disk` streams it onto a fresh
+    /// simulated data disk) and a clone of the seeded bucket list, whose
+    /// slots are `Rc`-shared, spilling to that node's own disk.
+    fn validator(
+        &self,
+        id: NodeId,
+        qset: QuorumSet,
+        backend: stellar_store::BackendKind,
+        registry: &BTreeMap<NodeId, PublicKey>,
+    ) -> Validator {
+        let store =
+            stellar_store::open(&self.store, backend, &stellar_store::DiskConfig::default());
+        let mut buckets = self.buckets.clone();
+        if let Some(disk) = store.disk() {
+            buckets.attach_disk(disk, 0);
+        }
+        Validator::from_recovered(
+            id,
+            validator_keys(id),
+            qset,
+            store,
+            buckets,
+            self.header.clone(),
+            registry.clone(),
+        )
+    }
+}
+
 impl Simulation {
     /// Builds the network described by `cfg`.
     pub fn new(cfg: SimConfig) -> Simulation {
@@ -299,9 +351,11 @@ impl Simulation {
     /// Builds the network with a custom genesis ledger.
     pub fn with_setup(cfg: SimConfig, setup: SimSetup) -> Simulation {
         let built = cfg.scenario.build(cfg.seed);
-        let store = setup
-            .genesis
-            .unwrap_or_else(|| genesis_store(cfg.n_accounts, 1000));
+        let genesis = Genesis::new(
+            setup
+                .genesis
+                .unwrap_or_else(|| genesis_store(cfg.n_accounts, 1000)),
+        );
         let registry: BTreeMap<NodeId, stellar_crypto::sign::PublicKey> = built
             .validators
             .iter()
@@ -309,21 +363,7 @@ impl Simulation {
             .collect();
         let mut validators = BTreeMap::new();
         for (id, qset) in &built.qsets {
-            // Each validator gets its own store on the configured
-            // backend: `Mem` clones the genesis template, `Disk` streams
-            // it onto a fresh simulated data disk.
-            let node_store = stellar_store::open(
-                &store,
-                cfg.store_backend,
-                &stellar_store::DiskConfig::default(),
-            );
-            let mut v = Validator::new(
-                *id,
-                validator_keys(*id),
-                qset.clone(),
-                node_store,
-                registry.clone(),
-            );
+            let mut v = genesis.validator(*id, qset.clone(), cfg.store_backend, &registry);
             v.herder.header.params.max_tx_set_ops = cfg.max_tx_set_ops;
             v.herder.set_apply_threads(cfg.apply_threads);
             v.herder
@@ -389,7 +429,7 @@ impl Simulation {
             puppets: BTreeSet::new(),
             puppet_inbox: BTreeMap::new(),
             trace: None,
-            genesis: store,
+            genesis,
             registry,
             restarts: 0,
             recovery_replayed: 0,
@@ -436,13 +476,7 @@ impl Simulation {
         // Submit to a pseudo-random validator (client choice).
         let ids: Vec<NodeId> = self.validators.keys().copied().collect();
         let to = ids[(tx.hash().prefix_u64() % ids.len() as u64) as usize];
-        self.queue.push(
-            at,
-            Event::SubmitTx {
-                to,
-                tx: Box::new(tx),
-            },
-        );
+        self.queue.push(at, Event::SubmitTx { to, tx });
     }
 
     /// Schedules a client transaction submission at `at_ms` (routed to a
@@ -454,13 +488,7 @@ impl Simulation {
     ) {
         let ids: Vec<NodeId> = self.validators.keys().copied().collect();
         let to = ids[(tx.hash().prefix_u64() % ids.len() as u64) as usize];
-        self.queue.push(
-            at_ms,
-            Event::SubmitTx {
-                to,
-                tx: Box::new(tx),
-            },
-        );
+        self.queue.push(at_ms, Event::SubmitTx { to, tx });
     }
 
     /// A validator, for post-run inspection.
@@ -569,19 +597,11 @@ impl Simulation {
                 header,
                 self.registry.clone(),
             ),
-            None => Validator::new(
-                id,
-                validator_keys(id),
-                qset,
-                // The data disk was unusable (or the node runs in RAM):
-                // re-image it and replay from genesis.
-                stellar_store::open(
-                    &self.genesis,
-                    self.cfg.store_backend,
-                    &stellar_store::DiskConfig::default(),
-                ),
-                self.registry.clone(),
-            ),
+            // The data disk was unusable (or the node runs in RAM):
+            // re-image it and replay from genesis.
+            None => self
+                .genesis
+                .validator(id, qset, self.cfg.store_backend, &self.registry),
         };
         v.herder.header.params.max_tx_set_ops = self.cfg.max_tx_set_ops;
         v.herder.set_apply_threads(self.cfg.apply_threads);
@@ -705,10 +725,14 @@ impl Simulation {
         if peer_seq <= own_seq {
             return 0;
         }
-        let archive = self.validators[&peer].herder.archive.clone();
-        let v = self.validators.get_mut(&id).expect("known node");
+        // Two validators out of one map: take the lagging one out for
+        // the call so it can read the peer's archive in place.
+        let mut v = self.validators.remove(&id).expect("known node");
         v.set_time_ms(self.now);
-        let applied = v.herder.catch_up_from(&archive);
+        let applied = v
+            .herder
+            .catch_up_from(&self.validators[&peer].herder.archive);
+        self.validators.insert(id, v);
         self.check_closed(id);
         applied
     }
@@ -1194,7 +1218,7 @@ impl Simulation {
                         _ => true,
                     };
                     if admitted {
-                        let _ = v.submit_transaction((*tx).clone());
+                        let _ = v.submit_transaction(tx.clone());
                     }
                     !admitted
                 };
@@ -1202,7 +1226,7 @@ impl Simulation {
                 // pull mode: adverts it; peers demand the payload). A
                 // shed submission never floods — that is the point.
                 if !shed {
-                    self.publish_payload(to, Flooded::new(FloodMessage::Tx(*tx)));
+                    self.publish_payload(to, Flooded::new(FloodMessage::Tx(tx)));
                 }
                 let dt = self
                     .loadgen

@@ -685,6 +685,65 @@ fn arb_ledger_header() -> impl Strategy<Value = stellar::ledger::header::LedgerH
         })
 }
 
+/// A random signed (or unsigned, or over-signed) envelope: 1–3 payments in
+/// any asset, every memo kind, optional time bounds and preimages.
+fn arb_envelope() -> impl Strategy<Value = stellar::ledger::TransactionEnvelope> {
+    use stellar::crypto::sign::KeyPair;
+    use stellar::ledger::tx::{Memo, SourcedOperation, TimeBounds, Transaction};
+    let memo = prop_oneof![
+        Just(Memo::None),
+        "[a-z ]{0,28}".prop_map(Memo::Text),
+        any::<u64>().prop_map(Memo::Id),
+        any::<u64>().prop_map(|i| Memo::Hash(sha256(&i.to_be_bytes()))),
+    ];
+    let payments = proptest::collection::vec(
+        (any::<u64>(), any::<u64>(), arb_asset(), 1i64..1_000_000),
+        1..4,
+    );
+    let preimages = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..16), 0..3);
+    (
+        (1u64..1000, any::<u64>(), 1i64..100_000, 0u64..3),
+        memo,
+        payments,
+        (0u64..3, preimages),
+    )
+        .prop_map(
+            |((source, seq_num, fee, max_time), memo, payments, (signers, preimages))| {
+                let tx = Transaction {
+                    source: AccountId(PublicKey(source)),
+                    seq_num,
+                    fee,
+                    time_bounds: (max_time > 0).then_some(TimeBounds {
+                        min_time: 0,
+                        max_time,
+                    }),
+                    memo,
+                    operations: payments
+                        .into_iter()
+                        .map(|(op_source, dest, asset, amount)| SourcedOperation {
+                            source: (op_source % 2 == 0).then_some(AccountId(PublicKey(op_source))),
+                            op: Operation::Payment {
+                                destination: AccountId(PublicKey(dest)),
+                                asset,
+                                amount,
+                            },
+                        })
+                        .collect(),
+                };
+                let keys: Vec<KeyPair> = (0..signers)
+                    .map(|i| KeyPair::from_seed(source + i))
+                    .collect();
+                let signed = stellar::ledger::TransactionEnvelope::sign(
+                    tx,
+                    &keys.iter().collect::<Vec<_>>(),
+                );
+                preimages
+                    .into_iter()
+                    .fold(signed, |env, p| env.with_preimage(p))
+            },
+        )
+}
+
 proptest! {
     /// What the herder writes ahead of envelopes must read back
     /// bit-identically: an SCP slot snapshot survives encode → decode.
@@ -703,6 +762,40 @@ proptest! {
         let back = LedgerHeader::from_bytes(&bytes).unwrap();
         prop_assert_eq!(back.hash(), header.hash());
         prop_assert_eq!(back, header);
+    }
+
+    /// Envelope and set handles: the codec yields a *distinct* allocation
+    /// that compares equal and hashes equal to the original handle, whose
+    /// own clones stay the same allocation with the same memoized hash.
+    #[test]
+    fn tx_handles_roundtrip_into_equal_distinct_allocations(
+        envs in proptest::collection::vec(arb_envelope(), 0..6),
+        prev in any::<u64>(),
+        base_fee_rate in 100i64..10_000,
+    ) {
+        use stellar::ledger::tx::{EnvelopeData, TransactionEnvelope};
+        use stellar::ledger::TransactionSet;
+        for env in &envs {
+            let h = env.hash();
+            let copy = env.clone();
+            prop_assert!(std::ptr::eq::<EnvelopeData>(&**env, &*copy));
+            let back = TransactionEnvelope::from_bytes(&env.to_bytes()).unwrap();
+            prop_assert!(!std::ptr::eq::<EnvelopeData>(&**env, &*back));
+            prop_assert_eq!(&back, env);
+            prop_assert_eq!(back.hash(), h);
+            prop_assert_eq!(back.tx_hash(), env.tx_hash());
+            prop_assert_eq!(copy.hash(), stellar::crypto::hash_xdr(env));
+        }
+        let set = TransactionSet::new(sha256(&prev.to_be_bytes()), envs, base_fee_rate);
+        let h = set.hash();
+        let copy = set.clone();
+        prop_assert_eq!(copy.txs.as_ptr(), set.txs.as_ptr());
+        let back = TransactionSet::from_bytes(&set.to_bytes()).unwrap();
+        prop_assert!(set.txs.is_empty() || back.txs.as_ptr() != set.txs.as_ptr());
+        prop_assert_eq!(&back, &set);
+        prop_assert_eq!(back.hash(), h);
+        prop_assert_eq!(copy.hash(), stellar::crypto::hash_xdr(&set));
+        prop_assert_eq!(back.wire_size(), set.to_bytes().len());
     }
 
     /// Torn-write safety: no strict prefix of a valid framed record
