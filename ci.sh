@@ -8,7 +8,7 @@ echo "==> cargo build --release"
 cargo build --release
 
 # --workspace covers the root package's tests/*.rs and every crate's
-# tests/ (parallel/cache/horizon determinism, pull flood, chaos recovery,
+# tests/ (cache/horizon determinism, pull flood, chaos recovery,
 # cascade campaigns), so none of them is re-run by name below.
 echo "==> cargo test -q --workspace (mem backend)"
 cargo test -q --workspace
@@ -31,11 +31,6 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin telemetry_smoke
 
-echo "==> close-path perf smoke (exp_close_perf --quick; in-run gate: apply_threads=4 externalizes the same final header as sequential)"
-BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_close_perf -- --quick
-grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_close_perf.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_close_perf.json  # committed full sweep
-
 echo "==> overlay pull smoke (exp_overlay_pull --quick; gates schema + flood-byte regression vs committed BENCH_overlay_pull.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_overlay_pull -- --quick
 
@@ -47,7 +42,7 @@ grep -q '"schema": "stellar-bench/v2"' BENCH_recovery.json  # committed full swe
 echo "==> storage-engine smoke (exp_store --quick; RAM/disk twin hash gate + schema-valid BENCH_store.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_store -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_store.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_store_baseline.json  # committed full sweep
+grep -q '"schema": "stellar-bench/v2"' BENCH_store.json  # committed full sweep
 
 echo "==> lifecycle tracing smoke (exp_trace --quick on both store backends; in-run gates: twin-run byte-identical trace rows, pipeline coverage, sampled-tracing overhead ≤5% closes/s vs tracing-off)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_trace -- --quick

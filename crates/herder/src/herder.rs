@@ -271,33 +271,6 @@ impl Herder {
         }
     }
 
-    /// Sets the worker-thread count for ledger apply (≤ 1 = sequential).
-    ///
-    /// This is a node-local performance knob, not consensus state: it
-    /// rides in `header.params` so it reaches every close (including
-    /// catch-up replay), but the header codec, hash, and equality all
-    /// exclude it, so nodes with different thread counts externalize
-    /// byte-identical ledgers.
-    pub fn set_apply_threads(&mut self, threads: u32) {
-        self.header.params.apply_threads = threads;
-    }
-
-    /// Exports one close's parallel-apply counters into the registry.
-    /// A sequential close reports nothing (all counters stay zero).
-    fn record_apply_stats(&mut self, stats: &stellar_ledger::ApplyStats) {
-        if stats.waves == 0 {
-            return;
-        }
-        let reg = &mut self.telemetry.registry;
-        reg.add("apply.waves", stats.waves);
-        reg.add("apply.parallel_txs", stats.parallel_txs);
-        reg.add("apply.conflict_rerun", stats.conflict_reruns);
-        reg.add("apply.footprint_fallback", stats.footprint_fallbacks);
-        for &w in &stats.wave_sizes {
-            reg.observe("apply.wave_size", w as u64);
-        }
-    }
-
     /// Turns on the close-event feed for an ingestion consumer, keeping
     /// at most `cap` pending events. Off-consensus: the feed is produced
     /// after the close is already final, so enabling it cannot change
@@ -529,7 +502,6 @@ impl Herder {
             header_hash: self.header.hash(),
         });
         let apply_us = apply_time.as_micros() as u64;
-        self.record_apply_stats(&result.stats);
         self.telemetry.registry.inc("ledger.closed");
         self.telemetry.registry.observe("ledger.apply_us", apply_us);
         self.telemetry
@@ -604,17 +576,12 @@ impl Herder {
                 break;
             }
             let start = std::time::Instant::now();
-            // Replay with the archived consensus params but this node's
-            // own thread knob — apply_threads is not consensus state, so
-            // the replayed header hashes are unaffected.
-            let mut params = expected.params;
-            params.apply_threads = self.header.params.apply_threads;
             let mut result = close_ledger(
                 &mut self.store,
                 &self.header,
                 set,
                 expected.close_time,
-                params,
+                expected.params,
                 &mut self.sig_cache,
             );
             self.buckets
@@ -646,7 +613,6 @@ impl Herder {
                 failed_tx_count: failed,
                 header_hash: self.header.hash(),
             });
-            self.record_apply_stats(&result.stats);
             self.telemetry.registry.inc("ledger.catchup_applied");
             applied += 1;
         }

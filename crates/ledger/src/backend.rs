@@ -144,9 +144,9 @@ pub struct StoreIoStats {
 
 /// The read surface transaction execution sees: point lookups of the
 /// four entry kinds plus ordered book pages. Every layer a
-/// [`crate::store::LedgerDelta`] can sit on implements it — a backend,
-/// another delta, or the parallel path's recording snapshot view — so a
-/// read-only layer never has to stub the mutating half of a backend.
+/// [`crate::store::LedgerDelta`] can sit on implements it — a backend
+/// or another delta — so a read-only layer never has to stub the
+/// mutating half of a backend.
 pub trait LedgerRead {
     /// Looks up an account.
     fn account(&self, id: AccountId) -> Option<AccountEntry>;

@@ -11,14 +11,7 @@ use stellar_crypto::Hash256;
 
 /// Global chain parameters carried in every header and adjustable by
 /// consensus upgrades (§5.3).
-///
-/// `apply_threads` is deliberately **not** consensus state: it is a local
-/// execution knob (how many worker threads `close_ledger` may use) that
-/// must never influence the bytes a validator externalizes. It is
-/// therefore excluded from the codec, from equality, and from the header
-/// hash — two validators closing the same ledger with different thread
-/// counts produce identical headers.
-#[derive(Clone, Copy, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LedgerParams {
     /// Protocol version; upgrades take the highest nominated.
     pub protocol_version: u32,
@@ -28,19 +21,6 @@ pub struct LedgerParams {
     pub base_reserve: i64,
     /// Maximum operations per transaction set (surge-pricing threshold).
     pub max_tx_set_ops: u32,
-    /// Worker threads for parallel ledger apply (local knob, ≤ 1 means
-    /// sequential). Not part of consensus: ignored by codec and equality.
-    pub apply_threads: u32,
-}
-
-impl PartialEq for LedgerParams {
-    fn eq(&self, other: &Self) -> bool {
-        // apply_threads is a local knob, not chain state.
-        self.protocol_version == other.protocol_version
-            && self.base_fee == other.base_fee
-            && self.base_reserve == other.base_reserve
-            && self.max_tx_set_ops == other.max_tx_set_ops
-    }
 }
 
 impl Default for LedgerParams {
@@ -50,34 +30,16 @@ impl Default for LedgerParams {
             base_fee: crate::amount::BASE_FEE,
             base_reserve: crate::amount::BASE_RESERVE,
             max_tx_set_ops: 1000,
-            apply_threads: 1,
         }
     }
 }
 
-// Hand-written codec (instead of `impl_codec_struct!`): only the four
-// consensus fields are on the wire; `apply_threads` decodes to its
-// default so a header round-trip never smuggles a local knob.
-impl stellar_crypto::codec::Encode for LedgerParams {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.protocol_version.encode(out);
-        self.base_fee.encode(out);
-        self.base_reserve.encode(out);
-        self.max_tx_set_ops.encode(out);
-    }
-}
-
-impl stellar_crypto::codec::Decode for LedgerParams {
-    fn decode(input: &mut &[u8]) -> Result<Self, stellar_crypto::codec::DecodeError> {
-        Ok(LedgerParams {
-            protocol_version: stellar_crypto::codec::Decode::decode(input)?,
-            base_fee: stellar_crypto::codec::Decode::decode(input)?,
-            base_reserve: stellar_crypto::codec::Decode::decode(input)?,
-            max_tx_set_ops: stellar_crypto::codec::Decode::decode(input)?,
-            apply_threads: 1,
-        })
-    }
-}
+stellar_crypto::impl_codec_struct!(LedgerParams {
+    protocol_version,
+    base_fee,
+    base_reserve,
+    max_tx_set_ops,
+});
 
 /// A ledger header (Fig. 3).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -152,19 +114,6 @@ mod tests {
         let mut h3 = g.clone();
         h3.params.base_fee += 1;
         assert_ne!(g.hash(), h3.hash());
-    }
-
-    #[test]
-    fn apply_threads_is_not_consensus_state() {
-        let g = LedgerHeader::genesis(Hash256::ZERO);
-        let mut h2 = g.clone();
-        h2.params.apply_threads = 8;
-        // Same hash, same equality, same wire bytes: the knob is local.
-        assert_eq!(g.hash(), h2.hash());
-        assert_eq!(g, h2);
-        use stellar_crypto::codec::{Decode, Encode};
-        let decoded = LedgerParams::from_bytes(&h2.params.to_bytes()).unwrap();
-        assert_eq!(decoded.apply_threads, 1);
     }
 
     #[test]

@@ -26,10 +26,7 @@
 //! matching engine; [`tx`] transactions/operations; [`ops`] operation
 //! execution; [`pathfind`] path-payment routing; [`txset`] transaction-set
 //! assembly with surge pricing; [`header`] ledger headers; [`apply`] the
-//! ledger-close function tying it all together; [`footprint`] static
-//! read/write footprints and wave scheduling; [`parallel`] the
-//! footprint-scheduled multi-threaded apply path (byte-identical to
-//! sequential, gated on `LedgerParams::apply_threads`).
+//! ledger-close function tying it all together.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,11 +36,9 @@ pub mod apply;
 pub mod asset;
 pub mod backend;
 pub mod entry;
-pub mod footprint;
 pub mod header;
 pub mod ops;
 pub mod orderbook;
-pub mod parallel;
 pub mod pathfind;
 pub mod sigcache;
 pub mod store;
@@ -51,11 +46,11 @@ pub mod tx;
 pub mod txset;
 
 pub use amount::{Price, STROOPS_PER_XLM};
+pub use apply::ApplyStats;
 pub use asset::{Asset, AssetCode};
 pub use backend::{LedgerBackend, LedgerRead, MemBackend, StoreIoStats};
 pub use entry::{AccountEntry, AccountId, DataEntry, OfferEntry, TrustLineEntry};
 pub use header::LedgerHeader;
-pub use parallel::ApplyStats;
 pub use store::{LedgerDelta, LedgerStore};
 pub use tx::{Memo, OpResult, Operation, Transaction, TransactionEnvelope, TxResult};
 pub use txset::TransactionSet;

@@ -17,8 +17,7 @@
 //! its writes down with [`absorb`](LedgerDelta::absorb). Both cost what
 //! the transaction touched, never what the close has accumulated. Depth
 //! is bounded by construction: transaction fork → close delta → backend,
-//! one deeper for `quote_path`'s dry run and for the parallel path's
-//! sequential re-runs.
+//! one deeper for `quote_path`'s dry run.
 //!
 //! The store also tracks, per ledger close, which entries changed; that
 //! change feed drives both the backend and the bucket list in
@@ -229,12 +228,6 @@ impl LedgerStore {
         self.backend.resident_bytes()
     }
 
-    /// The backend as a read surface (crate-internal: the parallel apply
-    /// path layers its master delta directly over it).
-    pub(crate) fn backend(&self) -> &dyn LedgerRead {
-        self.backend.as_ref()
-    }
-
     /// Starts a delta (scratch overlay) over this store.
     pub fn begin(&self) -> LedgerDelta<'_> {
         LedgerDelta::over(self.backend.as_ref(), self.backend.next_offer_id())
@@ -277,17 +270,13 @@ impl LedgerStore {
 
 /// The owned changes extracted from a delta: what that one layer wrote,
 /// nothing inherited from the layers below it.
-///
-/// Fields are `pub(crate)` so the parallel apply path
-/// ([`crate::parallel`]) can renumber provisional offer ids and record
-/// which keys a re-run dirtied.
 #[derive(Debug, Default)]
 pub struct DeltaChanges {
-    pub(crate) accounts: BTreeMap<AccountId, Option<AccountEntry>>,
-    pub(crate) trustlines: BTreeMap<AccountId, BTreeMap<Asset, Option<TrustLineEntry>>>,
-    pub(crate) offers: BTreeMap<u64, Option<OfferEntry>>,
-    pub(crate) data: BTreeMap<AccountId, BTreeMap<String, Option<DataEntry>>>,
-    pub(crate) next_offer_id: u64,
+    accounts: BTreeMap<AccountId, Option<AccountEntry>>,
+    trustlines: BTreeMap<AccountId, BTreeMap<Asset, Option<TrustLineEntry>>>,
+    offers: BTreeMap<u64, Option<OfferEntry>>,
+    data: BTreeMap<AccountId, BTreeMap<String, Option<DataEntry>>>,
+    next_offer_id: u64,
 }
 
 /// A scratch overlay over any [`LedgerRead`]: a backend or another delta.
@@ -303,10 +292,8 @@ pub struct LedgerDelta<'a> {
 
 impl<'a> LedgerDelta<'a> {
     /// Starts an empty delta over `base`, allocating offer ids from
-    /// `next_offer_id`. The parallel apply path passes per-transaction
-    /// provisional bases here; everything else goes through
-    /// [`LedgerStore::begin`] and [`LedgerDelta::fork`].
-    pub(crate) fn over(base: &'a dyn LedgerRead, next_offer_id: u64) -> LedgerDelta<'a> {
+    /// `next_offer_id`.
+    fn over(base: &'a dyn LedgerRead, next_offer_id: u64) -> LedgerDelta<'a> {
         LedgerDelta {
             base,
             changes: DeltaChanges {

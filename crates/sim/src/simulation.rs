@@ -51,11 +51,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Per-ledger operation budget.
     pub max_tx_set_ops: u32,
-    /// Worker threads for ledger apply on every validator (≤ 1 =
-    /// sequential). A node-local performance knob: it never enters the
-    /// header codec or hash, so mixed-thread-count networks stay in
-    /// consensus.
-    pub apply_threads: u32,
     /// Hard cap on simulated time, as a safety net (ms).
     pub max_sim_time_ms: u64,
     /// Modeled per-message processing cost at each node, in microseconds
@@ -133,7 +128,6 @@ impl Default for SimConfig {
             ledger_interval_ms: 5000,
             seed: 42,
             max_tx_set_ops: 1000,
-            apply_threads: 1,
             max_sim_time_ms: 3_600_000,
             proc_cost_us_per_msg: 200,
             flood_mode: FloodMode::Push,
@@ -365,7 +359,6 @@ impl Simulation {
         for (id, qset) in &built.qsets {
             let mut v = genesis.validator(*id, qset.clone(), cfg.store_backend, &registry);
             v.herder.header.params.max_tx_set_ops = cfg.max_tx_set_ops;
-            v.herder.set_apply_threads(cfg.apply_threads);
             v.herder
                 .telemetry
                 .spans
@@ -604,7 +597,6 @@ impl Simulation {
                 .validator(id, qset, self.cfg.store_backend, &self.registry),
         };
         v.herder.header.params.max_tx_set_ops = self.cfg.max_tx_set_ops;
-        v.herder.set_apply_threads(self.cfg.apply_threads);
         // A rebooted process keeps tracing at the configured sampling
         // rate; its pre-crash span buffer is RAM and thus lost.
         v.herder
@@ -1952,59 +1944,6 @@ mod tests {
             assert_eq!(x.externalized_at_ms, y.externalized_at_ms);
             assert_eq!(x.tx_count, y.tx_count);
         }
-    }
-
-    /// A network whose validators all close with a 4-thread apply pool
-    /// externalizes the same ledgers as a sequential network — and the
-    /// report's telemetry carries the parallel-apply counters.
-    #[test]
-    fn parallel_apply_network_matches_sequential_and_reports_stats() {
-        let cfg = SimConfig {
-            target_ledgers: 4,
-            n_accounts: 100,
-            tx_rate: 10.0,
-            ..SimConfig::default()
-        };
-        let mut seq_sim = Simulation::new(cfg.clone());
-        let seq = seq_sim.run();
-        let mut par_sim = Simulation::new(SimConfig {
-            apply_threads: 4,
-            ..cfg
-        });
-        let par = par_sim.run();
-        assert_eq!(seq.ledgers.len(), par.ledgers.len());
-        // Byte-identical externalization: every closed ledger's header
-        // hash matches between the two networks.
-        let seq_closes = &seq_sim.validator(seq_sim.observer_id()).herder.close_stats;
-        let par_closes = &par_sim.validator(par_sim.observer_id()).herder.close_stats;
-        assert!(!seq_closes.is_empty());
-        assert_eq!(seq_closes.len(), par_closes.len());
-        for (a, b) in seq_closes.iter().zip(par_closes.iter()) {
-            assert_eq!(
-                a.header_hash, b.header_hash,
-                "ledger {} diverged",
-                a.ledger_seq
-            );
-        }
-        let counters = par
-            .telemetry
-            .get("registry")
-            .and_then(|r| r.get("counters"))
-            .expect("counters in snapshot");
-        let waves = counters
-            .get("apply.waves")
-            .and_then(stellar_telemetry::Json::as_f64)
-            .unwrap_or(0.0);
-        assert!(waves > 0.0, "apply.waves missing: {counters:?}");
-        let seq_counters = seq
-            .telemetry
-            .get("registry")
-            .and_then(|r| r.get("counters"))
-            .expect("counters in snapshot");
-        assert!(
-            seq_counters.get("apply.waves").is_none(),
-            "sequential close must not report waves"
-        );
     }
 
     #[test]

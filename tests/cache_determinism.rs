@@ -6,6 +6,11 @@
 //! externalized artifact — per-ledger header hash and the final bucket
 //! level hashes — must be bit-for-bit identical, otherwise a cache could
 //! fork the network.
+//!
+//! The workload mixes payments, resting and crossing offers, one- and
+//! two-hop path payments, trustline/data churn and transactions that
+//! fail at apply (fee and sequence still land). The store is whichever
+//! backend `STELLAR_STORE_BACKEND` selects, so CI covers mem and disk.
 
 use stellar::buckets::BucketList;
 use stellar::crypto::sign::KeyPair;
@@ -18,7 +23,8 @@ use stellar::ledger::header::{LedgerHeader, LedgerParams};
 use stellar::ledger::sigcache::SigVerifyCache;
 use stellar::ledger::store::LedgerStore;
 use stellar::ledger::tx::{Memo, Operation, SourcedOperation, Transaction, TransactionEnvelope};
-use stellar::ledger::{Asset, TransactionSet};
+use stellar::ledger::{Asset, TransactionSet, TxResult};
+use stellar::store::{open, BackendKind, DiskConfig};
 
 const ACCOUNTS: u64 = 24;
 const LEDGERS: u64 = 8;
@@ -36,25 +42,98 @@ fn usd() -> Asset {
     Asset::issued(acct(0), "USD")
 }
 
+fn eur() -> Asset {
+    Asset::issued(acct(0), "EUR")
+}
+
 fn genesis_store() -> LedgerStore {
     let mut entries: Vec<LedgerEntry> = Vec::new();
     for i in 0..ACCOUNTS {
-        let mut a = AccountEntry::new(acct(i), xlm(1_000));
-        a.num_subentries = 1;
+        let mut a = AccountEntry::new(acct(i), xlm(10_000));
+        a.num_subentries = if i == 0 { 0 } else { 2 };
         entries.push(LedgerEntry::Account(a));
-        entries.push(LedgerEntry::TrustLine(TrustLineEntry {
-            account: acct(i),
-            asset: usd(),
-            balance: if i == 0 { 0 } else { 1_000_000 },
-            limit: i64::MAX / 2,
-            authorized: true,
-        }));
+        if i != 0 {
+            for asset in [usd(), eur()] {
+                entries.push(LedgerEntry::TrustLine(TrustLineEntry {
+                    account: acct(i),
+                    asset,
+                    balance: 500_000,
+                    limit: i64::MAX / 2,
+                    authorized: true,
+                }));
+            }
+        }
     }
-    LedgerStore::from_entries(entries)
+    let template = LedgerStore::from_entries(entries);
+    open(&template, BackendKind::from_env(), &DiskConfig::default())
 }
 
-/// A deterministic mixed batch: payments plus the occasional new offer,
-/// so the run exercises the order-book and bucket paths too.
+/// The operation of the transaction with global index `n` from `src`.
+fn nth_op(n: u64, src: u64) -> Operation {
+    match n % 8 {
+        0 | 1 => Operation::Payment {
+            destination: acct(1 + (src + 5) % (ACCOUNTS - 1)),
+            asset: Asset::Native,
+            amount: 10 + (n % 90) as i64,
+        },
+        2 => Operation::Payment {
+            destination: acct(1 + (src + 11) % (ACCOUNTS - 1)),
+            asset: usd(),
+            amount: 5 + (n % 40) as i64,
+        },
+        // Resting or crossing offers on USD/XLM, alternating sides.
+        3 => Operation::ManageOffer {
+            offer_id: 0,
+            selling: usd(),
+            buying: Asset::Native,
+            amount: 40 + (n % 9) as i64,
+            price: Price::new(90 + (n % 25) as u32, 100),
+            passive: false,
+        },
+        4 => Operation::ManageOffer {
+            offer_id: 0,
+            selling: Asset::Native,
+            buying: usd(),
+            amount: 30 + (n % 11) as i64,
+            price: Price::new(95 + (n % 15) as u32, 100),
+            passive: n % 16 == 4,
+        },
+        // Path payments: XLM → USD directly, or XLM → USD → EUR.
+        5 if n % 16 == 5 => Operation::PathPayment {
+            send_asset: Asset::Native,
+            send_max: 10_000,
+            destination: acct(1 + (src + 7) % (ACCOUNTS - 1)),
+            dest_asset: usd(),
+            dest_amount: 1 + (n % 5) as i64,
+            path: vec![],
+        },
+        5 => Operation::PathPayment {
+            send_asset: Asset::Native,
+            send_max: 10_000,
+            destination: acct(1 + (src + 9) % (ACCOUNTS - 1)),
+            dest_asset: eur(),
+            dest_amount: 1 + (n % 3) as i64,
+            path: vec![usd()],
+        },
+        6 if n % 16 == 6 => Operation::ManageData {
+            name: format!("k{}", n % 4),
+            value: Some(vec![n as u8; 4]),
+        },
+        6 => Operation::ChangeTrust {
+            asset: usd(),
+            limit: i64::MAX / 2 - (n % 7) as i64,
+        },
+        // Fails at apply (USD balance is far below this amount): only
+        // the fee charge and sequence bump land.
+        _ => Operation::Payment {
+            destination: acct(1 + (src + 3) % (ACCOUNTS - 1)),
+            asset: usd(),
+            amount: 100_000_000,
+        },
+    }
+}
+
+/// A deterministic mixed batch; no account submits twice in one ledger.
 fn batch(
     ledger: u64,
     next_seq: &mut std::collections::HashMap<u64, u64>,
@@ -69,30 +148,33 @@ fn batch(
                 *s += 1;
                 v
             };
-            let op = if t % 4 == 3 {
-                Operation::ManageOffer {
+            let ops = if ledger == 0 {
+                // The first ledger seeds order-book liquidity so later
+                // path payments have something to cross.
+                let maker = |selling, buying, amount| Operation::ManageOffer {
                     offer_id: 0,
-                    selling: usd(),
-                    buying: Asset::Native,
-                    amount: 50 + (n % 7) as i64,
-                    price: Price::new(100 + (n % 13) as u32, 100),
+                    selling,
+                    buying,
+                    amount,
+                    price: Price::new(100 + t as u32, 100),
                     passive: false,
-                }
+                };
+                vec![maker(usd(), Asset::Native, 500), maker(eur(), usd(), 400)]
             } else {
-                Operation::Payment {
-                    destination: acct((src + 3) % ACCOUNTS),
-                    asset: Asset::Native,
-                    amount: 1 + (n % 50) as i64,
-                }
+                vec![nth_op(n, src)]
             };
+            let operations: Vec<_> = ops
+                .into_iter()
+                .map(|op| SourcedOperation { source: None, op })
+                .collect();
             TransactionEnvelope::sign(
                 Transaction {
                     source: acct(src),
                     seq_num: seq,
-                    fee: BASE_FEE,
+                    fee: BASE_FEE * operations.len() as i64,
                     time_bounds: None,
                     memo: Memo::None,
-                    operations: vec![SourcedOperation { source: None, op }],
+                    operations,
                 },
                 &[&keys(src)],
             )
@@ -100,8 +182,16 @@ fn batch(
         .collect()
 }
 
-/// Runs the full pipeline and returns every externalized hash.
-fn run(mut sig_cache: SigVerifyCache) -> (Vec<Hash256>, Vec<Hash256>, u64) {
+/// What one run externalized, plus its cache hits.
+struct RunOut {
+    header_hashes: Vec<Hash256>,
+    level_hashes: Vec<Hash256>,
+    results: Vec<TxResult>,
+    hits: u64,
+}
+
+/// Runs the full pipeline.
+fn run(mut sig_cache: SigVerifyCache) -> RunOut {
     let mut store = genesis_store();
     let mut buckets = BucketList::seed(store.all_entries());
     let mut header = LedgerHeader::genesis(Hash256::ZERO);
@@ -109,6 +199,7 @@ fn run(mut sig_cache: SigVerifyCache) -> (Vec<Hash256>, Vec<Hash256>, u64) {
     let mut queue = TxQueue::new();
     let mut next_seq = std::collections::HashMap::new();
     let mut header_hashes = Vec::new();
+    let mut results = Vec::new();
     for ledger in 0..LEDGERS {
         for env in batch(ledger, &mut next_seq) {
             queue
@@ -130,18 +221,39 @@ fn run(mut sig_cache: SigVerifyCache) -> (Vec<Hash256>, Vec<Hash256>, u64) {
         header.snapshot_hash = buckets.hash();
         queue.prune(&store);
         header_hashes.push(header.hash());
+        results.extend(result.results);
     }
-    (header_hashes, buckets.level_hashes(), sig_cache.hits())
+    RunOut {
+        header_hashes,
+        level_hashes: buckets.level_hashes(),
+        results,
+        hits: sig_cache.hits(),
+    }
 }
 
 #[test]
 fn cached_and_uncached_runs_externalize_identical_state() {
-    let (headers_on, levels_on, hits_on) = run(SigVerifyCache::new(1 << 16));
-    let (headers_off, levels_off, hits_off) = run(SigVerifyCache::disabled());
-    assert_eq!(headers_on, headers_off, "header hashes diverged");
-    assert_eq!(levels_on, levels_off, "bucket level hashes diverged");
+    let on = run(SigVerifyCache::new(1 << 16));
+    let off = run(SigVerifyCache::disabled());
+    assert_eq!(
+        on.header_hashes, off.header_hashes,
+        "header hashes diverged"
+    );
+    assert_eq!(
+        on.level_hashes, off.level_hashes,
+        "bucket level hashes diverged"
+    );
+    assert_eq!(on.results, off.results, "transaction results diverged");
+    // The workload must reach both outcomes of a valid transaction.
+    assert!(on.results.iter().any(TxResult::is_success));
+    assert!(
+        on.results
+            .iter()
+            .any(|r| matches!(r, TxResult::Failed { .. })),
+        "nothing failed at apply — workload too tame"
+    );
     // The twin runs must differ only in where the verifications came
     // from: the cached run actually hits, the uncached one never does.
-    assert!(hits_on > 0, "cache never hit — test exercises nothing");
-    assert_eq!(hits_off, 0);
+    assert!(on.hits > 0, "cache never hit — test exercises nothing");
+    assert_eq!(off.hits, 0);
 }

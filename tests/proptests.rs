@@ -676,9 +676,6 @@ fn arb_ledger_header() -> impl Strategy<Value = stellar::ledger::header::LedgerH
                     base_fee,
                     base_reserve,
                     max_tx_set_ops,
-                    // Not consensus state: the codec always decodes 1,
-                    // so any other value here would fail the roundtrip.
-                    apply_threads: 1,
                 },
                 fee_pool,
             }
@@ -1164,229 +1161,6 @@ mod layered_delta {
                 prop_assert_eq!(&committed, &base);
                 prop_assert_eq!(store.next_offer_id(), flat.next_offer_id);
             }
-        }
-    }
-}
-
-// ---------- footprints & parallel apply ----------
-
-mod footprints {
-    use super::*;
-    use stellar::crypto::sign::KeyPair;
-    use stellar::ledger::amount::{xlm, BASE_FEE};
-    use stellar::ledger::apply::{apply_transaction, close_ledger};
-    use stellar::ledger::footprint::tx_footprint;
-    use stellar::ledger::header::{LedgerHeader, LedgerParams};
-    use stellar::ledger::sigcache::SigVerifyCache;
-    use stellar::ledger::tx::{Memo, SourcedOperation, Transaction, TransactionEnvelope, TxResult};
-    use stellar::ledger::{LedgerBackend, MemBackend, TransactionSet};
-
-    const FP_ACCOUNTS: u64 = 8;
-
-    fn fkeys(n: u64) -> KeyPair {
-        KeyPair::from_seed(0xF00D + n)
-    }
-
-    fn facct(n: u64) -> AccountId {
-        AccountId(fkeys(n).public())
-    }
-
-    fn fusd() -> Asset {
-        Asset::issued(facct(0), "USD")
-    }
-
-    fn feur() -> Asset {
-        Asset::issued(facct(0), "EUR")
-    }
-
-    fn fp_entries() -> Vec<LedgerEntry> {
-        let mut entries = Vec::new();
-        for i in 0..FP_ACCOUNTS {
-            let mut a = AccountEntry::new(facct(i), xlm(1_000));
-            a.num_subentries = if i == 0 { 0 } else { 2 };
-            entries.push(LedgerEntry::Account(a));
-            if i != 0 {
-                for asset in [fusd(), feur()] {
-                    entries.push(LedgerEntry::TrustLine(TrustLineEntry {
-                        account: facct(i),
-                        asset,
-                        balance: 10_000,
-                        limit: i64::MAX / 2,
-                        authorized: true,
-                    }));
-                }
-            }
-        }
-        entries
-    }
-
-    fn fp_tx(src: u64, seq: u64, op: Operation) -> TransactionEnvelope {
-        TransactionEnvelope::sign(
-            Transaction {
-                source: facct(src),
-                seq_num: seq,
-                fee: BASE_FEE,
-                time_bounds: None,
-                memo: Memo::None,
-                operations: vec![SourcedOperation { source: None, op }],
-            },
-            &[&fkeys(src)],
-        )
-    }
-
-    /// A random operation whose footprint the scheduler must respect:
-    /// payments, offers on two book pairs, data and trustline writes,
-    /// sequence bumps.
-    fn arb_fp_op() -> impl Strategy<Value = Operation> {
-        prop_oneof![
-            (1u64..FP_ACCOUNTS, 1i64..100).prop_map(|(d, amount)| Operation::Payment {
-                destination: facct(d),
-                asset: Asset::Native,
-                amount,
-            }),
-            (1u64..FP_ACCOUNTS, 1i64..100).prop_map(|(d, amount)| Operation::Payment {
-                destination: facct(d),
-                asset: fusd(),
-                amount,
-            }),
-            (1i64..50, 80u32..120).prop_map(|(amount, p)| Operation::ManageOffer {
-                offer_id: 0,
-                selling: fusd(),
-                buying: Asset::Native,
-                amount,
-                price: Price::new(p, 100),
-                passive: false,
-            }),
-            (1i64..50, 80u32..120).prop_map(|(amount, p)| Operation::ManageOffer {
-                offer_id: 0,
-                selling: feur(),
-                buying: Asset::Native,
-                amount,
-                price: Price::new(p, 100),
-                passive: false,
-            }),
-            (0u64..4, proptest::collection::vec(any::<u8>(), 1..8)).prop_map(|(k, value)| {
-                Operation::ManageData {
-                    name: format!("k{k}"),
-                    value: Some(value),
-                }
-            }),
-            (10_000i64..1_000_000).prop_map(|limit| Operation::ChangeTrust {
-                asset: fusd(),
-                limit,
-            }),
-            (1u64..1000).prop_map(|bump_to| Operation::BumpSequence { bump_to }),
-        ]
-    }
-
-    /// Applies `first` then `second` on a fresh genesis and returns the
-    /// final entries (offer ids zeroed — the global allocator hands out
-    /// ids in application order, which commuting is not about) plus both
-    /// transaction results.
-    fn apply_pair(
-        first: &TransactionEnvelope,
-        second: &TransactionEnvelope,
-    ) -> (Vec<LedgerEntry>, u64, TxResult, TxResult) {
-        let mut store = LedgerStore::from_entries(fp_entries());
-        let exec = ExecEnv::default();
-        let mut sig = SigVerifyCache::disabled();
-        let mut delta = store.begin();
-        let r1 = apply_transaction(
-            &mut delta,
-            first,
-            exec.close_time,
-            BASE_FEE,
-            &exec,
-            &mut sig,
-        );
-        let r2 = apply_transaction(
-            &mut delta,
-            second,
-            exec.close_time,
-            BASE_FEE,
-            &exec,
-            &mut sig,
-        );
-        store.commit(delta.into_changes());
-        let mut entries: Vec<LedgerEntry> = store
-            .all_entries()
-            .map(|mut e| {
-                if let LedgerEntry::Offer(o) = &mut e {
-                    o.id = 0;
-                }
-                e
-            })
-            .collect();
-        entries.sort_by_key(|e| {
-            let mut buf = Vec::new();
-            e.encode(&mut buf);
-            buf
-        });
-        (entries, store.next_offer_id(), r1, r2)
-    }
-
-    proptest! {
-        /// Two transactions whose *declared* footprints are disjoint
-        /// commute: applying them in either order yields the same final
-        /// state and the same per-transaction results. This is the
-        /// soundness condition wave scheduling rests on — transactions
-        /// sharing a wave are exactly those with pairwise-disjoint
-        /// footprints.
-        #[test]
-        fn disjoint_footprints_commute(
-            a_src in 1u64..FP_ACCOUNTS,
-            b_src in 1u64..FP_ACCOUNTS,
-            a_op in arb_fp_op(),
-            b_op in arb_fp_op(),
-        ) {
-            let env_a = fp_tx(a_src, 1, a_op);
-            let env_b = fp_tx(b_src, 1, b_op);
-            let mut backend = MemBackend::new();
-            let feed: Vec<_> = fp_entries().into_iter().map(|e| (e.key(), Some(e))).collect();
-            backend.apply(&feed);
-            let fp_a = tx_footprint(&backend, &env_a);
-            let fp_b = tx_footprint(&backend, &env_b);
-            if fp_a.precise && fp_b.precise && !fp_a.conflicts(&fp_b) {
-                let (state_ab, next_ab, a_first, b_second) = apply_pair(&env_a, &env_b);
-                let (state_ba, next_ba, b_first, a_second) = apply_pair(&env_b, &env_a);
-                prop_assert_eq!(state_ab, state_ba, "states diverged");
-                prop_assert_eq!(next_ab, next_ba);
-                prop_assert_eq!(a_first, a_second, "A's result depends on order");
-                prop_assert_eq!(b_first, b_second, "B's result depends on order");
-            }
-        }
-
-        /// A randomized tx set closed with the parallel path must
-        /// externalize exactly what the sequential path does: same
-        /// header hash (covers `hash_results`), same results, same
-        /// change feed.
-        #[test]
-        fn parallel_close_matches_sequential(
-            ops in proptest::collection::vec(arb_fp_op(), 1..8),
-            threads in 2u32..9,
-        ) {
-            let txs: Vec<TransactionEnvelope> = ops
-                .into_iter()
-                .enumerate()
-                .map(|(i, op)| fp_tx(1 + i as u64, 1, op))
-                .collect();
-            let genesis = LedgerHeader::genesis(stellar::crypto::Hash256::ZERO);
-            let set = TransactionSet::assemble(genesis.hash(), txs, u32::MAX);
-            let run = |apply_threads: u32| {
-                let mut store = LedgerStore::from_entries(fp_entries());
-                let mut sig = SigVerifyCache::disabled();
-                let params = LedgerParams { apply_threads, ..LedgerParams::default() };
-                let r = close_ledger(&mut store, &genesis, &set, genesis.close_time + 5, params, &mut sig);
-                let entries: Vec<LedgerEntry> = store.all_entries().collect();
-                (r.header.hash(), r.results, r.changes, r.fees_collected, entries)
-            };
-            let seq = run(1);
-            let par = run(threads);
-            prop_assert_eq!(seq.0, par.0, "header hashes diverged");
-            prop_assert_eq!(seq.1, par.1, "results diverged");
-            prop_assert_eq!(seq.2, par.2, "change feeds diverged");
-            prop_assert_eq!(seq.3, par.3, "fees diverged");
-            prop_assert_eq!(seq.4, par.4, "final entries diverged");
         }
     }
 }

@@ -11,6 +11,7 @@ use stellar::crypto::sign::PublicKey;
 use stellar::crypto::Hash256;
 use stellar::ledger::amount::Price;
 use stellar::ledger::entry::{AccountEntry, AccountId, LedgerEntry};
+use stellar::ledger::header::{LedgerHeader, LedgerParams};
 use stellar::ledger::Asset;
 use stellar::scp::statement::{Ballot, StatementKind};
 use stellar::scp::{NodeId, QuorumSet, Value};
@@ -104,4 +105,26 @@ fn hash_of_known_structure_is_stable() {
         "hash_xdr must be sha256 of the deterministic encoding"
     );
     assert_ne!(h, Hash256::ZERO);
+}
+
+#[test]
+fn ledger_header_encoding_is_pinned() {
+    // protocol_version 1 (u32), base_fee 100 (i64), base_reserve 5_000_000
+    // (i64), max_tx_set_ops 1000 (u32): 24 bytes, nothing else on the wire.
+    let params = "00000001000000000000006400000000004c4b40000003e8";
+    assert_eq!(hex::encode(&LedgerParams::default().to_bytes()), params);
+    // seq 1 (u64), prev + tx-set hashes, close_time 0 (u64), results +
+    // snapshot hashes, params, fee_pool 0 (i64).
+    let g = LedgerHeader::genesis(Hash256::ZERO);
+    let zero_hash = "00".repeat(32);
+    assert_eq!(
+        hex::encode(&g.to_bytes()),
+        format!(
+            "0000000000000001{zero_hash}{zero_hash}0000000000000000{zero_hash}{zero_hash}{params}0000000000000000"
+        )
+    );
+    assert_eq!(
+        hex::encode(&g.hash().0),
+        "d11a41e6e016027dd46a8b55aa2ccc74233d1feafc29cdaef9547a07b7720aec"
+    );
 }
