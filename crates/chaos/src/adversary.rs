@@ -138,7 +138,7 @@ impl Adversary {
     /// after every simulation step.
     pub fn turn(&mut self, inbox: &[(NodeId, Flooded)]) -> Vec<Injection> {
         for (_, flooded) in inbox {
-            if let FloodMessage::Scp(env) = &*flooded.msg {
+            if let FloodMessage::Scp(env) = &flooded.msg {
                 self.observe(env);
             }
         }

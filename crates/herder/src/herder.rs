@@ -30,9 +30,15 @@ use stellar_scp::slot::SlotSnapshot;
 use stellar_scp::{Envelope, NodeId, SlotIndex, Value};
 use stellar_telemetry::{NodeTelemetry, SpanPhase, TraceKind};
 
-/// Durable-store key for the SCP slot snapshots (written write-ahead of
-/// every outbound envelope).
-pub const SCP_SNAPSHOT_KEY: &str = "scp";
+/// Durable-store key prefix of the per-slot SCP records (`scp/<slot>`,
+/// one [`SlotSnapshot`] each, written write-ahead of every outbound
+/// envelope).
+pub const SCP_SLOT_PREFIX: &str = "scp/";
+
+/// Durable-store key of slot `slot`'s SCP record.
+pub fn scp_slot_key(slot: SlotIndex) -> String {
+    format!("{SCP_SLOT_PREFIX}{slot}")
+}
 
 /// Durable-store key for the latest-closed-ledger record (written at
 /// every ledger close).
@@ -669,12 +675,11 @@ impl Herder {
         }
     }
 
-    /// Writes `bytes` under `key` on the node disk, fsyncs, and accounts
-    /// for both in `persist.*`. Returns whether the sync succeeded and
-    /// how many bytes hit the disk.
-    fn write_durable(&mut self, key: &str, bytes: &[u8]) -> (bool, u64) {
-        let before = self.persist.stats().bytes_written;
-        self.persist.write(key, bytes);
+    /// Fsyncs whatever is staged on the node disk and accounts for it in
+    /// `persist.*`; `before` is the `bytes_written` reading taken before
+    /// staging. Returns whether the sync succeeded and how many bytes
+    /// were staged for it.
+    fn sync_durable(&mut self, before: u64) -> (bool, u64) {
         let ok = self.persist.sync();
         let written = self.persist.stats().bytes_written - before;
         let reg = &mut self.telemetry.registry;
@@ -688,23 +693,33 @@ impl Herder {
         (ok, written)
     }
 
-    /// Write-ahead persists the given SCP slot snapshots and fsyncs.
+    /// Write-ahead persists what changed in SCP since the last successful
+    /// call — one `scp/<slot>` record per touched slot, removal of the
+    /// pruned slots' records — under a single fsync.
     ///
     /// Returns `false` when the fsync failed: the state is NOT on disk
     /// and the caller must hold back any outbound envelope derived from
     /// it until a later sync succeeds (otherwise a crash could make this
     /// node contradict a vote the network already saw).
-    pub fn persist_scp(&mut self, snaps: &[SlotSnapshot]) -> bool {
+    pub fn persist_scp(&mut self, touched: &[SlotSnapshot], pruned: &[SlotIndex]) -> bool {
         if !self.persist.is_enabled() {
             return true;
         }
-        // Same wire layout as `Vec<SlotSnapshot>`: u64 count + elements.
-        let mut buf = Vec::new();
-        (snaps.len() as u64).encode(&mut buf);
-        for s in snaps {
-            s.encode(&mut buf);
+        let before = self.persist.stats().bytes_written;
+        // Removals first: a slot pruned and re-created since the last
+        // save is in both lists, and its new record must win.
+        for slot in pruned {
+            self.persist.remove(&scp_slot_key(*slot));
         }
-        self.write_durable(SCP_SNAPSHOT_KEY, &buf).0
+        for snap in touched {
+            self.persist
+                .write(&scp_slot_key(snap.index), &snap.to_bytes());
+        }
+        let (ok, written) = self.sync_durable(before);
+        let reg = &mut self.telemetry.registry;
+        reg.add("persist.scp.bytes_written", written);
+        reg.add("persist.scp.slots_written", touched.len() as u64);
+        ok
     }
 
     /// Persists the latest-closed-ledger record (header + bucket level
@@ -719,21 +734,36 @@ impl Herder {
             header: self.header.clone(),
             bucket_hashes: self.buckets.level_hashes(),
         };
-        let (ok, written) = self.write_durable(LCL_KEY, &rec.to_bytes());
+        let before = self.persist.stats().bytes_written;
+        self.persist.write(LCL_KEY, &rec.to_bytes());
+        let (ok, written) = self.sync_durable(before);
         self.telemetry
             .registry
             .observe("persist.lcl_bytes", written);
         ok
     }
 
-    /// Reads back the durable SCP slot snapshots (crash recovery). A
-    /// missing or torn record yields an empty list — recovery then leans
-    /// on the history archive alone.
-    pub fn recover_scp_snapshots(&self) -> Vec<SlotSnapshot> {
-        self.persist
-            .read(SCP_SNAPSHOT_KEY)
-            .and_then(|bytes| Vec::<SlotSnapshot>::from_bytes(&bytes).ok())
-            .unwrap_or_default()
+    /// Reads back the durable per-slot SCP records at or above
+    /// `keep_from`, in slot order (crash recovery). Every other `scp/`
+    /// record — a slot below the window the restarted node will never
+    /// load into RAM and so never prune, or a torn record — is staged for
+    /// removal at the next sync, which keeps the durable key set bounded
+    /// across any number of restarts. With nothing readable, recovery
+    /// leans on the history archive alone.
+    pub fn recover_scp_snapshots(&mut self, keep_from: SlotIndex) -> Vec<SlotSnapshot> {
+        let mut snaps = Vec::new();
+        for key in self.persist.keys_with_prefix(SCP_SLOT_PREFIX) {
+            let snap = self
+                .persist
+                .read(&key)
+                .and_then(|bytes| SlotSnapshot::from_bytes(&bytes).ok());
+            match snap {
+                Some(snap) if snap.index >= keep_from => snaps.push(snap),
+                _ => self.persist.remove(&key),
+            }
+        }
+        snaps.sort_by_key(|snap| snap.index);
+        snaps
     }
 
     /// Reads back the durable latest-closed-ledger record, if intact.

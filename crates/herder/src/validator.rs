@@ -243,18 +243,16 @@ impl Validator {
     }
 
     /// Rebuilds in-memory SCP state from the durable store after a crash
-    /// restart: every snapshotted slot at or above the current one is
+    /// restart: every recorded slot at or above the current one is
     /// restored (timers re-arm, decided values re-notify), then any
     /// decided-but-unapplied value is pushed through the close path.
     /// Returns the number of slots restored.
     pub fn recover_scp_state(&mut self) -> usize {
         let current = self.herder.current_slot();
-        let mut restored = 0;
-        for snap in self.herder.recover_scp_snapshots() {
-            if snap.index >= current {
-                self.scp.restore_slot(&mut self.herder, snap);
-                restored += 1;
-            }
+        let snaps = self.herder.recover_scp_snapshots(current);
+        let restored = snaps.len();
+        for snap in snaps {
+            self.scp.restore_slot(&mut self.herder, snap);
         }
         self.process_externalized();
         restored
@@ -273,13 +271,16 @@ impl Validator {
         // Write-ahead discipline (§5.4): our SCP state must be durable
         // before any envelope derived from it reaches the network — a
         // crash between emitting and persisting would let the restarted
-        // node contradict votes peers already hold. On a failed fsync the
-        // envelopes stay queued; a later drain retries the sync.
+        // node contradict votes peers already hold. Only the slots that
+        // changed since the last successful sync are rewritten. On a
+        // failed fsync the envelopes stay queued and the slots stay
+        // unsaved; a later drain rewrites them and retries the sync.
         let envelopes = if envelopes.is_empty() {
             envelopes
         } else {
-            let snaps = self.scp.snapshot_slots();
-            if self.herder.persist_scp(&snaps) {
+            let (touched, pruned) = self.scp.unsaved_slots();
+            if self.herder.persist_scp(&touched, &pruned) {
+                self.scp.mark_saved();
                 envelopes
             } else {
                 self.herder.outbox.splice(0..0, envelopes);
@@ -483,5 +484,40 @@ mod tests {
         assert_eq!(h3.ledger_seq, h2.ledger_seq + 1);
         assert_eq!(h3.prev_header_hash, h2.hash());
         assert!(h3.close_time > h2.close_time);
+    }
+
+    #[test]
+    fn torn_slot_record_loses_that_slot_only() {
+        let mut net = MiniNet::new(4);
+        net.now_ms = 5000;
+        for _ in 0..3 {
+            net.run_ledger();
+            net.now_ms += 5000;
+        }
+        let straggler = net.validators[1]
+            .scp
+            .own_latest_envelopes(4)
+            .pop()
+            .expect("node 1 voted in slot 4");
+        let v = &mut net.validators[0];
+        let on_disk = |v: &mut Validator| -> Vec<SlotIndex> {
+            let snaps = v.herder.recover_scp_snapshots(0);
+            snaps.iter().map(|s| s.index).collect()
+        };
+        assert_eq!(on_disk(v), [2, 3, 4]);
+        // A late envelope touches closed slot 4, so the next emission
+        // rewrites its record ahead of new slot 5's — but that fsync
+        // fails, and the crash tears the oldest staged write.
+        assert!(v.receive_envelope(&straggler).envelopes.is_empty());
+        v.herder.persist.fail_next_fsyncs(1);
+        let held = v.trigger_next_ledger();
+        assert!(held.envelopes.is_empty() && !v.herder.outbox.is_empty());
+        v.herder.persist.tear_next_crash();
+        v.herder.persist.crash();
+        assert!(v.herder.persist.raw("scp/4").is_some(), "garbage on disk");
+        assert_eq!(on_disk(v), [2, 3], "one torn slot, not the whole window");
+        // Recovery staged the unreadable record's removal.
+        assert!(v.herder.persist.sync());
+        assert_eq!(v.herder.persist.raw("scp/4"), None);
     }
 }

@@ -24,6 +24,7 @@
 //! runs stay byte-for-byte reproducible.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use stellar_crypto::sha256::sha256;
 
 /// Bytes of framing overhead added to each record: an 8-byte big-endian
@@ -215,6 +216,17 @@ impl DurableStore {
         unframe(self.durable.get(key)?)
     }
 
+    /// The durable keys starting with `prefix`, in key order — torn
+    /// records included, so recovery can clear them away.
+    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
+        self.durable
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(key, _)| key)
+            .take_while(|key| key.starts_with(prefix))
+            .cloned()
+            .collect()
+    }
+
     /// The raw framed record for `key`, including torn ones (for tests).
     pub fn raw(&self, key: &str) -> Option<&[u8]> {
         self.durable.get(key).map(Vec::as_slice)
@@ -279,26 +291,26 @@ mod tests {
     fn failed_fsync_keeps_writes_pending() {
         let mut s = DurableStore::new();
         s.fail_next_fsyncs(1);
-        s.write("scp", b"snapshot");
+        s.write("scp/7", b"snapshot");
         assert!(!s.sync());
-        assert_eq!(s.read("scp"), None);
+        assert_eq!(s.read("scp/7"), None);
         assert_eq!(s.pending_len(), 1);
         assert!(s.sync(), "fault is consumed");
-        assert_eq!(s.read("scp").unwrap(), b"snapshot");
+        assert_eq!(s.read("scp/7").unwrap(), b"snapshot");
     }
 
     #[test]
     fn torn_crash_commits_unreadable_prefix() {
         let mut s = DurableStore::new();
-        s.write("scp", b"good snapshot");
+        s.write("scp/7", b"good snapshot");
         assert!(s.sync());
-        s.write("scp", b"newer snapshot, much longer than the old one");
+        s.write("scp/7", b"newer snapshot, much longer than the old one");
         s.tear_next_crash();
         s.crash();
         // The torn overwrite destroyed the old record and the new one
         // never fully landed: the key reads as absent.
-        assert_eq!(s.read("scp"), None);
-        assert!(s.raw("scp").is_some(), "garbage is on disk");
+        assert_eq!(s.read("scp/7"), None);
+        assert!(s.raw("scp/7").is_some(), "garbage is on disk");
         assert_eq!(s.stats().torn_writes, 1);
     }
 
@@ -350,6 +362,21 @@ mod tests {
         s.remove("seg/1");
         s.crash();
         assert_eq!(s.read("seg/1").unwrap(), b"old segment");
+    }
+
+    #[test]
+    fn prefix_listing_sees_durable_keys_only_torn_ones_included() {
+        let mut s = DurableStore::new();
+        for key in ["lcl", "scp/10", "scp/9", "scq"] {
+            s.write(key, b"synced");
+        }
+        assert!(s.sync());
+        s.write("scp/11", b"staged, about to tear");
+        assert_eq!(s.keys_with_prefix("scp/").len(), 2, "staged is not durable");
+        s.tear_next_crash();
+        s.crash();
+        assert_eq!(s.keys_with_prefix("scp/"), ["scp/10", "scp/11", "scp/9"]);
+        assert_eq!(s.read("scp/11"), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::driver::{Driver, ScpEvent, TimerKind};
 use crate::slot::{Ctx, Slot, SlotSnapshot};
 use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use stellar_crypto::sign::KeyPair;
 
 /// A validator participating in SCP across many slots.
@@ -16,6 +16,11 @@ pub struct ScpNode {
     keys: KeyPair,
     qset: QuorumSet,
     slots: BTreeMap<SlotIndex, Slot>,
+    /// Live slots that may have changed since the embedder last made
+    /// them durable ([`ScpNode::mark_saved`]).
+    unsaved: BTreeSet<SlotIndex>,
+    /// Slots pruned since then: their durable records are now garbage.
+    pruned: BTreeSet<SlotIndex>,
     /// Envelopes dropped due to bad signatures (metric / test hook).
     bad_signatures: u64,
 }
@@ -34,6 +39,8 @@ impl ScpNode {
             keys,
             qset,
             slots: BTreeMap::new(),
+            unsaved: BTreeSet::new(),
+            pruned: BTreeSet::new(),
             bad_signatures: 0,
         }
     }
@@ -82,6 +89,7 @@ impl ScpNode {
     /// Proposes `value` for slot `index`, starting nomination there.
     pub fn propose<D: Driver>(&mut self, driver: &mut D, index: SlotIndex, value: Value) {
         let slot = self.slots.entry(index).or_insert_with(|| Slot::new(index));
+        self.unsaved.insert(index);
         let mut ctx = Ctx {
             node: self.id,
             slot: index,
@@ -119,6 +127,7 @@ impl ScpNode {
             .slots
             .entry(st.slot)
             .or_insert_with(|| Slot::new(st.slot));
+        self.unsaved.insert(st.slot);
         let mut ctx = Ctx {
             node: self.id,
             slot: st.slot,
@@ -163,6 +172,7 @@ impl ScpNode {
     ) {
         self.set_quorum_set(qset);
         if let Some(slot) = self.slots.get_mut(&index) {
+            self.unsaved.insert(index);
             let mut ctx = Ctx {
                 node: self.id,
                 slot: index,
@@ -178,6 +188,7 @@ impl ScpNode {
     /// that may unblock value validation (e.g. a tx set arrived).
     pub fn retry_nomination<D: Driver>(&mut self, driver: &mut D, index: SlotIndex) {
         if let Some(slot) = self.slots.get_mut(&index) {
+            self.unsaved.insert(index);
             let mut ctx = Ctx {
                 node: self.id,
                 slot: index,
@@ -192,6 +203,7 @@ impl ScpNode {
     /// Handles a timer expiry previously requested through the driver.
     pub fn on_timeout<D: Driver>(&mut self, driver: &mut D, index: SlotIndex, kind: TimerKind) {
         if let Some(slot) = self.slots.get_mut(&index) {
+            self.unsaved.insert(index);
             let mut ctx = Ctx {
                 node: self.id,
                 slot: index,
@@ -203,12 +215,34 @@ impl ScpNode {
         }
     }
 
-    /// Snapshots every live slot, for write-ahead persistence: the
-    /// embedder serializes these to its durable store *before* releasing
-    /// any outbound envelope, so a crash-restarted node can never
-    /// contradict a vote it already published (§3, §5.4).
+    /// Snapshots every live slot: the information the embedder's durable
+    /// store must hold after each successful write-ahead sync.
     pub fn snapshot_slots(&self) -> Vec<SlotSnapshot> {
         self.slots.values().map(Slot::snapshot).collect()
+    }
+
+    /// What changed since the last [`ScpNode::mark_saved`], for
+    /// write-ahead persistence: snapshots of the live slots touched
+    /// since then, and the indices of the slots pruned since then. The
+    /// embedder makes exactly this durable (one record per slot) *before*
+    /// releasing any outbound envelope, so a crash-restarted node can
+    /// never contradict a vote it already published (§3, §5.4).
+    pub fn unsaved_slots(&self) -> (Vec<SlotSnapshot>, Vec<SlotIndex>) {
+        let touched = self
+            .unsaved
+            .iter()
+            .filter_map(|index| self.slots.get(index))
+            .map(Slot::snapshot)
+            .collect();
+        (touched, self.pruned.iter().copied().collect())
+    }
+
+    /// Records that everything [`ScpNode::unsaved_slots`] last reported
+    /// is durable. Call only after a sync that covered it succeeded, with
+    /// no step in between — a slot stays unsaved until then.
+    pub fn mark_saved(&mut self) {
+        self.unsaved.clear();
+        self.pruned.clear();
     }
 
     /// Restores one slot from a durable snapshot (crash recovery),
@@ -226,13 +260,20 @@ impl ScpNode {
         };
         let slot = Slot::restore(&mut ctx, snap);
         self.slots.insert(index, slot);
+        self.unsaved.insert(index);
     }
 
     /// Drops state for slots below `keep_from` (ledger history is the
     /// application's job; old SCP state is only needed to help stragglers,
     /// which Stellar bounds to a small window).
     pub fn prune_slots_below(&mut self, keep_from: SlotIndex) {
-        self.slots = self.slots.split_off(&keep_from);
+        // Called after every step; almost always nothing is below.
+        if self.slots.range(..keep_from).next().is_none() {
+            return;
+        }
+        let kept = self.slots.split_off(&keep_from);
+        let dropped = std::mem::replace(&mut self.slots, kept);
+        self.pruned.extend(dropped.into_keys());
     }
 
     /// Number of live slots.

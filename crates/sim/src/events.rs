@@ -16,26 +16,38 @@ use stellar_overlay::FloodMessage;
 use stellar_scp::driver::TimerKind;
 use stellar_scp::{NodeId, SlotIndex};
 
-/// A flood payload with its content id and wire size precomputed, shared
-/// between the many delivery events one broadcast fans out into.
-#[derive(Clone, Debug)]
-pub struct Flooded {
+/// A flood payload with its content id and wire size precomputed.
+#[derive(Debug)]
+pub struct FloodedData {
     /// Content address (flood de-duplication key).
     pub id: Hash256,
     /// Encoded size in bytes (traffic accounting).
     pub size: usize,
     /// The payload itself.
-    pub msg: Arc<FloodMessage>,
+    pub msg: FloodMessage,
 }
+
+/// One shared handle over a [`FloodedData`]: the many delivery events a
+/// broadcast fans out into each hold a pointer, not a copy of the id.
+#[derive(Clone, Debug)]
+pub struct Flooded(Arc<FloodedData>);
 
 impl Flooded {
     /// Wraps a message, hashing and sizing it once.
     pub fn new(msg: FloodMessage) -> Flooded {
-        Flooded {
+        Flooded(Arc::new(FloodedData {
             id: msg.id(),
             size: msg.wire_size(),
-            msg: Arc::new(msg),
-        }
+            msg,
+        }))
+    }
+}
+
+impl std::ops::Deref for Flooded {
+    type Target = FloodedData;
+
+    fn deref(&self) -> &FloodedData {
+        &self.0
     }
 }
 
@@ -88,6 +100,10 @@ pub enum Event {
     /// scheduled when ingestion runs on a cadence instead of per close).
     HorizonIngest,
 }
+
+// Millions of duplicate deliveries pass through the heap per run; its
+// sift cost is per byte of entry, so the entry must not grow back.
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 
 #[derive(Debug)]
 struct Queued {

@@ -1327,7 +1327,7 @@ impl Simulation {
                 self.puppet_inbox.entry(to).or_default().push((from, msg));
                 return;
             }
-            match &*msg.msg {
+            match &msg.msg {
                 FloodMessage::Advert(ids) => self.handle_advert(to, from, ids.clone()),
                 FloodMessage::Demand(ids) => self.handle_demand(to, from, ids.clone()),
                 _ => unreachable!("is_pull_control"),
@@ -1395,7 +1395,7 @@ impl Simulation {
             let out = {
                 let v = self.validators.get_mut(&to).expect("validator");
                 v.set_time_ms(self.now);
-                match &*msg.msg {
+                match &msg.msg {
                     FloodMessage::Scp(env) => v.receive_envelope(env),
                     FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
                     FloodMessage::Tx(tx) => {
@@ -1413,7 +1413,7 @@ impl Simulation {
             // to drops — naïve flooding never retransmits). Production
             // stellar-core reacts by entering catchup (§6); here we replay
             // straight from the best peer's archive.
-            if let FloodMessage::Scp(env) = &*msg.msg {
+            if let FloodMessage::Scp(env) = &msg.msg {
                 let behind = self
                     .validators
                     .get(&to)
@@ -2548,6 +2548,54 @@ mod crash_tests {
                 assert_eq!(hash, *expected, "header divergence at seq {seq}");
             }
         }
+    }
+
+    #[test]
+    fn scp_write_ahead_costs_what_changed_and_stays_bounded_across_restarts() {
+        let mut sim = Simulation::new(SimConfig {
+            scenario: Scenario::ControlledMesh { n_validators: 4 },
+            n_accounts: 20,
+            target_ledgers: 40,
+            seed: 69,
+            max_sim_time_ms: 400_000,
+            ..SimConfig::default()
+        });
+        let counters = |sim: &Simulation, id: NodeId| {
+            let reg = &sim.validator(id).herder.telemetry.registry;
+            (
+                reg.counter("persist.scp.slots_written"),
+                reg.counter("persist.scp.bytes_written"),
+                // Every sync is a ledger close's LCL record or an emission.
+                reg.counter("persist.syncs") - reg.counter("ledger.closed"),
+            )
+        };
+        // Steady state: the slot window is full, yet an emission rewrites
+        // the slot in progress and at most one more.
+        while sim.now_ms() < 42_300 && sim.step() {}
+        let (slots0, bytes0, emissions0) = counters(&sim, NodeId(1));
+        while sim.now_ms() < 62_300 && sim.step() {}
+        let (slots1, bytes1, emissions1) = counters(&sim, NodeId(1));
+        let window = stellar_herder::herder::SLOT_WINDOW as usize;
+        assert!(sim.validator(NodeId(1)).scp.live_slots() >= window);
+        assert!(emissions1 > emissions0 && bytes1 > bytes0);
+        assert!(
+            slots1 - slots0 <= 2 * (emissions1 - emissions0),
+            "{} slots over {} emissions",
+            slots1 - slots0,
+            emissions1 - emissions0
+        );
+        // Restarts: a rebooted node never loads the slots below its
+        // current one, so nothing in RAM would ever prune their records;
+        // recovery must clear them or the disk grows by a window a boot.
+        let bound = window + 3; // + current, look-ahead, LCL
+        let mut lens = Vec::new();
+        for boot in 1..=3 {
+            sim.restart(NodeId(2));
+            while sim.now_ms() < 62_300 + boot * 20_000 && sim.step() {}
+            lens.push(sim.validator(NodeId(2)).herder.persist.durable_len());
+        }
+        assert!(lens.iter().all(|len| *len <= bound), "{lens:?} > {bound}");
+        assert!(lens[2] <= lens[0], "durable key set grew: {lens:?}");
     }
 
     #[test]

@@ -1164,3 +1164,211 @@ mod layered_delta {
         }
     }
 }
+
+// ---------- per-slot SCP write-ahead records vs. `snapshot_slots()` ----------
+
+mod scp_write_ahead {
+    use super::*;
+    use std::collections::BTreeMap;
+    use stellar::crypto::sign::KeyPair;
+    use stellar::herder::herder::{scp_slot_key, SCP_SLOT_PREFIX};
+    use stellar::herder::validator::{Outputs, Validator};
+    use stellar::scp::driver::TimerKind;
+    use stellar::scp::slot::SlotSnapshot;
+    use stellar::scp::{Envelope, SlotIndex};
+
+    /// The node whose disk is under test; the other three only keep
+    /// consensus moving.
+    const SUBJECT: usize = 0;
+
+    type Snapshots = BTreeMap<SlotIndex, SlotSnapshot>;
+
+    /// What the subject's disk must hold: `staged` is `snapshot_slots()`
+    /// as of the last write-ahead attempt, `synced` as of the last
+    /// attempt a successful sync has covered since.
+    #[derive(Default)]
+    struct Model {
+        staged: Snapshots,
+        synced: Snapshots,
+    }
+
+    struct Net {
+        validators: Vec<Validator>,
+        /// Envelopes in flight, `(to, envelope)`, delivered in random order.
+        wire: Vec<(usize, Envelope)>,
+        timers: BTreeSet<(usize, SlotIndex, TimerKind)>,
+        triggered: BTreeMap<usize, SlotIndex>,
+        now_secs: u64,
+        model: Model,
+    }
+
+    impl Net {
+        fn new() -> Net {
+            let ids: Vec<NodeId> = (0..4).map(NodeId).collect();
+            let keys = |id: &NodeId| KeyPair::from_seed(u64::from(id.0) + 1);
+            let registry: BTreeMap<NodeId, PublicKey> =
+                ids.iter().map(|id| (*id, keys(id).public())).collect();
+            let validators = ids
+                .iter()
+                .map(|id| {
+                    Validator::new(
+                        *id,
+                        keys(id),
+                        QuorumSet::majority(ids.clone()),
+                        LedgerStore::new(),
+                        registry.clone(),
+                    )
+                })
+                .collect();
+            Net {
+                validators,
+                wire: Vec::new(),
+                timers: BTreeSet::new(),
+                triggered: BTreeMap::new(),
+                now_secs: 5,
+                model: Model::default(),
+            }
+        }
+
+        /// Runs one validator step. On the subject it also advances the
+        /// model and checks the disk against it, with and without a torn
+        /// write, on a clone that takes the crash.
+        fn step(&mut self, i: usize, f: &dyn Fn(&mut Validator) -> Outputs) {
+            let v = &mut self.validators[i];
+            v.set_time(self.now_secs);
+            let syncs_before = v.herder.persist.stats().syncs;
+            let out = f(v);
+            if i == SUBJECT {
+                let released = !out.envelopes.is_empty();
+                let attempted = released || !v.herder.outbox.is_empty();
+                // Ledger closes inside the step sync the LCL record, and
+                // with it whatever an earlier failed attempt left staged.
+                let lcl_syncs = v.herder.persist.stats().syncs - syncs_before - u64::from(released);
+                if lcl_syncs > 0 {
+                    self.model.synced = self.model.staged.clone();
+                }
+                if attempted {
+                    let now = v.scp.snapshot_slots();
+                    self.model.staged = now.into_iter().map(|s| (s.index, s)).collect();
+                }
+                if released {
+                    self.model.synced = self.model.staged.clone();
+                }
+                for tear in [false, true] {
+                    let mut disk = v.herder.persist.clone();
+                    if tear {
+                        disk.tear_next_crash();
+                    }
+                    disk.crash();
+                    let back = read_back(&disk);
+                    check(&back, &self.model.synced, usize::from(tear));
+                }
+            }
+            for (slot, kind, delay) in out.timers {
+                match delay {
+                    Some(_) => self.timers.insert((i, slot, kind)),
+                    None => self.timers.remove(&(i, slot, kind)),
+                };
+            }
+            for env in out.envelopes {
+                self.wire
+                    .extend((0..4).filter(|to| *to != i).map(|to| (to, env.clone())));
+            }
+            // Sets travel instantly: votes that wait on a set stall
+            // nomination, which is not what is under test.
+            for set in out.tx_sets {
+                for to in (0..4).filter(|to| *to != i) {
+                    self.step(to, &|v| v.receive_tx_set(set.clone()));
+                }
+            }
+        }
+    }
+
+    /// Every readable `scp/<slot>` record on `disk`, by slot.
+    fn read_back(disk: &stellar::persist::DurableStore) -> Snapshots {
+        disk.keys_with_prefix(SCP_SLOT_PREFIX)
+            .into_iter()
+            .filter_map(|key| {
+                let snap = SlotSnapshot::from_bytes(&disk.read(&key)?).expect("decodes");
+                assert_eq!(key, scp_slot_key(snap.index));
+                Some((snap.index, snap))
+            })
+            .collect()
+    }
+
+    /// `back` is `expected` less at most `may_lose` whole slots.
+    fn check(back: &Snapshots, expected: &Snapshots, may_lose: usize) {
+        for (slot, snap) in back {
+            assert_eq!(expected.get(slot), Some(snap), "slot {slot} on disk");
+        }
+        let lost = expected.len() - back.len();
+        assert!(lost <= may_lose, "{lost} slots lost, {may_lose} allowed");
+    }
+
+    proptest! {
+        /// Same information as the whole-vector record it replaced: after
+        /// any interleaving of propose / receive / timeout / prune / drain
+        /// with failing fsyncs, a crash leaves exactly `snapshot_slots()`
+        /// as of the last successful sync on disk — less the one torn
+        /// slot when the crash tears a write.
+        #[test]
+        fn durable_slot_records_equal_snapshot_at_last_successful_sync(
+            ops in proptest::collection::vec((0u8..10, any::<u8>()), 60..220),
+            tear in any::<bool>(),
+        ) {
+            let mut net = Net::new();
+            for (op, arg) in ops {
+                let arg = usize::from(arg);
+                match op {
+                    0 => {
+                        net.now_secs += 5;
+                        for i in 0..4 {
+                            let slot = net.validators[i].herder.current_slot();
+                            if net.triggered.insert(i, slot) != Some(slot) {
+                                net.step(i, &|v| v.trigger_next_ledger());
+                            }
+                        }
+                    }
+                    1..=5 => {
+                        for _ in 0..=arg % 8 {
+                            if net.wire.is_empty() {
+                                break;
+                            }
+                            let (to, env) = net.wire.swap_remove(arg % net.wire.len());
+                            net.step(to, &|v| v.receive_envelope(&env));
+                        }
+                    }
+                    6 => {
+                        if let Some(timer) = net.timers.iter().nth(arg % net.timers.len().max(1)).copied() {
+                            net.timers.remove(&timer);
+                            net.now_secs += 1;
+                            net.step(timer.0, &|v| v.on_timer(timer.1, timer.2));
+                        }
+                    }
+                    7 => net.validators[SUBJECT].herder.persist.fail_next_fsyncs(1 + arg as u32 % 3),
+                    8 => net.step(SUBJECT, &|v| {
+                        let current = v.herder.current_slot();
+                        v.scp.prune_slots_below(current.saturating_sub(arg as u64 % 3));
+                        v.drain_outputs()
+                    }),
+                    _ => net.step(SUBJECT, &|v| v.drain_outputs()),
+                }
+            }
+            // The real thing: the subject's own disk takes the crash and
+            // its recovery path reads the records back.
+            let subject = &mut net.validators[SUBJECT];
+            if tear {
+                subject.herder.persist.tear_next_crash();
+            }
+            subject.herder.persist.crash();
+            let recovered: Snapshots = subject
+                .herder
+                .recover_scp_snapshots(0)
+                .into_iter()
+                .map(|s| (s.index, s))
+                .collect();
+            check(&recovered, &net.model.synced, usize::from(tear));
+            prop_assert!(subject.herder.persist.stats().syncs > 0);
+        }
+    }
+}

@@ -128,3 +128,61 @@ fn ledger_header_encoding_is_pinned() {
         "d11a41e6e016027dd46a8b55aa2ccc74233d1feafc29cdaef9547a07b7720aec"
     );
 }
+
+#[test]
+fn scp_slot_record_is_pinned() {
+    // What the write-ahead gate puts on the node disk for one touched
+    // slot: key `scp/<slot>`, value = frame(SlotSnapshot) — a restarted
+    // binary must read what the crashed one wrote.
+    use stellar::herder::herder::{scp_slot_key, Herder};
+    use stellar::ledger::store::LedgerStore;
+    use stellar::scp::slot::Slot;
+    let x = Value::new(b"x".to_vec());
+    let mut snap = Slot::new(7).snapshot();
+    snap.nomination.started = true;
+    snap.nomination.round = 2;
+    snap.nomination.leaders = [NodeId(3)].into();
+    snap.nomination.voted = [x.clone()].into();
+    snap.ballot.current = Some(Ballot::new(1, x.clone()));
+    snap.ballot.composite = Some(x);
+    snap.ballot.timeouts = 1;
+    let mut herder = Herder::new(NodeId(0), LedgerStore::new(), Default::default());
+    assert!(herder.persist_scp(&[snap], &[]));
+    assert_eq!(scp_slot_key(7), "scp/7");
+    assert_eq!(herder.persist.durable_len(), 1);
+    let record = herder.persist.raw("scp/7").expect("one record per slot");
+    assert_eq!(
+        hex::encode(record),
+        concat!(
+            // frame: payload length 125 (u64)
+            "000000000000007d",
+            // slot index 7 (u64)
+            "0000000000000007",
+            // nomination: started, !stopped, round 2 (u32), leaders {3},
+            // voted {"x"}, accepted {}, candidates {}, latest {},
+            // proposed None, timeouts 0 (u64)
+            "01",
+            "00",
+            "00000002",
+            "000000000000000100000003",
+            "0000000000000001000000000000000178",
+            "0000000000000000",
+            "0000000000000000",
+            "0000000000000000",
+            "00",
+            "0000000000000000",
+            // ballot: phase Prepare (u32), current Some(<1, "x">),
+            // prepared / prepared' / high / commit None, latest {},
+            // composite Some("x"), timeouts 1 (u64), decided None
+            "00000000",
+            "0100000001000000000000000178",
+            "00000000",
+            "0000000000000000",
+            "01000000000000000178",
+            "0000000000000001",
+            "00",
+            // frame: sha256(payload)
+            "7b69f38ac3e466716cd5d7a84465e764c1c329d3eaf657d41e17f0bbc17ebc89",
+        )
+    );
+}
