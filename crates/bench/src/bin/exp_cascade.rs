@@ -4,10 +4,9 @@
 //! Four sections, all seeded and reproducible:
 //!
 //! 1. **Checker scaling** — `find_disjoint_quorums_with` runtime across
-//!    generated FBAS families (uniform / tier-weighted / scale-free) and
-//!    checker modes (pruned / memoized / parallel) as the org count
-//!    grows to 500 (1500 validators). The 500-org tier-weighted point is
-//!    acceptance-gated against `budget_ms`.
+//!    generated FBAS families (uniform / tier-weighted / scale-free) as
+//!    the org count grows to 500 (1500 validators). The 500-org
+//!    tier-weighted point is acceptance-gated against `budget_ms`.
 //! 2. **Fig. 6 tier sweep at scale** — the paper's §6.2 synthesized
 //!    configurations checked at sizes far beyond the live network,
 //!    recording when the symmetric fast path and SCC restriction engage.
@@ -32,9 +31,7 @@ use stellar_chaos::cascade::{analyze_cascade, CascadeOrder, CascadePlan};
 use stellar_chaos::runner::{ChaosConfig, ChaosRun};
 use stellar_chaos::CollapseKind;
 use stellar_quorum::intersection::IntersectionResult;
-use stellar_quorum::{
-    find_disjoint_quorums_with, generate, CheckerOptions, TopologyFamily, TopologySpec,
-};
+use stellar_quorum::{find_disjoint_quorums_with, generate, TopologyFamily, TopologySpec};
 use stellar_sim::scenario::Scenario;
 use stellar_sim::SimConfig;
 use stellar_telemetry::Json;
@@ -48,14 +45,6 @@ const FAMILIES: [TopologyFamily; 3] = [
     TopologyFamily::ScaleFree,
 ];
 
-fn modes() -> Vec<(&'static str, CheckerOptions)> {
-    vec![
-        ("pruned", CheckerOptions::pruned()),
-        ("memoized", CheckerOptions::memoized()),
-        ("parallel", CheckerOptions::parallel(4)),
-    ]
-}
-
 fn verdict_label(v: &IntersectionResult) -> &'static str {
     match v {
         IntersectionResult::Intersecting => "intersecting",
@@ -64,7 +53,7 @@ fn verdict_label(v: &IntersectionResult) -> &'static str {
     }
 }
 
-/// Section 1+2: checker runtime per family × size × mode.
+/// Section 1+2: checker runtime per family × size.
 fn checker_scaling(quick: bool, points: &mut Vec<Json>) -> f64 {
     println!("=== E21a: intersection-checker scaling (generated FBAS families) ===\n");
     let sizes: &[usize] = if quick {
@@ -78,41 +67,37 @@ fn checker_scaling(quick: bool, points: &mut Vec<Json>) -> f64 {
         for &n in sizes {
             let spec = TopologySpec::new(family, n, 3, 0xE21);
             let topo = generate(&spec);
-            for (mode, opts) in modes() {
-                let t0 = std::time::Instant::now();
-                let (verdict, stats) = find_disjoint_quorums_with(&topo.system, &opts);
-                let ms = t0.elapsed().as_secs_f64() * 1000.0;
-                if family == TopologyFamily::TierWeighted && n == 500 && mode == "memoized" {
-                    gated_ms = ms;
-                }
-                points.push(
-                    Json::obj()
-                        .set("sweep", "checker_scaling")
-                        .set("family", family.label())
-                        .set("orgs", n)
-                        .set("validators", topo.n_validators())
-                        .set("mode", mode)
-                        .set("verdict", verdict_label(&verdict))
-                        .set("check_ms", ms)
-                        .set("core_nodes", stats.core_nodes)
-                        .set("scc_count", stats.scc_count)
-                        .set("domain_nodes", stats.domain_nodes)
-                        .set("branches", stats.branches)
-                        .set("memo_hits", stats.memo_hits)
-                        .set("symmetric", stats.symmetric),
-                );
-                rows.push(vec![
-                    family.label().to_string(),
-                    format!("{n}"),
-                    format!("{}", topo.n_validators()),
-                    mode.to_string(),
-                    verdict_label(&verdict).to_string(),
-                    format!("{ms:.2}"),
-                    format!("{}", stats.domain_nodes),
-                    format!("{}", stats.branches),
-                    format!("{}", stats.symmetric),
-                ]);
+            let t0 = std::time::Instant::now();
+            let (verdict, stats) = find_disjoint_quorums_with(&topo.system);
+            let ms = t0.elapsed().as_secs_f64() * 1000.0;
+            if family == TopologyFamily::TierWeighted && n == 500 {
+                gated_ms = ms;
             }
+            points.push(
+                Json::obj()
+                    .set("sweep", "checker_scaling")
+                    .set("family", family.label())
+                    .set("orgs", n)
+                    .set("validators", topo.n_validators())
+                    .set("verdict", verdict_label(&verdict))
+                    .set("check_ms", ms)
+                    .set("core_nodes", stats.core_nodes)
+                    .set("scc_count", stats.scc_count)
+                    .set("domain_nodes", stats.domain_nodes)
+                    .set("branches", stats.branches)
+                    .set("memo_hits", stats.memo_hits)
+                    .set("symmetric", stats.symmetric),
+            );
+            rows.push(vec![
+                family.label().to_string(),
+                format!("{n}"),
+                format!("{}", topo.n_validators()),
+                verdict_label(&verdict).to_string(),
+                format!("{ms:.2}"),
+                format!("{}", stats.domain_nodes),
+                format!("{}", stats.branches),
+                format!("{}", stats.symmetric),
+            ]);
         }
     }
     print_table(
@@ -120,7 +105,6 @@ fn checker_scaling(quick: bool, points: &mut Vec<Json>) -> f64 {
             "family",
             "orgs",
             "validators",
-            "mode",
             "verdict",
             "check(ms)",
             "domain",
@@ -161,7 +145,7 @@ fn frontier_curves(quick: bool, points: &mut Vec<Json>) -> Json {
                 seed: 0xE21,
             };
             let stages = plan.stages(&topo);
-            let analysis = analyze_cascade(&topo, &stages, &CheckerOptions::default());
+            let analysis = analyze_cascade(&topo, &stages);
             let fatal = analysis
                 .first_fatal
                 .as_ref()
@@ -245,7 +229,7 @@ fn empirical_crosscheck(quick: bool, points: &mut Vec<Json>) {
         heal_at_ms: None,
         seed: 0xE21,
     };
-    let analysis = analyze_cascade(&topo, &full_plan.stages(&topo), &CheckerOptions::default());
+    let analysis = analyze_cascade(&topo, &full_plan.stages(&topo));
     // Liveness (not healing) bounds the *in-sim* frontier: the monitor
     // watches the running network, which only heals if the schedule
     // carries reconfigure steps.
@@ -402,7 +386,7 @@ fn main() {
                     seed: 0xE21,
                 };
                 let stages = plan.stages(&topo);
-                let analysis = analyze_cascade(&topo, &stages, &CheckerOptions::default());
+                let analysis = analyze_cascade(&topo, &stages);
                 canonical.push(
                     Json::obj()
                         .set("family", family.label())

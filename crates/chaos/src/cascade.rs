@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use stellar_quorum::criticality::delete_nodes;
 use stellar_quorum::intersection::{FbaSystem, IntersectionResult};
 use stellar_quorum::tiers::{synthesize_all, OrgConfig};
-use stellar_quorum::{find_disjoint_quorums_with, CheckerOptions, GeneratedTopology};
+use stellar_quorum::{find_disjoint_quorums, GeneratedTopology};
 use stellar_scp::NodeId;
 use stellar_telemetry::Json;
 
@@ -236,13 +236,8 @@ impl CascadeAnalysis {
 /// configuration over surviving orgs is live and intersecting).
 ///
 /// Everything is derived from the quorum structure, so this scales to
-/// topologies far beyond what the simulator can run — `opts` selects
-/// the checker mode exactly as in `find_disjoint_quorums_with`.
-pub fn analyze_cascade(
-    topo: &GeneratedTopology,
-    stages: &[CascadeStage],
-    opts: &CheckerOptions,
-) -> CascadeAnalysis {
+/// topologies far beyond what the simulator can run.
+pub fn analyze_cascade(topo: &GeneratedTopology, stages: &[CascadeStage]) -> CascadeAnalysis {
     let all = topo.system.ids();
     let mut failed_orgs: BTreeSet<&str> = BTreeSet::new();
     let mut failed: BTreeSet<NodeId> = BTreeSet::new();
@@ -266,7 +261,7 @@ pub fn analyze_cascade(
                 .filter(|(id, _)| !failed.contains(id))
                 .map(|(id, q)| (*id, delete_nodes(q, &failed))),
         );
-        let (verdict, _) = find_disjoint_quorums_with(&pruned, opts);
+        let verdict = find_disjoint_quorums(&pruned);
         let safe = !matches!(verdict, IntersectionResult::Disjoint(_, _));
         // Orgs nobody crashed but that dropped out of the surviving
         // quorum anyway: the cascade.
@@ -279,7 +274,7 @@ pub fn analyze_cascade(
                 cascaded.insert(org.name.as_str());
             }
         }
-        let heal_live = heal_is_live(topo, &failed_orgs, opts);
+        let heal_live = heal_is_live(topo, &failed_orgs);
         let ok = safe && (live || heal_live);
         if ok && first_fatal.is_none() {
             frontier = s.stage;
@@ -305,11 +300,7 @@ pub fn analyze_cascade(
 
 /// Whether a halt-and-reconfigure over the surviving orgs yields a
 /// configuration that is both live and intersecting.
-fn heal_is_live(
-    topo: &GeneratedTopology,
-    failed_orgs: &BTreeSet<&str>,
-    opts: &CheckerOptions,
-) -> bool {
+fn heal_is_live(topo: &GeneratedTopology, failed_orgs: &BTreeSet<&str>) -> bool {
     let survivors: Vec<OrgConfig> = topo
         .orgs
         .iter()
@@ -323,8 +314,10 @@ fn heal_is_live(
     if healed.max_quorum_in(&healed.ids()).is_empty() {
         return false;
     }
-    let (verdict, _) = find_disjoint_quorums_with(&healed, opts);
-    matches!(verdict, IntersectionResult::Intersecting)
+    matches!(
+        find_disjoint_quorums(&healed),
+        IntersectionResult::Intersecting
+    )
 }
 
 #[cfg(test)]
@@ -405,7 +398,7 @@ mod tests {
     fn analysis_finds_a_frontier_and_a_fatal_stage() {
         let topo = generate(&TopologySpec::new(TopologyFamily::Uniform, 7, 3, 2));
         let stages = plan(CascadeOrder::Random, 7).stages(&topo);
-        let a = analyze_cascade(&topo, &stages, &CheckerOptions::default());
+        let a = analyze_cascade(&topo, &stages);
         // Fig. 6 uniform orgs tolerate a minority of org failures; the
         // full campaign kills everyone, so a fatal stage must exist.
         assert!(a.frontier >= 1, "one org down must survive: {a:?}");
@@ -432,7 +425,7 @@ mod tests {
         // the healable frontier reaches deeper than the live one.
         let topo = generate(&TopologySpec::new(TopologyFamily::Uniform, 8, 3, 2));
         let stages = plan(CascadeOrder::Random, 4).stages(&topo);
-        let a = analyze_cascade(&topo, &stages, &CheckerOptions::default());
+        let a = analyze_cascade(&topo, &stages);
         let stalled_but_healable = a
             .stages
             .iter()
@@ -445,7 +438,7 @@ mod tests {
     fn cascaded_orgs_name_dragged_down_survivors() {
         let topo = generate(&TopologySpec::new(TopologyFamily::TierWeighted, 15, 3, 11));
         let stages = plan(CascadeOrder::TopTierFirst, 15).stages(&topo);
-        let a = analyze_cascade(&topo, &stages, &CheckerOptions::default());
+        let a = analyze_cascade(&topo, &stages);
         // Killing the whole top tier must eventually drag non-failed
         // orgs out of the surviving quorum (everyone trusts the top).
         let dead_stage = a
@@ -470,7 +463,7 @@ mod tests {
     fn analysis_json_round_trips() {
         let topo = generate(&TopologySpec::new(TopologyFamily::Uniform, 5, 2, 1));
         let stages = plan(CascadeOrder::Random, 3).stages(&topo);
-        let a = analyze_cascade(&topo, &stages, &CheckerOptions::default());
+        let a = analyze_cascade(&topo, &stages);
         let doc = a.to_json();
         let parsed = Json::parse(&doc.render_pretty()).expect("valid json");
         assert_eq!(

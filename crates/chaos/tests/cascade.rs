@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use stellar_chaos::cascade::{analyze_cascade, CascadeOrder, CascadePlan};
 use stellar_chaos::runner::{ChaosConfig, ChaosReport, ChaosRun};
 use stellar_chaos::{CollapseKind, Violation};
-use stellar_quorum::{generate, CheckerOptions, TopologyFamily, TopologySpec};
+use stellar_quorum::{generate, TopologyFamily, TopologySpec};
 use stellar_scp::NodeId;
 use stellar_sim::scenario::Scenario;
 use stellar_sim::SimConfig;
@@ -64,7 +64,7 @@ fn is_safety(v: &Violation) -> bool {
 fn below_frontier_campaigns_externalize_cleanly() {
     let topo = generate(&spec());
     let full = plan(8, None);
-    let analysis = analyze_cascade(&topo, &full.stages(&topo), &CheckerOptions::default());
+    let analysis = analyze_cascade(&topo, &full.stages(&topo));
     let live_frontier = analysis
         .stages
         .iter()
@@ -142,7 +142,7 @@ fn past_frontier_report_names_the_triggering_stage() {
 fn halt_and_reconfigure_resumes_closing() {
     let topo = generate(&spec());
     let full = plan(8, None);
-    let analysis = analyze_cascade(&topo, &full.stages(&topo), &CheckerOptions::default());
+    let analysis = analyze_cascade(&topo, &full.stages(&topo));
     // The first prefix that stalls the old configuration but heals into
     // a live, intersecting one (8 uniform orgs: 3 failures).
     let stalled = analysis
@@ -206,7 +206,7 @@ fn twin_runs_are_byte_identical() {
     // The analytic layer twins too, down to rendered JSON.
     let topo = generate(&spec());
     let full = plan(8, None);
-    let x = analyze_cascade(&topo, &full.stages(&topo), &CheckerOptions::default());
-    let y = analyze_cascade(&topo, &full.stages(&topo), &CheckerOptions::default());
+    let x = analyze_cascade(&topo, &full.stages(&topo));
+    let y = analyze_cascade(&topo, &full.stages(&topo));
     assert_eq!(x.to_json().render_pretty(), y.to_json().render_pretty());
 }

@@ -18,7 +18,7 @@ use stellar_crypto::sign::PublicKey;
 use stellar_crypto::Hash256;
 use stellar_ledger::apply::close_ledger;
 use stellar_ledger::entry::{LedgerEntry, LedgerKey};
-use stellar_ledger::header::LedgerHeader;
+use stellar_ledger::header::{LedgerHeader, LedgerParams};
 use stellar_ledger::sigcache::SigVerifyCache;
 use stellar_ledger::store::LedgerStore;
 use stellar_ledger::tx::{TransactionEnvelope, TxResult};
@@ -204,7 +204,7 @@ pub struct Herder {
     pub timer_requests: Vec<(SlotIndex, TimerKind, Option<Duration>)>,
     /// Values externalized, not yet processed into ledger closes.
     pub pending_externalize: Vec<(SlotIndex, Value)>,
-    /// Protocol events (metrics).
+    /// Protocol events (metrics), every kind but `EnvelopeProcessed`.
     pub events: Vec<(u64, ScpEvent)>,
     /// Ledger close statistics, most recent last.
     pub close_stats: Vec<CloseStats>,
@@ -452,6 +452,68 @@ impl Herder {
         }
     }
 
+    /// The close sequence every path shares — live close, catch-up and
+    /// restart replay: apply `set` on top of the current header, fold the
+    /// changes into the bucket list, commit to the resulting snapshot
+    /// hash, publish to the archive, advance the header, emit the ingest
+    /// feed event and record [`CloseStats`]. Returns the time spent
+    /// applying and re-hashing.
+    ///
+    /// With `expected` set (replay) the header this node computed must
+    /// hash like the archived one; if it does not the function returns
+    /// `None` with store and buckets already changed but the header not
+    /// advanced and nothing published, emitted or recorded. Making the
+    /// close durable (store flush, LCL record), pruning the queue and
+    /// telemetry stay with the caller: live does them per close, replay
+    /// once per batch.
+    fn close(
+        &mut self,
+        set: &TransactionSet,
+        close_time: u64,
+        params: LedgerParams,
+        expected: Option<&LedgerHeader>,
+    ) -> Option<Duration> {
+        let start = std::time::Instant::now();
+        let result = close_ledger(
+            &mut self.store,
+            &self.header,
+            set,
+            close_time,
+            params,
+            &mut self.sig_cache,
+        );
+        self.buckets
+            .add_batch(result.header.ledger_seq, &result.changes);
+        let mut header = result.header;
+        header.snapshot_hash = self.buckets.hash();
+        let apply_time = start.elapsed();
+        if expected.is_some_and(|e| e.hash() != header.hash()) {
+            return None;
+        }
+        self.archive.publish(&header, set, &mut self.buckets);
+        self.header = header;
+        // Replay re-emits the feed too, so a recovering node's indexer
+        // rebuilds the same tables it would have ingested live.
+        self.push_close_event(
+            self.header.ledger_seq,
+            close_time,
+            set,
+            &result.results,
+            result.changes,
+        );
+        let failed = result.results.iter().filter(|r| !r.is_success()).count();
+        self.close_stats.push(CloseStats {
+            ledger_seq: self.header.ledger_seq,
+            tx_count: set.txs.len(),
+            op_count: set.op_count(),
+            apply_time,
+            close_time,
+            failed_tx_count: failed,
+            header_hash: self.header.hash(),
+        });
+        Some(apply_time)
+    }
+
     /// Applies an externalized value: closes the ledger, updates buckets
     /// and archive, prunes the queue. Records [`CloseStats`].
     ///
@@ -469,44 +531,14 @@ impl Herder {
             self.park_externalized(slot, value);
             return false;
         };
-        let start = std::time::Instant::now();
         let mut params = self.header.params;
         for u in &value.upgrades {
             u.apply(&mut params);
         }
-        let mut result = close_ledger(
-            &mut self.store,
-            &self.header,
-            &set,
-            value.close_time,
-            params,
-            &mut self.sig_cache,
-        );
-        self.buckets
-            .add_batch(result.header.ledger_seq, &result.changes);
-        self.push_close_event(
-            result.header.ledger_seq,
-            value.close_time,
-            &set,
-            &result.results,
-            std::mem::take(&mut result.changes),
-        );
-        let mut header = result.header;
-        header.snapshot_hash = self.buckets.hash();
-        let apply_time = start.elapsed();
-        self.archive.publish(&header, &set, &mut self.buckets);
-        self.header = header;
+        let apply_time = self
+            .close(&set, value.close_time, params, None)
+            .expect("no archived header to disagree with");
         self.queue.prune(&self.store);
-        let failed = result.results.iter().filter(|r| !r.is_success()).count();
-        self.close_stats.push(CloseStats {
-            ledger_seq: self.header.ledger_seq,
-            tx_count: set.txs.len(),
-            op_count: set.op_count(),
-            apply_time,
-            close_time: value.close_time,
-            failed_tx_count: failed,
-            header_hash: self.header.hash(),
-        });
         let apply_us = apply_time.as_micros() as u64;
         self.telemetry.registry.inc("ledger.closed");
         self.telemetry.registry.observe("ledger.apply_us", apply_us);
@@ -581,44 +613,10 @@ impl Herder {
                 self.telemetry.registry.inc("ledger.catchup_refused");
                 break;
             }
-            let start = std::time::Instant::now();
-            let mut result = close_ledger(
-                &mut self.store,
-                &self.header,
-                set,
-                expected.close_time,
-                expected.params,
-                &mut self.sig_cache,
-            );
-            self.buckets
-                .add_batch(result.header.ledger_seq, &result.changes);
-            let changes = std::mem::take(&mut result.changes);
-            let mut header = result.header;
-            header.snapshot_hash = self.buckets.hash();
-            if header.hash() != expected.hash() {
+            let closed = self.close(set, expected.close_time, expected.params, Some(expected));
+            if closed.is_none() {
                 break; // our apply disagrees with the archived outcome
             }
-            self.archive.publish(&header, set, &mut self.buckets);
-            self.header = header;
-            // Replay re-emits the feed so a recovering node's indexer
-            // rebuilds the same tables it would have ingested live.
-            self.push_close_event(
-                self.header.ledger_seq,
-                expected.close_time,
-                set,
-                &result.results,
-                changes,
-            );
-            let failed = result.results.iter().filter(|r| !r.is_success()).count();
-            self.close_stats.push(CloseStats {
-                ledger_seq: self.header.ledger_seq,
-                tx_count: set.txs.len(),
-                op_count: set.op_count(),
-                apply_time: start.elapsed(),
-                close_time: expected.close_time,
-                failed_tx_count: failed,
-                header_hash: self.header.hash(),
-            });
             self.telemetry.registry.inc("ledger.catchup_applied");
             applied += 1;
         }
@@ -933,6 +931,9 @@ impl Driver for Herder {
                         from: from.0,
                     },
                 );
+                // Counted and flight-recorded, not retained: one per
+                // received envelope would be nearly all of the log.
+                return;
             }
         }
         self.events.push((self.clock_ms, event));
@@ -1169,6 +1170,74 @@ mod tests {
         assert_eq!(h.close_stats.len(), 1);
         assert_eq!(h.stalled_externalize.len(), 1);
         assert_eq!(h.stalled_externalize[0].0, 3);
+    }
+
+    #[test]
+    fn live_close_and_archive_replay_leave_the_same_ledger() {
+        // One set with a payment that applies and one that fails at apply
+        // (more than the source holds), closed live on one node...
+        let mut live = herder();
+        live.enable_ingest(8);
+        let ok = payment_env(&live, 0, 1, 1);
+        let mut too_much = payment_env(&live, 2, 1, 1);
+        too_much = TransactionEnvelope::sign(
+            Transaction {
+                operations: vec![SourcedOperation {
+                    source: None,
+                    op: Operation::Payment {
+                        destination: acct(1),
+                        asset: Asset::Native,
+                        amount: xlm(1000),
+                    },
+                }],
+                ..too_much.tx.clone()
+            },
+            &[&keys(2)],
+        );
+        let set = TransactionSet::assemble(live.header.hash(), vec![ok, too_much], 100);
+        live.learn_tx_set(set.clone());
+        let value = StellarValue::new(set.hash(), live.now + 1);
+        assert!(live.apply_externalized(2, &value));
+        // ...and replayed from that node's archive on another.
+        let mut replayed = herder();
+        replayed.enable_ingest(8);
+        assert_eq!(replayed.catch_up_from(&live.archive), 1);
+
+        assert_eq!(live.header, replayed.header);
+        assert_eq!(live.archive.latest_seq(), replayed.archive.latest_seq());
+        let (a, b) = (&live.close_stats[0], &replayed.close_stats[0]);
+        assert_eq!(
+            (
+                a.ledger_seq,
+                a.tx_count,
+                a.op_count,
+                a.close_time,
+                a.header_hash
+            ),
+            (
+                b.ledger_seq,
+                b.tx_count,
+                b.op_count,
+                b.close_time,
+                b.header_hash
+            ),
+        );
+        assert_eq!((a.failed_tx_count, b.failed_tx_count), (1, 1));
+        let (fed_live, fed_replay) = (live.take_close_events(), replayed.take_close_events());
+        assert_eq!(fed_live.len(), 1);
+        assert_eq!(format!("{fed_live:?}"), format!("{fed_replay:?}"));
+        assert!(!fed_live[0].changes.is_empty());
+        // What differs is the caller's: per-close telemetry live, batch
+        // counters on replay.
+        assert_eq!(live.telemetry.registry.counter("ledger.closed"), 1);
+        assert_eq!(replayed.telemetry.registry.counter("ledger.closed"), 0);
+        assert_eq!(
+            replayed
+                .telemetry
+                .registry
+                .counter("ledger.catchup_applied"),
+            1
+        );
     }
 
     #[test]

@@ -1,0 +1,634 @@
+//! The sans-I/O flood engine: one node's whole relay decision.
+//!
+//! A [`FloodEngine`] is what a node's overlay does with a message, with
+//! the network taken away: the seen-cache test, push versus advert,
+//! advert → demand → payload, advert batching per tick and demand
+//! retries. It is shaped like `scp`'s driver boundary — in: a message or
+//! a tick plus the caller's clock; out: an [`Actions`] value the embedder
+//! carries out — so the simulator, a test or a bounded explorer can each
+//! drive the same node. The embedder owns links, latency, faults and the
+//! processing-cost model. What it must do, and what it may rely on:
+//!
+//! * **Send order.** [`Actions::sends`] is ordered: a push goes to the
+//!   peers in peer-list order, and a tick sends its advert batch to every
+//!   peer before any retry demand. An embedder that draws one latency
+//!   sample per send in that order replays bit-identically.
+//! * **Ticks.** When [`Actions::tick_at`] is set the embedder calls
+//!   [`FloodEngine::tick`] at that time (at most one is pending), or
+//!   [`FloodEngine::tick_missed`] if the process is down by then.
+//! * **Control messages** (advert, demand) go straight to
+//!   [`FloodEngine::on_control`]: no seen-cache, no relay, and too small
+//!   to charge processing cost for. A puppet's embedder keeps them for
+//!   its driver and only counts them in [`FloodEngine::traffic`].
+//! * **Payloads** are first offered to
+//!   [`FloodEngine::suppress_duplicate`], which accounts a duplicate
+//!   (`recv` + `dup_suppressed`) and drops it *before* the embedder's
+//!   busy check, without allocating — 30 of every 31 deliveries on a
+//!   32-node mesh end there. A fresh payload that finds the node busy is
+//!   re-queued untouched and offered again when it runs. Once the node
+//!   is free, [`FloodEngine::accept`] counts and stamps it, the embedder
+//!   hands it to the application and sends what that produces, and only
+//!   then does [`FloodEngine::relay`] decide the onward step.
+//! * **Pull mode.** SCP envelopes are still push-relayed to all peers but
+//!   the sender; `Tx`/`TxSet` payloads are cached and advertised on the
+//!   next tick instead. [`FloodEngine::originate`] stamps the
+//!   originator's own seen-cache at the caller's `now_ms`, so a copy
+//!   coming back is a duplicate.
+//! * **Restart.** [`FloodEngine::reset`] is a process reboot: seen-cache,
+//!   demand state, payload cache and the armed-tick flag are gone (as is
+//!   the embedder's CPU backlog); [`FloodEngine::traffic`] is the run's
+//!   measurement and survives.
+
+use crate::flood::FloodState;
+use crate::message::{FloodMessage, Flooded};
+use crate::pull::{DemandScheduler, FloodMode, PayloadCache};
+use crate::stats::TrafficStats;
+use stellar_crypto::Hash256;
+use stellar_scp::NodeId;
+use stellar_telemetry::SpanPhase;
+
+/// Pull-mode flood tick cadence: adverts batch for up to this long, and
+/// demand timeouts are checked at this granularity (production
+/// stellar-core floods adverts every 100 ms).
+pub const ADVERT_INTERVAL_MS: u64 = 100;
+
+/// How long a demand waits before the next advertiser is tried. Covers
+/// one round trip on the WAN latency model with slack.
+pub const DEMAND_TIMEOUT_MS: u64 = 400;
+
+/// Bound on payloads kept for answering demands.
+const PAYLOAD_CACHE_CAPACITY: usize = 4096;
+
+/// Seen-cache size, and how long an id is exempt from eviction.
+const SEEN_CAPACITY: usize = 200_000;
+const SEEN_MIN_RESIDENCY_MS: u64 = 30_000;
+
+/// What one engine call asks of the embedder.
+#[derive(Debug, Default)]
+pub struct Actions {
+    /// Messages to put on the links to these peers, in this order.
+    pub sends: Vec<(NodeId, Flooded)>,
+    /// Call [`FloodEngine::tick`] at this time (ms).
+    pub tick_at: Option<u64>,
+    /// Advert/demand steps taken, in order, for lifecycle tracing: the
+    /// payload hash (its prefix is the trace id) and the span to record.
+    pub spans: Vec<(Hash256, SpanPhase)>,
+}
+
+/// One node's overlay: flood de-duplication, relay and pull gossip.
+#[derive(Debug)]
+pub struct FloodEngine {
+    mode: FloodMode,
+    peers: Vec<NodeId>,
+    /// Run-long message and byte counters. The engine counts what the
+    /// node receives; the embedder counts each send a link accepted.
+    pub traffic: TrafficStats,
+    seen: FloodState,
+    demands: DemandScheduler,
+    payloads: PayloadCache<Flooded>,
+    tick_armed: bool,
+}
+
+impl FloodEngine {
+    /// An engine flooding to `peers` (kept in the given order).
+    pub fn new(mode: FloodMode, peers: Vec<NodeId>) -> FloodEngine {
+        FloodEngine {
+            mode,
+            peers,
+            traffic: TrafficStats::default(),
+            seen: FloodState::new(SEEN_CAPACITY, SEEN_MIN_RESIDENCY_MS),
+            demands: DemandScheduler::new(DEMAND_TIMEOUT_MS),
+            payloads: PayloadCache::new(PAYLOAD_CACHE_CAPACITY),
+            tick_armed: false,
+        }
+    }
+
+    /// A process reboot: every cache and the pending tick are forgotten,
+    /// the traffic counters are kept.
+    pub fn reset(&mut self) {
+        *self = FloodEngine {
+            traffic: self.traffic,
+            ..FloodEngine::new(self.mode, std::mem::take(&mut self.peers))
+        };
+    }
+
+    /// Whether `msg` travels by advert and demand rather than by push.
+    fn pulls(&self, msg: &Flooded) -> bool {
+        self.mode == FloodMode::Pull && !msg.msg.is_scp()
+    }
+
+    /// Requests the next tick unless one is already pending.
+    fn arm_tick(&mut self, now_ms: u64, out: &mut Actions) {
+        if !self.tick_armed {
+            self.tick_armed = true;
+            out.tick_at = Some(now_ms + ADVERT_INTERVAL_MS);
+        }
+    }
+
+    fn push(&self, except: Option<NodeId>, msg: &Flooded, out: &mut Actions) {
+        let targets = self.peers.iter().filter(|p| Some(**p) != except);
+        out.sends.extend(targets.map(|p| (*p, msg.clone())));
+    }
+
+    /// The onward step once the seen-cache is stamped: push to every peer
+    /// but `except`, or — a `Tx`/`TxSet` in pull mode — keep the payload
+    /// to answer demands and advertise its hash on the next tick.
+    fn forward(&mut self, except: Option<NodeId>, msg: Flooded, now_ms: u64) -> Actions {
+        let mut out = Actions::default();
+        if self.pulls(&msg) {
+            self.demands.queue_advert(msg.id);
+            self.payloads.insert(msg.id, msg);
+            self.arm_tick(now_ms, &mut out);
+        } else {
+            self.push(except, &msg, &mut out);
+        }
+        out
+    }
+
+    /// Marks a message this node sent outside the flood (a point-to-point
+    /// injection) as seen, so a copy coming back is not processed.
+    pub fn note_sent(&mut self, msg: &Flooded, now_ms: u64) {
+        self.seen.record_at(msg.id, now_ms);
+    }
+
+    /// Floods a message this node originates: its own SCP envelope, a
+    /// transaction a client handed it, a transaction set it proposes.
+    pub fn originate(&mut self, msg: Flooded, now_ms: u64) -> Actions {
+        self.seen.record_at(msg.id, now_ms);
+        self.forward(None, msg, now_ms)
+    }
+
+    /// Accounts and drops a payload this node has already seen. Returns
+    /// `false`, touching nothing, when the payload is fresh.
+    pub fn suppress_duplicate(&mut self, msg: &Flooded) -> bool {
+        let dup = self.seen.contains(msg.id);
+        if dup {
+            self.traffic.recv_kind(msg.msg.kind(), msg.size);
+            self.traffic.dup_hit();
+        }
+        dup
+    }
+
+    /// Counts a fresh payload as received and stamps the seen-cache.
+    /// Call once [`FloodEngine::suppress_duplicate`] returned `false`
+    /// and the node is free to process the payload.
+    pub fn accept(&mut self, msg: &Flooded, now_ms: u64) {
+        self.traffic.recv_kind(msg.msg.kind(), msg.size);
+        self.seen.record_at(msg.id, now_ms);
+    }
+
+    /// The onward step for an accepted payload that arrived from `from`;
+    /// in pull mode it also settles the demand the payload answers.
+    pub fn relay(&mut self, from: NodeId, msg: Flooded, now_ms: u64) -> Actions {
+        if self.pulls(&msg) && self.demands.on_fulfilled(msg.id) {
+            self.traffic.record_pull_fulfilled();
+        }
+        self.forward(Some(from), msg, now_ms)
+    }
+
+    /// Handles an advert or a demand from peer `from`.
+    pub fn on_control(&mut self, from: NodeId, msg: &Flooded, now_ms: u64) -> Actions {
+        self.traffic.recv_kind(msg.msg.kind(), msg.size);
+        let mut out = Actions::default();
+        match &msg.msg {
+            FloodMessage::Advert(ids) => self.on_advert(from, ids, now_ms, &mut out),
+            // Answer every hash still cached. Evicted or never-held
+            // hashes go unanswered; the demander's timeout retries
+            // another advertiser.
+            FloodMessage::Demand(ids) => {
+                let held = ids.iter().filter_map(|id| self.payloads.get(*id));
+                out.sends
+                    .extend(held.map(|payload| (from, payload.clone())));
+            }
+            _ => debug_assert!(false, "on_control takes adverts and demands"),
+        }
+        out
+    }
+
+    /// Registers `from` as an advertiser of every hash this node lacks
+    /// and demands the newly wanted ones straight back from it (always
+    /// the first attempt; retries go through the tick).
+    fn on_advert(&mut self, from: NodeId, ids: &[Hash256], now_ms: u64, out: &mut Actions) {
+        let lacks = |id: &&Hash256| !self.seen.contains(**id);
+        let missing: Vec<Hash256> = ids.iter().filter(lacks).copied().collect();
+        if missing.is_empty() {
+            return;
+        }
+        let seen = SpanPhase::AdvertSeen { from: from.0 };
+        out.spans
+            .extend(missing.iter().map(|id| (*id, seen.clone())));
+        let demand_now = self.demands.on_advert(from, &missing, now_ms);
+        if !demand_now.is_empty() {
+            let sent = SpanPhase::DemandSent {
+                to: from.0,
+                attempt: 1,
+            };
+            out.spans
+                .extend(demand_now.iter().map(|id| (*id, sent.clone())));
+            let demand = Flooded::new(FloodMessage::Demand(demand_now));
+            out.sends.push((from, demand));
+        }
+        // The tick checks the demand's timeout even if no further
+        // traffic arrives.
+        self.arm_tick(now_ms, out);
+    }
+
+    /// One flood tick: send the batched adverts to every peer, re-demand
+    /// expired wants from their next advertiser, and ask for another
+    /// tick while there is still something to send or to wait for.
+    pub fn tick(&mut self, now_ms: u64) -> Actions {
+        self.tick_armed = false;
+        let mut out = Actions::default();
+        let due = self.demands.tick(now_ms);
+        self.traffic.record_pull_timeouts(due.expired.len() as u64);
+        let timed_out = due.expired.into_iter();
+        out.spans
+            .extend(timed_out.map(|(id, attempt)| (id, SpanPhase::DemandTimeout { attempt })));
+        for (peer, ids) in &due.demands {
+            out.spans.extend(ids.iter().filter_map(|id| {
+                let attempt = self.demands.attempt_of(*id)?;
+                Some((
+                    *id,
+                    SpanPhase::DemandSent {
+                        to: peer.0,
+                        attempt,
+                    },
+                ))
+            }));
+        }
+        if !due.adverts.is_empty() {
+            let advert = Flooded::new(FloodMessage::Advert(due.adverts));
+            self.push(None, &advert, &mut out);
+        }
+        let retries = due.demands.into_iter();
+        out.sends
+            .extend(retries.map(|(peer, ids)| (peer, Flooded::new(FloodMessage::Demand(ids)))));
+        if self.demands.has_work() {
+            self.arm_tick(now_ms, &mut out);
+        }
+        out
+    }
+
+    /// The embedder could not run a requested tick. Queued adverts and
+    /// wants stay; the next piece of work asks for a tick again.
+    pub fn tick_missed(&mut self) {
+        self.tick_armed = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pull::MAX_DEMAND_ATTEMPTS;
+    use crate::stats::MsgKind;
+    use crate::topology::PeerGraph;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
+    use stellar_crypto::sign::KeyPair;
+    use stellar_ledger::entry::AccountId;
+    use stellar_ledger::tx::{Memo, Transaction, TransactionEnvelope};
+    use stellar_scp::statement::{Statement, StatementKind};
+    use stellar_scp::{Envelope, QuorumSet, Value};
+
+    const A: NodeId = NodeId(1);
+    const B: NodeId = NodeId(2);
+    const C: NodeId = NodeId(3);
+
+    /// A distinct transaction payload per `n`.
+    fn tx(n: u64) -> Flooded {
+        let keys = KeyPair::from_seed(7);
+        Flooded::new(FloodMessage::Tx(TransactionEnvelope::sign(
+            Transaction {
+                source: AccountId(keys.public()),
+                seq_num: n,
+                fee: 100,
+                time_bounds: None,
+                memo: Memo::None,
+                operations: Vec::new(),
+            },
+            &[&keys],
+        )))
+    }
+
+    fn scp(slot: u64) -> Flooded {
+        let keys = KeyPair::from_seed(1);
+        Flooded::new(FloodMessage::Scp(Envelope::sign(
+            Statement {
+                node: NodeId(9),
+                slot,
+                quorum_set: QuorumSet::threshold_of(1, vec![NodeId(9)]),
+                kind: StatementKind::Nominate {
+                    voted: [Value::new(b"x".to_vec())].into(),
+                    accepted: BTreeSet::new(),
+                },
+            },
+            &keys,
+        )))
+    }
+
+    fn engine(mode: FloodMode) -> FloodEngine {
+        FloodEngine::new(mode, vec![A, B, C])
+    }
+
+    fn targets(actions: &Actions) -> Vec<NodeId> {
+        actions.sends.iter().map(|(to, _)| *to).collect()
+    }
+
+    fn kinds(actions: &Actions) -> Vec<MsgKind> {
+        actions.sends.iter().map(|(_, m)| m.msg.kind()).collect()
+    }
+
+    /// The full receive path for a payload the node is free to process.
+    fn deliver(e: &mut FloodEngine, from: NodeId, msg: &Flooded, now_ms: u64) -> Option<Actions> {
+        if e.suppress_duplicate(msg) {
+            return None;
+        }
+        e.accept(msg, now_ms);
+        Some(e.relay(from, msg.clone(), now_ms))
+    }
+
+    #[test]
+    fn push_relays_to_every_peer_but_the_sender_and_never_back_out_of_the_originator() {
+        // The originator sends to all its peers, in peer order...
+        let mut origin = engine(FloodMode::Push);
+        let sent = origin.originate(tx(1), 10);
+        assert_eq!(targets(&sent), vec![A, B, C]);
+        assert_eq!(sent.tick_at, None);
+        // ...and a copy relayed back to it is a duplicate: nothing leaves
+        // the originator a second time.
+        assert!(deliver(&mut origin, B, &tx(1), 20).is_none());
+
+        let mut relay = engine(FloodMode::Push);
+        let onward = deliver(&mut relay, B, &tx(1), 20).expect("fresh");
+        assert_eq!(targets(&onward), vec![A, C], "everyone but the sender");
+        assert!(onward.spans.is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_is_counted_and_produces_no_send() {
+        let mut e = engine(FloodMode::Push);
+        let msg = tx(1);
+        deliver(&mut e, A, &msg, 5).expect("fresh");
+        assert!(e.suppress_duplicate(&msg), "second copy");
+        assert!(e.suppress_duplicate(&msg), "third copy");
+        assert_eq!(e.traffic.msgs_in, 3);
+        assert_eq!(e.traffic.in_count(MsgKind::Tx), 3);
+        assert_eq!(e.traffic.bytes_in, 3 * msg.size as u64);
+        assert_eq!(e.traffic.dup_suppressed, 2);
+        // A fresh payload is not touched by the duplicate test: a busy
+        // embedder re-queues it and offers it again later.
+        let other = tx(2);
+        assert!(!e.suppress_duplicate(&other));
+        assert!(!e.suppress_duplicate(&other));
+        assert_eq!(e.traffic.msgs_in, 3);
+    }
+
+    #[test]
+    fn pull_runs_advert_demand_payload_readvert_and_retries_the_next_advertiser() {
+        let mut e = engine(FloodMode::Pull);
+        let payload = tx(1);
+        let advert = Flooded::new(FloodMessage::Advert(vec![payload.id]));
+
+        // A's advert: one demand straight back to A, and a tick to watch
+        // the timeout.
+        let first = e.on_control(A, &advert, 1000);
+        assert_eq!(targets(&first), vec![A]);
+        assert_eq!(first.sends[0].1.msg, FloodMessage::Demand(vec![payload.id]));
+        assert_eq!(first.tick_at, Some(1000 + ADVERT_INTERVAL_MS));
+        assert_eq!(
+            first.spans,
+            vec![
+                (payload.id, SpanPhase::AdvertSeen { from: A.0 }),
+                (
+                    payload.id,
+                    SpanPhase::DemandSent {
+                        to: A.0,
+                        attempt: 1
+                    }
+                ),
+            ]
+        );
+        // B's advert of the same hash only registers a fallback.
+        let second = e.on_control(B, &advert, 1010);
+        assert!(second.sends.is_empty());
+        assert_eq!(second.tick_at, None, "one tick pending at a time");
+
+        // Ticks before the deadline send nothing and keep watching.
+        let idle = e.tick(1100);
+        assert!(idle.sends.is_empty() && idle.spans.is_empty());
+        assert_eq!(idle.tick_at, Some(1200));
+        // Past the deadline the demand goes to the next advertiser.
+        let retry = e.tick(1000 + DEMAND_TIMEOUT_MS);
+        assert_eq!(targets(&retry), vec![B]);
+        assert_eq!(
+            retry.spans,
+            vec![
+                (payload.id, SpanPhase::DemandTimeout { attempt: 1 }),
+                (
+                    payload.id,
+                    SpanPhase::DemandSent {
+                        to: B.0,
+                        attempt: 2
+                    }
+                ),
+            ]
+        );
+        assert_eq!(e.traffic.pull_timeouts, 1);
+
+        // The payload arrives: settled, cached, and re-advertised to
+        // every peer on the next tick — never pushed.
+        let arrived = deliver(&mut e, B, &payload, 1450).expect("fresh");
+        assert!(arrived.sends.is_empty());
+        assert_eq!(e.traffic.pull_fulfilled, 1);
+        let readvert = e.tick(1500);
+        assert_eq!(targets(&readvert), vec![A, B, C]);
+        assert_eq!(
+            readvert.sends[0].1.msg,
+            FloodMessage::Advert(vec![payload.id])
+        );
+        assert_eq!(readvert.tick_at, None, "nothing left to wait for");
+        // A demand for it is now answered from the cache, as often as
+        // asked: control messages are never de-duplicated.
+        let demand = Flooded::new(FloodMessage::Demand(vec![payload.id, tx(99).id]));
+        for _ in 0..2 {
+            let answer = e.on_control(C, &demand, 1600);
+            assert_eq!(targets(&answer), vec![C]);
+            assert_eq!(answer.sends[0].1.id, payload.id);
+        }
+        // An advert for a payload already held asks for nothing.
+        assert!(e.on_control(C, &advert, 1700).sends.is_empty());
+    }
+
+    #[test]
+    fn pull_gives_up_after_max_demand_attempts() {
+        let mut e = FloodEngine::new(FloodMode::Pull, vec![A]);
+        let wanted = tx(1).id;
+        let mut now = 0;
+        let mut next = e.on_control(A, &Flooded::new(FloodMessage::Advert(vec![wanted])), now);
+        let mut demands = next.sends.len() as u32;
+        let mut last_timeout = None;
+        while let Some(at) = next.tick_at {
+            now = at;
+            next = e.tick(now);
+            demands += next.sends.len() as u32;
+            if let Some((_, SpanPhase::DemandTimeout { attempt })) = next.spans.first() {
+                last_timeout = Some(*attempt);
+            }
+        }
+        assert_eq!(
+            demands, MAX_DEMAND_ATTEMPTS,
+            "first ask plus bounded retries"
+        );
+        assert_eq!(last_timeout, Some(MAX_DEMAND_ATTEMPTS));
+        assert_eq!(e.traffic.pull_timeouts, u64::from(MAX_DEMAND_ATTEMPTS));
+        assert!(now >= u64::from(MAX_DEMAND_ATTEMPTS) * DEMAND_TIMEOUT_MS);
+        // The engine went quiet: no tick pending, and a fresh advert
+        // starts over.
+        let again = e.on_control(A, &Flooded::new(FloodMessage::Advert(vec![wanted])), now);
+        assert_eq!(again.sends.len(), 1);
+    }
+
+    #[test]
+    fn a_tick_sends_adverts_before_retry_demands() {
+        let mut e = engine(FloodMode::Pull);
+        let wanted = tx(1).id;
+        e.on_control(C, &Flooded::new(FloodMessage::Advert(vec![wanted])), 0);
+        e.originate(tx(2), DEMAND_TIMEOUT_MS - 10);
+        let out = e.tick(DEMAND_TIMEOUT_MS);
+        assert_eq!(targets(&out), vec![A, B, C, C]);
+        assert_eq!(
+            kinds(&out),
+            vec![
+                MsgKind::Advert,
+                MsgKind::Advert,
+                MsgKind::Advert,
+                MsgKind::Demand
+            ]
+        );
+    }
+
+    #[test]
+    fn pull_mode_still_pushes_scp_and_originate_stamps_the_seen_cache() {
+        let mut e = engine(FloodMode::Pull);
+        let envelope = scp(2);
+        let relayed = deliver(&mut e, B, &envelope, 10).expect("fresh");
+        assert_eq!(targets(&relayed), vec![A, C]);
+        assert_eq!(relayed.tick_at, None);
+        assert_eq!(targets(&e.originate(scp(3), 20)), vec![A, B, C]);
+
+        // An originated payload is held and advertised, not pushed, and
+        // its own copy coming back is a duplicate.
+        let mine = tx(1);
+        let published = e.originate(mine.clone(), 30);
+        assert!(published.sends.is_empty());
+        assert_eq!(published.tick_at, Some(30 + ADVERT_INTERVAL_MS));
+        assert!(e.suppress_duplicate(&mine));
+        assert_eq!(kinds(&e.tick(130)), vec![MsgKind::Advert; 3]);
+        // A point-to-point injection is stamped the same way.
+        let direct = tx(2);
+        e.note_sent(&direct, 40);
+        assert!(e.suppress_duplicate(&direct));
+    }
+
+    #[test]
+    fn reset_keeps_traffic_and_drops_caches() {
+        let mut e = engine(FloodMode::Pull);
+        let held = tx(1);
+        let wanted = tx(2).id;
+        deliver(&mut e, A, &held, 10).expect("fresh");
+        e.on_control(B, &Flooded::new(FloodMessage::Advert(vec![wanted])), 20);
+        let before = e.traffic;
+        assert!(before.msgs_in == 2 && e.tick_armed);
+
+        e.reset();
+        assert_eq!(e.traffic.msgs_in, before.msgs_in);
+        assert_eq!(e.traffic.bytes_in, before.bytes_in);
+        assert_eq!(e.traffic.in_by_kind, before.in_by_kind);
+        // Seen-cache: the old payload is fresh again.
+        assert!(!e.suppress_duplicate(&held));
+        // Payload cache: a demand for it goes unanswered.
+        let demand = Flooded::new(FloodMessage::Demand(vec![held.id]));
+        assert!(e.on_control(C, &demand, 30).sends.is_empty());
+        // Demand state and armed tick: nothing queued, nothing retried,
+        // and new work asks for a tick of its own.
+        let quiet = e.tick(10_000);
+        assert!(quiet.sends.is_empty() && quiet.spans.is_empty() && quiet.tick_at.is_none());
+        assert_eq!(e.traffic.pull_timeouts, 0);
+        assert_eq!(
+            e.originate(tx(3), 10_000).tick_at,
+            Some(10_000 + ADVERT_INTERVAL_MS)
+        );
+        // Peers and mode are configuration, not state.
+        assert_eq!(targets(&e.originate(scp(1), 10_001)), vec![A, B, C]);
+    }
+
+    #[test]
+    fn a_missed_tick_is_asked_for_again() {
+        let mut e = engine(FloodMode::Pull);
+        assert!(e.originate(tx(1), 0).tick_at.is_some());
+        assert_eq!(e.originate(tx(2), 10).tick_at, None);
+        e.tick_missed();
+        assert_eq!(e.originate(tx(3), 200).tick_at, Some(300));
+        // Nothing queued was lost.
+        assert_eq!(e.tick(300).sends.len(), 3);
+    }
+
+    /// Floods one payload over `graph` with an engine per node; returns
+    /// (nodes reached, total sends).
+    fn flood(graph: &PeerGraph, origin: NodeId) -> (usize, usize) {
+        let mut engines: BTreeMap<NodeId, FloodEngine> = graph
+            .nodes()
+            .map(|n| {
+                (
+                    n,
+                    FloodEngine::new(FloodMode::Push, graph.peers(n).collect()),
+                )
+            })
+            .collect();
+        let msg = tx(7);
+        let first = engines.get_mut(&origin).unwrap().originate(msg.clone(), 0);
+        let mut sends = first.sends.len();
+        let mut in_flight: Vec<(NodeId, NodeId)> =
+            first.sends.iter().map(|(to, _)| (origin, *to)).collect();
+        let mut reached = 1usize;
+        while let Some((from, to)) = in_flight.pop() {
+            let Some(onward) = deliver(engines.get_mut(&to).unwrap(), from, &msg, 0) else {
+                continue;
+            };
+            reached += 1;
+            sends += onward.sends.len();
+            in_flight.extend(onward.sends.iter().map(|(next, _)| (to, *next)));
+        }
+        (reached, sends)
+    }
+
+    #[test]
+    fn flood_reaches_every_node_on_connected_graphs() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let nodes: Vec<NodeId> = (0..30).map(NodeId).collect();
+        for g in [
+            PeerGraph::full_mesh(&nodes),
+            PeerGraph::random_regular(&nodes, 6, &mut rng),
+        ] {
+            let (reached, _) = flood(&g, NodeId(0));
+            assert_eq!(reached, 30, "flood must reach the whole overlay");
+        }
+    }
+
+    #[test]
+    fn sparse_graphs_flood_with_fewer_sends() {
+        // The §7.5 point: naïve flooding costs O(edges); sparser overlays
+        // transmit less. (Structured multicast would cut this to O(n).)
+        let mut rng = StdRng::seed_from_u64(6);
+        let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
+        let (_, mesh_sends) = flood(&PeerGraph::full_mesh(&nodes), NodeId(0));
+        let sparse = PeerGraph::random_regular(&nodes, 6, &mut rng);
+        let (reached, sparse_sends) = flood(&sparse, NodeId(0));
+        assert_eq!(reached, 40);
+        assert!(
+            sparse_sends < mesh_sends / 3,
+            "{sparse_sends} vs {mesh_sends}"
+        );
+    }
+}

@@ -17,7 +17,6 @@
 
 use std::collections::{HashSet, VecDeque};
 use stellar_crypto::Hash256;
-use stellar_scp::NodeId;
 
 /// Flood bookkeeping for one node.
 #[derive(Debug)]
@@ -30,15 +29,10 @@ pub struct FloodState {
 }
 
 impl FloodState {
-    /// A flood cache remembering up to `capacity` message ids, with no
-    /// minimum residency (pure size-based eviction).
-    pub fn new(capacity: usize) -> FloodState {
-        FloodState::with_min_residency(capacity, 0)
-    }
-
-    /// A flood cache where ids seen within the last `min_residency_ms`
-    /// are exempt from capacity eviction.
-    pub fn with_min_residency(capacity: usize, min_residency_ms: u64) -> FloodState {
+    /// A flood cache remembering up to `capacity` message ids, where ids
+    /// seen within the last `min_residency_ms` are exempt from capacity
+    /// eviction (`0`: pure size-based eviction).
+    pub fn new(capacity: usize, min_residency_ms: u64) -> FloodState {
         FloodState {
             seen: HashSet::new(),
             order: VecDeque::new(),
@@ -51,25 +45,6 @@ impl FloodState {
     /// Whether `id` has been seen (read-only check).
     pub fn contains(&self, id: Hash256) -> bool {
         self.seen.contains(&id)
-    }
-
-    /// When this node first saw `id`, if it is still remembered — the
-    /// per-node half of the tracing layer's flood-lag attribution (first
-    /// network-wide sight vs first local sight). Linear in the retained
-    /// window; callers use it per sampled trace, not per delivery.
-    pub fn seen_at(&self, id: Hash256) -> Option<u64> {
-        self.order
-            .iter()
-            .find(|(_, seen)| *seen == id)
-            .map(|(t, _)| *t)
-    }
-
-    /// Clockless convenience for [`FloodState::record_at`]: stamps `id`
-    /// with the last known time. Only for contexts with no clock at all
-    /// (e.g. topology propagation analyses); anything driven by a
-    /// simulation must pass its virtual time to `record_at`.
-    pub fn record(&mut self, id: Hash256) -> bool {
-        self.record_at(id, self.clock_ms)
     }
 
     /// Records `id` as seen at `now_ms`; returns `true` if it is new
@@ -91,25 +66,6 @@ impl FloodState {
         }
         true
     }
-
-    /// The peers a new message should be relayed to.
-    pub fn relay_targets<'a>(
-        &self,
-        peers: impl Iterator<Item = NodeId> + 'a,
-        from: Option<NodeId>,
-    ) -> Vec<NodeId> {
-        peers.filter(|p| Some(*p) != from).collect()
-    }
-
-    /// Number of ids currently remembered.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// True when nothing has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -124,43 +80,29 @@ mod tests {
 
     #[test]
     fn duplicates_suppressed() {
-        let mut f = FloodState::new(10);
-        assert!(f.record(id(1)));
-        assert!(!f.record(id(1)));
-        assert!(f.record(id(2)));
-    }
-
-    #[test]
-    fn seen_at_reports_first_sight_until_eviction() {
-        let mut f = FloodState::new(2);
-        f.record_at(id(1), 100);
-        assert!(!f.record_at(id(1), 250), "duplicate");
-        assert_eq!(f.seen_at(id(1)), Some(100), "first sight, not the dup");
-        assert_eq!(f.seen_at(id(9)), None);
-        f.record_at(id(2), 300);
-        f.record_at(id(3), 400); // evicts 1
-        assert_eq!(f.seen_at(id(1)), None);
-        assert_eq!(f.seen_at(id(3)), Some(400));
+        let mut f = FloodState::new(10, 0);
+        assert!(f.record_at(id(1), 0));
+        assert!(!f.record_at(id(1), 0));
+        assert!(f.record_at(id(2), 0));
     }
 
     #[test]
     fn capacity_evicts_oldest() {
-        let mut f = FloodState::new(2);
-        f.record(id(1));
-        f.record(id(2));
-        f.record(id(3)); // evicts 1
-        assert_eq!(f.len(), 2);
-        assert!(f.record(id(1)), "evicted id is new again");
+        let mut f = FloodState::new(2, 0);
+        f.record_at(id(1), 0);
+        f.record_at(id(2), 0);
+        f.record_at(id(3), 0); // evicts 1
+        assert!(!f.contains(id(1)) && f.contains(id(2)) && f.contains(id(3)));
+        assert!(f.record_at(id(1), 0), "evicted id is new again");
     }
 
     #[test]
     fn min_residency_exempts_recent_ids_from_eviction() {
-        let mut f = FloodState::with_min_residency(2, 1000);
+        let mut f = FloodState::new(2, 1000);
         f.record_at(id(1), 0);
         f.record_at(id(2), 10);
         f.record_at(id(3), 20); // over capacity, but 1 is only 20ms old
         assert!(f.contains(id(1)), "young ids survive capacity pressure");
-        assert_eq!(f.len(), 3, "bound is soft inside the window");
         // Once the window passes, capacity eviction resumes oldest-first.
         f.record_at(id(4), 2000);
         assert!(!f.contains(id(1)));
@@ -208,86 +150,12 @@ mod tests {
             }
             deliveries
         };
-        let without = loop_deliveries((0..3).map(|_| FloodState::new(2)).collect());
+        let without = loop_deliveries((0..3).map(|_| FloodState::new(2, 0)).collect());
         assert!(without > 100, "capacity-only eviction loops: {without}");
-        let with = loop_deliveries(
-            (0..3)
-                .map(|_| FloodState::with_min_residency(2, 5_000))
-                .collect(),
-        );
+        let with = loop_deliveries((0..3).map(|_| FloodState::new(2, 5_000)).collect());
         assert!(
             with <= 4,
             "residency must break the relay loop, got {with} deliveries"
-        );
-    }
-
-    #[test]
-    fn relay_skips_sender() {
-        let f = FloodState::new(10);
-        let peers = [NodeId(1), NodeId(2), NodeId(3)];
-        let targets = f.relay_targets(peers.iter().copied(), Some(NodeId(2)));
-        assert_eq!(targets, vec![NodeId(1), NodeId(3)]);
-        let all = f.relay_targets(peers.iter().copied(), None);
-        assert_eq!(all.len(), 3);
-    }
-}
-
-#[cfg(test)]
-mod propagation_tests {
-    use super::*;
-    use crate::topology::PeerGraph;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::collections::BTreeMap;
-
-    fn bfs_flood(graph: &PeerGraph, origin: NodeId) -> (usize, usize) {
-        // Simulates flood propagation: returns (nodes reached, total sends).
-        let mut states: BTreeMap<NodeId, FloodState> =
-            graph.nodes().map(|n| (n, FloodState::new(64))).collect();
-        let id = Hash256([7u8; 32]);
-        let mut frontier: Vec<(NodeId, Option<NodeId>)> = vec![(origin, None)];
-        let mut reached = 0usize;
-        let mut sends = 0usize;
-        while let Some((node, from)) = frontier.pop() {
-            if !states.get_mut(&node).unwrap().record(id) {
-                continue;
-            }
-            reached += 1;
-            let targets = states[&node].relay_targets(graph.peers(node), from);
-            sends += targets.len();
-            for t in targets {
-                frontier.push((t, Some(node)));
-            }
-        }
-        (reached, sends)
-    }
-
-    #[test]
-    fn flood_reaches_every_node_on_connected_graphs() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let nodes: Vec<NodeId> = (0..30).map(NodeId).collect();
-        for g in [
-            PeerGraph::full_mesh(&nodes),
-            PeerGraph::random_regular(&nodes, 6, &mut rng),
-        ] {
-            let (reached, _) = bfs_flood(&g, NodeId(0));
-            assert_eq!(reached, 30, "flood must reach the whole overlay");
-        }
-    }
-
-    #[test]
-    fn sparse_graphs_flood_with_fewer_sends() {
-        // The §7.5 point: naïve flooding costs O(edges); sparser overlays
-        // transmit less. (Structured multicast would cut this to O(n).)
-        let mut rng = StdRng::seed_from_u64(6);
-        let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
-        let (_, mesh_sends) = bfs_flood(&PeerGraph::full_mesh(&nodes), NodeId(0));
-        let sparse = PeerGraph::random_regular(&nodes, 6, &mut rng);
-        let (reached, sparse_sends) = bfs_flood(&sparse, NodeId(0));
-        assert_eq!(reached, 40);
-        assert!(
-            sparse_sends < mesh_sends / 3,
-            "{sparse_sends} vs {mesh_sends}"
         );
     }
 }

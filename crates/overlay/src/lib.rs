@@ -10,11 +10,11 @@
 //!   control messages, each content-addressed for de-duplication;
 //! * [`topology`] — peer-graph builders: full mesh, random k-regular
 //!   gossip graphs, and the tiered production-like shape of Fig. 7;
-//! * [`flood`] — per-node flood state: seen-message cache and relay
-//!   fan-out selection;
-//! * [`pull`] — pull-mode flooding: the per-node demand scheduler
-//!   (advert batching, one-demander-per-hash, timeout retry) and the
-//!   bounded payload cache that answers incoming demands;
+//! * [`engine`] — the sans-I/O [`FloodEngine`]: one node's whole relay
+//!   decision (seen-cache test, push versus advert, advert → demand →
+//!   payload, tick batching, retries), built from the private
+//!   seen-cache, demand-scheduler and payload-cache modules. In: a
+//!   message or a tick plus the clock. Out: an ordered list of sends;
 //! * [`stats`] — per-node traffic counters (messages and bytes in/out)
 //!   backing the §7.4 validator-cost numbers;
 //! * [`fault`] — per-link drop/duplicate/delay/reorder fault models for
@@ -23,16 +23,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod engine;
 pub mod fault;
-pub mod flood;
+mod flood;
 pub mod message;
-pub mod pull;
+mod pull;
 pub mod stats;
 pub mod topology;
 
+pub use engine::{Actions, FloodEngine};
 pub use fault::{LinkFault, LinkFaultTable};
-pub use flood::FloodState;
-pub use message::FloodMessage;
-pub use pull::{DemandScheduler, FloodMode, PayloadCache, TickActions, MAX_DEMAND_ATTEMPTS};
+pub use message::{FloodMessage, Flooded, FloodedData};
+pub use pull::FloodMode;
 pub use stats::{MsgKind, TrafficStats};
 pub use topology::PeerGraph;

@@ -1,5 +1,7 @@
 //! Flooded message kinds.
 
+use crate::stats::MsgKind;
+use std::sync::Arc;
 use stellar_crypto::codec::Encode;
 use stellar_crypto::Hash256;
 use stellar_ledger::tx::TransactionEnvelope;
@@ -50,6 +52,17 @@ impl FloodMessage {
         }
     }
 
+    /// Traffic-accounting tag of this message.
+    pub fn kind(&self) -> MsgKind {
+        match self {
+            FloodMessage::Scp(_) => MsgKind::Scp,
+            FloodMessage::TxSet(_) => MsgKind::TxSet,
+            FloodMessage::Tx(_) => MsgKind::Tx,
+            FloodMessage::Advert(_) => MsgKind::Advert,
+            FloodMessage::Demand(_) => MsgKind::Demand,
+        }
+    }
+
     /// True for SCP consensus traffic (the §7.2 message-count metric
     /// counts these, not transaction gossip).
     pub fn is_scp(&self) -> bool {
@@ -79,6 +92,41 @@ impl FloodMessage {
                 ids.iter().map(Hash256::prefix_u64).collect()
             }
         }
+    }
+}
+
+/// A flood payload with its content id and wire size precomputed.
+#[derive(Debug)]
+pub struct FloodedData {
+    /// Content address (flood de-duplication key).
+    pub id: Hash256,
+    /// Encoded size in bytes (traffic accounting).
+    pub size: usize,
+    /// The payload itself.
+    pub msg: FloodMessage,
+}
+
+/// One shared handle over a [`FloodedData`]: the many sends a broadcast
+/// fans out into each hold a pointer, not a copy of the id.
+#[derive(Clone, Debug)]
+pub struct Flooded(Arc<FloodedData>);
+
+impl Flooded {
+    /// Wraps a message, hashing and sizing it once.
+    pub fn new(msg: FloodMessage) -> Flooded {
+        Flooded(Arc::new(FloodedData {
+            id: msg.id(),
+            size: msg.wire_size(),
+            msg,
+        }))
+    }
+}
+
+impl std::ops::Deref for Flooded {
+    type Target = FloodedData;
+
+    fn deref(&self) -> &FloodedData {
+        &self.0
     }
 }
 

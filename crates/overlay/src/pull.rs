@@ -10,8 +10,8 @@
 //! timeout. Small SCP envelopes stay push — their latency is on the
 //! consensus critical path and their size makes pull overhead pointless.
 //!
-//! This module holds the per-node bookkeeping; the simulator (or a real
-//! overlay) supplies the clock, the links, and the tick cadence:
+//! This module holds the per-node bookkeeping [`crate::FloodEngine`]
+//! composes; the engine's embedder supplies the clock and the links:
 //!
 //! * [`DemandScheduler`] — batches outgoing adverts per flood tick and
 //!   tracks wanted hashes: who advertised them, whom we demanded from,
@@ -59,11 +59,10 @@ pub struct TickActions {
     pub adverts: Vec<Hash256>,
     /// Retry demands, grouped per target peer.
     pub demands: Vec<(NodeId, Vec<Hash256>)>,
-    /// Demands that expired this tick (telemetry: timeout counter).
-    pub timeouts: u64,
-    /// The hashes whose demands expired this tick — retried or given
-    /// up — so the embedder can attribute the timeout to each trace.
-    pub expired: Vec<Hash256>,
+    /// Every demand that expired this tick — retried or given up — with
+    /// the attempt that timed out, so the timeout can be counted and
+    /// attributed to each trace.
+    pub expired: Vec<(Hash256, u32)>,
 }
 
 /// Per-node pull-mode bookkeeping. All state transitions are driven by
@@ -133,11 +132,6 @@ impl DemandScheduler {
         self.wanted.remove(&id).is_some()
     }
 
-    /// Whether `id` is currently being demanded.
-    pub fn is_wanted(&self, id: Hash256) -> bool {
-        self.wanted.contains_key(&id)
-    }
-
     /// Demand attempts made so far for a wanted hash (1 = the immediate
     /// first ask). Lets the embedder stamp demand-round span events with
     /// the attempt number.
@@ -152,15 +146,13 @@ impl DemandScheduler {
     pub fn tick(&mut self, now_ms: u64) -> TickActions {
         let adverts = std::mem::take(&mut self.pending_adverts);
         let mut demands: BTreeMap<NodeId, Vec<Hash256>> = BTreeMap::new();
-        let mut timeouts = 0u64;
         let mut expired = Vec::new();
         let mut give_up = Vec::new();
         for (id, w) in self.wanted.iter_mut() {
             if w.deadline_ms > now_ms {
                 continue;
             }
-            timeouts += 1;
-            expired.push(*id);
+            expired.push((*id, w.attempts));
             if w.attempts >= MAX_DEMAND_ATTEMPTS {
                 give_up.push(*id);
                 continue;
@@ -177,7 +169,6 @@ impl DemandScheduler {
         TickActions {
             adverts,
             demands: demands.into_iter().collect(),
-            timeouts,
             expired,
         }
     }
@@ -228,16 +219,6 @@ impl<V> PayloadCache<V> {
     pub fn get(&self, id: Hash256) -> Option<&V> {
         self.map.get(&id)
     }
-
-    /// Number of cached payloads.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -269,7 +250,7 @@ mod tests {
         // A second advertiser of an outstanding hash is only a fallback.
         let d2 = s.on_advert(NodeId(8), &[id(1), id(3)], 1050);
         assert_eq!(d2, vec![id(3)]);
-        assert!(s.is_wanted(id(1)) && s.is_wanted(id(3)));
+        assert!(s.attempt_of(id(1)).is_some() && s.attempt_of(id(3)).is_some());
     }
 
     #[test]
@@ -278,11 +259,10 @@ mod tests {
         s.on_advert(NodeId(7), &[id(1)], 1000);
         s.on_advert(NodeId(8), &[id(1)], 1010);
         // Before the deadline: nothing expires.
-        assert_eq!(s.tick(1300).timeouts, 0);
+        assert!(s.tick(1300).expired.is_empty());
         // After: retry goes to the *second* advertiser.
         let t = s.tick(1400);
-        assert_eq!(t.timeouts, 1);
-        assert_eq!(t.expired, vec![id(1)]);
+        assert_eq!(t.expired, vec![(id(1), 1)]);
         assert_eq!(t.demands, vec![(NodeId(8), vec![id(1)])]);
         assert_eq!(s.attempt_of(id(1)), Some(2), "retry bumped the attempt");
         // Next expiry wraps back to the first.
@@ -311,7 +291,7 @@ mod tests {
             retries += s.tick(now).demands.len();
         }
         assert_eq!(retries as u32, MAX_DEMAND_ATTEMPTS - 1, "bounded retries");
-        assert!(!s.is_wanted(id(1)), "given up");
+        assert_eq!(s.attempt_of(id(1)), None, "given up");
         // A fresh advert recreates the want.
         assert_eq!(s.on_advert(NodeId(9), &[id(1)], now), vec![id(1)]);
     }
@@ -324,7 +304,6 @@ mod tests {
         c.insert(id(2), 99); // duplicate insert ignored
         assert_eq!(c.get(id(2)), Some(&20));
         c.insert(id(3), 30); // evicts id(1)
-        assert_eq!(c.len(), 2);
         assert_eq!(c.get(id(1)), None);
         assert_eq!(c.get(id(3)), Some(&30));
     }

@@ -24,12 +24,9 @@
 //!    quorum set — the shape `tiers::synthesize_all` produces) are decided
 //!    in closed form on the quorum-set tree, without any search;
 //! 4. the remaining two-way partition search runs on bitsets with
-//!    quorum-embedding pruning, optional memoization of embedding checks,
-//!    and an optional deterministic parallel split of the search tree.
+//!    quorum-embedding pruning and memoized embedding checks.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use stellar_scp::quorum::{find_quorum, QuorumSetMap};
 use stellar_scp::{NodeId, QuorumSet};
 
@@ -81,56 +78,6 @@ pub enum IntersectionResult {
     NoQuorum,
 }
 
-/// How the disjoint-quorum search runs. All modes return identical
-/// results for identical inputs; they differ only in speed.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckerOptions {
-    /// Cache quorum-embedding prune checks keyed by candidate bitset.
-    pub memoize: bool,
-    /// Worker threads for the partition search (≤ 1 = sequential). The
-    /// parallel path is deterministic: the witness reported is always
-    /// the one the lowest-indexed subtree would find.
-    pub threads: usize,
-    /// Skip the closed-form symmetric-configuration decision (forces the
-    /// search path; used for cross-mode validation in tests).
-    pub disable_symmetric_fast_path: bool,
-}
-
-impl Default for CheckerOptions {
-    fn default() -> Self {
-        CheckerOptions {
-            memoize: true,
-            threads: 1,
-            disable_symmetric_fast_path: false,
-        }
-    }
-}
-
-impl CheckerOptions {
-    /// SCC-restricted bitset branch-and-bound, no memoization.
-    pub fn pruned() -> CheckerOptions {
-        CheckerOptions {
-            memoize: false,
-            threads: 1,
-            disable_symmetric_fast_path: false,
-        }
-    }
-
-    /// Adds embedding-check memoization (the default).
-    pub fn memoized() -> CheckerOptions {
-        CheckerOptions::default()
-    }
-
-    /// Adds a deterministic parallel split of the search tree.
-    pub fn parallel(threads: usize) -> CheckerOptions {
-        CheckerOptions {
-            memoize: true,
-            threads: threads.max(1),
-            disable_symmetric_fast_path: false,
-        }
-    }
-}
-
 /// Where the time went during one check (bench/report attachment).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckStats {
@@ -158,17 +105,21 @@ pub fn enjoys_quorum_intersection(sys: &FbaSystem) -> bool {
     matches!(find_disjoint_quorums(sys), IntersectionResult::Intersecting)
 }
 
-/// Searches for two disjoint quorums with default options.
+/// Searches for two disjoint quorums.
 pub fn find_disjoint_quorums(sys: &FbaSystem) -> IntersectionResult {
-    find_disjoint_quorums_with(sys, &CheckerOptions::default()).0
+    find_disjoint_quorums_with(sys).0
 }
 
 /// Searches for two disjoint quorums, returning them if found, plus
 /// search statistics.
-pub fn find_disjoint_quorums_with(
-    sys: &FbaSystem,
-    opts: &CheckerOptions,
-) -> (IntersectionResult, CheckStats) {
+pub fn find_disjoint_quorums_with(sys: &FbaSystem) -> (IntersectionResult, CheckStats) {
+    check(sys, true)
+}
+
+/// The checker. `closed_form` off skips the symmetric-configuration
+/// decision and forces the search — the cross-check the tests run
+/// against the closed form and against brute force.
+fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats) {
     let mut stats = CheckStats {
         nodes: sys.nodes.len(),
         ..CheckStats::default()
@@ -183,7 +134,7 @@ pub fn find_disjoint_quorums_with(
 
     // Closed-form decision for symmetric configurations: every core node
     // declares the identical quorum set (the `synthesize_all` shape).
-    if !opts.disable_symmetric_fast_path {
+    if closed_form {
         if let Some(result) = idx.symmetric_decision(&core, sys) {
             stats.symmetric = true;
             return (result, stats);
@@ -228,7 +179,7 @@ pub fn find_disjoint_quorums_with(
     // minimal quorum lives inside this SCC, the closed-form decision on
     // the shared set (entries restricted to SCC members) settles the
     // whole system without any search.
-    if !opts.disable_symmetric_fast_path {
+    if closed_form {
         if let Some(result) = idx.symmetric_decision(&scc_bits, sys) {
             stats.symmetric = true;
             return (result, stats);
@@ -243,22 +194,15 @@ pub fn find_disjoint_quorums_with(
     let mut search = SplitSearch {
         idx: &idx,
         domain: &domain,
-        memo: opts.memoize.then(HashMap::new),
+        memo: HashMap::new(),
         branches: 0,
         prune_checks: 0,
         memo_hits: 0,
     };
-    let hit = if opts.threads > 1 && domain.len() > 8 {
-        parallel_split(&idx, &domain, opts, &mut stats)
-    } else {
-        let a = Bits::empty(idx.n);
-        let b = Bits::empty(idx.n);
-        let hit = search.run(0, a, b);
-        stats.branches = search.branches;
-        stats.prune_checks = search.prune_checks;
-        stats.memo_hits = search.memo_hits;
-        hit
-    };
+    let hit = search.run(0, Bits::empty(idx.n), Bits::empty(idx.n));
+    stats.branches = search.branches;
+    stats.prune_checks = search.prune_checks;
+    stats.memo_hits = search.memo_hits;
     match hit {
         Some((qa, qb)) => (
             IntersectionResult::Disjoint(idx.to_node_set(&qa), idx.to_node_set(&qb)),
@@ -618,7 +562,7 @@ fn split_symmetric(q: &IdxQSet, core: &Bits, n: usize) -> Option<(Bits, Bits)> {
 struct SplitSearch<'a> {
     idx: &'a IndexedFba,
     domain: &'a [usize],
-    memo: Option<HashMap<Bits, bool>>,
+    memo: HashMap<Bits, bool>,
     branches: u64,
     prune_checks: u64,
     memo_hits: u64,
@@ -626,19 +570,14 @@ struct SplitSearch<'a> {
 
 impl SplitSearch<'_> {
     fn embeds_quorum(&mut self, candidate: Bits) -> bool {
-        if let Some(memo) = &mut self.memo {
-            if let Some(hit) = memo.get(&candidate) {
-                self.memo_hits += 1;
-                return *hit;
-            }
-            self.prune_checks += 1;
-            let v = self.idx.contains_quorum(&candidate);
-            memo.insert(candidate, v);
-            v
-        } else {
-            self.prune_checks += 1;
-            self.idx.contains_quorum(&candidate)
+        if let Some(hit) = self.memo.get(&candidate) {
+            self.memo_hits += 1;
+            return *hit;
         }
+        self.prune_checks += 1;
+        let v = self.idx.contains_quorum(&candidate);
+        self.memo.insert(candidate, v);
+        v
     }
 
     /// Recursive two-way partition search with embedding pruning. Every
@@ -689,78 +628,6 @@ impl SplitSearch<'_> {
         }
         None
     }
-}
-
-/// Deterministic parallel variant: the first `depth` levels of the
-/// partition tree are expanded into independent prefix tasks, distributed
-/// over worker threads. A found witness cancels only *higher-indexed*
-/// tasks, so the reported witness is always the one the lowest-indexed
-/// successful subtree finds — identical to a sequential left-to-right
-/// traversal's choice.
-fn parallel_split(
-    idx: &IndexedFba,
-    domain: &[usize],
-    opts: &CheckerOptions,
-    stats: &mut CheckStats,
-) -> Option<(Bits, Bits)> {
-    let depth = (opts.threads.next_power_of_two().trailing_zeros() as usize + 2)
-        .min(domain.len().saturating_sub(1))
-        .min(10);
-    // Node 0 is pinned to side A (symmetry breaking); enumerate the
-    // remaining `depth` labels in canonical order (A before B).
-    let tasks: Vec<u64> = (0..(1u64 << depth)).collect();
-    let found_at = AtomicUsize::new(usize::MAX);
-    let next_task = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<(Bits, Bits)>>> = Mutex::new(vec![None; tasks.len()]);
-    let branches = AtomicU64::new(0);
-    let prune_checks = AtomicU64::new(0);
-    let memo_hits = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..opts.threads {
-            scope.spawn(|| loop {
-                let ti = next_task.fetch_add(1, Ordering::Relaxed);
-                if ti >= tasks.len() {
-                    return;
-                }
-                if found_at.load(Ordering::Relaxed) < ti {
-                    continue;
-                }
-                let mask = tasks[ti];
-                let mut a = Bits::empty(idx.n);
-                let mut b = Bits::empty(idx.n);
-                a.insert(domain[0]);
-                for level in 0..depth {
-                    let node = domain[level + 1];
-                    if mask >> level & 1 == 0 {
-                        a.insert(node);
-                    } else {
-                        b.insert(node);
-                    }
-                }
-                let mut search = SplitSearch {
-                    idx,
-                    domain,
-                    memo: opts.memoize.then(HashMap::new),
-                    branches: 0,
-                    prune_checks: 0,
-                    memo_hits: 0,
-                };
-                let hit = search.run(depth + 1, a, b);
-                branches.fetch_add(search.branches, Ordering::Relaxed);
-                prune_checks.fetch_add(search.prune_checks, Ordering::Relaxed);
-                memo_hits.fetch_add(search.memo_hits, Ordering::Relaxed);
-                if let Some(hit) = hit {
-                    results.lock().unwrap()[ti] = Some(hit);
-                    found_at.fetch_min(ti, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    stats.branches = branches.load(Ordering::Relaxed);
-    stats.prune_checks = prune_checks.load(Ordering::Relaxed);
-    stats.memo_hits = memo_hits.load(Ordering::Relaxed);
-    results.into_inner().unwrap().into_iter().find_map(|r| r)
 }
 
 /// Strongly connected components of the trust digraph restricted to
@@ -854,24 +721,16 @@ mod tests {
         FbaSystem::new(nodes.iter().map(|&n| (NodeId(n), qset.clone())))
     }
 
-    fn all_modes() -> Vec<CheckerOptions> {
-        vec![
-            CheckerOptions::pruned(),
-            CheckerOptions::memoized(),
-            CheckerOptions::parallel(4),
-            CheckerOptions {
-                disable_symmetric_fast_path: true,
-                ..CheckerOptions::default()
-            },
-        ]
-    }
+    /// Both paths through the checker: the closed form where it
+    /// applies, and the forced search.
+    const BOTH_PATHS: [bool; 2] = [true, false];
 
     #[test]
     fn majority_of_four_intersects() {
         let sys = uniform(QuorumSet::majority(ids(&[0, 1, 2, 3])), &[0, 1, 2, 3]);
-        for opts in all_modes() {
-            let (res, _) = find_disjoint_quorums_with(&sys, &opts);
-            assert_eq!(res, IntersectionResult::Intersecting, "{opts:?}");
+        for closed_form in BOTH_PATHS {
+            let (res, _) = check(&sys, closed_form);
+            assert_eq!(res, IntersectionResult::Intersecting, "{closed_form}");
         }
     }
 
@@ -882,14 +741,14 @@ mod tests {
             QuorumSet::threshold_of(2, ids(&[0, 1, 2, 3])),
             &[0, 1, 2, 3],
         );
-        for opts in all_modes() {
-            match find_disjoint_quorums_with(&sys, &opts).0 {
+        for closed_form in BOTH_PATHS {
+            match check(&sys, closed_form).0 {
                 IntersectionResult::Disjoint(a, b) => {
                     assert!(a.is_disjoint(&b));
                     assert!(sys.contains_quorum(&a));
                     assert!(sys.contains_quorum(&b));
                 }
-                other => panic!("expected disjoint quorums, got {other:?} ({opts:?})"),
+                other => panic!("expected disjoint quorums, got {other:?} ({closed_form})"),
             }
         }
     }
@@ -938,9 +797,9 @@ mod tests {
         };
         let all: Vec<u32> = (0..9).collect();
         let sys = uniform(top, &all);
-        for opts in all_modes() {
-            let (res, _) = find_disjoint_quorums_with(&sys, &opts);
-            assert_eq!(res, IntersectionResult::Intersecting, "{opts:?}");
+        for closed_form in BOTH_PATHS {
+            let (res, _) = check(&sys, closed_form);
+            assert_eq!(res, IntersectionResult::Intersecting, "{closed_form}");
         }
     }
 
@@ -1020,20 +879,15 @@ mod tests {
         };
         let all: Vec<u32> = (0..18).collect();
         let sys = uniform(top, &all);
-        let (res, stats) = find_disjoint_quorums_with(&sys, &CheckerOptions::default());
+        let (res, stats) = find_disjoint_quorums_with(&sys);
         assert_eq!(res, IntersectionResult::Intersecting);
         assert!(stats.symmetric, "{stats:?}");
         assert_eq!(stats.branches, 0);
         // The search path agrees.
-        let (res2, stats2) = find_disjoint_quorums_with(
-            &sys,
-            &CheckerOptions {
-                disable_symmetric_fast_path: true,
-                ..CheckerOptions::default()
-            },
-        );
+        let (res2, stats2) = check(&sys, false);
         assert_eq!(res2, IntersectionResult::Intersecting);
         assert!(!stats2.symmetric);
+        assert!(stats2.branches > 0);
     }
 
     #[test]
@@ -1049,54 +903,15 @@ mod tests {
         };
         let all: Vec<u32> = (0..18).collect();
         let sys = uniform(top, &all);
-        for opts in all_modes() {
-            match find_disjoint_quorums_with(&sys, &opts).0 {
+        for closed_form in BOTH_PATHS {
+            match check(&sys, closed_form).0 {
                 IntersectionResult::Disjoint(a, b) => {
-                    assert!(a.is_disjoint(&b), "{opts:?}");
-                    assert!(sys.contains_quorum(&a), "{opts:?}");
-                    assert!(sys.contains_quorum(&b), "{opts:?}");
+                    assert!(a.is_disjoint(&b), "{closed_form}");
+                    assert!(sys.contains_quorum(&a), "{closed_form}");
+                    assert!(sys.contains_quorum(&b), "{closed_form}");
                 }
-                other => panic!("expected split, got {other:?} ({opts:?})"),
+                other => panic!("expected split, got {other:?} ({closed_form})"),
             }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_witnesses() {
-        // Heterogeneous splittable system: all modes must agree on the
-        // result kind, and parallel must report the same witness as
-        // sequential (lowest-subtree determinism).
-        let sys = uniform(
-            QuorumSet::threshold_of(3, ids(&[0, 1, 2, 3, 4, 5, 6])),
-            &[0, 1, 2, 3, 4, 5, 6],
-        );
-        let seq = find_disjoint_quorums_with(
-            &sys,
-            &CheckerOptions {
-                disable_symmetric_fast_path: true,
-                ..CheckerOptions::default()
-            },
-        )
-        .0;
-        let par = find_disjoint_quorums_with(
-            &sys,
-            &CheckerOptions {
-                disable_symmetric_fast_path: true,
-                ..CheckerOptions::parallel(4)
-            },
-        )
-        .0;
-        assert_eq!(seq, par);
-        for _ in 0..3 {
-            let again = find_disjoint_quorums_with(
-                &sys,
-                &CheckerOptions {
-                    disable_symmetric_fast_path: true,
-                    ..CheckerOptions::parallel(4)
-                },
-            )
-            .0;
-            assert_eq!(par, again, "parallel witness must be stable");
         }
     }
 }
@@ -1137,26 +952,19 @@ mod proptests {
 
     fn check_against_brute_force(sys: &FbaSystem) {
         let expected = brute_force_has_disjoint(sys);
-        for opts in [
-            CheckerOptions::pruned(),
-            CheckerOptions::memoized(),
-            CheckerOptions::parallel(3),
-            CheckerOptions {
-                disable_symmetric_fast_path: true,
-                ..CheckerOptions::default()
-            },
-        ] {
-            let (res, _) = find_disjoint_quorums_with(sys, &opts);
+        for closed_form in [true, false] {
+            let (res, _) = check(sys, closed_form);
             match (expected, &res) {
                 (None, IntersectionResult::NoQuorum) => {}
                 (Some(true), IntersectionResult::Disjoint(a, b)) => {
-                    prop_assert!(a.is_disjoint(b), "{opts:?}");
-                    prop_assert!(sys.contains_quorum(a), "{opts:?}");
-                    prop_assert!(sys.contains_quorum(b), "{opts:?}");
+                    prop_assert!(a.is_disjoint(b), "{closed_form}");
+                    prop_assert!(sys.contains_quorum(a), "{closed_form}");
+                    prop_assert!(sys.contains_quorum(b), "{closed_form}");
                 }
                 (Some(false), IntersectionResult::Intersecting) => {}
                 (want, got) => panic!(
-                    "checker disagrees with brute force: want {want:?}, got {got:?} ({opts:?})"
+                    "checker disagrees with brute force: want {want:?}, got {got:?} \
+                     (closed form: {closed_form})"
                 ),
             }
         }
@@ -1190,11 +998,11 @@ mod proptests {
             }
         }
 
-        /// All checker modes (pruned / memoized / parallel / forced
+        /// Both checker paths (closed form where it applies, forced
         /// search) agree with brute-force quorum enumeration on random
         /// heterogeneous flat systems.
         #[test]
-        fn all_modes_match_brute_force_flat(
+        fn both_paths_match_brute_force_flat(
             thresholds in proptest::collection::vec(1u32..6, 4..10),
         ) {
             let n = thresholds.len() as u32;
@@ -1209,7 +1017,7 @@ mod proptests {
         /// each node's qset is a threshold over two org-majority inner
         /// sets plus direct validators.
         #[test]
-        fn all_modes_match_brute_force_nested(
+        fn both_paths_match_brute_force_nested(
             split in 2usize..5,
             n in 6u32..10,
             top in 1u32..3,

@@ -31,7 +31,7 @@ pub mod topology;
 pub use criticality::{check_criticality, CriticalityReport};
 pub use intersection::{
     enjoys_quorum_intersection, find_disjoint_quorums, find_disjoint_quorums_with, CheckStats,
-    CheckerOptions, FbaSystem, IntersectionResult,
+    FbaSystem, IntersectionResult,
 };
 pub use tiers::{synthesize_quorum_set, OrgConfig, Quality};
 pub use topology::{generate, GeneratedTopology, TopologyFamily, TopologySpec};

@@ -289,7 +289,7 @@ fn scale_free_system(orgs: &[OrgConfig], rng: &mut StdRng) -> FbaSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intersection::{find_disjoint_quorums_with, CheckerOptions, IntersectionResult};
+    use crate::intersection::{find_disjoint_quorums_with, IntersectionResult};
 
     fn spec(family: TopologyFamily, n: usize, seed: u64) -> TopologySpec {
         TopologySpec::new(family, n, 3, seed)
@@ -323,7 +323,7 @@ mod tests {
             TopologyFamily::ScaleFree,
         ] {
             let topo = generate(&spec(family, 40, 11));
-            let (res, stats) = find_disjoint_quorums_with(&topo.system, &CheckerOptions::default());
+            let (res, stats) = find_disjoint_quorums_with(&topo.system);
             assert_eq!(
                 res,
                 IntersectionResult::Intersecting,
@@ -336,7 +336,7 @@ mod tests {
     fn tier_weighted_search_domain_is_the_top_tier() {
         let topo = generate(&spec(TopologyFamily::TierWeighted, 100, 3));
         let (top, _) = tier_sizes(100);
-        let (res, stats) = find_disjoint_quorums_with(&topo.system, &CheckerOptions::default());
+        let (res, stats) = find_disjoint_quorums_with(&topo.system);
         assert_eq!(res, IntersectionResult::Intersecting);
         assert!(
             stats.domain_nodes <= top * 3,
@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn uniform_family_hits_the_symmetric_fast_path() {
         let topo = generate(&spec(TopologyFamily::Uniform, 200, 1));
-        let (res, stats) = find_disjoint_quorums_with(&topo.system, &CheckerOptions::default());
+        let (res, stats) = find_disjoint_quorums_with(&topo.system);
         assert_eq!(res, IntersectionResult::Intersecting);
         assert!(stats.symmetric);
         assert_eq!(stats.branches, 0);
@@ -360,7 +360,7 @@ mod tests {
         let topo = generate(&spec(TopologyFamily::TierWeighted, 500, 42));
         assert_eq!(topo.n_validators(), 1500);
         let start = std::time::Instant::now();
-        let (res, stats) = find_disjoint_quorums_with(&topo.system, &CheckerOptions::default());
+        let (res, stats) = find_disjoint_quorums_with(&topo.system);
         assert_eq!(res, IntersectionResult::Intersecting, "{stats:?}");
         assert!(
             start.elapsed().as_secs() < 60,

@@ -8,48 +8,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
-use stellar_crypto::Hash256;
 use stellar_herder::validator::Outputs;
 use stellar_ledger::tx::TransactionEnvelope;
-use stellar_overlay::FloodMessage;
+pub use stellar_overlay::{Flooded, FloodedData};
 use stellar_scp::driver::TimerKind;
 use stellar_scp::{NodeId, SlotIndex};
-
-/// A flood payload with its content id and wire size precomputed.
-#[derive(Debug)]
-pub struct FloodedData {
-    /// Content address (flood de-duplication key).
-    pub id: Hash256,
-    /// Encoded size in bytes (traffic accounting).
-    pub size: usize,
-    /// The payload itself.
-    pub msg: FloodMessage,
-}
-
-/// One shared handle over a [`FloodedData`]: the many delivery events a
-/// broadcast fans out into each hold a pointer, not a copy of the id.
-#[derive(Clone, Debug)]
-pub struct Flooded(Arc<FloodedData>);
-
-impl Flooded {
-    /// Wraps a message, hashing and sizing it once.
-    pub fn new(msg: FloodMessage) -> Flooded {
-        Flooded(Arc::new(FloodedData {
-            id: msg.id(),
-            size: msg.wire_size(),
-            msg,
-        }))
-    }
-}
-
-impl std::ops::Deref for Flooded {
-    type Target = FloodedData;
-
-    fn deref(&self) -> &FloodedData {
-        &self.0
-    }
-}
 
 /// A scheduled occurrence.
 #[derive(Clone, Debug)]

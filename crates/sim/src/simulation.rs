@@ -1,9 +1,11 @@
 //! The simulation engine: validators + overlay + virtual clock.
 //!
 //! Every simulated validator is a real [`Validator`] (SCP + herder +
-//! ledger + buckets); the engine owns the event queue, the peer graph,
-//! per-node flood state, and traffic counters, and routes everything
-//! deterministically from a single seed. Ledger pacing follows production:
+//! ledger + buckets) beside a real [`FloodEngine`] in one per-node
+//! record; the simulator owns the event queue, the links (peer graph,
+//! latency, faults, partitions) and the reports, turns each engine's
+//! sends into delivery events, and routes everything deterministically
+//! from a single seed. Ledger pacing follows production:
 //! a node triggers consensus on the next ledger once it has closed the
 //! previous one *and* the 5-second ledger interval has elapsed since the
 //! last trigger (§7: "the system runs SCP at 5-second intervals").
@@ -27,8 +29,7 @@ use stellar_horizon::{AdmissionConfig, Horizon, HorizonError, HorizonPipeline};
 use stellar_ledger::header::LedgerHeader;
 use stellar_ledger::store::LedgerStore;
 use stellar_overlay::{
-    DemandScheduler, FloodMessage, FloodMode, FloodState, LinkFaultTable, MsgKind, PayloadCache,
-    PeerGraph, TrafficStats, MAX_DEMAND_ATTEMPTS,
+    Actions, FloodEngine, FloodMessage, FloodMode, LinkFaultTable, PeerGraph, TrafficStats,
 };
 use stellar_scp::driver::ScpEvent;
 use stellar_scp::{NodeId, QuorumSet, SlotIndex, Value};
@@ -94,18 +95,6 @@ pub struct SimConfig {
     pub horizon_ingest_interval_ms: u64,
 }
 
-/// Pull-mode flood tick cadence: adverts batch for up to this long, and
-/// demand timeouts are checked at this granularity (production
-/// stellar-core floods adverts every 100 ms).
-pub const ADVERT_INTERVAL_MS: u64 = 100;
-
-/// How long a demand waits before the scheduler retries the next
-/// advertiser. Covers one round trip on the WAN latency model with slack.
-pub const DEMAND_TIMEOUT_MS: u64 = 400;
-
-/// Per-node bound on payloads kept for answering demands.
-const PAYLOAD_CACHE_CAPACITY: usize = 4096;
-
 /// Health-watchdog observation cadence (simulated ms). One round per
 /// simulated second keeps detection latency far under the stuck-slot
 /// bound at negligible cost.
@@ -144,17 +133,6 @@ impl Default for SimConfig {
 /// Deterministic seed for a validator's signing identity.
 pub fn validator_keys(id: NodeId) -> KeyPair {
     KeyPair::from_seed(0x7A11DA70u64 ^ u64::from(id.0))
-}
-
-/// Traffic-accounting tag of a flooded payload.
-fn msg_kind(msg: &FloodMessage) -> MsgKind {
-    match msg {
-        FloodMessage::Scp(_) => MsgKind::Scp,
-        FloodMessage::TxSet(_) => MsgKind::TxSet,
-        FloodMessage::Tx(_) => MsgKind::Tx,
-        FloodMessage::Advert(_) => MsgKind::Advert,
-        FloodMessage::Demand(_) => MsgKind::Demand,
-    }
 }
 
 /// An active network partition: nodes can only exchange messages within
@@ -221,36 +199,66 @@ pub enum TraceEntry {
     },
 }
 
+/// Everything the simulator keeps about one node of the peer graph.
+struct SimNode {
+    /// The consensus node; watchers have none and only relay.
+    validator: Option<Validator>,
+    /// The node's overlay, with its run-long traffic counters.
+    engine: FloodEngine,
+    /// The last slot `trigger_next_ledger` was called for.
+    last_triggered_slot: u64,
+    /// When that trigger happened — the pacing base, which survives a
+    /// restart.
+    last_trigger_time: Option<u64>,
+    /// The last ledger seq observed closed.
+    last_closed: u64,
+    /// Modeled CPU busy-until, microseconds of simulated time.
+    busy_until_us: u64,
+    /// Crashed: no receive, no send, no timers.
+    crashed: bool,
+    /// `Some` for a puppet: the node holds real keys and appears in
+    /// quorum sets but runs no validator logic — an external driver (a
+    /// chaos adversary) drains this inbox and injects envelopes by hand.
+    puppet_inbox: Option<Vec<(NodeId, Flooded)>>,
+}
+
+impl SimNode {
+    fn new(engine: FloodEngine) -> SimNode {
+        SimNode {
+            validator: None,
+            engine,
+            last_triggered_slot: 0,
+            last_trigger_time: None,
+            last_closed: 1,
+            busy_until_us: 0,
+            crashed: false,
+            puppet_inbox: None,
+        }
+    }
+
+    fn is_puppet(&self) -> bool {
+        self.puppet_inbox.is_some()
+    }
+
+    /// Whether the node takes part in consensus right now.
+    fn is_live(&self) -> bool {
+        !self.crashed && !self.is_puppet()
+    }
+}
+
 /// The engine.
 pub struct Simulation {
     cfg: SimConfig,
     now: u64,
     queue: EventQueue,
-    validators: BTreeMap<NodeId, Validator>,
+    /// One record per node of the peer graph, validators and watchers.
+    nodes: BTreeMap<NodeId, SimNode>,
     graph: PeerGraph,
-    flood: BTreeMap<NodeId, FloodState>,
-    /// Pull mode: per-node advert batching and demand retry state.
-    pull: BTreeMap<NodeId, DemandScheduler>,
-    /// Pull mode: per-node payloads available for answering demands.
-    payloads: BTreeMap<NodeId, PayloadCache<Flooded>>,
-    /// Pull mode: nodes with a `PullTick` currently scheduled.
-    tick_armed: BTreeSet<NodeId>,
-    traffic: BTreeMap<NodeId, TrafficStats>,
     latency: LatencyModel,
     rng: StdRng,
     loadgen: Option<LoadGen>,
     observer: NodeId,
     scp_originated: u64,
-    /// Per node: the last slot we called `trigger_next_ledger` for.
-    last_triggered_slot: BTreeMap<NodeId, u64>,
-    /// Per node: when the last trigger happened.
-    last_trigger_time: BTreeMap<NodeId, u64>,
-    /// Per node: the last ledger seq we observed closed.
-    last_closed: BTreeMap<NodeId, u64>,
-    /// Per node: modeled CPU busy-until, microseconds of simulated time.
-    busy_until_us: BTreeMap<NodeId, u64>,
-    /// Crashed nodes: no receive, no send, no timers.
-    crashed: BTreeSet<NodeId>,
     /// Dedicated RNG stream for fault decisions, so configuring faults on
     /// some links never perturbs the base latency/load streams.
     fault_rng: StdRng,
@@ -258,11 +266,6 @@ pub struct Simulation {
     link_faults: LinkFaultTable,
     /// Active network partition, if any.
     partition: Option<Partition>,
-    /// Puppet nodes: they hold real keys and appear in quorum sets, but
-    /// run no validator logic — an external driver (a chaos adversary)
-    /// drains their inbox and injects envelopes by hand.
-    puppets: BTreeSet<NodeId>,
-    puppet_inbox: BTreeMap<NodeId, Vec<(NodeId, Flooded)>>,
     /// Event trace, recorded when enabled (see [`Simulation::enable_trace`]).
     trace: Option<Vec<TraceEntry>>,
     /// The genesis ledger, retained so a crash-restart can rebuild a
@@ -355,7 +358,16 @@ impl Simulation {
             .iter()
             .map(|id| (*id, validator_keys(*id).public()))
             .collect();
-        let mut validators = BTreeMap::new();
+        // The one place the flood mode is read: every engine is built
+        // here and only ever reset afterwards.
+        let mut nodes: BTreeMap<NodeId, SimNode> = built
+            .graph
+            .nodes()
+            .map(|n| {
+                let peers = built.graph.peers(n).collect();
+                (n, SimNode::new(FloodEngine::new(cfg.flood_mode, peers)))
+            })
+            .collect();
         for (id, qset) in &built.qsets {
             let mut v = genesis.validator(*id, qset.clone(), cfg.store_backend, &registry);
             v.herder.header.params.max_tx_set_ops = cfg.max_tx_set_ops;
@@ -366,30 +378,11 @@ impl Simulation {
             if !cfg.persistence {
                 v.herder.persist = stellar_persist::DurableStore::disabled();
             }
-            validators.insert(*id, v);
+            nodes
+                .get_mut(id)
+                .expect("validators are graph nodes")
+                .validator = Some(v);
         }
-        let flood = built
-            .graph
-            .nodes()
-            .map(|n| (n, FloodState::with_min_residency(200_000, 30_000)))
-            .collect();
-        // Pull-mode state exists for every graph node (watchers relay
-        // payloads in pull mode by re-advertising them).
-        let pull = built
-            .graph
-            .nodes()
-            .map(|n| (n, DemandScheduler::new(DEMAND_TIMEOUT_MS)))
-            .collect();
-        let payloads = built
-            .graph
-            .nodes()
-            .map(|n| (n, PayloadCache::new(PAYLOAD_CACHE_CAPACITY)))
-            .collect();
-        let traffic = built
-            .graph
-            .nodes()
-            .map(|n| (n, TrafficStats::default()))
-            .collect();
         let observer = built.validators[0];
         let loadgen = if cfg.tx_rate > 0.0 {
             Some(LoadGen::new(cfg.n_accounts, cfg.tx_rate, cfg.seed))
@@ -399,28 +392,16 @@ impl Simulation {
         let mut sim = Simulation {
             now: 0,
             queue: EventQueue::new(),
-            validators,
+            nodes,
             graph: built.graph,
-            flood,
-            pull,
-            payloads,
-            tick_armed: BTreeSet::new(),
-            traffic,
             latency: built.latency,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x51),
             loadgen,
             observer,
             scp_originated: 0,
-            last_triggered_slot: BTreeMap::new(),
-            last_trigger_time: BTreeMap::new(),
-            last_closed: BTreeMap::new(),
-            busy_until_us: BTreeMap::new(),
-            crashed: BTreeSet::new(),
             fault_rng: StdRng::seed_from_u64(cfg.seed ^ 0xFA17),
             link_faults: LinkFaultTable::new(),
             partition: None,
-            puppets: BTreeSet::new(),
-            puppet_inbox: BTreeMap::new(),
             trace: None,
             genesis,
             registry,
@@ -434,8 +415,9 @@ impl Simulation {
             cfg,
         };
         if let Some(hcfg) = sim.cfg.horizon {
-            let v = sim.validators.get_mut(&sim.observer).expect("observer");
-            sim.horizon = Some(HorizonPipeline::attach(&mut v.herder, hcfg));
+            let v = sim.validator_mut(sim.observer);
+            let pipeline = HorizonPipeline::attach(&mut v.herder, hcfg);
+            sim.horizon = Some(pipeline);
             if sim.cfg.horizon_ingest_interval_ms > 0 {
                 sim.queue.push(
                     1000 + sim.cfg.horizon_ingest_interval_ms,
@@ -447,18 +429,46 @@ impl Simulation {
             }
         }
         // Initial ledger triggers, slightly staggered like real restarts.
-        let ids: Vec<NodeId> = sim.validators.keys().copied().collect();
-        for (i, id) in ids.iter().enumerate() {
-            sim.last_closed.insert(*id, 1);
+        for (i, id) in sim.validator_ids().into_iter().enumerate() {
             sim.queue
-                .push(1000 + (i as u64 % 50), Event::TriggerLedger { node: *id });
+                .push(1000 + (i as u64 % 50), Event::TriggerLedger { node: id });
         }
         // First load arrival.
-        if sim.loadgen.is_some() {
-            let dt = sim.loadgen.as_mut().unwrap().next_arrival_ms();
+        if let Some(lg) = sim.loadgen.as_mut() {
+            let dt = lg.next_arrival_ms();
             sim.schedule_load(1000 + dt);
         }
         sim
+    }
+
+    /// A graph node's record. Every id the simulator routes by — event
+    /// targets, peers, validators — names a node of the peer graph.
+    fn node(&self, id: NodeId) -> &SimNode {
+        self.nodes.get(&id).expect("node of the peer graph")
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> &mut SimNode {
+        self.nodes.get_mut(&id).expect("node of the peer graph")
+    }
+
+    /// The validators among the nodes, in id order.
+    fn validators(&self) -> impl Iterator<Item = (NodeId, &Validator)> {
+        self.nodes
+            .iter()
+            .filter_map(|(id, n)| n.validator.as_ref().map(|v| (*id, v)))
+    }
+
+    fn validator_mut(&mut self, id: NodeId) -> &mut Validator {
+        self.node_mut(id).validator.as_mut().expect("a validator")
+    }
+
+    /// The validator a client hands `tx` to: a deterministic pick by
+    /// transaction hash.
+    fn submission_target(&self, tx: &stellar_ledger::tx::TransactionEnvelope) -> NodeId {
+        let n = self.validators().count() as u64;
+        let pick = (tx.hash().prefix_u64() % n) as usize;
+        let (id, _) = self.validators().nth(pick).expect("pick < count");
+        id
     }
 
     fn schedule_load(&mut self, at: u64) {
@@ -467,8 +477,7 @@ impl Simulation {
         };
         let tx = lg.make_payment();
         // Submit to a pseudo-random validator (client choice).
-        let ids: Vec<NodeId> = self.validators.keys().copied().collect();
-        let to = ids[(tx.hash().prefix_u64() % ids.len() as u64) as usize];
+        let to = self.submission_target(&tx);
         self.queue.push(at, Event::SubmitTx { to, tx });
     }
 
@@ -479,24 +488,23 @@ impl Simulation {
         at_ms: u64,
         tx: stellar_ledger::tx::TransactionEnvelope,
     ) {
-        let ids: Vec<NodeId> = self.validators.keys().copied().collect();
-        let to = ids[(tx.hash().prefix_u64() % ids.len() as u64) as usize];
+        let to = self.submission_target(&tx);
         self.queue.push(at_ms, Event::SubmitTx { to, tx });
     }
 
     /// A validator, for post-run inspection.
     pub fn validator(&self, id: NodeId) -> &Validator {
-        &self.validators[&id]
+        self.node(id).validator.as_ref().expect("a validator")
     }
 
     /// A node's telemetry (metrics registry + flight recorder).
     pub fn telemetry(&self, id: NodeId) -> &NodeTelemetry {
-        &self.validators[&id].herder.telemetry
+        &self.validator(id).herder.telemetry
     }
 
     /// All validator ids.
     pub fn validator_ids(&self) -> Vec<NodeId> {
-        self.validators.keys().copied().collect()
+        self.validators().map(|(id, _)| id).collect()
     }
 
     /// The observer node (metrics source).
@@ -510,7 +518,10 @@ impl Simulation {
     /// enqueue time, so a long run never bloats the heap with traffic for
     /// a dead node.
     pub fn crash(&mut self, id: NodeId) {
-        self.crashed.insert(id);
+        let Some(node) = self.nodes.get_mut(&id) else {
+            return; // not a node of this network
+        };
+        node.crashed = true;
         self.queue.purge_deliveries_to(id);
     }
 
@@ -519,7 +530,7 @@ impl Simulation {
     /// rebuilds the validator from its durable store and history archive
     /// alone, exactly what a rebooted stellar-core does (§3, §5.4).
     pub fn revive(&mut self, id: NodeId) {
-        if self.crashed.contains(&id) {
+        if self.is_crashed(id) {
             self.restart(id);
         }
     }
@@ -542,12 +553,17 @@ impl Simulation {
     /// Works on live nodes too (an atomic reboot) and clears the crashed
     /// flag for nodes that were down.
     pub fn restart(&mut self, id: NodeId) {
-        if self.puppets.contains(&id) || !self.validators.contains_key(&id) {
+        let Some(node) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        if node.is_puppet() {
             return;
         }
+        let Some(old) = node.validator.take() else {
+            return; // a watcher has nothing durable to reboot from
+        };
         let started = std::time::Instant::now();
-        self.crashed.remove(&id);
-        let old = self.validators.remove(&id).expect("known node");
+        node.crashed = false;
         let qset = old.scp.quorum_set().clone();
         let herder = old.herder;
         let own_archive = herder.archive;
@@ -630,46 +646,41 @@ impl Simulation {
             .telemetry
             .registry
             .add("recovery.slots_restored", restored as u64);
-        self.validators.insert(id, v);
-        // A rebooted process has no flood caches, demand state, queued
-        // deliveries, or CPU backlog.
-        self.flood
-            .insert(id, FloodState::with_min_residency(200_000, 30_000));
-        self.pull
-            .insert(id, DemandScheduler::new(DEMAND_TIMEOUT_MS));
-        self.payloads
-            .insert(id, PayloadCache::new(PAYLOAD_CACHE_CAPACITY));
-        self.tick_armed.remove(&id);
-        self.busy_until_us.remove(&id);
-        self.queue.purge_deliveries_to(id);
-        // A horizon pipeline is RAM: if its host rebooted, re-attach a
-        // fresh one and backfill history from the archive (restart-
-        // mid-ingestion recovery). Live closes resume from the feed.
-        if id == self.observer {
-            if let Some(hcfg) = self.cfg.horizon {
-                let v = self.validators.get_mut(&id).expect("known node");
-                let mut p = HorizonPipeline::attach(&mut v.herder, hcfg);
-                p.indexer.backfill_history(&v.herder.archive);
-                self.horizon = Some(p);
-                self.horizon_metrics.inc("horizon.reattached");
-            }
-        }
         // The node will re-trigger its current slot, but on the normal
         // 5-second pacing — not the instant the process boots. (The
         // pacing base survives the reboot: production derives it from
         // the recovered last-close time.) Triggering immediately would
         // propose an off-schedule close time and perturb the values the
         // network agrees on.
-        self.last_triggered_slot.remove(&id);
-        let recovered_seq = self.validators[&id].ledger_seq();
-        self.last_closed.insert(id, recovered_seq);
+        let node = self.node_mut(id);
+        node.last_triggered_slot = 0;
+        node.last_closed = v.ledger_seq();
+        node.validator = Some(v);
+        // A rebooted process has no flood caches, demand state, pending
+        // tick, queued deliveries, or CPU backlog; its traffic counters
+        // are the run's measurement and stay.
+        node.engine.reset();
+        node.busy_until_us = 0;
+        self.queue.purge_deliveries_to(id);
+        // A horizon pipeline is RAM: if its host rebooted, re-attach a
+        // fresh one and backfill history from the archive (restart-
+        // mid-ingestion recovery). Live closes resume from the feed.
+        if id == self.observer {
+            if let Some(hcfg) = self.cfg.horizon {
+                let v = self.validator_mut(id);
+                let mut p = HorizonPipeline::attach(&mut v.herder, hcfg);
+                p.indexer.backfill_history(&v.herder.archive);
+                self.horizon = Some(p);
+                self.horizon_metrics.inc("horizon.reattached");
+            }
+        }
         self.handle_outputs(id, out);
         // Close the remaining gap from the network's archives, then
         // rejoin consensus: re-trigger and exchange SCP state.
         replayed += self.catch_up(id);
         let trigger_at = self
+            .node(id)
             .last_trigger_time
-            .get(&id)
             .map_or(self.now + 1, |base| {
                 (base + self.cfg.ledger_interval_ms).max(self.now + 1)
             });
@@ -680,13 +691,7 @@ impl Simulation {
         self.restarts += 1;
         self.recovery_replayed += replayed;
         self.recovery_us += dur_us;
-        let reg = &mut self
-            .validators
-            .get_mut(&id)
-            .expect("known node")
-            .herder
-            .telemetry
-            .registry;
+        let reg = &mut self.validator_mut(id).herder.telemetry.registry;
         reg.inc("recovery.restarts");
         reg.add("recovery.ledgers_replayed", replayed);
         reg.observe("recovery.duration_us", dur_us);
@@ -701,30 +706,23 @@ impl Simulation {
     fn catch_up(&mut self, id: NodeId) -> u64 {
         let own_seq = self.ledger_seq_of(id);
         let best = self
-            .validators
+            .nodes
             .iter()
-            .filter(|(peer, _)| {
-                **peer != id
-                    && !self.crashed.contains(peer)
-                    && !self.puppets.contains(peer)
-                    && self.link_open(**peer, id)
-            })
-            .max_by_key(|(_, v)| v.ledger_seq())
-            .map(|(peer, v)| (*peer, v.ledger_seq()));
+            .filter(|(peer, n)| **peer != id && n.is_live() && self.link_open(**peer, id))
+            .filter_map(|(peer, n)| Some((*peer, n.validator.as_ref()?.ledger_seq())))
+            .max_by_key(|(_, seq)| *seq);
         let Some((peer, peer_seq)) = best else {
             return 0;
         };
         if peer_seq <= own_seq {
             return 0;
         }
-        // Two validators out of one map: take the lagging one out for
+        // Two validators out of one table: take the lagging one out for
         // the call so it can read the peer's archive in place.
-        let mut v = self.validators.remove(&id).expect("known node");
+        let mut v = self.node_mut(id).validator.take().expect("a validator");
         v.set_time_ms(self.now);
-        let applied = v
-            .herder
-            .catch_up_from(&self.validators[&peer].herder.archive);
-        self.validators.insert(id, v);
+        let applied = v.herder.catch_up_from(&self.validator(peer).herder.archive);
+        self.node_mut(id).validator = Some(v);
         self.check_closed(id);
         applied
     }
@@ -735,34 +733,33 @@ impl Simulation {
     /// the two sides learn the votes they missed; nodes that already saw
     /// an envelope drop it in the flood cache.
     fn resync(&mut self) {
-        let ids: Vec<NodeId> = self.validators.keys().copied().collect();
-        for id in ids {
-            if self.crashed.contains(&id) || self.puppets.contains(&id) {
+        for id in self.validator_ids() {
+            if !self.node(id).is_live() {
                 continue;
             }
             // Tx sets first: a peer that sees a vote before the set it
             // names cannot validate the value for nomination. In pull
             // mode the sets are (re-)advertised rather than re-flooded —
             // peers that already hold them never see the payload again.
-            for set in self.validators[&id].scp_state_tx_sets() {
-                self.publish_payload(id, Flooded::new(FloodMessage::TxSet(set)));
+            for set in self.validator(id).scp_state_tx_sets() {
+                self.originate(id, FloodMessage::TxSet(set));
             }
-            for env in self.validators[&id].scp_state_envelopes() {
-                self.broadcast_from(id, Flooded::new(FloodMessage::Scp(env)));
+            for env in self.validator(id).scp_state_envelopes() {
+                self.originate(id, FloodMessage::Scp(env));
             }
         }
     }
 
     /// Whether `id` is currently crashed.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.crashed.contains(&id)
+        self.nodes.get(&id).is_some_and(|n| n.crashed)
     }
 
     /// Arms `n` failing fsyncs on `id`'s durable store (chaos hook). The
     /// write-ahead gate reacts by withholding outbound envelopes until a
     /// later sync succeeds.
     pub fn fail_next_fsyncs(&mut self, id: NodeId, n: u32) {
-        if let Some(v) = self.validators.get_mut(&id) {
+        if let Some(v) = self.find_validator_mut(id) {
             v.herder.persist.fail_next_fsyncs(n);
             // On the disk backend the fault hits the data disk too: a
             // failed close flush keeps the delta dirty in the write-back
@@ -777,7 +774,7 @@ impl Simulation {
     /// only a strict prefix of the oldest unsynced record (chaos hook;
     /// recovery must treat the torn record as absent).
     pub fn tear_next_crash(&mut self, id: NodeId) {
-        if let Some(v) = self.validators.get_mut(&id) {
+        if let Some(v) = self.find_validator_mut(id) {
             v.herder.persist.tear_next_crash();
             // A torn data-disk record is caught by the segment/manifest
             // checksums; recovery then refuses the fast path.
@@ -842,17 +839,24 @@ impl Simulation {
     /// Byzantine adversary) to read, and anything it "says" is injected
     /// via [`Simulation::inject_direct`] / [`Simulation::inject_broadcast`].
     pub fn make_puppet(&mut self, id: NodeId) {
-        self.puppets.insert(id);
+        let Some(node) = self.nodes.get_mut(&id) else {
+            return; // not a node of this network
+        };
+        node.puppet_inbox.get_or_insert_with(Vec::new);
     }
 
     /// Whether `id` is a puppet.
     pub fn is_puppet(&self, id: NodeId) -> bool {
-        self.puppets.contains(&id)
+        self.nodes.get(&id).is_some_and(SimNode::is_puppet)
     }
 
     /// Takes the messages delivered to puppet `id` since the last drain.
     pub fn drain_puppet_inbox(&mut self, id: NodeId) -> Vec<(NodeId, Flooded)> {
-        self.puppet_inbox.remove(&id).unwrap_or_default()
+        let inbox = self
+            .nodes
+            .get_mut(&id)
+            .and_then(|n| n.puppet_inbox.as_mut());
+        inbox.map(std::mem::take).unwrap_or_default()
     }
 
     /// Injects a message from `from` to a single peer `to` (adversary
@@ -860,19 +864,14 @@ impl Simulation {
     /// receivers process and relay it through their normal paths.
     pub fn inject_direct(&mut self, from: NodeId, to: NodeId, msg: FloodMessage) {
         let flooded = Flooded::new(msg);
-        if let Some(f) = self.flood.get_mut(&from) {
-            f.record_at(flooded.id, self.now); // don't bounce back
-        }
+        let now = self.now;
+        self.node_mut(from).engine.note_sent(&flooded, now); // don't bounce back
         self.enqueue_delivery(from, to, flooded);
     }
 
-    /// Injects a message flooded by `from` to all its peers.
+    /// Injects a message `from` floods the way its own overlay would.
     pub fn inject_broadcast(&mut self, from: NodeId, msg: FloodMessage) {
-        let flooded = Flooded::new(msg);
-        if let Some(f) = self.flood.get_mut(&from) {
-            f.record_at(flooded.id, self.now);
-        }
-        self.relay(from, None, flooded);
+        self.originate(from, msg);
     }
 
     /// Starts recording the event trace (see [`TraceEntry`]).
@@ -893,20 +892,14 @@ impl Simulation {
         }
     }
 
-    /// Whether `node` collects lifecycle spans (a validator with tracing
-    /// configured on; watchers and puppets carry no telemetry).
-    fn spans_enabled(&self, node: NodeId) -> bool {
-        self.validators
-            .get(&node)
-            .is_some_and(|v| v.herder.telemetry.spans.enabled())
+    /// The validator at `id`, for callers that may be handed a watcher
+    /// or an id from outside the graph.
+    fn find_validator(&self, id: NodeId) -> Option<&Validator> {
+        self.nodes.get(&id)?.validator.as_ref()
     }
 
-    /// Records one lifecycle span on `node` at the current simulated time.
-    fn span(&mut self, node: NodeId, trace: u64, phase: SpanPhase) {
-        let t = self.now;
-        if let Some(v) = self.validators.get_mut(&node) {
-            v.herder.telemetry.span(trace, t, phase);
-        }
+    fn find_validator_mut(&mut self, id: NodeId) -> Option<&mut Validator> {
+        self.nodes.get_mut(&id)?.validator.as_mut()
     }
 
     /// Current simulated time (ms).
@@ -942,16 +935,14 @@ impl Simulation {
 
     /// Every node's quorum set (input to intactness computation).
     pub fn quorum_sets(&self) -> BTreeMap<NodeId, QuorumSet> {
-        self.validators
-            .iter()
-            .map(|(id, v)| (*id, v.scp.quorum_set().clone()))
+        self.validators()
+            .map(|(id, v)| (id, v.scp.quorum_set().clone()))
             .collect()
     }
 
     /// Everything `id` has externalized so far, as `(slot, value)` pairs.
     pub fn externalizations(&self, id: NodeId) -> Vec<(SlotIndex, Value)> {
-        self.validators
-            .get(&id)
+        self.find_validator(id)
             .map(|v| {
                 v.herder
                     .events
@@ -967,8 +958,7 @@ impl Simulation {
 
     /// Ledger header hashes `id` has committed, as `(seq, hash)` pairs.
     pub fn header_hashes(&self, id: NodeId) -> Vec<(u64, Hash256)> {
-        self.validators
-            .get(&id)
+        self.find_validator(id)
             .map(|v| {
                 v.herder
                     .close_stats
@@ -981,10 +971,7 @@ impl Simulation {
 
     /// Current ledger sequence of `id`.
     pub fn ledger_seq_of(&self, id: NodeId) -> u64 {
-        self.validators
-            .get(&id)
-            .map(|v| v.ledger_seq())
-            .unwrap_or(0)
+        self.find_validator(id).map_or(0, Validator::ledger_seq)
     }
 
     /// Marks validators as governing with a desired upgrade set (§5.3).
@@ -994,7 +981,7 @@ impl Simulation {
         desired: std::collections::BTreeSet<stellar_herder::Upgrade>,
     ) {
         for id in ids {
-            if let Some(v) = self.validators.get_mut(id) {
+            if let Some(v) = self.find_validator_mut(*id) {
                 v.herder.upgrade_policy = stellar_herder::UpgradePolicy {
                     governing: true,
                     desired: desired.clone(),
@@ -1012,14 +999,13 @@ impl Simulation {
     pub fn run(&mut self) -> SimReport {
         let target_seq = 1 + self.cfg.target_ledgers;
         while self.step() {
-            let observer_done = self.validators[&self.observer].ledger_seq() >= target_seq;
-            let all_done = observer_done
-                && self.validators.values().all(|v| {
-                    self.crashed.contains(&v.id())
-                        || self.puppets.contains(&v.id())
-                        || v.ledger_seq() >= target_seq
-                });
-            if all_done {
+            let done = |n: &SimNode| {
+                let seq = n.validator.as_ref().map(Validator::ledger_seq);
+                seq.is_none_or(|seq| seq >= target_seq)
+            };
+            if done(self.node(self.observer))
+                && self.nodes.values().all(|n| !n.is_live() || done(n))
+            {
                 break;
             }
         }
@@ -1063,19 +1049,15 @@ impl Simulation {
         }
         self.watchdog_next_ms = self.now + WATCHDOG_INTERVAL_MS;
         let seqs: Vec<(NodeId, u64)> = self
-            .validators
+            .nodes
             .iter()
-            .filter(|(id, _)| !self.puppets.contains(id))
-            .map(|(id, v)| (*id, v.ledger_seq()))
+            .filter(|(_, n)| !n.is_puppet())
+            .filter_map(|(id, n)| Some((*id, n.validator.as_ref()?.ledger_seq())))
             .collect();
         self.watchdog.observe(self.now, &seqs);
         for (id, lag) in self.watchdog.ledger_lag() {
-            if let Some(v) = self.validators.get_mut(&id) {
-                v.herder
-                    .telemetry
-                    .registry
-                    .set_gauge("health.ledger_lag", lag as i64);
-            }
+            let registry = &mut self.validator_mut(id).herder.telemetry.registry;
+            registry.set_gauge("health.ledger_lag", lag as i64);
         }
     }
 
@@ -1098,25 +1080,26 @@ impl Simulation {
     /// orgs and push it to the surviving validators, restoring a
     /// satisfiable quorum so consensus can resume.
     pub fn reconfigure_quorum(&mut self, id: NodeId, qset: QuorumSet) {
-        if self.crashed.contains(&id) || self.puppets.contains(&id) {
+        let now = self.now;
+        let Some(node) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        let live = node.is_live();
+        let Some(v) = node.validator.as_mut() else {
+            return;
+        };
+        if !live {
             // A crashed node cannot act on new configuration; a puppet
             // never runs consensus. Either way there is nothing to
             // re-evaluate.
-            if let Some(v) = self.validators.get_mut(&id) {
-                v.scp.set_quorum_set(qset);
-            }
+            v.scp.set_quorum_set(qset);
             return;
         }
-        let out = {
-            let Some(v) = self.validators.get_mut(&id) else {
-                return;
-            };
-            v.set_time_ms(self.now);
-            // Re-steps the in-flight slot: statements already received
-            // may form a quorum under the new slices, and a stalled
-            // node would otherwise never look again.
-            v.reconfigure_quorum_set(qset)
-        };
+        v.set_time_ms(now);
+        // Re-steps the in-flight slot: statements already received may
+        // form a quorum under the new slices, and a stalled node would
+        // otherwise never look again.
+        let out = v.reconfigure_quorum_set(qset);
         self.handle_outputs(id, out);
     }
 
@@ -1132,25 +1115,14 @@ impl Simulation {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::Deliver { to, from, msg } => {
-                if self.crashed.contains(&to) {
-                    return;
-                }
-                self.record_trace(TraceEntry::Deliver {
-                    time: self.now,
-                    from,
-                    to,
-                    msg_id: msg.id,
-                });
-                self.handle_deliver(to, from, msg)
-            }
+            Event::Deliver { to, from, msg } => self.handle_deliver(to, from, msg),
             Event::Timer {
                 node,
                 slot,
                 kind,
                 version,
             } => {
-                if self.crashed.contains(&node) || self.puppets.contains(&node) {
+                if !self.node(node).is_live() {
                     return;
                 }
                 if !self.queue.timer_current(node, slot, kind, version) {
@@ -1161,78 +1133,74 @@ impl Simulation {
                     node,
                     slot,
                 });
-                let out = {
-                    let v = self.validators.get_mut(&node).expect("known node");
-                    v.set_time_ms(self.now);
-                    v.on_timer(slot, kind)
-                };
+                let now = self.now;
+                let v = self.validator_mut(node);
+                v.set_time_ms(now);
+                let out = v.on_timer(slot, kind);
                 self.handle_outputs(node, out);
             }
             Event::TriggerLedger { node } => self.handle_trigger(node),
-            Event::SubmitTx { to, tx } => {
-                self.record_trace(TraceEntry::Submit {
-                    time: self.now,
-                    to,
-                    tx_hash: tx.hash(),
-                });
-                // The trace root: the client handed the transaction to
-                // this node. (Relayed flood copies re-enter admission on
-                // other nodes but are not new submissions.)
-                if self.spans_enabled(to) {
-                    self.span(to, tx.hash().prefix_u64(), SpanPhase::Submit);
-                }
-                let shed = {
-                    let v = self.validators.get_mut(&to).expect("known node");
-                    v.set_time_ms(self.now);
-                    // The observer's submissions pass through the horizon
-                    // front door: admission control sheds before the
-                    // transaction costs signature checks or flooding.
-                    let admitted = match (to == self.observer, self.horizon.as_mut()) {
-                        (true, Some(p)) => {
-                            match p
-                                .admission
-                                .admit(tx.tx.source, self.now, v.herder.queue.len())
-                            {
-                                Ok(()) => {
-                                    self.horizon_metrics.inc("horizon.submitted");
-                                    true
-                                }
-                                Err(HorizonError::RateLimited { .. }) => {
-                                    self.horizon_metrics.inc("horizon.shed");
-                                    false
-                                }
-                                Err(_) => {
-                                    self.horizon_metrics.inc("horizon.rejected");
-                                    false
-                                }
-                            }
-                        }
-                        _ => true,
-                    };
-                    if admitted {
-                        let _ = v.submit_transaction(tx.clone());
-                    }
-                    !admitted
-                };
-                // The receiving node floods the transaction onward (in
-                // pull mode: adverts it; peers demand the payload). A
-                // shed submission never floods — that is the point.
-                if !shed {
-                    self.publish_payload(to, Flooded::new(FloodMessage::Tx(tx)));
-                }
-                let dt = self
-                    .loadgen
-                    .as_mut()
-                    .map(LoadGen::next_arrival_ms)
-                    .unwrap_or(u64::MAX / 4);
-                let horizon = (1 + self.cfg.target_ledgers + 4) * self.cfg.ledger_interval_ms;
-                if self.now + dt < horizon {
-                    self.schedule_load(self.now + dt);
-                }
-            }
+            Event::SubmitTx { to, tx } => self.handle_submit(to, tx),
             Event::PullTick { node } => self.handle_pull_tick(node),
             Event::HorizonQuery => self.handle_horizon_query(),
             Event::HorizonIngest => self.handle_horizon_ingest(),
+        }
+    }
+
+    /// A client hands `tx` to validator `to`.
+    fn handle_submit(&mut self, to: NodeId, tx: stellar_ledger::tx::TransactionEnvelope) {
+        self.record_trace(TraceEntry::Submit {
+            time: self.now,
+            to,
+            tx_hash: tx.hash(),
+        });
+        let now = self.now;
+        let v = self
+            .nodes
+            .get_mut(&to)
+            .and_then(|n| n.validator.as_mut())
+            .expect("submissions go to validators");
+        // The trace root: the client handed the transaction to this
+        // node. (Relayed flood copies re-enter admission on other nodes
+        // but are not new submissions.)
+        v.herder
+            .telemetry
+            .span(tx.hash().prefix_u64(), now, SpanPhase::Submit);
+        v.set_time_ms(now);
+        // The observer's submissions pass through the horizon front
+        // door: admission control sheds before the transaction costs
+        // signature checks or flooding.
+        let admitted = match (to == self.observer, self.horizon.as_mut()) {
+            (true, Some(p)) => match p.admission.admit(tx.tx.source, now, v.herder.queue.len()) {
+                Ok(()) => {
+                    self.horizon_metrics.inc("horizon.submitted");
+                    true
+                }
+                Err(HorizonError::RateLimited { .. }) => {
+                    self.horizon_metrics.inc("horizon.shed");
+                    false
+                }
+                Err(_) => {
+                    self.horizon_metrics.inc("horizon.rejected");
+                    false
+                }
+            },
+            _ => true,
+        };
+        // The receiving node floods the transaction onward (in pull
+        // mode: adverts it; peers demand the payload). A shed submission
+        // never floods — that is the point.
+        if admitted {
+            let _ = v.submit_transaction(tx.clone());
+            self.originate(to, FloodMessage::Tx(tx));
+        }
+        let dt = self
+            .loadgen
+            .as_mut()
+            .map(LoadGen::next_arrival_ms)
+            .unwrap_or(u64::MAX / 4);
+        if self.now + dt < self.load_horizon_ms() {
+            self.schedule_load(self.now + dt);
         }
     }
 
@@ -1249,7 +1217,10 @@ impl Simulation {
         let Some(p) = self.horizon.as_mut() else {
             return;
         };
-        let v = self.validators.get(&self.observer).expect("observer");
+        let observer = self.nodes.get(&self.observer);
+        let v = observer
+            .and_then(|n| n.validator.as_ref())
+            .expect("observer");
         let n = self.cfg.n_accounts.max(1);
         // Deterministic client choice without touching the sim RNG
         // streams: walk the account space with a large odd stride.
@@ -1276,7 +1247,10 @@ impl Simulation {
     /// `horizon_ingest_interval_ms > 0`).
     fn handle_horizon_ingest(&mut self) {
         if let Some(p) = self.horizon.as_mut() {
-            let v = self.validators.get_mut(&self.observer).expect("observer");
+            let observer = self.nodes.get_mut(&self.observer);
+            let v = observer
+                .and_then(|n| n.validator.as_mut())
+                .expect("observer");
             p.on_close(&mut v.herder);
         }
         let dt = self.cfg.horizon_ingest_interval_ms;
@@ -1285,126 +1259,106 @@ impl Simulation {
         }
     }
 
-    fn handle_trigger(&mut self, node: NodeId) {
-        if self.puppets.contains(&node) {
+    fn handle_trigger(&mut self, id: NodeId) {
+        let now = self.now;
+        let node = self.nodes.get_mut(&id).expect("node of the peer graph");
+        if node.is_puppet() {
             return; // puppets never run consensus
         }
-        if self.crashed.contains(&node) {
+        if node.crashed {
             // Re-check after an interval; the node may be revived.
             self.queue.push(
-                self.now + self.cfg.ledger_interval_ms,
-                Event::TriggerLedger { node },
+                now + self.cfg.ledger_interval_ms,
+                Event::TriggerLedger { node: id },
             );
             return;
         }
-        let slot = self.validators[&node].herder.current_slot();
-        let last = self.last_triggered_slot.get(&node).copied().unwrap_or(0);
-        if slot <= last {
+        let v = node.validator.as_mut().expect("a validator");
+        let slot = v.herder.current_slot();
+        if slot <= node.last_triggered_slot {
             return; // still working on the slot we already triggered
         }
-        self.record_trace(TraceEntry::Trigger {
-            time: self.now,
-            node,
-        });
-        self.last_triggered_slot.insert(node, slot);
-        self.last_trigger_time.insert(node, self.now);
-        let out = {
-            let v = self.validators.get_mut(&node).expect("known node");
-            v.set_time_ms(self.now);
-            v.trigger_next_ledger()
-        };
-        self.handle_outputs(node, out);
+        if let Some(t) = self.trace.as_mut() {
+            t.push(TraceEntry::Trigger {
+                time: now,
+                node: id,
+            });
+        }
+        node.last_triggered_slot = slot;
+        node.last_trigger_time = Some(now);
+        v.set_time_ms(now);
+        let out = v.trigger_next_ledger();
+        self.handle_outputs(id, out);
     }
 
     fn handle_deliver(&mut self, to: NodeId, from: NodeId, msg: Flooded) {
+        let now = self.now;
+        let node = self.nodes.get_mut(&to).expect("node of the peer graph");
+        if node.crashed {
+            return;
+        }
+        if let Some(t) = self.trace.as_mut() {
+            t.push(TraceEntry::Deliver {
+                time: now,
+                from,
+                to,
+                msg_id: msg.id,
+            });
+        }
         // Pull-mode control messages are point-to-point: no seen-cache,
         // no relay, and (being tiny) no processing-capacity charge.
         if msg.msg.is_pull_control() {
-            if let Some(t) = self.traffic.get_mut(&to) {
-                t.recv_kind(msg_kind(&msg.msg), msg.size);
-            }
-            if self.puppets.contains(&to) {
-                self.puppet_inbox.entry(to).or_default().push((from, msg));
+            if let Some(inbox) = node.puppet_inbox.as_mut() {
+                node.engine.traffic.recv_kind(msg.msg.kind(), msg.size);
+                inbox.push((from, msg));
                 return;
             }
-            match &msg.msg {
-                FloodMessage::Advert(ids) => self.handle_advert(to, from, ids.clone()),
-                FloodMessage::Demand(ids) => self.handle_demand(to, from, ids.clone()),
-                _ => unreachable!("is_pull_control"),
-            }
+            let actions = node.engine.on_control(from, &msg, now);
+            self.perform(to, actions);
             return;
         }
-        // Duplicate deliveries cost only a cache lookup; account traffic
-        // and drop them before the processing-capacity model.
-        let fresh = self
-            .flood
-            .get(&to)
-            .map(|f| !f.contains(msg.id))
-            .unwrap_or(false);
-        let kind = msg_kind(&msg.msg);
-        if !fresh {
-            if let Some(t) = self.traffic.get_mut(&to) {
-                t.recv_kind(kind, msg.size);
-                t.dup_hit();
-            }
+        // Duplicate deliveries cost only a cache lookup: the engine
+        // accounts and drops them before the processing-capacity model.
+        if node.engine.suppress_duplicate(&msg) {
             return;
         }
         // Processing-capacity model: a busy node queues fresh deliveries
         // (re-checked for freshness when they finally run).
-        let now_us = self.now * 1000;
-        let busy = self.busy_until_us.get(&to).copied().unwrap_or(0);
-        if busy > now_us + 999 {
-            self.queue
-                .push(busy.div_ceil(1000), Event::Deliver { to, from, msg });
+        let now_us = now * 1000;
+        if node.busy_until_us > now_us + 999 {
+            let at = node.busy_until_us.div_ceil(1000);
+            self.queue.push(at, Event::Deliver { to, from, msg });
             return;
         }
-        self.busy_until_us
-            .insert(to, busy.max(now_us) + self.cfg.proc_cost_us_per_msg);
-        if let Some(t) = self.traffic.get_mut(&to) {
-            t.recv_kind(kind, msg.size);
-        }
-        let fresh = self
-            .flood
-            .get_mut(&to)
-            .map(|f| f.record_at(msg.id, self.now))
-            .unwrap_or(false);
-        if !fresh {
-            // A copy processed while this one waited in the busy queue.
-            if let Some(t) = self.traffic.get_mut(&to) {
-                t.dup_hit();
-            }
-            return;
-        }
+        node.busy_until_us = node.busy_until_us.max(now_us) + self.cfg.proc_cost_us_per_msg;
+        node.engine.accept(&msg, now);
         // One hop of payload propagation: the first fresh arrival of a
         // Tx/TxSet stamps a flood-receive span for every transaction the
         // payload carries (trace ids are content-derived — no header).
-        if self.spans_enabled(to) {
-            for trace in msg.msg.trace_ids() {
-                self.span(to, trace, SpanPhase::FloodRecv { from: from.0 });
+        if let Some(v) = node.validator.as_mut() {
+            if v.herder.telemetry.spans.enabled() {
+                for trace in msg.msg.trace_ids() {
+                    let phase = SpanPhase::FloodRecv { from: from.0 };
+                    v.herder.telemetry.span(trace, now, phase);
+                }
             }
         }
-        if self.puppets.contains(&to) {
+        if let Some(inbox) = node.puppet_inbox.as_mut() {
             // Puppets receive but run no validator logic; their driver
             // (the chaos adversary) reads the inbox between steps.
-            self.puppet_inbox
-                .entry(to)
-                .or_default()
-                .push((from, msg.clone()));
-        } else if self.validators.contains_key(&to) {
+            inbox.push((from, msg.clone()));
+        } else if let Some(v) = node.validator.as_mut() {
             // Watchers (non-validators) only relay.
-            let out = {
-                let v = self.validators.get_mut(&to).expect("validator");
-                v.set_time_ms(self.now);
-                match &msg.msg {
-                    FloodMessage::Scp(env) => v.receive_envelope(env),
-                    FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
-                    FloodMessage::Tx(tx) => {
-                        let _ = v.submit_transaction(tx.clone());
-                        Outputs::default()
-                    }
-                    FloodMessage::Advert(_) | FloodMessage::Demand(_) => {
-                        unreachable!("pull control intercepted above")
-                    }
+            v.set_time_ms(now);
+            let out = match &msg.msg {
+                FloodMessage::Scp(env) => v.receive_envelope(env),
+                FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
+                FloodMessage::Tx(tx) => {
+                    let _ = v.submit_transaction(tx.clone());
+                    Outputs::default()
+                }
+                FloodMessage::Advert(_) | FloodMessage::Demand(_) => {
+                    unreachable!("pull control intercepted above")
                 }
             };
             self.handle_outputs(to, out);
@@ -1414,189 +1368,53 @@ impl Simulation {
             // stellar-core reacts by entering catchup (§6); here we replay
             // straight from the best peer's archive.
             if let FloodMessage::Scp(env) = &msg.msg {
-                let behind = self
-                    .validators
-                    .get(&to)
-                    .is_some_and(|v| env.statement.slot >= v.herder.current_slot() + 2);
-                if behind {
+                if env.statement.slot >= self.validator(to).herder.current_slot() + 2 {
                     self.catch_up(to);
                 }
             }
         }
-        // Onward propagation. Push mode relays the payload to all peers
-        // except the sender. Pull mode relays only SCP envelopes that way;
-        // a fresh Tx/TxSet payload instead settles any outstanding demand,
-        // joins the node's payload cache, and is re-advertised.
-        if self.cfg.flood_mode == FloodMode::Pull && !msg.msg.is_scp() {
-            let fulfilled = self
-                .pull
-                .get_mut(&to)
-                .is_some_and(|p| p.on_fulfilled(msg.id));
-            if fulfilled {
-                if let Some(t) = self.traffic.get_mut(&to) {
-                    t.record_pull_fulfilled();
-                }
-            }
-            if let Some(cache) = self.payloads.get_mut(&to) {
-                cache.insert(msg.id, msg.clone());
-            }
-            if let Some(p) = self.pull.get_mut(&to) {
-                p.queue_advert(msg.id);
-            }
-            self.arm_pull_tick(to);
-        } else {
-            self.relay(to, Some(from), msg);
-        }
+        // Onward propagation, after the node's own reaction went out.
+        let actions = self.node_mut(to).engine.relay(from, msg, now);
+        self.perform(to, actions);
     }
 
-    /// An advert arrived: register the sender for every hash this node
-    /// lacks, and demand the newly wanted ones straight back from it.
-    fn handle_advert(&mut self, to: NodeId, from: NodeId, ids: Vec<Hash256>) {
-        let missing: Vec<Hash256> = match self.flood.get(&to) {
-            Some(f) => ids.into_iter().filter(|id| !f.contains(*id)).collect(),
-            None => return,
-        };
-        if missing.is_empty() {
+    /// One pull-mode flood tick of `id`'s engine.
+    fn handle_pull_tick(&mut self, id: NodeId) {
+        let now = self.now;
+        let node = self.node_mut(id);
+        if node.crashed {
+            // A down process runs no tick; whatever traffic follows a
+            // revival arms the next one.
+            node.engine.tick_missed();
             return;
         }
-        if self.spans_enabled(to) {
-            for id in &missing {
-                self.span(to, id.prefix_u64(), SpanPhase::AdvertSeen { from: from.0 });
-            }
-        }
-        let demand_now = self
-            .pull
-            .get_mut(&to)
-            .map(|p| p.on_advert(from, &missing, self.now))
-            .unwrap_or_default();
-        if !demand_now.is_empty() {
-            // Fresh wants are demanded straight back from the advertiser
-            // (always the first attempt; retries go through the tick).
-            if self.spans_enabled(to) {
-                for id in &demand_now {
-                    self.span(
-                        to,
-                        id.prefix_u64(),
-                        SpanPhase::DemandSent {
-                            to: from.0,
-                            attempt: 1,
-                        },
-                    );
-                }
-            }
-            self.enqueue_delivery(to, from, Flooded::new(FloodMessage::Demand(demand_now)));
-        }
-        // Arm the tick so the demand's timeout is checked even if no
-        // further traffic arrives.
-        self.arm_pull_tick(to);
+        let actions = node.engine.tick(now);
+        self.perform(id, actions);
     }
 
-    /// A demand arrived: answer every hash still in the payload cache.
-    /// Evicted (or never-held) hashes go unanswered — the demander's
-    /// timeout retries another advertiser.
-    fn handle_demand(&mut self, to: NodeId, from: NodeId, ids: Vec<Hash256>) {
-        let answers: Vec<Flooded> = match self.payloads.get(&to) {
-            Some(cache) => ids
-                .iter()
-                .filter_map(|id| cache.get(*id).cloned())
-                .collect(),
-            None => return,
-        };
-        for payload in answers {
-            self.enqueue_delivery(to, from, payload);
-        }
+    /// Floods a message `id` originates: its own envelope, a submitted
+    /// transaction, a proposed transaction set.
+    fn originate(&mut self, id: NodeId, msg: FloodMessage) {
+        let now = self.now;
+        let actions = self.node_mut(id).engine.originate(Flooded::new(msg), now);
+        self.perform(id, actions);
     }
 
-    /// Schedules the next pull tick for `node` unless one is pending.
-    fn arm_pull_tick(&mut self, node: NodeId) {
-        if self.tick_armed.insert(node) {
-            self.queue
-                .push(self.now + ADVERT_INTERVAL_MS, Event::PullTick { node });
-        }
-    }
-
-    /// One pull-mode flood tick: broadcast the batched adverts, re-demand
-    /// expired wants, and re-arm while the scheduler still has work.
-    fn handle_pull_tick(&mut self, node: NodeId) {
-        self.tick_armed.remove(&node);
-        if self.crashed.contains(&node) {
-            return; // rearmed by whatever traffic follows a revival
-        }
-        let Some(p) = self.pull.get_mut(&node) else {
-            return;
-        };
-        let actions = p.tick(self.now);
-        if actions.timeouts > 0 {
-            if let Some(t) = self.traffic.get_mut(&node) {
-                t.record_pull_timeouts(actions.timeouts);
+    /// Carries out what `id`'s engine asked for: trace the pull steps,
+    /// put each send on its link in order, schedule the requested tick.
+    fn perform(&mut self, id: NodeId, actions: Actions) {
+        let now = self.now;
+        // Watchers carry no telemetry.
+        if let Some(v) = self.find_validator_mut(id) {
+            for (hash, phase) in actions.spans {
+                v.herder.telemetry.span(hash.prefix_u64(), now, phase);
             }
         }
-        if !actions.expired.is_empty() && self.spans_enabled(node) {
-            // `attempt_of` reflects the post-retry counter; the timeout
-            // belongs to the attempt before it. A want that exhausted its
-            // retries was dropped — its final attempt is the one that
-            // timed out.
-            let sched = self.pull.get(&node).expect("scheduler ticked above");
-            let expired: Vec<(u64, u32)> = actions
-                .expired
-                .iter()
-                .map(|id| {
-                    let timed_out = sched
-                        .attempt_of(*id)
-                        .map_or(MAX_DEMAND_ATTEMPTS, |a| a.saturating_sub(1));
-                    (id.prefix_u64(), timed_out)
-                })
-                .collect();
-            let retries: Vec<(u64, u32, u32)> = actions
-                .demands
-                .iter()
-                .flat_map(|(peer, ids)| {
-                    ids.iter().filter_map(|id| {
-                        sched.attempt_of(*id).map(|a| (id.prefix_u64(), peer.0, a))
-                    })
-                })
-                .collect();
-            for (trace, attempt) in expired {
-                self.span(node, trace, SpanPhase::DemandTimeout { attempt });
-            }
-            for (trace, to, attempt) in retries {
-                self.span(node, trace, SpanPhase::DemandSent { to, attempt });
-            }
+        for (to, msg) in actions.sends {
+            self.enqueue_delivery(id, to, msg);
         }
-        if !actions.adverts.is_empty() {
-            let advert = Flooded::new(FloodMessage::Advert(actions.adverts));
-            let peers: Vec<NodeId> = self.graph.peers(node).collect();
-            for peer in peers {
-                self.enqueue_delivery(node, peer, advert.clone());
-            }
-        }
-        for (peer, ids) in actions.demands {
-            self.enqueue_delivery(node, peer, Flooded::new(FloodMessage::Demand(ids)));
-        }
-        if self.pull.get(&node).is_some_and(DemandScheduler::has_work) {
-            self.arm_pull_tick(node);
-        }
-    }
-
-    /// Hands a freshly originated `Tx`/`TxSet` payload to the overlay:
-    /// push mode floods it to every peer; pull mode caches it and
-    /// advertises its hash on the next flood tick.
-    fn publish_payload(&mut self, node: NodeId, msg: Flooded) {
-        match self.cfg.flood_mode {
-            FloodMode::Push => self.broadcast_from(node, msg),
-            FloodMode::Pull => {
-                if let Some(f) = self.flood.get_mut(&node) {
-                    f.record_at(msg.id, self.now);
-                }
-                let id = msg.id;
-                if let Some(cache) = self.payloads.get_mut(&node) {
-                    cache.insert(id, msg);
-                }
-                if let Some(p) = self.pull.get_mut(&node) {
-                    p.queue_advert(id);
-                }
-                self.arm_pull_tick(node);
-            }
+        if let Some(at) = actions.tick_at {
+            self.queue.push(at, Event::PullTick { node: id });
         }
     }
 
@@ -1606,15 +1424,16 @@ impl Simulation {
     /// Fault decisions draw from a dedicated RNG stream, so a run with no
     /// faults configured is bit-identical to one without the chaos layer.
     fn enqueue_delivery(&mut self, from: NodeId, to: NodeId, msg: Flooded) {
-        if self.crashed.contains(&to) {
-            return;
+        if self.nodes.get(&to).is_none_or(|n| n.crashed) {
+            return; // nobody there to receive it
         }
         if !self.link_open(from, to) {
             return;
         }
-        if let Some(t) = self.traffic.get_mut(&from) {
-            t.send_kind(msg_kind(&msg.msg), msg.size);
-        }
+        self.node_mut(from)
+            .engine
+            .traffic
+            .send_kind(msg.msg.kind(), msg.size);
         let base_delay = self.latency.sample(&mut self.rng).max(1);
         match self.link_faults.get(from, to).cloned() {
             None => self
@@ -1635,70 +1454,46 @@ impl Simulation {
         }
     }
 
-    fn relay(&mut self, node: NodeId, from: Option<NodeId>, msg: Flooded) {
-        let peers: Vec<NodeId> = self
-            .graph
-            .peers(node)
-            .filter(|p| Some(*p) != from)
-            .collect();
-        for p in peers {
-            self.enqueue_delivery(node, p, msg.clone());
-        }
-    }
-
-    /// Floods a message originated by `node`.
-    fn broadcast_from(&mut self, node: NodeId, msg: Flooded) {
-        if let Some(f) = self.flood.get_mut(&node) {
-            f.record_at(msg.id, self.now); // don't reprocess our own message
-        }
-        self.relay(node, None, msg);
-    }
-
     fn handle_outputs(&mut self, node: NodeId, out: Outputs) {
         self.queue.apply_outputs_timers(self.now, node, &out);
         for env in out.envelopes {
             self.scp_originated += 1;
-            if let Some(t) = self.traffic.get_mut(&node) {
-                t.scp_originated += 1;
-            }
-            self.broadcast_from(node, Flooded::new(FloodMessage::Scp(env)));
+            self.node_mut(node).engine.traffic.scp_originated += 1;
+            self.originate(node, FloodMessage::Scp(env));
         }
         for set in out.tx_sets {
-            self.publish_payload(node, Flooded::new(FloodMessage::TxSet(set)));
+            self.originate(node, FloodMessage::TxSet(set));
         }
         self.check_closed(node);
     }
 
     /// Detects a freshly closed ledger and schedules the next trigger at
     /// `last_trigger + interval` (the 5-second pacing).
-    fn check_closed(&mut self, node: NodeId) {
-        let seq = self.validators[&node].ledger_seq();
-        let last = self.last_closed.get(&node).copied().unwrap_or(1);
-        if seq > last {
-            self.last_closed.insert(node, seq);
-            if node == self.observer && self.cfg.horizon_ingest_interval_ms == 0 {
-                if let Some(p) = self.horizon.as_mut() {
-                    let v = self.validators.get_mut(&node).expect("known node");
-                    p.on_close(&mut v.herder);
-                }
-            }
-            if self.trace.is_some() {
-                let header_hash = self.validators[&node].herder.header.hash();
-                self.record_trace(TraceEntry::Close {
-                    time: self.now,
-                    node,
-                    seq,
-                    header_hash,
-                });
-            }
-            let base = self
-                .last_trigger_time
-                .get(&node)
-                .copied()
-                .unwrap_or(self.now);
-            let at = (base + self.cfg.ledger_interval_ms).max(self.now + 1);
-            self.queue.push(at, Event::TriggerLedger { node });
+    fn check_closed(&mut self, id: NodeId) {
+        let now = self.now;
+        let node = self.nodes.get_mut(&id).expect("node of the peer graph");
+        let v = node.validator.as_mut().expect("a validator");
+        let seq = v.ledger_seq();
+        if seq <= node.last_closed {
+            return;
         }
+        node.last_closed = seq;
+        if id == self.observer && self.cfg.horizon_ingest_interval_ms == 0 {
+            if let Some(p) = self.horizon.as_mut() {
+                p.on_close(&mut v.herder);
+            }
+        }
+        if let Some(t) = self.trace.as_mut() {
+            t.push(TraceEntry::Close {
+                time: now,
+                node: id,
+                seq,
+                header_hash: v.herder.header.hash(),
+            });
+        }
+        let base = node.last_trigger_time.unwrap_or(now);
+        let at = (base + self.cfg.ledger_interval_ms).max(now + 1);
+        self.queue.push(at, Event::TriggerLedger { node: id });
     }
 
     /// Every node's retained lifecycle spans, merged and causally
@@ -1706,9 +1501,8 @@ impl Simulation {
     /// simulated ms only, so same-seed runs merge byte-identically.
     pub fn span_events(&self) -> Vec<SpanEvent> {
         let mut all: Vec<SpanEvent> = self
-            .validators
-            .values()
-            .flat_map(|v| v.herder.telemetry.spans.spans().cloned())
+            .validators()
+            .flat_map(|(_, v)| v.herder.telemetry.spans.spans().cloned())
             .collect();
         all.sort_by(|a, b| {
             (a.t_ms, a.phase.order(), a.node, a.trace).cmp(&(
@@ -1724,9 +1518,8 @@ impl Simulation {
     /// Spans evicted from per-node buffers network-wide (trace-coverage
     /// health: non-zero means long runs should raise sampling).
     pub fn spans_dropped(&self) -> u64 {
-        self.validators
-            .values()
-            .map(|v| v.herder.telemetry.spans.dropped())
+        self.validators()
+            .map(|(_, v)| v.herder.telemetry.spans.dropped())
             .sum()
     }
 
@@ -1773,8 +1566,13 @@ impl Simulation {
         out
     }
 
+    /// Every node's run-long traffic counters.
+    fn traffic(&self) -> impl Iterator<Item = (NodeId, TrafficStats)> + '_ {
+        self.nodes.iter().map(|(id, n)| (*id, n.engine.traffic))
+    }
+
     fn report(&self) -> SimReport {
-        let observer = self.validators.get(&self.observer).expect("observer");
+        let observer = self.validator(self.observer);
         let mut ledgers =
             build_ledger_metrics(&observer.herder.events, &observer.herder.close_stats);
         // Drop ledgers beyond the target (stragglers of shutdown).
@@ -1784,10 +1582,10 @@ impl Simulation {
             telemetry: self.telemetry_snapshot(&ledgers, &tx_traces),
             ledgers,
             scp_msgs_originated: self.scp_originated,
-            traffic: self.traffic.clone(),
+            traffic: self.traffic().collect(),
             sim_duration_ms: self.now,
             txs_generated: self.loadgen.as_ref().map_or(0, |l| l.generated),
-            n_validators: self.validators.len(),
+            n_validators: self.validators().count(),
             tx_traces,
             health: self.watchdog.alerts().to_vec(),
         }
@@ -1801,7 +1599,7 @@ impl Simulation {
         ledgers: &[crate::metrics::LedgerMetrics],
         tx_traces: &[crate::tracing::TxTrace],
     ) -> Json {
-        let observer = self.validators.get(&self.observer).expect("observer");
+        let observer = self.validator(self.observer);
         let mut registry = observer.herder.telemetry.registry.clone();
         for l in ledgers {
             registry.observe("consensus.nomination_ms", l.nomination_ms);
@@ -1809,14 +1607,10 @@ impl Simulation {
             registry.observe("consensus.total_ms", l.nomination_ms + l.balloting_ms);
         }
         let mut network = TrafficStats::default();
-        for t in self.traffic.values() {
-            network.merge(t);
+        for (_, t) in self.traffic() {
+            network.merge(&t);
         }
-        let observer_traffic = self
-            .traffic
-            .get(&self.observer)
-            .copied()
-            .unwrap_or_default();
+        let observer_traffic = self.node(self.observer).engine.traffic;
         Json::obj()
             .set("node", u64::from(self.observer.0))
             .set("registry", registry.snapshot())
@@ -1863,7 +1657,7 @@ impl Simulation {
         let Some(p) = &self.horizon else {
             return Json::obj().set("enabled", false);
         };
-        let head = self.validators[&self.observer].herder.header.ledger_seq;
+        let head = self.validator(self.observer).herder.header.ledger_seq;
         let mut reg = p.registry();
         reg.merge(&self.horizon_metrics);
         Json::obj()

@@ -9,8 +9,7 @@ use rand::{Rng, SeedableRng};
 use stellar::chaos::cascade::{CascadeOrder, CascadePlan};
 use stellar::chaos::{ChaosConfig, ChaosRun, Violation};
 use stellar::quorum::{
-    find_disjoint_quorums_with, generate, CheckerOptions, IntersectionResult, TopologyFamily,
-    TopologySpec,
+    find_disjoint_quorums_with, generate, IntersectionResult, TopologyFamily, TopologySpec,
 };
 use stellar::sim::scenario::Scenario;
 use stellar::sim::SimConfig;
@@ -32,7 +31,7 @@ fn cascade_storms_never_breach_safety_on_intersecting_topologies() {
         // Only checker-proven-intersecting configurations carry the
         // safety guarantee; the generators should never produce anything
         // else, and the storm is vacuous if they did.
-        let (res, _) = find_disjoint_quorums_with(&topo.system, &CheckerOptions::default());
+        let (res, _) = find_disjoint_quorums_with(&topo.system);
         assert_eq!(
             res,
             IntersectionResult::Intersecting,

@@ -1,0 +1,198 @@
+//! Same-program golden digests.
+//!
+//! A refactor of the simulator or the overlay must leave the program it
+//! runs untouched: the same events in the same order, the same ledgers,
+//! the same bytes on the same links. Each configuration below is reduced
+//! to one SHA-256 over the event trace, every validator's header-hash
+//! chain and the network's summed traffic counters, and pinned — the
+//! constants were recorded at the commit before the per-node table and
+//! `overlay::FloodEngine` replaced `Simulation`'s per-node maps. A change
+//! that reorders one RNG draw, one queue push or one relayed message
+//! moves a digest; one that is meant to says so and re-records it.
+
+use stellar::crypto::hex;
+use stellar::crypto::sha256::Sha256;
+use stellar::overlay::{FloodMode, LinkFault, TrafficStats};
+use stellar::scp::NodeId;
+use stellar::sim::scenario::Scenario;
+use stellar::sim::simulation::TraceEntry;
+use stellar::sim::{SimConfig, SimReport, Simulation};
+use stellar::store::BackendKind;
+
+fn put(h: &mut Sha256, n: u64) {
+    h.update(&n.to_be_bytes());
+}
+
+fn digest(sim: &Simulation, report: &SimReport) -> String {
+    let mut h = Sha256::new();
+    for entry in sim.trace() {
+        match entry {
+            TraceEntry::Deliver {
+                time,
+                from,
+                to,
+                msg_id,
+            } => {
+                h.update(b"D");
+                put(&mut h, *time);
+                put(&mut h, u64::from(from.0));
+                put(&mut h, u64::from(to.0));
+                h.update(&msg_id.0);
+            }
+            TraceEntry::Timer { time, node, slot } => {
+                h.update(b"T");
+                put(&mut h, *time);
+                put(&mut h, u64::from(node.0));
+                put(&mut h, *slot);
+            }
+            TraceEntry::Trigger { time, node } => {
+                h.update(b"G");
+                put(&mut h, *time);
+                put(&mut h, u64::from(node.0));
+            }
+            TraceEntry::Submit { time, to, tx_hash } => {
+                h.update(b"S");
+                put(&mut h, *time);
+                put(&mut h, u64::from(to.0));
+                h.update(&tx_hash.0);
+            }
+            TraceEntry::Close {
+                time,
+                node,
+                seq,
+                header_hash,
+            } => {
+                h.update(b"C");
+                put(&mut h, *time);
+                put(&mut h, u64::from(node.0));
+                put(&mut h, *seq);
+                h.update(&header_hash.0);
+            }
+        }
+    }
+    for id in sim.validator_ids() {
+        h.update(b"V");
+        put(&mut h, u64::from(id.0));
+        for (seq, hash) in sim.header_hashes(id) {
+            put(&mut h, seq);
+            h.update(&hash.0);
+        }
+    }
+    let mut net = TrafficStats::default();
+    for t in report.traffic.values() {
+        net.merge(t);
+    }
+    h.update(b"N");
+    for n in [
+        net.msgs_in,
+        net.msgs_out,
+        net.bytes_in,
+        net.bytes_out,
+        net.scp_originated,
+        net.dup_suppressed,
+        net.pull_fulfilled,
+        net.pull_timeouts,
+    ] {
+        put(&mut h, n);
+    }
+    for n in net.in_by_kind.iter().chain(&net.out_by_kind) {
+        put(&mut h, *n);
+    }
+    hex::encode(&h.finish().0)
+}
+
+/// Steps until simulated time reaches `until_ms` (or the run ends).
+fn step_until(sim: &mut Simulation, until_ms: u64) {
+    while sim.now_ms() < until_ms && sim.step() {}
+}
+
+#[test]
+fn push_mesh_under_load_is_pinned() {
+    let mut sim = Simulation::new(SimConfig {
+        scenario: Scenario::ControlledMesh { n_validators: 8 },
+        n_accounts: 200,
+        tx_rate: 20.0,
+        target_ledgers: 4,
+        seed: 24,
+        store_backend: BackendKind::Mem,
+        ..SimConfig::default()
+    });
+    sim.enable_trace();
+    let report = sim.run();
+    assert!(report.ledgers.len() >= 4);
+    assert_eq!(
+        digest(&sim, &report),
+        "8f1865de9d1a32b2184c3b90615b9b12ec36d8cad7fcdd267a99ee349cbda304"
+    );
+}
+
+#[test]
+fn pull_public_network_with_crash_and_restart_is_pinned() {
+    let mut sim = Simulation::new(SimConfig {
+        scenario: Scenario::PublicNetwork {
+            n_orgs: 4,
+            validators_per_org: 3,
+            n_watchers: 6,
+        },
+        n_accounts: 200,
+        tx_rate: 10.0,
+        target_ledgers: 6,
+        seed: 24,
+        flood_mode: FloodMode::Pull,
+        // The restarted node's header chain is rebuilt by archive replay
+        // in RAM and resumed from the data disk on the disk backend.
+        store_backend: BackendKind::Mem,
+        ..SimConfig::default()
+    });
+    sim.enable_trace();
+    let victim = NodeId(5);
+    step_until(&mut sim, 9_000);
+    sim.crash(victim);
+    step_until(&mut sim, 21_000);
+    sim.restart(victim);
+    let report = sim.run();
+    assert!(report.ledgers.len() >= 6);
+    assert!(
+        sim.ledger_seq_of(victim) >= 6,
+        "the restarted node rejoined"
+    );
+    let pulled: u64 = report.traffic.values().map(|t| t.pull_fulfilled).sum();
+    assert!(pulled > 0, "payloads crossed by advert and demand");
+    assert_eq!(
+        digest(&sim, &report),
+        "e84a07296023e086a8553aa2a8637d43aa65997224ce872dc058517ff0acbd5d"
+    );
+}
+
+#[test]
+fn faulty_links_with_a_puppet_are_pinned() {
+    let mut sim = Simulation::new(SimConfig {
+        scenario: Scenario::ByzantineMesh { n_validators: 7 },
+        n_accounts: 100,
+        tx_rate: 5.0,
+        target_ledgers: 4,
+        seed: 24,
+        flood_mode: FloodMode::Pull,
+        store_backend: BackendKind::Mem,
+        ..SimConfig::default()
+    });
+    sim.enable_trace();
+    let puppet = NodeId(6);
+    sim.make_puppet(puppet);
+    sim.link_faults_mut().set_default(
+        LinkFault::none()
+            .with_drop(0.05)
+            .with_duplicate(0.10)
+            .with_delay(0.10, 20, 120)
+            .with_reorder(0.20, 300),
+    );
+    let report = sim.run();
+    assert!(report.ledgers.len() >= 4);
+    assert!(!sim.drain_puppet_inbox(puppet).is_empty());
+    let timeouts: u64 = report.traffic.values().map(|t| t.pull_timeouts).sum();
+    assert!(timeouts > 0, "lost demands were retried");
+    assert_eq!(
+        digest(&sim, &report),
+        "32b5fc2bc58c43d2ebc26ef2058db80aa46614aef3fee72d7265d683d27506e1"
+    );
+}
