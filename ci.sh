@@ -39,7 +39,7 @@ BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_rec
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_recovery.json"
 grep -q '"schema": "stellar-bench/v2"' BENCH_recovery.json  # committed full sweep
 
-echo "==> storage-engine smoke (exp_store --quick; RAM/disk twin hash gate + schema-valid BENCH_store.json)"
+echo "==> storage-engine smoke (exp_store --quick; RAM/disk twin hash gate, disk cache miss reads <= 256 B, schema-valid BENCH_store.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_store -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_store.json"
 grep -q '"schema": "stellar-bench/v2"' BENCH_store.json  # committed full sweep

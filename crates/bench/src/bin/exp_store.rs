@@ -39,6 +39,10 @@ const CLOSES: u64 = 20;
 const TXS_PER_CLOSE: u64 = 50;
 /// How many distinct accounts the payment load touches.
 const HOT_ACCOUNTS: u64 = 500;
+/// Most bytes a disk-backend cache miss may read. A miss reads one
+/// record's `entry ‖ crc` (~50 B for an account); a return to
+/// whole-segment reads (~1 MiB per miss) fails this at once.
+const MAX_READ_BYTES_PER_MISS: f64 = 256.0;
 
 /// Measured outcome of one (accounts, backend) point.
 struct Outcome {
@@ -47,6 +51,8 @@ struct Outcome {
     resident_bytes: u64,
     disk_bytes: u64,
     bytes_written: u64,
+    /// Bytes read from segments per cache miss during the close loop.
+    read_bytes_per_miss: f64,
     cache_hit_rate: f64,
     segments: u64,
     compactions: u64,
@@ -84,10 +90,8 @@ fn run_point(n_accounts: u64, backend: BackendKind) -> Outcome {
     let mut store = build_store(n_accounts, backend);
     // Seed buckets from the synthetic stream, not `store.all_entries()`:
     // the result is identical (bucket construction canonicalizes by
-    // key), and it spares the disk backend a full random-order read
-    // pass — segment reads checksum-verify ~1 MiB per cache miss, so a
-    // million point reads at setup would dwarf the close loop we're
-    // here to measure.
+    // key), and it keeps a full read pass over the disk store — one
+    // record read per entry — out of the set-up.
     let mut buckets = BucketList::seed(genesis_entries(n_accounts));
     if let Some(disk) = store.disk() {
         buckets.attach_disk(disk, 0);
@@ -153,12 +157,18 @@ fn run_point(n_accounts: u64, backend: BackendKind) -> Outcome {
     let lookups = (io.cache_hits + io.cache_misses)
         .saturating_sub(io_before.cache_hits + io_before.cache_misses);
     let hits = io.cache_hits - io_before.cache_hits;
+    let misses = io.cache_misses - io_before.cache_misses;
     Outcome {
         closes_per_sec: CLOSES as f64 / elapsed.as_secs_f64(),
         close_ms_mean: elapsed.as_secs_f64() * 1e3 / CLOSES as f64,
         resident_bytes: store.resident_bytes() + buckets.resident_bytes(),
         disk_bytes: io.disk_bytes,
         bytes_written: io.bytes_written - io_before.bytes_written,
+        read_bytes_per_miss: if misses == 0 {
+            0.0
+        } else {
+            (io.bytes_read - io_before.bytes_read) as f64 / misses as f64
+        },
         cache_hit_rate: if lookups == 0 {
             1.0
         } else {
@@ -176,7 +186,9 @@ fn main() {
     let full = std::env::args().any(|a| a == "--full");
     // (accounts, run the RAM twin too?)
     let points: Vec<(u64, bool)> = if quick {
-        vec![(20_000, true)]
+        // Beyond the default cache (65,536 entries), so the close loop
+        // misses and the bytes-per-miss gate has something to judge.
+        vec![(100_000, true)]
     } else if full {
         vec![(100_000, true), (1_000_000, true), (10_000_000, false)]
     } else {
@@ -216,6 +228,7 @@ fn main() {
                 format!("{:.1}", out.resident_bytes as f64 / (1024.0 * 1024.0)),
                 format!("{:.1}", out.disk_bytes as f64 / (1024.0 * 1024.0)),
                 format!("{:.2}", out.cache_hit_rate),
+                format!("{:.0}", out.read_bytes_per_miss),
                 format!("{}", out.segments),
                 format!("{}", out.compactions),
             ]);
@@ -231,6 +244,7 @@ fn main() {
                     .set("disk_bytes", out.disk_bytes)
                     .set("bytes_written", out.bytes_written)
                     .set("cache_hit_rate", out.cache_hit_rate)
+                    .set("read_bytes_per_miss", out.read_bytes_per_miss)
                     .set("segments", out.segments)
                     .set("compactions", out.compactions)
                     .set("header_hash", out.header_hash.to_hex()),
@@ -241,6 +255,16 @@ fn main() {
         // write-back cache plus the sparse key index (~72 B/key) plus
         // spilled-bucket bookkeeping — never the entry data itself.
         let (_, disk_out) = per_backend.last().expect("disk run present");
+        // A miss costs one record, not one segment.
+        assert!(
+            disk_out.cache_hit_rate < 1.0,
+            "{accounts} accounts: the close loop never missed the cache"
+        );
+        assert!(
+            disk_out.read_bytes_per_miss <= MAX_READ_BYTES_PER_MISS,
+            "{accounts} accounts: a cache miss read {:.0} bytes (allowed {MAX_READ_BYTES_PER_MISS})",
+            disk_out.read_bytes_per_miss
+        );
         if accounts >= 1_000_000 {
             let bound = 96 * 1024 * 1024 + accounts * 96;
             assert!(
@@ -260,6 +284,7 @@ fn main() {
             "resident(MiB)",
             "disk(MiB)",
             "hit rate",
+            "B/miss",
             "segs",
             "compactions",
         ],

@@ -134,19 +134,28 @@ impl BucketList {
         4u64.pow(i as u32 + 1)
     }
 
+    /// Decodes spilled level `i` from its durable blob. The blob is read
+    /// length-checked only: its SHA-256 against the level hash is the one
+    /// verification pass.
+    fn load_spilled(&self, i: usize, hash: Hash256) -> Bucket {
+        let disk = self
+            .disk
+            .as_ref()
+            .expect("spilled level without a disk")
+            .borrow();
+        let blob = disk
+            .read_unverified(&level_key(i))
+            .expect("spilled bucket blob must be durable");
+        assert_eq!(sha256(blob), hash, "spilled bucket blob hash mismatch");
+        Bucket::decode(blob).expect("durable bucket blob decodes")
+    }
+
     /// Re-loads a spilled level into RAM, verifying its blob hash.
     fn ensure_ram(&mut self, i: usize) {
         let LevelSlot::Spilled { hash, .. } = self.levels[i] else {
             return;
         };
-        let disk = self.disk.as_ref().expect("spilled level without a disk");
-        let blob = disk
-            .borrow()
-            .read(&level_key(i))
-            .expect("spilled bucket blob must be durable");
-        assert_eq!(sha256(&blob), hash, "spilled bucket blob hash mismatch");
-        let bucket = Bucket::decode(&blob).expect("durable bucket blob decodes");
-        self.levels[i] = LevelSlot::Ram(bucket);
+        self.levels[i] = LevelSlot::Ram(self.load_spilled(i, hash));
     }
 
     /// Read-only view of a level's bucket, loading a spilled one into a
@@ -154,15 +163,7 @@ impl BucketList {
     fn level_snapshot(&self, i: usize) -> std::borrow::Cow<'_, Bucket> {
         match &self.levels[i] {
             LevelSlot::Ram(b) => std::borrow::Cow::Borrowed(b),
-            LevelSlot::Spilled { hash, .. } => {
-                let disk = self.disk.as_ref().expect("spilled level without a disk");
-                let blob = disk
-                    .borrow()
-                    .read(&level_key(i))
-                    .expect("spilled bucket blob must be durable");
-                assert_eq!(sha256(&blob), *hash, "spilled bucket blob hash mismatch");
-                std::borrow::Cow::Owned(Bucket::decode(&blob).expect("durable blob decodes"))
-            }
+            LevelSlot::Spilled { hash, .. } => std::borrow::Cow::Owned(self.load_spilled(i, *hash)),
         }
     }
 
@@ -417,17 +418,21 @@ impl BucketList {
         }
         let ledger_seq = u64::decode(&mut input).ok()?;
         let mut list = BucketList::new();
+        let store = disk.borrow();
         for (i, expected) in expected_hashes.iter().enumerate() {
             let hash = Hash256::decode(&mut input).ok()?;
             let len = u64::decode(&mut input).ok()? as usize;
             if hash != *expected {
                 return None;
             }
-            let blob = disk.borrow().read(&level_key(i)).or_else(|| {
+            // Length-checked read: the level-hash check below is the
+            // verification (a whole-frame SHA-256 would be a second
+            // pass over the same bytes).
+            let blob = store.read_unverified(&level_key(i)).or_else(|| {
                 // An always-empty level may never have been written.
-                (len == 0).then(Vec::new)
+                (len == 0).then_some(&[][..])
             })?;
-            if sha256(&blob) != hash {
+            if sha256(blob) != hash {
                 return None;
             }
             if i >= SPILL_MIN_LEVEL && len > 0 {
@@ -437,7 +442,7 @@ impl BucketList {
                     bytes: blob.len() as u64,
                 };
             } else {
-                let bucket = Bucket::decode(&blob).ok()?;
+                let bucket = Bucket::decode(blob).ok()?;
                 if bucket.len() != len {
                     return None;
                 }
@@ -446,6 +451,7 @@ impl BucketList {
             list.level_hashes[i] = Some(hash);
             list.synced[i] = Some(hash);
         }
+        drop(store);
         list.disk = Some(disk);
         Some((list, ledger_seq))
     }

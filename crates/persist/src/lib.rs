@@ -216,6 +216,26 @@ impl DurableStore {
         unframe(self.durable.get(key)?)
     }
 
+    /// The payload of the durable record for `key`, borrowed in place,
+    /// with the frame's length checked but its SHA-256 **not** verified.
+    ///
+    /// The length check alone still rejects a torn record (a strict
+    /// prefix of its frame can never match the embedded length), so this
+    /// never hands out a half-written record. It does not detect a
+    /// full-length record with corrupt bytes: the caller must verify
+    /// whatever it slices out — the disk backend checks each record's
+    /// CRC-32C, spilled bucket blobs are checked against their level
+    /// hash — and recovery, which trusts nothing, uses [`Self::read`].
+    pub fn read_unverified(&self, key: &str) -> Option<&[u8]> {
+        let record = self.durable.get(key)?;
+        let len = u64::from_be_bytes(record.get(..8)?.try_into().ok()?);
+        let len = usize::try_from(len).ok()?;
+        if len.checked_add(FRAME_OVERHEAD) != Some(record.len()) {
+            return None;
+        }
+        Some(&record[8..8 + len])
+    }
+
     /// The durable keys starting with `prefix`, in key order — torn
     /// records included, so recovery can clear them away.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
@@ -274,6 +294,7 @@ mod tests {
         assert!(s.sync());
         s.crash();
         assert_eq!(s.read("lcl").unwrap(), b"header-1");
+        assert_eq!(s.read_unverified("lcl").unwrap(), b"header-1");
     }
 
     #[test]
@@ -310,6 +331,11 @@ mod tests {
         // The torn overwrite destroyed the old record and the new one
         // never fully landed: the key reads as absent.
         assert_eq!(s.read("scp/7"), None);
+        assert_eq!(
+            s.read_unverified("scp/7"),
+            None,
+            "length check alone refuses it"
+        );
         assert!(s.raw("scp/7").is_some(), "garbage is on disk");
         assert_eq!(s.stats().torn_writes, 1);
     }

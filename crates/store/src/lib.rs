@@ -4,8 +4,11 @@
 //! being free. This crate provides the alternative: [`DiskBackend`], a
 //! log-structured store over the simulated durable disk in
 //! `crates/persist`, with a sparse in-memory key index and a bounded
-//! write-back cache — dirty per-close deltas layered over committed,
-//! checksummed segment files (see [`disk`] for the format).
+//! write-back cache — dirty per-close deltas layered over committed
+//! segment files. Every live record carries its own CRC-32C, so a cache
+//! miss reads and checks one record, not a whole segment; the segment's
+//! whole-frame SHA-256 is verified only at recovery (see [`disk`] for the
+//! format).
 //!
 //! The backend choice threads through `sim`/`herder`/`horizon` behind
 //! one constructor, [`open`]: every node runs identically — and produces
