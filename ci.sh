@@ -37,30 +37,25 @@ BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_ove
 echo "==> recovery smoke (exp_recovery --quick -> schema-valid BENCH_recovery.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_recovery -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_recovery.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_recovery.json  # committed full sweep
 
 echo "==> storage-engine smoke (exp_store --quick; RAM/disk twin hash gate, disk cache miss reads <= 256 B, schema-valid BENCH_store.json)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_store -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_store.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_store.json  # committed full sweep
 
 echo "==> lifecycle tracing smoke (exp_trace --quick on both store backends; in-run gates: twin-run byte-identical trace rows, pipeline coverage, sampled-tracing overhead ≤5% closes/s vs tracing-off)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_trace -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_trace.json"
 BENCH_OUT_DIR="$SMOKE_DIR" STELLAR_STORE_BACKEND=disk cargo run --release -q -p stellar-bench --bin exp_trace -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_trace.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_trace.json  # committed full sweep
 
 echo "==> horizon pipeline smoke (exp_horizon --quick; in-run gates: pipeline on/off twin headers, 10x burst shed without close stall, bounded admission table at 250k clients)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_horizon -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_horizon.json"
 BENCH_OUT_DIR="$SMOKE_DIR" STELLAR_STORE_BACKEND=disk cargo run --release -q -p stellar-bench --bin exp_horizon -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_horizon.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_horizon.json  # committed full sweep
 
 echo "==> cascade smoke (exp_cascade --quick; in-run gates: twin-regenerated frontier curves byte-identical, below/past-frontier empirical cross-check)"
 BENCH_OUT_DIR="$SMOKE_DIR" cargo run --release -q -p stellar-bench --bin exp_cascade -- --quick
 grep -q '"schema": "stellar-bench/v2"' "$SMOKE_DIR/BENCH_cascade.json"
-grep -q '"schema": "stellar-bench/v2"' BENCH_cascade.json  # committed full sweep
 
 echo "CI green."

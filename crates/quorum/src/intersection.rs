@@ -25,9 +25,13 @@
 //!    in closed form on the quorum-set tree, without any search;
 //! 4. the remaining two-way partition search runs on bitsets with
 //!    quorum-embedding pruning and memoized embedding checks.
+//!
+//! Every quorum question is asked of the one compiled kernel SCP's own
+//! federated voting uses, [`stellar_scp::quorum::QuorumKernel`]; this
+//! module keeps only what is specific to checking.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use stellar_scp::quorum::{find_quorum, QuorumSetMap};
+use stellar_scp::quorum::{CompiledQSet, NodeBits, QuorumKernel};
 use stellar_scp::{NodeId, QuorumSet};
 
 /// An FBA system: every known node's declared quorum set.
@@ -35,12 +39,6 @@ use stellar_scp::{NodeId, QuorumSet};
 pub struct FbaSystem {
     /// Per-node quorum sets.
     pub nodes: BTreeMap<NodeId, QuorumSet>,
-}
-
-impl QuorumSetMap for FbaSystem {
-    fn quorum_set(&self, node: NodeId) -> Option<&QuorumSet> {
-        self.nodes.get(&node)
-    }
 }
 
 impl FbaSystem {
@@ -56,14 +54,29 @@ impl FbaSystem {
         self.nodes.keys().copied().collect()
     }
 
+    /// The system compiled onto one kernel: declaring nodes take bits
+    /// `0..n` in `NodeId` order, nodes only named in someone's slices
+    /// follow.
+    pub fn kernel(&self) -> QuorumKernel {
+        let mut kernel = QuorumKernel::default();
+        for id in self.nodes.keys() {
+            kernel.intern(*id);
+        }
+        for (id, q) in &self.nodes {
+            kernel.declare(*id, q);
+        }
+        kernel
+    }
+
     /// Whether `set` contains a quorum of this system.
     pub fn contains_quorum(&self, set: &BTreeSet<NodeId>) -> bool {
-        !find_quorum(self, set).is_empty()
+        !self.max_quorum_in(set).is_empty()
     }
 
     /// The maximal quorum within `set` (empty if none).
     pub fn max_quorum_in(&self, set: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
-        find_quorum(self, set)
+        let kernel = self.kernel();
+        kernel.ids_of(&kernel.max_quorum(&kernel.bits_of(set)))
     }
 }
 
@@ -124,10 +137,9 @@ fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats)
         nodes: sys.nodes.len(),
         ..CheckStats::default()
     };
-    let idx = IndexedFba::build(sys);
-    let all = Bits::full(idx.n);
-    let core = idx.max_quorum(&all);
-    stats.core_nodes = core.count();
+    let kernel = sys.kernel();
+    let core = kernel.max_quorum(&kernel.declared());
+    stats.core_nodes = core.iter_ones().count();
     if core.is_empty() {
         return (IntersectionResult::NoQuorum, stats);
     }
@@ -135,7 +147,7 @@ fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats)
     // Closed-form decision for symmetric configurations: every core node
     // declares the identical quorum set (the `synthesize_all` shape).
     if closed_form {
-        if let Some(result) = idx.symmetric_decision(&core, sys) {
+        if let Some(result) = symmetric_decision(&kernel, &core, sys) {
             stats.symmetric = true;
             return (result, stats);
         }
@@ -143,15 +155,15 @@ fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats)
 
     // SCC case elimination: two different SCCs each containing a quorum
     // yield disjoint quorums directly.
-    let core_ids = idx.to_node_set(&core);
+    let core_ids = kernel.ids_of(&core);
     let sccs = trust_sccs(sys, &core_ids);
     stats.scc_count = sccs.len();
-    let mut quorum_sccs: Vec<(BTreeSet<NodeId>, Bits)> = Vec::new();
+    let mut quorum_sccs: Vec<(BTreeSet<NodeId>, NodeBits)> = Vec::new();
     for scc in &sccs {
-        let bits = idx.bits_of_set(scc);
-        let q = idx.max_quorum(&bits);
+        let bits = kernel.bits_of(scc);
+        let q = kernel.max_quorum(&bits);
         if !q.is_empty() {
-            quorum_sccs.push((idx.to_node_set(&q), bits));
+            quorum_sccs.push((kernel.ids_of(&q), bits));
         }
     }
     if quorum_sccs.len() >= 2 {
@@ -180,7 +192,7 @@ fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats)
     // the shared set (entries restricted to SCC members) settles the
     // whole system without any search.
     if closed_form {
-        if let Some(result) = idx.symmetric_decision(&scc_bits, sys) {
+        if let Some(result) = symmetric_decision(&kernel, &scc_bits, sys) {
             stats.symmetric = true;
             return (result, stats);
         }
@@ -188,310 +200,137 @@ fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats)
     // Branching order: most-trusted first (descending in-degree within
     // the domain), index tie-break. Highly referenced nodes constrain
     // both sides early, so pruning binds near the root of the tree.
-    let indeg = idx.in_degrees(&scc_bits);
+    let indeg = in_degrees(&kernel, &scc_bits);
     domain.sort_by_key(|&i| (std::cmp::Reverse(indeg[i]), i));
 
     let mut search = SplitSearch {
-        idx: &idx,
+        kernel: &kernel,
         domain: &domain,
         memo: HashMap::new(),
         branches: 0,
         prune_checks: 0,
         memo_hits: 0,
     };
-    let hit = search.run(0, Bits::empty(idx.n), Bits::empty(idx.n));
+    let empty = NodeBits::empty(kernel.width());
+    let hit = search.run(0, empty.clone(), empty);
     stats.branches = search.branches;
     stats.prune_checks = search.prune_checks;
     stats.memo_hits = search.memo_hits;
     match hit {
         Some((qa, qb)) => (
-            IntersectionResult::Disjoint(idx.to_node_set(&qa), idx.to_node_set(&qb)),
+            IntersectionResult::Disjoint(kernel.ids_of(&qa), kernel.ids_of(&qb)),
             stats,
         ),
         None => (IntersectionResult::Intersecting, stats),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bitset machinery
-// ---------------------------------------------------------------------------
-
-/// A fixed-width bitset over node indices.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct Bits {
-    words: Vec<u64>,
-}
-
-impl Bits {
-    fn empty(n: usize) -> Bits {
-        Bits {
-            words: vec![0; n.div_ceil(64).max(1)],
-        }
-    }
-
-    fn full(n: usize) -> Bits {
-        let mut b = Bits::empty(n);
-        for i in 0..n {
-            b.insert(i);
-        }
-        b
-    }
-
-    fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
-
-    fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    fn union(&self, other: &Bits) -> Bits {
-        Bits {
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
-    }
-
-    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let mut w = *w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(wi * 64 + bit)
-            })
-        })
-    }
-}
-
-/// A quorum set compiled onto node indices; validators outside the known
-/// node set are dropped (an unknown node has no known slices, so it can
-/// never participate in a quorum — dropping the entry while keeping the
-/// threshold preserves semantics).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct IdxQSet {
-    threshold: u32,
-    validators: Vec<u32>,
-    inner: Vec<IdxQSet>,
-}
-
-impl IdxQSet {
-    fn satisfied_by(&self, set: &Bits) -> bool {
-        let mut hit = 0u32;
-        if hit >= self.threshold {
-            return true;
-        }
-        for v in &self.validators {
-            if set.contains(*v as usize) {
-                hit += 1;
-                if hit >= self.threshold {
-                    return true;
-                }
-            }
-        }
-        for q in &self.inner {
-            if q.satisfied_by(set) {
-                hit += 1;
-                if hit >= self.threshold {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Greedily collects one satisfying subset of `within`, if any.
-    fn satisfying_subset(&self, within: &Bits, out: &mut Bits) -> bool {
-        let mut hit = 0u32;
-        if hit >= self.threshold {
-            return true;
-        }
-        for v in &self.validators {
+/// Per-node count of `within`'s quorum sets referencing it (any nesting
+/// depth), restricted to `within`.
+fn in_degrees(kernel: &QuorumKernel, within: &NodeBits) -> Vec<u32> {
+    let mut deg = vec![0u32; kernel.width()];
+    fn walk(q: &CompiledQSet, within: &NodeBits, deg: &mut [u32]) {
+        for v in &q.validators {
             if within.contains(*v as usize) {
-                out.insert(*v as usize);
-                hit += 1;
-                if hit >= self.threshold {
-                    return true;
-                }
+                deg[*v as usize] += 1;
             }
         }
-        for q in &self.inner {
-            let mut sub = Bits::empty(out.words.len() * 64);
-            if q.satisfying_subset(within, &mut sub) {
-                *out = out.union(&sub);
-                hit += 1;
-                if hit >= self.threshold {
-                    return true;
-                }
-            }
+        for i in &q.inner {
+            walk(i, within, deg);
         }
-        false
     }
+    for i in within.iter_ones() {
+        walk(kernel.slices(i).expect("declared"), within, &mut deg);
+    }
+    deg
 }
 
-/// The system reindexed onto `0..n` with bitset-friendly quorum sets.
-struct IndexedFba {
-    n: usize,
-    ids: Vec<NodeId>,
-    qsets: Vec<IdxQSet>,
-}
+// ---------------------------------------------------------------------------
+// Symmetric closed form
+// ---------------------------------------------------------------------------
 
-impl IndexedFba {
-    fn build(sys: &FbaSystem) -> IndexedFba {
-        let ids: Vec<NodeId> = sys.nodes.keys().copied().collect();
-        let index_of: BTreeMap<NodeId, u32> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (*n, i as u32))
-            .collect();
-        fn compile(q: &QuorumSet, index_of: &BTreeMap<NodeId, u32>) -> IdxQSet {
-            IdxQSet {
-                threshold: q.threshold,
-                validators: q
-                    .validators
-                    .iter()
-                    .filter_map(|v| index_of.get(v).copied())
-                    .collect(),
-                inner: q.inner.iter().map(|i| compile(i, index_of)).collect(),
-            }
-        }
-        let qsets = sys.nodes.values().map(|q| compile(q, &index_of)).collect();
-        IndexedFba {
-            n: ids.len(),
-            ids,
-            qsets,
+/// Closed-form decision for symmetric cores. Returns `None` when the core
+/// is not symmetric (callers fall through to the search).
+///
+/// When every core node declares the identical quorum set, a set `S` is a
+/// quorum iff `S` satisfies that shared set, so two disjoint quorums exist
+/// iff the quorum-set tree can be *2-split*: a `t`-of-`m` set with `s`
+/// splittable inner entries splits iff `2·max(0, t − s) ≤ m − s`
+/// (splittable entries serve both sides, the rest at most one). Validator
+/// leaves never split; an inner set splits by the same rule recursively.
+fn symmetric_decision(
+    kernel: &QuorumKernel,
+    core: &NodeBits,
+    sys: &FbaSystem,
+) -> Option<IntersectionResult> {
+    let mut ones = core.iter_ones();
+    let first = ones.next()?;
+    let reference = &sys.nodes[&kernel.id(first)];
+    for i in ones {
+        if sys.nodes[&kernel.id(i)] != *reference {
+            return None;
         }
     }
-
-    fn to_node_set(&self, bits: &Bits) -> BTreeSet<NodeId> {
-        bits.iter_ones().map(|i| self.ids[i]).collect()
-    }
-
-    fn bits_of_set(&self, set: &BTreeSet<NodeId>) -> Bits {
-        let mut b = Bits::empty(self.n);
-        for (i, id) in self.ids.iter().enumerate() {
-            if set.contains(id) {
-                b.insert(i);
-            }
-        }
-        b
-    }
-
-    /// The maximal quorum inside `candidates` (greatest fixpoint of slice
-    /// pruning), on bitsets.
-    fn max_quorum(&self, candidates: &Bits) -> Bits {
-        let mut cur = candidates.clone();
-        loop {
-            let mut next = cur.clone();
-            let mut changed = false;
-            for i in cur.iter_ones() {
-                if !self.qsets[i].satisfied_by(&cur) {
-                    next.remove(i);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return cur;
-            }
-            cur = next;
-        }
-    }
-
-    fn contains_quorum(&self, candidates: &Bits) -> bool {
-        !self.max_quorum(candidates).is_empty()
-    }
-
-    /// Per-node count of domain quorum sets referencing it (any nesting
-    /// depth), restricted to `within`.
-    fn in_degrees(&self, within: &Bits) -> Vec<u32> {
-        let mut deg = vec![0u32; self.n];
-        fn walk(q: &IdxQSet, within: &Bits, deg: &mut [u32]) {
-            for v in &q.validators {
-                if within.contains(*v as usize) {
-                    deg[*v as usize] += 1;
-                }
-            }
-            for i in &q.inner {
-                walk(i, within, deg);
-            }
-        }
-        for i in within.iter_ones() {
-            walk(&self.qsets[i], within, &mut deg);
-        }
-        deg
-    }
-
-    /// Closed-form decision for symmetric cores. Returns `None` when the
-    /// core is not symmetric (callers fall through to the search).
-    ///
-    /// When every core node declares the identical quorum set, a set `S`
-    /// is a quorum iff `S` satisfies that shared set, so two disjoint
-    /// quorums exist iff the quorum-set tree can be *2-split*: a
-    /// `t`-of-`m` set with `s` splittable inner entries splits iff
-    /// `2·max(0, t − s) ≤ m − s` (splittable entries serve both sides,
-    /// the rest at most one). Validator leaves never split; an inner set
-    /// splits by the same rule recursively.
-    fn symmetric_decision(&self, core: &Bits, sys: &FbaSystem) -> Option<IntersectionResult> {
-        let mut ones = core.iter_ones();
-        let first = ones.next()?;
-        let reference = &sys.nodes[&self.ids[first]];
-        for i in ones {
-            if sys.nodes[&self.ids[i]] != *reference {
+    let shared = kernel.slices(first).expect("core nodes are declared");
+    // Entries only count when they can be satisfied inside the core.
+    match split_symmetric(shared, core, kernel.width()) {
+        Some((a, b)) => {
+            // The constructed sides satisfy the shared set; their maximal
+            // quorums are the reported witnesses (non-empty by
+            // construction of the split).
+            let qa = kernel.max_quorum(&a);
+            let qb = kernel.max_quorum(&b);
+            if qa.is_empty() || qb.is_empty() {
+                // Degenerate tree (threshold-0 entries): fall back to the
+                // search rather than report an unsound witness.
                 return None;
             }
+            Some(IntersectionResult::Disjoint(
+                kernel.ids_of(&qa),
+                kernel.ids_of(&qb),
+            ))
         }
-        let shared = &self.qsets[first];
-        // Entries only count when they can be satisfied inside the core.
-        match split_symmetric(shared, core, self.n) {
-            Some((a, b)) => {
-                // The constructed sides satisfy the shared set; their
-                // maximal quorums are the reported witnesses (non-empty
-                // by construction of the split).
-                let qa = self.max_quorum(&a);
-                let qb = self.max_quorum(&b);
-                if qa.is_empty() || qb.is_empty() {
-                    // Degenerate tree (threshold-0 entries): fall back to
-                    // the search rather than report an unsound witness.
-                    return None;
-                }
-                Some(IntersectionResult::Disjoint(
-                    self.to_node_set(&qa),
-                    self.to_node_set(&qb),
-                ))
+        None => Some(IntersectionResult::Intersecting),
+    }
+}
+
+/// Greedily collects one subset of `within` satisfying `q`, if any.
+fn satisfying_subset(q: &CompiledQSet, within: &NodeBits, n: usize) -> Option<NodeBits> {
+    let mut out = NodeBits::empty(n);
+    let mut hit = 0u32;
+    if hit >= q.threshold {
+        return Some(out);
+    }
+    for v in &q.validators {
+        if within.contains(*v as usize) {
+            out.insert(*v as usize);
+            hit += 1;
+            if hit >= q.threshold {
+                return Some(out);
             }
-            None => Some(IntersectionResult::Intersecting),
         }
     }
+    for i in &q.inner {
+        if let Some(sub) = satisfying_subset(i, within, n) {
+            out = out.union(&sub);
+            hit += 1;
+            if hit >= q.threshold {
+                return Some(out);
+            }
+        }
+    }
+    None
 }
 
 /// Attempts to split `q` into two disjoint node sets within `core`, each
 /// satisfying `q`. Returns the sides if the tree admits a split.
-fn split_symmetric(q: &IdxQSet, core: &Bits, n: usize) -> Option<(Bits, Bits)> {
+fn split_symmetric(q: &CompiledQSet, core: &NodeBits, n: usize) -> Option<(NodeBits, NodeBits)> {
     // Classify entries: usable validators serve exactly one side; inner
     // sets either split (serve both), satisfy one side, or are dead.
     enum Entry {
         Validator(usize),
-        Both(Bits, Bits),
-        One(Bits),
+        Both(NodeBits, NodeBits),
+        One(NodeBits),
     }
     let mut entries: Vec<Entry> = Vec::new();
     for v in &q.validators {
@@ -502,11 +341,8 @@ fn split_symmetric(q: &IdxQSet, core: &Bits, n: usize) -> Option<(Bits, Bits)> {
     for i in &q.inner {
         if let Some((a, b)) = split_symmetric(i, core, n) {
             entries.push(Entry::Both(a, b));
-        } else {
-            let mut sub = Bits::empty(n);
-            if i.satisfying_subset(core, &mut sub) {
-                entries.push(Entry::One(sub));
-            }
+        } else if let Some(sub) = satisfying_subset(i, core, n) {
+            entries.push(Entry::One(sub));
         }
     }
     let t = q.threshold as usize;
@@ -522,8 +358,8 @@ fn split_symmetric(q: &IdxQSet, core: &Bits, n: usize) -> Option<(Bits, Bits)> {
     // Construct: all splittable entries serve both sides; then assign
     // `need_each` single-side entries to A, then to B (deterministic
     // entry order).
-    let mut a = Bits::empty(n);
-    let mut b = Bits::empty(n);
+    let mut a = NodeBits::empty(n);
+    let mut b = NodeBits::empty(n);
     let mut a_taken = 0usize;
     let mut b_taken = 0usize;
     for e in &entries {
@@ -560,22 +396,22 @@ fn split_symmetric(q: &IdxQSet, core: &Bits, n: usize) -> Option<(Bits, Bits)> {
 // ---------------------------------------------------------------------------
 
 struct SplitSearch<'a> {
-    idx: &'a IndexedFba,
+    kernel: &'a QuorumKernel,
     domain: &'a [usize],
-    memo: HashMap<Bits, bool>,
+    memo: HashMap<NodeBits, bool>,
     branches: u64,
     prune_checks: u64,
     memo_hits: u64,
 }
 
 impl SplitSearch<'_> {
-    fn embeds_quorum(&mut self, candidate: Bits) -> bool {
+    fn embeds_quorum(&mut self, candidate: NodeBits) -> bool {
         if let Some(hit) = self.memo.get(&candidate) {
             self.memo_hits += 1;
             return *hit;
         }
         self.prune_checks += 1;
-        let v = self.idx.contains_quorum(&candidate);
+        let v = !self.kernel.max_quorum(&candidate).is_empty();
         self.memo.insert(candidate, v);
         v
     }
@@ -585,13 +421,13 @@ impl SplitSearch<'_> {
     /// disjoint pair with extra nodes keeps both maximal quorums
     /// non-empty). The first labeled node always goes to side A
     /// (symmetry breaking).
-    fn run(&mut self, at: usize, a: Bits, b: Bits) -> Option<(Bits, Bits)> {
+    fn run(&mut self, at: usize, a: NodeBits, b: NodeBits) -> Option<(NodeBits, NodeBits)> {
         self.branches += 1;
         // Success test on committed sets.
         if !a.is_empty() && !b.is_empty() {
-            let qa = self.idx.max_quorum(&a);
+            let qa = self.kernel.max_quorum(&a);
             if !qa.is_empty() {
-                let qb = self.idx.max_quorum(&b);
+                let qb = self.kernel.max_quorum(&b);
                 if !qb.is_empty() {
                     return Some((qa, qb));
                 }
@@ -602,7 +438,7 @@ impl SplitSearch<'_> {
         }
         // Pruning: each side plus all undecided nodes must still embed a
         // quorum, otherwise this branch can never succeed.
-        let mut undecided = Bits::empty(self.idx.n);
+        let mut undecided = NodeBits::empty(self.kernel.width());
         for &i in &self.domain[at..] {
             undecided.insert(i);
         }

@@ -25,7 +25,7 @@
 //! the network turns synchronous, which is exactly what termination needs.
 
 use crate::driver::{Driver, ScpEvent, TimerKind};
-use crate::quorum::{federated_accept, federated_confirm, find_quorum, StatementQSets};
+use crate::quorum::LatestStatements;
 use crate::slot::Ctx;
 use crate::statement::{Ballot, Statement, StatementKind};
 use crate::{Envelope, NodeId, Value};
@@ -125,7 +125,7 @@ pub struct BallotProtocol {
     /// accepted-commit low (Confirm) / confirmed-commit low (Externalize).
     commit: Option<Ballot>,
     /// Latest ballot statement per node (including our own).
-    latest: BTreeMap<NodeId, Statement>,
+    latest: LatestStatements,
     /// Latest composite candidate from nomination.
     composite: Option<Value>,
     /// Counter value for which the ballot timer is currently armed.
@@ -152,7 +152,7 @@ impl BallotProtocol {
             prepared_prime: None,
             high: None,
             commit: None,
-            latest: BTreeMap::new(),
+            latest: LatestStatements::default(),
             composite: None,
             timer_armed_for: None,
             timeouts: 0,
@@ -180,9 +180,9 @@ impl BallotProtocol {
         self.timeouts
     }
 
-    /// Latest ballot statements seen, keyed by node.
-    pub fn latest_statements(&self) -> &BTreeMap<NodeId, Statement> {
-        &self.latest
+    /// The latest ballot statement seen from `node`.
+    pub fn latest_statement(&self, node: NodeId) -> Option<&Statement> {
+        self.latest.get(&node)
     }
 
     /// Captures the full ballot state for durable storage.
@@ -194,7 +194,7 @@ impl BallotProtocol {
             prepared_prime: self.prepared_prime.clone(),
             high: self.high.clone(),
             commit: self.commit.clone(),
-            latest: self.latest.clone(),
+            latest: self.latest.to_map(),
             composite: self.composite.clone(),
             timeouts: self.timeouts,
             decided: self.decided.clone(),
@@ -215,7 +215,7 @@ impl BallotProtocol {
             prepared_prime: snap.prepared_prime,
             high: snap.high,
             commit: snap.commit,
-            latest: snap.latest,
+            latest: snap.latest.into(),
             composite: snap.composite,
             timer_armed_for: None,
             timeouts: snap.timeouts,
@@ -265,21 +265,9 @@ impl BallotProtocol {
     /// Processes a peer's ballot statement.
     pub fn process<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>, st: &Statement) {
         debug_assert!(!st.kind.is_nomination());
-        match self.latest.get(&st.node) {
-            // An identical kind with a *different* quorum set is a slice
-            // retune (§3.1.1) — the sender halted-and-reconfigured — and
-            // must replace what we hold, or quorum discovery keeps using
-            // the sender's abandoned slices forever.
-            Some(old)
-                if !st.kind.is_newer_than(&old.kind)
-                    && (old.kind != st.kind || old.quorum_set == st.quorum_set) =>
-            {
-                return;
-            }
-            _ => {}
+        if self.latest.record(st) {
+            self.advance(ctx);
         }
-        self.latest.insert(st.node, st.clone());
-        self.advance(ctx);
     }
 
     /// The value a fresh ballot should carry: the highest
@@ -385,18 +373,9 @@ impl BallotProtocol {
         if self.phase == BallotPhase::Externalize {
             return false;
         }
-        let known: BTreeSet<NodeId> = self.latest.keys().copied().collect();
         for b in self.prepare_candidates().into_iter().rev() {
             // Nothing new to learn if already covered.
-            if self
-                .prepared
-                .as_ref()
-                .is_some_and(|p| b.less_and_compatible(p))
-                || self
-                    .prepared_prime
-                    .as_ref()
-                    .is_some_and(|p| b.less_and_compatible(p))
-            {
+            if self.any_prepared(|p| b.less_and_compatible(p)) {
                 continue;
             }
             // In Confirm phase, only the pinned value can still be prepared
@@ -411,42 +390,23 @@ impl BallotProtocol {
                     continue;
                 }
             }
-            let qsets = StatementQSets(&self.latest);
-            let accepted = federated_accept(
+            let accepted = self.latest.federated_accept(
                 ctx.node,
                 ctx.qset,
-                &qsets,
-                &known,
-                &|n| {
-                    self.latest
-                        .get(&n)
-                        .is_some_and(|s| s.kind.votes_prepare(&b))
-                },
-                &|n| {
-                    self.latest
-                        .get(&n)
-                        .is_some_and(|s| s.kind.accepts_prepare(&b))
-                },
+                |s| s.kind.votes_prepare(&b),
+                |s| s.kind.accepts_prepare(&b),
             );
             if accepted {
                 self.set_prepared(b.clone());
                 // Abort a commit *vote* overruled by a higher incompatible
                 // accepted-prepared (votes may be overruled; accepts not).
-                if self.phase == BallotPhase::Prepare {
-                    if let (Some(c), Some(h)) = (&self.commit, &self.high) {
-                        let aborted = self
-                            .prepared
-                            .as_ref()
-                            .is_some_and(|p| h.less_and_incompatible(p))
-                            || self
-                                .prepared_prime
-                                .as_ref()
-                                .is_some_and(|p| h.less_and_incompatible(p));
-                        let _ = c;
-                        if aborted {
-                            self.commit = None;
-                        }
-                    }
+                if self.phase == BallotPhase::Prepare
+                    && self
+                        .high
+                        .as_ref()
+                        .is_some_and(|h| self.any_prepared(|p| h.less_and_incompatible(p)))
+                {
+                    self.commit = None;
                 }
                 ctx.driver.on_event(ScpEvent::AcceptedPrepared {
                     slot: ctx.slot,
@@ -456,6 +416,11 @@ impl BallotProtocol {
             }
         }
         false
+    }
+
+    /// Whether `rel` holds of `p` or of `p′`.
+    fn any_prepared(&self, rel: impl Fn(&Ballot) -> bool) -> bool {
+        self.prepared.iter().chain(&self.prepared_prime).any(rel)
     }
 
     /// Records `b` as accepted prepared, maintaining `p`/`p′`.
@@ -486,31 +451,19 @@ impl BallotProtocol {
         if self.phase != BallotPhase::Prepare || self.prepared.is_none() {
             return false;
         }
-        let known: BTreeSet<NodeId> = self.latest.keys().copied().collect();
         for b in self.prepare_candidates().into_iter().rev() {
             if self.high.as_ref().is_some_and(|h| b.less_and_compatible(h)) {
                 continue; // no improvement
             }
             // Only ballots we ourselves accepted prepared can be confirmed
             // by us (confirm = quorum accepts, and we are in that quorum).
-            let we_accept = self
-                .prepared
-                .as_ref()
-                .is_some_and(|p| b.less_and_compatible(p))
-                || self
-                    .prepared_prime
-                    .as_ref()
-                    .is_some_and(|p| b.less_and_compatible(p));
-            if !we_accept {
+            if !self.any_prepared(|p| b.less_and_compatible(p)) {
                 continue;
             }
-            let qsets = StatementQSets(&self.latest);
-            let confirmed = federated_confirm(ctx.node, &qsets, &known, &|n| {
-                self.latest
-                    .get(&n)
-                    .is_some_and(|s| s.kind.accepts_prepare(&b))
-            });
-            if confirmed {
+            if self
+                .latest
+                .federated_confirm(ctx.node, |s| s.kind.accepts_prepare(&b))
+            {
                 let improved = match &self.high {
                     None => true,
                     Some(h) => b > *h,
@@ -539,14 +492,7 @@ impl BallotProtocol {
                 // Begin voting commit⟨n, x⟩ for c ≤ n ≤ h unless an
                 // incompatible accepted-prepared above h forbids it.
                 if self.commit.is_none() {
-                    let blocked = self
-                        .prepared
-                        .as_ref()
-                        .is_some_and(|p| b.less_and_incompatible(p))
-                        || self
-                            .prepared_prime
-                            .as_ref()
-                            .is_some_and(|p| b.less_and_incompatible(p));
+                    let blocked = self.any_prepared(|p| b.less_and_incompatible(p));
                     let cur_ok = self
                         .current
                         .as_ref()
@@ -596,7 +542,10 @@ impl BallotProtocol {
 
     /// Finds the widest boundary interval `[lo, hi]` around some accepted
     /// counter for which `pred` holds on every probed boundary.
-    fn find_interval(boundaries: &BTreeSet<u32>, pred: &dyn Fn(u32) -> bool) -> Option<(u32, u32)> {
+    fn find_interval(
+        boundaries: &BTreeSet<u32>,
+        mut pred: impl FnMut(u32) -> bool,
+    ) -> Option<(u32, u32)> {
         // Scan from the highest boundary down for the first satisfying
         // counter, then extend downward while contiguous boundaries hold.
         let mut found: Option<(u32, u32)> = None;
@@ -624,7 +573,6 @@ impl BallotProtocol {
         if self.phase == BallotPhase::Externalize {
             return false;
         }
-        let known: BTreeSet<NodeId> = self.latest.keys().copied().collect();
         for (value, boundaries) in self.commit_boundaries() {
             // Once in Confirm phase the value is pinned.
             if self.phase == BallotPhase::Confirm
@@ -632,27 +580,16 @@ impl BallotProtocol {
             {
                 continue;
             }
-            let qsets = StatementQSets(&self.latest);
             let pred = |n: u32| -> bool {
                 let b = Ballot::new(n, value.clone());
-                federated_accept(
+                self.latest.federated_accept(
                     ctx.node,
                     ctx.qset,
-                    &qsets,
-                    &known,
-                    &|node| {
-                        self.latest
-                            .get(&node)
-                            .is_some_and(|s| s.kind.votes_commit(&b))
-                    },
-                    &|node| {
-                        self.latest
-                            .get(&node)
-                            .is_some_and(|s| s.kind.accepts_commit(&b))
-                    },
+                    |s| s.kind.votes_commit(&b),
+                    |s| s.kind.accepts_commit(&b),
                 )
             };
-            if let Some((lo, hi)) = Self::find_interval(&boundaries, &pred) {
+            if let Some((lo, hi)) = Self::find_interval(&boundaries, pred) {
                 let improved = match (&self.commit, &self.high, self.phase) {
                     (_, _, BallotPhase::Prepare) => true,
                     (Some(c), Some(h), BallotPhase::Confirm) => lo < c.counter || hi > h.counter,
@@ -690,21 +627,16 @@ impl BallotProtocol {
         let Some(commit) = self.commit.clone() else {
             return false;
         };
-        let known: BTreeSet<NodeId> = self.latest.keys().copied().collect();
         let boundaries = self
             .commit_boundaries()
             .remove(&commit.value)
             .unwrap_or_default();
-        let qsets = StatementQSets(&self.latest);
         let pred = |n: u32| -> bool {
             let b = Ballot::new(n, commit.value.clone());
-            federated_confirm(ctx.node, &qsets, &known, &|node| {
-                self.latest
-                    .get(&node)
-                    .is_some_and(|s| s.kind.accepts_commit(&b))
-            })
+            self.latest
+                .federated_confirm(ctx.node, |s| s.kind.accepts_commit(&b))
         };
-        if let Some((lo, hi)) = Self::find_interval(&boundaries, &pred) {
+        if let Some((lo, hi)) = Self::find_interval(&boundaries, pred) {
             self.phase = BallotPhase::Externalize;
             self.commit = Some(Ballot::new(lo, commit.value.clone()));
             self.high = Some(Ballot::new(hi, commit.value.clone()));
@@ -724,14 +656,6 @@ impl BallotProtocol {
 
     // ---- ballot synchronization (§3.2.4) --------------------------------
 
-    /// Counters claimed by each peer's latest statement.
-    fn peer_counters(&self) -> BTreeMap<NodeId, u32> {
-        self.latest
-            .iter()
-            .filter_map(|(n, st)| st.kind.ballot_counter().map(|c| (*n, c)))
-            .collect()
-    }
-
     /// "If a node v ever notices a v-blocking set at a later ballot, it
     /// immediately skips to the lowest ballot such that this is no longer
     /// the case."
@@ -739,24 +663,21 @@ impl BallotProtocol {
         if self.phase == BallotPhase::Externalize {
             return false;
         }
-        let counters = self.peer_counters();
         let my_counter = self.current.as_ref().map_or(0, |b| b.counter);
-        let higher: Vec<u32> = counters
-            .iter()
-            .filter(|(n, _)| **n != ctx.node)
-            .map(|(_, c)| *c)
+        let higher: Vec<u32> = self
+            .latest
+            .values()
+            .filter(|st| st.node != ctx.node)
+            .filter_map(|st| st.kind.ballot_counter())
             .filter(|c| *c > my_counter)
             .collect();
         if higher.is_empty() {
             return false;
         }
-        let blocking = |threshold: u32| -> bool {
-            let set: BTreeSet<NodeId> = counters
-                .iter()
-                .filter(|(n, c)| **n != ctx.node && **c > threshold)
-                .map(|(n, _)| *n)
-                .collect();
-            ctx.qset.is_v_blocking(&set)
+        let mut blocking = |threshold: u32| -> bool {
+            self.latest.v_blocking(ctx.qset, |st| {
+                st.node != ctx.node && st.kind.ballot_counter().is_some_and(|c| c > threshold)
+            })
         };
         if !blocking(my_counter) {
             return false;
@@ -816,15 +737,10 @@ impl BallotProtocol {
         if self.timer_armed_for == Some(n) {
             return;
         }
-        let counters = self.peer_counters();
-        let at_or_above: BTreeSet<NodeId> = counters
-            .iter()
-            .filter(|(_, c)| **c >= n)
-            .map(|(node, _)| *node)
-            .collect();
-        let qsets = StatementQSets(&self.latest);
-        let quorum = find_quorum(&qsets, &at_or_above);
-        if quorum.contains(&ctx.node) {
+        let heard = self.latest.federated_confirm(ctx.node, |st| {
+            st.kind.ballot_counter().is_some_and(|c| c >= n)
+        });
+        if heard {
             self.timer_armed_for = Some(n);
             let delay = ctx.driver.ballot_timeout(n);
             ctx.driver
@@ -874,6 +790,7 @@ impl BallotProtocol {
                 h_n: self.high.as_ref().map_or(0, |h| h.counter),
             },
         };
+        debug_assert!(kind.is_sane(), "own statement is insane: {kind:?}");
         Some(Statement {
             node: ctx_node,
             slot,
@@ -899,7 +816,7 @@ impl BallotProtocol {
         {
             return;
         }
-        self.latest.insert(ctx.node, st.clone());
+        self.latest.insert(st.clone());
         let env = Envelope::sign(st, ctx.keys);
         ctx.driver.emit_envelope(&env);
     }
@@ -915,15 +832,16 @@ impl BallotProtocol {
             Some(old) if !st.kind.is_newer_than(&old.kind) => return,
             _ => {}
         }
-        self.latest.insert(ctx.node, st.clone());
+        self.latest.insert(st.clone());
         let env = Envelope::sign(st, ctx.keys);
         ctx.driver.emit_envelope(&env);
         // Our own statement may complete a quorum for ourselves.
         self.advance_once_after_emit(ctx);
     }
 
-    /// One additional fixpoint pass after emitting, bounded to avoid
-    /// unbounded mutual recursion (state is monotone, so this converges).
+    /// One additional fixpoint pass after emitting, then emit again if
+    /// that changed our statement (state is monotone, so the mutual
+    /// recursion with `emit_if_changed` terminates).
     fn advance_once_after_emit<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) {
         loop {
             let mut progressed = false;
@@ -936,20 +854,7 @@ impl BallotProtocol {
             }
         }
         self.check_heard_from_quorum(ctx);
-        let Some(st) = self.build_statement(ctx.node, ctx.slot, ctx.qset) else {
-            return;
-        };
-        match self.latest.get(&ctx.node) {
-            Some(old) if old.kind == st.kind => {}
-            Some(old) if !st.kind.is_newer_than(&old.kind) => {}
-            _ => {
-                self.latest.insert(ctx.node, st.clone());
-                let env = Envelope::sign(st, ctx.keys);
-                ctx.driver.emit_envelope(&env);
-                // Recurse: monotone state guarantees termination.
-                self.advance_once_after_emit(ctx);
-            }
-        }
+        self.emit_if_changed(ctx);
     }
 }
 
@@ -1100,7 +1005,7 @@ mod tests {
         });
         // We accepted prepared (p = b) but cannot confirm yet (peers have
         // not accepted).
-        let own = fx.bp.latest_statements()[&NodeId(0)].clone();
+        let own = fx.bp.latest_statement(NodeId(0)).unwrap().clone();
         match own.kind {
             StatementKind::Prepare { prepared, .. } => assert_eq!(prepared, Some(b.clone())),
             other => panic!("{other:?}"),
@@ -1110,7 +1015,7 @@ mod tests {
             bp.process(ctx, &prepare_stmt(1, b.clone(), Some(b.clone()), 0, 0));
             bp.process(ctx, &prepare_stmt(2, b.clone(), Some(b.clone()), 0, 0));
         });
-        let own = fx.bp.latest_statements()[&NodeId(0)].clone();
+        let own = fx.bp.latest_statement(NodeId(0)).unwrap().clone();
         match own.kind {
             StatementKind::Prepare { c_n, h_n, .. } => {
                 assert_eq!(h_n, 1, "confirmed prepared at counter 1");
@@ -1152,7 +1057,7 @@ mod tests {
         assert_eq!(fx.bp.decision(), Some(&val("x")));
         assert_eq!(fx.driver.decided, vec![(1, val("x"))]);
         // Terminal statement is Externalize.
-        let own = fx.bp.latest_statements()[&NodeId(0)].clone();
+        let own = fx.bp.latest_statement(NodeId(0)).unwrap().clone();
         assert!(matches!(own.kind, StatementKind::Externalize { .. }));
     }
 
@@ -1172,7 +1077,7 @@ mod tests {
                 &prepare_stmt(2, other.clone(), Some(other.clone()), 0, 0),
             );
         });
-        let own = fx.bp.latest_statements()[&NodeId(0)].clone();
+        let own = fx.bp.latest_statement(NodeId(0)).unwrap().clone();
         match own.kind {
             StatementKind::Prepare { prepared, .. } => {
                 assert_eq!(
@@ -1311,7 +1216,7 @@ mod tests {
             // Older statement from the same node must not regress state.
             bp.process(ctx, &prepare_stmt(1, b1, None, 0, 0));
         });
-        match &fx.bp.latest_statements()[&NodeId(1)].kind {
+        match &fx.bp.latest_statement(NodeId(1)).unwrap().kind {
             StatementKind::Prepare { ballot, .. } => assert_eq!(*ballot, b2),
             other => panic!("{other:?}"),
         }

@@ -20,9 +20,10 @@
 //!
 //! * [`quorum_set`] — nested quorum sets (threshold-of-N over validators
 //!   and inner sets), slice/v-blocking predicates, and node weights.
-//! * [`quorum`] — emergent-quorum discovery over a heterogeneous map of
-//!   per-node quorum sets (the fixpoint "prune until everyone has a slice"
-//!   computation), plus the generic federated-voting accept/confirm checks.
+//! * [`quorum`] — the one quorum kernel: node↔bit interning, quorum sets
+//!   compiled onto bits, the maximal-quorum fixpoint and the
+//!   federated-voting accept/confirm checks on bitsets. Balloting,
+//!   nomination and `stellar-quorum`'s intersection checker all use it.
 //! * [`statement`] — ballots and the four statement kinds (`Nominate`,
 //!   `Prepare`, `Confirm`, `Externalize`) with their vote/accept semantics.
 //! * [`envelope`] — signed statement envelopes.

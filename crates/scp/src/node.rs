@@ -23,6 +23,8 @@ pub struct ScpNode {
     pruned: BTreeSet<SlotIndex>,
     /// Envelopes dropped due to bad signatures (metric / test hook).
     bad_signatures: u64,
+    /// Envelopes dropped for failing [`crate::StatementKind::is_sane`].
+    insane_statements: u64,
 }
 
 impl ScpNode {
@@ -42,6 +44,7 @@ impl ScpNode {
             unsaved: BTreeSet::new(),
             pruned: BTreeSet::new(),
             bad_signatures: 0,
+            insane_statements: 0,
         }
     }
 
@@ -74,6 +77,11 @@ impl ScpNode {
     /// Count of envelopes rejected for bad signatures.
     pub fn bad_signature_count(&self) -> u64 {
         self.bad_signatures
+    }
+
+    /// Count of envelopes rejected for an inconsistent statement.
+    pub fn insane_statement_count(&self) -> u64 {
+        self.insane_statements
     }
 
     /// Access a slot's state (for metrics and tests).
@@ -118,6 +126,10 @@ impl ScpNode {
         if !st.quorum_set.is_well_formed() {
             return false;
         }
+        if !st.kind.is_sane() {
+            self.insane_statements += 1;
+            return false;
+        }
         driver.on_event(ScpEvent::EnvelopeProcessed {
             slot: st.slot,
             from: st.node,
@@ -150,10 +162,10 @@ impl ScpNode {
             return Vec::new();
         };
         let mut envelopes = Vec::new();
-        if let Some(st) = slot.nomination().latest_statements().get(&self.id) {
+        if let Some(st) = slot.nomination().latest_statement(self.id) {
             envelopes.push(Envelope::sign(st.clone(), &self.keys));
         }
-        if let Some(st) = slot.ballot().latest_statements().get(&self.id) {
+        if let Some(st) = slot.ballot().latest_statement(self.id) {
             envelopes.push(Envelope::sign(st.clone(), &self.keys));
         }
         envelopes

@@ -18,7 +18,7 @@
 
 use crate::driver::{Driver, ScpEvent, TimerKind, Validity};
 use crate::leader;
-use crate::quorum::{federated_accept, federated_confirm, StatementQSets};
+use crate::quorum::LatestStatements;
 use crate::slot::Ctx;
 use crate::statement::{Statement, StatementKind};
 use crate::{Envelope, NodeId, Value};
@@ -79,7 +79,7 @@ pub struct NominationProtocol {
     /// Values confirmed nominated — the candidate set fed to balloting.
     candidates: BTreeSet<Value>,
     /// Latest nominate statement per node (including our own).
-    latest: BTreeMap<NodeId, Statement>,
+    latest: LatestStatements,
     /// The locally proposed value (from the application), if we lead.
     proposed: Option<Value>,
     /// Counts round timeouts, for Fig. 8-style metrics.
@@ -112,9 +112,9 @@ impl NominationProtocol {
         self.started
     }
 
-    /// Latest nomination statements seen, keyed by node.
-    pub fn latest_statements(&self) -> &BTreeMap<NodeId, Statement> {
-        &self.latest
+    /// The latest nomination statement seen from `node`.
+    pub fn latest_statement(&self, node: NodeId) -> Option<&Statement> {
+        self.latest.get(&node)
     }
 
     /// Captures the full nomination state for durable storage.
@@ -127,7 +127,7 @@ impl NominationProtocol {
             voted: self.voted.clone(),
             accepted: self.accepted.clone(),
             candidates: self.candidates.clone(),
-            latest: self.latest.clone(),
+            latest: self.latest.to_map(),
             proposed: self.proposed.clone(),
             timeouts: self.timeouts,
         }
@@ -145,7 +145,7 @@ impl NominationProtocol {
             voted: snap.voted,
             accepted: snap.accepted,
             candidates: snap.candidates,
-            latest: snap.latest,
+            latest: snap.latest.into(),
             proposed: snap.proposed,
             timeouts: snap.timeouts,
         };
@@ -251,19 +251,9 @@ impl NominationProtocol {
     /// the composite value).
     pub fn process<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>, st: &Statement) -> bool {
         debug_assert!(st.kind.is_nomination());
-        match self.latest.get(&st.node) {
-            // Same kind + different quorum set = the sender retuned its
-            // slices at runtime (§3.1.1); adopt the refresh or quorum
-            // evaluation stays pinned to its abandoned configuration.
-            Some(old)
-                if !st.kind.is_newer_than(&old.kind)
-                    && (old.kind != st.kind || old.quorum_set == st.quorum_set) =>
-            {
-                return false;
-            }
-            _ => {}
+        if !self.latest.record(st) {
+            return false;
         }
-        self.latest.insert(st.node, st.clone());
         let mut emitted_change = false;
         if self.started && self.leaders.contains(&st.node) {
             emitted_change = self.add_leader_votes(ctx);
@@ -326,7 +316,6 @@ impl NominationProtocol {
         let mut state_changed = false;
         loop {
             let mut progressed = false;
-            let known: BTreeSet<NodeId> = self.latest.keys().copied().collect();
             let mentioned: BTreeSet<Value> = self
                 .latest
                 .values()
@@ -341,22 +330,11 @@ impl NominationProtocol {
 
             for v in &mentioned {
                 if !self.accepted.contains(v) {
-                    let qsets = StatementQSets(&self.latest);
-                    let ok = federated_accept(
+                    let ok = self.latest.federated_accept(
                         ctx.node,
                         ctx.qset,
-                        &qsets,
-                        &known,
-                        &|n| {
-                            self.latest
-                                .get(&n)
-                                .is_some_and(|s| s.kind.nominates_vote(v))
-                        },
-                        &|n| {
-                            self.latest
-                                .get(&n)
-                                .is_some_and(|s| s.kind.nominates_accept(v))
-                        },
+                        |s| s.kind.nominates_vote(v),
+                        |s| s.kind.nominates_accept(v),
                     );
                     if ok && ctx.driver.validate_value(ctx.slot, v, false) != Validity::Invalid {
                         self.accepted.insert(v.clone());
@@ -364,23 +342,20 @@ impl NominationProtocol {
                         state_changed = true;
                     }
                 }
-                if self.accepted.contains(v) && !self.candidates.contains(v) {
-                    let qsets = StatementQSets(&self.latest);
-                    let ok = federated_confirm(ctx.node, &qsets, &known, &|n| {
-                        self.latest
-                            .get(&n)
-                            .is_some_and(|s| s.kind.nominates_accept(v))
+                if self.accepted.contains(v)
+                    && !self.candidates.contains(v)
+                    && self
+                        .latest
+                        .federated_confirm(ctx.node, |s| s.kind.nominates_accept(v))
+                {
+                    self.candidates.insert(v.clone());
+                    progressed = true;
+                    state_changed = true;
+                    candidates_changed = true;
+                    ctx.driver.on_event(ScpEvent::NewCandidate {
+                        slot: ctx.slot,
+                        value: v.clone(),
                     });
-                    if ok {
-                        self.candidates.insert(v.clone());
-                        progressed = true;
-                        state_changed = true;
-                        candidates_changed = true;
-                        ctx.driver.on_event(ScpEvent::NewCandidate {
-                            slot: ctx.slot,
-                            value: v.clone(),
-                        });
-                    }
                 }
             }
             if !progressed {
@@ -421,7 +396,7 @@ impl NominationProtocol {
         {
             return;
         }
-        self.latest.insert(ctx.node, st.clone());
+        self.latest.insert(st.clone());
         let env = Envelope::sign(st, ctx.keys);
         ctx.driver.emit_envelope(&env);
     }
@@ -445,7 +420,7 @@ impl NominationProtocol {
         if self.latest.get(&ctx.node).map(|s| &s.kind) == Some(&st.kind) {
             return;
         }
-        self.latest.insert(ctx.node, st.clone());
+        self.latest.insert(st.clone());
         let env = Envelope::sign(st, ctx.keys);
         ctx.driver.emit_envelope(&env);
     }
@@ -615,7 +590,7 @@ mod tests {
             np.process(ctx, &nominate_stmt(1, std::slice::from_ref(&fresh), &[]));
             np.retry(ctx);
         });
-        let own = fx.np.latest_statements()[&NodeId(0)].clone();
+        let own = fx.np.latest_statement(NodeId(0)).unwrap().clone();
         match own.kind {
             StatementKind::Nominate { voted, .. } => {
                 assert!(
@@ -638,7 +613,7 @@ mod tests {
             np.process(ctx, &nominate_stmt(2, std::slice::from_ref(&bad), &[]));
             np.process(ctx, &nominate_stmt(3, std::slice::from_ref(&bad), &[]));
         });
-        let own = fx.np.latest_statements().get(&NodeId(0)).cloned();
+        let own = fx.np.latest_statement(NodeId(0)).cloned();
         if let Some(st) = own {
             match st.kind {
                 StatementKind::Nominate { voted, accepted } => {
@@ -687,12 +662,12 @@ mod tests {
             .timers
             .iter()
             .any(|(_, k, d)| *k == TimerKind::Nomination && d.is_none()));
-        let before = fx.np.latest_statements().get(&NodeId(0)).cloned();
+        let before = fx.np.latest_statement(NodeId(0)).cloned();
         fx.with_ctx(|np, ctx| {
             assert!(!np.on_timeout(ctx));
             np.retry(ctx);
         });
-        let after = fx.np.latest_statements().get(&NodeId(0)).cloned();
+        let after = fx.np.latest_statement(NodeId(0)).cloned();
         assert_eq!(before.map(|s| s.kind), after.map(|s| s.kind));
     }
 
@@ -712,7 +687,7 @@ mod tests {
                 &nominate_stmt(2, std::slice::from_ref(&v), std::slice::from_ref(&v)),
             );
         });
-        let own = fx.np.latest_statements()[&NodeId(0)].clone();
+        let own = fx.np.latest_statement(NodeId(0)).unwrap().clone();
         match own.kind {
             StatementKind::Nominate { accepted, .. } => {
                 assert!(accepted.contains(&v), "v-blocking accept must pull us in");

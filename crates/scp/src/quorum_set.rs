@@ -24,8 +24,8 @@ use stellar_crypto::{hash_xdr, Hash256};
 /// ```
 /// use stellar_scp::{NodeId, QuorumSet};
 /// let q = QuorumSet::threshold_of(2, vec![NodeId(0), NodeId(1), NodeId(2)]);
-/// assert!(q.is_quorum_slice_fn(&|n| n.0 <= 1));
-/// assert!(!q.is_quorum_slice_fn(&|n| n.0 == 0));
+/// assert!(q.is_quorum_slice(&[NodeId(0), NodeId(1)].into()));
+/// assert!(!q.is_quorum_slice(&[NodeId(0)].into()));
 /// ```
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct QuorumSet {
@@ -102,68 +102,32 @@ impl QuorumSet {
         hash_xdr(self)
     }
 
-    /// Tests whether the nodes satisfying `pred` contain one of this set's
-    /// slices: at least `threshold` entries must be satisfied.
-    pub fn is_quorum_slice_fn(&self, pred: &dyn Fn(NodeId) -> bool) -> bool {
-        let mut satisfied = 0u32;
-        for v in &self.validators {
-            if pred(*v) {
-                satisfied += 1;
-                if satisfied >= self.threshold {
-                    return true;
-                }
-            }
-        }
-        for q in &self.inner {
-            if q.is_quorum_slice_fn(pred) {
-                satisfied += 1;
-                if satisfied >= self.threshold {
-                    return true;
-                }
-            }
-        }
-        satisfied >= self.threshold
-    }
-
-    /// Tests whether `nodes` contains one of this set's slices.
+    /// Tests whether `nodes` contains one of this set's slices: at least
+    /// `threshold` entries are satisfied.
+    ///
+    /// This and [`QuorumSet::is_v_blocking`] are the definitions, written
+    /// plainly; protocol and checker evaluate the compiled form in
+    /// [`crate::quorum`], and the property tests hold the two equal.
     pub fn is_quorum_slice(&self, nodes: &BTreeSet<NodeId>) -> bool {
-        self.is_quorum_slice_fn(&|n| nodes.contains(&n))
+        let satisfied = self.validators.iter().filter(|v| nodes.contains(v)).count()
+            + self
+                .inner
+                .iter()
+                .filter(|q| q.is_quorum_slice(nodes))
+                .count();
+        satisfied >= self.threshold as usize
     }
 
-    /// Tests whether the nodes satisfying `pred` are **v-blocking** for the
-    /// node owning this quorum set: they intersect every one of its slices.
+    /// Tests whether `nodes` is **v-blocking** for the node owning this
+    /// quorum set: it intersects every one of its slices.
     ///
     /// A set blocks when it hits more than `n - threshold` entries, since
     /// only `n - threshold` entries may be lost while still leaving a slice.
-    pub fn is_v_blocking_fn(&self, pred: &dyn Fn(NodeId) -> bool) -> bool {
-        // A threshold of 0 means "satisfied by anything": nothing blocks it.
-        if self.threshold == 0 {
-            return false;
-        }
-        let need = self.num_entries() as u32 - self.threshold + 1;
-        let mut blocked = 0u32;
-        for v in &self.validators {
-            if pred(*v) {
-                blocked += 1;
-                if blocked >= need {
-                    return true;
-                }
-            }
-        }
-        for q in &self.inner {
-            if q.is_v_blocking_fn(pred) {
-                blocked += 1;
-                if blocked >= need {
-                    return true;
-                }
-            }
-        }
-        blocked >= need
-    }
-
-    /// Tests whether `nodes` is v-blocking for this quorum set's owner.
+    /// A threshold of 0 means "satisfied by anything": nothing blocks it.
     pub fn is_v_blocking(&self, nodes: &BTreeSet<NodeId>) -> bool {
-        self.is_v_blocking_fn(&|n| nodes.contains(&n))
+        let blocked = self.validators.iter().filter(|v| nodes.contains(v)).count()
+            + self.inner.iter().filter(|q| q.is_v_blocking(nodes)).count();
+        self.threshold > 0 && blocked + self.threshold as usize > self.num_entries()
     }
 
     /// Fraction of this set's quorum slices that contain `v` (paper §3.2.5).

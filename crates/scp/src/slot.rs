@@ -193,10 +193,10 @@ impl Slot {
     /// (our latest own statements).
     pub fn own_statements(&self, node: NodeId) -> Vec<Statement> {
         let mut out = Vec::new();
-        if let Some(st) = self.nomination.latest_statements().get(&node) {
+        if let Some(st) = self.nomination.latest_statement(node) {
             out.push(st.clone());
         }
-        if let Some(st) = self.ballot.latest_statements().get(&node) {
+        if let Some(st) = self.ballot.latest_statement(node) {
             out.push(st.clone());
         }
         out

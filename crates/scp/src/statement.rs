@@ -194,6 +194,35 @@ impl StatementKind {
         }
     }
 
+    /// Whether the fields are consistent with each other, as an honest
+    /// node's ballot summary always is (stellar-core's `isStatementSane`;
+    /// one rule per table row). A peer's insane statement is rejected.
+    pub fn is_sane(&self) -> bool {
+        let rules: &[bool] = match self {
+            StatementKind::Nominate { .. } => &[],
+            StatementKind::Prepare {
+                ballot,
+                prepared,
+                prepared_prime,
+                c_n,
+                h_n,
+            } => &[
+                ballot.counter > 0,
+                (prepared_prime.as_ref().zip(prepared.as_ref()))
+                    .is_none_or(|(pp, p)| pp.less_and_incompatible(p)),
+                *h_n == 0 || prepared.as_ref().is_some_and(|p| *h_n <= p.counter),
+                *c_n == 0 || (c_n <= h_n && *h_n <= ballot.counter),
+            ],
+            StatementKind::Confirm {
+                ballot, c_n, h_n, ..
+            } => &[ballot.counter > 0, *h_n <= ballot.counter, c_n <= h_n],
+            StatementKind::Externalize { commit, h_n } => {
+                &[commit.counter > 0, *h_n >= commit.counter]
+            }
+        };
+        rules.iter().all(|holds| *holds)
+    }
+
     /// Whether this statement carries (or implies) a **vote** for
     /// `prepare(b)`.
     pub fn votes_prepare(&self, b: &Ballot) -> bool {
@@ -599,6 +628,90 @@ mod tests {
             accepted: BTreeSet::new(),
         };
         assert!(!other.is_newer_than(&n1));
+    }
+
+    #[test]
+    fn sanity_table_one_row_per_rule() {
+        let prepare = |b: u32, p: Option<Ballot>, pp: Option<Ballot>, c_n: u32, h_n: u32| {
+            StatementKind::Prepare {
+                ballot: ballot(b, b"x"),
+                prepared: p,
+                prepared_prime: pp,
+                c_n,
+                h_n,
+            }
+        };
+        let confirm = |b: u32, c_n: u32, h_n: u32| StatementKind::Confirm {
+            ballot: ballot(b, b"x"),
+            p_n: b,
+            c_n,
+            h_n,
+        };
+        let externalize = |c: u32, h_n: u32| StatementKind::Externalize {
+            commit: ballot(c, b"x"),
+            h_n,
+        };
+        let p = |n: u32, v: &[u8]| Some(ballot(n, v));
+        let rows: Vec<(&str, StatementKind, bool)> = vec![
+            (
+                "nominate",
+                StatementKind::Nominate {
+                    voted: BTreeSet::new(),
+                    accepted: BTreeSet::new(),
+                },
+                true,
+            ),
+            (
+                "prepare: sane",
+                prepare(5, p(4, b"x"), p(3, b"y"), 2, 4),
+                true,
+            ),
+            (
+                "prepare: b.counter > 0",
+                prepare(0, None, None, 0, 0),
+                false,
+            ),
+            (
+                "prepare: p′ compatible with p",
+                prepare(5, p(4, b"x"), p(3, b"x"), 0, 0),
+                false,
+            ),
+            (
+                "prepare: p′ above p",
+                prepare(5, p(3, b"x"), p(4, b"y"), 0, 0),
+                false,
+            ),
+            (
+                "prepare: h_n without p",
+                prepare(5, None, None, 0, 2),
+                false,
+            ),
+            (
+                "prepare: h_n above p",
+                prepare(5, p(2, b"x"), None, 0, 3),
+                false,
+            ),
+            (
+                "prepare: c_n above h_n",
+                prepare(5, p(4, b"x"), None, 4, 3),
+                false,
+            ),
+            (
+                "prepare: h_n above b",
+                prepare(3, p(4, b"x"), None, 2, 4),
+                false,
+            ),
+            ("confirm: sane", confirm(5, 2, 4), true),
+            ("confirm: b.counter > 0", confirm(0, 0, 0), false),
+            ("confirm: h_n above b", confirm(3, 2, 4), false),
+            ("confirm: c_n above h_n", confirm(5, 4, 3), false),
+            ("externalize: sane", externalize(2, 4), true),
+            ("externalize: commit.counter > 0", externalize(0, 4), false),
+            ("externalize: h_n below commit", externalize(4, 3), false),
+        ];
+        for (rule, kind, sane) in rows {
+            assert_eq!(kind.is_sane(), sane, "{rule}: {kind:?}");
+        }
     }
 
     #[test]

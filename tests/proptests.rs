@@ -149,6 +149,147 @@ proptest! {
     }
 }
 
+// ---------- the quorum kernel vs. the definitions ----------
+
+mod quorum_kernel {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+    use stellar::scp::quorum::{federated_accept, federated_confirm, QuorumKernel};
+
+    type Fbas = BTreeMap<NodeId, QuorumSet>;
+
+    /// A well-formed quorum set over nodes `0..universe`, nested up to
+    /// `depth` more levels.
+    fn random_qset(rng: &mut StdRng, universe: u32, depth: u32) -> QuorumSet {
+        let mut pool: Vec<NodeId> = (0..universe).map(NodeId).collect();
+        pool.shuffle(rng);
+        pool.truncate(rng.gen_range(0..=4usize.min(pool.len())));
+        let inner: Vec<QuorumSet> = (0..if depth > 0 { rng.gen_range(0..=2) } else { 0 })
+            .map(|_| random_qset(rng, universe, depth - 1))
+            .collect();
+        if pool.is_empty() && inner.is_empty() {
+            pool.push(NodeId(rng.gen_range(0..universe)));
+        }
+        let entries = (pool.len() + inner.len()) as u32;
+        QuorumSet {
+            threshold: rng.gen_range(1..=entries),
+            validators: pool,
+            inner,
+        }
+    }
+
+    /// Up to 12 nodes; the first `declared` declare a quorum set, the
+    /// rest are only ever named in someone else's.
+    fn random_fbas(rng: &mut StdRng) -> (Fbas, u32) {
+        let universe = rng.gen_range(2..=12u32);
+        let declared = rng.gen_range(1..=universe);
+        let fbas = (0..declared)
+            .map(|i| (NodeId(i), random_qset(rng, universe, 2)))
+            .collect();
+        (fbas, universe)
+    }
+
+    fn subset(mask: u16, universe: u32) -> BTreeSet<NodeId> {
+        (0..universe)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(NodeId)
+            .collect()
+    }
+
+    /// §3.1: a non-empty set holding one slice of each of its members.
+    fn is_quorum(fbas: &Fbas, set: &BTreeSet<NodeId>) -> bool {
+        !set.is_empty()
+            && set
+                .iter()
+                .all(|n| fbas.get(n).is_some_and(|q| q.is_quorum_slice(set)))
+    }
+
+    /// Some quorum inside `within` contains `node` (every subset tried).
+    fn quorum_containing(fbas: &Fbas, within: &BTreeSet<NodeId>, node: NodeId) -> bool {
+        let members: Vec<NodeId> = within.iter().copied().collect();
+        (0u32..1 << members.len()).any(|mask| {
+            let set: BTreeSet<NodeId> = (0..members.len())
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| members[i])
+                .collect();
+            set.contains(&node) && is_quorum(fbas, &set)
+        })
+    }
+
+    /// The maximal quorum as a naive fixpoint: drop members without a
+    /// slice inside the set until nothing changes.
+    fn naive_max_quorum(fbas: &Fbas, candidates: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
+        let mut cur = candidates.clone();
+        loop {
+            let next: BTreeSet<NodeId> = cur
+                .iter()
+                .filter(|n| fbas.get(n).is_some_and(|q| q.is_quorum_slice(&cur)))
+                .copied()
+                .collect();
+            if next == cur {
+                return cur;
+            }
+            cur = next;
+        }
+    }
+
+    proptest! {
+        /// Random nested systems of up to 12 nodes, some referenced but
+        /// never declaring, declared in random order: the kernel's maximal
+        /// quorum, slice and v-blocking checks agree with the plain
+        /// definitions on `QuorumSet`, and its accept/confirm agree with
+        /// Fig. 1 written out over every subset.
+        #[test]
+        fn kernel_matches_the_definitions(
+            seed in any::<u64>(),
+            masks in (any::<u16>(), any::<u16>(), any::<u16>()),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (fbas, universe) = random_fbas(&mut rng);
+            let mut order: Vec<(&NodeId, &QuorumSet)> = fbas.iter().collect();
+            order.shuffle(&mut rng);
+            let mut kernel = QuorumKernel::default();
+            for (id, q) in order {
+                kernel.declare(*id, q);
+            }
+            let (candidates, voted, accepted) =
+                (subset(masks.0, universe), subset(masks.1, universe), subset(masks.2, universe));
+            let bits = kernel.bits_of(&candidates);
+            prop_assert_eq!(
+                kernel.ids_of(&kernel.max_quorum(&bits)),
+                naive_max_quorum(&fbas, &candidates)
+            );
+            for (id, q) in &fbas {
+                let slices = kernel.slices(kernel.bit(*id).unwrap()).unwrap();
+                prop_assert_eq!(slices.satisfied_by(&bits), q.is_quorum_slice(&candidates));
+                prop_assert_eq!(slices.blocked_by(&bits), q.is_v_blocking(&candidates));
+            }
+
+            let node = NodeId(rng.gen_range(0..fbas.len() as u32));
+            let local = kernel.compile(&fbas[&node]);
+            let bit = kernel.bit(node).unwrap();
+            let either: BTreeSet<NodeId> = voted.union(&accepted).copied().collect();
+            // Accept: the accepters block every slice of the node, or a
+            // quorum around it votes for or accepts.
+            let accept_by_definition = fbas[&node].is_v_blocking(&accepted)
+                || quorum_containing(&fbas, &either, node);
+            let (voted, accepted_bits) = (kernel.bits_of(&voted), kernel.bits_of(&accepted));
+            prop_assert_eq!(
+                federated_accept(&kernel, bit, &local, &voted, &accepted_bits),
+                accept_by_definition
+            );
+            // Confirm: a quorum around the node accepts.
+            prop_assert_eq!(
+                federated_confirm(&kernel, bit, &accepted_bits),
+                quorum_containing(&fbas, &accepted, node)
+            );
+        }
+    }
+}
+
 // ---------- prices & order book ----------
 
 proptest! {
