@@ -158,8 +158,9 @@ fn main() {
                 flagship: false,
             },
             // The 36-node tiered topology at the paper's production
-            // average (§7.2: 4.5 tx/s): SCP envelopes — push in both
-            // modes — dominate, so the saving is modest.
+            // average (§7.2: 4.5 tx/s): SCP envelopes, which cross each
+            // link once in both modes, are a large share of the bytes,
+            // so the saving is modest.
             Config {
                 n_orgs: 4,
                 validators_per_org: 3,

@@ -23,17 +23,23 @@
 //! * **Payloads** are first offered to
 //!   [`FloodEngine::suppress_duplicate`], which accounts a duplicate
 //!   (`recv` + `dup_suppressed`) and drops it *before* the embedder's
-//!   busy check, without allocating — 30 of every 31 deliveries on a
-//!   32-node mesh end there. A fresh payload that finds the node busy is
-//!   re-queued untouched and offered again when it runs. Once the node
-//!   is free, [`FloodEngine::accept`] counts and stamps it, the embedder
-//!   hands it to the application and sends what that produces, and only
-//!   then does [`FloodEngine::relay`] decide the onward step.
-//! * **Pull mode.** SCP envelopes are still push-relayed to all peers but
-//!   the sender; `Tx`/`TxSet` payloads are cached and advertised on the
-//!   next tick instead. [`FloodEngine::originate`] stamps the
-//!   originator's own seen-cache at the caller's `now_ms`, so a copy
-//!   coming back is a duplicate.
+//!   busy check, without allocating — every push-relayed `Tx`/`TxSet`
+//!   copy after the first ends there. A fresh payload that finds the
+//!   node busy is re-queued untouched and offered again when it runs.
+//!   Once the node is free, [`FloodEngine::accept`] counts and stamps
+//!   it, the embedder hands it to the application and sends what that
+//!   produces, and only then does [`FloodEngine::relay`] decide the
+//!   onward step.
+//! * **Push or advert.** An SCP envelope's originator pushes it to every
+//!   peer; a node relaying someone else's envelope caches it and
+//!   advertises its hash on the next tick instead, in both modes, so a
+//!   peer that missed the push demands it. `Tx`/`TxSet` payloads are
+//!   push-relayed to all peers but the sender in push mode and, in pull
+//!   mode, cached and advertised by originator and relays alike. Cached
+//!   payloads answer demands for the longest demand loop one advert can
+//!   start. [`FloodEngine::originate`] stamps the originator's own
+//!   seen-cache at the caller's `now_ms`, so a copy coming back is a
+//!   duplicate.
 //! * **Restart.** [`FloodEngine::reset`] is a process reboot: seen-cache,
 //!   demand state, payload cache and the armed-tick flag are gone (as is
 //!   the embedder's CPU backlog); [`FloodEngine::traffic`] is the run's
@@ -41,7 +47,7 @@
 
 use crate::flood::FloodState;
 use crate::message::{FloodMessage, Flooded};
-use crate::pull::{DemandScheduler, FloodMode, PayloadCache};
+use crate::pull::{DemandScheduler, FloodMode, PayloadCache, MAX_DEMAND_ATTEMPTS};
 use crate::stats::TrafficStats;
 use stellar_crypto::Hash256;
 use stellar_scp::NodeId;
@@ -58,6 +64,11 @@ pub const DEMAND_TIMEOUT_MS: u64 = 400;
 
 /// Bound on payloads kept for answering demands.
 const PAYLOAD_CACHE_CAPACITY: usize = 4096;
+
+/// How long a cached payload answers demands: the longest demand loop
+/// one advert can start, each attempt waiting out its timeout and a tick.
+const PAYLOAD_RETENTION_MS: u64 =
+    MAX_DEMAND_ATTEMPTS as u64 * (DEMAND_TIMEOUT_MS + ADVERT_INTERVAL_MS);
 
 /// Seen-cache size, and how long an id is exempt from eviction.
 const SEEN_CAPACITY: usize = 200_000;
@@ -98,7 +109,7 @@ impl FloodEngine {
             traffic: TrafficStats::default(),
             seen: FloodState::new(SEEN_CAPACITY, SEEN_MIN_RESIDENCY_MS),
             demands: DemandScheduler::new(DEMAND_TIMEOUT_MS),
-            payloads: PayloadCache::new(PAYLOAD_CACHE_CAPACITY),
+            payloads: PayloadCache::new(PAYLOAD_CACHE_CAPACITY, PAYLOAD_RETENTION_MS),
             tick_armed: false,
         }
     }
@@ -112,9 +123,16 @@ impl FloodEngine {
         };
     }
 
-    /// Whether `msg` travels by advert and demand rather than by push.
-    fn pulls(&self, msg: &Flooded) -> bool {
-        self.mode == FloodMode::Pull && !msg.msg.is_scp()
+    /// Whether `msg` leaves this node by advert and demand rather than by
+    /// push. Only an SCP envelope's originator pushes it: on a mesh every
+    /// peer already holds it from the originator, so a relay's duplicate
+    /// costs one hash in a batched advert instead of a whole envelope.
+    fn pulls(&self, msg: &Flooded, relayed: bool) -> bool {
+        if msg.msg.is_scp() {
+            relayed
+        } else {
+            self.mode == FloodMode::Pull
+        }
     }
 
     /// Requests the next tick unless one is already pending.
@@ -131,13 +149,13 @@ impl FloodEngine {
     }
 
     /// The onward step once the seen-cache is stamped: push to every peer
-    /// but `except`, or — a `Tx`/`TxSet` in pull mode — keep the payload
-    /// to answer demands and advertise its hash on the next tick.
+    /// but `except` (the sender; `None` for the originator), or keep the
+    /// payload to answer demands and advertise its hash on the next tick.
     fn forward(&mut self, except: Option<NodeId>, msg: Flooded, now_ms: u64) -> Actions {
         let mut out = Actions::default();
-        if self.pulls(&msg) {
+        if self.pulls(&msg, except.is_some()) {
             self.demands.queue_advert(msg.id);
-            self.payloads.insert(msg.id, msg);
+            self.payloads.insert(msg.id, msg, now_ms);
             self.arm_tick(now_ms, &mut out);
         } else {
             self.push(except, &msg, &mut out);
@@ -178,9 +196,9 @@ impl FloodEngine {
     }
 
     /// The onward step for an accepted payload that arrived from `from`;
-    /// in pull mode it also settles the demand the payload answers.
+    /// it also settles the demand the payload answers, if any.
     pub fn relay(&mut self, from: NodeId, msg: Flooded, now_ms: u64) -> Actions {
-        if self.pulls(&msg) && self.demands.on_fulfilled(msg.id) {
+        if self.demands.on_fulfilled(msg.id) {
             self.traffic.record_pull_fulfilled();
         }
         self.forward(Some(from), msg, now_ms)
@@ -196,7 +214,7 @@ impl FloodEngine {
             // hashes go unanswered; the demander's timeout retries
             // another advertiser.
             FloodMessage::Demand(ids) => {
-                let held = ids.iter().filter_map(|id| self.payloads.get(*id));
+                let held = ids.iter().filter_map(|id| self.payloads.get(*id, now_ms));
                 out.sends
                     .extend(held.map(|payload| (from, payload.clone())));
             }
@@ -279,7 +297,6 @@ impl FloodEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pull::MAX_DEMAND_ATTEMPTS;
     use crate::stats::MsgKind;
     use crate::topology::PeerGraph;
     use rand::rngs::StdRng;
@@ -509,16 +526,20 @@ mod tests {
     }
 
     #[test]
-    fn pull_mode_still_pushes_scp_and_originate_stamps_the_seen_cache() {
-        let mut e = engine(FloodMode::Pull);
-        let envelope = scp(2);
-        let relayed = deliver(&mut e, B, &envelope, 10).expect("fresh");
-        assert_eq!(targets(&relayed), vec![A, C]);
-        assert_eq!(relayed.tick_at, None);
-        assert_eq!(targets(&e.originate(scp(3), 20)), vec![A, B, C]);
+    fn an_originator_pushes_its_scp_envelope_to_every_peer_in_both_modes() {
+        for mode in [FloodMode::Push, FloodMode::Pull] {
+            let mut e = engine(mode);
+            let mine = scp(3);
+            let sent = e.originate(mine.clone(), 20);
+            assert_eq!(targets(&sent), vec![A, B, C], "{mode:?}");
+            assert_eq!(kinds(&sent), vec![MsgKind::Scp; 3]);
+            assert_eq!(sent.tick_at, None, "{mode:?}: nothing to advertise");
+            assert!(e.suppress_duplicate(&mine), "its own copy coming back");
+        }
 
-        // An originated payload is held and advertised, not pushed, and
-        // its own copy coming back is a duplicate.
+        // In pull mode an originated transaction is held and advertised,
+        // not pushed, and its own copy coming back is a duplicate.
+        let mut e = engine(FloodMode::Pull);
         let mine = tx(1);
         let published = e.originate(mine.clone(), 30);
         assert!(published.sends.is_empty());
@@ -529,6 +550,46 @@ mod tests {
         let direct = tx(2);
         e.note_sent(&direct, 40);
         assert!(e.suppress_duplicate(&direct));
+    }
+
+    #[test]
+    fn an_scp_relay_sends_no_payload_advertises_next_tick_and_answers_demands() {
+        for mode in [FloodMode::Push, FloodMode::Pull] {
+            let mut e = engine(mode);
+            let envelope = scp(2);
+            let relayed = deliver(&mut e, B, &envelope, 10).expect("fresh");
+            assert!(relayed.sends.is_empty(), "{mode:?}: a relay pushes nothing");
+            assert_eq!(relayed.tick_at, Some(10 + ADVERT_INTERVAL_MS));
+
+            let advert = e.tick(10 + ADVERT_INTERVAL_MS);
+            assert_eq!(targets(&advert), vec![A, B, C], "{mode:?}");
+            assert_eq!(
+                advert.sends[0].1.msg,
+                FloodMessage::Advert(vec![envelope.id])
+            );
+            assert_eq!(advert.tick_at, None);
+
+            let demand = Flooded::new(FloodMessage::Demand(vec![envelope.id]));
+            let answer = e.on_control(C, &demand, 200);
+            assert_eq!(targets(&answer), vec![C], "{mode:?}");
+            assert_eq!(answer.sends[0].1.id, envelope.id);
+        }
+    }
+
+    #[test]
+    fn a_demand_for_an_expired_payload_goes_unanswered() {
+        let mut e = engine(FloodMode::Push);
+        let envelope = scp(4);
+        deliver(&mut e, A, &envelope, 0).expect("fresh");
+        let demand = Flooded::new(FloodMessage::Demand(vec![envelope.id]));
+        let last = e.on_control(C, &demand, PAYLOAD_RETENTION_MS - 1);
+        assert_eq!(targets(&last), vec![C]);
+        // Past the window the demander hears nothing, and its timeout
+        // moves the demand to the next advertiser (see the retry test).
+        assert!(e
+            .on_control(C, &demand, PAYLOAD_RETENTION_MS)
+            .sends
+            .is_empty());
     }
 
     #[test]
@@ -574,33 +635,53 @@ mod tests {
         assert_eq!(e.tick(300).sends.len(), 3);
     }
 
-    /// Floods one payload over `graph` with an engine per node; returns
-    /// (nodes reached, total sends).
-    fn flood(graph: &PeerGraph, origin: NodeId) -> (usize, usize) {
+    /// Floods `msg` from `origin` over `graph` with an engine per node,
+    /// every link taking 1 ms and every requested tick run on time, until
+    /// the network is quiet; returns (nodes reached, payload sends).
+    fn flood(graph: &PeerGraph, mode: FloodMode, origin: NodeId, msg: &Flooded) -> (usize, usize) {
         let mut engines: BTreeMap<NodeId, FloodEngine> = graph
             .nodes()
-            .map(|n| {
-                (
-                    n,
-                    FloodEngine::new(FloodMode::Push, graph.peers(n).collect()),
-                )
-            })
+            .map(|n| (n, FloodEngine::new(mode, graph.peers(n).collect())))
             .collect();
-        let msg = tx(7);
-        let first = engines.get_mut(&origin).unwrap().originate(msg.clone(), 0);
-        let mut sends = first.sends.len();
-        let mut in_flight: Vec<(NodeId, NodeId)> =
-            first.sends.iter().map(|(to, _)| (origin, *to)).collect();
-        let mut reached = 1usize;
-        while let Some((from, to)) = in_flight.pop() {
-            let Some(onward) = deliver(engines.get_mut(&to).unwrap(), from, &msg, 0) else {
-                continue;
+        // Pending events in (time, sequence) order: a message to a node
+        // from a peer, or the node's tick (`None`).
+        type Event = (NodeId, Option<(NodeId, Flooded)>);
+        let mut events: BTreeMap<(u64, usize), Event> = BTreeMap::new();
+        let mut seq = 0;
+        let mut reached = BTreeSet::from([origin]);
+        let mut payload_sends = 0;
+        let (mut now, mut node) = (0, origin);
+        let mut actions = engines
+            .get_mut(&origin)
+            .unwrap()
+            .originate(msg.clone(), now);
+        loop {
+            for (to, sent) in actions.sends {
+                payload_sends += usize::from(!sent.msg.is_pull_control());
+                seq += 1;
+                events.insert((now + 1, seq), (to, Some((node, sent))));
+            }
+            if let Some(at) = actions.tick_at {
+                seq += 1;
+                events.insert((at, seq), (node, None));
+            }
+            let Some(((at, _), (to, event))) = events.pop_first() else {
+                return (reached.len(), payload_sends);
             };
-            reached += 1;
-            sends += onward.sends.len();
-            in_flight.extend(onward.sends.iter().map(|(next, _)| (to, *next)));
+            (now, node) = (at, to);
+            let e = engines.get_mut(&to).unwrap();
+            actions = match event {
+                None => e.tick(now),
+                Some((from, m)) if m.msg.is_pull_control() => e.on_control(from, &m, now),
+                Some((from, m)) => match deliver(e, from, &m, now) {
+                    Some(onward) => {
+                        reached.insert(to);
+                        onward
+                    }
+                    None => Actions::default(),
+                },
+            };
         }
-        (reached, sends)
     }
 
     #[test]
@@ -611,8 +692,24 @@ mod tests {
             PeerGraph::full_mesh(&nodes),
             PeerGraph::random_regular(&nodes, 6, &mut rng),
         ] {
-            let (reached, _) = flood(&g, NodeId(0));
-            assert_eq!(reached, 30, "flood must reach the whole overlay");
+            for mode in [FloodMode::Push, FloodMode::Pull] {
+                let (reached, _) = flood(&g, mode, NodeId(0), &tx(7));
+                assert_eq!(reached, 30, "{mode:?}: flood must reach the whole overlay");
+            }
+        }
+    }
+
+    #[test]
+    fn scp_envelopes_reach_a_sparse_overlay_by_advert_demand_payload() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let nodes: Vec<NodeId> = (0..30).map(NodeId).collect();
+        let graph = PeerGraph::random_regular(&nodes, 6, &mut rng);
+        for mode in [FloodMode::Push, FloodMode::Pull] {
+            let (reached, payload_sends) = flood(&graph, mode, NodeId(0), &scp(1));
+            assert_eq!(reached, 30, "{mode:?}");
+            // The origin pushes to its six peers; every other node fetches
+            // the envelope by one demand: it crosses n − 1 links in all.
+            assert_eq!(payload_sends, 29, "{mode:?}");
         }
     }
 
@@ -622,9 +719,10 @@ mod tests {
         // transmit less. (Structured multicast would cut this to O(n).)
         let mut rng = StdRng::seed_from_u64(6);
         let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
-        let (_, mesh_sends) = flood(&PeerGraph::full_mesh(&nodes), NodeId(0));
+        let mesh = PeerGraph::full_mesh(&nodes);
+        let (_, mesh_sends) = flood(&mesh, FloodMode::Push, NodeId(0), &tx(7));
         let sparse = PeerGraph::random_regular(&nodes, 6, &mut rng);
-        let (reached, sparse_sends) = flood(&sparse, NodeId(0));
+        let (reached, sparse_sends) = flood(&sparse, FloodMode::Push, NodeId(0), &tx(7));
         assert_eq!(reached, 40);
         assert!(
             sparse_sends < mesh_sends / 3,

@@ -7,8 +7,12 @@
 //! learns a transaction or transaction set **adverts** its hash to its
 //! peers, and each peer **demands** the payload from exactly one
 //! advertiser, retrying from the next advertiser after a deterministic
-//! timeout. Small SCP envelopes stay push — their latency is on the
-//! consensus critical path and their size makes pull overhead pointless.
+//! timeout. SCP envelopes take the same path in both modes, except that
+//! their originator pushes them to every peer, since their latency is on
+//! the consensus critical path. On a mesh every peer then already holds
+//! the envelope a relay has, so the relay's copy costs one hash in a
+//! batched advert, and the advert → demand round trip is paid only by a
+//! peer the push did not reach.
 //!
 //! This module holds the per-node bookkeeping [`crate::FloodEngine`]
 //! composes; the engine's embedder supplies the clock and the links:
@@ -17,9 +21,9 @@
 //!   tracks wanted hashes: who advertised them, whom we demanded from,
 //!   and when to give up and try the next advertiser;
 //! * [`PayloadCache`] — a bounded FIFO map of recently learned payloads,
-//!   from which incoming demands are answered.
+//!   from which incoming demands are answered while they are recent.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use stellar_crypto::Hash256;
 use stellar_scp::NodeId;
 
@@ -70,8 +74,10 @@ pub struct TickActions {
 /// keeps runs bit-identical.
 #[derive(Debug)]
 pub struct DemandScheduler {
-    /// Hashes learned since the last tick, to advertise in one batch.
+    /// Hashes learned since the last tick, to advertise in one batch,
+    /// and the same hashes as a set for the O(1) duplicate test.
     pending_adverts: Vec<Hash256>,
+    queued: HashSet<Hash256>,
     /// Hashes we lack, keyed for deterministic iteration.
     wanted: BTreeMap<Hash256, Want>,
     demand_timeout_ms: u64,
@@ -83,6 +89,7 @@ impl DemandScheduler {
     pub fn new(demand_timeout_ms: u64) -> DemandScheduler {
         DemandScheduler {
             pending_adverts: Vec::new(),
+            queued: HashSet::new(),
             wanted: BTreeMap::new(),
             demand_timeout_ms: demand_timeout_ms.max(1),
         }
@@ -90,7 +97,7 @@ impl DemandScheduler {
 
     /// Queues a freshly learned payload hash for the next advert batch.
     pub fn queue_advert(&mut self, id: Hash256) {
-        if !self.pending_adverts.contains(&id) {
+        if self.queued.insert(id) {
             self.pending_adverts.push(id);
         }
     }
@@ -145,6 +152,7 @@ impl DemandScheduler {
     /// recreates them.
     pub fn tick(&mut self, now_ms: u64) -> TickActions {
         let adverts = std::mem::take(&mut self.pending_adverts);
+        self.queued.clear();
         let mut demands: BTreeMap<NodeId, Vec<Hash256>> = BTreeMap::new();
         let mut expired = Vec::new();
         let mut give_up = Vec::new();
@@ -181,43 +189,57 @@ impl DemandScheduler {
 }
 
 /// A bounded FIFO map of recently learned payloads, keyed by content
-/// hash — the store incoming demands are answered from. Overflow evicts
-/// oldest-first: a demand for an evicted payload goes unanswered and the
-/// demander retries another advertiser (mirroring production, where a
-/// peer may have pruned an old tx set).
+/// hash — the store incoming demands are answered from. A payload is
+/// evicted once it is `retention_ms` old, or oldest-first on overflow: a
+/// demand for an evicted payload goes unanswered and the demander
+/// retries another advertiser (mirroring production, where a peer may
+/// have pruned an old tx set). Callers' clocks never go backwards.
 #[derive(Debug)]
 pub struct PayloadCache<V> {
-    map: HashMap<Hash256, V>,
+    /// Each payload with the time it was inserted (ms).
+    map: HashMap<Hash256, (u64, V)>,
     order: VecDeque<Hash256>,
     capacity: usize,
+    retention_ms: u64,
 }
 
 impl<V> PayloadCache<V> {
-    /// A cache holding at most `capacity` payloads.
-    pub fn new(capacity: usize) -> PayloadCache<V> {
+    /// A cache holding at most `capacity` payloads, each for less than
+    /// `retention_ms`.
+    pub fn new(capacity: usize, retention_ms: u64) -> PayloadCache<V> {
         PayloadCache {
             map: HashMap::new(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
+            retention_ms,
         }
     }
 
-    /// Inserts a payload (no-op if the hash is already cached).
-    pub fn insert(&mut self, id: Hash256, payload: V) {
+    /// Evicts what has expired by `now_ms`, then inserts a payload
+    /// (no-op if the hash is still cached).
+    pub fn insert(&mut self, id: Hash256, payload: V, now_ms: u64) {
+        while let Some(old) = self.order.front() {
+            if self.map[old].0 + self.retention_ms > now_ms {
+                break;
+            }
+            self.map.remove(old);
+            self.order.pop_front();
+        }
         if self.map.contains_key(&id) {
             return;
         }
-        self.map.insert(id, payload);
+        self.map.insert(id, (now_ms, payload));
         self.order.push_back(id);
-        while self.order.len() > self.capacity {
+        if self.order.len() > self.capacity {
             let old = self.order.pop_front().expect("non-empty");
             self.map.remove(&old);
         }
     }
 
-    /// The payload behind `id`, if still cached.
-    pub fn get(&self, id: Hash256) -> Option<&V> {
-        self.map.get(&id)
+    /// The payload behind `id`, if cached and not yet expired at `now_ms`.
+    pub fn get(&self, id: Hash256, now_ms: u64) -> Option<&V> {
+        let (at, payload) = self.map.get(&id)?;
+        (now_ms < at + self.retention_ms).then_some(payload)
     }
 }
 
@@ -234,12 +256,15 @@ mod tests {
     #[test]
     fn advert_batches_drain_per_tick() {
         let mut s = DemandScheduler::new(400);
-        s.queue_advert(id(1));
-        s.queue_advert(id(2));
-        s.queue_advert(id(1)); // dedup within a batch
+        for n in [3, 1, 3, 2, 1] {
+            s.queue_advert(id(n)); // dedup within a batch, first arrival order
+        }
         let t = s.tick(100);
-        assert_eq!(t.adverts, vec![id(1), id(2)]);
+        assert_eq!(t.adverts, vec![id(3), id(1), id(2)]);
         assert_eq!(s.tick(200).adverts, Vec::<Hash256>::new());
+        // A drained id may be queued again for the next batch.
+        s.queue_advert(id(1));
+        assert_eq!(s.tick(300).adverts, vec![id(1)]);
     }
 
     #[test]
@@ -298,13 +323,39 @@ mod tests {
 
     #[test]
     fn payload_cache_bounded_fifo() {
-        let mut c: PayloadCache<u32> = PayloadCache::new(2);
-        c.insert(id(1), 10);
-        c.insert(id(2), 20);
-        c.insert(id(2), 99); // duplicate insert ignored
-        assert_eq!(c.get(id(2)), Some(&20));
-        c.insert(id(3), 30); // evicts id(1)
-        assert_eq!(c.get(id(1)), None);
-        assert_eq!(c.get(id(3)), Some(&30));
+        let mut c: PayloadCache<u32> = PayloadCache::new(2, 1_000);
+        c.insert(id(1), 10, 0);
+        c.insert(id(2), 20, 0);
+        c.insert(id(2), 99, 0); // duplicate insert ignored
+        assert_eq!(c.get(id(2), 0), Some(&20));
+        c.insert(id(3), 30, 0); // evicts id(1)
+        assert_eq!(c.get(id(1), 0), None);
+        assert_eq!(c.get(id(3), 0), Some(&30));
+    }
+
+    #[test]
+    fn payload_cache_evicts_past_the_retention_window_and_holds_the_cap() {
+        let mut c: PayloadCache<u32> = PayloadCache::new(3, 1_000);
+        c.insert(id(1), 10, 0);
+        c.insert(id(2), 20, 500);
+        // Still inside the window: answered. At its edge: refused, even
+        // before any insert purges it.
+        assert_eq!(c.get(id(1), 999), Some(&10));
+        assert_eq!(c.get(id(1), 1_000), None);
+        // An insert at 1 200 drops id(1) and keeps id(2).
+        c.insert(id(3), 30, 1_200);
+        assert_eq!(c.map.len(), 2);
+        assert_eq!(c.get(id(2), 1_200), Some(&20));
+        // A fresh copy of an expired hash is cached anew.
+        c.insert(id(1), 11, 1_300);
+        assert_eq!(c.get(id(1), 1_300), Some(&11));
+        // The cap still binds inside the window: oldest first.
+        c.insert(id(4), 40, 1_400);
+        assert_eq!(c.map.len(), 3);
+        assert_eq!(c.get(id(2), 1_400), None);
+        assert_eq!(c.get(id(3), 1_400), Some(&30));
+        // Once all are past the window, one insert leaves only itself.
+        c.insert(id(5), 50, 10_000);
+        assert_eq!((c.map.len(), c.order.len()), (1, 1));
     }
 }

@@ -60,8 +60,8 @@ pub struct SimConfig {
     /// behind Fig. 11's balloting growth.
     pub proc_cost_us_per_msg: u64,
     /// How `Tx`/`TxSet` payloads cross the overlay: naïve push flooding
-    /// (the §7.5 default) or advert/demand pull gossip. SCP envelopes are
-    /// pushed either way.
+    /// (the §7.5 default) or advert/demand pull gossip. Either way an SCP
+    /// envelope is pushed by its originator and advertised by relays.
     pub flood_mode: FloodMode,
     /// Whether nodes persist SCP state and the latest closed ledger to a
     /// (simulated) durable store before emitting votes (§3, §5.4). On by
