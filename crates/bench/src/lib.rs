@@ -106,8 +106,12 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 /// `stellar-bench/v2`, see EXPERIMENTS.md). The target directory comes
 /// from `BENCH_OUT_DIR` (default: the current directory). Returns the
 /// written path; rendering is validated by re-parsing before the write
-/// so a malformed document fails loudly instead of landing on disk.
+/// so a malformed document fails loudly instead of landing on disk. Every
+/// document is stamped with the SHA-256 compression its timings ran on.
 pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<std::path::PathBuf> {
+    let doc = doc
+        .clone()
+        .set("sha256_kernel", stellar_crypto::sha256::kernel());
     let rendered = doc.render_pretty();
     Json::parse(&rendered).map_err(|e| {
         std::io::Error::new(

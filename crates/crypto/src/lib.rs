@@ -6,9 +6,16 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256, validated against published vectors.
 //!   Hashing is load-bearing in Stellar (bucket hashing, transaction-set
-//!   hashes, leader selection), so it is implemented for real.
+//!   hashes, leader selection), so it is implemented for real. Two
+//!   compression functions give the same digests: the x86-64 SHA extensions
+//!   where the CPU has them, the portable rounds everywhere else, picked at
+//!   run time ([`sha256::kernel`] names the one in use). The call into the
+//!   SHA-extension kernel is the workspace's one `unsafe` block, which is
+//!   why this crate root denies `unsafe_code` where every other forbids it.
 //! * [`sign`] — a structurally faithful Schnorr signature scheme at toy
-//!   parameters standing in for ed25519 (see `DESIGN.md`, substitutions).
+//!   parameters standing in for ed25519 (see `DESIGN.md`, substitutions):
+//!   Montgomery multiplication modulo a 62-bit safe prime, and a verify
+//!   that evaluates `g^s·y^(q−e)` in one pass over both exponents.
 //! * [`codec`] — a deterministic binary encoding (in the spirit of XDR,
 //!   which production `stellar-core` uses) so that hashes of structures are
 //!   well-defined and identical across nodes.
@@ -17,7 +24,7 @@
 //! The central type is [`Hash256`], a 32-byte digest used pervasively as a
 //! content address (ledger headers, buckets, transaction sets, values).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -104,12 +111,12 @@ pub fn hash_xdr<T: codec::Encode + ?Sized>(value: &T) -> Hash256 {
 /// Length prefixes make the combination injective (no ambiguity between
 /// `("ab","c")` and `("a","bc")`).
 pub fn hash_concat(parts: &[&[u8]]) -> Hash256 {
-    let mut buf = Vec::new();
+    let mut h = sha256::Sha256::new();
     for p in parts {
-        buf.extend_from_slice(&(p.len() as u64).to_be_bytes());
-        buf.extend_from_slice(p);
+        h.update(&(p.len() as u64).to_be_bytes());
+        h.update(p);
     }
-    sha256::sha256(&buf)
+    h.finish()
 }
 
 #[cfg(test)]

@@ -31,23 +31,60 @@ pub const Q: u64 = 0x1fff_ffff_ffff_eb5d;
 /// Generator of the order-`q` subgroup (`g = 2² mod p`).
 pub const G: u64 = 4;
 
-/// Modular multiplication in `Z_p` via 128-bit intermediates.
-fn mul_mod(a: u64, b: u64) -> u64 {
-    ((a as u128 * b as u128) % P as u128) as u64
+// Arithmetic in `Z_p` runs on Montgomery products with `R = 2⁶⁴`: an
+// element `a` is held as `a·R mod p`, and a product costs two 64×64-bit
+// multiplies and a shift instead of a 128-bit division.
+
+/// `−p⁻¹ mod R`, by Newton's iteration: `p·p ≡ 1 (mod 8)` for odd `p`,
+/// and each step doubles the correct low bits (3 → 96).
+const P_NEG_INV: u64 = {
+    let mut inv = P;
+    let mut i = 0;
+    while i < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(P.wrapping_mul(inv)));
+        i += 1;
+    }
+    inv.wrapping_neg()
+};
+/// `R mod p`: one, in Montgomery form.
+const R1: u64 = ((1u128 << 64) % P as u128) as u64;
+/// `R² mod p`: a Montgomery product with it enters Montgomery form.
+const R2: u64 = ((R1 as u128 * R1 as u128) % P as u128) as u64;
+
+/// Montgomery product `a·b·R⁻¹ mod p`, for `a, b < p`.
+fn mont_mul(a: u64, b: u64) -> u64 {
+    let t = a as u128 * b as u128;
+    let m = (t as u64).wrapping_mul(P_NEG_INV);
+    // `t + m·p` is divisible by R, and below `2·p·R` since `t < p²`.
+    let u = ((t + m as u128 * P as u128) >> 64) as u64;
+    if u >= P {
+        u - P
+    } else {
+        u
+    }
 }
 
-/// Modular exponentiation `base^exp mod p` by square-and-multiply.
-fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
-    let mut acc: u64 = 1;
-    base %= P;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul_mod(acc, base);
+/// `base^exp mod p`.
+fn pow_mod(base: u64, exp: u64) -> u64 {
+    pow2_mod(base, exp, 1, 0)
+}
+
+/// `a^x · b^y mod p` in one left-to-right pass over both exponents
+/// (Shamir's trick): one squaring per bit, plus one multiply by `a`, `b` or
+/// `a·b` wherever either exponent has a one.
+fn pow2_mod(a: u64, x: u64, b: u64, y: u64) -> u64 {
+    let a = mont_mul(a % P, R2);
+    let b = mont_mul(b % P, R2);
+    let factors = [a, b, mont_mul(a, b)];
+    let mut acc = R1;
+    for i in (0..u64::BITS - (x | y).leading_zeros()).rev() {
+        acc = mont_mul(acc, acc);
+        let bits = (x >> i & 1) | (y >> i & 1) << 1;
+        if bits != 0 {
+            acc = mont_mul(acc, factors[bits as usize - 1]);
         }
-        base = mul_mod(base, base);
-        exp >>= 1;
     }
-    acc
+    mont_mul(acc, 1)
 }
 
 /// A public verification key (a group element).
@@ -159,8 +196,7 @@ pub fn verify(public: PublicKey, msg: &[u8], sig: &Signature) -> bool {
         return false;
     }
     // r' = g^s * y^(-e) = g^s * y^(q - e)  (y has order q).
-    let y_neg_e = pow_mod(public.0, Q - sig.e % Q);
-    let r = mul_mod(pow_mod(G, sig.s), y_neg_e);
+    let r = pow2_mod(G, sig.s, public.0, Q - sig.e);
     challenge(r, public, msg) == sig.e
 }
 
@@ -248,6 +284,103 @@ mod tests {
         assert_eq!(P, 2 * Q + 1, "p must be a safe prime");
         assert_eq!(pow_mod(G, Q), 1, "g must have order q");
         assert_ne!(G % P, 1);
+    }
+
+    /// The square-and-multiply on `u128` remainders that Montgomery
+    /// arithmetic replaced (`pow_mod_n` is that routine with `n` a
+    /// parameter), kept as the oracle.
+    fn old_pow_mod(base: u64, exp: u64) -> u64 {
+        pow_mod_n(base, exp, P)
+    }
+
+    fn old_mul_mod(a: u64, b: u64) -> u64 {
+        ((a as u128 * b as u128) % P as u128) as u64
+    }
+
+    #[test]
+    fn montgomery_constants() {
+        assert_eq!(P.wrapping_mul(P_NEG_INV), u64::MAX, "p·(−p⁻¹) ≡ −1 mod R");
+        assert_eq!(mont_mul(R2, 1), R1);
+        assert_eq!(mont_mul(R1, 1), 1);
+    }
+
+    #[test]
+    fn pow_mod_matches_the_u128_oracle() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut bases = vec![0, 1, 2, G, P - 1, P, P + 1, u64::MAX];
+        let mut exps = vec![0, 1, 2, Q - 1, Q, P - 1, u64::MAX];
+        for _ in 0..40 {
+            bases.push(rng.gen());
+            bases.push(rng.gen_range(0..P));
+            exps.push(rng.gen());
+            exps.push(rng.gen_range(0..Q));
+        }
+        for &b in &bases {
+            for &e in &exps {
+                assert_eq!(pow_mod(b, e), old_pow_mod(b, e), "{b}^{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_mod_matches_the_u128_oracle() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let edges = [0, 1, Q - 1, Q, u64::MAX];
+        let bases = [1, P - 1, P, P + 7, G];
+        for _ in 0..2_000 {
+            let pick = |rng: &mut StdRng, edge: &[u64], range: u64| match rng.gen_range(0..3) {
+                0 => edge[rng.gen_range(0..edge.len())],
+                1 => rng.gen_range(0..range),
+                _ => rng.gen(),
+            };
+            let (a, b) = (pick(&mut rng, &bases, P), pick(&mut rng, &bases, P));
+            let (x, y) = (pick(&mut rng, &edges, Q), pick(&mut rng, &edges, Q));
+            let expect = old_mul_mod(old_pow_mod(a, x), old_pow_mod(b, y));
+            assert_eq!(pow2_mod(a, x, b, y), expect, "{a}^{x} · {b}^{y}");
+        }
+    }
+
+    /// Keys and signatures recorded before Montgomery arithmetic and the
+    /// SHA-NI compression: both must leave every one unchanged.
+    #[test]
+    fn known_answers() {
+        let pins: [(u64, u64, u64, u64); 4] = [
+            (
+                0,
+                0x1958_9204_9585_298c,
+                0x1f8c_170d_5dcc_1dbf,
+                0x159d_2ed8_637c_7cbb,
+            ),
+            (
+                7,
+                0x3d3f_47fc_443f_018d,
+                0x1226_6bdd_b76d_c796,
+                0x1a23_c7d8_db5f_64d5,
+            ),
+            (
+                42,
+                0x290a_cf54_48e5_ca7b,
+                0x0498_0c63_1a5a_a6ad,
+                0x1661_5c91_57c1_8240,
+            ),
+            (
+                u64::MAX,
+                0x04b7_2569_1b3d_9e60,
+                0x1e09_b6e5_ab58_5617,
+                0x0bb0_bccf_1ebd_18e2,
+            ),
+        ];
+        for (seed, public, e, s) in pins {
+            let kp = KeyPair::from_seed(seed);
+            assert_eq!(kp.public(), PublicKey(public), "seed {seed}");
+            assert_eq!(kp.sign(b"abc"), Signature { e, s }, "seed {seed}");
+            assert!(verify(kp.public(), b"abc", &Signature { e, s }));
+        }
+        let empty = KeyPair::from_seed(1).sign(b"");
+        assert_eq!(
+            (empty.e, empty.s),
+            (0x1dcd_6a96_dc51_026c, 0x0387_05a7_f90d_1c30)
+        );
     }
 
     #[test]

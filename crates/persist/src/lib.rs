@@ -23,6 +23,8 @@
 //! Everything is in-memory and deterministic — no real I/O — so simulation
 //! runs stay byte-for-byte reproducible.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use stellar_crypto::sha256::sha256;

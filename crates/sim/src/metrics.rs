@@ -205,7 +205,8 @@ impl SimReport {
 
     /// The run as a `BENCH_<name>.json` document (schema
     /// `stellar-bench/v2`, see EXPERIMENTS.md): headline results the
-    /// text tables print, plus the full telemetry snapshot.
+    /// text tables print, plus the full telemetry snapshot, and the SHA-256
+    /// compression that produced its wall-clock timings.
     pub fn to_bench_json(&self, name: &str) -> Json {
         let results = Json::obj()
             .set("mean_consensus_ms", self.mean_consensus_ms())
@@ -223,6 +224,7 @@ impl SimReport {
         let mut doc = Json::obj()
             .set("schema", "stellar-bench/v2")
             .set("name", name)
+            .set("sha256_kernel", stellar_crypto::sha256::kernel())
             .set("n_validators", self.n_validators as u64)
             .set("ledgers", self.ledgers.len() as u64)
             .set("sim_duration_ms", self.sim_duration_ms)
@@ -720,6 +722,10 @@ mod tests {
             Some("stellar-bench/v2")
         );
         assert_eq!(doc.get("name").and_then(Json::as_str), Some("unit"));
+        assert_eq!(
+            doc.get("sha256_kernel").and_then(Json::as_str),
+            Some(stellar_crypto::sha256::kernel())
+        );
         let results = doc.get("results").expect("results");
         assert_eq!(
             results.get("mean_consensus_ms").and_then(Json::as_f64),

@@ -1,0 +1,178 @@
+//! The workspace's unsafe budget: one `unsafe` block.
+//!
+//! It is the call from `stellar_crypto::sha256::compress` into the SHA
+//! extension kernel, made only after run-time CPU feature detection. That
+//! function is the only one marked `#[allow(unsafe_code)]`; the crypto
+//! crate root denies unsafe code so the one function can opt out, and
+//! every other crate root forbids it. This test scans the sources and
+//! fails on a second `unsafe`, a second opt-out, or a crate root that lost
+//! its lint.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The function allowed to hold the block, and the file it lives in.
+const ALLOWED_FN: &str = "fn compress(";
+const ALLOWED_FILE: &str = "crates/crypto/src/sha256.rs";
+const CRYPTO_ROOT: &str = "crates/crypto/src/lib.rs";
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `src/` directory of the workspace: the facade's, each crate's and
+/// each shim's.
+fn source_dirs() -> Vec<PathBuf> {
+    let mut dirs = vec![root().join("src")];
+    for parent in ["crates", "shims"] {
+        for entry in fs::read_dir(root().join(parent)).expect("read crate dir") {
+            let src = entry.expect("dir entry").path().join("src");
+            if src.is_dir() {
+                dirs.push(src);
+            }
+        }
+    }
+    dirs.sort();
+    dirs
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Each workspace source file, relative path and text with `//` comments
+/// cut off (doc comments may talk about `unsafe`; code may not).
+fn sources() -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for dir in source_dirs() {
+        rust_files(&dir, &mut files);
+    }
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path).expect("read source");
+            let code: Vec<&str> = text
+                .lines()
+                .map(|line| line.find("//").map_or(line, |at| &line[..at]))
+                .collect();
+            let rel = path.strip_prefix(root()).expect("under root");
+            (rel.to_string_lossy().replace('\\', "/"), code.join("\n"))
+        })
+        .collect()
+}
+
+/// Byte offsets of `word` in `code` where it stands as a whole identifier.
+fn word_offsets(code: &str, word: &str) -> Vec<usize> {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices(word)
+        .map(|(at, _)| at)
+        .filter(|&at| {
+            !ident(code[..at].chars().next_back()) && !ident(code[at + word.len()..].chars().next())
+        })
+        .collect()
+}
+
+/// The byte range of the body of the function whose signature starts at
+/// `sig`: from its first `{` to the matching `}`.
+fn body(code: &str, sig: usize) -> std::ops::Range<usize> {
+    let open = sig + code[sig..].find('{').expect("function body");
+    let mut depth = 0usize;
+    for (i, c) in code[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return open..open + i + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("unbalanced braces after offset {sig}");
+}
+
+#[test]
+fn one_unsafe_block_in_the_sha256_dispatcher() {
+    let sources = sources();
+    assert!(
+        sources.iter().any(|(path, _)| path == ALLOWED_FILE),
+        "scan did not reach {ALLOWED_FILE}"
+    );
+
+    let blocks: Vec<(&str, usize)> = sources
+        .iter()
+        .flat_map(|(path, code)| {
+            word_offsets(code, "unsafe")
+                .into_iter()
+                .map(move |at| (path.as_str(), at))
+        })
+        .collect();
+    let opt_outs: Vec<(&str, usize)> = sources
+        .iter()
+        .flat_map(|(path, code)| {
+            code.match_indices("allow(unsafe_code)")
+                .map(move |(at, _)| (path.as_str(), at))
+        })
+        .collect();
+    assert_eq!(blocks.len(), 1, "`unsafe` outside the budget: {blocks:?}");
+    assert_eq!(
+        opt_outs.len(),
+        1,
+        "more than one `allow(unsafe_code)`: {opt_outs:?}"
+    );
+
+    let (path, block) = blocks[0];
+    let (allow_path, allow) = opt_outs[0];
+    assert_eq!((path, allow_path), (ALLOWED_FILE, ALLOWED_FILE));
+    let code = &sources
+        .iter()
+        .find(|(p, _)| p == ALLOWED_FILE)
+        .expect("file")
+        .1;
+    let after_attr = allow + code[allow..].find(']').expect("attribute end") + 1;
+    let sig = after_attr + code[after_attr..].find(ALLOWED_FN).expect("allowed fn");
+    assert!(
+        code[after_attr..sig].trim().is_empty(),
+        "`#[allow(unsafe_code)]` must sit on `{ALLOWED_FN}..)` and nothing else"
+    );
+    assert!(
+        body(code, sig).contains(&block),
+        "the one `unsafe` must be inside `{ALLOWED_FN}..)`"
+    );
+}
+
+#[test]
+fn every_other_crate_root_forbids_unsafe_code() {
+    let roots: Vec<PathBuf> = source_dirs()
+        .iter()
+        .map(|d| d.join("lib.rs"))
+        .filter(|p| p.is_file())
+        .collect();
+    assert!(roots.len() >= 15, "found only {} crate roots", roots.len());
+    for path in roots {
+        let rel = path
+            .strip_prefix(root())
+            .expect("under root")
+            .to_string_lossy()
+            .replace('\\', "/");
+        let text = fs::read_to_string(&path).expect("read crate root");
+        let lint = if rel == CRYPTO_ROOT {
+            "#![deny(unsafe_code)]"
+        } else {
+            "#![forbid(unsafe_code)]"
+        };
+        assert!(
+            text.lines().any(|l| l.trim() == lint),
+            "{rel} lacks `{lint}`"
+        );
+    }
+}
