@@ -13,7 +13,7 @@
 //!
 //! All timestamps are simulated milliseconds, so the JSON these
 //! functions render is byte-identical across same-seed runs — the
-//! determinism gate `exp_trace` enforces.
+//! determinism `repro`'s E18 row asserts.
 
 use crate::metrics::percentile;
 use stellar_telemetry::{Json, SpanEvent, SpanPhase, TraceId};
@@ -245,8 +245,8 @@ pub fn trace_summary_json(rows: &[TxTrace], spans_dropped: u64) -> Json {
         )
 }
 
-/// Every row as one JSON array — the byte-identical artifact the
-/// `exp_trace` twin-run determinism gate compares.
+/// Every row as one JSON array — the byte-identical artifact twin-run
+/// determinism checks compare.
 pub fn rows_to_json(rows: &[TxTrace]) -> Json {
     fn opt(obj: Json, key: &str, v: Option<u64>) -> Json {
         match v {

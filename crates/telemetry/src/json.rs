@@ -2,11 +2,11 @@
 //!
 //! The workspace has no registry access (see the dependency policy in
 //! `DESIGN.md`), so the telemetry export format is hand-rolled rather
-//! than serde-derived. The parser exists so tests and the CI smoke can
-//! validate that every `BENCH_*.json` a binary writes is well-formed and
-//! carries the documented schema — it is not a general-purpose parser
-//! (no `\uXXXX` escapes beyond the BMP pass-through, no number edge-case
-//! pedantry), but it round-trips everything [`Json::render`] produces.
+//! than serde-derived. The parser exists so tests can read documents
+//! back (the committed `PAPER_REPRO.json` among them) — it is not a
+//! general-purpose parser (no `\uXXXX` escapes beyond the BMP
+//! pass-through, no number edge-case pedantry), but it round-trips
+//! everything [`Json::render`] produces.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -90,8 +90,8 @@ impl Json {
         out
     }
 
-    /// Renders with two-space indentation (the `BENCH_*.json` on-disk
-    /// format: diff-friendly and human-skimmable).
+    /// Renders with two-space indentation (diff-friendly and
+    /// human-skimmable).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.write_pretty(&mut out, 0);

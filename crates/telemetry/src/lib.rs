@@ -18,8 +18,8 @@
 //!   horizon-visible), bounded per-node span buffers with a
 //!   deterministic sampling knob;
 //! * [`json`] — a hand-rolled JSON value (render + parse) backing
-//!   [`Registry::snapshot`] and the `BENCH_*.json` machine-readable
-//!   bench output (the workspace has no registry access, so no serde).
+//!   [`Registry::snapshot`] and the committed `PAPER_REPRO.json` (the
+//!   workspace has no registry access, so no serde).
 //!
 //! The crate depends on nothing — not even the other workspace crates.
 //! Nodes and slots are plain `u32`/`u64` here; embedders translate their
