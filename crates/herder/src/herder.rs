@@ -26,18 +26,20 @@ use stellar_ledger::txset::TransactionSet;
 use stellar_ledger::StoreIoStats;
 use stellar_persist::DurableStore;
 use stellar_scp::driver::{Driver, ScpEvent, TimerKind, Validity};
-use stellar_scp::slot::SlotSnapshot;
 use stellar_scp::{Envelope, NodeId, SlotIndex, Value};
 use stellar_telemetry::{NodeTelemetry, SpanPhase, TraceKind};
 
-/// Durable-store key prefix of the per-slot SCP records (`scp/<slot>`,
-/// one [`SlotSnapshot`] each, written write-ahead of every outbound
-/// envelope).
+/// Durable-store key prefix of the SCP write-ahead records: per slot, the
+/// latest NOMINATE and the latest ballot [`Envelope`] this node sent,
+/// each written before the envelope is released.
 pub const SCP_SLOT_PREFIX: &str = "scp/";
 
-/// Durable-store key of slot `slot`'s SCP record.
-pub fn scp_slot_key(slot: SlotIndex) -> String {
-    format!("{SCP_SLOT_PREFIX}{slot}")
+/// Durable-store key of the record holding our latest nomination
+/// (`scp/<slot>/nominate`) or ballot (`scp/<slot>/ballot`) envelope for
+/// `slot`.
+pub fn scp_record_key(slot: SlotIndex, nomination: bool) -> String {
+    let protocol = if nomination { "nominate" } else { "ballot" };
+    format!("{SCP_SLOT_PREFIX}{slot}/{protocol}")
 }
 
 /// Durable-store key for the latest-closed-ledger record (written at
@@ -178,11 +180,14 @@ pub struct Herder {
     /// This node's observability bundle: metrics registry + flight
     /// recorder, updated on the hot path by every driver hook.
     pub telemetry: NodeTelemetry,
-    /// This node's simulated disk: SCP snapshots are written here
-    /// write-ahead of outbound envelopes, and the latest closed ledger at
+    /// This node's simulated disk: our own SCP envelopes are written here
+    /// write-ahead of their release, and the latest closed ledger at
     /// every close, so a crash-restarted node recovers without amnesia
     /// (§3, §5.4).
     pub persist: DurableStore,
+    /// Slots with SCP records on `persist`, durable or staged; each is
+    /// removed once its slot leaves the [`SLOT_WINDOW`].
+    scp_record_slots: BTreeSet<SlotIndex>,
     /// Data-disk I/O counters as of the previous close — the per-close
     /// telemetry deltas are computed against this.
     last_store_stats: StoreIoStats,
@@ -268,6 +273,7 @@ impl Herder {
             key_registry,
             telemetry: NodeTelemetry::new(node_id.0),
             persist: DurableStore::new(),
+            scp_record_slots: BTreeSet::new(),
             outbox: Vec::new(),
             timer_requests: Vec::new(),
             pending_externalize: Vec::new(),
@@ -691,32 +697,47 @@ impl Herder {
         (ok, written)
     }
 
-    /// Write-ahead persists what changed in SCP since the last successful
-    /// call — one `scp/<slot>` record per touched slot, removal of the
-    /// pruned slots' records — under a single fsync.
+    /// Write-ahead persists the envelopes about to be released: each is
+    /// staged as its slot's nomination or ballot record, a later envelope
+    /// for the same record replacing an earlier one, and the records of
+    /// slots that have left the [`SLOT_WINDOW`] are removed — all under a
+    /// single fsync. No statement is re-signed: the record is the
+    /// envelope peers receive.
     ///
-    /// Returns `false` when the fsync failed: the state is NOT on disk
-    /// and the caller must hold back any outbound envelope derived from
-    /// it until a later sync succeeds (otherwise a crash could make this
-    /// node contradict a vote the network already saw).
-    pub fn persist_scp(&mut self, touched: &[SlotSnapshot], pruned: &[SlotIndex]) -> bool {
+    /// Returns `false` when the fsync failed: the envelopes are NOT on
+    /// disk and the caller must hold them back until a later sync
+    /// succeeds (otherwise a crash could make this node contradict a
+    /// vote the network already saw).
+    pub fn persist_scp(&mut self, envelopes: &[Envelope]) -> bool {
         if !self.persist.is_enabled() {
             return true;
         }
         let before = self.persist.stats().bytes_written;
-        // Removals first: a slot pruned and re-created since the last
-        // save is in both lists, and its new record must win.
-        for slot in pruned {
-            self.persist.remove(&scp_slot_key(*slot));
+        let keep_from = self.current_slot().saturating_sub(SLOT_WINDOW);
+        let kept = self.scp_record_slots.split_off(&keep_from);
+        for slot in std::mem::replace(&mut self.scp_record_slots, kept) {
+            self.persist.remove(&scp_record_key(slot, true));
+            self.persist.remove(&scp_record_key(slot, false));
         }
-        for snap in touched {
+        let latest: BTreeMap<(SlotIndex, bool), &Envelope> = envelopes
+            .iter()
+            .filter(|env| env.statement.slot >= keep_from)
+            .map(|env| {
+                (
+                    (env.statement.slot, env.statement.kind.is_nomination()),
+                    env,
+                )
+            })
+            .collect();
+        for (&(slot, nomination), env) in &latest {
             self.persist
-                .write(&scp_slot_key(snap.index), &snap.to_bytes());
+                .write(&scp_record_key(slot, nomination), &env.to_bytes());
+            self.scp_record_slots.insert(slot);
         }
         let (ok, written) = self.sync_durable(before);
         let reg = &mut self.telemetry.registry;
         reg.add("persist.scp.bytes_written", written);
-        reg.add("persist.scp.slots_written", touched.len() as u64);
+        reg.add("persist.scp.records_written", latest.len() as u64);
         ok
     }
 
@@ -741,27 +762,30 @@ impl Herder {
         ok
     }
 
-    /// Reads back the durable per-slot SCP records at or above
+    /// Reads back the durable SCP records of slots at or above
     /// `keep_from`, in slot order (crash recovery). Every other `scp/`
     /// record — a slot below the window the restarted node will never
-    /// load into RAM and so never prune, or a torn record — is staged for
-    /// removal at the next sync, which keeps the durable key set bounded
-    /// across any number of restarts. With nothing readable, recovery
-    /// leans on the history archive alone.
-    pub fn recover_scp_snapshots(&mut self, keep_from: SlotIndex) -> Vec<SlotSnapshot> {
-        let mut snaps = Vec::new();
+    /// load into RAM, or a torn record — is staged for removal at the
+    /// next sync, which keeps the durable key set bounded across any
+    /// number of restarts. With nothing readable, recovery leans on the
+    /// history archive alone.
+    pub fn recover_scp_envelopes(&mut self, keep_from: SlotIndex) -> Vec<Envelope> {
+        let mut envelopes = Vec::new();
         for key in self.persist.keys_with_prefix(SCP_SLOT_PREFIX) {
-            let snap = self
+            let env = self
                 .persist
                 .read(&key)
-                .and_then(|bytes| SlotSnapshot::from_bytes(&bytes).ok());
-            match snap {
-                Some(snap) if snap.index >= keep_from => snaps.push(snap),
+                .and_then(|bytes| Envelope::from_bytes(&bytes).ok());
+            match env {
+                Some(env) if env.statement.slot >= keep_from => {
+                    self.scp_record_slots.insert(env.statement.slot);
+                    envelopes.push(env);
+                }
                 _ => self.persist.remove(&key),
             }
         }
-        snaps.sort_by_key(|snap| snap.index);
-        snaps
+        envelopes.sort_by_key(|env| env.statement.slot);
+        envelopes
     }
 
     /// Reads back the durable latest-closed-ledger record, if intact.
@@ -920,6 +944,13 @@ impl Driver for Herder {
             }
             ScpEvent::Externalized { slot, .. } => {
                 self.telemetry.slot_externalized(t, *slot);
+            }
+            ScpEvent::EnvelopeRejected { reason, .. } => {
+                self.telemetry.registry.inc(match *reason {
+                    "insane" => "scp.insane_statements",
+                    _ => "scp.bad_signatures",
+                });
+                return;
             }
             ScpEvent::EnvelopeProcessed { slot, from, kind } => {
                 self.telemetry.registry.inc(envelope_in_key(kind));

@@ -11,7 +11,12 @@
 //!
 //! All outputs (envelopes and transaction sets to flood, timers to arm)
 //! are buffered in the herder, so the embedding simulator stays fully
-//! deterministic.
+//! deterministic. Every step ends in [`Validator::drain_outputs`], the
+//! write-ahead gate: the envelopes it releases are first written to the
+//! node disk as that slot's nomination or ballot record and fsynced, so
+//! the disk always holds what the node said, and a crash-restarted node
+//! replays those records ([`Validator::recover_scp_state`]) instead of
+//! contradicting a vote it sent (§3, §5.4).
 
 use crate::herder::{Herder, SLOT_WINDOW};
 use crate::queue::QueueError;
@@ -23,7 +28,7 @@ use stellar_ledger::store::LedgerStore;
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_ledger::txset::TransactionSet;
 use stellar_scp::driver::TimerKind;
-use stellar_scp::{Envelope, NodeId, QuorumSet, ScpNode, SlotIndex};
+use stellar_scp::{Envelope, NodeId, QuorumSet, ScpNode, SlotIndex, Statement};
 use stellar_telemetry::SpanPhase;
 
 /// Static reject label for the queue-reject span (no allocation on the
@@ -85,7 +90,8 @@ impl Validator {
     /// durable data disk ([`stellar_ledger::LedgerBackend`] recovery)
     /// rather than rebuilt from genesis: the store, bucket list, and
     /// header resume at the last durable close. SCP state starts fresh —
-    /// the caller restores it from the write-ahead snapshots.
+    /// the caller restores it from the write-ahead records
+    /// ([`Self::recover_scp_state`]).
     pub fn from_recovered(
         id: NodeId,
         keys: KeyPair,
@@ -150,7 +156,7 @@ impl Validator {
         let slot = self.herder.current_slot();
         let (value, set) = self.herder.make_proposal();
         self.scp.propose(&mut self.herder, slot, value.to_scp());
-        let mut out = self.drain();
+        let mut out = self.drain_outputs();
         out.tx_sets.push(set);
         out
     }
@@ -165,14 +171,14 @@ impl Validator {
         self.scp
             .set_quorum_set_and_reevaluate(&mut self.herder, qset, slot);
         self.process_externalized();
-        self.drain()
+        self.drain_outputs()
     }
 
     /// Handles an incoming SCP envelope.
     pub fn receive_envelope(&mut self, env: &Envelope) -> Outputs {
         self.scp.receive(&mut self.herder, env);
         self.process_externalized();
-        self.drain()
+        self.drain_outputs()
     }
 
     /// Handles an incoming transaction set from a peer.
@@ -182,14 +188,14 @@ impl Validator {
         let slot = self.herder.current_slot();
         self.scp.retry_nomination(&mut self.herder, slot);
         self.process_externalized();
-        self.drain()
+        self.drain_outputs()
     }
 
     /// Handles a timer expiry the embedder scheduled earlier.
     pub fn on_timer(&mut self, slot: SlotIndex, kind: TimerKind) -> Outputs {
         self.scp.on_timeout(&mut self.herder, slot, kind);
         self.process_externalized();
-        self.drain()
+        self.drain_outputs()
     }
 
     /// Moves freshly externalized values into ledger closes.
@@ -243,49 +249,42 @@ impl Validator {
     }
 
     /// Rebuilds in-memory SCP state from the durable store after a crash
-    /// restart: every recorded slot at or above the current one is
-    /// restored (timers re-arm, decided values re-notify), then any
-    /// decided-but-unapplied value is pushed through the close path.
-    /// Returns the number of slots restored.
+    /// restart: every slot at or above the current one that has records
+    /// is replayed from our own latest envelopes (decided values
+    /// re-notify), then any decided-but-unapplied value is pushed through
+    /// the close path. Peers' statements come back through the reconnect
+    /// exchange ([`Self::scp_state_envelopes`]). Returns the number of
+    /// slots restored.
     pub fn recover_scp_state(&mut self) -> usize {
         let current = self.herder.current_slot();
-        let snaps = self.herder.recover_scp_snapshots(current);
-        let restored = snaps.len();
-        for snap in snaps {
-            self.scp.restore_slot(&mut self.herder, snap);
-        }
+        let own: Vec<Statement> = self
+            .herder
+            .recover_scp_envelopes(current)
+            .into_iter()
+            .map(|env| env.statement)
+            .collect();
+        let restored = self.scp.restore(&mut self.herder, &own);
         self.process_externalized();
         restored
     }
 
-    /// Drains buffered outputs through the write-ahead gate — embedder
-    /// hook for out-of-band steps (crash recovery restores re-arm timers
-    /// that must reach the event loop).
+    /// Drains buffered outputs through the write-ahead gate. Every step
+    /// above ends here; an embedder calls it after an out-of-band step
+    /// (crash recovery) so restored timers reach its event loop.
     pub fn drain_outputs(&mut self) -> Outputs {
-        self.drain()
-    }
-
-    fn drain(&mut self) -> Outputs {
         let envelopes = self.herder.take_outbox();
         let timers = self.herder.take_timer_requests();
-        // Write-ahead discipline (§5.4): our SCP state must be durable
-        // before any envelope derived from it reaches the network — a
-        // crash between emitting and persisting would let the restarted
-        // node contradict votes peers already hold. Only the slots that
-        // changed since the last successful sync are rewritten. On a
-        // failed fsync the envelopes stay queued and the slots stay
-        // unsaved; a later drain rewrites them and retries the sync.
-        let envelopes = if envelopes.is_empty() {
+        // Write-ahead discipline (§5.4): what we say must be durable
+        // before it reaches the network — a crash between emitting and
+        // persisting would let the restarted node contradict votes peers
+        // already hold. The records are the envelopes themselves. On a
+        // failed fsync the envelopes stay queued; a later drain stages
+        // them again and retries the sync.
+        let envelopes = if envelopes.is_empty() || self.herder.persist_scp(&envelopes) {
             envelopes
         } else {
-            let (touched, pruned) = self.scp.unsaved_slots();
-            if self.herder.persist_scp(&touched, &pruned) {
-                self.scp.mark_saved();
-                envelopes
-            } else {
-                self.herder.outbox.splice(0..0, envelopes);
-                Vec::new()
-            }
+            self.herder.outbox.splice(0..0, envelopes);
+            Vec::new()
         };
         Outputs {
             envelopes,
@@ -298,6 +297,7 @@ impl Validator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::herder::scp_record_key;
     use stellar_crypto::sign::PublicKey;
     use stellar_ledger::amount::{xlm, BASE_FEE};
     use stellar_ledger::asset::Asset;
@@ -487,37 +487,76 @@ mod tests {
     }
 
     #[test]
-    fn torn_slot_record_loses_that_slot_only() {
+    fn rejected_envelopes_are_counted_and_leave_no_trace() {
+        use stellar_scp::{Ballot, Statement, StatementKind, Value};
+        let mut net = MiniNet::new(4);
+        let qset = net.validators[0].scp.quorum_set().clone();
+        // A PREPARE claiming h = 2 with no accepted-prepared ballot,
+        // signed with node 1's registered key.
+        let insane = Statement {
+            node: NodeId(1),
+            slot: 2,
+            quorum_set: qset,
+            kind: StatementKind::Prepare {
+                ballot: Ballot::new(1, Value::new(b"x".to_vec())),
+                prepared: None,
+                prepared_prime: None,
+                c_n: 0,
+                h_n: 2,
+            },
+        };
+        let forged = Envelope::sign(insane.clone(), &KeyPair::from_seed(99));
+        let insane = Envelope::sign(insane, &KeyPair::from_seed(1));
+        let v = &mut net.validators[0];
+        assert!(v.receive_envelope(&insane).is_empty());
+        assert!(v.receive_envelope(&forged).is_empty());
+        let reg = &v.herder.telemetry.registry;
+        assert_eq!(reg.counter("scp.insane_statements"), 1);
+        assert_eq!(reg.counter("scp.bad_signatures"), 1);
+        assert_eq!(v.scp.live_slots(), 0, "no slot for a rejected statement");
+        assert_eq!(
+            v.herder.persist.stats().bytes_written,
+            0,
+            "nothing in the WAL"
+        );
+    }
+
+    #[test]
+    fn torn_record_loses_that_record_only() {
         let mut net = MiniNet::new(4);
         net.now_ms = 5000;
         for _ in 0..3 {
             net.run_ledger();
             net.now_ms += 5000;
         }
-        let straggler = net.validators[1]
-            .scp
-            .own_latest_envelopes(4)
-            .pop()
-            .expect("node 1 voted in slot 4");
         let v = &mut net.validators[0];
-        let on_disk = |v: &mut Validator| -> Vec<SlotIndex> {
-            let snaps = v.herder.recover_scp_snapshots(0);
-            snaps.iter().map(|s| s.index).collect()
+        let on_disk = |v: &mut Validator| -> Vec<String> {
+            let envelopes = v.herder.recover_scp_envelopes(0);
+            envelopes
+                .iter()
+                .map(|env| scp_record_key(env.statement.slot, env.statement.kind.is_nomination()))
+                .collect()
         };
-        assert_eq!(on_disk(v), [2, 3, 4]);
-        // A late envelope touches closed slot 4, so the next emission
-        // rewrites its record ahead of new slot 5's — but that fsync
-        // fails, and the crash tears the oldest staged write.
-        assert!(v.receive_envelope(&straggler).envelopes.is_empty());
+        let before = on_disk(v);
+        assert_eq!(
+            before.len(),
+            6,
+            "nominate + ballot for slots 2-4: {before:?}"
+        );
+        // The fsync behind slot 5's first nomination fails, and the crash
+        // tears that staged write.
         v.herder.persist.fail_next_fsyncs(1);
         let held = v.trigger_next_ledger();
         assert!(held.envelopes.is_empty() && !v.herder.outbox.is_empty());
         v.herder.persist.tear_next_crash();
         v.herder.persist.crash();
-        assert!(v.herder.persist.raw("scp/4").is_some(), "garbage on disk");
-        assert_eq!(on_disk(v), [2, 3], "one torn slot, not the whole window");
+        assert!(
+            v.herder.persist.raw("scp/5/nominate").is_some(),
+            "garbage on disk"
+        );
+        assert_eq!(on_disk(v), before, "one torn record, not the whole window");
         // Recovery staged the unreadable record's removal.
         assert!(v.herder.persist.sync());
-        assert_eq!(v.herder.persist.raw("scp/4"), None);
+        assert_eq!(v.herder.persist.raw("scp/5/nominate"), None);
     }
 }

@@ -23,6 +23,11 @@
 //! v-blocking set at higher counters forces an immediate jump forward. Both
 //! rules together keep intact nodes within one ballot of each other once
 //! the network turns synchronous, which is exactly what termination needs.
+//!
+//! The node's own latest statement carries its phase and all five
+//! ballots, so it is the whole durable state: a restarted node rebuilds
+//! the protocol from it ([`BallotProtocol::restore`]) and can only emit
+//! newer statements afterwards.
 
 use crate::driver::{Driver, ScpEvent, TimerKind};
 use crate::quorum::LatestStatements;
@@ -41,72 +46,6 @@ pub enum BallotPhase {
     /// Decided; the slot value is final.
     Externalize,
 }
-
-impl stellar_crypto::codec::Encode for BallotPhase {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u32 = match self {
-            BallotPhase::Prepare => 0,
-            BallotPhase::Confirm => 1,
-            BallotPhase::Externalize => 2,
-        };
-        tag.encode(out);
-    }
-}
-
-impl stellar_crypto::codec::Decode for BallotPhase {
-    fn decode(input: &mut &[u8]) -> Result<Self, stellar_crypto::codec::DecodeError> {
-        match u32::decode(input)? {
-            0 => Ok(BallotPhase::Prepare),
-            1 => Ok(BallotPhase::Confirm),
-            2 => Ok(BallotPhase::Externalize),
-            t => Err(stellar_crypto::codec::DecodeError::BadTag(t)),
-        }
-    }
-}
-
-/// Durable image of a [`BallotProtocol`], for write-ahead persistence.
-///
-/// This is what stellar-core keeps on disk so that a rebooted validator
-/// cannot contradict a `commit` it already accepted (§3, §5.4): the phase,
-/// the five-ballot summary, and the latest statements it based them on.
-/// The timer arming is deliberately absent — timers are process-local and
-/// are re-derived after restore.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BallotSnapshot {
-    /// Protocol phase.
-    pub phase: BallotPhase,
-    /// Current ballot `b`.
-    pub current: Option<Ballot>,
-    /// Highest accepted-prepared ballot `p`.
-    pub prepared: Option<Ballot>,
-    /// Highest accepted-prepared ballot incompatible with `p`.
-    pub prepared_prime: Option<Ballot>,
-    /// `h` (meaning depends on phase; see [`BallotProtocol`]).
-    pub high: Option<Ballot>,
-    /// `c` (meaning depends on phase).
-    pub commit: Option<Ballot>,
-    /// Latest ballot statement per node (including our own).
-    pub latest: BTreeMap<NodeId, Statement>,
-    /// Latest composite candidate from nomination.
-    pub composite: Option<Value>,
-    /// Ballot-timeout count.
-    pub timeouts: u64,
-    /// The decided value, if externalized.
-    pub decided: Option<Value>,
-}
-
-stellar_crypto::impl_codec_struct!(BallotSnapshot {
-    phase,
-    current,
-    prepared,
-    prepared_prime,
-    high,
-    commit,
-    latest,
-    composite,
-    timeouts,
-    decided,
-});
 
 /// Per-slot ballot-protocol state machine.
 #[derive(Debug)]
@@ -185,47 +124,62 @@ impl BallotProtocol {
         self.latest.get(&node)
     }
 
-    /// Captures the full ballot state for durable storage.
-    pub fn snapshot(&self) -> BallotSnapshot {
-        BallotSnapshot {
-            phase: self.phase,
-            current: self.current.clone(),
-            prepared: self.prepared.clone(),
-            prepared_prime: self.prepared_prime.clone(),
-            high: self.high.clone(),
-            commit: self.commit.clone(),
-            latest: self.latest.to_map(),
-            composite: self.composite.clone(),
-            timeouts: self.timeouts,
-            decided: self.decided.clone(),
+    /// Rebuilds the ballot state from this node's own latest ballot
+    /// statement after a restart, as stellar-core's
+    /// `setStateFromEnvelope` does: the phase and `b, p, p′, h, c` are
+    /// what the statement says. The statement rebuilt from that state is
+    /// recorded as our latest, so the next one we emit can only be newer.
+    /// Peers' statements come back through the reconnect exchange; until
+    /// a quorum of them arrives the ballot timer stays unarmed. A decided
+    /// slot re-notifies the driver (the embedder deduplicates by ledger
+    /// sequence, so redelivery across a crash is safe — losing the
+    /// notification would not be).
+    pub fn restore<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>, own: &Statement) {
+        let at = |n: u32, value: &Value| (n > 0).then(|| Ballot::new(n, value.clone()));
+        match &own.kind {
+            StatementKind::Prepare {
+                ballot,
+                prepared,
+                prepared_prime,
+                c_n,
+                h_n,
+            } => {
+                self.phase = BallotPhase::Prepare;
+                self.current = Some(ballot.clone());
+                self.prepared = prepared.clone();
+                self.prepared_prime = prepared_prime.clone();
+                self.high = at(*h_n, &ballot.value);
+                self.commit = at(*c_n, &ballot.value);
+            }
+            StatementKind::Confirm {
+                ballot,
+                p_n,
+                c_n,
+                h_n,
+            } => {
+                self.phase = BallotPhase::Confirm;
+                self.current = Some(ballot.clone());
+                self.prepared = at(*p_n, &ballot.value);
+                self.high = at(*h_n, &ballot.value);
+                self.commit = at(*c_n, &ballot.value);
+            }
+            StatementKind::Externalize { commit, h_n } => {
+                self.phase = BallotPhase::Externalize;
+                self.current = at(u32::MAX, &commit.value);
+                self.prepared = at(u32::MAX, &commit.value);
+                self.high = at(*h_n, &commit.value);
+                self.commit = Some(commit.clone());
+                self.decided = Some(commit.value.clone());
+            }
+            StatementKind::Nominate { .. } => return,
         }
-    }
-
-    /// Rebuilds ballot state from a durable snapshot after a restart.
-    ///
-    /// The ballot timer is re-armed through the normal quorum check, and a
-    /// decided-but-possibly-unapplied slot re-notifies the driver (the
-    /// embedder deduplicates by ledger sequence, so redelivery across a
-    /// crash is safe — losing the notification would not be).
-    pub fn restore<D: Driver>(ctx: &mut Ctx<'_, D>, snap: BallotSnapshot) -> Self {
-        let mut bp = BallotProtocol {
-            phase: snap.phase,
-            current: snap.current,
-            prepared: snap.prepared,
-            prepared_prime: snap.prepared_prime,
-            high: snap.high,
-            commit: snap.commit,
-            latest: snap.latest.into(),
-            composite: snap.composite,
-            timer_armed_for: None,
-            timeouts: snap.timeouts,
-            decided: snap.decided,
-        };
-        bp.check_heard_from_quorum(ctx);
-        if let Some(v) = bp.decided.clone() {
+        if let Some(st) = self.build_statement(own.node, own.slot, &own.quorum_set) {
+            self.latest.insert(st);
+        }
+        self.check_heard_from_quorum(ctx);
+        if let Some(v) = self.decided.clone() {
             ctx.driver.externalized(ctx.slot, &v);
         }
-        bp
     }
 
     /// Feeds a new composite candidate value from nomination.

@@ -53,6 +53,10 @@ pub enum ScpEvent {
         from: NodeId,
         kind: &'static str,
     },
+    /// A peer envelope was dropped before reaching any slot. `reason` is
+    /// `"bad_signature"` (it does not verify under the sender's key) or
+    /// `"insane"` (it fails [`crate::StatementKind::is_sane`]).
+    EnvelopeRejected { from: NodeId, reason: &'static str },
     /// A new composite candidate value emerged from nomination.
     NewCandidate { slot: SlotIndex, value: Value },
     /// The node moved to a new ballot (counter reported).

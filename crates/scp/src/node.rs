@@ -3,10 +3,13 @@
 //! [`ScpNode`] owns one [`crate::slot::Slot`] per consensus instance
 //! and handles envelope verification, slot routing, quorum-set updates
 //! (nodes may retune slices at any time, §3.1.1), and old-slot pruning.
+//! It knows nothing of persistence: the embedder writes the envelopes the
+//! node emits before releasing them, and after a crash hands them back to
+//! [`ScpNode::restore`], which replays them into fresh slots.
 
 use crate::driver::{Driver, ScpEvent, TimerKind};
-use crate::slot::{Ctx, Slot, SlotSnapshot};
-use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Value};
+use crate::slot::{Ctx, Slot};
+use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Statement, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use stellar_crypto::sign::KeyPair;
 
@@ -16,11 +19,6 @@ pub struct ScpNode {
     keys: KeyPair,
     qset: QuorumSet,
     slots: BTreeMap<SlotIndex, Slot>,
-    /// Live slots that may have changed since the embedder last made
-    /// them durable ([`ScpNode::mark_saved`]).
-    unsaved: BTreeSet<SlotIndex>,
-    /// Slots pruned since then: their durable records are now garbage.
-    pruned: BTreeSet<SlotIndex>,
     /// Envelopes dropped due to bad signatures (metric / test hook).
     bad_signatures: u64,
     /// Envelopes dropped for failing [`crate::StatementKind::is_sane`].
@@ -41,8 +39,6 @@ impl ScpNode {
             keys,
             qset,
             slots: BTreeMap::new(),
-            unsaved: BTreeSet::new(),
-            pruned: BTreeSet::new(),
             bad_signatures: 0,
             insane_statements: 0,
         }
@@ -94,10 +90,23 @@ impl ScpNode {
         self.slots.get(&index).and_then(Slot::decision)
     }
 
-    /// Proposes `value` for slot `index`, starting nomination there.
-    pub fn propose<D: Driver>(&mut self, driver: &mut D, index: SlotIndex, value: Value) {
-        let slot = self.slots.entry(index).or_insert_with(|| Slot::new(index));
-        self.unsaved.insert(index);
+    /// Runs `f` on slot `index` under a context for it, creating the slot
+    /// first when `create` is set; without it a missing slot is a no-op.
+    fn with_slot<D: Driver>(
+        &mut self,
+        driver: &mut D,
+        index: SlotIndex,
+        create: bool,
+        f: impl FnOnce(&mut Slot, &mut Ctx<'_, D>),
+    ) {
+        let slot = if create {
+            self.slots.entry(index).or_insert_with(|| Slot::new(index))
+        } else {
+            match self.slots.get_mut(&index) {
+                Some(slot) => slot,
+                None => return,
+            }
+        };
         let mut ctx = Ctx {
             node: self.id,
             slot: index,
@@ -105,7 +114,12 @@ impl ScpNode {
             keys: &self.keys,
             driver,
         };
-        slot.propose(&mut ctx, value);
+        f(slot, &mut ctx);
+    }
+
+    /// Proposes `value` for slot `index`, starting nomination there.
+    pub fn propose<D: Driver>(&mut self, driver: &mut D, index: SlotIndex, value: Value) {
+        self.with_slot(driver, index, true, |slot, ctx| slot.propose(ctx, value));
     }
 
     /// Handles an incoming envelope: verifies the signature and routes it
@@ -119,15 +133,20 @@ impl ScpNode {
             Some(pk) => envelope.verify(pk),
             None => false,
         };
-        if !verified {
+        let rejected = if !verified {
             self.bad_signatures += 1;
+            Some("bad_signature")
+        } else if !st.quorum_set.is_well_formed() {
             return false;
-        }
-        if !st.quorum_set.is_well_formed() {
-            return false;
-        }
-        if !st.kind.is_sane() {
+        } else if !st.kind.is_sane() {
             self.insane_statements += 1;
+            Some("insane")
+        } else {
+            None
+        };
+        if let Some(reason) = rejected {
+            let from = st.node;
+            driver.on_event(ScpEvent::EnvelopeRejected { from, reason });
             return false;
         }
         driver.on_event(ScpEvent::EnvelopeProcessed {
@@ -135,40 +154,25 @@ impl ScpNode {
             from: st.node,
             kind: st.kind.class_name(),
         });
-        let slot = self
-            .slots
-            .entry(st.slot)
-            .or_insert_with(|| Slot::new(st.slot));
-        self.unsaved.insert(st.slot);
-        let mut ctx = Ctx {
-            node: self.id,
-            slot: st.slot,
-            qset: &self.qset,
-            keys: &self.keys,
-            driver,
-        };
-        slot.process(&mut ctx, st);
+        self.with_slot(driver, st.slot, true, |slot, ctx| slot.process(ctx, st));
         true
     }
 
-    /// This node's own latest statements for slot `index`, re-signed into
-    /// envelopes. Peers exchange these when a connection is (re)established
-    /// — naïve flooding has no retransmission, so without this state
-    /// exchange two healed partitions would never learn what the other
-    /// side voted while the link was down (stellar-core's `GET_SCP_STATE`
-    /// serves the same purpose).
+    /// This node's own latest statements for slot `index`
+    /// ([`Slot::own_statements`]), re-signed into envelopes. Peers
+    /// exchange these when a connection is (re)established — naïve
+    /// flooding has no retransmission, so without this state exchange two
+    /// healed partitions would never learn what the other side voted while
+    /// the link was down, and a restarted node would never relearn its
+    /// peers' votes (stellar-core's `GET_SCP_STATE` serves the same
+    /// purpose).
     pub fn own_latest_envelopes(&self, index: SlotIndex) -> Vec<Envelope> {
-        let Some(slot) = self.slots.get(&index) else {
-            return Vec::new();
-        };
-        let mut envelopes = Vec::new();
-        if let Some(st) = slot.nomination().latest_statement(self.id) {
-            envelopes.push(Envelope::sign(st.clone(), &self.keys));
-        }
-        if let Some(st) = slot.ballot().latest_statement(self.id) {
-            envelopes.push(Envelope::sign(st.clone(), &self.keys));
-        }
-        envelopes
+        self.slots.get(&index).map_or_else(Vec::new, |slot| {
+            slot.own_statements(self.id)
+                .into_iter()
+                .map(|st| Envelope::sign(st, &self.keys))
+                .collect()
+        })
     }
 
     /// Replaces this node's quorum slices and re-evaluates the given
@@ -183,96 +187,34 @@ impl ScpNode {
         index: SlotIndex,
     ) {
         self.set_quorum_set(qset);
-        if let Some(slot) = self.slots.get_mut(&index) {
-            self.unsaved.insert(index);
-            let mut ctx = Ctx {
-                node: self.id,
-                slot: index,
-                qset: &self.qset,
-                keys: &self.keys,
-                driver,
-            };
-            slot.reevaluate(&mut ctx);
-        }
+        self.with_slot(driver, index, false, |slot, ctx| slot.reevaluate(ctx));
     }
 
     /// Re-runs nomination for `index` after the application learned state
     /// that may unblock value validation (e.g. a tx set arrived).
     pub fn retry_nomination<D: Driver>(&mut self, driver: &mut D, index: SlotIndex) {
-        if let Some(slot) = self.slots.get_mut(&index) {
-            self.unsaved.insert(index);
-            let mut ctx = Ctx {
-                node: self.id,
-                slot: index,
-                qset: &self.qset,
-                keys: &self.keys,
-                driver,
-            };
-            slot.retry_nomination(&mut ctx);
-        }
+        self.with_slot(driver, index, false, |slot, ctx| slot.retry_nomination(ctx));
     }
 
     /// Handles a timer expiry previously requested through the driver.
     pub fn on_timeout<D: Driver>(&mut self, driver: &mut D, index: SlotIndex, kind: TimerKind) {
-        if let Some(slot) = self.slots.get_mut(&index) {
-            self.unsaved.insert(index);
-            let mut ctx = Ctx {
-                node: self.id,
-                slot: index,
-                qset: &self.qset,
-                keys: &self.keys,
-                driver,
-            };
-            slot.on_timeout(&mut ctx, kind);
+        self.with_slot(driver, index, false, |slot, ctx| slot.on_timeout(ctx, kind));
+    }
+
+    /// Rebuilds slots from this node's own latest statements — what the
+    /// embedder's write-ahead records hold — after a crash restart. Every
+    /// slot they name is replaced by a fresh one that replays them
+    /// ([`Slot::restore`]); statements signed by another node are
+    /// ignored. Returns the number of slots restored.
+    pub fn restore<D: Driver>(&mut self, driver: &mut D, own: &[Statement]) -> usize {
+        let (id, mut restored) = (self.id, BTreeSet::new());
+        for st in own.iter().filter(|st| st.node == id) {
+            if restored.insert(st.slot) {
+                self.slots.insert(st.slot, Slot::new(st.slot));
+            }
+            self.with_slot(driver, st.slot, false, |slot, ctx| slot.restore(ctx, st));
         }
-    }
-
-    /// Snapshots every live slot: the information the embedder's durable
-    /// store must hold after each successful write-ahead sync.
-    pub fn snapshot_slots(&self) -> Vec<SlotSnapshot> {
-        self.slots.values().map(Slot::snapshot).collect()
-    }
-
-    /// What changed since the last [`ScpNode::mark_saved`], for
-    /// write-ahead persistence: snapshots of the live slots touched
-    /// since then, and the indices of the slots pruned since then. The
-    /// embedder makes exactly this durable (one record per slot) *before*
-    /// releasing any outbound envelope, so a crash-restarted node can
-    /// never contradict a vote it already published (§3, §5.4).
-    pub fn unsaved_slots(&self) -> (Vec<SlotSnapshot>, Vec<SlotIndex>) {
-        let touched = self
-            .unsaved
-            .iter()
-            .filter_map(|index| self.slots.get(index))
-            .map(Slot::snapshot)
-            .collect();
-        (touched, self.pruned.iter().copied().collect())
-    }
-
-    /// Records that everything [`ScpNode::unsaved_slots`] last reported
-    /// is durable. Call only after a sync that covered it succeeded, with
-    /// no step in between — a slot stays unsaved until then.
-    pub fn mark_saved(&mut self) {
-        self.unsaved.clear();
-        self.pruned.clear();
-    }
-
-    /// Restores one slot from a durable snapshot (crash recovery),
-    /// replacing any in-memory state for that index. Timers are re-armed
-    /// through the driver and a decided slot re-notifies
-    /// [`Driver::externalized`].
-    pub fn restore_slot<D: Driver>(&mut self, driver: &mut D, snap: SlotSnapshot) {
-        let index = snap.index;
-        let mut ctx = Ctx {
-            node: self.id,
-            slot: index,
-            qset: &self.qset,
-            keys: &self.keys,
-            driver,
-        };
-        let slot = Slot::restore(&mut ctx, snap);
-        self.slots.insert(index, slot);
-        self.unsaved.insert(index);
+        restored.len()
     }
 
     /// Drops state for slots below `keep_from` (ledger history is the
@@ -280,12 +222,9 @@ impl ScpNode {
     /// which Stellar bounds to a small window).
     pub fn prune_slots_below(&mut self, keep_from: SlotIndex) {
         // Called after every step; almost always nothing is below.
-        if self.slots.range(..keep_from).next().is_none() {
-            return;
+        if self.slots.range(..keep_from).next().is_some() {
+            self.slots = self.slots.split_off(&keep_from);
         }
-        let kept = self.slots.split_off(&keep_from);
-        let dropped = std::mem::replace(&mut self.slots, kept);
-        self.pruned.extend(dropped.into_keys());
     }
 
     /// Number of live slots.

@@ -15,55 +15,18 @@
 //! (chosen by [`crate::leader`]) introduce new values; everyone else echoes
 //! their leaders' votes. Leader-set growth on timeout tolerates leader
 //! failure.
+//!
+//! What survives a restart is the node's own latest NOMINATE, i.e. its
+//! `voted` and `accepted` sets ([`NominationProtocol::restore`]); round,
+//! leaders and candidates are re-derived when the slot is next triggered.
 
 use crate::driver::{Driver, ScpEvent, TimerKind, Validity};
 use crate::leader;
 use crate::quorum::LatestStatements;
 use crate::slot::Ctx;
 use crate::statement::{Statement, StatementKind};
-use crate::{Envelope, NodeId, Value};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Durable image of a [`NominationProtocol`], serialized via the
-/// hand-rolled codec for write-ahead persistence (§5.4): a node must be
-/// able to rebuild its nomination votes after a crash, or a restart could
-/// make it vote for new values it already stopped voting for.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NominationSnapshot {
-    /// See [`NominationProtocol::started`].
-    pub started: bool,
-    /// Whether balloting already shut nomination down.
-    pub stopped: bool,
-    /// Current nomination round.
-    pub round: u32,
-    /// Leader set accumulated so far.
-    pub leaders: BTreeSet<NodeId>,
-    /// Values voted `nominate x`.
-    pub voted: BTreeSet<Value>,
-    /// Values accepted as nominated.
-    pub accepted: BTreeSet<Value>,
-    /// Confirmed-nominated candidate set.
-    pub candidates: BTreeSet<Value>,
-    /// Latest nominate statement per node (including our own).
-    pub latest: BTreeMap<NodeId, Statement>,
-    /// Our proposed value, if any.
-    pub proposed: Option<Value>,
-    /// Round-timeout count.
-    pub timeouts: u64,
-}
-
-stellar_crypto::impl_codec_struct!(NominationSnapshot {
-    started,
-    stopped,
-    round,
-    leaders,
-    voted,
-    accepted,
-    candidates,
-    latest,
-    proposed,
-    timeouts,
-});
+use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Value};
+use std::collections::BTreeSet;
 
 /// Per-slot nomination state machine.
 #[derive(Debug, Default)]
@@ -117,44 +80,19 @@ impl NominationProtocol {
         self.latest.get(&node)
     }
 
-    /// Captures the full nomination state for durable storage.
-    pub fn snapshot(&self) -> NominationSnapshot {
-        NominationSnapshot {
-            started: self.started,
-            stopped: self.stopped,
-            round: self.round,
-            leaders: self.leaders.clone(),
-            voted: self.voted.clone(),
-            accepted: self.accepted.clone(),
-            candidates: self.candidates.clone(),
-            latest: self.latest.to_map(),
-            proposed: self.proposed.clone(),
-            timeouts: self.timeouts,
+    /// Rebuilds the votes from this node's own latest NOMINATE after a
+    /// restart: `voted` and `accepted` are what it says, and it is
+    /// recorded as our latest. The slot is left unstarted — round,
+    /// leaders and candidates are re-derived when it is next triggered
+    /// ([`NominationProtocol::start`]) from peers' statements, which come
+    /// back through the reconnect exchange.
+    pub fn restore(&mut self, own: &Statement) {
+        if let StatementKind::Nominate { voted, accepted } = &own.kind {
+            self.voted = voted.clone();
+            self.accepted = accepted.clone();
+            let st = self.own_statement(own.node, own.slot, &own.quorum_set);
+            self.latest.insert(st);
         }
-    }
-
-    /// Rebuilds nomination state from a durable snapshot after a restart,
-    /// re-arming the round timer (timers are process-local and do not
-    /// survive a crash).
-    pub fn restore<D: Driver>(ctx: &mut Ctx<'_, D>, snap: NominationSnapshot) -> Self {
-        let np = NominationProtocol {
-            started: snap.started,
-            stopped: snap.stopped,
-            round: snap.round,
-            leaders: snap.leaders,
-            voted: snap.voted,
-            accepted: snap.accepted,
-            candidates: snap.candidates,
-            latest: snap.latest.into(),
-            proposed: snap.proposed,
-            timeouts: snap.timeouts,
-        };
-        if np.started && !np.stopped {
-            let delay = ctx.driver.nomination_timeout(np.round);
-            ctx.driver
-                .set_timer(ctx.slot, TimerKind::Nomination, Some(delay));
-        }
-        np
     }
 
     /// Begins nominating `proposed` (round 1).
@@ -380,15 +318,7 @@ impl NominationProtocol {
         if self.voted.is_empty() && self.accepted.is_empty() {
             return;
         }
-        let st = Statement {
-            node: ctx.node,
-            slot: ctx.slot,
-            quorum_set: ctx.qset.clone(),
-            kind: StatementKind::Nominate {
-                voted: self.voted.clone(),
-                accepted: self.accepted.clone(),
-            },
-        };
+        let st = self.own_statement(ctx.node, ctx.slot, ctx.qset);
         if self
             .latest
             .get(&ctx.node)
@@ -407,15 +337,7 @@ impl NominationProtocol {
         if self.voted.is_empty() && self.accepted.is_empty() {
             return;
         }
-        let st = Statement {
-            node: ctx.node,
-            slot: ctx.slot,
-            quorum_set: ctx.qset.clone(),
-            kind: StatementKind::Nominate {
-                voted: self.voted.clone(),
-                accepted: self.accepted.clone(),
-            },
-        };
+        let st = self.own_statement(ctx.node, ctx.slot, ctx.qset);
         // Skip if identical to what we last sent.
         if self.latest.get(&ctx.node).map(|s| &s.kind) == Some(&st.kind) {
             return;
@@ -423,6 +345,19 @@ impl NominationProtocol {
         self.latest.insert(st.clone());
         let env = Envelope::sign(st, ctx.keys);
         ctx.driver.emit_envelope(&env);
+    }
+
+    /// Our nomination statement: the current vote and accept sets.
+    fn own_statement(&self, node: NodeId, slot: SlotIndex, qset: &QuorumSet) -> Statement {
+        Statement {
+            node,
+            slot,
+            quorum_set: qset.clone(),
+            kind: StatementKind::Nominate {
+                voted: self.voted.clone(),
+                accepted: self.accepted.clone(),
+            },
+        }
     }
 }
 

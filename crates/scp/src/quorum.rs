@@ -13,7 +13,7 @@
 
 use crate::statement::Statement;
 use crate::{NodeId, QuorumSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A set of interned nodes: bit `i` stands for [`QuorumKernel::id`]`(i)`.
@@ -298,17 +298,6 @@ pub(crate) struct LatestStatements {
     kernel: QuorumKernel,
 }
 
-impl From<BTreeMap<NodeId, Statement>> for LatestStatements {
-    /// Rebuilds the compiled slices of a restored statement map.
-    fn from(statements: BTreeMap<NodeId, Statement>) -> Self {
-        let mut latest = LatestStatements::default();
-        for st in statements.into_values() {
-            latest.insert(st);
-        }
-        latest
-    }
-}
-
 impl LatestStatements {
     /// The statements, in sender order.
     pub fn values(&self) -> impl Iterator<Item = &Statement> {
@@ -316,11 +305,6 @@ impl LatestStatements {
             .bits
             .iter()
             .filter_map(|(_, bit)| self.statements.get(*bit as usize)?.as_ref())
-    }
-
-    /// The statements keyed by sender, as a snapshot carries them.
-    pub fn to_map(&self) -> BTreeMap<NodeId, Statement> {
-        self.values().map(|st| (st.node, st.clone())).collect()
     }
 
     /// The latest statement from `node`.

@@ -4,13 +4,15 @@
 //! routes envelopes, timeouts, and nomination output between them:
 //! confirmed-nominated candidates are combined by the application
 //! ([`Driver::combine_candidates`]) into the composite value balloting
-//! proposes, and a decision shuts nomination down.
+//! proposes, and a decision shuts nomination down. A slot's durable
+//! image is its own latest statements ([`Slot::own_statements`]); a
+//! restarted node rebuilds the slot by replaying them ([`Slot::restore`]).
 
-use crate::ballot::{BallotPhase, BallotProtocol, BallotSnapshot};
+use crate::ballot::{BallotPhase, BallotProtocol};
 use crate::driver::{Driver, TimerKind};
-use crate::nomination::{NominationProtocol, NominationSnapshot};
+use crate::nomination::NominationProtocol;
 use crate::statement::Statement;
-use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Value};
+use crate::{NodeId, QuorumSet, SlotIndex, Value};
 use stellar_crypto::sign::KeyPair;
 
 /// Shared context threaded through protocol methods: identity, slices,
@@ -27,25 +29,6 @@ pub struct Ctx<'a, D: Driver> {
     /// The application driver.
     pub driver: &'a mut D,
 }
-
-/// Durable image of one slot's full SCP state — what the herder persists
-/// write-ahead of every outbound envelope so a crash cannot produce an
-/// amnesiac validator (§3, §5.4).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SlotSnapshot {
-    /// The slot index.
-    pub index: SlotIndex,
-    /// Nomination-protocol state.
-    pub nomination: NominationSnapshot,
-    /// Ballot-protocol state.
-    pub ballot: BallotSnapshot,
-}
-
-stellar_crypto::impl_codec_struct!(SlotSnapshot {
-    index,
-    nomination,
-    ballot,
-});
 
 /// One consensus instance.
 pub struct Slot {
@@ -168,29 +151,22 @@ impl Slot {
         }
     }
 
-    /// Captures the slot's full state for durable storage.
-    pub fn snapshot(&self) -> SlotSnapshot {
-        SlotSnapshot {
-            index: self.index,
-            nomination: self.nomination.snapshot(),
-            ballot: self.ballot.snapshot(),
+    /// Replays one of this node's own latest statements into the slot
+    /// after a restart: a NOMINATE restores the votes, a ballot statement
+    /// the ballot state (see [`NominationProtocol::restore`] and
+    /// [`BallotProtocol::restore`]).
+    pub fn restore<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>, own: &Statement) {
+        if own.kind.is_nomination() {
+            self.nomination.restore(own);
+        } else {
+            self.ballot.restore(ctx, own);
+            self.after_ballot_step(ctx);
         }
     }
 
-    /// Rebuilds a slot from a durable snapshot after a restart, re-arming
-    /// timers and re-notifying the driver of a decided value.
-    pub fn restore<D: Driver>(ctx: &mut Ctx<'_, D>, snap: SlotSnapshot) -> Slot {
-        let nomination = NominationProtocol::restore(ctx, snap.nomination);
-        let ballot = BallotProtocol::restore(ctx, snap.ballot);
-        Slot {
-            index: snap.index,
-            nomination,
-            ballot,
-        }
-    }
-
-    /// Statements this slot would re-broadcast to help a lagging peer
-    /// (our latest own statements).
+    /// Our latest own statements on this slot — nomination first, then
+    /// ballot. What the write-ahead records hold, what a restore rebuilds
+    /// and what the reconnect exchange re-sends to peers.
     pub fn own_statements(&self, node: NodeId) -> Vec<Statement> {
         let mut out = Vec::new();
         if let Some(st) = self.nomination.latest_statement(node) {
@@ -200,15 +176,5 @@ impl Slot {
             out.push(st.clone());
         }
         out
-    }
-}
-
-/// Convenience for tests and embedders: wraps an [`Envelope`] check +
-/// dispatch in one call. Returns `false` when the signature is invalid or
-/// the statement is for a different slot.
-pub fn verify_envelope<D: Driver>(driver: &D, envelope: &Envelope) -> bool {
-    match driver.public_key(envelope.statement.node) {
-        Some(pk) => envelope.verify(pk),
-        None => false,
     }
 }

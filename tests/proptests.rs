@@ -705,95 +705,6 @@ proptest! {
 
 // ---------- durable persistence: codec round-trips & torn writes ----------
 
-fn arb_ballot() -> impl Strategy<Value = Option<Ballot>> {
-    (0u32..1000, proptest::collection::vec(any::<u8>(), 0..24)).prop_map(|(n, bytes)| {
-        // n == 0 plays the role of `proptest::option::of`: absent.
-        (n > 0).then(|| Ballot::new(n, Value::new(bytes)))
-    })
-}
-
-fn arb_value_set() -> impl Strategy<Value = BTreeSet<Value>> {
-    proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..16).prop_map(Value::new),
-        0..4,
-    )
-    .prop_map(|v| v.into_iter().collect())
-}
-
-/// Arbitrary durable slot snapshot: every phase, optional ballots, value
-/// sets, and a latest-statement map with a realistically shaped statement.
-fn arb_slot_snapshot() -> impl Strategy<Value = stellar::scp::slot::SlotSnapshot> {
-    use stellar::scp::ballot::{BallotPhase, BallotSnapshot};
-    use stellar::scp::nomination::NominationSnapshot;
-    use stellar::scp::slot::SlotSnapshot;
-    (
-        (any::<u64>(), any::<bool>(), any::<bool>(), 0u32..50),
-        arb_value_set(),
-        arb_value_set(),
-        (arb_ballot(), arb_ballot(), arb_ballot(), arb_ballot()),
-        (0u32..3, 0u64..100),
-        proptest::collection::vec(any::<u8>(), 0..16),
-    )
-        .prop_map(
-            |(
-                (slot, started, stopped, round),
-                voted,
-                accepted,
-                ballots,
-                (phase, timeouts),
-                val,
-            )| {
-                let (current, prepared, prepared_prime, high) = ballots;
-                let phase = match phase {
-                    0 => BallotPhase::Prepare,
-                    1 => BallotPhase::Confirm,
-                    _ => BallotPhase::Externalize,
-                };
-                let value = Value::new(val);
-                let mut latest = std::collections::BTreeMap::new();
-                latest.insert(
-                    NodeId(7),
-                    stellar::scp::Statement {
-                        node: NodeId(7),
-                        slot,
-                        quorum_set: QuorumSet::threshold_of(2, (0..3).map(NodeId).collect()),
-                        kind: StatementKind::Nominate {
-                            voted: [value.clone()].into_iter().collect(),
-                            accepted: BTreeSet::new(),
-                        },
-                    },
-                );
-                SlotSnapshot {
-                    index: slot,
-                    nomination: NominationSnapshot {
-                        started,
-                        stopped,
-                        round,
-                        leaders: (0..(round % 4)).map(NodeId).collect(),
-                        voted,
-                        accepted: accepted.clone(),
-                        candidates: accepted,
-                        latest: latest.clone(),
-                        proposed: stopped.then(|| value.clone()),
-                        timeouts,
-                    },
-                    ballot: BallotSnapshot {
-                        phase,
-                        current,
-                        prepared,
-                        prepared_prime,
-                        high,
-                        commit: None,
-                        latest,
-                        composite: started.then_some(value.clone()),
-                        timeouts,
-                        decided: matches!(phase, BallotPhase::Externalize).then_some(value),
-                    },
-                }
-            },
-        )
-}
-
 fn arb_ledger_header() -> impl Strategy<Value = stellar::ledger::header::LedgerHeader> {
     use stellar::ledger::header::{LedgerHeader, LedgerParams};
     (
@@ -883,15 +794,6 @@ fn arb_envelope() -> impl Strategy<Value = stellar::ledger::TransactionEnvelope>
 }
 
 proptest! {
-    /// What the herder writes ahead of envelopes must read back
-    /// bit-identically: an SCP slot snapshot survives encode → decode.
-    #[test]
-    fn slot_snapshot_codec_roundtrip(snap in arb_slot_snapshot()) {
-        use stellar::scp::slot::SlotSnapshot;
-        let bytes = snap.to_bytes();
-        prop_assert_eq!(SlotSnapshot::from_bytes(&bytes).unwrap(), snap);
-    }
-
     /// The durable LCL record's header half survives encode → decode.
     #[test]
     fn ledger_header_codec_roundtrip(header in arb_ledger_header()) {
@@ -1306,31 +1208,31 @@ mod layered_delta {
     }
 }
 
-// ---------- per-slot SCP write-ahead records vs. `snapshot_slots()` ----------
+// ---------- SCP write-ahead records vs. the node's own latest statements ----------
 
 mod scp_write_ahead {
     use super::*;
     use std::collections::BTreeMap;
     use stellar::crypto::sign::KeyPair;
-    use stellar::herder::herder::{scp_slot_key, SCP_SLOT_PREFIX};
+    use stellar::herder::herder::{scp_record_key, Herder, SCP_SLOT_PREFIX, SLOT_WINDOW};
     use stellar::herder::validator::{Outputs, Validator};
     use stellar::scp::driver::TimerKind;
-    use stellar::scp::slot::SlotSnapshot;
-    use stellar::scp::{Envelope, SlotIndex};
+    use stellar::scp::{Envelope, ScpNode, SlotIndex, Statement};
 
     /// The node whose disk is under test; the other three only keep
     /// consensus moving.
     const SUBJECT: usize = 0;
 
-    type Snapshots = BTreeMap<SlotIndex, SlotSnapshot>;
+    /// Statements by write-ahead record: `(slot, is_nomination)`.
+    type Records = BTreeMap<(SlotIndex, bool), Statement>;
 
-    /// What the subject's disk must hold: `staged` is `snapshot_slots()`
-    /// as of the last write-ahead attempt, `synced` as of the last
-    /// attempt a successful sync has covered since.
+    /// What the subject's disk must hold: `staged` is its own latest
+    /// statements as of the last write-ahead attempt, `synced` as of the
+    /// last attempt a successful sync has covered since.
     #[derive(Default)]
     struct Model {
-        staged: Snapshots,
-        synced: Snapshots,
+        staged: Records,
+        synced: Records,
     }
 
     struct Net {
@@ -1341,24 +1243,27 @@ mod scp_write_ahead {
         triggered: BTreeMap<usize, SlotIndex>,
         now_secs: u64,
         model: Model,
+        /// Every envelope any node released.
+        said: Vec<Envelope>,
+    }
+
+    fn keys(id: NodeId) -> KeyPair {
+        KeyPair::from_seed(u64::from(id.0) + 1)
+    }
+
+    fn qset() -> QuorumSet {
+        QuorumSet::majority((0..4).map(NodeId).collect())
     }
 
     impl Net {
         fn new() -> Net {
             let ids: Vec<NodeId> = (0..4).map(NodeId).collect();
-            let keys = |id: &NodeId| KeyPair::from_seed(u64::from(id.0) + 1);
             let registry: BTreeMap<NodeId, PublicKey> =
-                ids.iter().map(|id| (*id, keys(id).public())).collect();
+                ids.iter().map(|id| (*id, keys(*id).public())).collect();
             let validators = ids
                 .iter()
                 .map(|id| {
-                    Validator::new(
-                        *id,
-                        keys(id),
-                        QuorumSet::majority(ids.clone()),
-                        LedgerStore::new(),
-                        registry.clone(),
-                    )
+                    Validator::new(*id, keys(*id), qset(), LedgerStore::new(), registry.clone())
                 })
                 .collect();
             Net {
@@ -1368,6 +1273,7 @@ mod scp_write_ahead {
                 triggered: BTreeMap::new(),
                 now_secs: 5,
                 model: Model::default(),
+                said: Vec::new(),
             }
         }
 
@@ -1379,6 +1285,12 @@ mod scp_write_ahead {
             v.set_time(self.now_secs);
             let syncs_before = v.herder.persist.stats().syncs;
             let out = f(v);
+            let top = self
+                .validators
+                .iter()
+                .map(|v| v.herder.current_slot())
+                .max();
+            let v = &self.validators[i];
             if i == SUBJECT {
                 let released = !out.envelopes.is_empty();
                 let attempted = released || !v.herder.outbox.is_empty();
@@ -1389,8 +1301,15 @@ mod scp_write_ahead {
                     self.model.synced = self.model.staged.clone();
                 }
                 if attempted {
-                    let now = v.scp.snapshot_slots();
-                    self.model.staged = now.into_iter().map(|s| (s.index, s)).collect();
+                    // Records of slots that left the window go; a slot
+                    // dropped from RAM inside it keeps its records.
+                    let keep_from = v.herder.current_slot().saturating_sub(SLOT_WINDOW);
+                    self.model.staged.retain(|(slot, _), _| *slot >= keep_from);
+                    let own = (keep_from..=top.unwrap_or(0))
+                        .filter_map(|slot| v.scp.slot(slot))
+                        .flat_map(|slot| slot.own_statements(v.id()))
+                        .map(|st| ((st.slot, st.kind.is_nomination()), st));
+                    self.model.staged.extend(own);
                 }
                 if released {
                     self.model.synced = self.model.staged.clone();
@@ -1401,8 +1320,7 @@ mod scp_write_ahead {
                         disk.tear_next_crash();
                     }
                     disk.crash();
-                    let back = read_back(&disk);
-                    check(&back, &self.model.synced, usize::from(tear));
+                    check(&read_back(&disk), &self.model.synced, usize::from(tear));
                 }
             }
             for (slot, kind, delay) in out.timers {
@@ -1414,6 +1332,7 @@ mod scp_write_ahead {
             for env in out.envelopes {
                 self.wire
                     .extend((0..4).filter(|to| *to != i).map(|to| (to, env.clone())));
+                self.said.push(env);
             }
             // Sets travel instantly: votes that wait on a set stall
             // nomination, which is not what is under test.
@@ -1425,76 +1344,95 @@ mod scp_write_ahead {
         }
     }
 
-    /// Every readable `scp/<slot>` record on `disk`, by slot.
-    fn read_back(disk: &stellar::persist::DurableStore) -> Snapshots {
+    /// Drives a random interleaving of trigger / receive / timeout /
+    /// failing fsyncs / prune / drain.
+    fn run(ops: Vec<(u8, u8)>) -> Net {
+        let mut net = Net::new();
+        for (op, arg) in ops {
+            let arg = usize::from(arg);
+            match op {
+                0 => {
+                    net.now_secs += 5;
+                    for i in 0..4 {
+                        let slot = net.validators[i].herder.current_slot();
+                        if net.triggered.insert(i, slot) != Some(slot) {
+                            net.step(i, &|v| v.trigger_next_ledger());
+                        }
+                    }
+                }
+                1..=5 => {
+                    for _ in 0..=arg % 8 {
+                        if net.wire.is_empty() {
+                            break;
+                        }
+                        let (to, env) = net.wire.swap_remove(arg % net.wire.len());
+                        net.step(to, &|v| v.receive_envelope(&env));
+                    }
+                }
+                6 => {
+                    if let Some(timer) = net
+                        .timers
+                        .iter()
+                        .nth(arg % net.timers.len().max(1))
+                        .copied()
+                    {
+                        net.timers.remove(&timer);
+                        net.now_secs += 1;
+                        net.step(timer.0, &|v| v.on_timer(timer.1, timer.2));
+                    }
+                }
+                7 => net.validators[SUBJECT]
+                    .herder
+                    .persist
+                    .fail_next_fsyncs(1 + arg as u32 % 3),
+                8 => net.step(SUBJECT, &|v| {
+                    let current = v.herder.current_slot();
+                    v.scp
+                        .prune_slots_below(current.saturating_sub(arg as u64 % 3));
+                    v.drain_outputs()
+                }),
+                _ => net.step(SUBJECT, &|v| v.drain_outputs()),
+            }
+        }
+        net
+    }
+
+    /// Every readable `scp/` record on `disk`, by record.
+    fn read_back(disk: &stellar::persist::DurableStore) -> Records {
         disk.keys_with_prefix(SCP_SLOT_PREFIX)
             .into_iter()
             .filter_map(|key| {
-                let snap = SlotSnapshot::from_bytes(&disk.read(&key)?).expect("decodes");
-                assert_eq!(key, scp_slot_key(snap.index));
-                Some((snap.index, snap))
+                let st = Envelope::from_bytes(&disk.read(&key)?)
+                    .expect("decodes")
+                    .statement;
+                assert_eq!(key, scp_record_key(st.slot, st.kind.is_nomination()));
+                Some(((st.slot, st.kind.is_nomination()), st))
             })
             .collect()
     }
 
-    /// `back` is `expected` less at most `may_lose` whole slots.
-    fn check(back: &Snapshots, expected: &Snapshots, may_lose: usize) {
-        for (slot, snap) in back {
-            assert_eq!(expected.get(slot), Some(snap), "slot {slot} on disk");
+    /// `back` is `expected` less at most `may_lose` records.
+    fn check(back: &Records, expected: &Records, may_lose: usize) {
+        for (record, st) in back {
+            assert_eq!(expected.get(record), Some(st), "record {record:?} on disk");
         }
         let lost = expected.len() - back.len();
-        assert!(lost <= may_lose, "{lost} slots lost, {may_lose} allowed");
+        assert!(lost <= may_lose, "{lost} records lost, {may_lose} allowed");
     }
 
     proptest! {
-        /// Same information as the whole-vector record it replaced: after
-        /// any interleaving of propose / receive / timeout / prune / drain
-        /// with failing fsyncs, a crash leaves exactly `snapshot_slots()`
-        /// as of the last successful sync on disk — less the one torn
-        /// slot when the crash tears a write.
+        /// The disk holds what we said: after any interleaving of
+        /// propose / receive / timeout / prune / drain with failing
+        /// fsyncs, a crash leaves exactly the node's own latest
+        /// statements on the slots in its window as of the last
+        /// successful sync — less the one torn record when the crash
+        /// tears a write.
         #[test]
-        fn durable_slot_records_equal_snapshot_at_last_successful_sync(
+        fn durable_records_equal_own_statements_at_last_successful_sync(
             ops in proptest::collection::vec((0u8..10, any::<u8>()), 60..220),
             tear in any::<bool>(),
         ) {
-            let mut net = Net::new();
-            for (op, arg) in ops {
-                let arg = usize::from(arg);
-                match op {
-                    0 => {
-                        net.now_secs += 5;
-                        for i in 0..4 {
-                            let slot = net.validators[i].herder.current_slot();
-                            if net.triggered.insert(i, slot) != Some(slot) {
-                                net.step(i, &|v| v.trigger_next_ledger());
-                            }
-                        }
-                    }
-                    1..=5 => {
-                        for _ in 0..=arg % 8 {
-                            if net.wire.is_empty() {
-                                break;
-                            }
-                            let (to, env) = net.wire.swap_remove(arg % net.wire.len());
-                            net.step(to, &|v| v.receive_envelope(&env));
-                        }
-                    }
-                    6 => {
-                        if let Some(timer) = net.timers.iter().nth(arg % net.timers.len().max(1)).copied() {
-                            net.timers.remove(&timer);
-                            net.now_secs += 1;
-                            net.step(timer.0, &|v| v.on_timer(timer.1, timer.2));
-                        }
-                    }
-                    7 => net.validators[SUBJECT].herder.persist.fail_next_fsyncs(1 + arg as u32 % 3),
-                    8 => net.step(SUBJECT, &|v| {
-                        let current = v.herder.current_slot();
-                        v.scp.prune_slots_below(current.saturating_sub(arg as u64 % 3));
-                        v.drain_outputs()
-                    }),
-                    _ => net.step(SUBJECT, &|v| v.drain_outputs()),
-                }
-            }
+            let mut net = run(ops);
             // The real thing: the subject's own disk takes the crash and
             // its recovery path reads the records back.
             let subject = &mut net.validators[SUBJECT];
@@ -1502,14 +1440,34 @@ mod scp_write_ahead {
                 subject.herder.persist.tear_next_crash();
             }
             subject.herder.persist.crash();
-            let recovered: Snapshots = subject
+            let recovered: Records = subject
                 .herder
-                .recover_scp_snapshots(0)
+                .recover_scp_envelopes(0)
                 .into_iter()
-                .map(|s| (s.index, s))
+                .map(|env| ((env.statement.slot, env.statement.kind.is_nomination()), env.statement))
                 .collect();
             check(&recovered, &net.model.synced, usize::from(tear));
             prop_assert!(subject.herder.persist.stats().syncs > 0);
+        }
+
+        /// Restore is exact: for every statement any node emits, a fresh
+        /// slot restored from it builds the identical statement, so the
+        /// node's next emission after a restart can only be newer.
+        #[test]
+        fn a_slot_restored_from_an_own_statement_rebuilds_it(
+            ops in proptest::collection::vec((0u8..10, any::<u8>()), 60..220),
+        ) {
+            let net = run(ops);
+            prop_assert!(!net.said.is_empty());
+            let mut driver = Herder::new(NodeId(0), LedgerStore::new(), BTreeMap::new());
+            for env in &net.said {
+                let st = &env.statement;
+                let mut node = ScpNode::new(st.node, keys(st.node), qset());
+                prop_assert_eq!(node.restore(&mut driver, std::slice::from_ref(st)), 1);
+                let rebuilt = node.slot(st.slot).map(|slot| slot.own_statements(st.node));
+                prop_assert_eq!(rebuilt, Some(vec![st.clone()]));
+            }
+            prop_assert!(driver.outbox.is_empty(), "restoring emits nothing");
         }
     }
 }

@@ -131,58 +131,59 @@ fn ledger_header_encoding_is_pinned() {
 
 #[test]
 fn scp_slot_record_is_pinned() {
-    // What the write-ahead gate puts on the node disk for one touched
-    // slot: key `scp/<slot>`, value = frame(SlotSnapshot) — a restarted
-    // binary must read what the crashed one wrote.
-    use stellar::herder::herder::{scp_slot_key, Herder};
+    // What the write-ahead gate puts on the node disk for one released
+    // envelope: key `scp/<slot>/<nominate|ballot>`, value =
+    // frame(Envelope) — a restarted binary must read what the crashed one
+    // wrote.
+    use stellar::crypto::sign::KeyPair;
+    use stellar::herder::herder::{scp_record_key, Herder};
     use stellar::ledger::store::LedgerStore;
-    use stellar::scp::slot::Slot;
-    let x = Value::new(b"x".to_vec());
-    let mut snap = Slot::new(7).snapshot();
-    snap.nomination.started = true;
-    snap.nomination.round = 2;
-    snap.nomination.leaders = [NodeId(3)].into();
-    snap.nomination.voted = [x.clone()].into();
-    snap.ballot.current = Some(Ballot::new(1, x.clone()));
-    snap.ballot.composite = Some(x);
-    snap.ballot.timeouts = 1;
+    use stellar::scp::{Envelope, Statement};
+    let prepare = Statement {
+        node: NodeId(0),
+        slot: 7,
+        quorum_set: QuorumSet::threshold_of(1, vec![NodeId(0)]),
+        kind: StatementKind::Prepare {
+            ballot: Ballot::new(1, Value::new(b"x".to_vec())),
+            prepared: None,
+            prepared_prime: None,
+            c_n: 0,
+            h_n: 0,
+        },
+    };
+    let envelope = Envelope::sign(prepare, &KeyPair::from_seed(0));
     let mut herder = Herder::new(NodeId(0), LedgerStore::new(), Default::default());
-    assert!(herder.persist_scp(&[snap], &[]));
-    assert_eq!(scp_slot_key(7), "scp/7");
+    assert!(herder.persist_scp(&[envelope]));
+    assert_eq!(scp_record_key(7, false), "scp/7/ballot");
     assert_eq!(herder.persist.durable_len(), 1);
-    let record = herder.persist.raw("scp/7").expect("one record per slot");
+    let record = herder
+        .persist
+        .raw("scp/7/ballot")
+        .expect("one record per slot and protocol");
     assert_eq!(
         hex::encode(record),
         concat!(
-            // frame: payload length 125 (u64)
-            "000000000000007d",
-            // slot index 7 (u64)
+            // frame: payload length 79 (u64)
+            "000000000000004f",
+            // statement: node 0 (u32), slot 7 (u64)
+            "00000000",
             "0000000000000007",
-            // nomination: started, !stopped, round 2 (u32), leaders {3},
-            // voted {"x"}, accepted {}, candidates {}, latest {},
-            // proposed None, timeouts 0 (u64)
-            "01",
+            // quorum set: threshold 1 (u32), validators [0], no inner sets
+            "00000001",
+            "000000000000000100000000",
+            "0000000000000000",
+            // PREPARE (tag 1): ballot <1, "x">, p / p' None, c_n 0, h_n 0
+            "00000001",
+            "000000010000000000000001",
+            "78",
             "00",
-            "00000002",
-            "000000000000000100000003",
-            "0000000000000001000000000000000178",
-            "0000000000000000",
-            "0000000000000000",
-            "0000000000000000",
             "00",
-            "0000000000000000",
-            // ballot: phase Prepare (u32), current Some(<1, "x">),
-            // prepared / prepared' / high / commit None, latest {},
-            // composite Some("x"), timeouts 1 (u64), decided None
             "00000000",
-            "0100000001000000000000000178",
             "00000000",
-            "0000000000000000",
-            "01000000000000000178",
-            "0000000000000001",
-            "00",
+            // signature by node 0's key (two u64)
+            "0a55ae380ef53b901e1086649654232b",
             // frame: sha256(payload)
-            "7b69f38ac3e466716cd5d7a84465e764c1c329d3eaf657d41e17f0bbc17ebc89",
+            "9d1015ac2613e03ea0a9ea6078e1631ede5cfebc2d65e80f05ac750e93f802d4",
         )
     );
 }
