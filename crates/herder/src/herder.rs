@@ -25,7 +25,7 @@ use stellar_ledger::tx::{TransactionEnvelope, TxResult};
 use stellar_ledger::txset::TransactionSet;
 use stellar_ledger::StoreIoStats;
 use stellar_persist::DurableStore;
-use stellar_scp::driver::{Driver, ScpEvent, TimerKind, Validity};
+use stellar_scp::driver::{Driver, Rejection, ScpEvent, TimerKind, Validity};
 use stellar_scp::{Envelope, NodeId, SlotIndex, Value};
 use stellar_telemetry::{NodeTelemetry, SpanPhase, TraceKind};
 
@@ -151,6 +151,9 @@ pub struct Herder {
     pub archive: HistoryArchive,
     /// The current (latest closed) header.
     pub header: LedgerHeader,
+    /// `header.hash()`, computed once per close: nomination checks every
+    /// value it validates against it.
+    header_hash: Hash256,
     /// Pending transactions.
     pub queue: TxQueue,
     /// Node-level verified-signature cache. One transaction is
@@ -257,6 +260,7 @@ impl Herder {
             store,
             buckets,
             archive: HistoryArchive::new(),
+            header_hash: header.hash(),
             header,
             last_store_stats,
             ingest_buffer: None,
@@ -349,7 +353,7 @@ impl Herder {
     pub fn make_proposal(&mut self) -> (StellarValue, TransactionSet) {
         let candidates = self.queue.candidates(&self.store);
         let set = TransactionSet::assemble(
-            self.header.hash(),
+            self.header_hash,
             candidates,
             self.header.params.max_tx_set_ops,
         );
@@ -445,7 +449,7 @@ impl Herder {
         // We can fully validate only transaction sets we actually hold and
         // that chain from our current header.
         match self.known_tx_sets.get(&value.tx_set_hash) {
-            Some(set) if set.prev_ledger_hash == self.header.hash() => Validity::FullyValidated,
+            Some(set) if set.prev_ledger_hash == self.header_hash => Validity::FullyValidated,
             Some(_) => Validity::Invalid,
             None => {
                 if nomination {
@@ -497,6 +501,7 @@ impl Herder {
             return None;
         }
         self.archive.publish(&header, set, &mut self.buckets);
+        self.header_hash = header.hash();
         self.header = header;
         // Replay re-emits the feed too, so a recovering node's indexer
         // rebuilds the same tables it would have ingested live.
@@ -515,7 +520,7 @@ impl Herder {
             apply_time,
             close_time,
             failed_tx_count: failed,
-            header_hash: self.header.hash(),
+            header_hash: self.header_hash,
         });
         Some(apply_time)
     }
@@ -610,7 +615,7 @@ impl Herder {
             let (Some(set), Some(expected)) = (archive.tx_set(seq), archive.header(seq)) else {
                 break; // gap in the archive; cannot replay further
             };
-            let tip = self.header.hash();
+            let tip = self.header_hash;
             if expected.ledger_seq != seq
                 || expected.prev_header_hash != tip
                 || set.prev_ledger_hash != tip
@@ -946,9 +951,10 @@ impl Driver for Herder {
                 self.telemetry.slot_externalized(t, *slot);
             }
             ScpEvent::EnvelopeRejected { reason, .. } => {
-                self.telemetry.registry.inc(match *reason {
-                    "insane" => "scp.insane_statements",
-                    _ => "scp.bad_signatures",
+                self.telemetry.registry.inc(match reason {
+                    Rejection::BadSignature => "scp.bad_signatures",
+                    Rejection::MalformedQset => "scp.malformed_qsets",
+                    Rejection::Insane => "scp.insane_statements",
                 });
                 return;
             }

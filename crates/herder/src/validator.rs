@@ -274,6 +274,12 @@ impl Validator {
     pub fn drain_outputs(&mut self) -> Outputs {
         let envelopes = self.herder.take_outbox();
         let timers = self.herder.take_timer_requests();
+        let work = self.scp.take_work();
+        if work.slice_checks > 0 {
+            let reg = &mut self.herder.telemetry.registry;
+            reg.add("scp.quorum_evals", work.quorum_evals);
+            reg.add("scp.slice_checks", work.slice_checks);
+        }
         // Write-ahead discipline (§5.4): what we say must be durable
         // before it reaches the network — a crash between emitting and
         // persisting would let the restarted node contradict votes peers
@@ -519,6 +525,93 @@ mod tests {
             0,
             "nothing in the WAL"
         );
+    }
+
+    /// Delivers node 1's validly signed statement of `kind` for slot 2,
+    /// under `qset` (node 1's own when `None`), to a fresh validator: it
+    /// must be rejected and counted under `counter` alone, creating no
+    /// slot and writing nothing.
+    fn assert_rejected(qset: Option<QuorumSet>, kind: stellar_scp::StatementKind, counter: &str) {
+        let mut net = MiniNet::new(4);
+        let v = &mut net.validators[0];
+        let statement = Statement {
+            node: NodeId(1),
+            slot: 2,
+            quorum_set: qset.unwrap_or_else(|| v.scp.quorum_set().clone()),
+            kind,
+        };
+        let env = Envelope::sign(statement, &KeyPair::from_seed(1));
+        assert!(v.receive_envelope(&env).is_empty());
+        let reg = &v.herder.telemetry.registry;
+        for key in [
+            "scp.bad_signatures",
+            "scp.malformed_qsets",
+            "scp.insane_statements",
+        ] {
+            assert_eq!(reg.counter(key), u64::from(key == counter), "{key}");
+        }
+        assert_eq!(v.scp.live_slots(), 0, "no slot for a rejected statement");
+        assert_eq!(
+            v.herder.persist.stats().bytes_written,
+            0,
+            "nothing in the WAL"
+        );
+    }
+
+    fn x(counter: u32) -> stellar_scp::Ballot {
+        stellar_scp::Ballot::new(counter, stellar_scp::Value::new(b"x".to_vec()))
+    }
+
+    #[test]
+    fn malformed_quorum_sets_are_counted_and_leave_no_trace() {
+        let zero_threshold = QuorumSet {
+            threshold: 0,
+            validators: vec![NodeId(0), NodeId(1)],
+            inner: Vec::new(),
+        };
+        let prepare = stellar_scp::StatementKind::Prepare {
+            ballot: x(1),
+            prepared: None,
+            prepared_prime: None,
+            c_n: 0,
+            h_n: 0,
+        };
+        assert_rejected(Some(zero_threshold), prepare, "scp.malformed_qsets");
+    }
+
+    /// One test per rule of `StatementKind::is_sane`: node 1's validly
+    /// signed statement breaking that rule, and only that one, is
+    /// rejected and counted as insane.
+    macro_rules! insane {
+        ($($name:ident: $kind:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                use stellar_scp::StatementKind::*;
+                let kind = $kind;
+                assert!(!kind.is_sane(), "{kind:?}");
+                assert_rejected(None, kind, "scp.insane_statements");
+            }
+        )*};
+    }
+
+    insane! {
+        insane_prepare_at_counter_zero: Prepare {
+            ballot: x(0), prepared: None, prepared_prime: None, c_n: 0, h_n: 0,
+        };
+        insane_prepare_with_p_prime_compatible_with_p: Prepare {
+            ballot: x(5), prepared: Some(x(4)), prepared_prime: Some(x(3)), c_n: 0, h_n: 0,
+        };
+        insane_prepare_with_h_above_p: Prepare {
+            ballot: x(5), prepared: Some(x(2)), prepared_prime: None, c_n: 0, h_n: 3,
+        };
+        insane_prepare_with_c_above_h: Prepare {
+            ballot: x(5), prepared: Some(x(4)), prepared_prime: None, c_n: 4, h_n: 3,
+        };
+        insane_confirm_at_counter_zero: Confirm { ballot: x(0), p_n: 0, c_n: 0, h_n: 0 };
+        insane_confirm_with_h_above_b: Confirm { ballot: x(3), p_n: 3, c_n: 2, h_n: 4 };
+        insane_confirm_with_c_above_h: Confirm { ballot: x(5), p_n: 5, c_n: 4, h_n: 3 };
+        insane_externalize_at_counter_zero: Externalize { commit: x(0), h_n: 4 };
+        insane_externalize_with_h_below_commit: Externalize { commit: x(4), h_n: 3 };
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! newer statements afterwards.
 
 use crate::driver::{Driver, ScpEvent, TimerKind};
-use crate::quorum::LatestStatements;
+use crate::quorum::{LatestStatements, Question, ACCEPT, CONFIRM, V_BLOCKING};
 use crate::slot::Ctx;
 use crate::statement::{Ballot, Statement, StatementKind};
 use crate::{Envelope, NodeId, Value};
@@ -64,7 +64,7 @@ pub struct BallotProtocol {
     /// accepted-commit low (Confirm) / confirmed-commit low (Externalize).
     commit: Option<Ballot>,
     /// Latest ballot statement per node (including our own).
-    latest: LatestStatements,
+    pub(crate) latest: LatestStatements,
     /// Latest composite candidate from nomination.
     composite: Option<Value>,
     /// Counter value for which the ballot timer is currently armed.
@@ -176,7 +176,9 @@ impl BallotProtocol {
         if let Some(st) = self.build_statement(own.node, own.slot, &own.quorum_set) {
             self.latest.insert(st);
         }
+        self.latest.begin(ctx.node, ctx.qset);
         self.check_heard_from_quorum(ctx);
+        self.latest.end(false);
         if let Some(v) = self.decided.clone() {
             ctx.driver.externalized(ctx.slot, &v);
         }
@@ -210,16 +212,20 @@ impl BallotProtocol {
             slot: ctx.slot,
             kind: TimerKind::Ballot,
         });
-        let next = cur.counter + 1;
-        let value = self.value_for_new_ballot(&cur);
-        self.bump_to(ctx, Ballot::new(next, value));
+        // Peers that externalized can pull us to counter u32::MAX, which
+        // has no next ballot.
+        if let Some(next) = cur.counter.checked_add(1) {
+            self.bump_to(ctx, Ballot::new(next, self.value_for_new_ballot(&cur)));
+        }
         self.advance(ctx);
     }
 
-    /// Processes a peer's ballot statement.
+    /// Processes a peer's ballot statement. One that changes no input of
+    /// the last evaluation cannot move it off its fixpoint, so it is only
+    /// stored.
     pub fn process<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>, st: &Statement) {
         debug_assert!(!st.kind.is_nomination());
-        if self.latest.record(st) {
+        if self.latest.record(st) && self.latest.unsettled(ctx.node, ctx.qset) {
             self.advance(ctx);
         }
     }
@@ -272,6 +278,7 @@ impl BallotProtocol {
     /// fixpoint, then handles ballot synchronization and emits our updated
     /// statement.
     pub fn advance<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) {
+        self.latest.begin(ctx.node, ctx.qset);
         loop {
             let mut progressed = false;
             progressed |= self.attempt_accept_prepared(ctx);
@@ -284,42 +291,22 @@ impl BallotProtocol {
             }
         }
         self.check_heard_from_quorum(ctx);
-        self.emit_if_changed(ctx);
+        // A state moved after emitting has not been through the v-blocking
+        // check; the next evaluation must run whatever arrives.
+        let moved = self.emit_if_changed(ctx);
+        self.latest.end(!moved);
     }
 
     // ---- federated-voting attempts -------------------------------------
 
-    /// All ballots that any statement suggests might be accepted prepared.
-    fn prepare_candidates(&self) -> BTreeSet<Ballot> {
-        let mut out = BTreeSet::new();
-        for st in self.latest.values() {
-            match &st.kind {
-                StatementKind::Prepare {
-                    ballot,
-                    prepared,
-                    prepared_prime,
-                    ..
-                } => {
-                    out.insert(ballot.clone());
-                    if let Some(p) = prepared {
-                        out.insert(p.clone());
-                    }
-                    if let Some(p) = prepared_prime {
-                        out.insert(p.clone());
-                    }
-                }
-                StatementKind::Confirm { ballot, p_n, .. } => {
-                    out.insert(Ballot::new(*p_n, ballot.value.clone()));
-                    out.insert(ballot.clone());
-                }
-                StatementKind::Externalize { commit, h_n } => {
-                    out.insert(Ballot::new(*h_n, commit.value.clone()));
-                    out.insert(Ballot::new(u32::MAX, commit.value.clone()));
-                }
-                StatementKind::Nominate { .. } => {}
-            }
-        }
-        out
+    /// All ballots that any statement suggests might be accepted
+    /// prepared, highest first.
+    fn prepare_candidates(&self) -> Vec<Ballot> {
+        let mentioned = self.latest.mentions().filter_map(|q| match q {
+            Question::Prepare(b) => Some(b.clone()),
+            _ => None,
+        });
+        mentioned.rev().collect()
     }
 
     /// Tries to accept `prepare(b)` for the best candidate ballot.
@@ -327,7 +314,7 @@ impl BallotProtocol {
         if self.phase == BallotPhase::Externalize {
             return false;
         }
-        for b in self.prepare_candidates().into_iter().rev() {
+        for b in self.prepare_candidates() {
             // Nothing new to learn if already covered.
             if self.any_prepared(|p| b.less_and_compatible(p)) {
                 continue;
@@ -344,13 +331,7 @@ impl BallotProtocol {
                     continue;
                 }
             }
-            let accepted = self.latest.federated_accept(
-                ctx.node,
-                ctx.qset,
-                |s| s.kind.votes_prepare(&b),
-                |s| s.kind.accepts_prepare(&b),
-            );
-            if accepted {
+            if self.latest.verdict(&Question::Prepare(b.clone()), ACCEPT) {
                 self.set_prepared(b.clone());
                 // Abort a commit *vote* overruled by a higher incompatible
                 // accepted-prepared (votes may be overruled; accepts not).
@@ -405,7 +386,7 @@ impl BallotProtocol {
         if self.phase != BallotPhase::Prepare || self.prepared.is_none() {
             return false;
         }
-        for b in self.prepare_candidates().into_iter().rev() {
+        for b in self.prepare_candidates() {
             if self.high.as_ref().is_some_and(|h| b.less_and_compatible(h)) {
                 continue; // no improvement
             }
@@ -414,10 +395,7 @@ impl BallotProtocol {
             if !self.any_prepared(|p| b.less_and_compatible(p)) {
                 continue;
             }
-            if self
-                .latest
-                .federated_confirm(ctx.node, |s| s.kind.accepts_prepare(&b))
-            {
+            if self.latest.verdict(&Question::Prepare(b.clone()), CONFIRM) {
                 let improved = match &self.high {
                     None => true,
                     Some(h) => b > *h,
@@ -465,30 +443,9 @@ impl BallotProtocol {
     /// boundary by some statement.
     fn commit_boundaries(&self) -> BTreeMap<Value, BTreeSet<u32>> {
         let mut out: BTreeMap<Value, BTreeSet<u32>> = BTreeMap::new();
-        for st in self.latest.values() {
-            match &st.kind {
-                StatementKind::Prepare {
-                    ballot, c_n, h_n, ..
-                } => {
-                    if *c_n > 0 {
-                        let e = out.entry(ballot.value.clone()).or_default();
-                        e.insert(*c_n);
-                        e.insert(*h_n);
-                    }
-                }
-                StatementKind::Confirm {
-                    ballot, c_n, h_n, ..
-                } => {
-                    let e = out.entry(ballot.value.clone()).or_default();
-                    e.insert(*c_n);
-                    e.insert(*h_n);
-                }
-                StatementKind::Externalize { commit, h_n } => {
-                    let e = out.entry(commit.value.clone()).or_default();
-                    e.insert(commit.counter);
-                    e.insert(*h_n);
-                }
-                StatementKind::Nominate { .. } => {}
+        for q in self.latest.mentions() {
+            if let Question::Commit(b) = q {
+                out.entry(b.value.clone()).or_default().insert(b.counter);
             }
         }
         out
@@ -534,14 +491,9 @@ impl BallotProtocol {
             {
                 continue;
             }
-            let pred = |n: u32| -> bool {
+            let pred = |n: u32| {
                 let b = Ballot::new(n, value.clone());
-                self.latest.federated_accept(
-                    ctx.node,
-                    ctx.qset,
-                    |s| s.kind.votes_commit(&b),
-                    |s| s.kind.accepts_commit(&b),
-                )
+                self.latest.verdict(&Question::Commit(b), ACCEPT)
             };
             if let Some((lo, hi)) = Self::find_interval(&boundaries, pred) {
                 let improved = match (&self.commit, &self.high, self.phase) {
@@ -585,10 +537,9 @@ impl BallotProtocol {
             .commit_boundaries()
             .remove(&commit.value)
             .unwrap_or_default();
-        let pred = |n: u32| -> bool {
+        let pred = |n: u32| {
             let b = Ballot::new(n, commit.value.clone());
-            self.latest
-                .federated_confirm(ctx.node, |s| s.kind.accepts_commit(&b))
+            self.latest.verdict(&Question::Commit(b), CONFIRM)
         };
         if let Some((lo, hi)) = Self::find_interval(&boundaries, pred) {
             self.phase = BallotPhase::Externalize;
@@ -617,31 +568,29 @@ impl BallotProtocol {
         if self.phase == BallotPhase::Externalize {
             return false;
         }
+        // Our own statement never sits above our current counter, so only
+        // peers are ever counted above it.
         let my_counter = self.current.as_ref().map_or(0, |b| b.counter);
-        let higher: Vec<u32> = self
-            .latest
-            .values()
-            .filter(|st| st.node != ctx.node)
-            .filter_map(|st| st.kind.ballot_counter())
-            .filter(|c| *c > my_counter)
+        let mentioned = self.latest.mentions();
+        let higher: Vec<u32> = mentioned
+            .filter_map(|q| match q {
+                Question::AtLeast(c) if *c > my_counter => Some(*c),
+                _ => None,
+            })
             .collect();
         if higher.is_empty() {
             return false;
         }
-        let mut blocking = |threshold: u32| -> bool {
-            self.latest.v_blocking(ctx.qset, |st| {
-                st.node != ctx.node && st.kind.ballot_counter().is_some_and(|c| c > threshold)
-            })
+        let mut blocking = |threshold: u32| {
+            (threshold.checked_add(1))
+                .is_some_and(|n| self.latest.verdict(&Question::AtLeast(n), V_BLOCKING))
         };
         if !blocking(my_counter) {
             return false;
         }
         // Jump to the smallest counter where the above-set stops blocking.
-        let mut sorted: Vec<u32> = higher;
-        sorted.sort_unstable();
-        sorted.dedup();
         let mut target = my_counter;
-        for c in sorted {
+        for c in higher {
             target = c;
             if !blocking(c) {
                 break;
@@ -691,9 +640,7 @@ impl BallotProtocol {
         if self.timer_armed_for == Some(n) {
             return;
         }
-        let heard = self.latest.federated_confirm(ctx.node, |st| {
-            st.kind.ballot_counter().is_some_and(|c| c >= n)
-        });
+        let heard = self.latest.verdict(&Question::AtLeast(n), CONFIRM);
         if heard {
             self.timer_armed_for = Some(n);
             let delay = ctx.driver.ballot_timeout(n);
@@ -776,27 +723,30 @@ impl BallotProtocol {
     }
 
     /// Signs and broadcasts our statement when it changed, recording it in
-    /// `latest` so our own votes count toward quorums we evaluate.
-    fn emit_if_changed<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) {
+    /// `latest` so our own votes count toward quorums we evaluate. Returns
+    /// whether the state moved after emitting.
+    fn emit_if_changed<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) -> bool {
         let Some(st) = self.build_statement(ctx.node, ctx.slot, ctx.qset) else {
-            return;
+            return false;
         };
         match self.latest.get(&ctx.node) {
-            Some(old) if old.kind == st.kind => return,
-            Some(old) if !st.kind.is_newer_than(&old.kind) => return,
+            Some(old) if old.kind == st.kind => return false,
+            Some(old) if !st.kind.is_newer_than(&old.kind) => return false,
             _ => {}
         }
         self.latest.insert(st.clone());
         let env = Envelope::sign(st, ctx.keys);
         ctx.driver.emit_envelope(&env);
         // Our own statement may complete a quorum for ourselves.
-        self.advance_once_after_emit(ctx);
+        self.advance_once_after_emit(ctx)
     }
 
     /// One additional fixpoint pass after emitting, then emit again if
     /// that changed our statement (state is monotone, so the mutual
-    /// recursion with `emit_if_changed` terminates).
-    fn advance_once_after_emit<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) {
+    /// recursion with `emit_if_changed` terminates). Returns whether the
+    /// state moved.
+    fn advance_once_after_emit<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) -> bool {
+        let mut moved = false;
         loop {
             let mut progressed = false;
             progressed |= self.attempt_accept_prepared(ctx);
@@ -806,9 +756,10 @@ impl BallotProtocol {
             if !progressed {
                 break;
             }
+            moved = true;
         }
         self.check_heard_from_quorum(ctx);
-        self.emit_if_changed(ctx);
+        self.emit_if_changed(ctx) || moved
     }
 }
 

@@ -53,10 +53,8 @@ pub enum ScpEvent {
         from: NodeId,
         kind: &'static str,
     },
-    /// A peer envelope was dropped before reaching any slot. `reason` is
-    /// `"bad_signature"` (it does not verify under the sender's key) or
-    /// `"insane"` (it fails [`crate::StatementKind::is_sane`]).
-    EnvelopeRejected { from: NodeId, reason: &'static str },
+    /// A peer envelope was dropped before reaching any slot.
+    EnvelopeRejected { from: NodeId, reason: Rejection },
     /// A new composite candidate value emerged from nomination.
     NewCandidate { slot: SlotIndex, value: Value },
     /// The node moved to a new ballot (counter reported).
@@ -72,6 +70,17 @@ pub enum ScpEvent {
     TimeoutFired { slot: SlotIndex, kind: TimerKind },
     /// The node externalized (decided) a value.
     Externalized { slot: SlotIndex, value: Value },
+}
+
+/// Why a peer envelope was dropped before reaching any slot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Rejection {
+    /// It does not verify under the sender's key.
+    BadSignature,
+    /// Its quorum set is not well-formed ([`crate::QuorumSet::is_well_formed`]).
+    MalformedQset,
+    /// Its fields contradict each other ([`crate::StatementKind::is_sane`]).
+    Insane,
 }
 
 /// Connects the SCP state machine to the embedding application.

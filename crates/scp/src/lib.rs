@@ -61,6 +61,8 @@
 #![warn(missing_docs)]
 
 pub mod ballot;
+#[cfg(test)]
+mod differential;
 pub mod driver;
 pub mod envelope;
 #[cfg(feature = "forge")]
@@ -75,7 +77,7 @@ pub mod statement;
 pub mod test_harness;
 
 pub use ballot::BallotPhase;
-pub use driver::{Driver, ScpEvent, TimerKind, Validity};
+pub use driver::{Driver, Rejection, ScpEvent, TimerKind, Validity};
 pub use envelope::Envelope;
 pub use node::ScpNode;
 pub use quorum_set::QuorumSet;

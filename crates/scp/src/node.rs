@@ -7,7 +7,8 @@
 //! node emits before releasing them, and after a crash hands them back to
 //! [`ScpNode::restore`], which replays them into fresh slots.
 
-use crate::driver::{Driver, ScpEvent, TimerKind};
+use crate::driver::{Driver, Rejection, ScpEvent, TimerKind};
+use crate::quorum::Work;
 use crate::slot::{Ctx, Slot};
 use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Statement, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -23,6 +24,8 @@ pub struct ScpNode {
     bad_signatures: u64,
     /// Envelopes dropped for failing [`crate::StatementKind::is_sane`].
     insane_statements: u64,
+    /// Federated-voting work not yet collected by [`ScpNode::take_work`].
+    work: Work,
 }
 
 impl ScpNode {
@@ -41,6 +44,7 @@ impl ScpNode {
             slots: BTreeMap::new(),
             bad_signatures: 0,
             insane_statements: 0,
+            work: Work::default(),
         }
     }
 
@@ -80,6 +84,12 @@ impl ScpNode {
         self.insane_statements
     }
 
+    /// The federated-voting work done across all slots since the last
+    /// call (exact counters for the embedder's metrics).
+    pub fn take_work(&mut self) -> Work {
+        std::mem::take(&mut self.work)
+    }
+
     /// Access a slot's state (for metrics and tests).
     pub fn slot(&self, index: SlotIndex) -> Option<&Slot> {
         self.slots.get(&index)
@@ -115,6 +125,7 @@ impl ScpNode {
             driver,
         };
         f(slot, &mut ctx);
+        self.work += slot.take_work();
     }
 
     /// Proposes `value` for slot `index`, starting nomination there.
@@ -135,12 +146,12 @@ impl ScpNode {
         };
         let rejected = if !verified {
             self.bad_signatures += 1;
-            Some("bad_signature")
+            Some(Rejection::BadSignature)
         } else if !st.quorum_set.is_well_formed() {
-            return false;
+            Some(Rejection::MalformedQset)
         } else if !st.kind.is_sane() {
             self.insane_statements += 1;
-            Some("insane")
+            Some(Rejection::Insane)
         } else {
             None
         };

@@ -22,7 +22,7 @@
 
 use crate::driver::{Driver, ScpEvent, TimerKind, Validity};
 use crate::leader;
-use crate::quorum::LatestStatements;
+use crate::quorum::{LatestStatements, Question, ACCEPT, CONFIRM};
 use crate::slot::Ctx;
 use crate::statement::{Statement, StatementKind};
 use crate::{Envelope, NodeId, QuorumSet, SlotIndex, Value};
@@ -42,7 +42,7 @@ pub struct NominationProtocol {
     /// Values confirmed nominated — the candidate set fed to balloting.
     candidates: BTreeSet<Value>,
     /// Latest nominate statement per node (including our own).
-    latest: LatestStatements,
+    pub(crate) latest: LatestStatements,
     /// The locally proposed value (from the application), if we lead.
     proposed: Option<Value>,
     /// Counts round timeouts, for Fig. 8-style metrics.
@@ -183,7 +183,9 @@ impl NominationProtocol {
         }
     }
 
-    /// Processes a peer's nomination statement.
+    /// Processes a peer's nomination statement. Federated voting runs only
+    /// when the statement changed one of its inputs (see
+    /// [`crate::ballot::BallotProtocol::process`]).
     ///
     /// Returns `true` if the candidate set changed (the slot then rebuilds
     /// the composite value).
@@ -199,7 +201,7 @@ impl NominationProtocol {
         if emitted_change {
             self.emit(ctx);
         }
-        if self.started {
+        if self.started && self.latest.unsettled(ctx.node, ctx.qset) {
             self.run_federated_voting(ctx)
         } else {
             false
@@ -249,42 +251,38 @@ impl NominationProtocol {
 
     /// Runs federated voting over every value mentioned by anyone, to a
     /// fixpoint. Returns `true` if the candidate set changed.
+    ///
+    /// A value the quorum accepts but the driver calls invalid may turn
+    /// valid later (its transaction set arrives), so a run that vetoed one
+    /// does not settle.
     fn run_federated_voting<D: Driver>(&mut self, ctx: &mut Ctx<'_, D>) -> bool {
+        self.latest.begin(ctx.node, ctx.qset);
         let mut candidates_changed = false;
         let mut state_changed = false;
+        let mut vetoed = false;
         loop {
             let mut progressed = false;
-            let mentioned: BTreeSet<Value> = self
-                .latest
-                .values()
-                .filter_map(|st| match &st.kind {
-                    StatementKind::Nominate { voted, accepted } => {
-                        Some(voted.iter().chain(accepted.iter()).cloned())
-                    }
+            let mentioned = self.latest.mentions();
+            let mentioned: Vec<Value> = mentioned
+                .filter_map(|q| match q {
+                    Question::Nominate(v) => Some(v.clone()),
                     _ => None,
                 })
-                .flatten()
                 .collect();
 
             for v in &mentioned {
-                if !self.accepted.contains(v) {
-                    let ok = self.latest.federated_accept(
-                        ctx.node,
-                        ctx.qset,
-                        |s| s.kind.nominates_vote(v),
-                        |s| s.kind.nominates_accept(v),
-                    );
-                    if ok && ctx.driver.validate_value(ctx.slot, v, false) != Validity::Invalid {
+                let q = Question::Nominate(v.clone());
+                if !self.accepted.contains(v) && self.latest.verdict(&q, ACCEPT) {
+                    if ctx.driver.validate_value(ctx.slot, v, false) != Validity::Invalid {
                         self.accepted.insert(v.clone());
-                        progressed = true;
-                        state_changed = true;
+                        (progressed, state_changed) = (true, true);
+                    } else {
+                        vetoed = true;
                     }
                 }
                 if self.accepted.contains(v)
                     && !self.candidates.contains(v)
-                    && self
-                        .latest
-                        .federated_confirm(ctx.node, |s| s.kind.nominates_accept(v))
+                    && self.latest.verdict(&q, CONFIRM)
                 {
                     self.candidates.insert(v.clone());
                     progressed = true;
@@ -306,6 +304,7 @@ impl NominationProtocol {
         if state_changed {
             self.emit(ctx);
         }
+        self.latest.end(!vetoed);
         candidates_changed
     }
 

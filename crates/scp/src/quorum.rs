@@ -9,11 +9,14 @@
 //! bitsets of Gaul et al.): a [`QuorumKernel`] of interned nodes and
 //! [`CompiledQSet`]s, evaluated on [`NodeBits`]. `LatestStatements` is
 //! what each protocol keeps per slot; it compiles a sender's slices when
-//! its statement is stored, so evaluation never compiles.
+//! its statement is stored, so evaluation never compiles, and it keeps
+//! the voters of each question an evaluation asks up to date as
+//! statements arrive, so a statement that changes no answer costs no
+//! evaluation.
 
-use crate::statement::Statement;
-use crate::{NodeId, QuorumSet};
-use std::collections::BTreeSet;
+use crate::statement::{Ballot, Statement, StatementKind};
+use crate::{NodeId, QuorumSet, Value};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A set of interned nodes: bit `i` stands for [`QuorumKernel::id`]`(i)`.
@@ -40,6 +43,15 @@ impl NodeBits {
 
     fn remove(&mut self, i: usize) {
         self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Sets bit `i` to `on`, widening the set to hold it; returns whether
+    /// the bit changed.
+    fn assign(&mut self, i: usize, on: bool) -> bool {
+        self.words.resize(self.words.len().max(i / 64 + 1), 0);
+        let changed = self.contains(i) != on;
+        self.words[i / 64] ^= u64::from(changed) << (i % 64);
+        changed
     }
 
     /// Whether bit `i` is set (false beyond the width).
@@ -112,14 +124,14 @@ impl CompiledQSet {
     }
 
     /// Whether at least `k` entries pass: validators in `set`, inner sets
-    /// by `passes` (evaluated only until `k` have).
+    /// by `passes` (each counted only until `k` have).
     fn at_least(&self, k: usize, set: &NodeBits, passes: fn(&Self, &NodeBits) -> bool) -> bool {
         let direct = self
             .validators
             .iter()
             .filter(|v| set.contains(**v as usize));
         let inner = self.inner.iter().filter(|q| passes(q, set));
-        direct.count() + inner.take(k).count() >= k
+        direct.take(k).count() + inner.take(k).count() >= k
     }
 }
 
@@ -225,11 +237,17 @@ impl QuorumKernel {
     /// the unique maximal one: the union of two quorums inside
     /// `candidates` also survives pruning.
     pub fn max_quorum(&self, candidates: &NodeBits) -> NodeBits {
+        self.max_quorum_counted(candidates, &mut 0)
+    }
+
+    /// [`QuorumKernel::max_quorum`], adding its slice checks to `checks`.
+    fn max_quorum_counted(&self, candidates: &NodeBits, checks: &mut u64) -> NodeBits {
         let mut cur = candidates.clone();
         loop {
             let mut next = cur.clone();
             let mut changed = false;
             for i in cur.iter_ones() {
+                *checks += 1;
                 if !self.slices[i]
                     .as_ref()
                     .is_some_and(|q| q.satisfied_by(&cur))
@@ -287,15 +305,187 @@ pub fn federated_confirm(kernel: &QuorumKernel, node: usize, accepted: &NodeBits
     kernel.max_quorum(accepted).contains(node)
 }
 
+/// Whether `node` is in a quorum inside `set`. Any such quorum holds one
+/// of the node's own slices, so the maximal quorum is computed only when
+/// `set` satisfies them.
+fn in_quorum(kernel: &QuorumKernel, node: usize, set: &NodeBits, work: &mut Work) -> bool {
+    let own = kernel.slices(node).filter(|_| set.contains(node));
+    work.slice_checks += u64::from(own.is_some());
+    if !own.is_some_and(|own| own.satisfied_by(set)) {
+        return false;
+    }
+    work.quorum_evals += 1;
+    let max = kernel.max_quorum_counted(set, &mut work.slice_checks);
+    max.contains(node)
+}
+
+/// Federated-voting work, counted exactly.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Maximal-quorum computations ([`QuorumKernel::max_quorum`]).
+    pub quorum_evals: u64,
+    /// Checks of one node's compiled slices ([`CompiledQSet::satisfied_by`]
+    /// or [`CompiledQSet::blocked_by`]), those inside `max_quorum` included.
+    pub slice_checks: u64,
+}
+
+impl std::ops::AddAssign for Work {
+    fn add_assign(&mut self, other: Work) {
+        self.quorum_evals += other.quorum_evals;
+        self.slice_checks += other.slice_checks;
+    }
+}
+
+/// A question federated voting asks of a slot's statements. It keys what
+/// [`LatestStatements`] memoizes — the senders voting for and accepting
+/// it — and what it counts as mentioned: the ballots that might be
+/// prepared, the commit boundaries, the nominated values and the ballot
+/// counters the statements carry.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) enum Question {
+    /// `prepare(b)`.
+    Prepare(Ballot),
+    /// `commit(b)`.
+    Commit(Ballot),
+    /// `nominate v`.
+    Nominate(Value),
+    /// "At ballot counter ≥ n" (§3.2.4); statements only accept it.
+    AtLeast(u32),
+}
+
+impl Question {
+    /// Whether `kind` votes for, and whether it accepts, this question.
+    fn test(&self, kind: &StatementKind) -> (bool, bool) {
+        match self {
+            Question::Prepare(b) => (kind.votes_prepare(b), kind.accepts_prepare(b)),
+            Question::Commit(b) => (kind.votes_commit(b), kind.accepts_commit(b)),
+            Question::Nominate(v) => (kind.nominates_vote(v), kind.nominates_accept(v)),
+            Question::AtLeast(n) => (false, kind.ballot_counter().is_some_and(|c| c >= *n)),
+        }
+    }
+
+    /// What `kind` mentions, ascending: the ballots it may have prepared,
+    /// the ends of its commit range, its nominated values and its ballot
+    /// counter.
+    fn mentioned_by(kind: &StatementKind) -> Vec<Question> {
+        let at = |n: u32, b: &Ballot| Some(Ballot::new(n, b.value.clone()));
+        let (prepares, commits) = match kind {
+            StatementKind::Nominate { voted, accepted } => {
+                return voted
+                    .union(accepted)
+                    .cloned()
+                    .map(Question::Nominate)
+                    .collect();
+            }
+            StatementKind::Prepare {
+                ballot: b,
+                prepared,
+                prepared_prime,
+                c_n,
+                h_n,
+            } => (
+                [Some(b.clone()), prepared.clone(), prepared_prime.clone()],
+                if *c_n > 0 {
+                    [at(*c_n, b), at(*h_n, b)]
+                } else {
+                    [None, None]
+                },
+            ),
+            StatementKind::Confirm {
+                ballot: b,
+                p_n,
+                c_n,
+                h_n,
+            } => (
+                [at(*p_n, b), Some(b.clone()), None],
+                [at(*c_n, b), at(*h_n, b)],
+            ),
+            StatementKind::Externalize { commit: b, h_n } => (
+                [at(*h_n, b), at(u32::MAX, b), None],
+                [Some(b.clone()), at(*h_n, b)],
+            ),
+        };
+        let prepares = prepares.into_iter().flatten().map(Question::Prepare);
+        let commits = commits.into_iter().flatten().map(Question::Commit);
+        let counter = kind.ballot_counter().map(Question::AtLeast);
+        let mut out: Vec<Question> = prepares.chain(commits).chain(counter).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
+/// The checks a question is asked under, as indices of `Votes::verdicts`:
+/// [`federated_accept`], [`federated_confirm`], and whether the accepters
+/// are v-blocking for the local node.
+pub(crate) const ACCEPT: usize = 0;
+pub(crate) const CONFIRM: usize = 1;
+pub(crate) const V_BLOCKING: usize = 2;
+
+/// The senders voting for and accepting one question, and the verdicts
+/// the evaluation in progress (or the last one) reached on them.
+#[derive(Debug)]
+struct Votes {
+    voted: NodeBits,
+    accepted: NodeBits,
+    /// The accept, confirm and v-blocking verdicts. Each check is monotone
+    /// in the sets it reads (only accept reads `voted`), so a true verdict
+    /// holds while they only gain members and a false one while they only
+    /// lose them.
+    verdicts: [Option<bool>; 3],
+    /// Asked since the evaluation began.
+    asked: bool,
+}
+
+impl Votes {
+    /// The verdict under `check` of the node at bit `node`, whose slices
+    /// are `local`.
+    fn decide(
+        &self,
+        check: usize,
+        kernel: &QuorumKernel,
+        (local, node): (&CompiledQSet, usize),
+        work: &mut Work,
+    ) -> bool {
+        if check == CONFIRM {
+            return in_quorum(kernel, node, &self.accepted, work);
+        }
+        work.slice_checks += 1;
+        local.blocked_by(&self.accepted)
+            || check == ACCEPT && in_quorum(kernel, node, &self.voted.union(&self.accepted), work)
+    }
+}
+
 /// One protocol's latest statement per node (its own included), with each
 /// sender's quorum set declared on a private [`QuorumKernel`] as the
-/// statement is stored. Evaluation looks compiled slices up, the local
-/// node's own included; it compiles only a quorum set never seen before.
+/// statement is stored; the local node's slices are compiled once.
+///
+/// An evaluation runs a protocol's federated-voting attempts to their
+/// fixpoint between `begin` and `end`. Each question it asks keeps a memo
+/// of its voters, accepters and verdicts; storing a statement re-tests
+/// only its sender and re-decides only the verdicts its bits may flip.
+/// Running a settled evaluation again changes nothing until a verdict it
+/// read flips, the mentioned questions (the candidates it iterates over)
+/// change, or someone's slices do: `unsettled` says whether one did.
 #[derive(Debug, Default)]
 pub(crate) struct LatestStatements {
     /// Indexed by the sender's bit.
     statements: Vec<Option<Statement>>,
     kernel: QuorumKernel,
+    /// How many statements mention each question.
+    mentions: BTreeMap<Question, u32>,
+    /// The votes on each question the current or last evaluation asked.
+    memo: BTreeMap<Question, Votes>,
+    /// The evaluating node's quorum set, compiled, and the node's bit.
+    local: Option<(QuorumSet, Arc<CompiledQSet>, usize)>,
+    /// The last evaluation reached its fixpoint and no input of it has
+    /// changed since.
+    settled: bool,
+    work: Work,
+    /// Answers every question from scratch and never settles: the
+    /// evaluator the memo replaced, kept as the tests' oracle.
+    #[cfg(test)]
+    pub oracle: bool,
 }
 
 impl LatestStatements {
@@ -312,11 +502,61 @@ impl LatestStatements {
         self.statements.get(self.kernel.bit(*node)?)?.as_ref()
     }
 
-    /// Stores `st` as its sender's latest statement, declaring its slices.
+    /// Stores `st` as its sender's latest statement, declaring its slices,
+    /// re-testing the sender against every memoized question and counting
+    /// what it mentions in place of what its previous statement did.
     pub fn insert(&mut self, st: Statement) {
-        let bit = self.kernel.declare(st.node, &st.quorum_set);
+        let bit = self.kernel.intern(st.node);
+        let slices = |kernel: &QuorumKernel| kernel.slices[bit].as_ref().map(Arc::as_ptr);
+        let before = slices(&self.kernel);
+        self.kernel.declare(st.node, &st.quorum_set);
+        let mut changed = before.is_some_and(|b| slices(&self.kernel) != Some(b));
+        if changed {
+            self.forget_verdicts();
+        }
+        let local = self.local.as_ref().map(|(_, q, node)| (q.as_ref(), *node));
+        for (q, votes) in &mut self.memo {
+            let (voted, accepted) = q.test(&st.kind);
+            // A flip to `x` can only overturn a verdict of `!x`; such a
+            // verdict is decided again at once.
+            let flips = [
+                votes.accepted.assign(bit, accepted).then_some(!accepted),
+                votes.voted.assign(bit, voted).then_some(!voted),
+            ];
+            for check in [ACCEPT, CONFIRM, V_BLOCKING] {
+                let read = if check == ACCEPT {
+                    &flips[..]
+                } else {
+                    &flips[..1]
+                };
+                let Some(old) = votes.verdicts[check].filter(|v| read.contains(&Some(*v))) else {
+                    continue;
+                };
+                let new =
+                    local.map(|local| votes.decide(check, &self.kernel, local, &mut self.work));
+                votes.verdicts[check] = new;
+                changed |= new != Some(old);
+            }
+        }
+        let new = Question::mentioned_by(&st.kind);
         self.statements.resize_with(self.kernel.width(), || None);
-        self.statements[bit] = Some(st);
+        let old = self.statements[bit]
+            .replace(st)
+            .map_or_else(Vec::new, |old| Question::mentioned_by(&old.kind));
+        for q in new.iter().filter(|q| old.binary_search(q).is_err()) {
+            let n = self.mentions.entry(q.clone()).or_insert(0);
+            changed |= *n == 0;
+            *n += 1;
+        }
+        for q in old.iter().filter(|q| new.binary_search(q).is_err()) {
+            let n = self.mentions.get_mut(q).expect("counted when stored");
+            *n -= 1;
+            if *n == 0 {
+                self.mentions.remove(q);
+                changed = true;
+            }
+        }
+        self.settled &= !changed;
     }
 
     /// Stores a peer's `st` if it supersedes the sender's statement on
@@ -335,45 +575,120 @@ impl LatestStatements {
         !stale
     }
 
-    /// The senders whose latest statement satisfies `pred`.
-    fn nodes_where(&self, pred: impl Fn(&Statement) -> bool) -> NodeBits {
-        let mut out = NodeBits::empty(self.kernel.width());
-        for (bit, st) in self.statements.iter().enumerate() {
-            if st.as_ref().is_some_and(&pred) {
-                out.insert(bit);
-            }
+    /// The questions the statements mention, ascending.
+    pub fn mentions(&self) -> impl DoubleEndedIterator<Item = &Question> {
+        self.mentions.keys()
+    }
+
+    /// Whether an evaluation by `node`, whose slices are `qset`, could
+    /// change anything: an input of the last one changed since it settled.
+    pub fn unsettled(&mut self, node: NodeId, qset: &QuorumSet) -> bool {
+        self.set_local(node, qset);
+        #[cfg(test)]
+        if self.oracle {
+            return true;
         }
-        out
+        !self.settled
     }
 
-    /// [`federated_accept`] for `node`, whose slices are `qset`, over the
-    /// statements that vote for / accept the statement being evaluated.
-    pub fn federated_accept(
-        &mut self,
-        node: NodeId,
-        qset: &QuorumSet,
-        voted: impl Fn(&Statement) -> bool,
-        accepted: impl Fn(&Statement) -> bool,
-    ) -> bool {
-        let local = self.kernel.compile(qset);
-        let bit = self.kernel.intern(node);
-        let (voted, accepted) = (self.nodes_where(voted), self.nodes_where(accepted));
-        federated_accept(&self.kernel, bit, &local, &voted, &accepted)
+    /// Starts an evaluation by `node`, whose slices are `qset`.
+    pub fn begin(&mut self, node: NodeId, qset: &QuorumSet) {
+        self.set_local(node, qset);
+        self.memo.values_mut().for_each(|votes| votes.asked = false);
     }
 
-    /// [`federated_confirm`] for `node`: whether it is in a quorum of
-    /// senders whose statements satisfy `accepted`.
-    pub fn federated_confirm(&self, node: NodeId, accepted: impl Fn(&Statement) -> bool) -> bool {
-        self.kernel
-            .bit(node)
-            .is_some_and(|bit| federated_confirm(&self.kernel, bit, &self.nodes_where(accepted)))
+    /// Ends an evaluation, dropping the memos of questions it did not ask.
+    /// `fixpoint` says running it again would change nothing.
+    pub fn end(&mut self, fixpoint: bool) {
+        self.memo.retain(|_, votes| votes.asked);
+        self.settled = fixpoint;
     }
 
-    /// Whether the senders whose statements satisfy `pred` are v-blocking
-    /// for a node whose slices are `qset`.
-    pub fn v_blocking(&mut self, qset: &QuorumSet, pred: impl Fn(&Statement) -> bool) -> bool {
-        let local = self.kernel.compile(qset);
-        local.blocked_by(&self.nodes_where(pred))
+    /// Compiles the local slices, unless they are the ones compiled last.
+    fn set_local(&mut self, node: NodeId, qset: &QuorumSet) {
+        if self.local.as_ref().is_some_and(|(known, ..)| known == qset) {
+            return;
+        }
+        let compiled = self.kernel.compile(qset);
+        self.local = Some((qset.clone(), compiled, self.kernel.intern(node)));
+        self.forget_verdicts();
+        self.settled = false;
+    }
+
+    /// Drops every verdict: slices changed, so none is known to hold.
+    fn forget_verdicts(&mut self) {
+        self.memo
+            .values_mut()
+            .for_each(|votes| votes.verdicts = [None; 3]);
+    }
+
+    /// The work done since the last call.
+    pub fn take_work(&mut self) -> Work {
+        std::mem::take(&mut self.work)
+    }
+
+    /// The local node's verdict on `q` under `check`: the memoized one
+    /// while it holds, else computed on the memoized votes (built from
+    /// every statement when `q` is first asked).
+    pub fn verdict(&mut self, q: &Question, check: usize) -> bool {
+        #[cfg(test)]
+        if self.oracle {
+            let (accept, confirm, v_blocking) = self.scratch(q);
+            return [accept, confirm, v_blocking][check];
+        }
+        let (statements, width) = (&self.statements, self.kernel.width());
+        let votes = self.memo.entry(q.clone()).or_insert_with(|| {
+            let (mut voted, mut accepted) = (NodeBits::empty(width), NodeBits::empty(width));
+            for (bit, st) in statements.iter().enumerate() {
+                let (v, a) = st.as_ref().map_or((false, false), |st| q.test(&st.kind));
+                voted.assign(bit, v);
+                accepted.assign(bit, a);
+            }
+            Votes {
+                voted,
+                accepted,
+                verdicts: [None; 3],
+                asked: false,
+            }
+        });
+        votes.asked = true;
+        if let Some(verdict) = votes.verdicts[check] {
+            return verdict;
+        }
+        let (_, local, node) = self.local.as_ref().expect("an evaluation has begun");
+        let verdict = votes.decide(check, &self.kernel, (local, *node), &mut self.work);
+        votes.verdicts[check] = Some(verdict);
+        verdict
+    }
+}
+
+#[cfg(test)]
+impl LatestStatements {
+    /// The accept, confirm and v-blocking verdicts on `q` the way the
+    /// evaluator before the memo reached them: voters and accepters
+    /// rebuilt from every statement, the local slices compiled afresh,
+    /// and v-blocking judged on the peers' statements alone.
+    pub fn scratch(&mut self, q: &Question) -> (bool, bool, bool) {
+        let (qset, _, node) = self.local.clone().expect("an evaluation has begun");
+        let local = self.kernel.compile(&qset);
+        let me = self.kernel.id(node);
+        let nodes_where = |pred: &dyn Fn(&Statement) -> bool| {
+            let mut out = NodeBits::empty(self.kernel.width());
+            for (bit, st) in self.statements.iter().enumerate() {
+                if st.as_ref().is_some_and(pred) {
+                    out.insert(bit);
+                }
+            }
+            out
+        };
+        let voted = nodes_where(&|st| q.test(&st.kind).0);
+        let accepted = nodes_where(&|st| q.test(&st.kind).1);
+        let peers = nodes_where(&|st| st.node != me && q.test(&st.kind).1);
+        (
+            federated_accept(&self.kernel, node, &local, &voted, &accepted),
+            federated_confirm(&self.kernel, node, &accepted),
+            local.blocked_by(&peers),
+        )
     }
 }
 

@@ -11,6 +11,7 @@
 use crate::ballot::{BallotPhase, BallotProtocol};
 use crate::driver::{Driver, TimerKind};
 use crate::nomination::NominationProtocol;
+use crate::quorum::Work;
 use crate::statement::Statement;
 use crate::{NodeId, QuorumSet, SlotIndex, Value};
 use stellar_crypto::sign::KeyPair;
@@ -162,6 +163,13 @@ impl Slot {
             self.ballot.restore(ctx, own);
             self.after_ballot_step(ctx);
         }
+    }
+
+    /// The federated-voting work both protocols did since the last call.
+    pub fn take_work(&mut self) -> Work {
+        let mut work = self.nomination.latest.take_work();
+        work += self.ballot.latest.take_work();
+        work
     }
 
     /// Our latest own statements on this slot — nomination first, then
