@@ -277,11 +277,7 @@ pub fn persistence_twin_run(seed: u64, restarts: &[(u64, NodeId)]) -> TwinOutcom
             disturbed.restart(node);
             next += 1;
         }
-        let done = next == pending.len()
-            && disturbed
-                .validator_ids()
-                .into_iter()
-                .all(|id| disturbed.ledger_seq_of(id) >= target_seq);
+        let done = next == pending.len() && disturbed.reached(target_seq);
         if done || !disturbed.step() {
             break;
         }

@@ -20,8 +20,7 @@ use crate::monitor::{FrontierReport, InvariantMonitor, StageMark, Violation};
 use crate::schedule::{FaultAction, FaultSchedule};
 use std::collections::{BTreeMap, BTreeSet};
 use stellar_scp::NodeId;
-use stellar_sim::simulation::{validator_keys, TraceEntry};
-use stellar_sim::{HealthAlert, SimConfig, Simulation};
+use stellar_sim::{events::TraceEntry, node::validator_keys, HealthAlert, SimConfig, Simulation};
 
 /// Configuration of a chaos experiment.
 pub struct ChaosConfig {
@@ -306,13 +305,7 @@ impl ChaosRun {
     /// always gets a final sweep.
     pub fn run(mut self) -> ChaosReport {
         while self.step() {
-            let done = self.schedule.remaining() == 0
-                && self.sim.validator_ids().into_iter().all(|id| {
-                    self.sim.is_crashed(id)
-                        || self.sim.is_puppet(id)
-                        || self.sim.ledger_seq_of(id) >= self.target_seq
-                });
-            if done {
+            if self.schedule.remaining() == 0 && self.sim.reached(self.target_seq) {
                 break;
             }
         }

@@ -658,9 +658,9 @@ impl Herder {
         reg.add("store.cache_hit", s.cache_hits - p.cache_hits);
         reg.add("store.cache_miss", s.cache_misses - p.cache_misses);
         reg.add("store.cache_evict", s.cache_evicts - p.cache_evicts);
-        reg.add("persist.bytes_written", s.bytes_written - p.bytes_written);
-        reg.add("persist.fsyncs", s.fsyncs - p.fsyncs);
-        reg.add("persist.failed_syncs", s.failed_fsyncs - p.failed_fsyncs);
+        reg.add("store.bytes_written", s.bytes_written - p.bytes_written);
+        reg.add("store.fsyncs", s.fsyncs - p.fsyncs);
+        reg.add("store.failed_fsyncs", s.failed_fsyncs - p.failed_fsyncs);
         let resident = self.store.resident_bytes() + self.buckets.resident_bytes();
         reg.set_gauge("store.resident_bytes", resident as i64);
         reg.set_gauge("store.disk_bytes", s.disk_bytes as i64);
@@ -1275,6 +1275,55 @@ mod tests {
                 .counter("ledger.catchup_applied"),
             1
         );
+    }
+
+    #[test]
+    fn disk_backend_counts_each_device_under_its_own_name() {
+        let genesis = herder().store;
+        let cfg = stellar_store::DiskConfig::default();
+        let store = stellar_store::open(&genesis, stellar_store::BackendKind::Disk, &cfg);
+        let mut h = Herder::new(NodeId(0), store, BTreeMap::new());
+        h.now = 100;
+        let (wal0, disk0) = (h.persist.stats(), h.store.io_stats());
+        let data_disk = h.store.disk().expect("a data disk");
+        for seq in 1..=3 {
+            if seq == 2 {
+                h.persist.fail_next_fsyncs(1);
+                data_disk.borrow_mut().fail_next_fsyncs(1);
+            }
+            let set =
+                TransactionSet::assemble(h.header.hash(), vec![payment_env(&h, 0, 1, seq)], 100);
+            h.learn_tx_set(set.clone());
+            h.now += 5;
+            let v = StellarValue::new(set.hash(), h.now);
+            assert!(h.apply_externalized(h.current_slot(), &v));
+        }
+        let (wal, disk) = (h.persist.stats(), h.store.io_stats());
+        assert!(disk.fsyncs > disk0.fsyncs && wal.syncs > wal0.syncs);
+        assert!(disk.failed_fsyncs > disk0.failed_fsyncs && wal.failed_syncs > wal0.failed_syncs);
+        let reg = &h.telemetry.registry;
+        let wal_counters = [
+            (
+                "persist.bytes_written",
+                wal.bytes_written - wal0.bytes_written,
+            ),
+            ("persist.fsyncs", wal.syncs - wal0.syncs),
+            ("persist.failed_syncs", wal.failed_syncs - wal0.failed_syncs),
+        ];
+        let disk_counters = [
+            (
+                "store.bytes_written",
+                disk.bytes_written - disk0.bytes_written,
+            ),
+            ("store.fsyncs", disk.fsyncs - disk0.fsyncs),
+            (
+                "store.failed_fsyncs",
+                disk.failed_fsyncs - disk0.failed_fsyncs,
+            ),
+        ];
+        for (name, delta) in wal_counters.into_iter().chain(disk_counters) {
+            assert_eq!(reg.counter(name), delta, "{name}");
+        }
     }
 
     #[test]

@@ -112,13 +112,8 @@ impl Validator {
         self.scp.id()
     }
 
-    /// Updates the wall clock (drives close-time proposals/validation).
-    pub fn set_time(&mut self, now_secs: u64) {
-        self.herder.now = now_secs;
-        self.herder.clock_ms = now_secs * 1000;
-    }
-
-    /// Millisecond-resolution clock update (metrics timestamps).
+    /// Updates the clock: whole seconds drive close-time proposals and
+    /// validation, milliseconds stamp metrics and spans.
     pub fn set_time_ms(&mut self, now_ms: u64) {
         self.herder.now = now_ms / 1000;
         self.herder.clock_ms = now_ms;
@@ -397,8 +392,7 @@ mod tests {
         fn run_ledger(&mut self) {
             let slot = self.validators[0].herder.current_slot();
             for i in 0..self.validators.len() {
-                let now = self.now_ms / 1000;
-                self.validators[i].set_time(now);
+                self.validators[i].set_time_ms(self.now_ms);
                 let out = self.validators[i].trigger_next_ledger();
                 self.route(i, out);
             }
@@ -417,7 +411,7 @@ mod tests {
                 };
                 self.now_ms = self.now_ms.max(deadline);
                 self.timers.remove(&(i, s, k));
-                self.validators[i].set_time(self.now_ms / 1000);
+                self.validators[i].set_time_ms(self.now_ms);
                 let out = self.validators[i].on_timer(s, k);
                 self.route(i, out);
             }

@@ -332,7 +332,11 @@ impl BallotProtocol {
                 }
             }
             if self.latest.verdict(&Question::Prepare(b.clone()), ACCEPT) {
-                self.set_prepared(b.clone());
+                // A `b` below and incompatible with both `p` and `p′` has
+                // no slot to go in; reporting progress would loop forever.
+                if !self.set_prepared(b.clone()) {
+                    return false;
+                }
                 // Abort a commit *vote* overruled by a higher incompatible
                 // accepted-prepared (votes may be overruled; accepts not).
                 if self.phase == BallotPhase::Prepare
@@ -358,8 +362,9 @@ impl BallotProtocol {
         self.prepared.iter().chain(&self.prepared_prime).any(rel)
     }
 
-    /// Records `b` as accepted prepared, maintaining `p`/`p′`.
-    fn set_prepared(&mut self, b: Ballot) {
+    /// Records `b` as accepted prepared, maintaining `p`/`p′`; returns
+    /// whether either changed.
+    fn set_prepared(&mut self, b: Ballot) -> bool {
         match &self.prepared {
             None => self.prepared = Some(b),
             Some(p) if &b > p => {
@@ -368,17 +373,14 @@ impl BallotProtocol {
                 }
                 self.prepared = Some(b);
             }
-            Some(p) if !b.compatible(p) => {
-                let better = match &self.prepared_prime {
-                    None => true,
-                    Some(pp) => &b > pp,
-                };
-                if better {
-                    self.prepared_prime = Some(b);
-                }
+            Some(p)
+                if !b.compatible(p) && self.prepared_prime.as_ref().is_none_or(|pp| &b > pp) =>
+            {
+                self.prepared_prime = Some(b);
             }
-            _ => {}
+            _ => return false,
         }
+        true
     }
 
     /// Tries to confirm `prepare(b)`: sets `h` and starts voting `commit`.
@@ -993,6 +995,44 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn accepting_a_ballot_below_both_prepared_is_not_progress() {
+        let mut fx = Fixture::new();
+        fx.with_ctx(|bp, ctx| bp.on_composite(ctx, val("x")));
+        // Every peer votes ⟨1,x⟩ but has accepted ⟨3,z⟩ and ⟨2,y⟩: we
+        // accept all three, and ⟨1,x⟩ sits below and incompatible with
+        // both `p` and `p′`, so recording it changes nothing.
+        let (p, pp) = (Ballot::new(3, val("z")), Ballot::new(2, val("y")));
+        let peer = |n: u32| {
+            peer_stmt(
+                n,
+                StatementKind::Prepare {
+                    ballot: Ballot::new(1, val("x")),
+                    prepared: Some(p.clone()),
+                    prepared_prime: Some(pp.clone()),
+                    c_n: 0,
+                    h_n: 0,
+                },
+            )
+        };
+        fx.with_ctx(|bp, ctx| {
+            for n in 1..=3 {
+                bp.process(ctx, &peer(n));
+            }
+        });
+        match fx.bp.latest_statement(NodeId(0)).unwrap().clone().kind {
+            StatementKind::Prepare {
+                prepared,
+                prepared_prime,
+                ..
+            } => assert_eq!((prepared, prepared_prime), (Some(p), Some(pp))),
+            other => panic!("{other:?}"),
+        }
+        let accepted = fx.driver.events.iter();
+        let accepted = accepted.filter(|e| matches!(e, ScpEvent::AcceptedPrepared { .. }));
+        assert_eq!(accepted.count(), 2, "only changes of p/p′ are reported");
     }
 
     #[test]

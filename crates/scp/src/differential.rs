@@ -129,20 +129,17 @@ impl System {
     }
 }
 
-/// A ballot on one of two values. A third would let peers make us accept
-/// `prepare(b)` for a `b` below and incompatible with both `p` and `p′`,
-/// which `set_prepared` cannot record: the attempt then reports progress
-/// forever, on either evaluator (ROADMAP item 12).
+/// A ballot on one of three values.
 fn random_ballot(rng: &mut StdRng, counter_max: u32) -> Ballot {
     let counter = if rng.gen_range(0..8) == 0 {
         u32::MAX
     } else {
         rng.gen_range(1..=counter_max)
     };
-    Ballot::new(counter, val(rng.gen_range(0..2)))
+    Ballot::new(counter, val(rng.gen_range(0..3)))
 }
 
-/// A random sane ballot statement over two values and small counters.
+/// A random sane ballot statement over three values and small counters.
 fn random_ballot_kind(rng: &mut StdRng) -> StatementKind {
     loop {
         let n = |rng: &mut StdRng| rng.gen_range(0..=4u32);

@@ -8,6 +8,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use stellar_crypto::Hash256;
 use stellar_herder::validator::Outputs;
 use stellar_ledger::tx::TransactionEnvelope;
 pub use stellar_overlay::{Flooded, FloodedData};
@@ -197,6 +198,68 @@ impl EventQueue {
         for (slot, kind, delay) in &outputs.timers {
             self.arm_timer(now, node, *slot, *kind, delay.map(|d| d.as_millis() as u64));
         }
+    }
+}
+
+/// One entry of the deterministic event trace (see
+/// [`Simulation::enable_trace`](crate::Simulation::enable_trace)). Two
+/// runs from the same seed and fault schedule produce identical traces,
+/// which is what makes chaos findings replayable.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TraceEntry {
+    /// A flooded message arrived at a node.
+    Deliver {
+        /// Simulated time (ms).
+        time: u64,
+        /// Sending peer.
+        from: NodeId,
+        /// Receiving node.
+        to: NodeId,
+        /// Content id of the message.
+        msg_id: Hash256,
+    },
+    /// An SCP timer fired.
+    Timer {
+        /// Simulated time (ms).
+        time: u64,
+        /// The node whose timer fired.
+        node: NodeId,
+        /// Slot the timer belonged to.
+        slot: SlotIndex,
+    },
+    /// A node started consensus on its next ledger.
+    Trigger {
+        /// Simulated time (ms).
+        time: u64,
+        /// The triggered node.
+        node: NodeId,
+    },
+    /// A client transaction was submitted.
+    Submit {
+        /// Simulated time (ms).
+        time: u64,
+        /// Receiving node.
+        to: NodeId,
+        /// Transaction hash.
+        tx_hash: Hash256,
+    },
+    /// A node closed a ledger.
+    Close {
+        /// Simulated time (ms).
+        time: u64,
+        /// The closing node.
+        node: NodeId,
+        /// Sequence of the closed ledger.
+        seq: u64,
+        /// Resulting header hash.
+        header_hash: Hash256,
+    },
+}
+
+/// Records the entry `entry` builds, if the trace is enabled (`Some`).
+pub(crate) fn record(trace: &mut Option<Vec<TraceEntry>>, entry: impl FnOnce() -> TraceEntry) {
+    if let Some(t) = trace {
+        t.push(entry());
     }
 }
 

@@ -10,19 +10,27 @@
 //!
 //! * [`latency`] — seeded link-latency models (LAN, same-region EC2, WAN);
 //! * [`events`] — the event queue (deliveries, timers, ledger triggers,
-//!   load arrivals) with versioned timer cancellation;
+//!   load arrivals) with versioned timer cancellation, and the
+//!   deterministic event trace;
 //! * [`loadgen`] — the `generateload` equivalent: synthetic accounts and
 //!   Poisson payment load (§7.3);
-//! * [`simulation`] — the engine: validators + overlay + clock;
+//! * [`simulation`] — the engine: configuration, event loop, dispatch
+//!   and delivery;
+//! * [`node`] — node lifecycle: the per-node record (validator, flood
+//!   engine, Horizon pipeline), its one boot path for first start and
+//!   reboot, crash, durable recovery, catch-up, puppets;
+//! * `horizon` — Horizon workload driving on the observer: admission,
+//!   query batches, ingestion cadence;
 //! * [`metrics`] — per-ledger latency decomposition (nomination,
 //!   balloting, ledger update), timeout counters, message and byte
-//!   accounting, percentile helpers;
+//!   accounting, percentile helpers, and the run report;
 //! * [`scenario`] — canned topologies: the §7.3 controlled setups
 //!   (full-mesh majority quorums) and the Fig. 7-like tiered public
 //!   network;
 //! * [`tracing`] — cross-node trace aggregation: merges per-node span
 //!   streams into per-transaction rows and the submit→apply phase-level
-//!   latency decomposition (p50/p99 per phase, Fig. 7-style CDF);
+//!   latency decomposition (p50/p99 per phase, Fig. 7-style CDF), and
+//!   renders causal traces for chaos reports;
 //! * [`watchdog`] — the health watchdog: stuck-slot and slow-close
 //!   detection plus the ledger-lag gauge, feeding sim and chaos reports.
 
@@ -30,9 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod events;
+mod horizon;
 pub mod latency;
 pub mod loadgen;
 pub mod metrics;
+pub mod node;
 pub mod scenario;
 pub mod simulation;
 pub mod tracing;

@@ -1,39 +1,36 @@
-//! The simulation engine: validators + overlay + virtual clock.
+//! The simulation engine: configuration, event loop, dispatch and
+//! delivery.
 //!
 //! Every simulated validator is a real [`Validator`] (SCP + herder +
 //! ledger + buckets) beside a real [`FloodEngine`] in one per-node
-//! record; the simulator owns the event queue, the links (peer graph,
-//! latency, faults, partitions) and the reports, turns each engine's
-//! sends into delivery events, and routes everything deterministically
-//! from a single seed. Ledger pacing follows production:
-//! a node triggers consensus on the next ledger once it has closed the
-//! previous one *and* the 5-second ledger interval has elapsed since the
-//! last trigger (§7: "the system runs SCP at 5-second intervals").
+//! record (`crate::node`); the simulator owns the event queue, the links
+//! (peer graph, latency, faults, partitions) and the clock, turns each
+//! engine's sends into delivery events, and routes everything
+//! deterministically from a single seed. Ledger pacing follows
+//! production: a node triggers consensus on the next ledger once it has
+//! closed the previous one *and* the 5-second ledger interval has
+//! elapsed since the last trigger (§7: "the system runs SCP at 5-second
+//! intervals").
+//!
+//! [`FloodEngine`]: stellar_overlay::FloodEngine
 
-use crate::events::{Event, EventQueue, Flooded};
+use crate::events::{record, Event, EventQueue, Flooded, TraceEntry};
 use crate::latency::LatencyModel;
 use crate::loadgen::{genesis_store, LoadGen};
-use crate::metrics::{build_ledger_metrics, SimReport};
+use crate::node::{Genesis, SimNode};
 use crate::scenario::Scenario;
-use crate::tracing::{build_tx_traces, render_causal_trace, trace_summary_json};
 use crate::watchdog::{HealthWatchdog, WatchdogConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
-use stellar_buckets::BucketList;
-use stellar_crypto::codec::Decode;
-use stellar_crypto::sign::{KeyPair, PublicKey};
 use stellar_crypto::Hash256;
 use stellar_herder::validator::{Outputs, Validator};
-use stellar_horizon::{AdmissionConfig, Horizon, HorizonError, HorizonPipeline};
-use stellar_ledger::header::LedgerHeader;
-use stellar_ledger::store::LedgerStore;
-use stellar_overlay::{
-    Actions, FloodEngine, FloodMessage, FloodMode, LinkFaultTable, PeerGraph, TrafficStats,
-};
+use stellar_horizon::AdmissionConfig;
+use stellar_ledger::tx::TransactionEnvelope;
+use stellar_overlay::{Actions, FloodEngine, FloodMessage, FloodMode, LinkFaultTable};
 use stellar_scp::driver::ScpEvent;
 use stellar_scp::{NodeId, QuorumSet, SlotIndex, Value};
-use stellar_telemetry::{Json, NodeTelemetry, Registry, SpanEvent, SpanPhase, TraceStore};
+use stellar_telemetry::{NodeTelemetry, SpanPhase};
 
 /// Parameters of one simulation run.
 #[derive(Clone, Debug)]
@@ -54,11 +51,6 @@ pub struct SimConfig {
     pub max_tx_set_ops: u32,
     /// Hard cap on simulated time, as a safety net (ms).
     pub max_sim_time_ms: u64,
-    /// Modeled per-message processing cost at each node, in microseconds
-    /// (signature checks, statement processing). Deliveries queue behind a
-    /// busy node, so message volume translates into latency — the effect
-    /// behind Fig. 11's balloting growth.
-    pub proc_cost_us_per_msg: u64,
     /// How `Tx`/`TxSet` payloads cross the overlay: naïve push flooding
     /// (the §7.5 default) or advert/demand pull gossip. Either way an SCP
     /// envelope is pushed by its originator and advertised by relays.
@@ -95,6 +87,12 @@ pub struct SimConfig {
     pub horizon_ingest_interval_ms: u64,
 }
 
+/// Modeled per-message processing cost at each node, in microseconds
+/// (signature checks, statement processing). Deliveries queue behind a
+/// busy node, so message volume translates into latency — the effect
+/// behind Fig. 11's balloting growth.
+pub const PROC_COST_US_PER_MSG: u64 = 200;
+
 /// Health-watchdog observation cadence (simulated ms). One round per
 /// simulated second keeps detection latency far under the stuck-slot
 /// bound at negligible cost.
@@ -118,7 +116,6 @@ impl Default for SimConfig {
             seed: 42,
             max_tx_set_ops: 1000,
             max_sim_time_ms: 3_600_000,
-            proc_cost_us_per_msg: 200,
             flood_mode: FloodMode::Push,
             persistence: true,
             store_backend: stellar_store::BackendKind::from_env(),
@@ -130,11 +127,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Deterministic seed for a validator's signing identity.
-pub fn validator_keys(id: NodeId) -> KeyPair {
-    KeyPair::from_seed(0x7A11DA70u64 ^ u64::from(id.0))
-}
-
 /// An active network partition: nodes can only exchange messages within
 /// their own group. Nodes not listed in any group form one implicit extra
 /// group of their own.
@@ -144,121 +136,17 @@ struct Partition {
     heal_at_ms: Option<u64>,
 }
 
-/// One entry of the deterministic event trace (see
-/// [`Simulation::enable_trace`]). Two runs from the same seed and fault
-/// schedule produce identical traces, which is what makes chaos findings
-/// replayable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEntry {
-    /// A flooded message arrived at a node.
-    Deliver {
-        /// Simulated time (ms).
-        time: u64,
-        /// Sending peer.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
-        /// Content id of the message.
-        msg_id: Hash256,
-    },
-    /// An SCP timer fired.
-    Timer {
-        /// Simulated time (ms).
-        time: u64,
-        /// The node whose timer fired.
-        node: NodeId,
-        /// Slot the timer belonged to.
-        slot: SlotIndex,
-    },
-    /// A node started consensus on its next ledger.
-    Trigger {
-        /// Simulated time (ms).
-        time: u64,
-        /// The triggered node.
-        node: NodeId,
-    },
-    /// A client transaction was submitted.
-    Submit {
-        /// Simulated time (ms).
-        time: u64,
-        /// Receiving node.
-        to: NodeId,
-        /// Transaction hash.
-        tx_hash: Hash256,
-    },
-    /// A node closed a ledger.
-    Close {
-        /// Simulated time (ms).
-        time: u64,
-        /// The closing node.
-        node: NodeId,
-        /// Sequence of the closed ledger.
-        seq: u64,
-        /// Resulting header hash.
-        header_hash: Hash256,
-    },
-}
-
-/// Everything the simulator keeps about one node of the peer graph.
-struct SimNode {
-    /// The consensus node; watchers have none and only relay.
-    validator: Option<Validator>,
-    /// The node's overlay, with its run-long traffic counters.
-    engine: FloodEngine,
-    /// The last slot `trigger_next_ledger` was called for.
-    last_triggered_slot: u64,
-    /// When that trigger happened — the pacing base, which survives a
-    /// restart.
-    last_trigger_time: Option<u64>,
-    /// The last ledger seq observed closed.
-    last_closed: u64,
-    /// Modeled CPU busy-until, microseconds of simulated time.
-    busy_until_us: u64,
-    /// Crashed: no receive, no send, no timers.
-    crashed: bool,
-    /// `Some` for a puppet: the node holds real keys and appears in
-    /// quorum sets but runs no validator logic — an external driver (a
-    /// chaos adversary) drains this inbox and injects envelopes by hand.
-    puppet_inbox: Option<Vec<(NodeId, Flooded)>>,
-}
-
-impl SimNode {
-    fn new(engine: FloodEngine) -> SimNode {
-        SimNode {
-            validator: None,
-            engine,
-            last_triggered_slot: 0,
-            last_trigger_time: None,
-            last_closed: 1,
-            busy_until_us: 0,
-            crashed: false,
-            puppet_inbox: None,
-        }
-    }
-
-    fn is_puppet(&self) -> bool {
-        self.puppet_inbox.is_some()
-    }
-
-    /// Whether the node takes part in consensus right now.
-    fn is_live(&self) -> bool {
-        !self.crashed && !self.is_puppet()
-    }
-}
-
 /// The engine.
 pub struct Simulation {
-    cfg: SimConfig,
-    now: u64,
-    queue: EventQueue,
+    pub(crate) cfg: SimConfig,
+    pub(crate) now: u64,
+    pub(crate) queue: EventQueue,
     /// One record per node of the peer graph, validators and watchers.
-    nodes: BTreeMap<NodeId, SimNode>,
-    graph: PeerGraph,
+    pub(crate) nodes: BTreeMap<NodeId, SimNode>,
     latency: LatencyModel,
     rng: StdRng,
-    loadgen: Option<LoadGen>,
-    observer: NodeId,
-    scp_originated: u64,
+    pub(crate) loadgen: Option<LoadGen>,
+    pub(crate) observer: NodeId,
     /// Dedicated RNG stream for fault decisions, so configuring faults on
     /// some links never perturbs the base latency/load streams.
     fault_rng: StdRng,
@@ -268,75 +156,20 @@ pub struct Simulation {
     partition: Option<Partition>,
     /// Event trace, recorded when enabled (see [`Simulation::enable_trace`]).
     trace: Option<Vec<TraceEntry>>,
-    /// The genesis ledger, retained so a crash-restart can rebuild a
-    /// validator from scratch (disk + archives only, no magic RAM).
-    genesis: Genesis,
-    /// The shared signing-key registry, retained for restart rebuilds.
-    registry: BTreeMap<NodeId, stellar_crypto::sign::PublicKey>,
+    /// The genesis ledger and key registry, retained so a crash-restart
+    /// can rebuild a validator from scratch (disk + archives only, no
+    /// magic RAM).
+    pub(crate) genesis: Genesis,
     /// Recovery bookkeeping: restarts performed this run.
-    restarts: u64,
+    pub(crate) restarts: u64,
     /// Ledgers replayed from history archives during recoveries.
-    recovery_replayed: u64,
+    pub(crate) recovery_replayed: u64,
     /// Wall-clock time spent rebuilding restarted nodes (µs).
-    recovery_us: u64,
+    pub(crate) recovery_us: u64,
     /// Liveness health monitor (stuck slots, slow closes, ledger lag).
-    watchdog: HealthWatchdog,
+    pub(crate) watchdog: HealthWatchdog,
     /// Next simulated time the watchdog takes an observation round.
     watchdog_next_ms: u64,
-    /// The observer's horizon pipeline, when enabled.
-    horizon: Option<HorizonPipeline>,
-    /// Sim-side horizon load accounting (`horizon.*`: submissions
-    /// admitted/shed, query latency histogram, lag at query time).
-    horizon_metrics: Registry,
-}
-
-/// The genesis ledger every validator starts from, built once per
-/// simulation: the entry store template, the bucket list seeded from it
-/// (level hashes already computed) and the header committing to both.
-struct Genesis {
-    store: LedgerStore,
-    buckets: BucketList,
-    header: LedgerHeader,
-}
-
-impl Genesis {
-    fn new(store: LedgerStore) -> Genesis {
-        let mut buckets = BucketList::seed(store.all_entries());
-        let header = LedgerHeader::genesis(buckets.hash());
-        Genesis {
-            store,
-            buckets,
-            header,
-        }
-    }
-
-    /// A validator at genesis with its own store on the configured
-    /// backend (`Mem` clones the template, `Disk` streams it onto a fresh
-    /// simulated data disk) and a clone of the seeded bucket list, whose
-    /// slots are `Rc`-shared, spilling to that node's own disk.
-    fn validator(
-        &self,
-        id: NodeId,
-        qset: QuorumSet,
-        backend: stellar_store::BackendKind,
-        registry: &BTreeMap<NodeId, PublicKey>,
-    ) -> Validator {
-        let store =
-            stellar_store::open(&self.store, backend, &stellar_store::DiskConfig::default());
-        let mut buckets = self.buckets.clone();
-        if let Some(disk) = store.disk() {
-            buckets.attach_disk(disk, 0);
-        }
-        Validator::from_recovered(
-            id,
-            validator_keys(id),
-            qset,
-            store,
-            buckets,
-            self.header.clone(),
-            registry.clone(),
-        )
-    }
 }
 
 impl Simulation {
@@ -348,19 +181,12 @@ impl Simulation {
     /// Builds the network with a custom genesis ledger.
     pub fn with_setup(cfg: SimConfig, setup: SimSetup) -> Simulation {
         let built = cfg.scenario.build(cfg.seed);
-        let genesis = Genesis::new(
-            setup
-                .genesis
-                .unwrap_or_else(|| genesis_store(cfg.n_accounts, 1000)),
-        );
-        let registry: BTreeMap<NodeId, stellar_crypto::sign::PublicKey> = built
-            .validators
-            .iter()
-            .map(|id| (*id, validator_keys(*id).public()))
-            .collect();
+        let genesis = setup
+            .genesis
+            .unwrap_or_else(|| genesis_store(cfg.n_accounts, 1000));
         // The one place the flood mode is read: every engine is built
         // here and only ever reset afterwards.
-        let mut nodes: BTreeMap<NodeId, SimNode> = built
+        let nodes = built
             .graph
             .nodes()
             .map(|n| {
@@ -368,22 +194,6 @@ impl Simulation {
                 (n, SimNode::new(FloodEngine::new(cfg.flood_mode, peers)))
             })
             .collect();
-        for (id, qset) in &built.qsets {
-            let mut v = genesis.validator(*id, qset.clone(), cfg.store_backend, &registry);
-            v.herder.header.params.max_tx_set_ops = cfg.max_tx_set_ops;
-            v.herder
-                .telemetry
-                .spans
-                .configure(cfg.trace_sample_every, TraceStore::DEFAULT_CAP);
-            if !cfg.persistence {
-                v.herder.persist = stellar_persist::DurableStore::disabled();
-            }
-            nodes
-                .get_mut(id)
-                .expect("validators are graph nodes")
-                .validator = Some(v);
-        }
-        let observer = built.validators[0];
         let loadgen = if cfg.tx_rate > 0.0 {
             Some(LoadGen::new(cfg.n_accounts, cfg.tx_rate, cfg.seed))
         } else {
@@ -393,41 +203,24 @@ impl Simulation {
             now: 0,
             queue: EventQueue::new(),
             nodes,
-            graph: built.graph,
             latency: built.latency,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x51),
             loadgen,
-            observer,
-            scp_originated: 0,
+            observer: built.validators[0],
             fault_rng: StdRng::seed_from_u64(cfg.seed ^ 0xFA17),
             link_faults: LinkFaultTable::new(),
             partition: None,
             trace: None,
-            genesis,
-            registry,
+            genesis: Genesis::new(genesis, &built.validators),
             restarts: 0,
             recovery_replayed: 0,
             recovery_us: 0,
             watchdog: HealthWatchdog::new(WatchdogConfig::default()),
             watchdog_next_ms: 0,
-            horizon: None,
-            horizon_metrics: Registry::new(),
             cfg,
         };
-        if let Some(hcfg) = sim.cfg.horizon {
-            let v = sim.validator_mut(sim.observer);
-            let pipeline = HorizonPipeline::attach(&mut v.herder, hcfg);
-            sim.horizon = Some(pipeline);
-            if sim.cfg.horizon_ingest_interval_ms > 0 {
-                sim.queue.push(
-                    1000 + sim.cfg.horizon_ingest_interval_ms,
-                    Event::HorizonIngest,
-                );
-            }
-            if sim.cfg.horizon_query_rate > 0.0 {
-                sim.queue.push(1000, Event::HorizonQuery);
-            }
-        }
+        sim.boot_all(&built.qsets);
+        sim.schedule_horizon();
         // Initial ledger triggers, slightly staggered like real restarts.
         for (i, id) in sim.validator_ids().into_iter().enumerate() {
             sim.queue
@@ -443,28 +236,50 @@ impl Simulation {
 
     /// A graph node's record. Every id the simulator routes by — event
     /// targets, peers, validators — names a node of the peer graph.
-    fn node(&self, id: NodeId) -> &SimNode {
+    pub(crate) fn node(&self, id: NodeId) -> &SimNode {
         self.nodes.get(&id).expect("node of the peer graph")
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut SimNode {
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut SimNode {
         self.nodes.get_mut(&id).expect("node of the peer graph")
     }
 
     /// The validators among the nodes, in id order.
-    fn validators(&self) -> impl Iterator<Item = (NodeId, &Validator)> {
+    pub(crate) fn validators(&self) -> impl Iterator<Item = (NodeId, &Validator)> {
         self.nodes
             .iter()
             .filter_map(|(id, n)| n.validator.as_ref().map(|v| (*id, v)))
     }
 
-    fn validator_mut(&mut self, id: NodeId) -> &mut Validator {
+    /// The validator at `id`, if `id` names one (callers may be handed a
+    /// watcher or an id from outside the graph).
+    fn find_validator(&self, id: NodeId) -> Option<&Validator> {
+        self.nodes.get(&id)?.validator.as_ref()
+    }
+
+    /// A validator, for post-run inspection.
+    pub fn validator(&self, id: NodeId) -> &Validator {
+        self.find_validator(id).expect("a validator")
+    }
+
+    pub(crate) fn validator_mut(&mut self, id: NodeId) -> &mut Validator {
         self.node_mut(id).validator.as_mut().expect("a validator")
+    }
+
+    /// Clock, call, route: runs `f` on `id`'s validator at the current
+    /// time, then routes the outputs. `f` also sees the rest of the
+    /// network (a catching-up node reads a peer's archive).
+    pub(crate) fn drive(&mut self, id: NodeId, f: impl FnOnce(&mut Validator, &Self) -> Outputs) {
+        let mut v = self.node_mut(id).validator.take().expect("a validator");
+        v.set_time_ms(self.now);
+        let out = f(&mut v, self);
+        self.node_mut(id).validator = Some(v);
+        self.handle_outputs(id, out);
     }
 
     /// The validator a client hands `tx` to: a deterministic pick by
     /// transaction hash.
-    fn submission_target(&self, tx: &stellar_ledger::tx::TransactionEnvelope) -> NodeId {
+    fn submission_target(&self, tx: &TransactionEnvelope) -> NodeId {
         let n = self.validators().count() as u64;
         let pick = (tx.hash().prefix_u64() % n) as usize;
         let (id, _) = self.validators().nth(pick).expect("pick < count");
@@ -472,29 +287,17 @@ impl Simulation {
     }
 
     fn schedule_load(&mut self, at: u64) {
-        let Some(lg) = self.loadgen.as_mut() else {
-            return;
-        };
-        let tx = lg.make_payment();
-        // Submit to a pseudo-random validator (client choice).
-        let to = self.submission_target(&tx);
-        self.queue.push(at, Event::SubmitTx { to, tx });
+        if let Some(lg) = self.loadgen.as_mut() {
+            let tx = lg.make_payment();
+            self.submit_transaction_at(at, tx);
+        }
     }
 
     /// Schedules a client transaction submission at `at_ms` (routed to a
     /// deterministic validator, then flooded).
-    pub fn submit_transaction_at(
-        &mut self,
-        at_ms: u64,
-        tx: stellar_ledger::tx::TransactionEnvelope,
-    ) {
+    pub fn submit_transaction_at(&mut self, at_ms: u64, tx: TransactionEnvelope) {
         let to = self.submission_target(&tx);
         self.queue.push(at_ms, Event::SubmitTx { to, tx });
-    }
-
-    /// A validator, for post-run inspection.
-    pub fn validator(&self, id: NodeId) -> &Validator {
-        self.node(id).validator.as_ref().expect("a validator")
     }
 
     /// A node's telemetry (metrics registry + flight recorder).
@@ -510,279 +313,6 @@ impl Simulation {
     /// The observer node (metrics source).
     pub fn observer_id(&self) -> NodeId {
         self.observer
-    }
-
-    /// Crashes a node at the current point in the run: it stops sending,
-    /// receiving, and firing timers (fail-stop, §6-style outage drills).
-    /// Pending deliveries to it are purged, and new ones are dropped at
-    /// enqueue time, so a long run never bloats the heap with traffic for
-    /// a dead node.
-    pub fn crash(&mut self, id: NodeId) {
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return; // not a node of this network
-        };
-        node.crashed = true;
-        self.queue.purge_deliveries_to(id);
-    }
-
-    /// Revives a crashed node. The node does **not** keep its pre-crash
-    /// RAM: revival is a full crash-restart ([`Simulation::restart`]) that
-    /// rebuilds the validator from its durable store and history archive
-    /// alone, exactly what a rebooted stellar-core does (§3, §5.4).
-    pub fn revive(&mut self, id: NodeId) {
-        if self.is_crashed(id) {
-            self.restart(id);
-        }
-    }
-
-    /// Crash-restarts a node in place: every byte of in-memory state is
-    /// discarded and the validator is rebuilt solely from what survived
-    /// the reboot —
-    ///
-    /// 1. its durable store takes the crash (unsynced writes are lost, a
-    ///    pending record may be torn);
-    /// 2. a fresh validator replays its own history archive from genesis
-    ///    and cross-checks the tip against the durable LCL record;
-    /// 3. SCP voting state is replayed from the node's own latest
-    ///    envelopes on disk, so it can never contradict a vote it already
-    ///    published (with persistence off it forgets those votes — the
-    ///    amnesia-equivocation hazard the chaos layer demonstrates);
-    /// 4. the remaining ledger gap is closed from a reachable live peer's
-    ///    archive and the reconnect state exchange runs — which is also
-    ///    how the node relearns its peers' latest statements.
-    ///
-    /// Works on live nodes too (an atomic reboot) and clears the crashed
-    /// flag for nodes that were down.
-    pub fn restart(&mut self, id: NodeId) {
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return;
-        };
-        if node.is_puppet() {
-            return;
-        }
-        let Some(old) = node.validator.take() else {
-            return; // a watcher has nothing durable to reboot from
-        };
-        let started = std::time::Instant::now();
-        node.crashed = false;
-        let qset = old.scp.quorum_set().clone();
-        let herder = old.herder;
-        let own_archive = herder.archive;
-        let mut disk = herder.persist;
-        let data_disk = herder.store.disk();
-        // Power loss: whatever was written but not fsynced is gone, and
-        // an injected torn-write fault may corrupt a pending record.
-        // Both devices take the crash — the write-ahead log and (on the
-        // disk backend) the ledger data disk.
-        disk.crash();
-        if let Some(dd) = &data_disk {
-            dd.borrow_mut().crash();
-        }
-        // Fast recovery path (disk backend only): rebuild the ledger
-        // store and bucket list straight off the durable data disk,
-        // cross-checked against the write-ahead LCL record. Any
-        // discrepancy — torn manifest, sequence split across the two
-        // disks, wrong snapshot hash — falls back to genesis replay.
-        let lcl = disk
-            .read(stellar_herder::herder::LCL_KEY)
-            .and_then(|b| stellar_herder::herder::LclRecord::from_bytes(&b).ok());
-        let recovered = match (&data_disk, &lcl) {
-            (Some(dd), Some(lcl)) => stellar_store::recover_node(
-                dd.clone(),
-                &lcl.header,
-                &lcl.bucket_hashes,
-                &stellar_store::DiskConfig::default(),
-            )
-            .map(|(store, buckets)| (store, buckets, lcl.header.clone())),
-            _ => None,
-        };
-        let durable_recovery = recovered.is_some();
-        let mut v = match recovered {
-            Some((store, buckets, header)) => Validator::from_recovered(
-                id,
-                validator_keys(id),
-                qset,
-                store,
-                buckets,
-                header,
-                self.registry.clone(),
-            ),
-            // The data disk was unusable (or the node runs in RAM):
-            // re-image it and replay from genesis.
-            None => self
-                .genesis
-                .validator(id, qset, self.cfg.store_backend, &self.registry),
-        };
-        v.herder.header.params.max_tx_set_ops = self.cfg.max_tx_set_ops;
-        // A rebooted process keeps tracing at the configured sampling
-        // rate; its pre-crash span buffer is RAM and thus lost.
-        v.herder
-            .telemetry
-            .spans
-            .configure(self.cfg.trace_sample_every, TraceStore::DEFAULT_CAP);
-        v.herder.persist = disk;
-        if durable_recovery {
-            v.herder.telemetry.registry.inc("recovery.durable_store");
-        }
-        v.set_time_ms(self.now);
-        // Replay our own archive (archives model external durable
-        // storage — they survive the reboot in both persistence modes).
-        let mut replayed = v.herder.catch_up_from(&own_archive);
-        // The durable LCL record is the node-local integrity anchor: if
-        // it is intact and covers the replayed tip, the hashes must line
-        // up — a mismatch means local corruption, which we surface as a
-        // counter rather than trusting either side blindly.
-        if let Some(lcl) = v.herder.recover_lcl() {
-            if lcl.header.ledger_seq == v.ledger_seq()
-                && lcl.header.hash() != v.herder.header.hash()
-            {
-                v.herder.telemetry.registry.inc("recovery.lcl_mismatch");
-            }
-        }
-        // Replay our own latest SCP envelopes from disk (a decided slot
-        // re-fires into the close path).
-        let restored = v.recover_scp_state();
-        let out = v.drain_outputs();
-        v.herder
-            .telemetry
-            .registry
-            .add("recovery.slots_restored", restored as u64);
-        // The node will re-trigger its current slot, but on the normal
-        // 5-second pacing — not the instant the process boots. (The
-        // pacing base survives the reboot: production derives it from
-        // the recovered last-close time.) Triggering immediately would
-        // propose an off-schedule close time and perturb the values the
-        // network agrees on.
-        let node = self.node_mut(id);
-        node.last_triggered_slot = 0;
-        node.last_closed = v.ledger_seq();
-        node.validator = Some(v);
-        // A rebooted process has no flood caches, demand state, pending
-        // tick, queued deliveries, or CPU backlog; its traffic counters
-        // are the run's measurement and stay.
-        node.engine.reset();
-        node.busy_until_us = 0;
-        self.queue.purge_deliveries_to(id);
-        // A horizon pipeline is RAM: if its host rebooted, re-attach a
-        // fresh one and backfill history from the archive (restart-
-        // mid-ingestion recovery). Live closes resume from the feed.
-        if id == self.observer {
-            if let Some(hcfg) = self.cfg.horizon {
-                let v = self.validator_mut(id);
-                let mut p = HorizonPipeline::attach(&mut v.herder, hcfg);
-                p.indexer.backfill_history(&v.herder.archive);
-                self.horizon = Some(p);
-                self.horizon_metrics.inc("horizon.reattached");
-            }
-        }
-        self.handle_outputs(id, out);
-        // Close the remaining gap from the network's archives, then
-        // rejoin consensus: re-trigger and exchange SCP state.
-        replayed += self.catch_up(id);
-        let trigger_at = self
-            .node(id)
-            .last_trigger_time
-            .map_or(self.now + 1, |base| {
-                (base + self.cfg.ledger_interval_ms).max(self.now + 1)
-            });
-        self.queue
-            .push(trigger_at, Event::TriggerLedger { node: id });
-        self.resync();
-        let dur_us = started.elapsed().as_micros() as u64;
-        self.restarts += 1;
-        self.recovery_replayed += replayed;
-        self.recovery_us += dur_us;
-        let reg = &mut self.validator_mut(id).herder.telemetry.registry;
-        reg.inc("recovery.restarts");
-        reg.add("recovery.ledgers_replayed", replayed);
-        reg.observe("recovery.duration_us", dur_us);
-    }
-
-    /// Replays ledgers the node missed from the most-advanced live
-    /// peer's history archive (paper §5.4 — flooding never retransmits,
-    /// so closed history must come from the archive). Only peers the
-    /// node can actually reach under the active partition are consulted.
-    /// Returns the number of ledgers applied; 0 when nobody reachable is
-    /// ahead.
-    fn catch_up(&mut self, id: NodeId) -> u64 {
-        let own_seq = self.ledger_seq_of(id);
-        let best = self
-            .nodes
-            .iter()
-            .filter(|(peer, n)| **peer != id && n.is_live() && self.link_open(**peer, id))
-            .filter_map(|(peer, n)| Some((*peer, n.validator.as_ref()?.ledger_seq())))
-            .max_by_key(|(_, seq)| *seq);
-        let Some((peer, peer_seq)) = best else {
-            return 0;
-        };
-        if peer_seq <= own_seq {
-            return 0;
-        }
-        // Two validators out of one table: take the lagging one out for
-        // the call so it can read the peer's archive in place.
-        let mut v = self.node_mut(id).validator.take().expect("a validator");
-        v.set_time_ms(self.now);
-        let applied = v.herder.catch_up_from(&self.validator(peer).herder.archive);
-        self.node_mut(id).validator = Some(v);
-        self.check_closed(id);
-        applied
-    }
-
-    /// Re-floods every live validator's own latest SCP envelopes — the
-    /// peer-(re)connect state exchange. Naïve flooding never retransmits,
-    /// so after a partition heals (or a node revives) this is what lets
-    /// the two sides learn the votes they missed; nodes that already saw
-    /// an envelope drop it in the flood cache.
-    fn resync(&mut self) {
-        for id in self.validator_ids() {
-            if !self.node(id).is_live() {
-                continue;
-            }
-            // Tx sets first: a peer that sees a vote before the set it
-            // names cannot validate the value for nomination. In pull
-            // mode the sets are (re-)advertised rather than re-flooded —
-            // peers that already hold them never see the payload again.
-            for set in self.validator(id).scp_state_tx_sets() {
-                self.originate(id, FloodMessage::TxSet(set));
-            }
-            for env in self.validator(id).scp_state_envelopes() {
-                self.originate(id, FloodMessage::Scp(env));
-            }
-        }
-    }
-
-    /// Whether `id` is currently crashed.
-    pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|n| n.crashed)
-    }
-
-    /// Arms `n` failing fsyncs on `id`'s durable store (chaos hook). The
-    /// write-ahead gate reacts by withholding outbound envelopes until a
-    /// later sync succeeds.
-    pub fn fail_next_fsyncs(&mut self, id: NodeId, n: u32) {
-        if let Some(v) = self.find_validator_mut(id) {
-            v.herder.persist.fail_next_fsyncs(n);
-            // On the disk backend the fault hits the data disk too: a
-            // failed close flush keeps the delta dirty in the write-back
-            // cache and retries at the next close.
-            if let Some(dd) = v.herder.store.disk() {
-                dd.borrow_mut().fail_next_fsyncs(n);
-            }
-        }
-    }
-
-    /// Arms a torn write on `id`'s durable store: its next crash commits
-    /// only a strict prefix of the oldest unsynced record (chaos hook;
-    /// recovery must treat the torn record as absent).
-    pub fn tear_next_crash(&mut self, id: NodeId) {
-        if let Some(v) = self.find_validator_mut(id) {
-            v.herder.persist.tear_next_crash();
-            // A torn data-disk record is caught by the segment/manifest
-            // checksums; recovery then refuses the fast path.
-            if let Some(dd) = v.herder.store.disk() {
-                dd.borrow_mut().tear_next_crash();
-            }
-        }
     }
 
     /// Imposes a network partition: messages flow only within a group.
@@ -834,73 +364,14 @@ impl Simulation {
         &mut self.link_faults
     }
 
-    /// Demotes a validator to a puppet: it keeps its keys and its place
-    /// in other nodes' quorum sets, but runs no validator logic. Its
-    /// inbound traffic lands in an inbox for an external driver (a
-    /// Byzantine adversary) to read, and anything it "says" is injected
-    /// via [`Simulation::inject_direct`] / [`Simulation::inject_broadcast`].
-    pub fn make_puppet(&mut self, id: NodeId) {
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return; // not a node of this network
-        };
-        node.puppet_inbox.get_or_insert_with(Vec::new);
-    }
-
-    /// Whether `id` is a puppet.
-    pub fn is_puppet(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(SimNode::is_puppet)
-    }
-
-    /// Takes the messages delivered to puppet `id` since the last drain.
-    pub fn drain_puppet_inbox(&mut self, id: NodeId) -> Vec<(NodeId, Flooded)> {
-        let inbox = self
-            .nodes
-            .get_mut(&id)
-            .and_then(|n| n.puppet_inbox.as_mut());
-        inbox.map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Injects a message from `from` to a single peer `to` (adversary
-    /// equivocation path: different payloads to different peers). Honest
-    /// receivers process and relay it through their normal paths.
-    pub fn inject_direct(&mut self, from: NodeId, to: NodeId, msg: FloodMessage) {
-        let flooded = Flooded::new(msg);
-        let now = self.now;
-        self.node_mut(from).engine.note_sent(&flooded, now); // don't bounce back
-        self.enqueue_delivery(from, to, flooded);
-    }
-
-    /// Injects a message `from` floods the way its own overlay would.
-    pub fn inject_broadcast(&mut self, from: NodeId, msg: FloodMessage) {
-        self.originate(from, msg);
-    }
-
     /// Starts recording the event trace (see [`TraceEntry`]).
     pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
+        self.trace.get_or_insert_with(Vec::new);
     }
 
     /// The recorded event trace (empty unless tracing was enabled).
     pub fn trace(&self) -> &[TraceEntry] {
         self.trace.as_deref().unwrap_or(&[])
-    }
-
-    fn record_trace(&mut self, entry: TraceEntry) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(entry);
-        }
-    }
-
-    /// The validator at `id`, for callers that may be handed a watcher
-    /// or an id from outside the graph.
-    fn find_validator(&self, id: NodeId) -> Option<&Validator> {
-        self.nodes.get(&id)?.validator.as_ref()
-    }
-
-    fn find_validator_mut(&mut self, id: NodeId) -> Option<&mut Validator> {
-        self.nodes.get_mut(&id)?.validator.as_mut()
     }
 
     /// Current simulated time (ms).
@@ -917,16 +388,6 @@ impl Simulation {
     /// hook: must stay 0 for crashed nodes).
     pub fn pending_deliveries_to(&self, id: NodeId) -> usize {
         self.queue.count_deliveries_to(id)
-    }
-
-    /// Total pending events in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The overlay peer graph.
-    pub fn graph(&self) -> &PeerGraph {
-        &self.graph
     }
 
     /// The run configuration.
@@ -979,10 +440,10 @@ impl Simulation {
     pub fn configure_governance(
         &mut self,
         ids: &[NodeId],
-        desired: std::collections::BTreeSet<stellar_herder::Upgrade>,
+        desired: BTreeSet<stellar_herder::Upgrade>,
     ) {
         for id in ids {
-            if let Some(v) = self.find_validator_mut(*id) {
+            if let Some(v) = self.nodes.get_mut(id).and_then(|n| n.validator.as_mut()) {
                 v.herder.upgrade_policy = stellar_herder::UpgradePolicy {
                     governing: true,
                     desired: desired.clone(),
@@ -991,26 +452,24 @@ impl Simulation {
         }
     }
 
-    /// Consuming convenience wrapper around [`Simulation::run`].
-    pub fn run_to_completion(mut self) -> SimReport {
-        self.run()
-    }
-
     /// Runs to completion and produces the report.
-    pub fn run(&mut self) -> SimReport {
+    pub fn run(&mut self) -> crate::SimReport {
         let target_seq = 1 + self.cfg.target_ledgers;
         while self.step() {
-            let done = |n: &SimNode| {
-                let seq = n.validator.as_ref().map(Validator::ledger_seq);
-                seq.is_none_or(|seq| seq >= target_seq)
-            };
-            if done(self.node(self.observer))
-                && self.nodes.values().all(|n| !n.is_live() || done(n))
-            {
+            // The observer is waited for even while down: it reports.
+            if self.ledger_seq_of(self.observer) >= target_seq && self.reached(target_seq) {
                 break;
             }
         }
         self.report()
+    }
+
+    /// Whether every live validator has closed ledger `seq`; crashed
+    /// nodes and puppets are not waited for.
+    pub fn reached(&self, seq: u64) -> bool {
+        let live = self.nodes.values().filter(|n| n.is_live());
+        live.filter_map(|n| n.validator.as_ref())
+            .all(|v| v.ledger_seq() >= seq)
     }
 
     /// Advances the simulation by exactly one event. Returns `false` when
@@ -1081,7 +540,6 @@ impl Simulation {
     /// orgs and push it to the surviving validators, restoring a
     /// satisfiable quorum so consensus can resume.
     pub fn reconfigure_quorum(&mut self, id: NodeId, qset: QuorumSet) {
-        let now = self.now;
         let Some(node) = self.nodes.get_mut(&id) else {
             return;
         };
@@ -1096,22 +554,10 @@ impl Simulation {
             v.scp.set_quorum_set(qset);
             return;
         }
-        v.set_time_ms(now);
         // Re-steps the in-flight slot: statements already received may
         // form a quorum under the new slices, and a stalled node would
         // otherwise never look again.
-        let out = v.reconfigure_quorum_set(qset);
-        self.handle_outputs(id, out);
-    }
-
-    /// The observer's horizon pipeline, when one is attached.
-    pub fn horizon(&self) -> Option<&HorizonPipeline> {
-        self.horizon.as_ref()
-    }
-
-    /// The sim-side horizon load metrics (`horizon.*`).
-    pub fn horizon_metrics(&self) -> &Registry {
-        &self.horizon_metrics
+        self.drive(id, |v, _| v.reconfigure_quorum_set(qset));
     }
 
     fn dispatch(&mut self, event: Event) {
@@ -1123,22 +569,14 @@ impl Simulation {
                 kind,
                 version,
             } => {
-                if !self.node(node).is_live() {
+                if !self.node(node).is_live()
+                    || !self.queue.timer_current(node, slot, kind, version)
+                {
                     return;
                 }
-                if !self.queue.timer_current(node, slot, kind, version) {
-                    return;
-                }
-                self.record_trace(TraceEntry::Timer {
-                    time: self.now,
-                    node,
-                    slot,
-                });
-                let now = self.now;
-                let v = self.validator_mut(node);
-                v.set_time_ms(now);
-                let out = v.on_timer(slot, kind);
-                self.handle_outputs(node, out);
+                let time = self.now;
+                record(&mut self.trace, || TraceEntry::Timer { time, node, slot });
+                self.drive(node, |v, _| v.on_timer(slot, kind));
             }
             Event::TriggerLedger { node } => self.handle_trigger(node),
             Event::SubmitTx { to, tx } => self.handle_submit(to, tx),
@@ -1149,50 +587,26 @@ impl Simulation {
     }
 
     /// A client hands `tx` to validator `to`.
-    fn handle_submit(&mut self, to: NodeId, tx: stellar_ledger::tx::TransactionEnvelope) {
-        self.record_trace(TraceEntry::Submit {
-            time: self.now,
-            to,
-            tx_hash: tx.hash(),
+    fn handle_submit(&mut self, to: NodeId, tx: TransactionEnvelope) {
+        let (time, tx_hash) = (self.now, tx.hash());
+        record(&mut self.trace, || TraceEntry::Submit { time, to, tx_hash });
+        let admitted = self.node_mut(to).admit(&tx, time);
+        self.drive(to, |v, _| {
+            // The trace root: the client handed the transaction to this
+            // node. (Relayed flood copies re-enter admission on other
+            // nodes but are not new submissions.)
+            v.herder
+                .telemetry
+                .span(tx_hash.prefix_u64(), time, SpanPhase::Submit);
+            if admitted {
+                let _ = v.submit_transaction(tx.clone());
+            }
+            Outputs::default()
         });
-        let now = self.now;
-        let v = self
-            .nodes
-            .get_mut(&to)
-            .and_then(|n| n.validator.as_mut())
-            .expect("submissions go to validators");
-        // The trace root: the client handed the transaction to this
-        // node. (Relayed flood copies re-enter admission on other nodes
-        // but are not new submissions.)
-        v.herder
-            .telemetry
-            .span(tx.hash().prefix_u64(), now, SpanPhase::Submit);
-        v.set_time_ms(now);
-        // The observer's submissions pass through the horizon front
-        // door: admission control sheds before the transaction costs
-        // signature checks or flooding.
-        let admitted = match (to == self.observer, self.horizon.as_mut()) {
-            (true, Some(p)) => match p.admission.admit(tx.tx.source, now, v.herder.queue.len()) {
-                Ok(()) => {
-                    self.horizon_metrics.inc("horizon.submitted");
-                    true
-                }
-                Err(HorizonError::RateLimited { .. }) => {
-                    self.horizon_metrics.inc("horizon.shed");
-                    false
-                }
-                Err(_) => {
-                    self.horizon_metrics.inc("horizon.rejected");
-                    false
-                }
-            },
-            _ => true,
-        };
         // The receiving node floods the transaction onward (in pull
         // mode: adverts it; peers demand the payload). A shed submission
         // never floods — that is the point.
         if admitted {
-            let _ = v.submit_transaction(tx.clone());
             self.originate(to, FloodMessage::Tx(tx));
         }
         let dt = self
@@ -1207,89 +621,34 @@ impl Simulation {
 
     /// How long load-producing events keep rescheduling themselves: a
     /// few intervals past the target, matching the submit-load horizon.
-    fn load_horizon_ms(&self) -> u64 {
+    pub(crate) fn load_horizon_ms(&self) -> u64 {
         (1 + self.cfg.target_ledgers + 4) * self.cfg.ledger_interval_ms
-    }
-
-    /// One horizon client query batch against the observer: an account
-    /// summary, an indexed history walk, and fee stats — the three staple
-    /// reads — timed together in wall-clock nanoseconds.
-    fn handle_horizon_query(&mut self) {
-        let Some(p) = self.horizon.as_mut() else {
-            return;
-        };
-        let observer = self.nodes.get(&self.observer);
-        let v = observer
-            .and_then(|n| n.validator.as_ref())
-            .expect("observer");
-        let n = self.cfg.n_accounts.max(1);
-        // Deterministic client choice without touching the sim RNG
-        // streams: walk the account space with a large odd stride.
-        let q = self.horizon_metrics.counter("horizon.queries");
-        let id = crate::loadgen::user_account(q.wrapping_mul(2654435761) % n);
-        let head = v.herder.header.ledger_seq;
-        let started = std::time::Instant::now();
-        let _ = Horizon::account(&v.herder, id);
-        let _ = p.indexer.account_history(id, None, 32);
-        let _ = p.indexer.account_effects(id, None, 32);
-        let _ = Horizon::fee_stats(&v.herder);
-        let ns = started.elapsed().as_nanos() as u64;
-        self.horizon_metrics.observe("horizon.query_ns", ns);
-        self.horizon_metrics
-            .observe("horizon.lag_at_query", p.indexer.lag(head));
-        self.horizon_metrics.inc("horizon.queries");
-        let dt = ((1000.0 / self.cfg.horizon_query_rate).max(1.0)) as u64;
-        if self.now + dt < self.load_horizon_ms() {
-            self.queue.push(self.now + dt, Event::HorizonQuery);
-        }
-    }
-
-    /// One cadence-driven ingestion drain (only scheduled when
-    /// `horizon_ingest_interval_ms > 0`).
-    fn handle_horizon_ingest(&mut self) {
-        if let Some(p) = self.horizon.as_mut() {
-            let observer = self.nodes.get_mut(&self.observer);
-            let v = observer
-                .and_then(|n| n.validator.as_mut())
-                .expect("observer");
-            p.on_close(&mut v.herder);
-        }
-        let dt = self.cfg.horizon_ingest_interval_ms;
-        if dt > 0 && self.now + dt < self.load_horizon_ms() + dt {
-            self.queue.push(self.now + dt, Event::HorizonIngest);
-        }
     }
 
     fn handle_trigger(&mut self, id: NodeId) {
         let now = self.now;
-        let node = self.nodes.get_mut(&id).expect("node of the peer graph");
+        let node = self.node_mut(id);
         if node.is_puppet() {
             return; // puppets never run consensus
         }
         if node.crashed {
             // Re-check after an interval; the node may be revived.
-            self.queue.push(
-                now + self.cfg.ledger_interval_ms,
-                Event::TriggerLedger { node: id },
-            );
+            let at = now + self.cfg.ledger_interval_ms;
+            self.queue.push(at, Event::TriggerLedger { node: id });
             return;
         }
-        let v = node.validator.as_mut().expect("a validator");
+        let v = node.validator.as_ref().expect("a validator");
         let slot = v.herder.current_slot();
         if slot <= node.last_triggered_slot {
             return; // still working on the slot we already triggered
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEntry::Trigger {
-                time: now,
-                node: id,
-            });
-        }
         node.last_triggered_slot = slot;
         node.last_trigger_time = Some(now);
-        v.set_time_ms(now);
-        let out = v.trigger_next_ledger();
-        self.handle_outputs(id, out);
+        record(&mut self.trace, || TraceEntry::Trigger {
+            time: now,
+            node: id,
+        });
+        self.drive(id, |v, _| v.trigger_next_ledger());
     }
 
     fn handle_deliver(&mut self, to: NodeId, from: NodeId, msg: Flooded) {
@@ -1298,14 +657,13 @@ impl Simulation {
         if node.crashed {
             return;
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEntry::Deliver {
-                time: now,
-                from,
-                to,
-                msg_id: msg.id,
-            });
-        }
+        let msg_id = msg.id;
+        record(&mut self.trace, || TraceEntry::Deliver {
+            time: now,
+            from,
+            to,
+            msg_id,
+        });
         // Pull-mode control messages are point-to-point: no seen-cache,
         // no relay, and (being tiny) no processing-capacity charge.
         if msg.msg.is_pull_control() {
@@ -1331,7 +689,7 @@ impl Simulation {
             self.queue.push(at, Event::Deliver { to, from, msg });
             return;
         }
-        node.busy_until_us = node.busy_until_us.max(now_us) + self.cfg.proc_cost_us_per_msg;
+        node.busy_until_us = node.busy_until_us.max(now_us) + PROC_COST_US_PER_MSG;
         node.engine.accept(&msg, now);
         // One hop of payload propagation: the first fresh arrival of a
         // Tx/TxSet stamps a flood-receive span for every transaction the
@@ -1348,10 +706,9 @@ impl Simulation {
             // Puppets receive but run no validator logic; their driver
             // (the chaos adversary) reads the inbox between steps.
             inbox.push((from, msg.clone()));
-        } else if let Some(v) = node.validator.as_mut() {
+        } else if node.validator.is_some() {
             // Watchers (non-validators) only relay.
-            v.set_time_ms(now);
-            let out = match &msg.msg {
+            self.drive(to, |v, _| match &msg.msg {
                 FloodMessage::Scp(env) => v.receive_envelope(env),
                 FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
                 FloodMessage::Tx(tx) => {
@@ -1361,8 +718,7 @@ impl Simulation {
                 FloodMessage::Advert(_) | FloodMessage::Demand(_) => {
                     unreachable!("pull control intercepted above")
                 }
-            };
-            self.handle_outputs(to, out);
+            });
             // Out-of-sync recovery: an envelope for a slot ≥ 2 ahead of
             // ours means the network externalized ledgers we missed (lost
             // to drops — naïve flooding never retransmits). Production
@@ -1395,7 +751,7 @@ impl Simulation {
 
     /// Floods a message `id` originates: its own envelope, a submitted
     /// transaction, a proposed transaction set.
-    fn originate(&mut self, id: NodeId, msg: FloodMessage) {
+    pub(crate) fn originate(&mut self, id: NodeId, msg: FloodMessage) {
         let now = self.now;
         let actions = self.node_mut(id).engine.originate(Flooded::new(msg), now);
         self.perform(id, actions);
@@ -1406,7 +762,7 @@ impl Simulation {
     fn perform(&mut self, id: NodeId, actions: Actions) {
         let now = self.now;
         // Watchers carry no telemetry.
-        if let Some(v) = self.find_validator_mut(id) {
+        if let Some(v) = self.node_mut(id).validator.as_mut() {
             for (hash, phase) in actions.spans {
                 v.herder.telemetry.span(hash.prefix_u64(), now, phase);
             }
@@ -1424,7 +780,7 @@ impl Simulation {
     /// link, and per-link fault models decide drop/duplicate/delay fates.
     /// Fault decisions draw from a dedicated RNG stream, so a run with no
     /// faults configured is bit-identical to one without the chaos layer.
-    fn enqueue_delivery(&mut self, from: NodeId, to: NodeId, msg: Flooded) {
+    pub(crate) fn enqueue_delivery(&mut self, from: NodeId, to: NodeId, msg: Flooded) {
         if self.nodes.get(&to).is_none_or(|n| n.crashed) {
             return; // nobody there to receive it
         }
@@ -1455,10 +811,9 @@ impl Simulation {
         }
     }
 
-    fn handle_outputs(&mut self, node: NodeId, out: Outputs) {
+    pub(crate) fn handle_outputs(&mut self, node: NodeId, out: Outputs) {
         self.queue.apply_outputs_timers(self.now, node, &out);
         for env in out.envelopes {
-            self.scp_originated += 1;
             self.node_mut(node).engine.traffic.scp_originated += 1;
             self.originate(node, FloodMessage::Scp(env));
         }
@@ -1469,215 +824,29 @@ impl Simulation {
     }
 
     /// Detects a freshly closed ledger and schedules the next trigger at
-    /// `last_trigger + interval` (the 5-second pacing).
+    /// `last_trigger + interval` (the 5-second pacing). Without an
+    /// ingestion cadence, a hosted Horizon pipeline ingests every close.
     fn check_closed(&mut self, id: NodeId) {
         let now = self.now;
         let node = self.nodes.get_mut(&id).expect("node of the peer graph");
-        let v = node.validator.as_mut().expect("a validator");
-        let seq = v.ledger_seq();
+        let seq = node.validator.as_ref().expect("a validator").ledger_seq();
         if seq <= node.last_closed {
             return;
         }
         node.last_closed = seq;
-        if id == self.observer && self.cfg.horizon_ingest_interval_ms == 0 {
-            if let Some(p) = self.horizon.as_mut() {
-                p.on_close(&mut v.herder);
-            }
+        if self.cfg.horizon_ingest_interval_ms == 0 {
+            node.ingest();
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEntry::Close {
-                time: now,
-                node: id,
-                seq,
-                header_hash: v.herder.header.hash(),
-            });
-        }
+        let v = node.validator.as_ref().expect("a validator");
+        record(&mut self.trace, || TraceEntry::Close {
+            time: now,
+            node: id,
+            seq,
+            header_hash: v.herder.header.hash(),
+        });
         let base = node.last_trigger_time.unwrap_or(now);
         let at = (base + self.cfg.ledger_interval_ms).max(now + 1);
         self.queue.push(at, Event::TriggerLedger { node: id });
-    }
-
-    /// Every node's retained lifecycle spans, merged and causally
-    /// ordered: `(t_ms, pipeline order, node, trace)`. Timestamps are
-    /// simulated ms only, so same-seed runs merge byte-identically.
-    pub fn span_events(&self) -> Vec<SpanEvent> {
-        let mut all: Vec<SpanEvent> = self
-            .validators()
-            .flat_map(|(_, v)| v.herder.telemetry.spans.spans().cloned())
-            .collect();
-        all.sort_by(|a, b| {
-            (a.t_ms, a.phase.order(), a.node, a.trace).cmp(&(
-                b.t_ms,
-                b.phase.order(),
-                b.node,
-                b.trace,
-            ))
-        });
-        all
-    }
-
-    /// Spans evicted from per-node buffers network-wide (trace-coverage
-    /// health: non-zero means long runs should raise sampling).
-    pub fn spans_dropped(&self) -> u64 {
-        self.validators()
-            .map(|(_, v)| v.herder.telemetry.spans.dropped())
-            .sum()
-    }
-
-    /// Renders the complete cross-node causal trace of every sampled
-    /// transaction that touched consensus `slot` (nominated into,
-    /// externalized by, or applied in it) — the attachment a chaos
-    /// violation carries so an invariant break comes with the full
-    /// history of the transactions in the affected slot.
-    pub fn causal_traces_for_slot(&self, slot: u64) -> String {
-        let spans = self.span_events();
-        let traces: BTreeSet<u64> = spans
-            .iter()
-            .filter(|s| s.phase.slot() == Some(slot))
-            .map(|s| s.trace)
-            .collect();
-        let mut out = String::new();
-        for t in traces {
-            out.push_str(&render_causal_trace(&spans, t));
-        }
-        out
-    }
-
-    /// Renders the causal trace of every sampled transaction still in
-    /// flight — submitted but never applied anywhere. During a liveness
-    /// stall these are the transactions the stalled slot was supposed to
-    /// carry: their last span shows exactly how far the pipeline got
-    /// before progress stopped.
-    pub fn causal_traces_pending(&self) -> String {
-        let spans = self.span_events();
-        let applied: BTreeSet<u64> = spans
-            .iter()
-            .filter(|s| matches!(s.phase, SpanPhase::Applied { .. }))
-            .map(|s| s.trace)
-            .collect();
-        let pending: BTreeSet<u64> = spans
-            .iter()
-            .map(|s| s.trace)
-            .filter(|t| !applied.contains(t))
-            .collect();
-        let mut out = String::new();
-        for t in pending {
-            out.push_str(&render_causal_trace(&spans, t));
-        }
-        out
-    }
-
-    /// Every node's run-long traffic counters.
-    fn traffic(&self) -> impl Iterator<Item = (NodeId, TrafficStats)> + '_ {
-        self.nodes.iter().map(|(id, n)| (*id, n.engine.traffic))
-    }
-
-    fn report(&self) -> SimReport {
-        let observer = self.validator(self.observer);
-        let mut ledgers =
-            build_ledger_metrics(&observer.herder.events, &observer.herder.close_stats);
-        // Drop ledgers beyond the target (stragglers of shutdown).
-        ledgers.retain(|l| l.slot <= 1 + self.cfg.target_ledgers);
-        let tx_traces = build_tx_traces(&self.span_events());
-        SimReport {
-            telemetry: self.telemetry_snapshot(&ledgers, &tx_traces),
-            ledgers,
-            scp_msgs_originated: self.scp_originated,
-            traffic: self.traffic().collect(),
-            sim_duration_ms: self.now,
-            txs_generated: self.loadgen.as_ref().map_or(0, |l| l.generated),
-            n_validators: self.validators().count(),
-            tx_traces,
-            health: self.watchdog.alerts().to_vec(),
-        }
-    }
-
-    /// The observer's registry snapshot, with the per-ledger latency
-    /// decomposition folded in as histograms and the typed traffic split
-    /// (observer view + network totals) attached.
-    fn telemetry_snapshot(
-        &self,
-        ledgers: &[crate::metrics::LedgerMetrics],
-        tx_traces: &[crate::tracing::TxTrace],
-    ) -> Json {
-        let observer = self.validator(self.observer);
-        let mut registry = observer.herder.telemetry.registry.clone();
-        for l in ledgers {
-            registry.observe("consensus.nomination_ms", l.nomination_ms);
-            registry.observe("consensus.balloting_ms", l.balloting_ms);
-            registry.observe("consensus.total_ms", l.nomination_ms + l.balloting_ms);
-        }
-        let mut network = TrafficStats::default();
-        for (_, t) in self.traffic() {
-            network.merge(&t);
-        }
-        let observer_traffic = self.node(self.observer).engine.traffic;
-        Json::obj()
-            .set("node", u64::from(self.observer.0))
-            .set("registry", registry.snapshot())
-            .set(
-                "traffic",
-                crate::metrics::traffic_to_json(&observer_traffic),
-            )
-            .set("network_traffic", crate::metrics::traffic_to_json(&network))
-            .set(
-                "recovery",
-                Json::obj()
-                    .set("restarts", self.restarts)
-                    .set("ledgers_replayed", self.recovery_replayed)
-                    .set("recovery_us", self.recovery_us)
-                    .set("persistence", self.cfg.persistence),
-            )
-            .set("store", {
-                let stats = observer.herder.store.io_stats();
-                Json::obj()
-                    .set("backend", observer.herder.store.backend_name())
-                    .set(
-                        "resident_bytes",
-                        observer.herder.store.resident_bytes()
-                            + observer.herder.buckets.resident_bytes(),
-                    )
-                    .set("disk_bytes", stats.disk_bytes)
-                    .set("cache_hits", stats.cache_hits)
-                    .set("cache_misses", stats.cache_misses)
-                    .set("cache_evicts", stats.cache_evicts)
-                    .set("bytes_written", stats.bytes_written)
-                    .set("fsyncs", stats.fsyncs)
-                    .set("segments", stats.segments)
-                    .set("compactions", stats.compactions)
-            })
-            .set("trace", trace_summary_json(tx_traces, self.spans_dropped()))
-            .set("health", self.watchdog.to_json())
-            .set("horizon", self.horizon_json())
-    }
-
-    /// The horizon pipeline section of the report: the merged pipeline
-    /// registry (`ingest.*`, `stream.*`, `admission.*`) plus the
-    /// sim-side load accounting (`horizon.*`), or `enabled: false`.
-    fn horizon_json(&self) -> Json {
-        let Some(p) = &self.horizon else {
-            return Json::obj().set("enabled", false);
-        };
-        let head = self.validator(self.observer).herder.header.ledger_seq;
-        let mut reg = p.registry();
-        reg.merge(&self.horizon_metrics);
-        Json::obj()
-            .set("enabled", true)
-            .set("ingested_seq", p.indexer.ingested_seq())
-            .set("ingest_lag", p.indexer.lag(head))
-            .set("subscribers", p.hub.len() as u64)
-            .set("tracked_sources", p.admission.tracked_sources() as u64)
-            .set("registry", reg.snapshot())
-    }
-
-    /// Crash-restarts performed this run (recovery telemetry).
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Ledgers replayed from history archives across all recoveries.
-    pub fn recovery_ledgers_replayed(&self) -> u64 {
-        self.recovery_replayed
     }
 }
 
@@ -1685,6 +854,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::watchdog::HealthAlert;
+    use stellar_telemetry::Json;
 
     #[test]
     fn four_validators_close_empty_ledgers() {
@@ -1693,7 +863,7 @@ mod tests {
             n_accounts: 10,
             ..SimConfig::default()
         })
-        .run_to_completion();
+        .run();
         assert!(
             report.ledgers.len() >= 5,
             "got {} ledgers",
@@ -1712,7 +882,7 @@ mod tests {
             tx_rate: 20.0,
             ..SimConfig::default()
         })
-        .run_to_completion();
+        .run();
         let total_tx: usize = report.ledgers.iter().map(|l| l.tx_count).sum();
         assert!(total_tx > 0, "some transactions must be confirmed");
         // Rough throughput sanity: ~20 tps × 5 s ≈ 100 per ledger.
@@ -1731,8 +901,8 @@ mod tests {
             tx_rate: 5.0,
             ..SimConfig::default()
         };
-        let a = Simulation::new(cfg.clone()).run_to_completion();
-        let b = Simulation::new(cfg).run_to_completion();
+        let a = Simulation::new(cfg.clone()).run();
+        let b = Simulation::new(cfg).run();
         assert_eq!(a.scp_msgs_originated, b.scp_msgs_originated);
         assert_eq!(a.ledgers.len(), b.ledgers.len());
         for (x, y) in a.ledgers.iter().zip(&b.ledgers) {
@@ -1813,7 +983,7 @@ mod tests {
             tx_rate: 2.0,
             ..SimConfig::default()
         })
-        .run_to_completion();
+        .run();
         assert!(report.ledgers.len() >= 3);
         assert_eq!(report.n_validators, 12);
     }
@@ -1896,14 +1066,14 @@ mod tests {
             trace_sample_every: 0,
             ..base.clone()
         })
-        .run_to_completion();
+        .run();
         assert!(off.tx_traces.is_empty(), "0 disables tracing");
-        let full = Simulation::new(base.clone()).run_to_completion();
+        let full = Simulation::new(base.clone()).run();
         let sampled = Simulation::new(SimConfig {
             trace_sample_every: 4,
             ..base
         })
-        .run_to_completion();
+        .run();
         assert!(
             sampled.tx_traces.len() < full.tx_traces.len(),
             "sampling must keep fewer traces ({} vs {})",
@@ -2184,7 +1354,7 @@ mod crash_tests {
                 assert_eq!(hash, *expected, "header divergence at seq {seq}");
             }
         }
-        assert_eq!(sim.restart_count(), 1);
+        assert_eq!(sim.restarts, 1);
     }
 
     #[test]

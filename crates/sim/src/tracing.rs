@@ -16,6 +16,8 @@
 //! determinism `repro`'s E18 row asserts.
 
 use crate::metrics::percentile;
+use crate::simulation::Simulation;
+use std::collections::BTreeSet;
 use stellar_telemetry::{Json, SpanEvent, SpanPhase, TraceId};
 
 /// One transaction's lifecycle, folded across every node that saw it.
@@ -56,7 +58,7 @@ pub struct TxTrace {
 /// kept (a span buffer that evicted its root cannot anchor latencies).
 /// Rows come back sorted by `(submit_ms, trace)`.
 pub fn build_tx_traces(spans: &[SpanEvent]) -> Vec<TxTrace> {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
     #[derive(Default)]
     struct Acc {
         submit: Option<u64>,
@@ -306,6 +308,78 @@ pub fn render_causal_trace(spans: &[SpanEvent], trace: TraceId) -> String {
         ));
     }
     out
+}
+
+impl Simulation {
+    /// Every node's retained lifecycle spans, merged and causally
+    /// ordered: `(t_ms, pipeline order, node, trace)`. Timestamps are
+    /// simulated ms only, so same-seed runs merge byte-identically.
+    pub fn span_events(&self) -> Vec<SpanEvent> {
+        let mut all: Vec<SpanEvent> = self
+            .validators()
+            .flat_map(|(_, v)| v.herder.telemetry.spans.spans().cloned())
+            .collect();
+        all.sort_by(|a, b| {
+            (a.t_ms, a.phase.order(), a.node, a.trace).cmp(&(
+                b.t_ms,
+                b.phase.order(),
+                b.node,
+                b.trace,
+            ))
+        });
+        all
+    }
+
+    /// Spans evicted from per-node buffers network-wide (trace-coverage
+    /// health: non-zero means long runs should raise sampling).
+    pub fn spans_dropped(&self) -> u64 {
+        self.validators()
+            .map(|(_, v)| v.herder.telemetry.spans.dropped())
+            .sum()
+    }
+
+    /// Renders the complete cross-node causal trace of every sampled
+    /// transaction that touched consensus `slot` (nominated into,
+    /// externalized by, or applied in it) — the attachment a chaos
+    /// violation carries so an invariant break comes with the full
+    /// history of the transactions in the affected slot.
+    pub fn causal_traces_for_slot(&self, slot: u64) -> String {
+        let spans = self.span_events();
+        let traces: BTreeSet<TraceId> = spans
+            .iter()
+            .filter(|s| s.phase.slot() == Some(slot))
+            .map(|s| s.trace)
+            .collect();
+        let mut out = String::new();
+        for t in traces {
+            out.push_str(&render_causal_trace(&spans, t));
+        }
+        out
+    }
+
+    /// Renders the causal trace of every sampled transaction still in
+    /// flight — submitted but never applied anywhere. During a liveness
+    /// stall these are the transactions the stalled slot was supposed to
+    /// carry: their last span shows exactly how far the pipeline got
+    /// before progress stopped.
+    pub fn causal_traces_pending(&self) -> String {
+        let spans = self.span_events();
+        let applied: BTreeSet<TraceId> = spans
+            .iter()
+            .filter(|s| matches!(s.phase, SpanPhase::Applied { .. }))
+            .map(|s| s.trace)
+            .collect();
+        let pending: BTreeSet<TraceId> = spans
+            .iter()
+            .map(|s| s.trace)
+            .filter(|t| !applied.contains(t))
+            .collect();
+        let mut out = String::new();
+        for t in pending {
+            out.push_str(&render_causal_trace(&spans, t));
+        }
+        out
+    }
 }
 
 #[cfg(test)]

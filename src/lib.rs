@@ -33,7 +33,7 @@
 //!     target_ledgers: 5,
 //!     ..SimConfig::default()
 //! })
-//! .run_to_completion();
+//! .run();
 //! assert!(report.ledgers.len() >= 5);
 //! println!("mean consensus latency: {:.1} ms", report.mean_consensus_ms());
 //! ```

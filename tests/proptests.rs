@@ -1252,7 +1252,7 @@ mod scp_write_ahead {
         /// write, on a clone that takes the crash.
         fn step(&mut self, i: usize, f: &dyn Fn(&mut Validator) -> Outputs) {
             let v = &mut self.validators[i];
-            v.set_time(self.now_secs);
+            v.set_time_ms(self.now_secs * 1000);
             let syncs_before = v.herder.persist.stats().syncs;
             let out = f(v);
             let top = self

@@ -16,12 +16,14 @@
 
 use stellar::crypto::hex;
 use stellar::crypto::sha256::Sha256;
+use stellar::horizon::AdmissionConfig;
 use stellar::overlay::{FloodMode, LinkFault, TrafficStats};
 use stellar::scp::NodeId;
+use stellar::sim::events::TraceEntry;
 use stellar::sim::scenario::Scenario;
-use stellar::sim::simulation::TraceEntry;
 use stellar::sim::{SimConfig, SimReport, Simulation};
 use stellar::store::BackendKind;
+use stellar::telemetry::Json;
 
 fn put(h: &mut Sha256, n: u64) {
     h.update(&n.to_be_bytes());
@@ -198,5 +200,77 @@ fn faulty_links_with_a_puppet_are_pinned() {
     assert_eq!(
         digest(&sim, &report),
         "79bd36bef443e5f76effb4d695c45e3fd8af8104598f2a6e62cbd8a2e054114d"
+    );
+}
+
+/// The observer hosts the Horizon pipeline (query load, ingestion every
+/// 2 s) on the disk backend, and crashes and restarts mid-run: the reboot
+/// takes the durable recovery path and re-attaches the pipeline.
+#[test]
+fn observer_horizon_on_disk_with_crash_and_restart_is_pinned() {
+    let mut sim = Simulation::new(SimConfig {
+        scenario: Scenario::ControlledMesh { n_validators: 5 },
+        n_accounts: 12,
+        tx_rate: 30.0,
+        target_ledgers: 7,
+        seed: 24,
+        store_backend: BackendKind::Disk,
+        horizon: Some(AdmissionConfig {
+            bucket_capacity: 2,
+            refill_per_sec: 1,
+            ..AdmissionConfig::default()
+        }),
+        horizon_query_rate: 20.0,
+        horizon_ingest_interval_ms: 2_000,
+        ..SimConfig::default()
+    });
+    sim.enable_trace();
+    let observer = sim.observer_id();
+    step_until(&mut sim, 13_000);
+    sim.crash(observer);
+    step_until(&mut sim, 19_000);
+    sim.restart(observer);
+    let report = sim.run();
+    assert!(sim.ledger_seq_of(observer) >= 8, "the observer rejoined");
+    let registry = report.telemetry.get("registry").expect("observer registry");
+    let count = |reg: &Json, name: &str| {
+        reg.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0) as u64
+    };
+    assert_eq!(count(registry, "recovery.durable_store"), 1);
+
+    // The pipeline's deterministic state joins the digest; the wall-clock
+    // `horizon.query_ns` histogram stays out.
+    let horizon = report.telemetry.get("horizon").expect("horizon section");
+    let pipeline = horizon.get("registry").expect("pipeline registry");
+    assert!(count(pipeline, "horizon.reattached") >= 1);
+    assert!(count(pipeline, "horizon.shed") > 0);
+    let mut h = Sha256::new();
+    h.update(digest(&sim, &report).as_bytes());
+    let ingested = horizon.get("ingested_seq").and_then(Json::as_f64);
+    put(&mut h, ingested.expect("ingested seq") as u64);
+    for name in [
+        "horizon.queries",
+        "horizon.submitted",
+        "horizon.shed",
+        "horizon.rejected",
+        "horizon.reattached",
+    ] {
+        put(&mut h, count(pipeline, name));
+    }
+    for section in ["counters", "gauges"] {
+        let Some(Json::Obj(values)) = pipeline.get(section) else {
+            panic!("registry {section}");
+        };
+        for (name, v) in values.iter().filter(|(n, _)| n.starts_with("ingest.")) {
+            h.update(name.as_bytes());
+            put(&mut h, v.as_f64().expect("a number") as i64 as u64);
+        }
+    }
+    assert_eq!(
+        hex::encode(&h.finish().0),
+        "eb93a2dba3525491d11b43ba789f566ee363001f1b8398a5a723dda33fd39a28"
     );
 }
