@@ -25,6 +25,11 @@ pub enum BucketEntry {
     Dead,
 }
 
+stellar_crypto::impl_codec_enum!(BucketEntry: u8 {
+    0 => Live(entry),
+    1 => Dead,
+});
+
 /// A key, its entry version, and their serialization — computed once when
 /// the slot is created and reused by every later hash.
 #[derive(Debug)]
@@ -38,13 +43,7 @@ impl Slot {
     fn new(key: LedgerKey, entry: BucketEntry) -> Slot {
         let mut enc = Vec::new();
         key.encode(&mut enc);
-        match &entry {
-            BucketEntry::Live(e) => {
-                0u8.encode(&mut enc);
-                e.encode(&mut enc);
-            }
-            BucketEntry::Dead => 1u8.encode(&mut enc),
-        }
+        entry.encode(&mut enc);
         Slot { key, entry, enc }
     }
 }
@@ -121,11 +120,7 @@ impl Bucket {
         while !input.is_empty() {
             let start = input;
             let key = LedgerKey::decode(&mut input)?;
-            let entry = match u8::decode(&mut input)? {
-                0 => BucketEntry::Live(LedgerEntry::decode(&mut input)?),
-                1 => BucketEntry::Dead,
-                t => return Err(DecodeError::BadTag(t.into())),
-            };
+            let entry = BucketEntry::decode(&mut input)?;
             if slots.last().is_some_and(|p| p.key >= key) {
                 return Err(DecodeError::Invalid("bucket slots out of order"));
             }

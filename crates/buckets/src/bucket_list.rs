@@ -248,11 +248,6 @@ impl BucketList {
         }
     }
 
-    /// Slot count of a level, resident or spilled.
-    pub fn level_len(&self, i: usize) -> usize {
-        self.levels[i].len()
-    }
-
     /// A level's serialized blob — the concatenated slot encodings whose
     /// SHA-256 is the level hash. Spilled levels stream straight from
     /// their durable blob; resident levels encode from cached bytes.
@@ -332,11 +327,6 @@ impl BucketList {
         if ok {
             self.note_synced();
         }
-    }
-
-    /// True when a data disk is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// Stages every changed level blob plus the bucket metadata record

@@ -376,11 +376,6 @@ impl InvariantMonitor {
     pub fn ticks(&self) -> u64 {
         self.ticks
     }
-
-    /// Consumes the monitor, yielding its findings.
-    pub fn into_violations(self) -> Vec<Violation> {
-        self.violations
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,20 @@
 //! * fixed-width integers are big-endian;
 //! * variable-length byte strings and sequences carry a `u64` length prefix;
 //! * `Option<T>` is a one-byte tag (0/1) followed by the payload;
-//! * structs encode fields in declaration order; enums encode a `u32`
-//!   discriminant then the variant payload.
+//! * structs encode fields in declaration order;
+//! * tagged unions encode the variant's tag then its fields in order. The
+//!   tag width is per type (`u32` for SCP statements, `u8` elsewhere) and
+//!   is stated, with the tag of every variant, in the type's one codec
+//!   declaration.
+//!
+//! Structs declare their codec with
+//! [`impl_codec_struct!`](crate::impl_codec_struct) and tagged unions with
+//! [`impl_codec_enum!`](crate::impl_codec_enum): the encoder, the decoder
+//! and the tag table all come from the one declaration, so they cannot
+//! drift apart, and a generated decoder answers every input with a value
+//! or a [`DecodeError`]. Hand-written impls remain only where decoding
+//! validates (UTF-8 strings, asset codes, flag bits) or builds through a
+//! constructor, and for primitives and one-field newtypes.
 //!
 //! Everything that is ever hashed or signed implements [`Encode`]; types
 //! that travel between simulated nodes also implement [`Decode`] so the
@@ -290,7 +302,7 @@ macro_rules! impl_codec_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::codec::Encode for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                $( self.$field.encode(out); )+
+                $( $crate::codec::Encode::encode(&self.$field, out); )+
             }
         }
         impl $crate::codec::Decode for $ty {
@@ -298,6 +310,77 @@ macro_rules! impl_codec_struct {
                 Ok(Self {
                     $( $field: $crate::codec::Decode::decode(input)?, )+
                 })
+            }
+        }
+    };
+}
+
+/// Implements [`Encode`]/[`Decode`] and a `tag()` accessor for a tagged
+/// union from one declaration: the tag type, then each variant's tag and
+/// its fields in wire order (tuple fields are named for the binding).
+///
+/// A variant encodes as its tag then its fields; decoding an unknown tag
+/// is [`DecodeError::BadTag`].
+///
+/// ```
+/// use stellar_crypto::impl_codec_enum;
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Empty, Dot(u32, u32), Box { w: u16, h: u16 } }
+/// impl_codec_enum!(Shape: u8 {
+///     0 => Empty,
+///     1 => Dot(x, y),
+///     2 => Box { w, h },
+/// });
+///
+/// use stellar_crypto::codec::{Decode, DecodeError, Encode};
+/// let s = Shape::Box { w: 3, h: 4 };
+/// assert_eq!(s.tag(), 2);
+/// assert_eq!(s.to_bytes(), [2, 0, 3, 0, 4]);
+/// assert_eq!(Shape::from_bytes(&s.to_bytes()), Ok(s));
+/// assert_eq!(Shape::from_bytes(&[3]), Err(DecodeError::BadTag(3)));
+/// ```
+#[macro_export]
+macro_rules! impl_codec_enum {
+    ($ty:ident : $tag_ty:ty {
+        $( $tag:literal => $var:ident
+            $( ( $($tf:ident),+ $(,)? ) )?
+            $( { $($nf:ident),+ $(,)? } )?
+        ),+ $(,)?
+    }) => {
+        impl $ty {
+            /// The variant's wire tag, as declared in its codec.
+            pub fn tag(&self) -> $tag_ty {
+                match self {
+                    $( $ty::$var { .. } => $tag, )+
+                }
+            }
+        }
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( $ty::$var $( ( $($tf),+ ) )? $( { $($nf),+ } )? => {
+                        // `&TAG` points at a static, not into this frame,
+                        // so the variant's last encode call can be a tail call.
+                        const TAG: $tag_ty = $tag;
+                        $crate::codec::Encode::encode(&TAG, out);
+                        $( $( $crate::codec::Encode::encode($tf, out); )+ )?
+                        $( $( $crate::codec::Encode::encode($nf, out); )+ )?
+                    } )+
+                }
+            }
+        }
+        impl $crate::codec::Decode for $ty {
+            fn decode(input: &mut &[u8]) -> Result<Self, $crate::codec::DecodeError> {
+                // Each arm returns its own `Ok` so the value is built in
+                // the return slot rather than copied into it.
+                match <$tag_ty as $crate::codec::Decode>::decode(input)? {
+                    $( $tag => {
+                        $( $( let $tf = $crate::codec::Decode::decode(input)?; )+ )?
+                        $( $( let $nf = $crate::codec::Decode::decode(input)?; )+ )?
+                        Ok($ty::$var $( ( $($tf),+ ) )? $( { $($nf),+ } )?)
+                    } )+
+                    t => Err($crate::codec::DecodeError::BadTag(u32::from(t))),
+                }
             }
         }
     };

@@ -298,11 +298,6 @@ impl Herder {
         }
     }
 
-    /// True when a close-event consumer is attached.
-    pub fn ingest_enabled(&self) -> bool {
-        self.ingest_buffer.is_some()
-    }
-
     /// Drains pending close events (oldest first).
     pub fn take_close_events(&mut self) -> Vec<CloseEvent> {
         match self.ingest_buffer.as_mut() {

@@ -13,7 +13,6 @@
 //! governance role.
 
 use std::collections::BTreeSet;
-use stellar_crypto::codec::{Decode, DecodeError, Encode};
 use stellar_ledger::header::LedgerParams;
 
 /// A proposed change to a global chain parameter.
@@ -30,16 +29,6 @@ pub enum Upgrade {
 }
 
 impl Upgrade {
-    /// Discriminant grouping upgrades that target the same parameter.
-    pub fn kind(&self) -> u8 {
-        match self {
-            Upgrade::ProtocolVersion(_) => 0,
-            Upgrade::BaseFee(_) => 1,
-            Upgrade::BaseReserve(_) => 2,
-            Upgrade::MaxTxSetOps(_) => 3,
-        }
-    }
-
     /// The magnitude used when "higher supersedes lower" within a kind.
     fn magnitude(&self) -> i128 {
         match self {
@@ -50,14 +39,15 @@ impl Upgrade {
     }
 
     /// Keeps only the highest upgrade per parameter kind (§5.3 combine
-    /// rule).
+    /// rule). The declared wire tag names the parameter an upgrade
+    /// targets.
     pub fn dedup_highest(upgrades: BTreeSet<Upgrade>) -> BTreeSet<Upgrade> {
         let mut best: std::collections::BTreeMap<u8, Upgrade> = Default::default();
         for u in upgrades {
-            match best.get(&u.kind()) {
+            match best.get(&u.tag()) {
                 Some(prev) if prev.magnitude() >= u.magnitude() => {}
                 _ => {
-                    best.insert(u.kind(), u);
+                    best.insert(u.tag(), u);
                 }
             }
         }
@@ -98,28 +88,12 @@ impl Upgrade {
     }
 }
 
-impl Encode for Upgrade {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind().encode(out);
-        match self {
-            Upgrade::ProtocolVersion(v) => v.encode(out),
-            Upgrade::BaseFee(v) | Upgrade::BaseReserve(v) => v.encode(out),
-            Upgrade::MaxTxSetOps(v) => v.encode(out),
-        }
-    }
-}
-
-impl Decode for Upgrade {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => Upgrade::ProtocolVersion(u32::decode(input)?),
-            1 => Upgrade::BaseFee(i64::decode(input)?),
-            2 => Upgrade::BaseReserve(i64::decode(input)?),
-            3 => Upgrade::MaxTxSetOps(u32::decode(input)?),
-            t => return Err(DecodeError::BadTag(t.into())),
-        })
-    }
-}
+stellar_crypto::impl_codec_enum!(Upgrade: u8 {
+    0 => ProtocolVersion(version),
+    1 => BaseFee(fee),
+    2 => BaseReserve(reserve),
+    3 => MaxTxSetOps(ops),
+});
 
 /// A validator's stance on upgrades (§5.3).
 #[derive(Clone, Debug, Default)]
@@ -235,7 +209,7 @@ mod tests {
 
     #[test]
     fn codec_roundtrip() {
-        use stellar_crypto::codec::Decode;
+        use stellar_crypto::codec::{Decode, Encode};
         for u in [
             Upgrade::ProtocolVersion(7),
             Upgrade::BaseFee(1000),

@@ -96,31 +96,10 @@ impl std::fmt::Display for Asset {
     }
 }
 
-impl Encode for Asset {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Asset::Native => 0u8.encode(out),
-            Asset::Issued { issuer, code } => {
-                1u8.encode(out);
-                issuer.encode(out);
-                code.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Asset {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(Asset::Native),
-            1 => Ok(Asset::Issued {
-                issuer: AccountId::decode(input)?,
-                code: AssetCode::decode(input)?,
-            }),
-            t => Err(DecodeError::BadTag(t.into())),
-        }
-    }
-}
+stellar_crypto::impl_codec_enum!(Asset: u8 {
+    0 => Native,
+    1 => Issued { issuer, code },
+});
 
 #[cfg(test)]
 mod tests {

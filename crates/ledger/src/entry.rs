@@ -1,7 +1,6 @@
 //! The four ledger entry kinds (§5.1): accounts, trustlines, offers, and
 //! account data.
 
-use crate::amount::BASE_RESERVE;
 use crate::asset::Asset;
 use stellar_crypto::codec::{Decode, DecodeError, Encode};
 use stellar_crypto::sign::PublicKey;
@@ -75,30 +74,10 @@ pub enum SignerKey {
     HashX(stellar_crypto::Hash256),
 }
 
-impl Encode for SignerKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SignerKey::Key(k) => {
-                0u8.encode(out);
-                k.encode(out);
-            }
-            SignerKey::HashX(h) => {
-                1u8.encode(out);
-                h.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for SignerKey {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(SignerKey::Key(PublicKey::decode(input)?)),
-            1 => Ok(SignerKey::HashX(stellar_crypto::Hash256::decode(input)?)),
-            t => Err(DecodeError::BadTag(t.into())),
-        }
-    }
-}
+stellar_crypto::impl_codec_enum!(SignerKey: u8 {
+    0 => Key(key),
+    1 => HashX(hash),
+});
 
 /// An additional signer with a weight, for multisig (§5.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -378,40 +357,12 @@ impl LedgerEntry {
     }
 }
 
-impl Encode for LedgerEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LedgerEntry::Account(a) => {
-                0u8.encode(out);
-                a.encode(out);
-            }
-            LedgerEntry::TrustLine(t) => {
-                1u8.encode(out);
-                t.encode(out);
-            }
-            LedgerEntry::Offer(o) => {
-                2u8.encode(out);
-                o.encode(out);
-            }
-            LedgerEntry::Data(d) => {
-                3u8.encode(out);
-                d.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for LedgerEntry {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(LedgerEntry::Account(AccountEntry::decode(input)?)),
-            1 => Ok(LedgerEntry::TrustLine(TrustLineEntry::decode(input)?)),
-            2 => Ok(LedgerEntry::Offer(OfferEntry::decode(input)?)),
-            3 => Ok(LedgerEntry::Data(DataEntry::decode(input)?)),
-            t => Err(DecodeError::BadTag(t.into())),
-        }
-    }
-}
+stellar_crypto::impl_codec_enum!(LedgerEntry: u8 {
+    0 => Account(account),
+    1 => TrustLine(trust_line),
+    2 => Offer(offer),
+    3 => Data(data),
+});
 
 /// Identifies a ledger entry independent of its contents.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -426,58 +377,17 @@ pub enum LedgerKey {
     Data(AccountId, String),
 }
 
-impl Encode for LedgerKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LedgerKey::Account(id) => {
-                0u8.encode(out);
-                id.encode(out);
-            }
-            LedgerKey::TrustLine(id, asset) => {
-                1u8.encode(out);
-                id.encode(out);
-                asset.encode(out);
-            }
-            LedgerKey::Offer(id) => {
-                2u8.encode(out);
-                id.encode(out);
-            }
-            LedgerKey::Data(id, name) => {
-                3u8.encode(out);
-                id.encode(out);
-                name.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for LedgerKey {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(LedgerKey::Account(AccountId::decode(input)?)),
-            1 => Ok(LedgerKey::TrustLine(
-                AccountId::decode(input)?,
-                Asset::decode(input)?,
-            )),
-            2 => Ok(LedgerKey::Offer(u64::decode(input)?)),
-            3 => Ok(LedgerKey::Data(
-                AccountId::decode(input)?,
-                String::decode(input)?,
-            )),
-            t => Err(DecodeError::BadTag(t.into())),
-        }
-    }
-}
-
-/// The default base reserve exposed for callers needing the constant.
-pub fn default_base_reserve() -> i64 {
-    BASE_RESERVE
-}
+stellar_crypto::impl_codec_enum!(LedgerKey: u8 {
+    0 => Account(account),
+    1 => TrustLine(account, asset),
+    2 => Offer(id),
+    3 => Data(account, name),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::amount::xlm;
+    use crate::amount::{xlm, BASE_RESERVE};
 
     fn acct(n: u64) -> AccountId {
         AccountId(PublicKey(n))

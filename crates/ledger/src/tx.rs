@@ -30,37 +30,12 @@ pub enum Memo {
     Hash(Hash256),
 }
 
-impl Encode for Memo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Memo::None => 0u8.encode(out),
-            Memo::Text(s) => {
-                1u8.encode(out);
-                s.encode(out);
-            }
-            Memo::Id(i) => {
-                2u8.encode(out);
-                i.encode(out);
-            }
-            Memo::Hash(h) => {
-                3u8.encode(out);
-                h.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Memo {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(Memo::None),
-            1 => Ok(Memo::Text(String::decode(input)?)),
-            2 => Ok(Memo::Id(u64::decode(input)?)),
-            3 => Ok(Memo::Hash(Hash256::decode(input)?)),
-            t => Err(DecodeError::BadTag(t.into())),
-        }
-    }
-}
+stellar_crypto::impl_codec_enum!(Memo: u8 {
+    0 => None,
+    1 => Text(text),
+    2 => Id(id),
+    3 => Hash(hash),
+});
 
 /// Inclusive validity window on ledger close time (§5.2: "an optional
 /// limit on when a transaction can execute").
@@ -195,173 +170,28 @@ impl Operation {
             _ => ThresholdLevel::Medium,
         }
     }
-
-    fn tag(&self) -> u8 {
-        match self {
-            Operation::CreateAccount { .. } => 0,
-            Operation::AccountMerge { .. } => 1,
-            Operation::SetOptions { .. } => 2,
-            Operation::Payment { .. } => 3,
-            Operation::PathPayment { .. } => 4,
-            Operation::ManageOffer { .. } => 5,
-            Operation::ManageData { .. } => 6,
-            Operation::ChangeTrust { .. } => 7,
-            Operation::AllowTrust { .. } => 8,
-            Operation::BumpSequence { .. } => 9,
-        }
-    }
 }
 
-impl Encode for Operation {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tag().encode(out);
-        match self {
-            Operation::CreateAccount {
-                destination,
-                starting_balance,
-            } => {
-                destination.encode(out);
-                starting_balance.encode(out);
-            }
-            Operation::AccountMerge { destination } => destination.encode(out),
-            Operation::SetOptions {
-                auth_required,
-                auth_revocable,
-                master_weight,
-                low_threshold,
-                medium_threshold,
-                high_threshold,
-                signer,
-            } => {
-                auth_required.encode(out);
-                auth_revocable.encode(out);
-                master_weight.encode(out);
-                low_threshold.encode(out);
-                medium_threshold.encode(out);
-                high_threshold.encode(out);
-                signer.encode(out);
-            }
-            Operation::Payment {
-                destination,
-                asset,
-                amount,
-            } => {
-                destination.encode(out);
-                asset.encode(out);
-                amount.encode(out);
-            }
-            Operation::PathPayment {
-                send_asset,
-                send_max,
-                destination,
-                dest_asset,
-                dest_amount,
-                path,
-            } => {
-                send_asset.encode(out);
-                send_max.encode(out);
-                destination.encode(out);
-                dest_asset.encode(out);
-                dest_amount.encode(out);
-                path.encode(out);
-            }
-            Operation::ManageOffer {
-                offer_id,
-                selling,
-                buying,
-                amount,
-                price,
-                passive,
-            } => {
-                offer_id.encode(out);
-                selling.encode(out);
-                buying.encode(out);
-                amount.encode(out);
-                price.encode(out);
-                passive.encode(out);
-            }
-            Operation::ManageData { name, value } => {
-                name.encode(out);
-                value.encode(out);
-            }
-            Operation::ChangeTrust { asset, limit } => {
-                asset.encode(out);
-                limit.encode(out);
-            }
-            Operation::AllowTrust {
-                trustor,
-                asset_code,
-                authorize,
-            } => {
-                trustor.encode(out);
-                asset_code.encode(out);
-                authorize.encode(out);
-            }
-            Operation::BumpSequence { bump_to } => bump_to.encode(out),
-        }
-    }
-}
-
-impl Decode for Operation {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => Operation::CreateAccount {
-                destination: AccountId::decode(input)?,
-                starting_balance: i64::decode(input)?,
-            },
-            1 => Operation::AccountMerge {
-                destination: AccountId::decode(input)?,
-            },
-            2 => Operation::SetOptions {
-                auth_required: Option::decode(input)?,
-                auth_revocable: Option::decode(input)?,
-                master_weight: Option::decode(input)?,
-                low_threshold: Option::decode(input)?,
-                medium_threshold: Option::decode(input)?,
-                high_threshold: Option::decode(input)?,
-                signer: Option::decode(input)?,
-            },
-            3 => Operation::Payment {
-                destination: AccountId::decode(input)?,
-                asset: Asset::decode(input)?,
-                amount: i64::decode(input)?,
-            },
-            4 => Operation::PathPayment {
-                send_asset: Asset::decode(input)?,
-                send_max: i64::decode(input)?,
-                destination: AccountId::decode(input)?,
-                dest_asset: Asset::decode(input)?,
-                dest_amount: i64::decode(input)?,
-                path: Vec::decode(input)?,
-            },
-            5 => Operation::ManageOffer {
-                offer_id: u64::decode(input)?,
-                selling: Asset::decode(input)?,
-                buying: Asset::decode(input)?,
-                amount: i64::decode(input)?,
-                price: Price::decode(input)?,
-                passive: bool::decode(input)?,
-            },
-            6 => Operation::ManageData {
-                name: String::decode(input)?,
-                value: Option::decode(input)?,
-            },
-            7 => Operation::ChangeTrust {
-                asset: Asset::decode(input)?,
-                limit: i64::decode(input)?,
-            },
-            8 => Operation::AllowTrust {
-                trustor: AccountId::decode(input)?,
-                asset_code: String::decode(input)?,
-                authorize: bool::decode(input)?,
-            },
-            9 => Operation::BumpSequence {
-                bump_to: u64::decode(input)?,
-            },
-            t => return Err(DecodeError::BadTag(t.into())),
-        })
-    }
-}
+stellar_crypto::impl_codec_enum!(Operation: u8 {
+    0 => CreateAccount { destination, starting_balance },
+    1 => AccountMerge { destination },
+    2 => SetOptions {
+        auth_required,
+        auth_revocable,
+        master_weight,
+        low_threshold,
+        medium_threshold,
+        high_threshold,
+        signer,
+    },
+    3 => Payment { destination, asset, amount },
+    4 => PathPayment { send_asset, send_max, destination, dest_asset, dest_amount, path },
+    5 => ManageOffer { offer_id, selling, buying, amount, price, passive },
+    6 => ManageData { name, value },
+    7 => ChangeTrust { asset, limit },
+    8 => AllowTrust { trustor, asset_code, authorize },
+    9 => BumpSequence { bump_to },
+});
 
 /// An operation bundled with its (optional) per-op source account.
 #[derive(Clone, PartialEq, Eq, Debug)]

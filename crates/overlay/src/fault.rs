@@ -119,12 +119,6 @@ impl LinkFaultTable {
         self.links.insert((from, to), fault);
     }
 
-    /// Applies `fault` in both directions between `a` and `b`.
-    pub fn set_link_bidirectional(&mut self, a: NodeId, b: NodeId, fault: LinkFault) {
-        self.links.insert((a, b), fault.clone());
-        self.links.insert((b, a), fault);
-    }
-
     /// Removes every fault (default and per-link).
     pub fn clear(&mut self) {
         self.default_fault = None;

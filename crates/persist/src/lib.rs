@@ -133,14 +133,6 @@ impl DurableStore {
         self.enabled
     }
 
-    /// Turns persistence on or off. Turning it off drops staged writes.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        if !on {
-            self.pending.clear();
-        }
-    }
-
     /// Stages a record for `key`. Nothing is durable until `sync` succeeds.
     pub fn write(&mut self, key: &str, payload: &[u8]) {
         if !self.enabled {

@@ -6,7 +6,7 @@
 //! [`Driver`](crate::Driver), keeping SCP independent of key distribution.
 
 use crate::statement::Statement;
-use stellar_crypto::codec::{Decode, DecodeError, Encode};
+use stellar_crypto::codec::Encode;
 use stellar_crypto::sign::{self, KeyPair, PublicKey, Signature};
 use stellar_crypto::Hash256;
 
@@ -45,21 +45,10 @@ impl Envelope {
     }
 }
 
-impl Encode for Envelope {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.statement.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Envelope {
-            statement: Statement::decode(input)?,
-            signature: Signature::decode(input)?,
-        })
-    }
-}
+stellar_crypto::impl_codec_struct!(Envelope {
+    statement,
+    signature
+});
 
 #[cfg(test)]
 mod tests {
@@ -67,6 +56,7 @@ mod tests {
     use crate::statement::StatementKind;
     use crate::{NodeId, QuorumSet, Value};
     use std::collections::BTreeSet;
+    use stellar_crypto::codec::Decode;
 
     fn sample_statement(node: NodeId) -> Statement {
         Statement {

@@ -20,10 +20,6 @@ pub struct ScpNode {
     keys: KeyPair,
     qset: QuorumSet,
     slots: BTreeMap<SlotIndex, Slot>,
-    /// Envelopes dropped due to bad signatures (metric / test hook).
-    bad_signatures: u64,
-    /// Envelopes dropped for failing [`crate::StatementKind::is_sane`].
-    insane_statements: u64,
     /// Federated-voting work not yet collected by [`ScpNode::take_work`].
     work: Work,
 }
@@ -42,8 +38,6 @@ impl ScpNode {
             keys,
             qset,
             slots: BTreeMap::new(),
-            bad_signatures: 0,
-            insane_statements: 0,
             work: Work::default(),
         }
     }
@@ -72,16 +66,6 @@ impl ScpNode {
             self.id
         );
         self.qset = qset;
-    }
-
-    /// Count of envelopes rejected for bad signatures.
-    pub fn bad_signature_count(&self) -> u64 {
-        self.bad_signatures
-    }
-
-    /// Count of envelopes rejected for an inconsistent statement.
-    pub fn insane_statement_count(&self) -> u64 {
-        self.insane_statements
     }
 
     /// The federated-voting work done across all slots since the last
@@ -145,12 +129,10 @@ impl ScpNode {
             None => false,
         };
         let rejected = if !verified {
-            self.bad_signatures += 1;
             Some(Rejection::BadSignature)
         } else if !st.quorum_set.is_well_formed() {
             Some(Rejection::MalformedQset)
         } else if !st.kind.is_sane() {
-            self.insane_statements += 1;
             Some(Rejection::Insane)
         } else {
             None

@@ -9,7 +9,6 @@
 
 use crate::NodeId;
 use std::collections::BTreeSet;
-use stellar_crypto::codec::{Decode, DecodeError, Encode};
 use stellar_crypto::{hash_xdr, Hash256};
 
 /// A node's declaration of its quorum slices.
@@ -37,23 +36,11 @@ pub struct QuorumSet {
     pub inner: Vec<QuorumSet>,
 }
 
-impl Encode for QuorumSet {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.threshold.encode(out);
-        self.validators.encode(out);
-        self.inner.encode(out);
-    }
-}
-
-impl Decode for QuorumSet {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(QuorumSet {
-            threshold: u32::decode(input)?,
-            validators: Vec::decode(input)?,
-            inner: Vec::decode(input)?,
-        })
-    }
-}
+stellar_crypto::impl_codec_struct!(QuorumSet {
+    threshold,
+    validators,
+    inner
+});
 
 impl QuorumSet {
     /// Builds a flat `threshold`-of-`validators` quorum set.

@@ -20,7 +20,6 @@
 
 use crate::{NodeId, QuorumSet, SlotIndex, Value};
 use std::collections::BTreeSet;
-use stellar_crypto::codec::{Decode, DecodeError, Encode};
 
 /// A ballot `⟨counter, value⟩` (paper §3.2.1).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -53,21 +52,7 @@ impl Ballot {
     }
 }
 
-impl Encode for Ballot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.counter.encode(out);
-        self.value.encode(out);
-    }
-}
-
-impl Decode for Ballot {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Ballot {
-            counter: u32::decode(input)?,
-            value: Value::decode(input)?,
-        })
-    }
-}
+stellar_crypto::impl_codec_struct!(Ballot { counter, value });
 
 /// The four statement kinds a node can broadcast.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -131,17 +116,6 @@ pub enum StatementKind {
 }
 
 impl StatementKind {
-    /// Discriminant used by the codec and by phase comparisons
-    /// (`Prepare < Confirm < Externalize`).
-    fn tag(&self) -> u32 {
-        match self {
-            StatementKind::Nominate { .. } => 0,
-            StatementKind::Prepare { .. } => 1,
-            StatementKind::Confirm { .. } => 2,
-            StatementKind::Externalize { .. } => 3,
-        }
-    }
-
     /// True for nomination-protocol statements.
     pub fn is_nomination(&self) -> bool {
         matches!(self, StatementKind::Nominate { .. })
@@ -366,74 +340,14 @@ impl StatementKind {
     }
 }
 
-impl Encode for StatementKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tag().encode(out);
-        match self {
-            StatementKind::Nominate { voted, accepted } => {
-                voted.encode(out);
-                accepted.encode(out);
-            }
-            StatementKind::Prepare {
-                ballot,
-                prepared,
-                prepared_prime,
-                c_n,
-                h_n,
-            } => {
-                ballot.encode(out);
-                prepared.encode(out);
-                prepared_prime.encode(out);
-                c_n.encode(out);
-                h_n.encode(out);
-            }
-            StatementKind::Confirm {
-                ballot,
-                p_n,
-                c_n,
-                h_n,
-            } => {
-                ballot.encode(out);
-                p_n.encode(out);
-                c_n.encode(out);
-                h_n.encode(out);
-            }
-            StatementKind::Externalize { commit, h_n } => {
-                commit.encode(out);
-                h_n.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for StatementKind {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u32::decode(input)? {
-            0 => Ok(StatementKind::Nominate {
-                voted: BTreeSet::decode(input)?,
-                accepted: BTreeSet::decode(input)?,
-            }),
-            1 => Ok(StatementKind::Prepare {
-                ballot: Ballot::decode(input)?,
-                prepared: Option::decode(input)?,
-                prepared_prime: Option::decode(input)?,
-                c_n: u32::decode(input)?,
-                h_n: u32::decode(input)?,
-            }),
-            2 => Ok(StatementKind::Confirm {
-                ballot: Ballot::decode(input)?,
-                p_n: u32::decode(input)?,
-                c_n: u32::decode(input)?,
-                h_n: u32::decode(input)?,
-            }),
-            3 => Ok(StatementKind::Externalize {
-                commit: Ballot::decode(input)?,
-                h_n: u32::decode(input)?,
-            }),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
+// Tags order the ballot phases, `Prepare < Confirm < Externalize`, for
+// `is_newer_than`.
+stellar_crypto::impl_codec_enum!(StatementKind: u32 {
+    0 => Nominate { voted, accepted },
+    1 => Prepare { ballot, prepared, prepared_prime, c_n, h_n },
+    2 => Confirm { ballot, p_n, c_n, h_n },
+    3 => Externalize { commit, h_n },
+});
 
 /// A statement attributed to a node at a slot, carrying the node's quorum
 /// set (every message advertises the sender's slices, paper §3.1).
@@ -449,25 +363,12 @@ pub struct Statement {
     pub kind: StatementKind,
 }
 
-impl Encode for Statement {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.node.encode(out);
-        self.slot.encode(out);
-        self.quorum_set.encode(out);
-        self.kind.encode(out);
-    }
-}
-
-impl Decode for Statement {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Statement {
-            node: NodeId::decode(input)?,
-            slot: SlotIndex::decode(input)?,
-            quorum_set: QuorumSet::decode(input)?,
-            kind: StatementKind::decode(input)?,
-        })
-    }
-}
+stellar_crypto::impl_codec_struct!(Statement {
+    node,
+    slot,
+    quorum_set,
+    kind
+});
 
 #[cfg(test)]
 mod tests {

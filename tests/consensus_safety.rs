@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use stellar::crypto::sign::KeyPair;
 use stellar::scp::statement::{Ballot, Statement, StatementKind};
 use stellar::scp::test_harness::{harness_keys, InMemoryNetwork};
-use stellar::scp::{Envelope, NodeId, QuorumSet, Value};
+use stellar::scp::{Envelope, NodeId, QuorumSet, Rejection, ScpEvent, Value};
 
 fn ids(n: u32) -> Vec<NodeId> {
     (0..n).map(NodeId).collect()
@@ -126,10 +126,14 @@ fn forged_envelopes_are_rejected() {
     let distinct: BTreeSet<_> = decided.values().collect();
     assert_eq!(distinct.len(), 1);
     assert_ne!(*distinct.iter().next().unwrap(), &val("evil"));
+    let forgery = ScpEvent::EnvelopeRejected {
+        from: NodeId(0),
+        reason: Rejection::BadSignature,
+    };
     for node in &nodes[1..] {
         assert!(
-            net.node(*node).bad_signature_count() > 0,
-            "forgery must be counted"
+            net.driver(*node).events.contains(&forgery),
+            "forgery must be reported"
         );
     }
 }
