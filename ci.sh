@@ -27,6 +27,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo doc -D warnings (a doc link to a deleted or private item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> paper reproduction (repro regenerates PAPER_REPRO.json, exits non-zero on any failed shape; the document must equal the committed one)"
 cargo run --release -q -p stellar-bench --bin repro
 git diff --exit-code PAPER_REPRO.json

@@ -198,12 +198,10 @@ pub struct Herder {
     /// default) costs nothing on the close path; [`Herder::enable_ingest`]
     /// turns it on with a bounded capacity.
     ingest_buffer: Option<VecDeque<CloseEvent>>,
-    /// Capacity bound on `ingest_buffer`.
+    /// Capacity bound on `ingest_buffer`; an event pushed past it drops
+    /// the oldest (`ingest.feed_dropped`), a gap the indexer detects by
+    /// sequence number and backfills from the archive.
     ingest_cap: usize,
-    /// Close events dropped because the consumer fell more than
-    /// `ingest_cap` ledgers behind (the indexer detects the gap via the
-    /// sequence numbers and catches up from the archive).
-    pub ingest_dropped: u64,
 
     // ---- buffered driver outputs ----
     /// Envelopes to flood.
@@ -265,7 +263,6 @@ impl Herder {
             last_store_stats,
             ingest_buffer: None,
             ingest_cap: 0,
-            ingest_dropped: 0,
             queue: TxQueue::new(),
             sig_cache: SigVerifyCache::new(1 << 16),
             upgrade_policy: UpgradePolicy::default(),
@@ -322,7 +319,6 @@ impl Herder {
         };
         if buf.len() >= self.ingest_cap {
             buf.pop_front();
-            self.ingest_dropped += 1;
             self.telemetry.registry.inc("ingest.feed_dropped");
         }
         buf.push_back(CloseEvent {
@@ -559,7 +555,6 @@ impl Herder {
             slot,
             TraceKind::LedgerClosed {
                 tx_count: set.txs.len() as u32,
-                apply_us,
             },
         );
         // Data disk first, then the write-ahead LCL record: the LCL
@@ -576,10 +571,6 @@ impl Herder {
                 self.telemetry
                     .span(trace, t, SpanPhase::Externalized { slot });
                 self.telemetry.span(trace, t, SpanPhase::Applied { slot });
-                self.telemetry.span(trace, t, SpanPhase::Archived { slot });
-                self.telemetry.span(trace, t, SpanPhase::Flushed { slot });
-                self.telemetry
-                    .span(trace, t, SpanPhase::HorizonVisible { slot });
             }
         }
         self.forget_old_tx_sets();
@@ -1143,6 +1134,32 @@ mod tests {
         // Slot 3 unparked automatically.
         assert_eq!(h.header.ledger_seq, 3);
         assert_eq!(h.store.account(acct(2)).unwrap().balance, xlm(100) + 1);
+    }
+
+    #[test]
+    fn a_traced_close_records_externalize_then_apply_per_transaction() {
+        let mut h = herder();
+        let txs: Vec<_> = (0..3).map(|i| payment_env(&h, i, (i + 1) % 3, 1)).collect();
+        let set = TransactionSet::assemble(h.header.hash(), txs.clone(), 100);
+        h.learn_tx_set(set.clone());
+        assert!(h.apply_externalized(2, &StellarValue::new(set.hash(), h.now + 1)));
+        assert_eq!(h.telemetry.spans.len(), 2 * txs.len());
+        for env in &txs {
+            let phases: Vec<&SpanPhase> = h
+                .telemetry
+                .spans
+                .for_trace(env.hash().prefix_u64())
+                .into_iter()
+                .map(|s| &s.phase)
+                .collect();
+            assert_eq!(
+                phases,
+                [
+                    &SpanPhase::Externalized { slot: 2 },
+                    &SpanPhase::Applied { slot: 2 }
+                ]
+            );
+        }
     }
 
     fn close_empty_ledger(h: &mut Herder) {

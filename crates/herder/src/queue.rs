@@ -31,6 +31,21 @@ pub enum QueueError {
     QueueFull,
 }
 
+impl QueueError {
+    /// Static reject label, for spans and client errors (no allocation on
+    /// the submission hot path).
+    pub fn label(self) -> &'static str {
+        match self {
+            QueueError::FeeTooLow => "fee_too_low",
+            QueueError::UnknownSource => "unknown_source",
+            QueueError::StaleSequence => "stale_sequence",
+            QueueError::BadSignature => "bad_signature",
+            QueueError::Duplicate => "duplicate",
+            QueueError::QueueFull => "queue_full",
+        }
+    }
+}
+
 /// Pending transactions, per source account, ordered by sequence.
 #[derive(Debug, Default)]
 pub struct TxQueue {

@@ -31,19 +31,6 @@ use stellar_scp::driver::TimerKind;
 use stellar_scp::{Envelope, NodeId, QuorumSet, ScpNode, SlotIndex, Statement};
 use stellar_telemetry::SpanPhase;
 
-/// Static reject label for the queue-reject span (no allocation on the
-/// submission hot path).
-fn queue_reject_reason(e: &QueueError) -> &'static str {
-    match e {
-        QueueError::FeeTooLow => "fee_too_low",
-        QueueError::UnknownSource => "unknown_source",
-        QueueError::StaleSequence => "stale_sequence",
-        QueueError::BadSignature => "bad_signature",
-        QueueError::Duplicate => "duplicate",
-        QueueError::QueueFull => "queue_full",
-    }
-}
-
 /// Everything a validator wants the network layer to do after a step.
 #[derive(Debug, Default)]
 pub struct Outputs {
@@ -136,9 +123,7 @@ impl Validator {
             let t = self.herder.clock_ms;
             let phase = match &result {
                 Ok(()) => SpanPhase::QueueAdmit,
-                Err(e) => SpanPhase::QueueReject {
-                    reason: queue_reject_reason(e),
-                },
+                Err(e) => SpanPhase::QueueReject { reason: e.label() },
             };
             self.herder.telemetry.span(trace, t, phase);
         }

@@ -65,19 +65,6 @@ impl std::fmt::Display for HorizonError {
 /// ledger interval, after which a close will have drained it.
 pub(crate) const QUEUE_FULL_RETRY_MS: u64 = 5000;
 
-/// Static reject label for a queue refusal (no allocation on the
-/// submission hot path).
-fn submit_reject_reason(e: &QueueError) -> &'static str {
-    match e {
-        QueueError::FeeTooLow => "fee_too_low",
-        QueueError::UnknownSource => "unknown_source",
-        QueueError::StaleSequence => "stale_sequence",
-        QueueError::BadSignature => "bad_signature",
-        QueueError::Duplicate => "duplicate",
-        QueueError::QueueFull => "queue_full",
-    }
-}
-
 /// Rejects the degenerate page size before any endpoint does work: a
 /// zero-limit page can make no progress, so handing back a cursor would
 /// loop a paging client forever.
@@ -152,8 +139,7 @@ pub struct TxRecord {
     /// The confirmed envelope.
     pub envelope: TransactionEnvelope,
     /// Node-local lifecycle spans (submit, queue admit, flood hops,
-    /// nomination, externalize, apply, archive, horizon-visible), in
-    /// causal order. `None` when the transaction was sampled out of
+    /// nomination, externalize, apply), in causal order. `None` when the transaction was sampled out of
     /// tracing or its spans have been evicted from the bounded buffer —
     /// the archive answer is unaffected either way.
     pub timeline: Option<Vec<SpanEvent>>,
@@ -227,9 +213,7 @@ impl Horizon {
             Err(QueueError::QueueFull) => Err(HorizonError::RateLimited {
                 retry_after_ms: QUEUE_FULL_RETRY_MS,
             }),
-            Err(e) => Err(HorizonError::Malformed {
-                reason: submit_reject_reason(&e),
-            }),
+            Err(e) => Err(HorizonError::Malformed { reason: e.label() }),
         }
     }
 
@@ -767,9 +751,8 @@ mod tests {
     #[test]
     fn find_transaction_attaches_the_lifecycle_timeline() {
         // Same consensus-free close as above; the herder records the
-        // close-milestone spans (externalize → apply → archive → flush →
-        // horizon-visible) for every applied transaction, and horizon
-        // surfaces them on the archive hit.
+        // close-milestone spans (externalize → apply) for every applied
+        // transaction, and horizon surfaces them on the archive hit.
         let mut h = herder();
         let env = stellar_ledger::tx::TransactionEnvelope::sign(
             Transaction {
@@ -800,23 +783,17 @@ mod tests {
         let tags: Vec<&str> = timeline.iter().map(|s| s.phase.tag()).collect();
         assert_eq!(
             tags,
-            [
-                "externalized",
-                "applied",
-                "archived",
-                "flushed",
-                "horizon_visible"
-            ],
+            ["externalized", "applied"],
             "close milestones in pipeline order"
         );
         assert!(timeline.iter().all(|s| s.trace == tx_hash.prefix_u64()));
 
         // The standalone endpoint pages the same spans.
-        let first = Horizon::transaction_timeline(&h, tx_hash, None, 2).unwrap();
-        assert_eq!(first.records.len(), 2);
-        assert_eq!(first.cursor, Some(2));
+        let first = Horizon::transaction_timeline(&h, tx_hash, None, 1).unwrap();
+        assert_eq!(first.records.len(), 1);
+        assert_eq!(first.cursor, Some(1));
         let rest = Horizon::transaction_timeline(&h, tx_hash, first.cursor, 8).unwrap();
-        assert_eq!(rest.records.len(), 3);
+        assert_eq!(rest.records.len(), 1);
         assert_eq!(rest.cursor, None);
         let stitched: Vec<SpanEvent> = first.records.into_iter().chain(rest.records).collect();
         assert_eq!(stitched, timeline);

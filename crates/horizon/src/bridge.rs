@@ -2,15 +2,16 @@
 //!
 //! "A bridge server facilitates integration of Stellar with existing
 //! systems, e.g., posting notifications of all payments received by a
-//! specific account." This implementation is a Horizon API client: it
-//! pages each closed ledger's transactions through
-//! [`Horizon::transactions_in_ledger`], picks out successful payments
-//! (and path payments) to watched accounts, and queues structured
-//! notifications — the same cursor-paged surface external integrators
-//! consume.
+//! specific account." This implementation is a Horizon client: it pages
+//! each watched account's indexed history ([`Indexer::account_history`]),
+//! keeps the transactions whose apply outcome is success, fetches each
+//! through [`Horizon::transactions_in_ledger`], and queues a structured
+//! notification per payment (or path payment) to the watched account —
+//! the same cursor-paged surfaces external integrators consume.
 
 use crate::api::Horizon;
-use std::collections::BTreeSet;
+use crate::ingest::Indexer;
+use std::collections::BTreeMap;
 use stellar_herder::Herder;
 use stellar_ledger::asset::Asset;
 use stellar_ledger::entry::AccountId;
@@ -33,96 +34,77 @@ pub struct PaymentNotification {
     pub memo: Memo,
 }
 
-/// Watches accounts and drains notifications per ledger.
+/// Watches accounts and drains their notifications.
 #[derive(Debug, Default)]
 pub struct BridgeServer {
-    watched: BTreeSet<AccountId>,
-    /// Last ledger scanned.
-    cursor: u64,
-    pending: Vec<PaymentNotification>,
+    /// Watched account → history rows already scanned (its cursor).
+    watched: BTreeMap<AccountId, u64>,
 }
 
 impl BridgeServer {
-    /// A bridge with no watched accounts, starting at genesis.
+    /// A bridge with no watched accounts.
     pub fn new() -> BridgeServer {
-        BridgeServer {
-            watched: BTreeSet::new(),
-            cursor: 1,
-            pending: Vec::new(),
-        }
+        BridgeServer::default()
     }
 
     /// Watches an account for incoming payments.
     pub fn watch(&mut self, account: AccountId) {
-        self.watched.insert(account);
+        self.watched.entry(account).or_insert(0);
     }
 
-    /// Scans any newly closed ledgers and returns fresh notifications.
-    ///
-    /// Note: the scan reports payment *operations* in confirmed
-    /// transactions; a production bridge additionally filters by operation
-    /// result, which this reproduction approximates by skipping sets whose
-    /// transactions could not have applied (sequence mismatch is already
-    /// impossible post-close).
-    pub fn poll(&mut self, herder: &Herder) -> Vec<PaymentNotification> {
-        let head = herder.header.ledger_seq;
-        while self.cursor < head {
-            self.cursor += 1;
-            // Page through the Horizon API rather than reaching into the
-            // archive: the bridge consumes the same surface external
-            // clients get.
-            let mut txs = Vec::new();
-            let mut cursor = None;
-            loop {
-                let Ok(page) = Horizon::transactions_in_ledger(herder, self.cursor, cursor, 64)
-                else {
-                    break;
-                };
-                txs.extend(page.records);
-                match page.cursor {
-                    Some(c) => cursor = Some(c),
-                    None => break,
-                }
-            }
-            for env in &txs {
-                for so in &env.tx.operations {
-                    let source = so.source.unwrap_or(env.tx.source);
-                    match &so.op {
-                        Operation::Payment {
-                            destination,
-                            asset,
-                            amount,
-                        } if self.watched.contains(destination) => {
-                            self.pending.push(PaymentNotification {
-                                ledger_seq: self.cursor,
-                                from: source,
-                                to: *destination,
+    /// Scans the history `indexer` filed under each watched account since
+    /// the last poll and returns fresh notifications. Only transactions
+    /// whose outcome is success notify: a failed payment delivered
+    /// nothing, and an archive-backfilled row carries no outcome.
+    pub fn poll(&mut self, herder: &Herder, indexer: &Indexer) -> Vec<PaymentNotification> {
+        let mut notes = Vec::new();
+        for (&account, seen) in &mut self.watched {
+            while let Ok(page) = indexer.account_history(account, Some(*seen), 64) {
+                *seen += page.records.len() as u64;
+                for row in page.records {
+                    if !row.outcome.is_some_and(|o| o.success) {
+                        continue;
+                    }
+                    let cursor = Some(u64::from(row.tx_index));
+                    let Ok(Some(env)) =
+                        Horizon::transactions_in_ledger(herder, row.ledger_seq, cursor, 1)
+                            .map(|mut p| p.records.pop())
+                    else {
+                        continue;
+                    };
+                    for so in &env.tx.operations {
+                        let (to, asset, amount) = match &so.op {
+                            Operation::Payment {
+                                destination,
+                                asset,
+                                amount,
+                            } => (destination, asset, amount),
+                            Operation::PathPayment {
+                                destination,
+                                dest_asset,
+                                dest_amount,
+                                ..
+                            } => (destination, dest_asset, dest_amount),
+                            _ => continue,
+                        };
+                        if *to == account {
+                            notes.push(PaymentNotification {
+                                ledger_seq: row.ledger_seq,
+                                from: so.source.unwrap_or(env.tx.source),
+                                to: account,
                                 asset: asset.clone(),
                                 amount: *amount,
                                 memo: env.tx.memo.clone(),
                             });
                         }
-                        Operation::PathPayment {
-                            destination,
-                            dest_asset,
-                            dest_amount,
-                            ..
-                        } if self.watched.contains(destination) => {
-                            self.pending.push(PaymentNotification {
-                                ledger_seq: self.cursor,
-                                from: source,
-                                to: *destination,
-                                asset: dest_asset.clone(),
-                                amount: *dest_amount,
-                                memo: env.tx.memo.clone(),
-                            });
-                        }
-                        _ => {}
                     }
+                }
+                if page.cursor.is_none() {
+                    break;
                 }
             }
         }
-        std::mem::take(&mut self.pending)
+        notes
     }
 }
 
@@ -171,31 +153,59 @@ mod tests {
         assert!(h.apply_externalized(h.current_slot(), &v));
     }
 
-    #[test]
-    fn notifications_for_watched_accounts_only() {
+    fn herder_and_indexer() -> (Herder, Indexer) {
         let mut store = LedgerStore::new();
         for i in 0..3 {
             store.put_account(AccountEntry::new(acct(i), xlm(100)));
         }
         let mut h = Herder::new(NodeId(0), store, BTreeMap::new());
+        let ix = Indexer::attach(&mut h);
+        (h, ix)
+    }
+
+    #[test]
+    fn notifications_for_watched_accounts_only() {
+        let (mut h, mut ix) = herder_and_indexer();
         let mut bridge = BridgeServer::new();
         bridge.watch(acct(1));
 
         close_payment(&mut h, 0, 1, 1, 500, Memo::Text("invoice 7".into()));
         close_payment(&mut h, 0, 2, 2, 300, Memo::None); // unwatched
+        ix.ingest(&mut h);
 
-        let notes = bridge.poll(&h);
+        let notes = bridge.poll(&h, &ix);
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].to, acct(1));
         assert_eq!(notes[0].amount, 500);
         assert_eq!(notes[0].memo, Memo::Text("invoice 7".into()));
         // Polling again yields nothing new.
-        assert!(bridge.poll(&h).is_empty());
+        assert!(bridge.poll(&h, &ix).is_empty());
         // A later payment shows up on the next poll.
         close_payment(&mut h, 2, 1, 1, 40, Memo::Id(9));
-        let notes = bridge.poll(&h);
+        ix.ingest(&mut h);
+        let notes = bridge.poll(&h, &ix);
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].amount, 40);
         assert_eq!(notes[0].ledger_seq, h.header.ledger_seq);
+    }
+
+    #[test]
+    fn failed_payments_notify_nothing() {
+        let (mut h, mut ix) = herder_and_indexer();
+        let mut bridge = BridgeServer::new();
+        bridge.watch(acct(1));
+        // 1 000 000 XLM from an account holding 100: the transaction is
+        // applied (fee charged, sequence consumed) but its payment fails.
+        close_payment(&mut h, 0, 1, 1, xlm(1_000_000), Memo::Id(5));
+        ix.ingest(&mut h);
+        let closed = h.close_stats.last().unwrap();
+        assert_eq!((closed.tx_count, closed.failed_tx_count), (1, 1));
+        assert!(bridge.poll(&h, &ix).is_empty());
+        // The next, funded payment still notifies.
+        close_payment(&mut h, 0, 1, 2, 500, Memo::None);
+        ix.ingest(&mut h);
+        let notes = bridge.poll(&h, &ix);
+        assert_eq!(notes.len(), 1);
+        assert_eq!(notes[0].amount, 500);
     }
 }

@@ -697,7 +697,7 @@ mod tests {
         close_payment(&mut h, 0, 1, 1, 10);
         close_payment(&mut h, 0, 1, 2, 20);
         close_payment(&mut h, 0, 1, 3, 30);
-        assert_eq!(h.ingest_dropped, 2);
+        assert_eq!(h.telemetry.registry.counter("ingest.feed_dropped"), 2);
         ix.ingest(&mut h);
         assert_eq!(ix.ingested_seq(), h.header.ledger_seq);
         assert_eq!(ix.registry.counter("ingest.gap_backfilled"), 2);

@@ -5,7 +5,7 @@
 //! counters let the simulator produce the same row, and the per-type
 //! split (SCP envelopes vs. transaction sets vs. transactions, plus
 //! flood duplicate-suppression hits) feeds the §7.2 traffic table and
-//! the telemetry snapshot.
+//! `SimReport::traffic`.
 
 /// The flooded message families, as a traffic-accounting tag: three
 /// payload kinds plus the two pull-mode control kinds.
@@ -21,28 +21,6 @@ pub enum MsgKind {
     Advert,
     /// A pull-mode demand (hash batch request).
     Demand,
-}
-
-impl MsgKind {
-    /// Stable lowercase name (metric key suffix).
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::Scp => "scp",
-            MsgKind::TxSet => "tx_set",
-            MsgKind::Tx => "tx",
-            MsgKind::Advert => "advert",
-            MsgKind::Demand => "demand",
-        }
-    }
-
-    /// Every kind, in index order (for report tables).
-    pub const ALL: [MsgKind; 5] = [
-        MsgKind::Scp,
-        MsgKind::TxSet,
-        MsgKind::Tx,
-        MsgKind::Advert,
-        MsgKind::Demand,
-    ];
 }
 
 /// Message/byte counters for one node.
@@ -252,8 +230,5 @@ mod tests {
         s.recv_kind(MsgKind::Demand, 36);
         assert_eq!(s.out_count(MsgKind::Advert), 1);
         assert_eq!(s.in_count(MsgKind::Demand), 1);
-        assert_eq!(MsgKind::ALL.len(), 5);
-        assert_eq!(MsgKind::Advert.name(), "advert");
-        assert_eq!(MsgKind::Demand.name(), "demand");
     }
 }

@@ -49,7 +49,7 @@ pub mod tracing;
 pub mod watchdog;
 
 pub use latency::LatencyModel;
-pub use metrics::{percentile, traffic_to_json, SimReport};
+pub use metrics::{percentile, SimReport};
 pub use scenario::Scenario;
 pub use simulation::{SimConfig, Simulation};
 pub use tracing::{build_tx_traces, phase_stats, render_causal_trace, PhaseStats, TxTrace};

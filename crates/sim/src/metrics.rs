@@ -11,7 +11,7 @@ use crate::tracing::{build_tx_traces, trace_summary_json, TxTrace};
 use crate::watchdog::HealthAlert;
 use std::collections::BTreeMap;
 use stellar_herder::herder::CloseStats;
-use stellar_overlay::{MsgKind, TrafficStats};
+use stellar_overlay::TrafficStats;
 use stellar_scp::driver::{ScpEvent, TimerKind};
 use stellar_scp::{NodeId, SlotIndex};
 use stellar_telemetry::Json;
@@ -54,9 +54,9 @@ pub struct SimReport {
     pub txs_generated: u64,
     /// Validators in the run.
     pub n_validators: usize,
-    /// Observer-node telemetry snapshot: metrics registry, traffic
-    /// split, network totals, recovery, store, trace, health and Horizon
-    /// sections.
+    /// Observer-node telemetry snapshot: metrics registry, recovery,
+    /// store, trace, health and Horizon sections (traffic is the typed
+    /// `traffic` above).
     pub telemetry: Json,
     /// Per-transaction lifecycle rows (cross-node span aggregation), in
     /// `(submit_ms, trace)` order. Empty when tracing is disabled.
@@ -206,29 +206,6 @@ impl SimReport {
     }
 }
 
-/// Renders one node's (or an aggregate's) traffic counters as JSON.
-pub fn traffic_to_json(t: &TrafficStats) -> Json {
-    let kinds = |by: fn(&TrafficStats, MsgKind) -> u64| {
-        let mut j = Json::obj();
-        for kind in MsgKind::ALL {
-            j = j.set(kind.name(), by(t, kind));
-        }
-        j
-    };
-    Json::obj()
-        .set("msgs_in", t.msgs_in)
-        .set("msgs_out", t.msgs_out)
-        .set("bytes_in", t.bytes_in)
-        .set("bytes_out", t.bytes_out)
-        .set("scp_originated", t.scp_originated)
-        .set("in_by_kind", kinds(TrafficStats::in_count))
-        .set("out_by_kind", kinds(TrafficStats::out_count))
-        .set("dup_suppressed", t.dup_suppressed)
-        .set("dup_ratio", t.dup_ratio())
-        .set("pull_fulfilled", t.pull_fulfilled)
-        .set("pull_timeouts", t.pull_timeouts)
-}
-
 /// The Fig. 8 table: timeout counts per ledger at percentiles.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimeoutTable {
@@ -342,14 +319,10 @@ impl Simulation {
             .iter()
             .map(|(id, n)| (*id, n.engine.traffic))
             .collect();
-        let mut network = TrafficStats::default();
-        for t in traffic.values() {
-            network.merge(t);
-        }
         SimReport {
-            telemetry: self.telemetry_snapshot(&ledgers, &tx_traces, &network),
+            telemetry: self.telemetry_snapshot(&ledgers, &tx_traces),
             ledgers,
-            scp_msgs_originated: network.scp_originated,
+            scp_msgs_originated: traffic.values().map(|t| t.scp_originated).sum(),
             traffic,
             sim_duration_ms: self.now,
             txs_generated: self.loadgen.as_ref().map_or(0, |l| l.generated),
@@ -360,14 +333,8 @@ impl Simulation {
     }
 
     /// The observer's registry snapshot, with the per-ledger latency
-    /// decomposition folded in as histograms and the typed traffic split
-    /// (observer view + `network` totals) attached.
-    fn telemetry_snapshot(
-        &self,
-        ledgers: &[LedgerMetrics],
-        tx_traces: &[TxTrace],
-        network: &TrafficStats,
-    ) -> Json {
+    /// decomposition folded in as histograms.
+    fn telemetry_snapshot(&self, ledgers: &[LedgerMetrics], tx_traces: &[TxTrace]) -> Json {
         let observer = self.validator(self.observer);
         let mut registry = observer.herder.telemetry.registry.clone();
         for l in ledgers {
@@ -375,14 +342,11 @@ impl Simulation {
             registry.observe("consensus.balloting_ms", l.balloting_ms);
             registry.observe("consensus.total_ms", l.nomination_ms + l.balloting_ms);
         }
-        let observer_node = self.node(self.observer);
         let store = &observer.herder.store;
         let stats = store.io_stats();
         Json::obj()
             .set("node", u64::from(self.observer.0))
             .set("registry", registry.snapshot())
-            .set("traffic", traffic_to_json(&observer_node.engine.traffic))
-            .set("network_traffic", traffic_to_json(network))
             .set(
                 "recovery",
                 Json::obj()
@@ -410,7 +374,7 @@ impl Simulation {
             )
             .set("trace", trace_summary_json(tx_traces, self.spans_dropped()))
             .set("health", self.watchdog.to_json())
-            .set("horizon", observer_node.horizon_json())
+            .set("horizon", self.node(self.observer).horizon_json())
     }
 }
 
@@ -561,7 +525,6 @@ mod tests {
             nominated_ms: apply_slot.map(|s| s * 5000 - 1000),
             externalized_ms: apply_slot.map(|s| s * 5000),
             applied_ms: apply_slot.map(|s| s * 5000),
-            visible_ms: apply_slot.map(|s| s * 5000),
             apply_slot,
             flood_hops: 3,
             demand_timeouts: 0,
@@ -745,22 +708,5 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].ballot_timeouts, 1);
         assert_eq!(m[0].externalized_at_ms, 1200);
-    }
-
-    #[test]
-    fn traffic_json_carries_typed_split() {
-        let mut t = TrafficStats::default();
-        t.recv_kind(MsgKind::Scp, 100);
-        t.recv_kind(MsgKind::Tx, 50);
-        t.send_kind(MsgKind::TxSet, 400);
-        t.dup_hit();
-        let j = traffic_to_json(&t);
-        assert_eq!(j.get("msgs_in").and_then(Json::as_f64), Some(2.0));
-        let in_kinds = j.get("in_by_kind").expect("in_by_kind");
-        assert_eq!(in_kinds.get("scp").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(in_kinds.get("tx").and_then(Json::as_f64), Some(1.0));
-        let out_kinds = j.get("out_by_kind").expect("out_by_kind");
-        assert_eq!(out_kinds.get("tx_set").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(j.get("dup_suppressed").and_then(Json::as_f64), Some(1.0));
     }
 }

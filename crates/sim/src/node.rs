@@ -1,8 +1,8 @@
 //! Node lifecycle: the per-node record, its boot, crash and reboot.
 //!
 //! A first start and a crash-restart go through the same two steps:
-//! [`Genesis::validator`] builds a validator with the run's per-node
-//! settings, and [`SimNode::boot`] installs it with fresh process RAM
+//! `Genesis::validator` builds a validator with the run's per-node
+//! settings, and `SimNode::boot` installs it with fresh process RAM
 //! (and, on the Horizon host, a fresh pipeline). A reboot only adds what
 //! survived the crash in between: the write-ahead log, the data disk and
 //! the node's own history archive.

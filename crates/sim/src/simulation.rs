@@ -936,20 +936,15 @@ mod tests {
         assert!(hists.get("ledger.apply_us").is_some());
         // Traffic: typed split + duplicate suppression (full mesh floods
         // every message along multiple paths, so dups are guaranteed).
-        let net = report
-            .telemetry
-            .get("network_traffic")
-            .expect("network_traffic");
-        let dup = net
-            .get("dup_suppressed")
-            .and_then(stellar_telemetry::Json::as_f64)
-            .unwrap_or(0.0);
-        assert!(dup > 0.0, "flooding must hit the duplicate cache");
-        let in_kinds = net.get("in_by_kind").expect("in_by_kind");
-        assert!(in_kinds
-            .get("scp")
-            .and_then(stellar_telemetry::Json::as_f64)
-            .is_some_and(|v| v > 0.0));
+        let mut net = stellar_overlay::TrafficStats::default();
+        for t in report.traffic.values() {
+            net.merge(t);
+        }
+        assert!(
+            net.dup_suppressed > 0,
+            "flooding must hit the duplicate cache"
+        );
+        assert!(net.in_count(stellar_overlay::MsgKind::Scp) > 0);
         // Flight recorder: the observer traced the run's slots.
         let recorder = &sim.telemetry(sim.observer_id()).recorder;
         assert!(!recorder.is_empty(), "flight recorder must have events");
@@ -967,7 +962,6 @@ mod tests {
             timeline.contains("EXTERNALIZED"),
             "timeline must show the decision:\n{timeline}"
         );
-        assert!(!recorder.dump_jsonl().is_empty());
     }
 
     #[test]
@@ -1008,10 +1002,8 @@ mod tests {
         let nominated = r.nominated_ms.expect("nominated");
         let externalized = r.externalized_ms.expect("externalized");
         let applied = r.applied_ms.expect("applied");
-        let visible = r.visible_ms.expect("horizon-visible");
         assert!(r.submit_ms <= admit && admit <= nominated);
         assert!(nominated <= externalized && externalized <= applied);
-        assert!(applied <= visible);
         assert!(r.apply_slot.is_some());
         // The flood reached other nodes and was recorded per hop.
         assert!(r.flood_hops >= 1, "full mesh floods the payload");

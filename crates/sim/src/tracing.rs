@@ -8,7 +8,7 @@
 //! phase points then yield the submit→apply latency decomposition:
 //!
 //! ```text
-//! submit → queue admit → nominated → externalized → applied → visible
+//! submit → queue admit → nominated → externalized → applied
 //! ```
 //!
 //! All timestamps are simulated milliseconds, so the JSON these
@@ -38,8 +38,6 @@ pub struct TxTrace {
     pub externalized_ms: Option<u64>,
     /// First ledger apply.
     pub applied_ms: Option<u64>,
-    /// First horizon visibility.
-    pub visible_ms: Option<u64>,
     /// The ledger sequence it landed in, if applied.
     pub apply_slot: Option<u64>,
     /// Flood hops observed (full-payload arrivals network-wide).
@@ -66,7 +64,6 @@ pub fn build_tx_traces(spans: &[SpanEvent]) -> Vec<TxTrace> {
         nominated: Option<u64>,
         externalized: Option<u64>,
         applied: Option<u64>,
-        visible: Option<u64>,
         apply_slot: Option<u64>,
         flood_hops: u64,
         last_flood_ms: Option<u64>,
@@ -91,7 +88,6 @@ pub fn build_tx_traces(spans: &[SpanEvent]) -> Vec<TxTrace> {
                 }
                 first(&mut a.applied, s.t_ms);
             }
-            SpanPhase::HorizonVisible { .. } => first(&mut a.visible, s.t_ms),
             SpanPhase::FloodRecv { .. } => {
                 a.flood_hops += 1;
                 let last = a.last_flood_ms.map_or(s.t_ms, |cur| cur.max(s.t_ms));
@@ -112,7 +108,6 @@ pub fn build_tx_traces(spans: &[SpanEvent]) -> Vec<TxTrace> {
                 nominated_ms: a.nominated,
                 externalized_ms: a.externalized,
                 applied_ms: a.applied,
-                visible_ms: a.visible,
                 apply_slot: a.apply_slot,
                 flood_hops: a.flood_hops,
                 demand_timeouts: a.demand_timeouts,
@@ -162,7 +157,6 @@ const PHASES: &[PhaseEdge] = &[
         |r| r.externalized_ms,
         |r| r.applied_ms,
     ),
-    ("apply_to_visible", |r| r.applied_ms, |r| r.visible_ms),
     ("submit_to_apply", |r| Some(r.submit_ms), |r| r.applied_ms),
 ];
 
@@ -266,7 +260,6 @@ pub fn rows_to_json(rows: &[TxTrace]) -> Json {
                 o = opt(o, "nominated_ms", r.nominated_ms);
                 o = opt(o, "externalized_ms", r.externalized_ms);
                 o = opt(o, "applied_ms", r.applied_ms);
-                o = opt(o, "visible_ms", r.visible_ms);
                 o = opt(o, "apply_slot", r.apply_slot);
                 o = opt(o, "flood_lag_ms", r.flood_lag_ms);
                 o.set("flood_hops", r.flood_hops)
@@ -278,9 +271,9 @@ pub fn rows_to_json(rows: &[TxTrace]) -> Json {
 }
 
 /// Renders one transaction's complete cross-node causal trace, one line
-/// per span, ordered by `(t_ms, pipeline order, node)` — several close
-/// milestones share a simulated millisecond, so causal order within it
-/// is the pipeline order. This is the artifact a chaos violation
+/// per span, ordered by `(t_ms, pipeline order, node)` — a close stamps
+/// externalize and apply in one simulated millisecond, so causal order
+/// within it is the pipeline order. This is the artifact a chaos violation
 /// attaches for every transaction in an affected slot.
 pub fn render_causal_trace(spans: &[SpanEvent], trace: TraceId) -> String {
     let mut picked: Vec<&SpanEvent> = spans.iter().filter(|s| s.trace == trace).collect();
@@ -405,7 +398,6 @@ mod tests {
             ev(trace, 0, 1000, SpanPhase::Nominated { slot: 2 }),
             ev(trace, 1, 1400, SpanPhase::Externalized { slot: 2 }),
             ev(trace, 1, 1400, SpanPhase::Applied { slot: 2 }),
-            ev(trace, 1, 1400, SpanPhase::HorizonVisible { slot: 2 }),
             ev(trace, 0, 1450, SpanPhase::Externalized { slot: 2 }),
             ev(trace, 0, 1450, SpanPhase::Applied { slot: 2 }),
         ]
@@ -505,15 +497,17 @@ mod tests {
     #[test]
     fn causal_render_orders_simultaneous_spans_by_pipeline() {
         let trace = 7;
-        let render = render_causal_trace(&lifecycle(trace), trace);
+        // Recorded out of order: the render must restore it.
+        let mut spans = lifecycle(trace);
+        spans.reverse();
+        let render = render_causal_trace(&spans, trace);
         let lines: Vec<&str> = render.lines().collect();
         assert!(lines[0].starts_with("trace"));
-        // The externalize/apply/visible triple at t=1400 keeps pipeline
-        // order despite the shared timestamp.
+        // The externalize/apply pair at t=1400 keeps pipeline order
+        // despite the shared timestamp.
         let ext = lines.iter().position(|l| l.contains("externalized"));
         let app = lines.iter().position(|l| l.contains(" applied"));
-        let vis = lines.iter().position(|l| l.contains("horizon_visible"));
-        assert!(ext < app && app < vis, "{render}");
+        assert!(ext.is_some() && ext < app, "{render}");
         assert!(render.contains("from=n0"));
         // A trace nobody recorded renders just its header.
         let empty = render_causal_trace(&lifecycle(trace), 999);

@@ -10,13 +10,12 @@
 //!   on the hot path by scp/herder/overlay/ledger instrumentation;
 //! * [`recorder`] — the slot-scoped **flight recorder**: a bounded ring
 //!   of structured [`TraceEvent`]s capturing the full consensus timeline
-//!   of the last N slots, with a human-readable per-slot renderer and a
-//!   JSONL dump (what chaos runs attach to invariant violations);
+//!   of the last N slots, rendered per slot by [`FlightRecorder::timeline`]
+//!   (what chaos runs attach to invariant violations);
 //! * [`trace`] — distributed **transaction tracing**: content-derived
 //!   trace ids, causally-ordered lifecycle spans (submit → queue →
-//!   flood hops → nominate → externalize → apply → flush → archive →
-//!   horizon-visible), bounded per-node span buffers with a
-//!   deterministic sampling knob;
+//!   flood hops → nominate → externalize → apply), bounded per-node span
+//!   buffers with a deterministic sampling knob;
 //! * [`json`] — a hand-rolled JSON value (render + parse) backing
 //!   [`Registry::snapshot`] and the committed `PAPER_REPRO.json` (the
 //!   workspace has no registry access, so no serde).
@@ -43,7 +42,7 @@ use std::collections::BTreeMap;
 /// The observability bundle one node owns: its metrics registry plus its
 /// flight recorder, with the little bit of cross-event bookkeeping
 /// (nomination round durations) that needs state between hook calls.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct NodeTelemetry {
     /// This node's id (tags flight-recorder events).
     pub node: u32,
@@ -60,12 +59,13 @@ pub struct NodeTelemetry {
 impl NodeTelemetry {
     /// Telemetry for node `node`.
     pub fn new(node: u32) -> NodeTelemetry {
-        let mut t = NodeTelemetry {
+        NodeTelemetry {
             node,
-            ..NodeTelemetry::default()
-        };
-        t.spans.set_node(node);
-        t
+            registry: Registry::new(),
+            recorder: FlightRecorder::default(),
+            spans: TraceStore::new(node),
+            round_started_ms: BTreeMap::new(),
+        }
     }
 
     /// Records a flight-recorder event stamped with this node's id.

@@ -5,11 +5,10 @@
 //! retains the full consensus timeline — phase transitions, quorum
 //! threshold crossings, timer arms/fires, envelope send/receive with
 //! causal slot+node tags — for the most recent slots only, so a week-long
-//! run costs the same memory as a short one. Chaos runs dump it when an
-//! invariant breaks; the timeline renderer turns a stalled slot into a
-//! story a human can read top to bottom.
+//! run costs the same memory as a short one. Chaos runs attach its
+//! [`FlightRecorder::timeline`] when an invariant breaks: a stalled slot
+//! rendered as a story a human can read top to bottom.
 
-use crate::json::Json;
 use std::collections::VecDeque;
 
 /// What happened (the structured payload of a [`TraceEvent`]).
@@ -76,29 +75,10 @@ pub enum TraceKind {
     LedgerClosed {
         /// Transactions in the applied set.
         tx_count: u32,
-        /// Wall-clock apply time (µs).
-        apply_us: u64,
     },
 }
 
 impl TraceKind {
-    /// Short machine tag for the JSONL `event` field.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceKind::Phase { .. } => "phase",
-            TraceKind::QuorumThreshold { .. } => "quorum_threshold",
-            TraceKind::BallotBump { .. } => "ballot_bump",
-            TraceKind::NominationRound { .. } => "nomination_round",
-            TraceKind::TimerArmed { .. } => "timer_armed",
-            TraceKind::TimerCanceled { .. } => "timer_canceled",
-            TraceKind::TimerFired { .. } => "timer_fired",
-            TraceKind::EnvelopeSent { .. } => "envelope_sent",
-            TraceKind::EnvelopeReceived { .. } => "envelope_received",
-            TraceKind::Externalized => "externalized",
-            TraceKind::LedgerClosed { .. } => "ledger_closed",
-        }
-    }
-
     fn describe(&self) -> String {
         match self {
             TraceKind::Phase { phase } => format!("phase → {phase}"),
@@ -117,36 +97,9 @@ impl TraceKind {
                 format!("recv {statement} from node {from}")
             }
             TraceKind::Externalized => "EXTERNALIZED".to_string(),
-            // apply_us is wall clock and varies run to run; timelines must
-            // stay byte-identical for a fixed seed, so it only appears in
-            // the structured JSONL dump.
-            TraceKind::LedgerClosed { tx_count, .. } => {
+            TraceKind::LedgerClosed { tx_count } => {
                 format!("ledger closed: {tx_count} txs applied")
             }
-        }
-    }
-
-    fn detail_json(&self, obj: Json) -> Json {
-        match self {
-            TraceKind::Phase { phase } => obj.set("phase", *phase),
-            TraceKind::QuorumThreshold { milestone, counter } => obj
-                .set("milestone", *milestone)
-                .set("counter", u64::from(*counter)),
-            TraceKind::BallotBump { counter } => obj.set("counter", u64::from(*counter)),
-            TraceKind::NominationRound { round } => obj.set("round", u64::from(*round)),
-            TraceKind::TimerArmed { timer, delay_ms } => {
-                obj.set("timer", *timer).set("delay_ms", *delay_ms)
-            }
-            TraceKind::TimerCanceled { timer } => obj.set("timer", *timer),
-            TraceKind::TimerFired { timer } => obj.set("timer", *timer),
-            TraceKind::EnvelopeSent { statement } => obj.set("statement", *statement),
-            TraceKind::EnvelopeReceived { statement, from } => obj
-                .set("statement", *statement)
-                .set("from", u64::from(*from)),
-            TraceKind::Externalized => obj,
-            TraceKind::LedgerClosed { tx_count, apply_us } => obj
-                .set("tx_count", u64::from(*tx_count))
-                .set("apply_us", *apply_us),
         }
     }
 }
@@ -162,18 +115,6 @@ pub struct TraceEvent {
     pub slot: u64,
     /// The structured payload.
     pub kind: TraceKind,
-}
-
-impl TraceEvent {
-    /// One JSONL line: `{"t_ms":..,"node":..,"slot":..,"event":..,...}`.
-    pub fn to_json(&self) -> Json {
-        let obj = Json::obj()
-            .set("t_ms", self.t_ms)
-            .set("node", u64::from(self.node))
-            .set("slot", self.slot)
-            .set("event", self.kind.tag());
-        self.kind.detail_json(obj)
-    }
 }
 
 /// Bounded, slot-scoped event ring.
@@ -284,32 +225,11 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Every retained event as JSON Lines (one object per line).
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json().render());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// One slot's events as JSON Lines.
-    pub fn dump_jsonl_slot(&self, slot: u64) -> String {
-        let mut out = String::new();
-        for e in self.slot_events(slot) {
-            out.push_str(&e.to_json().render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     fn rec(fr: &mut FlightRecorder, t: u64, slot: u64, kind: TraceKind) {
         fr.record(t, 0, slot, kind);
@@ -388,35 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_dump_after_wrap_matches_retained_events() {
-        let mut fr = FlightRecorder::new(10, 3);
-        for t in 0..6u64 {
-            rec(&mut fr, t, 1, TraceKind::BallotBump { counter: t as u32 });
-        }
-        let dump = fr.dump_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), fr.len());
-        // Every line parses, and the first line is the oldest survivor.
-        for line in &lines {
-            Json::parse(line).expect("wrapped dump line parses");
-        }
-        assert_eq!(
-            Json::parse(lines[0])
-                .unwrap()
-                .get("t_ms")
-                .and_then(Json::as_f64),
-            Some(3.0)
-        );
-        assert_eq!(
-            Json::parse(lines[2])
-                .unwrap()
-                .get("counter")
-                .and_then(Json::as_f64),
-            Some(5.0)
-        );
-    }
-
-    #[test]
     fn render_is_stable_under_slot_reuse() {
         // A slot number that ages out and "returns" (late arrival or a
         // wrapped counter) must neither resurrect old events nor change
@@ -436,45 +327,8 @@ mod tests {
         // reflects only what the ring actually retains.
         rec(&mut fr, 50, 5, TraceKind::BallotBump { counter: 9 });
         assert!(fr.timeline(5).contains("no recorded events"));
-        assert_eq!(fr.dump_jsonl_slot(5), "");
         // The live slots are unaffected by the reuse attempt.
         assert_eq!(fr.slot_events(6).len(), 1);
         assert_eq!(fr.slot_events(7).len(), 1);
-    }
-
-    #[test]
-    fn jsonl_lines_parse_and_carry_tags() {
-        let mut fr = FlightRecorder::default();
-        rec(
-            &mut fr,
-            5,
-            3,
-            TraceKind::TimerArmed {
-                timer: "ballot",
-                delay_ms: 2000,
-            },
-        );
-        rec(
-            &mut fr,
-            6,
-            3,
-            TraceKind::LedgerClosed {
-                tx_count: 12,
-                apply_us: 480,
-            },
-        );
-        let dump = fr.dump_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first = Json::parse(lines[0]).expect("valid JSON line");
-        assert_eq!(
-            first.get("event").and_then(Json::as_str),
-            Some("timer_armed")
-        );
-        assert_eq!(first.get("delay_ms").and_then(Json::as_f64), Some(2000.0));
-        let second = Json::parse(lines[1]).expect("valid JSON line");
-        assert_eq!(second.get("tx_count").and_then(Json::as_f64), Some(12.0));
-        assert_eq!(fr.dump_jsonl_slot(3).lines().count(), 2);
-        assert_eq!(fr.dump_jsonl_slot(4).lines().count(), 0);
     }
 }

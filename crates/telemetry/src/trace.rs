@@ -17,12 +17,11 @@
 //!
 //! Determinism rules match the rest of the crate: timestamps are the
 //! embedder's (simulated) clock, never a wall clock, so two same-seed
-//! runs dump byte-identical span streams. The [`TraceStore`] is bounded
+//! runs record identical span streams. The [`TraceStore`] is bounded
 //! (oldest spans evicted, eviction counted) and has a deterministic
 //! sampling knob: `trace % sample_every == 0` keeps a trace on *every*
 //! node or none, so sampled traces are still causally complete.
 
-use crate::json::Json;
 use std::collections::VecDeque;
 
 /// A transaction's trace identity: the big-endian u64 prefix of its
@@ -39,7 +38,7 @@ pub enum SpanPhase {
     QueueAdmit,
     /// The pending queue rejected it.
     QueueReject {
-        /// Stringified [`QueueError`](`std::fmt::Debug`) class.
+        /// The queue's reject label (`fee_too_low`, `duplicate`, ...).
         reason: &'static str,
     },
     /// The full payload arrived by flood (one hop of propagation).
@@ -79,25 +78,10 @@ pub enum SpanPhase {
         /// The ledger sequence it landed in.
         slot: u64,
     },
-    /// The closed ledger was published to the history archive.
-    Archived {
-        /// The archived ledger sequence.
-        slot: u64,
-    },
-    /// The close was made durable (store flush + fsync attempt).
-    Flushed {
-        /// The flushed ledger sequence.
-        slot: u64,
-    },
-    /// The transaction became queryable through horizon on this node.
-    HorizonVisible {
-        /// The ledger sequence a query will find it in.
-        slot: u64,
-    },
 }
 
 impl SpanPhase {
-    /// Short machine tag for the JSONL `phase` field.
+    /// Short label the causal-trace renderer prints.
     pub fn tag(&self) -> &'static str {
         match self {
             SpanPhase::Submit => "submit",
@@ -110,16 +94,12 @@ impl SpanPhase {
             SpanPhase::Nominated { .. } => "nominated",
             SpanPhase::Externalized { .. } => "externalized",
             SpanPhase::Applied { .. } => "applied",
-            SpanPhase::Archived { .. } => "archived",
-            SpanPhase::Flushed { .. } => "flushed",
-            SpanPhase::HorizonVisible { .. } => "horizon_visible",
         }
     }
 
-    /// Pipeline position, for ordering simultaneous spans (several close
-    /// milestones share one simulated-ms timestamp; causal order within
-    /// that millisecond is the pipeline order, matching the actual code
-    /// path apply → archive publish → store flush → horizon-visible).
+    /// Pipeline position, for ordering simultaneous spans (a close stamps
+    /// externalize and apply at one simulated-ms timestamp; causal order
+    /// within that millisecond is the pipeline order).
     pub fn order(&self) -> u32 {
         match self {
             SpanPhase::Submit => 0,
@@ -131,9 +111,6 @@ impl SpanPhase {
             SpanPhase::Nominated { .. } => 6,
             SpanPhase::Externalized { .. } => 7,
             SpanPhase::Applied { .. } => 8,
-            SpanPhase::Archived { .. } => 9,
-            SpanPhase::Flushed { .. } => 10,
-            SpanPhase::HorizonVisible { .. } => 11,
         }
     }
 
@@ -142,28 +119,8 @@ impl SpanPhase {
         match self {
             SpanPhase::Nominated { slot }
             | SpanPhase::Externalized { slot }
-            | SpanPhase::Applied { slot }
-            | SpanPhase::Archived { slot }
-            | SpanPhase::Flushed { slot }
-            | SpanPhase::HorizonVisible { slot } => Some(*slot),
+            | SpanPhase::Applied { slot } => Some(*slot),
             _ => None,
-        }
-    }
-
-    fn detail_json(&self, obj: Json) -> Json {
-        match self {
-            SpanPhase::QueueReject { reason } => obj.set("reason", *reason),
-            SpanPhase::FloodRecv { from } | SpanPhase::AdvertSeen { from } => {
-                obj.set("from", u64::from(*from))
-            }
-            SpanPhase::DemandSent { to, attempt } => obj
-                .set("to", u64::from(*to))
-                .set("attempt", u64::from(*attempt)),
-            SpanPhase::DemandTimeout { attempt } => obj.set("attempt", u64::from(*attempt)),
-            _ => match self.slot() {
-                Some(slot) => obj.set("slot", slot),
-                None => obj,
-            },
         }
     }
 }
@@ -181,19 +138,6 @@ pub struct SpanEvent {
     pub phase: SpanPhase,
 }
 
-impl SpanEvent {
-    /// One JSONL line:
-    /// `{"trace":..,"node":..,"t_ms":..,"phase":..,...}`.
-    pub fn to_json(&self) -> Json {
-        let obj = Json::obj()
-            .set("trace", self.trace)
-            .set("node", u64::from(self.node))
-            .set("t_ms", self.t_ms)
-            .set("phase", self.phase.tag());
-        self.phase.detail_json(obj)
-    }
-}
-
 /// A node's bounded span buffer with deterministic sampling.
 ///
 /// `sample_every == 0` disables tracing entirely; `1` traces every
@@ -209,12 +153,6 @@ pub struct TraceStore {
     dropped: u64,
 }
 
-impl Default for TraceStore {
-    fn default() -> Self {
-        TraceStore::new(0)
-    }
-}
-
 impl TraceStore {
     /// Default span-buffer capacity per node.
     pub const DEFAULT_CAP: usize = 1 << 16;
@@ -228,11 +166,6 @@ impl TraceStore {
             spans: VecDeque::new(),
             dropped: 0,
         }
-    }
-
-    /// Re-tags the owning node (recovery rebuilds telemetry wholesale).
-    pub fn set_node(&mut self, node: u32) {
-        self.node = node;
     }
 
     /// Sets the sampling knob and buffer capacity.
@@ -293,16 +226,6 @@ impl TraceStore {
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
-
-    /// Every retained span as JSON Lines (one object per line).
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            out.push_str(&s.to_json().render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -347,25 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_parse_and_carry_phase_details() {
-        let mut s = TraceStore::new(3);
-        s.record(0xAB, 5, SpanPhase::FloodRecv { from: 9 });
-        s.record(0xAB, 6, SpanPhase::Applied { slot: 4 });
-        let dump = s.dump_jsonl();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first = Json::parse(lines[0]).expect("valid JSON line");
-        assert_eq!(
-            first.get("phase").and_then(Json::as_str),
-            Some("flood_recv")
-        );
-        assert_eq!(first.get("from").and_then(Json::as_f64), Some(9.0));
-        let second = Json::parse(lines[1]).expect("valid JSON line");
-        assert_eq!(second.get("slot").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(second.get("node").and_then(Json::as_f64), Some(3.0));
-    }
-
-    #[test]
     fn phase_order_follows_the_pipeline() {
         let seq = [
             SpanPhase::Submit,
@@ -377,9 +281,6 @@ mod tests {
             SpanPhase::Nominated { slot: 2 },
             SpanPhase::Externalized { slot: 2 },
             SpanPhase::Applied { slot: 2 },
-            SpanPhase::Archived { slot: 2 },
-            SpanPhase::Flushed { slot: 2 },
-            SpanPhase::HorizonVisible { slot: 2 },
         ];
         for w in seq.windows(2) {
             assert!(w[0].order() < w[1].order(), "{:?} < {:?}", w[0], w[1]);

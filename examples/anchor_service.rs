@@ -20,7 +20,7 @@
 use stellar::crypto::sign::KeyPair;
 use stellar::horizon::compliance::PartyInfo;
 use stellar::horizon::{
-    BridgeServer, ComplianceDecision, ComplianceServer, FederationServer, Horizon,
+    AdmissionConfig, BridgeServer, ComplianceDecision, ComplianceServer, FederationServer, Horizon,
 };
 use stellar::ledger::amount::{xlm, BASE_FEE};
 use stellar::ledger::entry::{AccountEntry, AccountId};
@@ -182,6 +182,7 @@ fn main() {
             tx_rate: 0.0,
             target_ledgers: 2,
             seed: 21,
+            horizon: Some(AdmissionConfig::default()),
             ..SimConfig::default()
         },
         SimSetup {
@@ -194,7 +195,8 @@ fn main() {
     // 5. The bridge notices the deposit on the anchor's own validator.
     let observer = sim.observer_id();
     let herder = &sim.validator(observer).herder;
-    let notes = bridge.poll(herder);
+    let indexer = &sim.horizon().expect("the observer hosts Horizon").indexer;
+    let notes = bridge.poll(herder, indexer);
     assert_eq!(notes.len(), 1);
     let n = &notes[0];
     println!(

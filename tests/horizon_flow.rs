@@ -4,7 +4,7 @@
 use stellar::crypto::sign::KeyPair;
 use stellar::horizon::compliance::PartyInfo;
 use stellar::horizon::{
-    BridgeServer, ComplianceDecision, ComplianceServer, FederationServer, Horizon,
+    AdmissionConfig, BridgeServer, ComplianceDecision, ComplianceServer, FederationServer, Horizon,
 };
 use stellar::ledger::amount::{xlm, BASE_FEE};
 use stellar::ledger::entry::{AccountEntry, AccountId};
@@ -113,6 +113,7 @@ fn federation_compliance_submission_bridge_roundtrip() {
             tx_rate: 0.0,
             target_ledgers: 2,
             seed: 404,
+            horizon: Some(AdmissionConfig::default()),
             ..SimConfig::default()
         },
         SimSetup {
@@ -124,7 +125,8 @@ fn federation_compliance_submission_bridge_roundtrip() {
 
     let herder = &sim.validator(sim.observer_id()).herder;
     // Bridge notification fires once with the routing memo.
-    let notes = bridge.poll(herder);
+    let indexer = &sim.horizon().expect("the observer hosts Horizon").indexer;
+    let notes = bridge.poll(herder, indexer);
     assert_eq!(notes.len(), 1);
     assert_eq!(notes[0].amount, 777);
     assert_eq!(notes[0].memo, Memo::Id(42));
@@ -133,9 +135,9 @@ fn federation_compliance_submission_bridge_roundtrip() {
     assert_eq!(rec.envelope.hash(), tx_hash);
     assert_eq!(notes[0].ledger_seq, rec.ledger_seq);
     // The archive hit carries the lifecycle timeline the tracing layer
-    // recorded on this node, ending at horizon visibility.
+    // recorded on this node, ending at apply.
     let timeline = rec.timeline.expect("traced run attaches a timeline");
-    assert_eq!(timeline.last().unwrap().phase.tag(), "horizon_visible");
+    assert_eq!(timeline.last().unwrap().phase.tag(), "applied");
     let info = Horizon::account(herder, benito).unwrap();
     assert_eq!(info.trustlines[0].1, 777);
 }
