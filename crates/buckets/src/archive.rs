@@ -12,6 +12,7 @@
 
 use crate::bucket_list::BucketList;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use stellar_crypto::Hash256;
 use stellar_ledger::header::LedgerHeader;
 use stellar_ledger::txset::TransactionSet;
@@ -31,8 +32,9 @@ pub struct Checkpoint {
 /// An append-only, content-addressed history archive.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryArchive {
-    /// Content-addressed blobs (serialized buckets).
-    blobs: BTreeMap<Hash256, Vec<u8>>,
+    /// Content-addressed blobs (serialized buckets), shared with the
+    /// bucket list's levels while those stay resident.
+    blobs: BTreeMap<Hash256, Rc<Vec<u8>>>,
     /// Confirmed transaction sets by ledger sequence.
     tx_sets: BTreeMap<u64, TransactionSet>,
     /// Headers by ledger sequence.
@@ -68,8 +70,8 @@ impl HistoryArchive {
             for (i, h) in hashes.iter().enumerate() {
                 if !self.blobs.contains_key(h) {
                     // The blob format is the bucket's canonical encoding
-                    // (whose SHA-256 is the level hash), so disk-spilled
-                    // levels stream straight through without re-encoding.
+                    // (whose SHA-256 is the level hash): a resident level
+                    // shares its bytes, a spilled one is read off disk.
                     let buf = buckets.level_bytes(i);
                     self.bytes_written += buf.len() as u64;
                     self.blobs.insert(*h, buf);
@@ -107,7 +109,7 @@ impl HistoryArchive {
 
     /// Fetches a bucket blob by hash.
     pub fn bucket_blob(&self, hash: &Hash256) -> Option<&[u8]> {
-        self.blobs.get(hash).map(Vec::as_slice)
+        self.blobs.get(hash).map(|b| b.as_slice())
     }
 
     /// The transaction sets needed to replay from a checkpoint to `target`.

@@ -1,17 +1,20 @@
 //! A single bucket: a sorted set of entry versions and tombstones.
 //!
-//! Internally a bucket is a key-sorted vector of reference-counted
-//! *slots*, each carrying its serialized form. Sorting makes
-//! [`Bucket::merge`] a linear merge-join (the dominant cost of deep
-//! spills), ref-counting lets unchanged slots flow from input to output
-//! buckets without copying the entry, and the cached bytes make
-//! [`Bucket::hash`] a pure streaming pass — each entry is serialized once
-//! in its lifetime, no matter how many merges and hashes it survives.
-//! The hash value is byte-identical to serializing on the fly.
+//! A bucket is its canonical encoding: one byte buffer holding every
+//! slot's `key ‖ entry` encoding in key order, plus the offset where each
+//! slot starts. That buffer is at once the hash input, the data-disk blob
+//! and the history archive's checkpoint blob, so [`Bucket::hash`] is one
+//! SHA-256 pass and persisting or publishing a level writes it as it is.
+//! [`Bucket::merge`] is a linear merge-join that decodes only the key
+//! under each cursor and copies the winning slot's bytes; entries are
+//! decoded only when something reads them ([`Bucket::iter`],
+//! [`Bucket::live_entries`]: state reconstruction, catch-up, tests).
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::rc::Rc;
 use stellar_crypto::codec::{Decode, DecodeError, Encode};
-use stellar_crypto::{sha256::Sha256, Hash256};
+use stellar_crypto::{sha256::sha256, Hash256};
 use stellar_ledger::entry::{LedgerEntry, LedgerKey};
 
 /// One slot in a bucket: the latest version of an entry, or a tombstone
@@ -30,48 +33,30 @@ stellar_crypto::impl_codec_enum!(BucketEntry: u8 {
     1 => Dead,
 });
 
-/// A key, its entry version, and their serialization — computed once when
-/// the slot is created and reused by every later hash.
-#[derive(Debug)]
-struct Slot {
-    key: LedgerKey,
-    entry: BucketEntry,
-    enc: Vec<u8>,
+/// `BucketEntry::Live`'s tag, so a borrowed entry encodes as a live slot
+/// without being cloned into a `BucketEntry`.
+const LIVE_TAG: u8 = 0;
+
+/// A slot start as a `u32` offset: a bucket's bytes stay under 4 GiB.
+fn offset(pos: usize) -> Result<u32, DecodeError> {
+    u32::try_from(pos).map_err(|_| DecodeError::BadLength(pos as u64))
 }
 
-impl Slot {
-    fn new(key: LedgerKey, entry: BucketEntry) -> Slot {
-        let mut enc = Vec::new();
-        key.encode(&mut enc);
-        entry.encode(&mut enc);
-        Slot { key, entry, enc }
-    }
+/// The start of a slot about to be appended to `bytes`.
+fn next_start(bytes: &[u8]) -> u32 {
+    offset(bytes.len()).expect("bucket under 4 GiB")
 }
 
 /// A sorted, content-hashed bucket.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bucket {
-    /// Slots sorted by key, keys unique. `Rc` so merges share unchanged
-    /// slots with their inputs instead of re-allocating them.
-    slots: Vec<Rc<Slot>>,
-    /// Total cached-encoding bytes across slots — the exact size of
-    /// [`Bucket::encoded_bytes`], tracked at construction so resident-set
-    /// gauges never have to walk the slots.
-    bytes: u64,
+    /// Every slot's `key ‖ entry` encoding, concatenated in key order;
+    /// keys are unique. Shared, never copied, with the history archive
+    /// while this bucket is a resident level.
+    bytes: Rc<Vec<u8>>,
+    /// Where each slot begins in `bytes`.
+    starts: Vec<u32>,
 }
-
-impl PartialEq for Bucket {
-    fn eq(&self, other: &Bucket) -> bool {
-        self.slots.len() == other.slots.len()
-            && self
-                .slots
-                .iter()
-                .zip(&other.slots)
-                .all(|(a, b)| a.key == b.key && a.entry == b.entry)
-    }
-}
-
-impl Eq for Bucket {}
 
 impl Bucket {
     /// The empty bucket.
@@ -82,102 +67,120 @@ impl Bucket {
     /// Builds a bucket from a ledger-close change feed (later changes to
     /// the same key shadow earlier ones).
     pub fn from_changes(changes: &[(LedgerKey, Option<LedgerEntry>)]) -> Bucket {
-        let mut slots: Vec<Rc<Slot>> = changes
-            .iter()
-            .map(|(key, change)| {
-                let be = match change {
-                    Some(e) => BucketEntry::Live(e.clone()),
-                    None => BucketEntry::Dead,
-                };
-                Rc::new(Slot::new(key.clone(), be))
-            })
-            .collect();
-        // Stable sort + keep-last dedup: the last change for a key wins,
-        // matching map-insert semantics.
-        slots.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut deduped: Vec<Rc<Slot>> = Vec::with_capacity(slots.len());
-        for s in slots {
-            if deduped.last().is_some_and(|p| p.key == s.key) {
-                *deduped.last_mut().expect("nonempty") = s;
-            } else {
-                deduped.push(s);
-            }
-        }
-        let bytes = deduped.iter().map(|s| s.enc.len() as u64).sum();
-        Bucket {
-            slots: deduped,
-            bytes,
-        }
+        let mut sorted: Vec<&(LedgerKey, Option<LedgerEntry>)> = changes.iter().collect();
+        // Stable: a key's changes stay in feed order, so the last one wins.
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        Bucket::from_sorted(sorted.into_iter().map(|(key, e)| (key, e.as_ref())))
     }
 
-    /// Rebuilds a bucket from its serialized form (a concatenation of
-    /// slot encodings, as produced by [`Bucket::encoded_bytes`] — also
-    /// the archive's checkpoint blob format). Slots must appear in key
-    /// order with unique keys; anything else is a corrupt blob.
+    /// Builds a bucket of live entries from a full state snapshot.
+    pub(crate) fn from_entries(entries: impl IntoIterator<Item = LedgerEntry>) -> Bucket {
+        let mut entries: Vec<LedgerEntry> = entries.into_iter().collect();
+        entries.sort_by_key(LedgerEntry::key);
+        Bucket::from_sorted(entries.iter().map(|e| (e.key(), Some(e))))
+    }
+
+    /// Encodes key-sorted slots in which a key's versions are adjacent,
+    /// oldest first: only the last of each run is kept.
+    fn from_sorted<'a, K: Borrow<LedgerKey>>(
+        slots: impl Iterator<Item = (K, Option<&'a LedgerEntry>)>,
+    ) -> Bucket {
+        let (mut bytes, mut starts) = (Vec::new(), Vec::new());
+        let mut slots = slots.peekable();
+        while let Some((key, entry)) = slots.next() {
+            if slots
+                .peek()
+                .is_some_and(|(next, _)| next.borrow() == key.borrow())
+            {
+                continue;
+            }
+            starts.push(next_start(&bytes));
+            key.borrow().encode(&mut bytes);
+            match entry {
+                Some(e) => (LIVE_TAG, e).encode(&mut bytes),
+                None => BucketEntry::Dead.encode(&mut bytes),
+            }
+        }
+        Bucket::new(bytes, starts)
+    }
+
+    /// Rebuilds a bucket from its serialized form ([`Bucket::encoded_bytes`],
+    /// also the archive's checkpoint blob and the data disk's level blob).
+    /// Every slot is decoded once to validate it; slots must appear in key
+    /// order with unique keys, and anything else is a corrupt blob.
     pub fn decode(blob: &[u8]) -> Result<Bucket, DecodeError> {
+        offset(blob.len())?;
         let mut input = blob;
-        let mut slots: Vec<Rc<Slot>> = Vec::new();
+        let mut starts = Vec::new();
+        let mut prev: Option<LedgerKey> = None;
         while !input.is_empty() {
-            let start = input;
+            starts.push(offset(blob.len() - input.len())?);
             let key = LedgerKey::decode(&mut input)?;
-            let entry = BucketEntry::decode(&mut input)?;
-            if slots.last().is_some_and(|p| p.key >= key) {
+            BucketEntry::decode(&mut input)?;
+            if prev.as_ref().is_some_and(|p| *p >= key) {
                 return Err(DecodeError::Invalid("bucket slots out of order"));
             }
-            let enc = start[..start.len() - input.len()].to_vec();
-            slots.push(Rc::new(Slot { key, entry, enc }));
+            prev = Some(key);
         }
-        let bytes = blob.len() as u64;
-        Ok(Bucket { slots, bytes })
+        Ok(Bucket::new(blob.to_vec(), starts))
     }
 
-    /// The serialized bucket: every slot's cached encoding, concatenated
-    /// in key order. `sha256(encoded_bytes()) == hash()` by construction.
-    pub fn encoded_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.bytes as usize);
-        for s in &self.slots {
-            out.extend_from_slice(&s.enc);
-        }
-        out
+    /// The serialized bucket: every slot's encoding, concatenated in key
+    /// order. `sha256(encoded_bytes()) == hash()` by construction.
+    pub fn encoded_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Size of [`Bucket::encoded_bytes`] without materializing it.
+    /// [`Bucket::encoded_bytes`] as a shared handle.
+    pub(crate) fn shared_bytes(&self) -> Rc<Vec<u8>> {
+        Rc::clone(&self.bytes)
+    }
+
+    /// Size of [`Bucket::encoded_bytes`].
     pub fn encoded_len(&self) -> u64 {
-        self.bytes
+        self.bytes.len() as u64
+    }
+
+    /// Heap bytes the bucket holds: its encoding plus one `u32` offset
+    /// per slot.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.encoded_len() + (4 * self.starts.len()) as u64
     }
 
     /// Number of slots (live + tombstones).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.starts.len()
     }
 
     /// True when the bucket holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.starts.is_empty()
     }
 
-    /// Looks up an entry version by key (binary search).
-    pub fn get(&self, key: &LedgerKey) -> Option<&BucketEntry> {
-        let i = self.slots.binary_search_by(|s| s.key.cmp(key)).ok()?;
-        Some(&self.slots[i].entry)
+    /// Each slot in key order as its decoded key, its whole encoding and
+    /// its entry's encoding (which begins with the entry's tag).
+    fn raw_slots(&self) -> impl Iterator<Item = (LedgerKey, &[u8], &[u8])> {
+        let ends = self.starts.iter().skip(1).map(|&s| s as usize);
+        let ends = ends.chain([self.bytes.len()]);
+        self.starts.iter().zip(ends).map(|(&start, end)| {
+            let slot = &self.bytes[start as usize..end];
+            let mut entry = slot;
+            let key = LedgerKey::decode(&mut entry).expect("validated slot");
+            (key, slot, entry)
+        })
     }
 
-    /// Sequential iteration in key order (the access pattern merges need).
-    pub fn iter(&self) -> impl Iterator<Item = (&LedgerKey, &BucketEntry)> {
-        self.slots.iter().map(|s| (&s.key, &s.entry))
+    /// Sequential iteration in key order, decoding each entry.
+    pub fn iter(&self) -> impl Iterator<Item = (LedgerKey, BucketEntry)> + '_ {
+        self.raw_slots().map(|(key, _, entry)| {
+            let entry = BucketEntry::from_bytes(entry).expect("validated slot");
+            (key, entry)
+        })
     }
 
-    /// Content hash: SHA-256 over the sorted serialized slots.
-    ///
-    /// Streams each slot's cached bytes — no per-hash serialization. The
-    /// resulting value is identical to encoding every `(key, entry)` pair
-    /// in key order, so cached and from-scratch hashes always agree.
+    /// Content hash: SHA-256 over the bucket's bytes.
     pub fn hash(&self) -> Hash256 {
-        let mut h = Sha256::new();
-        for s in &self.slots {
-            h.update(&s.enc);
-        }
-        h.finish()
+        sha256(&self.bytes)
     }
 
     /// Merges `newer` over `self`, producing the combined bucket.
@@ -185,44 +188,56 @@ impl Bucket {
     /// Newer versions shadow older ones. Tombstones are kept unless
     /// `bottom_level` is set, in which case they annihilate (nothing below
     /// could still hold a shadowed version). Linear merge-join over the
-    /// two sorted slot vectors; surviving slots are shared, not copied.
+    /// two sorted buckets: each winning slot's bytes are copied as they
+    /// are, and only keys (and a tombstone's tag) are read.
     pub fn merge(&self, newer: &Bucket, bottom_level: bool) -> Bucket {
-        let mut out: Vec<Rc<Slot>> = Vec::with_capacity(self.slots.len() + newer.slots.len());
-        let mut older = self.slots.iter().peekable();
-        let mut fresh = newer.slots.iter().peekable();
+        let mut bytes = Vec::with_capacity(self.bytes.len() + newer.bytes.len());
+        let mut starts = Vec::with_capacity(self.len() + newer.len());
+        let mut older = self.raw_slots().peekable();
+        let mut fresh = newer.raw_slots().peekable();
         loop {
             let take_fresh = match (older.peek(), fresh.peek()) {
                 (None, None) => break,
                 (Some(_), None) => false,
                 (None, Some(_)) => true,
-                (Some(o), Some(f)) => {
-                    if o.key < f.key {
-                        false
-                    } else {
-                        if o.key == f.key {
-                            older.next(); // shadowed by the newer version
-                        }
+                (Some(o), Some(f)) => match o.0.cmp(&f.0) {
+                    Ordering::Less => false,
+                    Ordering::Equal => {
+                        older.next(); // shadowed by the newer version
                         true
                     }
-                }
+                    Ordering::Greater => true,
+                },
             };
-            let slot = if take_fresh {
-                fresh.next().expect("peeked")
+            let next = if take_fresh {
+                fresh.next()
             } else {
-                older.next().expect("peeked")
+                older.next()
             };
-            if bottom_level && matches!(slot.entry, BucketEntry::Dead) {
+            let (_, slot, entry) = next.expect("peeked");
+            if bottom_level && entry[0] == BucketEntry::Dead.tag() {
                 continue;
             }
-            out.push(Rc::clone(slot));
+            starts.push(next_start(&bytes));
+            bytes.extend_from_slice(slot);
         }
-        let bytes = out.iter().map(|s| s.enc.len() as u64).sum();
-        Bucket { slots: out, bytes }
+        Bucket::new(bytes, starts)
+    }
+
+    /// Wraps a finished encoding without spare capacity, so
+    /// [`Bucket::resident_bytes`] is what the bucket holds.
+    fn new(mut bytes: Vec<u8>, mut starts: Vec<u32>) -> Bucket {
+        bytes.shrink_to_fit();
+        starts.shrink_to_fit();
+        Bucket {
+            bytes: Rc::new(bytes),
+            starts,
+        }
     }
 
     /// Live entries only (for state reconstruction during catch-up).
-    pub fn live_entries(&self) -> impl Iterator<Item = &LedgerEntry> {
-        self.slots.iter().filter_map(|s| match &s.entry {
+    pub fn live_entries(&self) -> impl Iterator<Item = LedgerEntry> + '_ {
+        self.iter().filter_map(|(_, entry)| match entry {
             BucketEntry::Live(e) => Some(e),
             BucketEntry::Dead => None,
         })
@@ -232,8 +247,12 @@ impl Bucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use stellar_crypto::sign::PublicKey;
-    use stellar_ledger::entry::{AccountEntry, AccountId};
+    use stellar_ledger::amount::Price;
+    use stellar_ledger::entry::{AccountEntry, AccountId, DataEntry, OfferEntry, TrustLineEntry};
+    use stellar_ledger::Asset;
 
     fn key(n: u64) -> LedgerKey {
         LedgerKey::Account(AccountId(PublicKey(n)))
@@ -253,6 +272,98 @@ mod tests {
         (key(n), None)
     }
 
+    fn get(bucket: &Bucket, k: &LedgerKey) -> Option<BucketEntry> {
+        bucket.iter().find(|(key, _)| key == k).map(|(_, e)| e)
+    }
+
+    /// An entry of key kind `kind`, `n < 6` picking one of six keys per
+    /// kind and `v` its contents. Asset codes and data names are chosen so
+    /// that their order and their length-prefixed encodings' order differ.
+    fn entry(kind: u8, n: u64, v: i64) -> LedgerEntry {
+        let account = AccountId(PublicKey(n % 3));
+        let asset = Asset::issued(AccountId(PublicKey(9)), ["USD", "EURO"][n as usize % 2]);
+        match kind {
+            0 => LedgerEntry::Account(AccountEntry::new(AccountId(PublicKey(n)), v)),
+            1 => LedgerEntry::TrustLine(TrustLineEntry {
+                account,
+                asset,
+                balance: v,
+                limit: v + 1,
+                authorized: v % 2 == 0,
+            }),
+            2 => LedgerEntry::Offer(OfferEntry {
+                id: n,
+                account,
+                selling: Asset::Native,
+                buying: asset,
+                amount: v,
+                price: Price::new(1, 2),
+                passive: false,
+            }),
+            _ => LedgerEntry::Data(DataEntry {
+                account,
+                name: ["b", "aa"][n as usize / 3].to_string(),
+                value: v.to_be_bytes().to_vec(),
+            }),
+        }
+    }
+
+    /// `bucket` holds exactly `model`, in the reference encoding.
+    fn check(bucket: &Bucket, model: &BTreeMap<LedgerKey, Option<LedgerEntry>>) {
+        let slots: Vec<(LedgerKey, BucketEntry)> = model
+            .iter()
+            .map(|(k, e)| {
+                let entry = e.clone().map_or(BucketEntry::Dead, BucketEntry::Live);
+                (k.clone(), entry)
+            })
+            .collect();
+        let mut want = Vec::new();
+        for (k, e) in &slots {
+            k.encode(&mut want);
+            e.encode(&mut want);
+        }
+        assert_eq!(bucket.encoded_bytes(), want);
+        assert_eq!(bucket.hash(), sha256(&want));
+        assert_eq!(bucket.iter().collect::<Vec<_>>(), slots);
+        assert_eq!(Bucket::decode(&want).as_ref(), Ok(bucket));
+    }
+
+    proptest! {
+        /// `from_changes`, `merge` (mid level and bottom), `from_entries`
+        /// and `decode` against a map from key to latest version, over all
+        /// four key kinds with keys repeated within and across batches.
+        #[test]
+        fn buckets_agree_with_reference_map(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0u64..6, any::<bool>(), 0i64..1000), 0..16),
+                1..8),
+        ) {
+            let mut mid = Bucket::empty();
+            let mut model: BTreeMap<LedgerKey, Option<LedgerEntry>> = BTreeMap::new();
+            for batch in &batches {
+                let changes: Vec<(LedgerKey, Option<LedgerEntry>)> = batch
+                    .iter()
+                    .map(|&(kind, n, delete, v)| {
+                        let e = entry(kind, n, v);
+                        (e.key(), (!delete).then_some(e))
+                    })
+                    .collect();
+                let fresh = Bucket::from_changes(&changes);
+                check(&fresh, &changes.iter().cloned().collect());
+
+                let bottom = mid.merge(&fresh, true);
+                mid = mid.merge(&fresh, false);
+                model.extend(changes);
+                check(&mid, &model);
+                let mut live = model.clone();
+                live.retain(|_, e| e.is_some());
+                check(&bottom, &live);
+                let entries = live.into_values().rev().flatten();
+                prop_assert_eq!(&Bucket::from_entries(entries), &bottom);
+            }
+        }
+    }
+
     #[test]
     fn hash_is_order_independent_and_content_sensitive() {
         let a = Bucket::from_changes(&[live(1, 10), live(2, 20)]);
@@ -267,7 +378,7 @@ mod tests {
     fn later_change_for_same_key_wins() {
         let b = Bucket::from_changes(&[live(1, 10), live(1, 99)]);
         assert_eq!(b.len(), 1);
-        match b.get(&key(1)).unwrap() {
+        match get(&b, &key(1)).unwrap() {
             BucketEntry::Live(LedgerEntry::Account(a)) => assert_eq!(a.balance, 99),
             other => panic!("unexpected {other:?}"),
         }
@@ -278,7 +389,7 @@ mod tests {
         let old = Bucket::from_changes(&[live(1, 10), live(2, 20)]);
         let new = Bucket::from_changes(&[live(1, 99)]);
         let merged = old.merge(&new, false);
-        match merged.get(&key(1)).unwrap() {
+        match get(&merged, &key(1)).unwrap() {
             BucketEntry::Live(LedgerEntry::Account(a)) => assert_eq!(a.balance, 99),
             other => panic!("unexpected {other:?}"),
         }
@@ -290,13 +401,13 @@ mod tests {
         let old = Bucket::from_changes(&[live(1, 1), live(3, 3), live(5, 5)]);
         let new = Bucket::from_changes(&[live(0, 0), live(3, 33), live(6, 6)]);
         let merged = old.merge(&new, false);
-        let keys: Vec<&LedgerKey> = merged.iter().map(|(k, _)| k).collect();
+        let keys: Vec<LedgerKey> = merged.iter().map(|(k, _)| k).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "merge output must stay key-sorted");
         assert_eq!(merged.len(), 5);
         // The merged bucket hashes identically to a from-scratch build of
-        // the same final contents — cached encodings are not stale.
+        // the same final contents.
         let rebuilt =
             Bucket::from_changes(&[live(0, 0), live(1, 1), live(3, 33), live(5, 5), live(6, 6)]);
         assert_eq!(merged.hash(), rebuilt.hash());
@@ -307,9 +418,8 @@ mod tests {
         let old = Bucket::from_changes(&[live(1, 10)]);
         let new = Bucket::from_changes(&[dead(1)]);
         let mid = old.merge(&new, false);
-        assert!(matches!(mid.get(&key(1)), Some(BucketEntry::Dead)));
+        assert_eq!(get(&mid, &key(1)), Some(BucketEntry::Dead));
         let bottom = old.merge(&new, true);
-        assert!(bottom.get(&key(1)).is_none());
         assert!(bottom.is_empty());
     }
 
@@ -318,13 +428,58 @@ mod tests {
         let b = Bucket::from_changes(&[live(1, 10), dead(2), live(3, 30)]);
         let blob = b.encoded_bytes();
         assert_eq!(blob.len() as u64, b.encoded_len());
-        assert_eq!(stellar_crypto::sha256::sha256(&blob), b.hash());
-        let back = Bucket::decode(&blob).unwrap();
+        assert_eq!(sha256(blob), b.hash());
+        let back = Bucket::decode(blob).unwrap();
         assert_eq!(back, b);
         assert_eq!(back.hash(), b.hash());
-        assert_eq!(back.encoded_len(), b.encoded_len());
         // Truncation never decodes.
         assert!(Bucket::decode(&blob[..blob.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn offsets_past_u32_are_a_decode_error() {
+        assert_eq!(offset(u32::MAX as usize), Ok(u32::MAX));
+        assert_eq!(
+            offset(u32::MAX as usize + 1),
+            Err(DecodeError::BadLength(1 << 32))
+        );
+    }
+
+    /// Every prefix and every single-bit flip of a blob mixing all four
+    /// key kinds and tombstones is refused, or decodes to a bucket whose
+    /// every slot can be read back — the `expect`s on validated slots in
+    /// `iter` and `merge` never fire on what `decode` accepted.
+    #[test]
+    fn corrupt_blobs_are_refused_or_fully_readable() {
+        let changes: Vec<(LedgerKey, Option<LedgerEntry>)> = (0..4u8)
+            .flat_map(|kind| (0..6u64).map(move |n| entry(kind, n, 7 * n as i64)))
+            .map(|e| (e.key(), Some(e)))
+            .enumerate()
+            .map(|(i, (k, e))| (k, e.filter(|_| i % 5 != 0)))
+            .collect();
+        let blob = Bucket::from_changes(&changes).encoded_bytes().to_vec();
+        let mut accepted = 0;
+        let mut probe = |bytes: &[u8]| {
+            if let Ok(b) = Bucket::decode(bytes) {
+                accepted += 1;
+                assert_eq!(b.encoded_bytes(), bytes);
+                assert_eq!(b.iter().count(), b.len());
+                assert!(b.live_entries().count() <= b.len());
+                assert_eq!(b.merge(&b, false), b);
+                assert!(b.merge(&Bucket::empty(), true).len() <= b.len());
+            }
+        };
+        for end in 0..=blob.len() {
+            probe(&blob[..end]);
+        }
+        for i in 0..blob.len() {
+            for bit in 0..8 {
+                let mut flipped = blob.clone();
+                flipped[i] ^= 1 << bit;
+                probe(&flipped);
+            }
+        }
+        assert!(accepted > 1, "the sweep must reach accepted blobs");
     }
 
     #[test]

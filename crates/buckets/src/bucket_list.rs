@@ -14,9 +14,10 @@
 //! [`SPILL_MIN_LEVEL`]) drop their in-RAM buckets entirely once their
 //! blob is durable. Deep levels are then resident only as `(hash, len)`
 //! bookkeeping; they are re-loaded (and hash-verified) only when a deep
-//! spill falls due, which is exponentially rare. The blob format is
-//! byte-identical to the history archive's checkpoint blobs, so archive
-//! publishing streams spilled levels without re-encoding.
+//! spill falls due, which is exponentially rare. The blob is the
+//! bucket's own byte buffer, byte-identical to the history archive's
+//! checkpoint blob: persisting writes it as it is, and the archive shares
+//! a resident level's buffer or reads a spilled one off disk.
 
 use crate::bucket::Bucket;
 use std::cell::RefCell;
@@ -122,9 +123,7 @@ impl BucketList {
     /// everything lands in the bottom level, as if untouched for ages.
     pub fn seed(entries: impl IntoIterator<Item = LedgerEntry>) -> BucketList {
         let mut list = BucketList::new();
-        let changes: Vec<(LedgerKey, Option<LedgerEntry>)> =
-            entries.into_iter().map(|e| (e.key(), Some(e))).collect();
-        list.levels[NUM_LEVELS - 1] = LevelSlot::Ram(Bucket::from_changes(&changes));
+        list.levels[NUM_LEVELS - 1] = LevelSlot::Ram(Bucket::from_entries(entries));
         list
     }
 
@@ -235,37 +234,18 @@ impl BucketList {
         (0..NUM_LEVELS).map(|i| self.level_hash(i)).collect()
     }
 
-    /// Read access to a resident level (archive snapshots, tests).
-    ///
-    /// Panics on a disk-spilled level — use [`BucketList::level_bytes`]
-    /// for a representation that works for both.
-    pub fn level(&self, i: usize) -> &Bucket {
-        match &self.levels[i] {
-            LevelSlot::Ram(b) => b,
-            LevelSlot::Spilled { .. } => {
-                panic!("level {i} is spilled to disk; use level_bytes")
-            }
-        }
-    }
-
     /// A level's serialized blob — the concatenated slot encodings whose
     /// SHA-256 is the level hash. Spilled levels stream straight from
-    /// their durable blob; resident levels encode from cached bytes.
-    pub fn level_bytes(&self, i: usize) -> Vec<u8> {
+    /// their durable blob; resident levels hand out their own bytes.
+    pub fn level_bytes(&self, i: usize) -> Rc<Vec<u8>> {
         match &self.levels[i] {
-            LevelSlot::Ram(b) => b.encoded_bytes(),
+            LevelSlot::Ram(b) => b.shared_bytes(),
             LevelSlot::Spilled { .. } => {
                 let disk = self.disk.as_ref().expect("spilled level without a disk");
-                disk.borrow()
-                    .read(&level_key(i))
-                    .expect("spilled bucket blob must be durable")
+                let blob = disk.borrow().read(&level_key(i));
+                Rc::new(blob.expect("spilled bucket blob must be durable"))
             }
         }
-    }
-
-    /// Total slots across all levels.
-    pub fn total_entries(&self) -> usize {
-        self.levels.iter().map(LevelSlot::len).sum()
     }
 
     /// Bytes of RAM the resident levels hold (spilled levels cost only
@@ -274,7 +254,7 @@ impl BucketList {
         self.levels
             .iter()
             .map(|l| match l {
-                LevelSlot::Ram(b) => b.encoded_len(),
+                LevelSlot::Ram(b) => b.resident_bytes(),
                 LevelSlot::Spilled { .. } => 0,
             })
             .sum()
@@ -298,7 +278,7 @@ impl BucketList {
         for i in (0..NUM_LEVELS).rev() {
             acc = acc.merge(&self.level_snapshot(i), false);
         }
-        acc.live_entries().cloned().collect()
+        acc.live_entries().collect()
     }
 
     /// Which levels differ from another list (reconciliation after a
@@ -340,13 +320,11 @@ impl BucketList {
         let mut disk = disk.borrow_mut();
         for i in 0..NUM_LEVELS {
             let h = self.level_hash(i);
-            if self.synced[i] != Some(h) {
-                let blob = match &self.levels[i] {
-                    LevelSlot::Ram(b) => b.encoded_bytes(),
-                    // Spilled ⇒ already durable under the same hash.
-                    LevelSlot::Spilled { .. } => continue,
-                };
-                disk.write(&level_key(i), &blob);
+            // A spilled level is already durable under the same hash.
+            if let LevelSlot::Ram(b) = &self.levels[i] {
+                if self.synced[i] != Some(h) {
+                    disk.write(&level_key(i), b.encoded_bytes());
+                }
             }
         }
         let mut meta = Vec::new();
@@ -465,6 +443,10 @@ mod tests {
         (LedgerKey::Account(AccountId(PublicKey(n))), None)
     }
 
+    fn slot_counts(bl: &BucketList) -> Vec<usize> {
+        bl.levels.iter().map(LevelSlot::len).collect()
+    }
+
     #[test]
     fn hash_changes_with_batches() {
         let mut bl = BucketList::new();
@@ -496,7 +478,7 @@ mod tests {
         }
         // After 16 ledgers, level-0 spilled at 4, 8, 12, 16 and level-1
         // spilled at 16.
-        assert!(!bl.level(1).is_empty() || !bl.level(2).is_empty());
+        assert!(!bl.levels[1].is_empty() || !bl.levels[2].is_empty());
         assert_eq!(bl.reconstruct_state().len(), 16);
     }
 
@@ -583,7 +565,7 @@ mod tests {
         assert_eq!(spilled.resident_bytes(), 0);
         assert!(disk.borrow().read(&level_key(NUM_LEVELS - 1)).is_some());
         assert_eq!(spilled.hash(), expected);
-        assert_eq!(spilled.total_entries(), 200);
+        assert_eq!(slot_counts(&spilled).iter().sum::<usize>(), 200);
         assert_eq!(spilled.reconstruct_state().len(), 200);
         // Archive blob path reads the durable bytes directly.
         assert_eq!(
@@ -601,6 +583,24 @@ mod tests {
             spilled.note_synced();
             assert_eq!(ram.hash(), spilled.hash(), "seq {seq}");
         }
+    }
+
+    #[test]
+    fn resident_bytes_are_ram_levels_with_their_offsets() {
+        let entries = (0..200u64)
+            .map(|n| LedgerEntry::Account(AccountEntry::new(AccountId(PublicKey(n)), n as i64)));
+        let mut bl = BucketList::seed(entries);
+        let bottom = bl.level_bytes(NUM_LEVELS - 1).len() as u64;
+        assert_eq!(bl.resident_bytes(), bottom + 200 * 4);
+        bl.attach_disk(Rc::new(RefCell::new(DurableStore::new())), 1);
+        assert_eq!(
+            bl.resident_bytes(),
+            0,
+            "the spilled bottom level costs no RAM"
+        );
+        assert_eq!(bl.spilled_bytes(), bottom);
+        bl.add_batch(2, &[change(1, 5), change(2, 6), delete(3)]);
+        assert_eq!(bl.resident_bytes(), bl.level_bytes(0).len() as u64 + 3 * 4);
     }
 
     #[test]
@@ -640,7 +640,7 @@ mod tests {
         let (mut back, seq) = BucketList::recover(disk.clone(), &hashes).unwrap();
         assert_eq!(seq, 10);
         assert_eq!(back.hash(), want);
-        assert_eq!(back.total_entries(), bl.total_entries());
+        assert_eq!(slot_counts(&back), slot_counts(&bl));
 
         // Divergent expected hashes are refused.
         let mut wrong = hashes.clone();

@@ -625,12 +625,12 @@ proptest! {
     }
 }
 
-// ---------- bucket merge: cached encodings never go stale ----------
+// ---------- bucket merge: merged bytes equal rebuilt bytes ----------
 
 proptest! {
     /// A bucket produced by any chain of merges hashes identically to a
-    /// bucket built from scratch with the same final contents — the
-    /// cached per-slot encodings must never leak stale bytes.
+    /// bucket built from scratch with the same final contents — the slot
+    /// bytes a merge copies are never stale.
     #[test]
     fn merged_bucket_hash_equals_rebuilt(
         batches in proptest::collection::vec(

@@ -314,7 +314,7 @@ fn bucket_entry_pins() -> Vec<Pin> {
     let slot = |change: Option<LedgerEntry>, hex: &str| {
         let bucket = Bucket::from_changes(&[(LedgerKey::Account(acct(5)), change)]);
         let bytes = hex::decode(hex).expect("pin is hex");
-        assert_eq!(hex::encode(&bucket.encoded_bytes()), hex);
+        assert_eq!(hex::encode(bucket.encoded_bytes()), hex);
         assert_eq!(Bucket::decode(&bytes), Ok(bucket));
         Pin {
             bytes,
