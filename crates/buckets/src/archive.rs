@@ -7,12 +7,16 @@
 //!
 //! The archive is content-addressed flat storage — production uses S3 or
 //! Glacier; here a map of hash → bytes with the same put/get discipline
-//! (append-only, idempotent puts). Checkpoints are taken every
-//! [`CHECKPOINT_PERIOD`] ledgers, as in production (64).
+//! (append-only, idempotent puts). Transaction sets are kept the same way,
+//! as the canonical encoding their SHA-256 is taken over, and decoded on
+//! read. Checkpoints are taken every [`CHECKPOINT_PERIOD`] ledgers, as in
+//! production (64).
 
 use crate::bucket_list::BucketList;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
+use stellar_crypto::codec::Decode;
 use stellar_crypto::Hash256;
 use stellar_ledger::header::LedgerHeader;
 use stellar_ledger::txset::TransactionSet;
@@ -35,8 +39,9 @@ pub struct HistoryArchive {
     /// Content-addressed blobs (serialized buckets), shared with the
     /// bucket list's levels while those stay resident.
     blobs: BTreeMap<Hash256, Rc<Vec<u8>>>,
-    /// Confirmed transaction sets by ledger sequence.
-    tx_sets: BTreeMap<u64, TransactionSet>,
+    /// Confirmed transaction sets by ledger sequence, each as its
+    /// canonical encoding (shared with the set handle it came from).
+    tx_sets: BTreeMap<u64, Arc<[u8]>>,
     /// Headers by ledger sequence.
     headers: BTreeMap<u64, LedgerHeader>,
     /// Checkpoints by ledger sequence.
@@ -61,9 +66,9 @@ impl HistoryArchive {
     ) {
         let seq = header.ledger_seq;
         self.headers.insert(seq, header.clone());
-        let bytes = tx_set.wire_size() as u64;
-        self.bytes_written += bytes;
-        self.tx_sets.insert(seq, tx_set.clone());
+        let bytes = tx_set.encoding();
+        self.bytes_written += bytes.len() as u64;
+        self.tx_sets.insert(seq, bytes);
 
         if seq.is_multiple_of(CHECKPOINT_PERIOD) {
             let hashes = buckets.level_hashes();
@@ -88,9 +93,19 @@ impl HistoryArchive {
     }
 
     /// Looks up a historical transaction set ("a transaction from two
-    /// years ago").
-    pub fn tx_set(&self, ledger_seq: u64) -> Option<&TransactionSet> {
-        self.tx_sets.get(&ledger_seq)
+    /// years ago"), decoded from its stored bytes. `None` when nothing is
+    /// stored at `ledger_seq` or the bytes do not decode. The set is a
+    /// fresh value: a caller that trusts it only under a header must
+    /// check its `hash()` against that header's `tx_set_hash`.
+    pub fn tx_set(&self, ledger_seq: u64) -> Option<TransactionSet> {
+        let bytes = self.tx_sets.get(&ledger_seq)?;
+        TransactionSet::from_bytes(bytes).ok()
+    }
+
+    /// The stored encoding of a historical transaction set: the bytes its
+    /// hash is taken over, undecoded.
+    pub fn tx_set_bytes(&self, ledger_seq: u64) -> Option<&[u8]> {
+        self.tx_sets.get(&ledger_seq).map(|b| &**b)
     }
 
     /// Looks up a historical header.
@@ -112,14 +127,6 @@ impl HistoryArchive {
         self.blobs.get(hash).map(|b| b.as_slice())
     }
 
-    /// The transaction sets needed to replay from a checkpoint to `target`.
-    pub fn replay_range(&self, from_exclusive: u64, target: u64) -> Vec<&TransactionSet> {
-        self.tx_sets
-            .range(from_exclusive + 1..=target)
-            .map(|(_, t)| t)
-            .collect()
-    }
-
     /// Number of checkpoints taken.
     pub fn checkpoint_count(&self) -> usize {
         self.checkpoints.len()
@@ -134,7 +141,9 @@ impl HistoryArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stellar_crypto::sha256::sha256;
     use stellar_ledger::header::LedgerParams;
+    use stellar_ledger::tx::TransactionEnvelope;
 
     fn header(seq: u64) -> LedgerHeader {
         let mut h = LedgerHeader::genesis(Hash256::ZERO);
@@ -155,7 +164,6 @@ mod tests {
         assert_eq!(arch.checkpoint_count(), 2); // at 64 and 128
         let cp = arch.latest_checkpoint_at(130).unwrap();
         assert_eq!(cp.header.ledger_seq, 128);
-        assert_eq!(arch.replay_range(128, 130).len(), 2);
     }
 
     #[test]
@@ -171,6 +179,62 @@ mod tests {
         assert_eq!(arch.bytes_written, written + set.wire_size() as u64);
         for h in &arch.latest_checkpoint_at(128).unwrap().bucket_hashes {
             assert!(arch.bucket_blob(h).is_some());
+        }
+    }
+
+    fn payments(prev: Hash256) -> TransactionSet {
+        use stellar_crypto::sign::{KeyPair, PublicKey};
+        use stellar_ledger::asset::Asset;
+        use stellar_ledger::entry::AccountId;
+        use stellar_ledger::tx::{Memo, Operation, SourcedOperation, Transaction};
+        let pay = |from: u64, amount: i64| {
+            let tx = Transaction {
+                source: AccountId(PublicKey(from)),
+                seq_num: 1,
+                fee: 100,
+                time_bounds: None,
+                memo: Memo::Text("rent".into()),
+                operations: vec![SourcedOperation {
+                    source: None,
+                    op: Operation::Payment {
+                        destination: AccountId(PublicKey(99)),
+                        asset: Asset::issued(AccountId(PublicKey(7)), "USD"),
+                        amount,
+                    },
+                }],
+            };
+            TransactionEnvelope::sign(tx, &[&KeyPair::from_seed(from)])
+        };
+        TransactionSet::assemble(prev, vec![pay(1, 5), pay(2, 9)], 100)
+    }
+
+    #[test]
+    fn archived_set_round_trips_through_its_encoding() {
+        let mut arch = HistoryArchive::new();
+        let mut bl = BucketList::new();
+        let set = payments(sha256(b"parent"));
+        arch.publish(&header(5), &set, &mut bl);
+        assert_eq!(arch.bytes_written, set.wire_size() as u64);
+        let back = arch.tx_set(5).expect("archived");
+        assert_eq!(back.hash(), set.hash());
+        assert_eq!(back.wire_size(), set.wire_size());
+        assert_eq!(back.txs, set.txs);
+        assert_eq!(arch.bytes_written, set.wire_size() as u64);
+        // The archive keeps the set's own encoding, not a copy of it.
+        let stored = arch.tx_set_bytes(5).unwrap();
+        assert_eq!(stored.as_ptr(), set.encoding().as_ptr());
+        assert!(arch.tx_set(6).is_none());
+
+        // Any flipped byte either fails to decode or decodes to a set
+        // whose hash no longer matches the header's.
+        let good = stored.to_vec();
+        for (i, bit) in (0..good.len()).flat_map(|i| [(i, 0x01), (i, 0x80)]) {
+            let mut bad = good.clone();
+            bad[i] ^= bit;
+            arch.tx_sets.insert(5, bad.into());
+            if let Some(tampered) = arch.tx_set(5) {
+                assert_ne!(tampered.hash(), set.hash(), "flip {bit:#x} at byte {i}");
+            }
         }
     }
 

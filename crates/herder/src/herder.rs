@@ -585,10 +585,12 @@ impl Herder {
     ///
     /// Nothing is applied on the archive's word alone. Before a ledger
     /// touches `store` or `buckets`, its archived header must extend our
-    /// tip and its archived set must be the one that header names and
-    /// must chain from our tip too; a tampered or foreign archive stops
-    /// there (`ledger.catchup_refused`), leaving store, buckets and
-    /// header at the last verified ledger. What only applying can check —
+    /// tip and its archived set — decoded from the stored bytes and
+    /// hashed afresh — must be the one that header names and must chain
+    /// from our tip too; a tampered or foreign archive stops there
+    /// (`ledger.catchup_refused`), and stored bytes that do not decode
+    /// end the replay like a gap, leaving store, buckets and header at
+    /// the last verified ledger. What only applying can check —
     /// results hash, fee pool, snapshot hash — is compared afterwards; a
     /// mismatch there means this node's own prior state differs from the
     /// archived chain's, and the header is not advanced over it.
@@ -610,7 +612,7 @@ impl Herder {
                 self.telemetry.registry.inc("ledger.catchup_refused");
                 break;
             }
-            let closed = self.close(set, expected.close_time, expected.params, Some(expected));
+            let closed = self.close(&set, expected.close_time, expected.params, Some(expected));
             if closed.is_none() {
                 break; // our apply disagrees with the archived outcome
             }

@@ -150,20 +150,43 @@ pub fn participants(env: &TransactionEnvelope) -> Vec<AccountId> {
     out
 }
 
-/// Clones only the requested window out of an index — the whole point
+/// Builds only the requested window out of an index — the whole point
 /// of materialized tables is that a page never touches the rest.
-fn page_of<T: Clone>(rows: &[T], cursor: Option<u64>, limit: usize) -> Page<T> {
-    let total = rows.len();
+fn page_of<C, T>(cells: &[C], cursor: Option<u64>, limit: usize, row: impl Fn(&C) -> T) -> Page<T> {
+    let total = cells.len();
     let skip = usize::try_from(cursor.unwrap_or(0))
         .unwrap_or(usize::MAX)
         .min(total);
-    let records: Vec<T> = rows[skip..(skip + limit).min(total)].to_vec();
+    let records: Vec<T> = cells[skip..(skip + limit).min(total)]
+        .iter()
+        .map(row)
+        .collect();
     let consumed = skip + records.len();
     Page {
         records,
         cursor: (limit > 0 && consumed < total).then_some(consumed as u64),
         limit,
     }
+}
+
+/// What an [`EffectCell`] records; the credited or debited asset is an
+/// id into [`Indexer::assets`].
+#[derive(Clone, Copy, Debug)]
+enum EffectKind {
+    AccountCreated,
+    AccountRemoved,
+    Credited(u32),
+    Debited(u32),
+}
+
+/// One effect in an account's effects index: an [`EffectRow`] without
+/// the account (the index key) and with its asset interned.
+#[derive(Clone, Copy, Debug)]
+struct EffectCell {
+    ledger_seq: u64,
+    /// The starting balance, or the credit or debit; 0 for a removal.
+    amount: i64,
+    kind: EffectKind,
 }
 
 /// The ingestion indexer over one validator's close-event feed.
@@ -174,10 +197,18 @@ pub struct Indexer {
     /// complete from here on (earlier ledgers can be history-backfilled
     /// from the archive, without change-feed enrichments).
     attached_seq: u64,
-    /// Per-account confirmed-transaction history, append-ordered.
-    history: BTreeMap<AccountId, Vec<HistoryRow>>,
+    /// One row per indexed transaction, in ingest order, however many
+    /// accounts it touches.
+    rows: Vec<HistoryRow>,
+    /// Per-account confirmed-transaction history: positions into `rows`,
+    /// append-ordered.
+    history: BTreeMap<AccountId, Vec<u32>>,
     /// Per-account balance effects, append-ordered.
-    effects: BTreeMap<AccountId, Vec<EffectRow>>,
+    effects: BTreeMap<AccountId, Vec<EffectCell>>,
+    /// Every asset an effect names, once; an id is an index here.
+    assets: Vec<Asset>,
+    /// The id of each asset in `assets`.
+    asset_ids: BTreeMap<Asset, u32>,
     /// Per-pair trades, append-ordered.
     trades: BTreeMap<(Asset, Asset), Vec<TradeRow>>,
     /// Tracked balances: `(account, asset)` → balance, `Asset::Native`
@@ -188,6 +219,9 @@ pub struct Indexer {
     offers: BTreeMap<u64, OfferEntry>,
     /// `ingest.*` counters and the ingestion-lag gauge.
     pub registry: Registry,
+    /// The same history and effects, one full row per participant.
+    #[cfg(test)]
+    reference: tests::Reference,
 }
 
 impl Indexer {
@@ -200,12 +234,17 @@ impl Indexer {
         let mut ix = Indexer {
             ingested_seq: head,
             attached_seq: head,
+            rows: Vec::new(),
             history: BTreeMap::new(),
             effects: BTreeMap::new(),
+            assets: Vec::new(),
+            asset_ids: BTreeMap::new(),
             trades: BTreeMap::new(),
             balances: BTreeMap::new(),
             offers: BTreeMap::new(),
             registry: Registry::new(),
+            #[cfg(test)]
+            reference: Default::default(),
         };
         for entry in herder.store.all_entries() {
             match entry {
@@ -267,8 +306,7 @@ impl Indexer {
             let seq = self.ingested_seq + 1;
             match (archive.tx_set(seq), archive.header(seq)) {
                 (Some(set), Some(hdr)) => {
-                    let txs = set.txs.clone();
-                    self.index_history(seq, hdr.close_time, &txs, None);
+                    self.index_history(seq, hdr.close_time, &set.txs, None);
                     self.registry.inc("ingest.gap_backfilled");
                 }
                 _ => self.registry.inc("ingest.gap_lost"),
@@ -297,8 +335,7 @@ impl Indexer {
         };
         for seq in 2..=latest.min(self.attached_seq) {
             if let (Some(set), Some(hdr)) = (archive.tx_set(seq), archive.header(seq)) {
-                let txs = set.txs.clone();
-                self.index_history(seq, hdr.close_time, &txs, None);
+                self.index_history(seq, hdr.close_time, &set.txs, None);
                 self.registry.inc("ingest.backfilled");
             }
         }
@@ -326,17 +363,21 @@ impl Indexer {
                     fee_charged: 0,
                 },
             });
-            let row = HistoryRow {
+            let at = u32::try_from(self.rows.len()).expect("history fits u32 positions");
+            self.rows.push(HistoryRow {
                 ledger_seq,
                 close_time,
                 tx_index: i as u32,
                 tx_hash: env.hash(),
                 source: env.tx.source,
                 outcome,
-            };
+            });
             for account in participants(env) {
-                self.history.entry(account).or_default().push(row.clone());
+                self.history.entry(account).or_default().push(at);
                 self.registry.inc("ingest.history_rows");
+                #[cfg(test)]
+                self.reference
+                    .file_history(account, &self.rows[at as usize]);
             }
         }
     }
@@ -466,11 +507,55 @@ impl Indexer {
 
     fn push_effect(&mut self, ledger_seq: u64, account: AccountId, effect: Effect) {
         self.registry.inc("ingest.effects");
-        self.effects.entry(account).or_default().push(EffectRow {
+        #[cfg(test)]
+        self.reference.file_effect(ledger_seq, account, &effect);
+        let (kind, amount) = match effect {
+            Effect::AccountCreated { balance } => (EffectKind::AccountCreated, balance),
+            Effect::AccountRemoved => (EffectKind::AccountRemoved, 0),
+            Effect::Credited { asset, amount } => {
+                (EffectKind::Credited(self.intern(asset)), amount)
+            }
+            Effect::Debited { asset, amount } => (EffectKind::Debited(self.intern(asset)), amount),
+        };
+        self.effects.entry(account).or_default().push(EffectCell {
             ledger_seq,
+            amount,
+            kind,
+        });
+    }
+
+    /// The id of `asset` in `assets`, adding it on first sight.
+    fn intern(&mut self, asset: Asset) -> u32 {
+        if let Some(id) = self.asset_ids.get(&asset) {
+            return *id;
+        }
+        let id = u32::try_from(self.assets.len()).expect("asset ids fit u32");
+        self.assets.push(asset.clone());
+        self.asset_ids.insert(asset, id);
+        id
+    }
+
+    /// The public row an effect cell of `account` stands for.
+    fn effect_row(&self, account: AccountId, cell: &EffectCell) -> EffectRow {
+        let asset = |id: u32| self.assets[id as usize].clone();
+        let amount = cell.amount;
+        let effect = match cell.kind {
+            EffectKind::AccountCreated => Effect::AccountCreated { balance: amount },
+            EffectKind::AccountRemoved => Effect::AccountRemoved,
+            EffectKind::Credited(id) => Effect::Credited {
+                asset: asset(id),
+                amount,
+            },
+            EffectKind::Debited(id) => Effect::Debited {
+                asset: asset(id),
+                amount,
+            },
+        };
+        EffectRow {
+            ledger_seq: cell.ledger_seq,
             account,
             effect,
-        });
+        }
     }
 
     fn push_trade(&mut self, ledger_seq: u64, offer: &OfferEntry, amount: i64) {
@@ -499,8 +584,10 @@ impl Indexer {
         limit: usize,
     ) -> Result<Page<HistoryRow>, HorizonError> {
         crate::api::check_limit(limit)?;
-        let rows = self.history.get(&id).map(Vec::as_slice).unwrap_or(&[]);
-        Ok(page_of(rows, cursor, limit))
+        let at = self.history.get(&id).map(Vec::as_slice).unwrap_or(&[]);
+        Ok(page_of(at, cursor, limit, |i| {
+            self.rows[*i as usize].clone()
+        }))
     }
 
     /// The account's balance effects, oldest first.
@@ -511,8 +598,8 @@ impl Indexer {
         limit: usize,
     ) -> Result<Page<EffectRow>, HorizonError> {
         crate::api::check_limit(limit)?;
-        let rows = self.effects.get(&id).map(Vec::as_slice).unwrap_or(&[]);
-        Ok(page_of(rows, cursor, limit))
+        let cells = self.effects.get(&id).map(Vec::as_slice).unwrap_or(&[]);
+        Ok(page_of(cells, cursor, limit, |c| self.effect_row(id, c)))
     }
 
     /// Trades on a pair (maker sold `selling` for `buying`), oldest
@@ -530,17 +617,19 @@ impl Indexer {
             .get(&(selling.clone(), buying.clone()))
             .map(Vec::as_slice)
             .unwrap_or(&[]);
-        Ok(page_of(rows, cursor, limit))
+        Ok(page_of(rows, cursor, limit, TradeRow::clone))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use stellar_crypto::sign::KeyPair;
     use stellar_herder::StellarValue;
     use stellar_ledger::amount::{xlm, BASE_FEE};
-    use stellar_ledger::entry::AccountEntry;
+    use stellar_ledger::entry::{AccountEntry, TrustLineEntry};
     use stellar_ledger::store::LedgerStore;
     use stellar_ledger::tx::{Memo, SourcedOperation, Transaction};
     use stellar_ledger::txset::TransactionSet;
@@ -840,5 +929,214 @@ mod tests {
         let mut want = vec![acct(0), acct(1), acct(2)];
         want.sort_unstable();
         assert_eq!(participants(&env), want);
+    }
+
+    /// The layout the compact tables replace: a full [`HistoryRow`] and
+    /// [`EffectRow`] per participant, filed as the indexer files them.
+    #[derive(Default)]
+    pub(super) struct Reference {
+        history: BTreeMap<AccountId, Vec<HistoryRow>>,
+        effects: BTreeMap<AccountId, Vec<EffectRow>>,
+    }
+
+    impl Reference {
+        pub(super) fn file_history(&mut self, account: AccountId, row: &HistoryRow) {
+            self.history.entry(account).or_default().push(row.clone());
+        }
+
+        pub(super) fn file_effect(&mut self, ledger_seq: u64, account: AccountId, effect: &Effect) {
+            self.effects.entry(account).or_default().push(EffectRow {
+                ledger_seq,
+                account,
+                effect: effect.clone(),
+            });
+        }
+    }
+
+    /// Every page of every account, for every cursor (none, and 0 to one
+    /// past the end) and every limit up to the table's length, equals the
+    /// page cut from the reference.
+    fn assert_pages_match_reference(ix: &Indexer, accounts: &[AccountId]) {
+        for id in accounts {
+            let history = ix.reference.history.get(id).map_or(&[][..], Vec::as_slice);
+            let effects = ix.reference.effects.get(id).map_or(&[][..], Vec::as_slice);
+            let n = history.len().max(effects.len());
+            for cursor in std::iter::once(None).chain((0..=n as u64 + 1).map(Some)) {
+                for limit in 1..=n.max(1) {
+                    assert_eq!(
+                        ix.account_history(*id, cursor, limit).unwrap(),
+                        page_of(history, cursor, limit, HistoryRow::clone),
+                        "history of {id:?} at {cursor:?}+{limit}"
+                    );
+                    assert_eq!(
+                        ix.account_effects(*id, cursor, limit).unwrap(),
+                        page_of(effects, cursor, limit, EffectRow::clone),
+                        "effects of {id:?} at {cursor:?}+{limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One random transaction from account `from`: a native or USD
+    /// payment, an offer either way across the USD/XLM book, a cancel, a
+    /// path payment, a payment that fails for want of funds, a new
+    /// account, or a merge. `None` when `from` no longer exists.
+    fn random_tx(
+        h: &Herder,
+        rng: &mut StdRng,
+        from: u64,
+        accounts: &[u64],
+        created: &mut u64,
+    ) -> Option<TransactionEnvelope> {
+        let source = h.store.account(acct(from))?;
+        let usd = Asset::issued(acct(9), "USD");
+        let to = acct(accounts[rng.gen_range(0..accounts.len())]);
+        let amount = rng.gen_range(1..50i64) * xlm(1);
+        let price = Price::new(rng.gen_range(1..4), 2);
+        let offer =
+            |selling: &Asset, buying: &Asset, offer_id: u64, amount: i64| Operation::ManageOffer {
+                offer_id,
+                selling: selling.clone(),
+                buying: buying.clone(),
+                amount,
+                price,
+                passive: false,
+            };
+        let op = match rng.gen_range(0..9) {
+            0 => Operation::Payment {
+                destination: to,
+                asset: Asset::Native,
+                amount,
+            },
+            1 => Operation::Payment {
+                destination: to,
+                asset: usd.clone(),
+                amount,
+            },
+            2 => offer(&usd, &Asset::Native, 0, amount),
+            3 => offer(&Asset::Native, &usd, 0, amount),
+            4 => {
+                let own = h
+                    .store
+                    .offers()
+                    .into_iter()
+                    .find(|o| o.account == acct(from))?;
+                offer(&own.selling, &own.buying, own.id, 0)
+            }
+            5 => Operation::PathPayment {
+                send_asset: Asset::Native,
+                send_max: xlm(200),
+                destination: to,
+                dest_asset: usd.clone(),
+                dest_amount: amount / 4,
+                path: Vec::new(),
+            },
+            6 => Operation::Payment {
+                destination: to,
+                asset: Asset::Native,
+                amount: xlm(1_000_000),
+            },
+            7 => {
+                *created += 1;
+                Operation::CreateAccount {
+                    destination: acct(*created),
+                    starting_balance: xlm(20),
+                }
+            }
+            _ => Operation::AccountMerge { destination: to },
+        };
+        Some(TransactionEnvelope::sign(
+            Transaction {
+                source: acct(from),
+                seq_num: source.seq_num + 1,
+                fee: BASE_FEE,
+                time_bounds: None,
+                memo: Memo::None,
+                operations: vec![SourcedOperation { source: None, op }],
+            },
+            &[&keys(from)],
+        ))
+    }
+
+    #[test]
+    fn compact_tables_page_like_one_row_per_participant() {
+        let usd = Asset::issued(acct(9), "USD");
+        let mut store = LedgerStore::new();
+        store.put_account(AccountEntry::new(acct(9), xlm(100)));
+        for i in 0..6 {
+            store.put_account(AccountEntry::new(acct(i), xlm(1_000)));
+            store.put_trustline(TrustLineEntry {
+                account: acct(i),
+                asset: usd.clone(),
+                balance: xlm(500),
+                limit: i64::MAX,
+                authorized: true,
+            });
+        }
+        let mut h = Herder::new(NodeId(0), store, BTreeMap::new());
+        let mut live = Indexer::attach(&mut h);
+        let mut late: Option<Indexer> = None;
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut accounts: Vec<u64> = (0..6).collect();
+        let mut created = 100;
+        for close in 0..24 {
+            match close {
+                // Closes 8..=10 share a one-event feed: two of them drop
+                // and come back from the archive, without enrichments.
+                8 => h.enable_ingest(1),
+                11 => h.enable_ingest(INGEST_FEED_CAP),
+                // A second indexer attaches mid-stream and backfills.
+                14 => {
+                    let mut ix = Indexer::attach(&mut h);
+                    ix.backfill_history(&h.archive);
+                    late = Some(ix);
+                }
+                _ => {}
+            }
+            let mut txs = Vec::new();
+            for from in &accounts {
+                if rng.gen_bool(0.8) {
+                    txs.extend(random_tx(&h, &mut rng, *from, &accounts, &mut created));
+                }
+            }
+            accounts.extend(101..=created);
+            accounts.sort_unstable();
+            accounts.dedup();
+            let set = TransactionSet::assemble(h.header.hash(), txs, 100);
+            h.learn_tx_set(set.clone());
+            let v = StellarValue::new(set.hash(), h.header.close_time + 5);
+            assert!(h.apply_externalized(h.current_slot(), &v));
+            if !(8..10).contains(&close) {
+                for ev in h.take_close_events() {
+                    live.apply_close(&ev, &h.archive);
+                    if let Some(ix) = late.as_mut() {
+                        ix.apply_close(&ev, &h.archive);
+                    }
+                }
+            }
+        }
+        let late = late.expect("attached");
+        assert_eq!(live.registry.counter("ingest.gap_backfilled"), 2);
+        assert_eq!(late.ingested_seq(), live.ingested_seq());
+        assert!(late.registry.counter("ingest.backfilled") > 10);
+        assert!(live
+            .effects
+            .values()
+            .flatten()
+            .any(|c| matches!(c.kind, EffectKind::AccountCreated)));
+        assert!(live
+            .effects
+            .values()
+            .flatten()
+            .any(|c| matches!(c.kind, EffectKind::AccountRemoved)));
+        assert!(live
+            .rows
+            .iter()
+            .any(|r| r.outcome.is_some_and(|o| !o.success)));
+        assert!(!live.trades.is_empty(), "the book never crossed");
+        let ids: Vec<AccountId> = accounts.iter().chain(&[9, 999]).map(|n| acct(*n)).collect();
+        assert_pages_match_reference(&live, &ids);
+        assert_pages_match_reference(&late, &ids);
     }
 }

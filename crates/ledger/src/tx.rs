@@ -270,8 +270,8 @@ impl Transaction {
 ///
 /// A transaction is hashed at submission, nomination, and apply, canonical
 /// tx-set ordering hashes every envelope O(log n) times during sorting, and
-/// the same envelope sits in the queue, every proposal that includes it,
-/// the archive and the close feed. The handle makes all of that one
+/// the same envelope sits in the queue, every proposal that includes it
+/// and the close feed. The handle makes all of that one
 /// allocation and one SHA-256 per hash: `clone()` bumps a reference count
 /// and keeps the memoized hashes. That is safe because nothing can change
 /// an envelope once built — the fields are readable through `Deref` but
@@ -282,7 +282,6 @@ impl Transaction {
 pub struct TransactionEnvelope(Arc<EnvelopeData>);
 
 /// The contents of a [`TransactionEnvelope`], read through `Deref`.
-#[derive(Debug)]
 pub struct EnvelopeData {
     /// The transaction.
     pub tx: Transaction,
@@ -297,6 +296,17 @@ pub struct EnvelopeData {
     cached_tx_hash: OnceLock<Hash256>,
     /// Memoized envelope hash.
     cached_env_hash: OnceLock<Hash256>,
+}
+
+/// Prints the value only: whether a memo is filled yet is not part of it.
+impl std::fmt::Debug for EnvelopeData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EnvelopeData")
+            .field("tx", &self.tx)
+            .field("signatures", &self.signatures)
+            .field("preimages", &self.preimages)
+            .finish()
+    }
 }
 
 impl Deref for TransactionEnvelope {

@@ -16,12 +16,14 @@ use stellar_crypto::Hash256;
 /// An ordered set of transactions for one ledger: an immutable, shared
 /// handle like [`TransactionEnvelope`]. `clone()` bumps a reference count,
 /// and the content hash and encoded size are computed at most once per
-/// set however many holders (proposal map, flood payload, archive) ask.
+/// set however many holders (proposal map, flood payload) ask. The
+/// canonical encoding the archive keeps is built at most once too, and
+/// only for a set someone archives, so every archive that publishes the
+/// same handle shares one allocation.
 #[derive(Clone, Debug)]
 pub struct TransactionSet(Arc<TxSetData>);
 
 /// The contents of a [`TransactionSet`], read through `Deref`.
-#[derive(Debug)]
 pub struct TxSetData {
     /// Hash of the previous ledger header (binds the set to a position in
     /// the chain, Fig. 3).
@@ -32,6 +34,20 @@ pub struct TxSetData {
     pub base_fee_rate: i64,
     /// Memoized content hash and encoded size (one encoding yields both).
     memo: OnceLock<(Hash256, usize)>,
+    /// The canonical encoding, filled by the first
+    /// [`encoding`](TransactionSet::encoding) call.
+    encoding: OnceLock<Arc<[u8]>>,
+}
+
+/// Prints the value only: whether a memo is filled yet is not part of it.
+impl std::fmt::Debug for TxSetData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TxSetData")
+            .field("prev_ledger_hash", &self.prev_ledger_hash)
+            .field("txs", &self.txs)
+            .field("base_fee_rate", &self.base_fee_rate)
+            .finish()
+    }
 }
 
 impl Deref for TransactionSet {
@@ -83,6 +99,7 @@ impl TransactionSet {
             txs,
             base_fee_rate,
             memo: OnceLock::new(),
+            encoding: OnceLock::new(),
         }))
     }
 
@@ -149,6 +166,12 @@ impl TransactionSet {
     /// most once per set.
     pub fn hash(&self) -> Hash256 {
         self.hash_and_size().0
+    }
+
+    /// The canonical encoding (the bytes [`hash`](Self::hash) is taken
+    /// over), built on the first call and shared by every later one.
+    pub fn encoding(&self) -> Arc<[u8]> {
+        self.encoding.get_or_init(|| self.to_bytes().into()).clone()
     }
 
     /// Total operations across all transactions (the §5.3 nomination

@@ -121,7 +121,7 @@ fn new_node_bootstraps_from_checkpoint_and_replays() {
     let mut buckets = BucketList::seed(store.all_entries());
     let mut header = LedgerHeader::genesis(buckets.hash());
     for seq in 2..=live_header.ledger_seq {
-        let set = archive.tx_set(seq).expect("archived tx set").clone();
+        let set = archive.tx_set(seq).expect("archived tx set");
         let expected = archive.header(seq).expect("archived header").clone();
         let res = close_ledger(
             &mut store,
@@ -267,7 +267,7 @@ fn republish(
     let mut out = HistoryArchive::new();
     let mut unused = BucketList::new(); // no checkpoint falls due below 64
     for seq in 2..=through {
-        let set = swap(seq, archive.tx_set(seq).expect("archived set"));
+        let set = swap(seq, &archive.tx_set(seq).expect("archived set"));
         out.publish(
             archive.header(seq).expect("archived header"),
             &set,
