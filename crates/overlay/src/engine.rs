@@ -11,15 +11,17 @@
 //!
 //! * **Send order.** [`Actions::sends`] is ordered: a push goes to the
 //!   peers in peer-list order, and a tick sends its advert batch to every
-//!   peer before any retry demand. An embedder that draws one latency
+//!   peer before any retry demand, each split into messages of at most
+//!   [`MAX_IDS_PER_CONTROL`] hashes. An embedder that draws one latency
 //!   sample per send in that order replays bit-identically.
 //! * **Ticks.** When [`Actions::tick_at`] is set the embedder calls
 //!   [`FloodEngine::tick`] at that time (at most one is pending), or
 //!   [`FloodEngine::tick_missed`] if the process is down by then.
 //! * **Control messages** (advert, demand) go straight to
 //!   [`FloodEngine::on_control`]: no seen-cache, no relay, and too small
-//!   to charge processing cost for. A puppet's embedder keeps them for
-//!   its driver and only counts them in [`FloodEngine::traffic`].
+//!   to charge processing cost for; one over [`MAX_IDS_PER_CONTROL`]
+//!   hashes is dropped whole. A puppet's embedder keeps them for its
+//!   driver and only counts them in [`FloodEngine::traffic`].
 //! * **Payloads** are first offered to
 //!   [`FloodEngine::suppress_duplicate`], which accounts a duplicate
 //!   (`recv` + `dup_suppressed`) and drops it *before* the embedder's
@@ -70,9 +72,17 @@ const PAYLOAD_CACHE_CAPACITY: usize = 4096;
 const PAYLOAD_RETENTION_MS: u64 =
     MAX_DEMAND_ATTEMPTS as u64 * (DEMAND_TIMEOUT_MS + ADVERT_INTERVAL_MS);
 
-/// Seen-cache size, and how long an id is exempt from eviction.
-const SEEN_CAPACITY: usize = 200_000;
-const SEEN_MIN_RESIDENCY_MS: u64 = 30_000;
+/// The seen-cache's window: an id is remembered for at least this long
+/// after it is first recorded and for less than twice this long, however
+/// many ids arrive meanwhile. It spans several ledgers, as production
+/// stellar-core purges its flood map every ledger a few slots back, and
+/// is far longer than any relay cycle's round trip.
+pub const SEEN_RETENTION_MS: u64 = 30_000;
+
+/// Most hashes one advert or demand carries (production's
+/// `TX_ADVERT_VECTOR_MAX_SIZE`): a tick splits larger batches, and an
+/// incoming advert or demand over it is dropped whole.
+pub const MAX_IDS_PER_CONTROL: usize = 1000;
 
 /// What one engine call asks of the embedder.
 #[derive(Debug, Default)]
@@ -107,7 +117,7 @@ impl FloodEngine {
             mode,
             peers,
             traffic: TrafficStats::default(),
-            seen: FloodState::new(SEEN_CAPACITY, SEEN_MIN_RESIDENCY_MS),
+            seen: FloodState::new(SEEN_RETENTION_MS),
             demands: DemandScheduler::new(DEMAND_TIMEOUT_MS),
             payloads: PayloadCache::new(PAYLOAD_CACHE_CAPACITY, PAYLOAD_RETENTION_MS),
             tick_armed: false,
@@ -163,6 +173,11 @@ impl FloodEngine {
         out
     }
 
+    /// Ids the seen-cache currently remembers.
+    pub fn seen_ids(&self) -> usize {
+        self.seen.remembered()
+    }
+
     /// Marks a message this node sent outside the flood (a point-to-point
     /// injection) as seen, so a copy coming back is not processed.
     pub fn note_sent(&mut self, msg: &Flooded, now_ms: u64) {
@@ -205,10 +220,17 @@ impl FloodEngine {
     }
 
     /// Handles an advert or a demand from peer `from`.
+    /// One carrying more than [`MAX_IDS_PER_CONTROL`] hashes is counted
+    /// and dropped whole.
     pub fn on_control(&mut self, from: NodeId, msg: &Flooded, now_ms: u64) -> Actions {
         self.traffic.recv_kind(msg.msg.kind(), msg.size);
         let mut out = Actions::default();
         match &msg.msg {
+            FloodMessage::Advert(ids) | FloodMessage::Demand(ids)
+                if ids.len() > MAX_IDS_PER_CONTROL =>
+            {
+                self.traffic.control_oversized += 1;
+            }
             FloodMessage::Advert(ids) => self.on_advert(from, ids, now_ms, &mut out),
             // Answer every hash still cached. Evicted or never-held
             // hashes go unanswered; the demander's timeout retries
@@ -274,13 +296,16 @@ impl FloodEngine {
                 ))
             }));
         }
-        if !due.adverts.is_empty() {
-            let advert = Flooded::new(FloodMessage::Advert(due.adverts));
+        for batch in due.adverts.chunks(MAX_IDS_PER_CONTROL) {
+            let advert = Flooded::new(FloodMessage::Advert(batch.to_vec()));
             self.push(None, &advert, &mut out);
         }
-        let retries = due.demands.into_iter();
-        out.sends
-            .extend(retries.map(|(peer, ids)| (peer, Flooded::new(FloodMessage::Demand(ids)))));
+        for (peer, ids) in &due.demands {
+            let batches = ids.chunks(MAX_IDS_PER_CONTROL);
+            out.sends.extend(
+                batches.map(|batch| (*peer, Flooded::new(FloodMessage::Demand(batch.to_vec())))),
+            );
+        }
         if self.demands.has_work() {
             self.arm_tick(now_ms, &mut out);
         }
@@ -305,6 +330,7 @@ mod tests {
     use stellar_crypto::sign::KeyPair;
     use stellar_ledger::entry::AccountId;
     use stellar_ledger::tx::{Memo, Transaction, TransactionEnvelope};
+    use stellar_ledger::txset::TransactionSet;
     use stellar_scp::statement::{Statement, StatementKind};
     use stellar_scp::{Envelope, QuorumSet, Value};
 
@@ -342,6 +368,36 @@ mod tests {
             },
             &keys,
         )))
+    }
+
+    /// A distinct hash per `n`.
+    fn hash(n: u64) -> Hash256 {
+        let mut b = [0u8; 32];
+        b[..8].copy_from_slice(&n.to_le_bytes());
+        Hash256(b)
+    }
+
+    /// A distinct payload per `n` that is cheap to build (no signature).
+    fn set(n: u64) -> Flooded {
+        Flooded::new(FloodMessage::TxSet(TransactionSet::empty(hash(n))))
+    }
+
+    /// Control messages carrying hashes `from..to`.
+    fn advert(from: u64, to: u64) -> Flooded {
+        Flooded::new(FloodMessage::Advert((from..to).map(hash).collect()))
+    }
+
+    fn demand(from: u64, to: u64) -> Flooded {
+        Flooded::new(FloodMessage::Demand((from..to).map(hash).collect()))
+    }
+
+    /// Hash counts of the control messages in `actions`, in send order.
+    fn batch_sizes(actions: &Actions) -> Vec<(NodeId, usize)> {
+        let size = |m: &Flooded| match &m.msg {
+            FloodMessage::Advert(ids) | FloodMessage::Demand(ids) => ids.len(),
+            _ => 0,
+        };
+        actions.sends.iter().map(|(to, m)| (*to, size(m))).collect()
     }
 
     fn engine(mode: FloodMode) -> FloodEngine {
@@ -633,6 +689,73 @@ mod tests {
         assert_eq!(e.originate(tx(3), 200).tick_at, Some(300));
         // Nothing queued was lost.
         assert_eq!(e.tick(300).sends.len(), 3);
+    }
+
+    #[test]
+    fn the_seen_cache_holds_at_most_the_last_two_windows_of_ids() {
+        const EVERY_MS: u64 = 10;
+        let mut e = FloodEngine::new(FloodMode::Push, vec![A]);
+        let mut most = 0;
+        for i in 0..10 * SEEN_RETENTION_MS / EVERY_MS {
+            let now = i * EVERY_MS;
+            e.originate(set(i), now);
+            // Ids recorded in (now - w, now], counting this one.
+            let recorded_within = |w: u64| (i + 1).min(w / EVERY_MS) as usize;
+            let held = e.seen_ids();
+            let floor = recorded_within(SEEN_RETENTION_MS);
+            let ceiling = recorded_within(2 * SEEN_RETENTION_MS);
+            assert!((floor..=ceiling).contains(&held), "at {now}: {held}");
+            most = most.max(held);
+        }
+        assert_eq!(most, (2 * SEEN_RETENTION_MS / EVERY_MS) as usize);
+    }
+
+    #[test]
+    fn an_advert_or_demand_over_the_cap_is_dropped_whole_and_counted() {
+        let cap = MAX_IDS_PER_CONTROL as u64;
+        // At the cap: every hash is wanted and demanded straight back.
+        let mut e = engine(FloodMode::Pull);
+        let full = e.on_control(A, &advert(0, cap), 0);
+        assert_eq!(batch_sizes(&full), vec![(A, MAX_IDS_PER_CONTROL)]);
+        assert_eq!(full.spans.len(), 2 * MAX_IDS_PER_CONTROL);
+        assert_eq!(e.traffic.control_oversized, 0);
+
+        // One over: received and counted, but no want, span or tick.
+        let mut e = engine(FloodMode::Pull);
+        for over in [advert(0, cap + 1), demand(0, cap + 1)] {
+            let out = e.on_control(A, &over, 0);
+            assert!(out.sends.is_empty() && out.spans.is_empty() && out.tick_at.is_none());
+        }
+        assert_eq!(e.traffic.control_oversized, 2);
+        assert_eq!(e.traffic.msgs_in, 2);
+        let later = e.tick(10 * DEMAND_TIMEOUT_MS);
+        assert!(later.sends.is_empty() && later.spans.is_empty());
+        assert_eq!(e.traffic.pull_timeouts, 0);
+    }
+
+    #[test]
+    fn a_tick_splits_advert_and_retry_demand_batches_at_the_cap() {
+        let (cap, full) = (MAX_IDS_PER_CONTROL as u64, MAX_IDS_PER_CONTROL);
+        // 2 500 pending adverts go to each peer as 1 000 + 1 000 + 500,
+        // batch by batch in peer order.
+        let mut e = engine(FloodMode::Pull);
+        for n in 0..2500 {
+            e.originate(set(n), 0);
+        }
+        let to_all = |n| vec![(A, n), (B, n), (C, n)];
+        let expected = [to_all(full), to_all(full), to_all(500)].concat();
+        assert_eq!(batch_sizes(&e.tick(ADVERT_INTERVAL_MS)), expected);
+
+        // 2 000 expired wants whose next advertiser is C go to C as two
+        // demands of 1 000.
+        let mut e = engine(FloodMode::Pull);
+        e.on_control(A, &advert(0, cap), 0);
+        e.on_control(B, &advert(cap, 2 * cap), 0);
+        e.on_control(C, &advert(0, cap), 0);
+        e.on_control(C, &advert(cap, 2 * cap), 0);
+        let retry = e.tick(DEMAND_TIMEOUT_MS);
+        assert_eq!(batch_sizes(&retry), vec![(C, full), (C, full)]);
+        assert_eq!(kinds(&retry), vec![MsgKind::Demand; 2]);
     }
 
     /// Floods `msg` from `origin` over `graph` with an engine per node,

@@ -49,6 +49,9 @@ pub struct TrafficStats {
     pub pull_fulfilled: u64,
     /// Pull mode: demands that expired and were retried (or given up).
     pub pull_timeouts: u64,
+    /// Adverts and demands dropped whole for carrying more than
+    /// [`crate::engine::MAX_IDS_PER_CONTROL`] hashes.
+    pub control_oversized: u64,
 }
 
 impl TrafficStats {
@@ -145,6 +148,7 @@ impl TrafficStats {
         self.dup_suppressed += other.dup_suppressed;
         self.pull_fulfilled += other.pull_fulfilled;
         self.pull_timeouts += other.pull_timeouts;
+        self.control_oversized += other.control_oversized;
     }
 }
 
@@ -212,6 +216,7 @@ mod tests {
         b.dup_hit();
         b.record_pull_fulfilled();
         b.record_pull_timeouts(2);
+        b.control_oversized = 1;
         a.merge(&b);
         assert_eq!(a.bytes_in, 10);
         assert_eq!(a.bytes_out, 20);
@@ -221,6 +226,7 @@ mod tests {
         assert_eq!(a.dup_suppressed, 2);
         assert_eq!(a.pull_fulfilled, 1);
         assert_eq!(a.pull_timeouts, 2);
+        assert_eq!(a.control_oversized, 1);
     }
 
     #[test]

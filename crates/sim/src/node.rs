@@ -378,7 +378,12 @@ impl Simulation {
     /// peer-(re)connect state exchange. Naïve flooding never retransmits,
     /// so after a partition heals (or a node revives) this is what lets
     /// the two sides learn the votes they missed; nodes that already saw
-    /// an envelope drop it in the flood cache.
+    /// an envelope drop it in the flood seen-cache. That cache forgets an
+    /// id once it is older than its window
+    /// (`stellar_overlay::engine::SEEN_RETENTION_MS`, as production
+    /// stellar-core purges its flood map every ledger), so a re-flooded
+    /// envelope older than that is processed again and SCP drops it as
+    /// not newer than the statement it already holds.
     pub(crate) fn resync(&mut self) {
         for id in self.validator_ids() {
             if !self.node(id).is_live() {

@@ -1113,6 +1113,44 @@ mod tests {
         assert!(report.tx_traces.iter().any(|r| r.applied_ms.is_some()));
     }
 
+    /// The flood seen-cache forgets by age, so over a run of several of
+    /// its windows no node's cache keeps growing. The two samples are a
+    /// whole number of windows apart, at the same point of the rotation
+    /// cycle, where a steady message rate fills the cache the same way.
+    #[test]
+    fn seen_caches_stop_growing_over_a_run_of_many_windows() {
+        use stellar_overlay::engine::SEEN_RETENTION_MS as W;
+        for mode in [FloodMode::Push, FloodMode::Pull] {
+            let mut sim = Simulation::new(SimConfig {
+                scenario: Scenario::ControlledMesh { n_validators: 8 },
+                n_accounts: 100,
+                tx_rate: 5.0,
+                seed: 69,
+                flood_mode: mode,
+                ..SimConfig::default()
+            });
+            let seen = |sim: &Simulation| -> Vec<usize> {
+                sim.nodes.values().map(|n| n.engine.seen_ids()).collect()
+            };
+            while sim.now_ms() < 3 * W + W / 2 && sim.step() {}
+            let mid = seen(&sim);
+            while sim.now_ms() < 6 * W + W / 2 && sim.step() {}
+            let last = seen(&sim);
+            for (node, (m, l)) in mid.iter().zip(&last).enumerate() {
+                assert!(*m > 0, "{mode:?}: node {node} saw traffic");
+                assert!(l * 10 <= m * 11, "{mode:?}: node {node} grew {m} -> {l}");
+            }
+            let mut headers: BTreeMap<u64, Hash256> = BTreeMap::new();
+            for id in sim.validator_ids() {
+                let chain = sim.header_hashes(id);
+                assert!(chain.len() >= 30, "{mode:?}: {id:?} closed {}", chain.len());
+                for (seq, hash) in chain {
+                    assert_eq!(*headers.entry(seq).or_insert(hash), hash, "{mode:?}: {seq}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn watchdog_flags_a_crashed_node_as_stuck_and_lagging() {
         let mut sim = Simulation::new(SimConfig {
