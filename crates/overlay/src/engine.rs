@@ -32,16 +32,17 @@
 //!   it, the embedder hands it to the application and sends what that
 //!   produces, and only then does [`FloodEngine::relay`] decide the
 //!   onward step.
-//! * **Push or advert.** An SCP envelope's originator pushes it to every
-//!   peer; a node relaying someone else's envelope caches it and
-//!   advertises its hash on the next tick instead, in both modes, so a
-//!   peer that missed the push demands it. `Tx`/`TxSet` payloads are
-//!   push-relayed to all peers but the sender in push mode and, in pull
-//!   mode, cached and advertised by originator and relays alike. Cached
-//!   payloads answer demands for the longest demand loop one advert can
-//!   start. [`FloodEngine::originate`] stamps the originator's own
-//!   seen-cache at the caller's `now_ms`, so a copy coming back is a
-//!   duplicate.
+//! * **Push or advert.** An originator pushes what it originates to
+//!   every peer, whatever the kind; a node relaying someone else's
+//!   payload caches it and advertises its hash on the next tick instead,
+//!   so a peer that missed the push demands it. Push mode is the one
+//!   exception: it push-relays `Tx`/`TxSet` payloads to all peers but
+//!   the sender. In pull mode a `Tx`/`TxSet` the originator already held
+//!   (a catch-up re-flood, or a set a peer's push delivered first) is
+//!   advertised, not pushed, since its peers hold it too. Cached payloads
+//!   answer demands for the longest demand loop one advert can start.
+//!   [`FloodEngine::originate`] stamps the originator's own seen-cache at
+//!   the caller's `now_ms`, so a copy coming back is a duplicate.
 //! * **Restart.** [`FloodEngine::reset`] is a process reboot: seen-cache,
 //!   demand state, payload cache and the armed-tick flag are gone (as is
 //!   the embedder's CPU backlog); [`FloodEngine::traffic`] is the run's
@@ -133,18 +134,6 @@ impl FloodEngine {
         };
     }
 
-    /// Whether `msg` leaves this node by advert and demand rather than by
-    /// push. Only an SCP envelope's originator pushes it: on a mesh every
-    /// peer already holds it from the originator, so a relay's duplicate
-    /// costs one hash in a batched advert instead of a whole envelope.
-    fn pulls(&self, msg: &Flooded, relayed: bool) -> bool {
-        if msg.msg.is_scp() {
-            relayed
-        } else {
-            self.mode == FloodMode::Pull
-        }
-    }
-
     /// Requests the next tick unless one is already pending.
     fn arm_tick(&mut self, now_ms: u64, out: &mut Actions) {
         if !self.tick_armed {
@@ -159,11 +148,18 @@ impl FloodEngine {
     }
 
     /// The onward step once the seen-cache is stamped: push to every peer
-    /// but `except` (the sender; `None` for the originator), or keep the
-    /// payload to answer demands and advertise its hash on the next tick.
-    fn forward(&mut self, except: Option<NodeId>, msg: Flooded, now_ms: u64) -> Actions {
+    /// but `except` (the sender; `None` for the originator), or, if
+    /// `pull`, keep the payload to answer demands and advertise its hash
+    /// on the next tick.
+    fn forward(
+        &mut self,
+        except: Option<NodeId>,
+        msg: Flooded,
+        now_ms: u64,
+        pull: bool,
+    ) -> Actions {
         let mut out = Actions::default();
-        if self.pulls(&msg, except.is_some()) {
+        if pull {
             self.demands.queue_advert(msg.id);
             self.payloads.insert(msg.id, msg, now_ms);
             self.arm_tick(now_ms, &mut out);
@@ -185,10 +181,14 @@ impl FloodEngine {
     }
 
     /// Floods a message this node originates: its own SCP envelope, a
-    /// transaction a client handed it, a transaction set it proposes.
+    /// transaction a client handed it, a transaction set it proposes. It
+    /// is pushed to every peer, so each holds it one hop after it exists.
+    /// In pull mode a `Tx`/`TxSet` the node already held is advertised
+    /// instead: its peers hold it too.
     pub fn originate(&mut self, msg: Flooded, now_ms: u64) -> Actions {
-        self.seen.record_at(msg.id, now_ms);
-        self.forward(None, msg, now_ms)
+        let held = !self.seen.record_at(msg.id, now_ms);
+        let pull = held && self.mode == FloodMode::Pull && !msg.msg.is_scp();
+        self.forward(None, msg, now_ms, pull)
     }
 
     /// Accounts and drops a payload this node has already seen. Returns
@@ -211,12 +211,15 @@ impl FloodEngine {
     }
 
     /// The onward step for an accepted payload that arrived from `from`;
-    /// it also settles the demand the payload answers, if any.
+    /// it also settles the demand the payload answers, if any. A relay
+    /// advertises — the originator's push already reached its peers on a
+    /// mesh — except that push mode push-relays `Tx`/`TxSet`.
     pub fn relay(&mut self, from: NodeId, msg: Flooded, now_ms: u64) -> Actions {
         if self.demands.on_fulfilled(msg.id) {
             self.traffic.record_pull_fulfilled();
         }
-        self.forward(Some(from), msg, now_ms)
+        let pull = self.mode == FloodMode::Pull || msg.msg.is_scp();
+        self.forward(Some(from), msg, now_ms, pull)
     }
 
     /// Handles an advert or a demand from peer `from`.
@@ -567,7 +570,7 @@ mod tests {
         let mut e = engine(FloodMode::Pull);
         let wanted = tx(1).id;
         e.on_control(C, &Flooded::new(FloodMessage::Advert(vec![wanted])), 0);
-        e.originate(tx(2), DEMAND_TIMEOUT_MS - 10);
+        deliver(&mut e, B, &tx(2), DEMAND_TIMEOUT_MS - 10).expect("fresh");
         let out = e.tick(DEMAND_TIMEOUT_MS);
         assert_eq!(targets(&out), vec![A, B, C, C]);
         assert_eq!(
@@ -582,30 +585,71 @@ mod tests {
     }
 
     #[test]
-    fn an_originator_pushes_its_scp_envelope_to_every_peer_in_both_modes() {
+    fn an_originator_pushes_every_kind_to_every_peer_in_both_modes() {
         for mode in [FloodMode::Push, FloodMode::Pull] {
-            let mut e = engine(mode);
-            let mine = scp(3);
-            let sent = e.originate(mine.clone(), 20);
-            assert_eq!(targets(&sent), vec![A, B, C], "{mode:?}");
-            assert_eq!(kinds(&sent), vec![MsgKind::Scp; 3]);
-            assert_eq!(sent.tick_at, None, "{mode:?}: nothing to advertise");
-            assert!(e.suppress_duplicate(&mine), "its own copy coming back");
+            for (mine, kind) in [
+                (scp(3), MsgKind::Scp),
+                (tx(1), MsgKind::Tx),
+                (set(1), MsgKind::TxSet),
+            ] {
+                let mut e = engine(mode);
+                let sent = e.originate(mine.clone(), 20);
+                assert_eq!(targets(&sent), vec![A, B, C], "{mode:?}");
+                assert_eq!(kinds(&sent), vec![kind; 3]);
+                assert_eq!(sent.tick_at, None, "{mode:?}: nothing to advertise");
+                assert!(e.suppress_duplicate(&mine), "its own copy coming back");
+                assert!(e.tick(120).sends.is_empty(), "{mode:?}: no advert follows");
+            }
         }
-
-        // In pull mode an originated transaction is held and advertised,
-        // not pushed, and its own copy coming back is a duplicate.
-        let mut e = engine(FloodMode::Pull);
-        let mine = tx(1);
-        let published = e.originate(mine.clone(), 30);
-        assert!(published.sends.is_empty());
-        assert_eq!(published.tick_at, Some(30 + ADVERT_INTERVAL_MS));
-        assert!(e.suppress_duplicate(&mine));
-        assert_eq!(kinds(&e.tick(130)), vec![MsgKind::Advert; 3]);
         // A point-to-point injection is stamped the same way.
+        let mut e = engine(FloodMode::Pull);
         let direct = tx(2);
         e.note_sent(&direct, 40);
         assert!(e.suppress_duplicate(&direct));
+    }
+
+    #[test]
+    fn a_tx_or_set_the_originator_already_holds_is_advertised_in_pull_mode() {
+        // A re-flood of a set this node proposed (a catch-up resync) is
+        // held and advertised, not pushed a second time: its peers have
+        // it from the first push.
+        let mut e = engine(FloodMode::Pull);
+        let mine = set(1);
+        assert_eq!(
+            kinds(&e.originate(mine.clone(), 10)),
+            vec![MsgKind::TxSet; 3]
+        );
+        let again = e.originate(mine.clone(), 20);
+        assert!(again.sends.is_empty());
+        assert_eq!(again.tick_at, Some(20 + ADVERT_INTERVAL_MS));
+        let advert = e.tick(20 + ADVERT_INTERVAL_MS);
+        assert_eq!(targets(&advert), vec![A, B, C]);
+        assert_eq!(advert.sends[0].1.msg, FloodMessage::Advert(vec![mine.id]));
+        // The re-flood answers demands from the cache.
+        let demand = Flooded::new(FloodMessage::Demand(vec![mine.id]));
+        assert_eq!(targets(&e.on_control(C, &demand, 200)), vec![C]);
+
+        // A proposer whose set a peer's push already delivered (two
+        // proposers building the same, often empty, set) advertises it
+        // once, with the relay's own advert.
+        let theirs = set(5);
+        deliver(&mut e, B, &theirs, 300).expect("fresh");
+        let proposed = e.originate(theirs.clone(), 310);
+        assert!(proposed.sends.is_empty() && proposed.tick_at.is_none());
+        let once = e.tick(400);
+        assert_eq!(targets(&once), vec![A, B, C]);
+        assert_eq!(once.sends[0].1.msg, FloodMessage::Advert(vec![theirs.id]));
+
+        // Push mode pushes a re-flood again, and an SCP envelope's
+        // re-flood is pushed in both modes.
+        let mut push = engine(FloodMode::Push);
+        push.originate(mine.clone(), 10);
+        assert_eq!(kinds(&push.originate(mine, 20)), vec![MsgKind::TxSet; 3]);
+        for mode in [FloodMode::Push, FloodMode::Pull] {
+            let mut e = engine(mode);
+            e.originate(scp(1), 10);
+            assert_eq!(kinds(&e.originate(scp(1), 20)), vec![MsgKind::Scp; 3]);
+        }
     }
 
     #[test]
@@ -672,21 +716,23 @@ mod tests {
         let quiet = e.tick(10_000);
         assert!(quiet.sends.is_empty() && quiet.spans.is_empty() && quiet.tick_at.is_none());
         assert_eq!(e.traffic.pull_timeouts, 0);
-        assert_eq!(
-            e.originate(tx(3), 10_000).tick_at,
-            Some(10_000 + ADVERT_INTERVAL_MS)
-        );
-        // Peers and mode are configuration, not state.
-        assert_eq!(targets(&e.originate(scp(1), 10_001)), vec![A, B, C]);
+        let relayed = deliver(&mut e, A, &tx(3), 10_000).expect("fresh");
+        assert_eq!(relayed.tick_at, Some(10_000 + ADVERT_INTERVAL_MS));
+        // Peers and mode are configuration, not state: an originated
+        // transaction is pushed to every peer, a relayed one advertised.
+        assert_eq!(targets(&e.originate(tx(4), 10_001)), vec![A, B, C]);
+        assert_eq!(targets(&e.tick(10_100)), vec![A, B, C]);
+        assert_eq!(targets(&e.originate(scp(1), 10_101)), vec![A, B, C]);
     }
 
     #[test]
     fn a_missed_tick_is_asked_for_again() {
         let mut e = engine(FloodMode::Pull);
-        assert!(e.originate(tx(1), 0).tick_at.is_some());
-        assert_eq!(e.originate(tx(2), 10).tick_at, None);
+        let relay = |e: &mut FloodEngine, n, now| deliver(e, A, &tx(n), now).expect("fresh");
+        assert!(relay(&mut e, 1, 0).tick_at.is_some());
+        assert_eq!(relay(&mut e, 2, 10).tick_at, None);
         e.tick_missed();
-        assert_eq!(e.originate(tx(3), 200).tick_at, Some(300));
+        assert_eq!(relay(&mut e, 3, 200).tick_at, Some(300));
         // Nothing queued was lost.
         assert_eq!(e.tick(300).sends.len(), 3);
     }
@@ -740,7 +786,7 @@ mod tests {
         // batch by batch in peer order.
         let mut e = engine(FloodMode::Pull);
         for n in 0..2500 {
-            e.originate(set(n), 0);
+            deliver(&mut e, A, &set(n), 0).expect("fresh");
         }
         let to_all = |n| vec![(A, n), (B, n), (C, n)];
         let expected = [to_all(full), to_all(full), to_all(500)].concat();

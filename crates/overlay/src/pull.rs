@@ -7,12 +7,12 @@
 //! learns a transaction or transaction set **adverts** its hash to its
 //! peers, and each peer **demands** the payload from exactly one
 //! advertiser, retrying from the next advertiser after a deterministic
-//! timeout. SCP envelopes take the same path in both modes, except that
-//! their originator pushes them to every peer, since their latency is on
-//! the consensus critical path. On a mesh every peer then already holds
-//! the envelope a relay has, so the relay's copy costs one hash in a
-//! batched advert, and the advert → demand round trip is paid only by a
-//! peer the push did not reach.
+//! timeout. SCP envelopes take the same path in both modes. Whatever the
+//! kind, the originator pushes to every peer, since transaction → leader
+//! and leader's set → voters are both on the consensus critical path. On
+//! a mesh every peer then already holds the payload a relay has, so the
+//! relay's copy costs one hash in a batched advert, and the advert →
+//! demand round trip is paid only by a peer the push did not reach.
 //!
 //! This module holds the per-node bookkeeping [`crate::FloodEngine`]
 //! composes; the engine's embedder supplies the clock and the links:
@@ -33,7 +33,8 @@ pub enum FloodMode {
     /// Naïve push flooding: every payload crosses every link (§7.5).
     #[default]
     Push,
-    /// Advert/demand gossip: payloads cross a link only when demanded.
+    /// Advert/demand gossip: an originator pushes, and a payload crosses
+    /// any further link only when demanded.
     Pull,
 }
 

@@ -8,7 +8,7 @@
 //! the node's own history archive.
 
 use crate::events::Flooded;
-use crate::simulation::{SimConfig, Simulation};
+use crate::simulation::{next_trigger_ms, SimConfig, Simulation};
 use std::collections::BTreeMap;
 use stellar_buckets::BucketList;
 use stellar_crypto::codec::Decode;
@@ -321,17 +321,17 @@ impl Simulation {
         self.handle_outputs(id, out);
         // Close the remaining gap from the network's archives, then
         // rejoin consensus: re-trigger and exchange SCP state. The node
-        // re-triggers its current slot on the normal 5-second pacing,
-        // not the instant it boots: the pacing base survives the reboot
-        // (production derives it from the recovered last-close time),
-        // and an off-schedule close time would perturb the values the
-        // network agrees on.
+        // re-triggers its current slot at the next point of its 5-second
+        // pacing grid, not the instant it boots: the pacing base survives
+        // the reboot (production derives it from the recovered last-close
+        // time), and the grid is the network's beat — a node triggering
+        // off it proposes ahead of its peers for the rest of the run.
         replayed += self.catch_up(id);
         let trigger_at = self
             .node(id)
             .last_trigger_time
             .map_or(self.now + 1, |base| {
-                (base + self.cfg.ledger_interval_ms).max(self.now + 1)
+                next_trigger_ms(base, self.cfg.ledger_interval_ms, self.now, false)
             });
         self.queue
             .push(trigger_at, crate::events::Event::TriggerLedger { node: id });
@@ -391,8 +391,10 @@ impl Simulation {
             }
             // Tx sets first: a peer that sees a vote before the set it
             // names cannot validate the value for nomination. In pull
-            // mode the sets are (re-)advertised rather than re-flooded —
-            // peers that already hold them never see the payload again.
+            // mode the sets are re-advertised, not pushed: the node's
+            // seen-cache already holds each one, and the engine pushes
+            // only what its originator did not hold — peers that already
+            // hold a set never see the payload again.
             for set in self.validator(id).scp_state_tx_sets() {
                 self.originate(id, FloodMessage::TxSet(set));
             }

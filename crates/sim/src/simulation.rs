@@ -17,6 +17,7 @@
 use crate::events::{record, Event, EventQueue, Flooded, TraceEntry};
 use crate::latency::LatencyModel;
 use crate::loadgen::{genesis_store, LoadGen};
+use crate::metrics::TriggerTimes;
 use crate::node::{Genesis, SimNode};
 use crate::scenario::Scenario;
 use crate::watchdog::{HealthWatchdog, WatchdogConfig};
@@ -53,7 +54,8 @@ pub struct SimConfig {
     pub max_sim_time_ms: u64,
     /// How `Tx`/`TxSet` payloads cross the overlay: naïve push flooding
     /// (the §7.5 default) or advert/demand pull gossip. Either way an SCP
-    /// envelope is pushed by its originator and advertised by relays.
+    /// envelope is pushed by its originator and advertised by relays, and
+    /// in pull mode so is every other payload.
     pub flood_mode: FloodMode,
     /// Whether nodes write each SCP envelope they send, and the latest
     /// closed ledger, to a (simulated) durable store before releasing it
@@ -170,6 +172,8 @@ pub struct Simulation {
     pub(crate) watchdog: HealthWatchdog,
     /// Next simulated time the watchdog takes an observation round.
     watchdog_next_ms: u64,
+    /// Each slot's earliest and latest validator trigger.
+    pub(crate) triggers: TriggerTimes,
 }
 
 impl Simulation {
@@ -217,6 +221,7 @@ impl Simulation {
             recovery_us: 0,
             watchdog: HealthWatchdog::new(WatchdogConfig::default()),
             watchdog_next_ms: 0,
+            triggers: TriggerTimes::default(),
             cfg,
         };
         sim.boot_all(&built.qsets);
@@ -603,9 +608,9 @@ impl Simulation {
             }
             Outputs::default()
         });
-        // The receiving node floods the transaction onward (in pull
-        // mode: adverts it; peers demand the payload). A shed submission
-        // never floods — that is the point.
+        // The receiving node pushes the transaction to its peers (in
+        // pull mode they advertise it onward). A shed submission never
+        // floods — that is the point.
         if admitted {
             self.originate(to, FloodMessage::Tx(tx));
         }
@@ -644,6 +649,7 @@ impl Simulation {
         }
         node.last_triggered_slot = slot;
         node.last_trigger_time = Some(now);
+        self.triggers.record(slot, now);
         record(&mut self.trace, || TraceEntry::Trigger {
             time: now,
             node: id,
@@ -823,9 +829,9 @@ impl Simulation {
         self.check_closed(node);
     }
 
-    /// Detects a freshly closed ledger and schedules the next trigger at
-    /// `last_trigger + interval` (the 5-second pacing). Without an
-    /// ingestion cadence, a hosted Horizon pipeline ingests every close.
+    /// Detects a freshly closed ledger and schedules the next trigger on
+    /// the 5-second pacing ([`next_trigger_ms`]). Without an ingestion
+    /// cadence, a hosted Horizon pipeline ingests every close.
     fn check_closed(&mut self, id: NodeId) {
         let now = self.now;
         let node = self.nodes.get_mut(&id).expect("node of the peer graph");
@@ -845,8 +851,25 @@ impl Simulation {
             header_hash: v.herder.header.hash(),
         });
         let base = node.last_trigger_time.unwrap_or(now);
-        let at = (base + self.cfg.ledger_interval_ms).max(now + 1);
+        let own_slot = node.last_triggered_slot == seq;
+        let at = next_trigger_ms(base, self.cfg.ledger_interval_ms, now, own_slot);
         self.queue.push(at, Event::TriggerLedger { node: id });
+    }
+}
+
+/// When a node that closed a ledger at `now` triggers the next one, given
+/// its last trigger at `base`: `base + interval`, or `now + 1` when its
+/// own slot (`own_slot`: it triggered the slot it just closed) ran past
+/// that. A node that did not trigger the slot it closed — it rebooted or
+/// caught up — waits for the first point after `now` on its grid
+/// `base + k·interval`, which is where the rest of the network triggers:
+/// triggering at once would have it propose a whole interval ahead of
+/// its peers, and close on a stale set each slot it leads.
+pub(crate) fn next_trigger_ms(base: u64, interval: u64, now: u64, own_slot: bool) -> u64 {
+    if own_slot {
+        (base + interval).max(now + 1)
+    } else {
+        base + (now + 1 - base).div_ceil(interval) * interval
     }
 }
 
@@ -854,6 +877,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::watchdog::HealthAlert;
+    use stellar_overlay::LinkFault;
     use stellar_telemetry::Json;
 
     #[test]
@@ -1094,6 +1118,14 @@ mod tests {
             flood_mode: FloodMode::Pull,
             ..SimConfig::default()
         });
+        // Every originator pushes to all its peers, so on a full mesh
+        // nothing is ever demanded. With the link between validators 0
+        // and 1 dead, what one of them originates reaches the other only
+        // through a relay's advert.
+        let (a, b) = (NodeId(0), NodeId(1));
+        let dead = LinkFault::none().with_drop(1.0);
+        sim.link_faults_mut().set_link(a, b, dead.clone());
+        sim.link_faults_mut().set_link(b, a, dead);
         let report = sim.run();
         assert!(!report.tx_traces.is_empty());
         let spans = sim.span_events();
@@ -1111,6 +1143,20 @@ mod tests {
         );
         // Transactions still complete the pipeline through pull gossip.
         assert!(report.tx_traces.iter().any(|r| r.applied_ms.is_some()));
+    }
+
+    #[test]
+    fn pacing_keeps_the_grid_unless_an_own_slot_ran_long() {
+        let (base, interval) = (1_000, 5_000);
+        // On time: one interval after the last trigger.
+        assert_eq!(next_trigger_ms(base, interval, 1_700, true), 6_000);
+        assert_eq!(next_trigger_ms(base, interval, 1_700, false), 6_000);
+        // The node's own slot ran past that: trigger at once.
+        assert_eq!(next_trigger_ms(base, interval, 7_300, true), 7_301);
+        // A rejoin (reboot or catch-up): the first grid point after now.
+        assert_eq!(next_trigger_ms(base, interval, 23_500, false), 26_000);
+        assert_eq!(next_trigger_ms(base, interval, 25_999, false), 26_000);
+        assert_eq!(next_trigger_ms(base, interval, 26_000, false), 31_000);
     }
 
     /// The flood seen-cache forgets by age, so over a run of several of

@@ -54,10 +54,11 @@ fn payment(from: u64, seq_num: u64, to: u64, amount: i64) -> TransactionEnvelope
     )
 }
 
-/// Runs the same submission script under the given flood mode and
-/// returns the observer's header-hash chain, the run report, and the
-/// finished sim.
+/// Runs the same submission script on `scenario` under the given flood
+/// mode and returns the observer's header-hash chain, the run report,
+/// and the finished sim.
 fn scripted_run(
+    scenario: Scenario,
     mode: FloodMode,
 ) -> (
     Vec<(u64, stellar::crypto::Hash256)>,
@@ -66,7 +67,7 @@ fn scripted_run(
 ) {
     let mut sim = Simulation::with_setup(
         SimConfig {
-            scenario: Scenario::ControlledMesh { n_validators: 4 },
+            scenario,
             n_accounts: 0,
             tx_rate: 0.0,
             target_ledgers: 3,
@@ -91,8 +92,9 @@ fn scripted_run(
 
 #[test]
 fn push_and_pull_twin_runs_externalize_byte_identical_headers() {
-    let (push_hashes, push_report, _push_sim) = scripted_run(FloodMode::Push);
-    let (pull_hashes, pull_report, pull_sim) = scripted_run(FloodMode::Pull);
+    let mesh = Scenario::ControlledMesh { n_validators: 4 };
+    let (push_hashes, push_report, _push_sim) = scripted_run(mesh.clone(), FloodMode::Push);
+    let (pull_hashes, pull_report, pull_sim) = scripted_run(mesh, FloodMode::Pull);
 
     // The whole point of the redesign: transport changes, ledgers don't.
     assert!(push_hashes.len() >= 3, "push run closed {push_hashes:?}");
@@ -112,7 +114,8 @@ fn push_and_pull_twin_runs_externalize_byte_identical_headers() {
     // Sanity on the transport itself. SCP relays are adverts in both
     // modes. Push mode never advertises a transaction: each of the three
     // crosses every link a relay would push it on, (n − 1)² = 9 times on
-    // this 4-node mesh. Pull mode fetches it once per node: 3 times.
+    // this 4-node mesh. Pull mode crosses each node once: 3 times, all in
+    // the originator's push.
     let sum = |r: &stellar::sim::SimReport, kind: MsgKind| -> u64 {
         r.traffic.values().map(|t| t.out_count(kind)).sum()
     };
@@ -121,8 +124,25 @@ fn push_and_pull_twin_runs_externalize_byte_identical_headers() {
     }
     assert_eq!(sum(&push_report, MsgKind::Tx), 3 * 9);
     assert_eq!(sum(&pull_report, MsgKind::Tx), 3 * 3);
-    assert!(sum(&pull_report, MsgKind::Demand) > 0, "no demands sent");
-    let fulfilled: u64 = pull_report.traffic.values().map(|t| t.pull_fulfilled).sum();
+
+    // On a mesh the originator's push reaches everyone, so nothing is
+    // demanded there. A watcher linked to three of a tiered core's four
+    // validators reaches the fourth only through a relay: it demands what
+    // the relays advertise, and the demands are answered.
+    let tiered = Scenario::PublicNetwork {
+        n_orgs: 4,
+        validators_per_org: 1,
+        n_watchers: 1,
+    };
+    let (_, relayed_report, relayed_sim) = scripted_run(tiered, FloodMode::Pull);
+    let chain = relayed_sim.header_hashes(relayed_sim.observer_id());
+    assert!(chain.len() >= 3, "tiered run closed {chain:?}");
+    assert!(sum(&relayed_report, MsgKind::Demand) > 0, "no demands sent");
+    let fulfilled: u64 = relayed_report
+        .traffic
+        .values()
+        .map(|t| t.pull_fulfilled)
+        .sum();
     assert!(fulfilled > 0, "no demand was ever fulfilled");
 }
 
