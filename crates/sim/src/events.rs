@@ -9,7 +9,6 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use stellar_crypto::Hash256;
-use stellar_herder::validator::Outputs;
 use stellar_ledger::tx::TransactionEnvelope;
 pub use stellar_overlay::{Flooded, FloodedData};
 use stellar_scp::driver::TimerKind;
@@ -129,12 +128,8 @@ impl EventQueue {
     /// doesn't sit in the heap for the rest of the run.
     pub fn purge_deliveries_to(&mut self, node: NodeId) -> usize {
         let before = self.heap.len();
-        let kept: Vec<Reverse<Queued>> = self
-            .heap
-            .drain()
-            .filter(|Reverse(q)| !matches!(q.event, Event::Deliver { to, .. } if to == node))
-            .collect();
-        self.heap = kept.into();
+        let to_node = |q: &Queued| matches!(q.event, Event::Deliver { to, .. } if to == node);
+        self.heap.retain(|Reverse(q)| !to_node(q));
         before - self.heap.len()
     }
 
@@ -191,13 +186,6 @@ impl EventQueue {
         version: u64,
     ) -> bool {
         self.timer_versions.get(&(node, slot, kind)) == Some(&version)
-    }
-
-    /// Applies a validator's buffered timer requests.
-    pub fn apply_outputs_timers(&mut self, now: u64, node: NodeId, outputs: &Outputs) {
-        for (slot, kind, delay) in &outputs.timers {
-            self.arm_timer(now, node, *slot, *kind, delay.map(|d| d.as_millis() as u64));
-        }
     }
 }
 

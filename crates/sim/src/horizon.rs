@@ -3,13 +3,13 @@
 //! node that hosts the pipeline (the observer, when the run attaches one).
 
 use crate::events::Event;
-use crate::node::SimNode;
+use crate::node::Node;
 use crate::simulation::Simulation;
 use stellar_horizon::{Horizon, HorizonError, HorizonPipeline};
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_telemetry::{Json, Registry};
 
-impl SimNode {
+impl Node {
     /// The front door a client submission passes on this node: with a
     /// pipeline attached, admission control sheds before the transaction
     /// costs signature checks or flooding. Returns whether it was

@@ -15,9 +15,11 @@
 //! * [`loadgen`] — the `generateload` equivalent: synthetic accounts and
 //!   Poisson payment load (§7.3);
 //! * [`simulation`] — the engine: configuration, event loop, dispatch
-//!   and delivery;
-//! * [`node`] — node lifecycle: the per-node record (validator, flood
-//!   engine, Horizon pipeline), its one boot path for first start and
+//!   and delivery; it hands each event to its node and carries out the
+//!   effects that come back;
+//! * [`node`] — one node behind one sans-I/O boundary (validator, flood
+//!   engine, pacing, Horizon pipeline; a watcher has no validator), and
+//!   the simulator's per-node hooks: one boot path for first start and
 //!   reboot, crash, durable recovery, catch-up, puppets;
 //! * `horizon` — Horizon workload driving on the observer: admission,
 //!   query batches, ingestion cadence;
