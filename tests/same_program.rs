@@ -15,8 +15,10 @@
 //! land in another ledger, so their chains changed too.
 //!
 //! Re-recorded again when every originator started pushing and a rebooted
-//! validator started re-triggering on its pacing grid; each moved pin
-//! names its reason. The push mesh has no reboot, so it did not move.
+//! validator started re-triggering on its pacing grid, and once more when
+//! a crashed node or a puppet started refusing client submissions; each
+//! moved pin names its latest reason. The push mesh has no crash and no
+//! puppet, so it did not move.
 
 use stellar::crypto::hex;
 use stellar::crypto::sha256::Sha256;
@@ -168,11 +170,11 @@ fn pull_public_network_with_crash_and_restart_is_pinned() {
     );
     let pulled: u64 = report.traffic.values().map(|t| t.pull_fulfilled).sum();
     assert!(pulled > 0, "payloads crossed by advert and demand");
-    // Moved by design: originators push every payload, and the rebooted
-    // validator re-triggers on its pacing grid.
+    // Moved by design: the crashed victim refuses the client submissions
+    // routed to it instead of queueing and flooding them.
     assert_eq!(
         digest(&sim, &report),
-        "37227942b9117b189b826ed089c65a119894922a1f1ea49c4ef54d906ff03d57"
+        "c1d9479798c757a481acbdf30121c6267fe2fbe0abb2f0963cc04508a207dddc"
     );
 }
 
@@ -203,10 +205,11 @@ fn faulty_links_with_a_puppet_are_pinned() {
     assert!(!sim.drain_puppet_inbox(puppet).is_empty());
     let timeouts: u64 = report.traffic.values().map(|t| t.pull_timeouts).sum();
     assert!(timeouts > 0, "lost demands were retried");
-    // Moved by design: originators push every payload.
+    // Moved by design: the puppet refuses the client submissions routed
+    // to it instead of queueing and flooding them.
     assert_eq!(
         digest(&sim, &report),
-        "7731a6f725a046386d7786d49d722a08d2c4b1b88d37bb1e7a37d557c9c71f59"
+        "249681319a36f1741466602cb1dc6553e86e4dfab2e929260a6b742f7797f47f"
     );
 }
 
@@ -276,10 +279,10 @@ fn observer_horizon_on_disk_with_crash_and_restart_is_pinned() {
             put(&mut h, v.as_f64().expect("a number") as i64 as u64);
         }
     }
-    // Moved by design: the rebooted observer re-triggers on its pacing
-    // grid, not the instant it boots.
+    // Moved by design: the crashed observer refuses the client
+    // submissions routed to it instead of queueing and flooding them.
     assert_eq!(
         hex::encode(&h.finish().0),
-        "62cd8bff5e95d8d8ebd5f582d918c5a7391e5f0c003a6e16e2a491e1710864b3"
+        "5dac486495f4a19b8401488e495732387bf6f4affc03ac3eaf462f794737739b"
     );
 }
