@@ -51,6 +51,12 @@ pub const LCL_KEY: &str = "lcl";
 /// use to stragglers, who catch up from the archive instead.
 pub const SLOT_WINDOW: u64 = 4;
 
+/// How far above the current slot a peer's SCP envelope may name a slot
+/// (production stellar-core's `LEDGER_VALIDITY_BRACKET`). Beyond it the
+/// envelope is dropped and counted (`scp.far_future_dropped`), so a keyed
+/// peer cannot make a node hold state for slots it may never reach.
+pub const LEDGER_VALIDITY_BRACKET: u64 = 100;
+
 /// The durable latest-closed-ledger record: the header plus the bucket
 /// level hashes it commits to. Used after a restart to cross-check the
 /// state rebuilt from the history archive against what this node had

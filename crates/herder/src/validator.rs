@@ -18,7 +18,7 @@
 //! replays those records ([`Validator::recover_scp_state`]) instead of
 //! contradicting a vote it sent (§3, §5.4).
 
-use crate::herder::{Herder, SLOT_WINDOW};
+use crate::herder::{Herder, LEDGER_VALIDITY_BRACKET, SLOT_WINDOW};
 use crate::queue::QueueError;
 use crate::value::StellarValue;
 use std::collections::BTreeMap;
@@ -154,10 +154,15 @@ impl Validator {
         self.drain_outputs()
     }
 
-    /// Handles an incoming SCP envelope.
+    /// Handles an incoming SCP envelope; one for a slot more than
+    /// [`LEDGER_VALIDITY_BRACKET`] above the current one is dropped.
     pub fn receive_envelope(&mut self, env: &Envelope) -> Outputs {
-        self.scp.receive(&mut self.herder, env);
-        self.process_externalized();
+        if env.statement.slot > self.herder.current_slot() + LEDGER_VALIDITY_BRACKET {
+            self.herder.telemetry.registry.inc("scp.far_future_dropped");
+        } else {
+            self.scp.receive(&mut self.herder, env);
+            self.process_externalized();
+        }
         self.drain_outputs()
     }
 
@@ -535,6 +540,32 @@ mod tests {
             0,
             "nothing in the WAL"
         );
+    }
+
+    #[test]
+    fn far_future_envelopes_are_dropped_and_counted() {
+        use stellar_scp::{StatementKind, Value};
+        let mut net = MiniNet::new(4);
+        let v = &mut net.validators[0];
+        let bracket_top = v.herder.current_slot() + LEDGER_VALIDITY_BRACKET;
+        for slot in bracket_top + 1..=bracket_top + 1000 {
+            let kind = StatementKind::Nominate {
+                voted: [Value::new(b"x".to_vec())].into(),
+                accepted: Default::default(),
+            };
+            assert!(kind.is_sane());
+            let statement = Statement {
+                node: NodeId(1),
+                slot,
+                quorum_set: v.scp.quorum_set().clone(),
+                kind,
+            };
+            v.receive_envelope(&Envelope::sign(statement, &KeyPair::from_seed(1)));
+        }
+        assert_eq!(v.scp.live_slots(), 0, "no state for a far-future slot");
+        let reg = &v.herder.telemetry.registry;
+        assert_eq!(reg.counter("scp.far_future_dropped"), 1000);
+        assert_eq!(reg.counter("scp.insane_statements"), 0);
     }
 
     fn x(counter: u32) -> stellar_scp::Ballot {
