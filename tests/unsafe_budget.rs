@@ -8,66 +8,17 @@
 //! fails on a second `unsafe`, a second opt-out, or a crate root that lost
 //! its lint.
 
+#[path = "support/source_scan.rs"]
+mod source_scan;
+
+use source_scan::{root, source_dirs, sources};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The function allowed to hold the block, and the file it lives in.
 const ALLOWED_FN: &str = "fn compress(";
 const ALLOWED_FILE: &str = "crates/crypto/src/sha256.rs";
 const CRYPTO_ROOT: &str = "crates/crypto/src/lib.rs";
-
-fn root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Every `src/` directory of the workspace: the facade's, each crate's and
-/// each shim's.
-fn source_dirs() -> Vec<PathBuf> {
-    let mut dirs = vec![root().join("src")];
-    for parent in ["crates", "shims"] {
-        for entry in fs::read_dir(root().join(parent)).expect("read crate dir") {
-            let src = entry.expect("dir entry").path().join("src");
-            if src.is_dir() {
-                dirs.push(src);
-            }
-        }
-    }
-    dirs.sort();
-    dirs
-}
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).expect("read source dir") {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Each workspace source file, relative path and text with `//` comments
-/// cut off (doc comments may talk about `unsafe`; code may not).
-fn sources() -> Vec<(String, String)> {
-    let mut files = Vec::new();
-    for dir in source_dirs() {
-        rust_files(&dir, &mut files);
-    }
-    files.sort();
-    files
-        .iter()
-        .map(|path| {
-            let text = fs::read_to_string(path).expect("read source");
-            let code: Vec<&str> = text
-                .lines()
-                .map(|line| line.find("//").map_or(line, |at| &line[..at]))
-                .collect();
-            let rel = path.strip_prefix(root()).expect("under root");
-            (rel.to_string_lossy().replace('\\', "/"), code.join("\n"))
-        })
-        .collect()
-}
 
 /// Byte offsets of `word` in `code` where it stands as a whole identifier.
 fn word_offsets(code: &str, word: &str) -> Vec<usize> {
