@@ -155,10 +155,15 @@ impl Validator {
     }
 
     /// Handles an incoming SCP envelope; one for a slot more than
-    /// [`LEDGER_VALIDITY_BRACKET`] above the current one is dropped.
+    /// [`LEDGER_VALIDITY_BRACKET`] above the current one, or below the
+    /// [`SLOT_WINDOW`] of slots this validator keeps, is dropped
+    /// unverified.
     pub fn receive_envelope(&mut self, env: &Envelope) -> Outputs {
-        if env.statement.slot > self.herder.current_slot() + LEDGER_VALIDITY_BRACKET {
+        let current = self.herder.current_slot();
+        if env.statement.slot > current + LEDGER_VALIDITY_BRACKET {
             self.herder.telemetry.registry.inc("scp.far_future_dropped");
+        } else if env.statement.slot < current.saturating_sub(SLOT_WINDOW) {
+            self.herder.telemetry.registry.inc("scp.stale_slot_dropped");
         } else {
             self.scp.receive(&mut self.herder, env);
             self.process_externalized();
@@ -566,6 +571,43 @@ mod tests {
         let reg = &v.herder.telemetry.registry;
         assert_eq!(reg.counter("scp.far_future_dropped"), 1000);
         assert_eq!(reg.counter("scp.insane_statements"), 0);
+    }
+
+    #[test]
+    fn stale_slot_envelopes_are_dropped_and_counted() {
+        use stellar_scp::{StatementKind, Value};
+        let mut net = MiniNet::new(4);
+        for _ in 0..SLOT_WINDOW + 2 {
+            net.now_ms += 5000;
+            net.run_ledger();
+        }
+        let v = &mut net.validators[0];
+        let stale_below = v.herder.current_slot() - SLOT_WINDOW;
+        let before = v
+            .herder
+            .telemetry
+            .registry
+            .counter("scp.envelope_in.nominate");
+        let live = v.scp.live_slots();
+        for i in 0..1000 {
+            let kind = StatementKind::Nominate {
+                voted: [Value::new(i.to_string().into_bytes())].into(),
+                accepted: Default::default(),
+            };
+            assert!(kind.is_sane());
+            let statement = Statement {
+                node: NodeId(1),
+                slot: 1 + i % (stale_below - 1),
+                quorum_set: v.scp.quorum_set().clone(),
+                kind,
+            };
+            let env = Envelope::sign(statement, &KeyPair::from_seed(1));
+            assert!(v.receive_envelope(&env).is_empty());
+        }
+        let reg = &v.herder.telemetry.registry;
+        assert_eq!(reg.counter("scp.envelope_in.nominate"), before);
+        assert_eq!(reg.counter("scp.stale_slot_dropped"), 1000);
+        assert_eq!(v.scp.live_slots(), live, "no state for a stale slot");
     }
 
     fn x(counter: u32) -> stellar_scp::Ballot {

@@ -9,6 +9,14 @@
 //! is folded into per-account history, per-pair trades, and per-account
 //! effects.
 //!
+//! Layout: one `AccountRow` per account (tracked XLM balance, history
+//! positions, effect cells) in a hash map, so an account change is one
+//! probe; trust-line balances sit beside it in a second map. Both use
+//! std's keyed hasher (account ids are peer-chosen) and are never
+//! iterated: pages come from each row's append-ordered vectors, and the
+//! `ingest.history_rows` / `ingest.effects` counters are added once per
+//! close.
+//!
 //! Everything here is **off-consensus**: the indexer consumes closes
 //! after they are final and never feeds anything back, so running it —
 //! or crashing it — cannot change externalized headers or bucket hashes
@@ -22,7 +30,8 @@
 //! [`Indexer::backfill_history`].
 
 use crate::api::{HorizonError, Page};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use stellar_buckets::HistoryArchive;
 use stellar_crypto::Hash256;
 use stellar_herder::{CloseEvent, Herder};
@@ -189,6 +198,27 @@ struct EffectCell {
     kind: EffectKind,
 }
 
+/// Everything the indexer keeps about one account, found by one probe.
+#[derive(Default)]
+struct AccountRow {
+    /// Tracked XLM balance; `None` while the account does not exist.
+    native: Option<i64>,
+    /// Confirmed-transaction history: positions into [`Indexer::rows`],
+    /// append-ordered.
+    history: Vec<u32>,
+    /// Balance effects, append-ordered.
+    effects: Vec<EffectCell>,
+}
+
+/// The effect of a balance in asset `id` moving from `old` to `new`.
+fn moved(id: u32, old: i64, new: i64) -> Option<(EffectKind, i64)> {
+    match new.cmp(&old) {
+        Ordering::Greater => Some((EffectKind::Credited(id), new - old)),
+        Ordering::Less => Some((EffectKind::Debited(id), old - new)),
+        Ordering::Equal => None,
+    }
+}
+
 /// The ingestion indexer over one validator's close-event feed.
 pub struct Indexer {
     /// Last ledger folded into the tables.
@@ -200,20 +230,19 @@ pub struct Indexer {
     /// One row per indexed transaction, in ingest order, however many
     /// accounts it touches.
     rows: Vec<HistoryRow>,
-    /// Per-account confirmed-transaction history: positions into `rows`,
-    /// append-ordered.
-    history: BTreeMap<AccountId, Vec<u32>>,
-    /// Per-account balance effects, append-ordered.
-    effects: BTreeMap<AccountId, Vec<EffectCell>>,
+    /// One row per account: its tracked XLM balance, history and effects.
+    /// Keyed by std's `RandomState`, because account ids are peer-chosen;
+    /// nothing iterates it, so hash order reaches no page or counter.
+    accounts: HashMap<AccountId, AccountRow>,
+    /// Tracked trust-line balances. Deltas against these and against
+    /// [`AccountRow::native`] become effect cells.
+    trustlines: HashMap<(AccountId, Asset), i64>,
     /// Every asset an effect names, once; an id is an index here.
     assets: Vec<Asset>,
     /// The id of each asset in `assets`.
     asset_ids: BTreeMap<Asset, u32>,
     /// Per-pair trades, append-ordered.
     trades: BTreeMap<(Asset, Asset), Vec<TradeRow>>,
-    /// Tracked balances: `(account, asset)` → balance, `Asset::Native`
-    /// for XLM. Deltas against this table become effect rows.
-    balances: BTreeMap<(AccountId, Asset), i64>,
     /// Resting offers as of the last ingested ledger — offer-transition
     /// detection (fills vs cancels) diffs against this.
     offers: BTreeMap<u64, OfferEntry>,
@@ -235,12 +264,11 @@ impl Indexer {
             ingested_seq: head,
             attached_seq: head,
             rows: Vec::new(),
-            history: BTreeMap::new(),
-            effects: BTreeMap::new(),
+            accounts: HashMap::with_capacity(herder.store.account_count()),
+            trustlines: HashMap::new(),
             assets: Vec::new(),
             asset_ids: BTreeMap::new(),
             trades: BTreeMap::new(),
-            balances: BTreeMap::new(),
             offers: BTreeMap::new(),
             registry: Registry::new(),
             #[cfg(test)]
@@ -249,10 +277,10 @@ impl Indexer {
         for entry in herder.store.all_entries() {
             match entry {
                 LedgerEntry::Account(a) => {
-                    ix.balances.insert((a.id, Asset::Native), a.balance);
+                    ix.accounts.entry(a.id).or_default().native = Some(a.balance);
                 }
                 LedgerEntry::TrustLine(t) => {
-                    ix.balances.insert((t.account, t.asset.clone()), t.balance);
+                    ix.trustlines.insert((t.account, t.asset), t.balance);
                 }
                 LedgerEntry::Offer(o) => {
                     ix.offers.insert(o.id, o);
@@ -348,6 +376,7 @@ impl Indexer {
         txs: &[TransactionEnvelope],
         results: Option<&[TxResult]>,
     ) {
+        let mut filed = 0;
         for (i, env) in txs.iter().enumerate() {
             let outcome = results.and_then(|rs| rs.get(i)).map(|r| match r {
                 TxResult::Success { fee_charged } => TxOutcome {
@@ -373,92 +402,73 @@ impl Indexer {
                 outcome,
             });
             for account in participants(env) {
-                self.history.entry(account).or_default().push(at);
-                self.registry.inc("ingest.history_rows");
+                self.accounts.entry(account).or_default().history.push(at);
+                filed += 1;
                 #[cfg(test)]
                 self.reference
                     .file_history(account, &self.rows[at as usize]);
             }
         }
+        if filed > 0 {
+            self.registry.add("ingest.history_rows", filed);
+        }
     }
 
     fn index_changes(&mut self, ev: &CloseEvent) {
         let seq = ev.ledger_seq;
+        let native = self.intern(&Asset::Native);
+        let mut filed = 0;
         for (key, entry) in &ev.changes {
-            match (key, entry) {
+            let (row, (kind, amount)) = match (key, entry) {
                 (LedgerKey::Account(id), Some(LedgerEntry::Account(a))) => {
-                    match self.balances.insert((*id, Asset::Native), a.balance) {
-                        None => self.push_effect(
-                            seq,
-                            *id,
-                            Effect::AccountCreated { balance: a.balance },
-                        ),
-                        Some(old) if a.balance > old => self.push_effect(
-                            seq,
-                            *id,
-                            Effect::Credited {
-                                asset: Asset::Native,
-                                amount: a.balance - old,
-                            },
-                        ),
-                        Some(old) if a.balance < old => self.push_effect(
-                            seq,
-                            *id,
-                            Effect::Debited {
-                                asset: Asset::Native,
-                                amount: old - a.balance,
-                            },
-                        ),
-                        Some(_) => {} // seq bump / options change only
-                    }
+                    let row = self.accounts.entry(*id).or_default();
+                    let effect = match row.native.replace(a.balance) {
+                        None => (EffectKind::AccountCreated, a.balance),
+                        Some(old) => match moved(native, old, a.balance) {
+                            Some(effect) => effect,
+                            None => continue, // seq bump / options change only
+                        },
+                    };
+                    (row, effect)
                 }
                 (LedgerKey::Account(id), None) => {
-                    self.balances.remove(&(*id, Asset::Native));
-                    self.push_effect(seq, *id, Effect::AccountRemoved);
+                    let row = self.accounts.entry(*id).or_default();
+                    row.native = None;
+                    (row, (EffectKind::AccountRemoved, 0))
                 }
                 (LedgerKey::TrustLine(id, asset), Some(LedgerEntry::TrustLine(t))) => {
-                    let old = self
-                        .balances
-                        .insert((*id, asset.clone()), t.balance)
-                        .unwrap_or(0);
-                    if t.balance > old {
-                        self.push_effect(
-                            seq,
-                            *id,
-                            Effect::Credited {
-                                asset: asset.clone(),
-                                amount: t.balance - old,
-                            },
-                        );
-                    } else if t.balance < old {
-                        self.push_effect(
-                            seq,
-                            *id,
-                            Effect::Debited {
-                                asset: asset.clone(),
-                                amount: old - t.balance,
-                            },
-                        );
-                    }
+                    let old = self.trustlines.insert((*id, asset.clone()), t.balance);
+                    let Some(effect) = moved(self.intern(asset), old.unwrap_or(0), t.balance)
+                    else {
+                        continue;
+                    };
+                    (self.accounts.entry(*id).or_default(), effect)
                 }
                 (LedgerKey::TrustLine(id, asset), None) => {
-                    if let Some(old) = self.balances.remove(&(*id, asset.clone())) {
-                        if old > 0 {
-                            self.push_effect(
-                                seq,
-                                *id,
-                                Effect::Debited {
-                                    asset: asset.clone(),
-                                    amount: old,
-                                },
-                            );
+                    match self.trustlines.remove(&(*id, asset.clone())) {
+                        Some(old) if old > 0 => {
+                            let effect = (EffectKind::Debited(self.intern(asset)), old);
+                            (self.accounts.entry(*id).or_default(), effect)
                         }
+                        _ => continue,
                     }
                 }
                 // Offer transitions feed the trades pass; data entries
                 // are not indexed.
-                _ => {}
-            }
+                _ => continue,
+            };
+            let cell = EffectCell {
+                ledger_seq: seq,
+                amount,
+                kind,
+            };
+            row.effects.push(cell);
+            filed += 1;
+            #[cfg(test)]
+            self.reference.file_effect(key, &cell);
+        }
+        if filed > 0 {
+            self.registry.add("ingest.effects", filed);
         }
     }
 
@@ -505,33 +515,14 @@ impl Indexer {
         }
     }
 
-    fn push_effect(&mut self, ledger_seq: u64, account: AccountId, effect: Effect) {
-        self.registry.inc("ingest.effects");
-        #[cfg(test)]
-        self.reference.file_effect(ledger_seq, account, &effect);
-        let (kind, amount) = match effect {
-            Effect::AccountCreated { balance } => (EffectKind::AccountCreated, balance),
-            Effect::AccountRemoved => (EffectKind::AccountRemoved, 0),
-            Effect::Credited { asset, amount } => {
-                (EffectKind::Credited(self.intern(asset)), amount)
-            }
-            Effect::Debited { asset, amount } => (EffectKind::Debited(self.intern(asset)), amount),
-        };
-        self.effects.entry(account).or_default().push(EffectCell {
-            ledger_seq,
-            amount,
-            kind,
-        });
-    }
-
     /// The id of `asset` in `assets`, adding it on first sight.
-    fn intern(&mut self, asset: Asset) -> u32 {
-        if let Some(id) = self.asset_ids.get(&asset) {
+    fn intern(&mut self, asset: &Asset) -> u32 {
+        if let Some(id) = self.asset_ids.get(asset) {
             return *id;
         }
         let id = u32::try_from(self.assets.len()).expect("asset ids fit u32");
         self.assets.push(asset.clone());
-        self.asset_ids.insert(asset, id);
+        self.asset_ids.insert(asset.clone(), id);
         id
     }
 
@@ -584,7 +575,7 @@ impl Indexer {
         limit: usize,
     ) -> Result<Page<HistoryRow>, HorizonError> {
         crate::api::check_limit(limit)?;
-        let at = self.history.get(&id).map(Vec::as_slice).unwrap_or(&[]);
+        let at = self.accounts.get(&id).map_or(&[][..], |r| &r.history);
         Ok(page_of(at, cursor, limit, |i| {
             self.rows[*i as usize].clone()
         }))
@@ -598,7 +589,7 @@ impl Indexer {
         limit: usize,
     ) -> Result<Page<EffectRow>, HorizonError> {
         crate::api::check_limit(limit)?;
-        let cells = self.effects.get(&id).map(Vec::as_slice).unwrap_or(&[]);
+        let cells = self.accounts.get(&id).map_or(&[][..], |r| &r.effects);
         Ok(page_of(cells, cursor, limit, |c| self.effect_row(id, c)))
     }
 
@@ -944,11 +935,25 @@ mod tests {
             self.history.entry(account).or_default().push(row.clone());
         }
 
-        pub(super) fn file_effect(&mut self, ledger_seq: u64, account: AccountId, effect: &Effect) {
+        /// Files the effect `cell` records for the account (and asset)
+        /// of `key`, reading the asset from the key, not the interner.
+        pub(super) fn file_effect(&mut self, key: &LedgerKey, cell: &EffectCell) {
+            let (account, asset) = match key {
+                LedgerKey::TrustLine(id, asset) => (*id, asset.clone()),
+                LedgerKey::Account(id) => (*id, Asset::Native),
+                _ => unreachable!("only accounts and trust lines have effects"),
+            };
+            let amount = cell.amount;
+            let effect = match cell.kind {
+                EffectKind::AccountCreated => Effect::AccountCreated { balance: amount },
+                EffectKind::AccountRemoved => Effect::AccountRemoved,
+                EffectKind::Credited(_) => Effect::Credited { asset, amount },
+                EffectKind::Debited(_) => Effect::Debited { asset, amount },
+            };
             self.effects.entry(account).or_default().push(EffectRow {
-                ledger_seq,
+                ledger_seq: cell.ledger_seq,
                 account,
-                effect: effect.clone(),
+                effect,
             });
         }
     }
@@ -1059,8 +1064,20 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn compact_tables_page_like_one_row_per_participant() {
+    /// The indexers [`random_closes`] feeds and the accounts worth
+    /// paging: `live` attached at genesis, `late` mid-stream.
+    struct Fed {
+        live: [Indexer; 2],
+        late: [Indexer; 2],
+        accounts: Vec<AccountId>,
+    }
+
+    /// 24 closes of random transactions ([`random_tx`]) fed to two
+    /// indexers attached at genesis and, from close 14, to two more
+    /// attached mid-stream and backfilled from the archive. Closes 8..=10
+    /// share a one-event feed: two of them drop and come back from the
+    /// archive, without enrichments.
+    fn random_closes() -> Fed {
         let usd = Asset::issued(acct(9), "USD");
         let mut store = LedgerStore::new();
         store.put_account(AccountEntry::new(acct(9), xlm(100)));
@@ -1075,22 +1092,21 @@ mod tests {
             });
         }
         let mut h = Herder::new(NodeId(0), store, BTreeMap::new());
-        let mut live = Indexer::attach(&mut h);
-        let mut late: Option<Indexer> = None;
+        let mut live = [Indexer::attach(&mut h), Indexer::attach(&mut h)];
+        let mut late: Option<[Indexer; 2]> = None;
         let mut rng = StdRng::seed_from_u64(37);
         let mut accounts: Vec<u64> = (0..6).collect();
         let mut created = 100;
         for close in 0..24 {
             match close {
-                // Closes 8..=10 share a one-event feed: two of them drop
-                // and come back from the archive, without enrichments.
                 8 => h.enable_ingest(1),
                 11 => h.enable_ingest(INGEST_FEED_CAP),
-                // A second indexer attaches mid-stream and backfills.
                 14 => {
-                    let mut ix = Indexer::attach(&mut h);
-                    ix.backfill_history(&h.archive);
-                    late = Some(ix);
+                    let mut pair = [Indexer::attach(&mut h), Indexer::attach(&mut h)];
+                    for ix in &mut pair {
+                        ix.backfill_history(&h.archive);
+                    }
+                    late = Some(pair);
                 }
                 _ => {}
             }
@@ -1109,34 +1125,91 @@ mod tests {
             assert!(h.apply_externalized(h.current_slot(), &v));
             if !(8..10).contains(&close) {
                 for ev in h.take_close_events() {
-                    live.apply_close(&ev, &h.archive);
-                    if let Some(ix) = late.as_mut() {
+                    for ix in live.iter_mut().chain(late.iter_mut().flatten()) {
                         ix.apply_close(&ev, &h.archive);
                     }
                 }
             }
         }
-        let late = late.expect("attached");
+        Fed {
+            live,
+            late: late.expect("attached"),
+            accounts: accounts.iter().chain(&[9, 999]).map(|n| acct(*n)).collect(),
+        }
+    }
+
+    #[test]
+    fn compact_tables_page_like_one_row_per_participant() {
+        let Fed {
+            live: [live, _],
+            late: [late, _],
+            accounts,
+        } = random_closes();
         assert_eq!(live.registry.counter("ingest.gap_backfilled"), 2);
         assert_eq!(late.ingested_seq(), live.ingested_seq());
         assert!(late.registry.counter("ingest.backfilled") > 10);
-        assert!(live
-            .effects
-            .values()
-            .flatten()
-            .any(|c| matches!(c.kind, EffectKind::AccountCreated)));
-        assert!(live
-            .effects
-            .values()
-            .flatten()
-            .any(|c| matches!(c.kind, EffectKind::AccountRemoved)));
+        let effects = || live.reference.effects.values().flatten();
+        assert!(effects().any(|r| matches!(r.effect, Effect::AccountCreated { .. })));
+        assert!(effects().any(|r| r.effect == Effect::AccountRemoved));
         assert!(live
             .rows
             .iter()
             .any(|r| r.outcome.is_some_and(|o| !o.success)));
         assert!(!live.trades.is_empty(), "the book never crossed");
-        let ids: Vec<AccountId> = accounts.iter().chain(&[9, 999]).map(|n| acct(*n)).collect();
-        assert_pages_match_reference(&live, &ids);
-        assert_pages_match_reference(&late, &ids);
+        assert_pages_match_reference(&live, &accounts);
+        assert_pages_match_reference(&late, &accounts);
+    }
+
+    /// Two indexers in one process hash with different `RandomState`
+    /// keys. Fed the same closes, they serve the same pages and counters,
+    /// so no hash order leaks out; and the per-close counters equal the
+    /// reference's one-row-per-participant totals.
+    #[test]
+    fn twin_indexers_agree_whatever_their_hash_keys() {
+        let Fed {
+            live,
+            late,
+            accounts,
+        } = random_closes();
+        let usd = Asset::issued(acct(9), "USD");
+        for [a, b] in [&live, &late] {
+            assert_eq!(a.registry.snapshot(), b.registry.snapshot());
+            let counter = |name| a.registry.counter(name) as usize;
+            assert_eq!(
+                counter("ingest.history_rows"),
+                a.reference.history.values().flatten().count()
+            );
+            assert_eq!(
+                counter("ingest.effects"),
+                a.reference.effects.values().flatten().count()
+            );
+            for id in &accounts {
+                let history = a.reference.history.get(id).map_or(0, Vec::len);
+                let n = history.max(a.reference.effects.get(id).map_or(0, Vec::len));
+                for cursor in std::iter::once(None).chain((0..=n as u64 + 1).map(Some)) {
+                    for limit in 1..=n.max(1) {
+                        assert_eq!(
+                            a.account_history(*id, cursor, limit),
+                            b.account_history(*id, cursor, limit)
+                        );
+                        assert_eq!(
+                            a.account_effects(*id, cursor, limit),
+                            b.account_effects(*id, cursor, limit)
+                        );
+                    }
+                }
+            }
+            for (selling, buying) in [(&usd, &Asset::Native), (&Asset::Native, &usd)] {
+                let all = a.trades(selling, buying, None, usize::MAX).unwrap();
+                assert_eq!(all, b.trades(selling, buying, None, usize::MAX).unwrap());
+                for cursor in 0..=all.records.len() as u64 {
+                    assert_eq!(
+                        a.trades(selling, buying, Some(cursor), 2),
+                        b.trades(selling, buying, Some(cursor), 2)
+                    );
+                }
+            }
+        }
+        assert!(live[0].registry.counter("ingest.trades") > 0);
     }
 }
