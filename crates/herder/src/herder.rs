@@ -209,11 +209,16 @@ pub struct Herder {
     /// sequence number and backfills from the archive.
     ingest_cap: usize,
 
+    /// The deadline (ms) of each SCP timer armed and neither fired nor
+    /// cancelled: an arm replaces the entry, a cancel removes it. It is
+    /// RAM, so a rebooted process starts with none.
+    pub armed: BTreeMap<(SlotIndex, TimerKind), u64>,
+
     // ---- buffered driver outputs ----
     /// Envelopes to flood.
     pub outbox: Vec<Envelope>,
-    /// Timer (re-)arms requested: (slot, kind, delay-or-cancel).
-    pub timer_requests: Vec<(SlotIndex, TimerKind, Option<Duration>)>,
+    /// Timer arms requested: (slot, kind, deadline in ms).
+    pub timer_requests: Vec<(SlotIndex, TimerKind, u64)>,
     /// Values externalized, not yet processed into ledger closes.
     pub pending_externalize: Vec<(SlotIndex, Value)>,
     /// Protocol events (metrics), every kind but `EnvelopeProcessed`.
@@ -281,6 +286,7 @@ impl Herder {
             telemetry: NodeTelemetry::new(node_id.0),
             persist: DurableStore::new(),
             scp_record_slots: BTreeSet::new(),
+            armed: BTreeMap::new(),
             outbox: Vec::new(),
             timer_requests: Vec::new(),
             pending_externalize: Vec::new(),
@@ -797,8 +803,8 @@ impl Herder {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Drains buffered timer requests.
-    pub fn take_timer_requests(&mut self) -> Vec<(SlotIndex, TimerKind, Option<Duration>)> {
+    /// Drains buffered timer arms.
+    pub fn take_timer_requests(&mut self) -> Vec<(SlotIndex, TimerKind, u64)> {
         std::mem::take(&mut self.timer_requests)
     }
 }
@@ -843,22 +849,23 @@ impl Driver for Herder {
         let timer = timer_name(kind);
         match delay {
             Some(d) => {
+                let delay_ms = d.as_millis() as u64;
                 self.telemetry.registry.inc("scp.timer_arms");
                 self.telemetry.trace(
                     self.clock_ms,
                     slot,
-                    TraceKind::TimerArmed {
-                        timer,
-                        delay_ms: d.as_millis() as u64,
-                    },
+                    TraceKind::TimerArmed { timer, delay_ms },
                 );
+                let deadline = self.clock_ms + delay_ms;
+                self.armed.insert((slot, kind), deadline);
+                self.timer_requests.push((slot, kind, deadline));
             }
             None => {
                 self.telemetry
                     .trace(self.clock_ms, slot, TraceKind::TimerCanceled { timer });
+                self.armed.remove(&(slot, kind));
             }
         }
-        self.timer_requests.push((slot, kind, delay));
     }
 
     fn externalized(&mut self, slot: SlotIndex, value: &Value) {

@@ -22,7 +22,6 @@ use crate::herder::{Herder, LEDGER_VALIDITY_BRACKET, SLOT_WINDOW};
 use crate::queue::QueueError;
 use crate::value::StellarValue;
 use std::collections::BTreeMap;
-use std::time::Duration;
 use stellar_crypto::sign::KeyPair;
 use stellar_ledger::store::LedgerStore;
 use stellar_ledger::tx::TransactionEnvelope;
@@ -38,8 +37,11 @@ pub struct Outputs {
     pub envelopes: Vec<Envelope>,
     /// Transaction sets to flood (peers need them to validate values).
     pub tx_sets: Vec<TransactionSet>,
-    /// Timer requests: arm (`Some`) or cancel (`None`).
-    pub timers: Vec<(SlotIndex, TimerKind, Option<Duration>)>,
+    /// Timers to fire: call [`Validator::on_timer`] with this slot, kind
+    /// and deadline once the clock reaches the deadline (ms). Replacing
+    /// and cancelling are the validator's own business: a deadline it no
+    /// longer holds armed is ignored when it fires.
+    pub timers: Vec<(SlotIndex, TimerKind, u64)>,
 }
 
 impl Outputs {
@@ -181,11 +183,18 @@ impl Validator {
         self.drain_outputs()
     }
 
-    /// Handles a timer expiry the embedder scheduled earlier.
-    pub fn on_timer(&mut self, slot: SlotIndex, kind: TimerKind) -> Outputs {
+    /// The `kind` timer of `slot` fires at `deadline`. `None`, and
+    /// nothing changes, unless that exact deadline is still armed: a
+    /// timer the validator replaced, cancelled or already fired — or that
+    /// an earlier process armed — is ignored.
+    pub fn on_timer(&mut self, slot: SlotIndex, kind: TimerKind, deadline: u64) -> Option<Outputs> {
+        if self.herder.armed.get(&(slot, kind)) != Some(&deadline) {
+            return None;
+        }
+        self.herder.armed.remove(&(slot, kind));
         self.scp.on_timeout(&mut self.herder, slot, kind);
         self.process_externalized();
-        self.drain_outputs()
+        Some(self.drain_outputs())
     }
 
     /// Moves freshly externalized values into ledger closes.
@@ -294,6 +303,8 @@ impl Validator {
 mod tests {
     use super::*;
     use crate::herder::scp_record_key;
+    use std::collections::BTreeSet;
+    use std::time::Duration;
     use stellar_crypto::sign::PublicKey;
     use stellar_ledger::amount::{xlm, BASE_FEE};
     use stellar_ledger::asset::Asset;
@@ -304,7 +315,8 @@ mod tests {
     /// full pipeline: submit → nominate → ballot → externalize → close.
     struct MiniNet {
         validators: Vec<Validator>,
-        timers: BTreeMap<(usize, SlotIndex, TimerKind), u64>,
+        /// Every timer handed out, `(deadline, node, slot, kind)`.
+        timers: BTreeSet<(u64, usize, SlotIndex, TimerKind)>,
         now_ms: u64,
     }
 
@@ -346,7 +358,7 @@ mod tests {
                 .collect();
             MiniNet {
                 validators,
-                timers: BTreeMap::new(),
+                timers: BTreeSet::new(),
                 now_ms: 1000,
             }
         }
@@ -354,20 +366,13 @@ mod tests {
         fn route(&mut self, from: usize, out: Outputs) {
             let mut queue = vec![(from, out)];
             while let Some((src, out)) = queue.pop() {
-                for (slot, kind, delay) in out.timers {
-                    match delay {
-                        Some(d) => {
-                            self.timers
-                                .insert((src, slot, kind), self.now_ms + d.as_millis() as u64);
-                        }
-                        None => {
-                            self.timers.remove(&(src, slot, kind));
-                        }
-                    }
-                }
+                let timers = out.timers.into_iter();
+                self.timers
+                    .extend(timers.map(|(slot, kind, at)| (at, src, slot, kind)));
                 for env in out.envelopes {
                     for i in 0..self.validators.len() {
                         if i != src {
+                            self.validators[i].set_time_ms(self.now_ms);
                             let o = self.validators[i].receive_envelope(&env);
                             queue.push((i, o));
                         }
@@ -376,6 +381,7 @@ mod tests {
                 for set in out.tx_sets {
                     for i in 0..self.validators.len() {
                         if i != src {
+                            self.validators[i].set_time_ms(self.now_ms);
                             let o = self.validators[i].receive_tx_set(set.clone());
                             queue.push((i, o));
                         }
@@ -396,19 +402,14 @@ mod tests {
                 if self.validators.iter().all(|v| v.ledger_seq() >= slot) {
                     return;
                 }
-                let Some(((i, s, k), deadline)) = self
-                    .timers
-                    .iter()
-                    .min_by_key(|(_, d)| **d)
-                    .map(|(k, d)| (*k, *d))
-                else {
+                let Some((deadline, i, s, k)) = self.timers.pop_first() else {
                     break;
                 };
                 self.now_ms = self.now_ms.max(deadline);
-                self.timers.remove(&(i, s, k));
                 self.validators[i].set_time_ms(self.now_ms);
-                let out = self.validators[i].on_timer(s, k);
-                self.route(i, out);
+                if let Some(out) = self.validators[i].on_timer(s, k, deadline) {
+                    self.route(i, out);
+                }
             }
             panic!("ledger {slot} did not close");
         }
@@ -479,6 +480,58 @@ mod tests {
         assert_eq!(h3.ledger_seq, h2.ledger_seq + 1);
         assert_eq!(h3.prev_header_hash, h2.hash());
         assert!(h3.close_time > h2.close_time);
+    }
+
+    #[test]
+    fn on_timer_fires_only_the_deadline_still_armed() {
+        use stellar_scp::driver::Driver;
+        let mut v = MiniNet::new(4).validators.remove(0);
+        v.set_time_ms(5_000);
+        let out = v.trigger_next_ledger();
+        let slot = v.herder.current_slot();
+        let nomination = TimerKind::Nomination;
+        assert_eq!(out.timers, vec![(slot, nomination, 6_000)]);
+        // What a timer that fires could change.
+        let state = |v: &Validator| {
+            let timeouts = v
+                .herder
+                .telemetry
+                .registry
+                .counter("scp.timeout.nomination");
+            let own = v.scp.slot(slot).map(|s| s.own_statements(v.id()));
+            (v.herder.armed.clone(), v.herder.events.len(), timeouts, own)
+        };
+        let ignored = |v: &mut Validator, kind, deadline| {
+            let before = state(v);
+            assert!(v.on_timer(slot, kind, deadline).is_none());
+            assert_eq!(
+                state(v),
+                before,
+                "{kind:?} at {deadline} changed the validator"
+            );
+        };
+        // Never armed: another kind, another deadline.
+        ignored(&mut v, TimerKind::Ballot, 6_000);
+        ignored(&mut v, nomination, 6_001);
+        // Replaced: the same timer re-armed for two seconds.
+        Driver::set_timer(
+            &mut v.herder,
+            slot,
+            nomination,
+            Some(Duration::from_secs(2)),
+        );
+        ignored(&mut v, nomination, 6_000);
+        // The deadline it holds fires once, and the round re-arms.
+        v.set_time_ms(7_000);
+        assert!(v.on_timer(slot, nomination, 7_000).is_some());
+        let reg = &v.herder.telemetry.registry;
+        assert_eq!(reg.counter("scp.timeout.nomination"), 1);
+        assert_eq!(v.herder.armed.get(&(slot, nomination)), Some(&9_000));
+        ignored(&mut v, nomination, 7_000);
+        // Cancelled.
+        Driver::set_timer(&mut v.herder, slot, nomination, None);
+        ignored(&mut v, nomination, 9_000);
+        assert!(v.herder.armed.is_empty());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The simulation event queue.
 //!
 //! A binary heap ordered by `(time, sequence)` — the sequence number makes
-//! simultaneous events deterministic. Timer events carry a version per
-//! `(node, slot, kind)`; re-arming bumps the version so stale expiries are
-//! ignored, giving SCP the replace/cancel timer semantics its driver
-//! contract requires.
+//! simultaneous events deterministic. The queue holds no timer state: an
+//! SCP timer event carries the deadline it was armed for, and the node's
+//! validator ignores one it no longer holds armed.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use stellar_crypto::Hash256;
 use stellar_ledger::tx::TransactionEnvelope;
 pub use stellar_overlay::{Flooded, FloodedData};
@@ -26,7 +25,8 @@ pub enum Event {
         /// The payload.
         msg: Flooded,
     },
-    /// An SCP timer expires (if `version` is still current).
+    /// An SCP timer reaches its deadline (a no-op unless the node's
+    /// validator still holds it armed).
     Timer {
         /// The node whose timer fires.
         node: NodeId,
@@ -34,8 +34,8 @@ pub enum Event {
         slot: SlotIndex,
         /// Nomination or ballot timer.
         kind: TimerKind,
-        /// Arm version; stale versions are no-ops.
-        version: u64,
+        /// The deadline (ms) it was armed for.
+        deadline: u64,
     },
     /// A node should start consensus on its next ledger.
     TriggerLedger {
@@ -92,12 +92,11 @@ impl Ord for Queued {
     }
 }
 
-/// Deterministic time-ordered event queue with versioned timers.
+/// Deterministic time-ordered event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<Queued>>,
     next_seq: u64,
-    timer_versions: BTreeMap<(NodeId, SlotIndex, TimerKind), u64>,
 }
 
 impl EventQueue {
@@ -149,43 +148,6 @@ impl EventQueue {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Arms (or cancels) a timer per the SCP driver contract; returns the
-    /// event to schedule, if any.
-    pub fn arm_timer(
-        &mut self,
-        now: u64,
-        node: NodeId,
-        slot: SlotIndex,
-        kind: TimerKind,
-        delay_ms: Option<u64>,
-    ) {
-        let v = self.timer_versions.entry((node, slot, kind)).or_insert(0);
-        *v += 1;
-        let version = *v;
-        if let Some(d) = delay_ms {
-            self.push(
-                now + d,
-                Event::Timer {
-                    node,
-                    slot,
-                    kind,
-                    version,
-                },
-            );
-        }
-    }
-
-    /// Whether a timer event is still current.
-    pub fn timer_current(
-        &self,
-        node: NodeId,
-        slot: SlotIndex,
-        kind: TimerKind,
-        version: u64,
-    ) -> bool {
-        self.timer_versions.get(&(node, slot, kind)) == Some(&version)
     }
 }
 
@@ -268,43 +230,5 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![(5, 2), (5, 3), (10, 1)]);
-    }
-
-    #[test]
-    fn rearming_invalidates_old_timer() {
-        let mut q = EventQueue::new();
-        q.arm_timer(0, NodeId(1), 1, TimerKind::Ballot, Some(100));
-        let (_, e1) = q.pop().unwrap();
-        let v1 = match e1 {
-            Event::Timer { version, .. } => version,
-            _ => unreachable!(),
-        };
-        assert!(q.timer_current(NodeId(1), 1, TimerKind::Ballot, v1));
-        // Re-arm: v1 becomes stale.
-        q.arm_timer(0, NodeId(1), 1, TimerKind::Ballot, Some(200));
-        assert!(!q.timer_current(NodeId(1), 1, TimerKind::Ballot, v1));
-        let (_, e2) = q.pop().unwrap();
-        match e2 {
-            Event::Timer { version, .. } => {
-                assert!(q.timer_current(NodeId(1), 1, TimerKind::Ballot, version));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn cancel_leaves_no_event_and_bumps_version() {
-        let mut q = EventQueue::new();
-        q.arm_timer(0, NodeId(1), 1, TimerKind::Nomination, Some(100));
-        q.arm_timer(0, NodeId(1), 1, TimerKind::Nomination, None);
-        // One stale event remains in the heap; it must be non-current.
-        let (_, e) = q.pop().unwrap();
-        match e {
-            Event::Timer { version, .. } => {
-                assert!(!q.timer_current(NodeId(1), 1, TimerKind::Nomination, version));
-            }
-            _ => unreachable!(),
-        }
-        assert!(q.is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //! wall clock, exactly the split the paper's latency components have.
 //!
 //! * [`latency`] — seeded link-latency models (LAN, same-region EC2, WAN);
-//! * [`events`] — the event queue (deliveries, timers, ledger triggers,
-//!   load arrivals) with versioned timer cancellation, and the
+//! * [`events`] — the event queue (deliveries, SCP timer deadlines,
+//!   ledger triggers, load arrivals), which holds no timer state, and the
 //!   deterministic event trace;
 //! * [`loadgen`] — the `generateload` equivalent: synthetic accounts and
 //!   Poisson payment load (§7.3);

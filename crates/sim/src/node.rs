@@ -7,13 +7,13 @@
 //! delivery, a trigger, a pull tick, an SCP timer or a client submission,
 //! plus the caller's clock. Out: one ordered [`NodeActions`]. The
 //! simulator, a test or a bounded explorer can each drive the same node;
-//! the embedder owns links, latency, faults, the processing-cost model
-//! and puppets' inboxes. What it must do, and what it may rely on:
+//! the embedder owns links, latency, faults and the processing-cost
+//! model. What it must do, and what it may rely on:
 //!
 //! * **Order.** Carrying the effects out in list order — one latency
 //!   sample per [`Effect::Send`], each timer, tick and trigger queued as
 //!   it comes — replays bit-identically. A delivered payload yields the
-//!   validator's reply (timer requests; each envelope's sends and tick;
+//!   validator's reply (its timers; each envelope's sends and tick;
 //!   each transaction set's; [`Effect::Closed`] and the next
 //!   [`Effect::Trigger`] if a ledger closed), then [`Effect::CatchUp`] if
 //!   the node fell behind, then the relay's sends and tick.
@@ -26,10 +26,14 @@
 //!   [`Node::suppress_duplicate`], then the processing-cost model (a busy
 //!   node re-queues it untouched), then [`Node::on_deliver`]. Adverts and
 //!   demands go straight to [`Node::on_deliver`].
+//! * **SCP timers.** Call [`Node::on_timer`] at each [`Effect::Timer`]'s
+//!   deadline; a timer the validator replaced, cancelled or armed in an
+//!   earlier process is ignored, so the embedder keeps no timer state.
 //! * **Liveness.** A crashed node ignores deliveries, timers and
 //!   submissions, misses its ticks and asks for its trigger again an
 //!   interval later. A puppet never triggers, votes or takes a
-//!   submission, but relays and ticks.
+//!   submission, but relays and ticks, and keeps what it is delivered in
+//!   an inbox for its driver.
 //! * **Pacing.** A node triggers the next ledger once it has closed the
 //!   previous one *and* an interval has passed since its last trigger
 //!   ([`next_trigger_ms`]; §7: "the system runs SCP at 5-second
@@ -68,10 +72,9 @@ pub fn validator_keys(id: NodeId) -> KeyPair {
 pub enum Effect {
     /// Put the message on the link to this peer.
     Send(NodeId, Flooded),
-    /// Arm the SCP timer of this slot and kind to fire this many ms from
-    /// now, replacing one already armed, or cancel it (`None`). A timer
-    /// that fires goes to [`Node::on_timer`].
-    Timer(SlotIndex, TimerKind, Option<u64>),
+    /// Call [`Node::on_timer`] with this SCP slot, timer kind and
+    /// deadline at the deadline (ms).
+    Timer(SlotIndex, TimerKind, u64),
     /// Call [`Node::on_tick`] at this time (ms).
     Tick(u64),
     /// Call [`Node::on_trigger`] at this time (ms).
@@ -104,9 +107,10 @@ pub struct Node {
     last_closed: u64,
     /// Crashed: no receive, no send, no timers.
     pub(crate) crashed: bool,
-    /// A puppet holds real keys and appears in quorum sets but runs no
-    /// validator logic; an external driver speaks for it.
-    pub(crate) puppet: bool,
+    /// A puppet's inbox: what it was delivered since its driver last
+    /// drained it. A puppet holds real keys and appears in quorum sets
+    /// but runs no validator logic; an external driver speaks for it.
+    pub(crate) puppet: Option<Vec<(NodeId, Flooded)>>,
     /// The Horizon pipeline this node hosts (the observer, when the run
     /// configures one). It is RAM: a reboot attaches a fresh one.
     pub(crate) horizon: Option<HorizonPipeline>,
@@ -133,7 +137,7 @@ impl Node {
             last_trigger_time: None,
             last_closed: 1,
             crashed: false,
-            puppet: false,
+            puppet: None,
             horizon: None,
             ingest_each_close,
             horizon_load: Registry::new(),
@@ -147,7 +151,7 @@ impl Node {
 
     /// Whether the node takes part in consensus right now.
     pub fn is_live(&self) -> bool {
-        !self.crashed && !self.puppet
+        !self.crashed && self.puppet.is_none()
     }
 
     /// Starts `v` as this node's process — the one boot path of a first
@@ -213,8 +217,11 @@ impl Node {
         if self.crashed {
             return out;
         }
+        if let Some(inbox) = self.puppet.as_mut() {
+            inbox.push((from, msg.clone()));
+        }
         if msg.msg.is_pull_control() {
-            if self.puppet {
+            if self.puppet.is_some() {
                 self.engine.traffic.recv_kind(msg.msg.kind(), msg.size);
             } else {
                 let actions = self.engine.on_control(from, &msg, now);
@@ -229,7 +236,7 @@ impl Node {
                 t.span(trace, now, SpanPhase::FloodRecv { from: from.0 });
             }
         }
-        if !self.puppet {
+        if self.puppet.is_none() {
             self.step(now, &mut out, |v| match &msg.msg {
                 FloodMessage::Scp(env) => v.receive_envelope(env),
                 FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
@@ -265,7 +272,7 @@ impl Node {
     /// it last triggered starts consensus on the next one.
     pub fn on_trigger(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        let Some(v) = self.validator.as_ref().filter(|_| !self.puppet) else {
+        let Some(v) = self.validator.as_ref().filter(|_| self.puppet.is_none()) else {
             return out;
         };
         if self.crashed {
@@ -296,14 +303,25 @@ impl Node {
         out
     }
 
-    /// An SCP timer the node armed fires; `None` when the node is not a
-    /// live validator and ignores it.
-    pub fn on_timer(&mut self, slot: SlotIndex, kind: TimerKind, now: u64) -> Option<NodeActions> {
-        if !self.is_live() || self.validator.is_none() {
+    /// The SCP timer [`Effect::Timer`] asked for reaches its `deadline`;
+    /// `None` when the node ignores it: it is not a live validator, or its
+    /// validator does not hold that deadline armed
+    /// ([`Validator::on_timer`]).
+    pub fn on_timer(
+        &mut self,
+        slot: SlotIndex,
+        kind: TimerKind,
+        deadline: u64,
+        now: u64,
+    ) -> Option<NodeActions> {
+        if !self.is_live() {
             return None;
         }
+        let v = self.validator.as_mut()?;
+        v.set_time_ms(now);
+        let reply = v.on_timer(slot, kind, deadline)?;
         let mut out = Vec::new();
-        self.step(now, &mut out, |v| v.on_timer(slot, kind));
+        self.reply(reply, now, &mut out);
         Some(out)
     }
 
@@ -403,12 +421,11 @@ impl Node {
         }
     }
 
-    /// A validator step's reply: its timer requests, then each envelope
+    /// A validator step's reply: its timers, then each envelope
     /// and transaction set flooded, then the close check.
     fn reply(&mut self, reply: Outputs, now: u64, out: &mut NodeActions) {
-        let ms = |d: std::time::Duration| d.as_millis() as u64;
         let timers = reply.timers.into_iter();
-        out.extend(timers.map(|(slot, kind, delay)| Effect::Timer(slot, kind, delay.map(ms))));
+        out.extend(timers.map(|(slot, kind, at)| Effect::Timer(slot, kind, at)));
         for env in reply.envelopes {
             self.engine.traffic.scp_originated += 1;
             self.originate_into(FloodMessage::Scp(env), now, out);
@@ -642,7 +659,7 @@ impl Simulation {
     /// Works on live nodes too (an atomic reboot) and clears the crashed
     /// flag for nodes that were down.
     pub fn restart(&mut self, id: NodeId) {
-        let Some(node) = self.nodes.get_mut(&id).filter(|n| !n.puppet) else {
+        let Some(node) = self.nodes.get_mut(&id).filter(|n| n.puppet.is_none()) else {
             return;
         };
         let started = std::time::Instant::now();
@@ -835,19 +852,18 @@ impl Simulation {
     /// via [`Simulation::inject_direct`] / [`Simulation::inject_broadcast`].
     pub fn make_puppet(&mut self, id: NodeId) {
         if let Some(node) = self.nodes.get_mut(&id) {
-            node.puppet = true;
-            self.puppet_inboxes.entry(id).or_default();
+            node.puppet.get_or_insert_with(Vec::new);
         }
     }
 
     /// Whether `id` is a puppet.
     pub fn is_puppet(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|n| n.puppet)
+        self.nodes.get(&id).is_some_and(|n| n.puppet.is_some())
     }
 
     /// Takes the messages delivered to puppet `id` since the last drain.
     pub fn drain_puppet_inbox(&mut self, id: NodeId) -> Vec<(NodeId, Flooded)> {
-        let inbox = self.puppet_inboxes.get_mut(&id);
+        let inbox = self.nodes.get_mut(&id).and_then(|n| n.puppet.as_mut());
         inbox.map(std::mem::take).unwrap_or_default()
     }
 
@@ -873,7 +889,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::loadgen::{genesis_store, LoadGen};
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::VecDeque;
     use stellar_overlay::FloodMode;
 
     #[test]
@@ -890,7 +906,8 @@ mod tests {
         assert_eq!(next_trigger_ms(base, interval, 26_000, false), 31_000);
     }
 
-    type Timers = BTreeMap<(usize, SlotIndex, TimerKind), u64>;
+    /// Every timer handed out, `(deadline, node, slot, kind)`.
+    type Timers = BTreeSet<(u64, usize, SlotIndex, TimerKind)>;
     type Wire = VecDeque<(usize, NodeId, Flooded)>;
 
     /// Node `id` of a two-validator network in which each needs the
@@ -920,21 +937,12 @@ mod tests {
 
     /// The hand-written embedder: sends go on a zero-latency wire,
     /// timers into a deadline table; nobody falls behind.
-    fn carry_out(
-        from: usize,
-        actions: NodeActions,
-        now: u64,
-        timers: &mut Timers,
-        wire: &mut Wire,
-    ) {
+    fn carry_out(from: usize, actions: NodeActions, timers: &mut Timers, wire: &mut Wire) {
         for effect in actions {
             match effect {
                 Effect::Send(to, msg) => wire.push_back((to.0 as usize, NodeId(from as u32), msg)),
-                Effect::Timer(slot, kind, Some(ms)) => {
-                    timers.insert((from, slot, kind), now + ms);
-                }
-                Effect::Timer(slot, kind, None) => {
-                    timers.remove(&(from, slot, kind));
+                Effect::Timer(slot, kind, at) => {
+                    timers.insert((at, from, slot, kind));
                 }
                 Effect::CatchUp => panic!("node {from} fell behind"),
                 Effect::Tick(_)
@@ -951,7 +959,7 @@ mod tests {
         let (mut timers, mut wire, mut now) = (Timers::new(), Wire::new(), 5_000);
         for (i, node) in nodes.iter_mut().enumerate() {
             let actions = node.on_trigger(now);
-            carry_out(i, actions, now, &mut timers, &mut wire);
+            carry_out(i, actions, &mut timers, &mut wire);
         }
         let closed = |nodes: &[Node; 2]| {
             nodes
@@ -966,20 +974,15 @@ mod tests {
                 let node = &mut nodes[to];
                 if msg.msg.is_pull_control() || !node.suppress_duplicate(&msg) {
                     let actions = node.on_deliver(from, msg, now);
-                    carry_out(to, actions, now, &mut timers, &mut wire);
+                    carry_out(to, actions, &mut timers, &mut wire);
                 }
                 continue;
             }
-            let (&(i, slot, kind), &at) = timers
-                .iter()
-                .min_by_key(|(_, at)| **at)
-                .expect("a timer is armed");
-            timers.remove(&(i, slot, kind));
+            let (at, i, slot, kind) = timers.pop_first().expect("a timer is armed");
             now = now.max(at);
-            let actions = nodes[i]
-                .on_timer(slot, kind, now)
-                .expect("a live validator");
-            carry_out(i, actions, now, &mut timers, &mut wire);
+            if let Some(actions) = nodes[i].on_timer(slot, kind, at, now) {
+                carry_out(i, actions, &mut timers, &mut wire);
+            }
         }
         assert!(closed(&nodes), "both nodes close ledger 2");
         let hash = |n: &Node| n.validator().map(|v| v.herder.header.hash());
@@ -994,7 +997,9 @@ mod tests {
             true,
         );
         assert!(watcher.on_trigger(5_000).is_empty());
-        assert!(watcher.on_timer(2, TimerKind::Nomination, 5_000).is_none());
+        assert!(watcher
+            .on_timer(2, TimerKind::Nomination, 5_000, 5_000)
+            .is_none());
         let tx = LoadGen::new(10, 1.0, 7).make_payment();
         assert!(watcher.on_submit(tx.clone(), 5_000).is_empty());
         let msg = Flooded::new(FloodMessage::Tx(tx));

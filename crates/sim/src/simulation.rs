@@ -5,10 +5,10 @@
 //! [`Validator`] (SCP + herder + ledger + buckets) beside a real
 //! `FloodEngine`, or a watcher with the engine alone. The simulator keeps
 //! only what is not a node: the event queue and the clock, the links
-//! (latency, faults, partitions), the processing-cost model, puppets'
-//! inboxes, the health watchdog and the god's-eye report. It hands each
-//! event to its node and carries out the [`NodeActions`] that come back,
-//! in order, deterministically from a single seed.
+//! (latency, faults, partitions), the processing-cost model, the health
+//! watchdog and the god's-eye report. It hands each event to its node and
+//! carries out the [`NodeActions`] that come back, in order,
+//! deterministically from a single seed.
 
 use crate::events::{record, Event, EventQueue, Flooded, TraceEntry};
 use crate::latency::LatencyModel;
@@ -141,9 +141,6 @@ pub struct Simulation {
     /// Each node's modeled CPU busy-until, microseconds of simulated
     /// time; a reboot clears its backlog.
     pub(crate) busy_until_us: BTreeMap<NodeId, u64>,
-    /// Each puppet's inbox: what it was delivered since its driver last
-    /// drained it.
-    pub(crate) puppet_inboxes: BTreeMap<NodeId, Vec<(NodeId, Flooded)>>,
     latency: LatencyModel,
     rng: StdRng,
     pub(crate) loadgen: Option<LoadGen>,
@@ -212,7 +209,6 @@ impl Simulation {
             queue: EventQueue::new(),
             nodes,
             busy_until_us: BTreeMap::new(),
-            puppet_inboxes: BTreeMap::new(),
             latency: built.latency,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x51),
             loadgen,
@@ -434,7 +430,7 @@ impl Simulation {
         let seqs: Vec<(NodeId, u64)> = self
             .nodes
             .iter()
-            .filter(|(_, n)| !n.puppet)
+            .filter(|(_, n)| n.puppet.is_none())
             .filter_map(|(id, n)| Some((*id, n.validator.as_ref()?.ledger_seq())))
             .collect();
         self.watchdog.observe(self.now, &seqs);
@@ -467,12 +463,9 @@ impl Simulation {
                 node,
                 slot,
                 kind,
-                version,
+                deadline,
             } => {
-                if !self.queue.timer_current(node, slot, kind, version) {
-                    return;
-                }
-                let Some(actions) = self.node_mut(node).on_timer(slot, kind, now) else {
+                let Some(actions) = self.node_mut(node).on_timer(slot, kind, deadline, now) else {
                     return;
                 };
                 record(&mut self.trace, || TraceEntry::Timer {
@@ -548,9 +541,6 @@ impl Simulation {
             }
             *busy = (*busy).max(now_us) + PROC_COST_US_PER_MSG;
         }
-        if let Some(inbox) = self.puppet_inboxes.get_mut(&to) {
-            inbox.push((from, msg.clone()));
-        }
         let actions = node.on_deliver(from, msg, now);
         self.carry_out(to, actions);
     }
@@ -565,8 +555,14 @@ impl Simulation {
         for effect in actions {
             match effect {
                 Effect::Send(to, msg) => self.enqueue_delivery(id, to, msg),
-                Effect::Timer(slot, kind, delay) => {
-                    self.queue.arm_timer(now, id, slot, kind, delay)
+                Effect::Timer(slot, kind, deadline) => {
+                    let timer = Event::Timer {
+                        node: id,
+                        slot,
+                        kind,
+                        deadline,
+                    };
+                    self.queue.push(deadline, timer)
                 }
                 Effect::Tick(at) => self.queue.push(at, Event::PullTick { node: id }),
                 Effect::Trigger(at) => self.queue.push(at, Event::TriggerLedger { node: id }),

@@ -83,7 +83,7 @@ pub fn build_tx_traces(spans: &[SpanEvent]) -> Vec<TxTrace> {
             SpanPhase::Nominated { .. } => first(&mut a.nominated, s.t_ms),
             SpanPhase::Externalized { .. } => first(&mut a.externalized, s.t_ms),
             SpanPhase::Applied { slot } => {
-                if a.applied.is_none() || s.t_ms < a.applied.unwrap() {
+                if a.applied.is_none_or(|t| s.t_ms < t) {
                     a.apply_slot = Some(*slot);
                 }
                 first(&mut a.applied, s.t_ms);

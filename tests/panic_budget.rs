@@ -36,7 +36,7 @@ const BUDGET: [(&str, usize); 15] = [
     ("stellar-persist", 0),
     ("stellar-quorum", 4),
     ("stellar-scp", 2),
-    ("stellar-sim", 9),
+    ("stellar-sim", 4),
     ("stellar-store", 8),
     ("stellar-telemetry", 2),
 ];

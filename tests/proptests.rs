@@ -1209,7 +1209,10 @@ mod scp_write_ahead {
         validators: Vec<Validator>,
         /// Envelopes in flight, `(to, envelope)`, delivered in random order.
         wire: Vec<(usize, Envelope)>,
-        timers: BTreeSet<(usize, SlotIndex, TimerKind)>,
+        /// Every timer any node was handed, `(node, slot, kind,
+        /// deadline)`, stale ones included: a node ignores a deadline it
+        /// no longer holds armed.
+        timers: Vec<(usize, SlotIndex, TimerKind, u64)>,
         triggered: BTreeMap<usize, SlotIndex>,
         now_secs: u64,
         model: Model,
@@ -1239,7 +1242,7 @@ mod scp_write_ahead {
             Net {
                 validators,
                 wire: Vec::new(),
-                timers: BTreeSet::new(),
+                timers: Vec::new(),
                 triggered: BTreeMap::new(),
                 now_secs: 5,
                 model: Model::default(),
@@ -1293,12 +1296,9 @@ mod scp_write_ahead {
                     check(&read_back(&disk), &self.model.synced, usize::from(tear));
                 }
             }
-            for (slot, kind, delay) in out.timers {
-                match delay {
-                    Some(_) => self.timers.insert((i, slot, kind)),
-                    None => self.timers.remove(&(i, slot, kind)),
-                };
-            }
+            let timers = out.timers.into_iter();
+            self.timers
+                .extend(timers.map(|(slot, kind, at)| (i, slot, kind, at)));
             for env in out.envelopes {
                 self.wire
                     .extend((0..4).filter(|to| *to != i).map(|to| (to, env.clone())));
@@ -1339,18 +1339,24 @@ mod scp_write_ahead {
                         net.step(to, &|v| v.receive_envelope(&env));
                     }
                 }
-                6 => {
-                    if let Some(timer) = net
-                        .timers
-                        .iter()
-                        .nth(arg % net.timers.len().max(1))
-                        .copied()
-                    {
-                        net.timers.remove(&timer);
-                        net.now_secs += 1;
-                        net.step(timer.0, &|v| v.on_timer(timer.1, timer.2));
+                6 if !net.timers.is_empty() => {
+                    let (i, slot, kind, at) = net.timers.swap_remove(arg % net.timers.len());
+                    net.now_secs += 1;
+                    let v = &mut net.validators[i];
+                    if v.herder.armed.get(&(slot, kind)) == Some(&at) {
+                        net.step(i, &|v| {
+                            v.on_timer(slot, kind, at).expect("an armed deadline fires")
+                        });
+                    } else {
+                        let before = fingerprint(v);
+                        assert!(
+                            v.on_timer(slot, kind, at).is_none(),
+                            "a stale deadline is ignored"
+                        );
+                        assert_eq!(fingerprint(v), before, "a stale deadline changes nothing");
                     }
                 }
+                6 => {}
                 7 => net.validators[SUBJECT]
                     .herder
                     .persist
@@ -1365,6 +1371,31 @@ mod scp_write_ahead {
             }
         }
         net
+    }
+
+    /// What firing a timer could change on a validator: its armed
+    /// timers, outbox, protocol events, disk and own statements.
+    type Fingerprint = (
+        BTreeMap<(SlotIndex, TimerKind), u64>,
+        usize,
+        usize,
+        u64,
+        Vec<Statement>,
+    );
+
+    fn fingerprint(v: &Validator) -> Fingerprint {
+        let own = (0..=v.herder.current_slot() + 1)
+            .filter_map(|slot| v.scp.slot(slot))
+            .flat_map(|slot| slot.own_statements(v.id()))
+            .collect();
+        let disk = v.herder.persist.stats().bytes_written;
+        (
+            v.herder.armed.clone(),
+            v.herder.outbox.len(),
+            v.herder.events.len(),
+            disk,
+            own,
+        )
     }
 
     /// Every readable `scp/` record on `disk`, by record.
