@@ -36,4 +36,8 @@ echo "==> paper reproduction (repro regenerates PAPER_REPRO.json, exits non-zero
 cargo run --release -q -p stellar-bench --bin repro
 git diff --exit-code PAPER_REPRO.json
 
+echo "==> paper reproduction on the disk backend (the same document, byte for byte)"
+STELLAR_STORE_BACKEND=disk cargo run --release -q -p stellar-bench --bin repro
+git diff --exit-code PAPER_REPRO.json
+
 echo "CI green."

@@ -1,7 +1,7 @@
 //! Byzantine adversary nodes: scripted attacks against live SCP.
 //!
 //! An adversary drives a *puppet* validator inside the simulation (see
-//! `Simulation::make_puppet`): the puppet holds real keys and sits in
+//! `Node::make_puppet`): the puppet holds real keys and sits in
 //! honest nodes' quorum sets, but runs no protocol logic. Between
 //! simulation steps the chaos runner hands the adversary everything the
 //! puppet received and injects whatever the adversary wants to say — at

@@ -137,7 +137,7 @@ impl ChaosRun {
             .collect();
         let mut adversaries = Vec::new();
         for (id, strategy) in cfg.adversaries {
-            sim.make_puppet(id);
+            sim.node_mut(id).make_puppet();
             let qset = sim.validator(id).scp.quorum_set().clone();
             adversaries.push(Adversary::new(
                 id,
@@ -196,7 +196,12 @@ impl ChaosRun {
     /// Renders the observer's flight-recorder timeline for every slot
     /// still in its retention window, newest-slot-last.
     pub fn flight_recording(&self) -> String {
-        let rec = &self.sim.telemetry(self.sim.observer_id()).recorder;
+        let rec = &self
+            .sim
+            .validator(self.sim.observer_id())
+            .herder
+            .telemetry
+            .recorder;
         let slots: std::collections::BTreeSet<u64> = rec.events().map(|e| e.slot).collect();
         let mut out = String::new();
         for slot in slots {
@@ -247,8 +252,13 @@ impl ChaosRun {
                 FaultAction::Crash(id) => self.sim.crash(id),
                 FaultAction::Revive(id) => self.sim.revive(id),
                 FaultAction::Restart(id) => self.sim.restart(id),
-                FaultAction::FailFsync { node, count } => self.sim.fail_next_fsyncs(node, count),
-                FaultAction::TornWrite(id) => self.sim.tear_next_crash(id),
+                FaultAction::FailFsync { node, count } => self
+                    .sim
+                    .node_mut(node)
+                    .on_disks(|d| d.fail_next_fsyncs(count)),
+                FaultAction::TornWrite(id) => {
+                    self.sim.node_mut(id).on_disks(|d| d.tear_next_crash())
+                }
                 FaultAction::Partition { groups, heal_at_ms } => {
                     self.sim.set_partition(&groups, heal_at_ms)
                 }
@@ -272,7 +282,7 @@ impl ChaosRun {
     fn adversary_turns(&mut self) {
         for i in 0..self.adversaries.len() {
             let id = self.adversaries[i].id();
-            let inbox = self.sim.drain_puppet_inbox(id);
+            let inbox = self.sim.node_mut(id).drain_inbox();
             let injections = self.adversaries[i].turn(&inbox);
             for inj in injections {
                 match inj {

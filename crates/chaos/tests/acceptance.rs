@@ -45,7 +45,7 @@ fn equivocators_below_threshold_cannot_split_intact_nodes() {
             .sim()
             .validator_ids()
             .into_iter()
-            .all(|id| run.sim().is_puppet(id) || run.sim().ledger_seq_of(id) >= target);
+            .all(|id| run.sim().node(id).is_puppet() || run.sim().ledger_seq_of(id) >= target);
         if honest_done {
             break;
         }

@@ -10,6 +10,7 @@
 use crate::queue::TxQueue;
 use crate::upgrade::{UpgradePolicy, UpgradeVerdict};
 use crate::value::StellarValue;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 use stellar_buckets::{BucketList, HistoryArchive};
@@ -219,15 +220,14 @@ pub struct Herder {
     pub outbox: Vec<Envelope>,
     /// Timer arms requested: (slot, kind, deadline in ms).
     pub timer_requests: Vec<(SlotIndex, TimerKind, u64)>,
-    /// Values externalized, not yet processed into ledger closes.
-    pub pending_externalize: Vec<(SlotIndex, Value)>,
     /// Protocol events (metrics), every kind but `EnvelopeProcessed`.
     pub events: Vec<(u64, ScpEvent)>,
     /// Ledger close statistics, most recent last.
     pub close_stats: Vec<CloseStats>,
-    /// Externalized-but-unapplied values whose tx set we have not yet
-    /// received (applied as soon as the set arrives).
-    pub stalled_externalize: Vec<(SlotIndex, StellarValue)>,
+    /// Decided slots not yet closed, with the value SCP externalized for
+    /// each: a slot ahead of the ledger, or one whose transaction set has
+    /// not arrived. [`Herder::close_decided`] closes them in slot order.
+    pub decided: BTreeMap<SlotIndex, StellarValue>,
 }
 
 impl Herder {
@@ -289,10 +289,9 @@ impl Herder {
             armed: BTreeMap::new(),
             outbox: Vec::new(),
             timer_requests: Vec::new(),
-            pending_externalize: Vec::new(),
             events: Vec::new(),
             close_stats: Vec::new(),
-            stalled_externalize: Vec::new(),
+            decided: BTreeMap::new(),
         }
     }
 
@@ -388,8 +387,7 @@ impl Herder {
     /// Registers a transaction set learned from a peer.
     pub fn learn_tx_set(&mut self, set: TransactionSet) {
         self.remember_tx_set(&set);
-        // A stalled externalization may now be appliable.
-        self.try_apply_stalled();
+        self.close_decided();
     }
 
     /// Files `set` under its hash, stamped with the current slot for
@@ -402,16 +400,13 @@ impl Herder {
     }
 
     /// Drops every set last learned more than [`SLOT_WINDOW`] slots ago,
-    /// except one a parked externalization is still waiting to apply.
+    /// except one a decided slot is still waiting to close with.
     fn forget_old_tx_sets(&mut self) {
         let keep_from = self.current_slot().saturating_sub(SLOT_WINDOW);
         let before = self.tx_set_learned_at.len();
         self.tx_set_learned_at.retain(|hash, learned_at| {
-            let keep = *learned_at >= keep_from
-                || self
-                    .stalled_externalize
-                    .iter()
-                    .any(|(_, parked)| parked.tx_set_hash == *hash);
+            let keep =
+                *learned_at >= keep_from || self.decided.values().any(|v| v.tx_set_hash == *hash);
             if !keep {
                 self.known_tx_sets.remove(hash);
             }
@@ -423,13 +418,35 @@ impl Herder {
             .add("herder.tx_sets_pruned", pruned as u64);
     }
 
-    /// Parks an externalized value that cannot be applied yet; a slot is
-    /// parked once however often SCP re-announces its decision.
-    fn park_externalized(&mut self, slot: SlotIndex, value: &StellarValue) {
-        if self.stalled_externalize.iter().any(|(s, _)| *s == slot) {
-            self.telemetry.registry.inc("herder.stalled_dropped");
-        } else {
-            self.stalled_externalize.push((slot, value.clone()));
+    /// Files the decision for `slot` unless the ledger is past it; a slot
+    /// is filed once however often SCP re-announces its decision.
+    fn file_decided(&mut self, slot: SlotIndex, value: StellarValue) {
+        if slot < self.current_slot() {
+            return;
+        }
+        match self.decided.entry(slot) {
+            Entry::Vacant(e) => {
+                e.insert(value);
+            }
+            Entry::Occupied(_) => self.telemetry.registry.inc("herder.stalled_dropped"),
+        }
+    }
+
+    /// Closes every consecutive decided slot from the current one whose
+    /// transaction set the herder holds; the rest stay filed (and keep
+    /// their sets). Decisions for slots the ledger has passed are dropped.
+    pub fn close_decided(&mut self) {
+        loop {
+            let current = self.current_slot();
+            self.decided.retain(|slot, _| *slot >= current);
+            let Some(due) = self.decided.first_entry().filter(|e| *e.key() == current) else {
+                return;
+            };
+            let Some(set) = self.known_tx_sets.get(&due.get().tx_set_hash).cloned() else {
+                return;
+            };
+            let value = due.remove();
+            self.close_slot(current, &set, &value);
         }
     }
 
@@ -531,26 +548,30 @@ impl Herder {
     /// Applies an externalized value: closes the ledger, updates buckets
     /// and archive, prunes the queue. Records [`CloseStats`].
     ///
-    /// Returns `false` when the transaction set is not yet known (the
-    /// close is deferred until [`Herder::learn_tx_set`]).
+    /// Returns `false` when `slot` is not the current one or its
+    /// transaction set is not yet known: a future slot, or one whose set
+    /// is missing, is filed and closes in its turn
+    /// ([`Herder::close_decided`]); a past one is dropped.
     pub fn apply_externalized(&mut self, slot: SlotIndex, value: &StellarValue) -> bool {
-        if slot != self.current_slot() {
-            // Stale or future slot; future slots wait for their turn.
-            if slot > self.current_slot() {
-                self.park_externalized(slot, value);
-            }
-            return false;
-        }
-        let Some(set) = self.known_tx_sets.get(&value.tx_set_hash).cloned() else {
-            self.park_externalized(slot, value);
+        let set = self.known_tx_sets.get(&value.tx_set_hash);
+        let Some(set) = set.filter(|_| slot == self.current_slot()).cloned() else {
+            self.file_decided(slot, value.clone());
             return false;
         };
+        self.close_slot(slot, &set, value);
+        self.close_decided();
+        true
+    }
+
+    /// Closes `slot` with `value` and its transaction set `set`, then
+    /// forgets the sets that left the slot window.
+    fn close_slot(&mut self, slot: SlotIndex, set: &TransactionSet, value: &StellarValue) {
         let mut params = self.header.params;
         for u in &value.upgrades {
             u.apply(&mut params);
         }
         let apply_time = self
-            .close(&set, value.close_time, params, None)
+            .close(set, value.close_time, params, None)
             .expect("no archived header to disagree with");
         self.queue.prune(&self.store);
         let apply_us = apply_time.as_micros() as u64;
@@ -586,8 +607,6 @@ impl Herder {
             }
         }
         self.forget_old_tx_sets();
-        self.try_apply_stalled();
-        true
     }
 
     /// Catches up from a peer's history archive: replays every archived
@@ -636,7 +655,7 @@ impl Herder {
             self.flush_store();
             self.persist_lcl();
             self.forget_old_tx_sets();
-            self.try_apply_stalled();
+            self.close_decided();
         }
         applied
     }
@@ -665,23 +684,6 @@ impl Herder {
         reg.set_gauge("store.resident_bytes", resident as i64);
         reg.set_gauge("store.disk_bytes", s.disk_bytes as i64);
         self.last_store_stats = s;
-    }
-
-    /// Applies the parked externalization for the current slot, if any.
-    /// A successful close calls back here, so a run of parked slots
-    /// applies in order; the rest stay parked (and keep their sets).
-    fn try_apply_stalled(&mut self) {
-        let current = self.current_slot();
-        self.stalled_externalize
-            .retain(|(slot, _)| *slot >= current);
-        let due = self
-            .stalled_externalize
-            .iter()
-            .position(|(slot, _)| *slot == current);
-        if let Some(i) = due {
-            let (slot, value) = self.stalled_externalize.swap_remove(i);
-            self.apply_externalized(slot, &value);
-        }
     }
 
     /// Fsyncs whatever is staged on the node disk and accounts for it in
@@ -869,7 +871,9 @@ impl Driver for Herder {
     }
 
     fn externalized(&mut self, slot: SlotIndex, value: &Value) {
-        self.pending_externalize.push((slot, value.clone()));
+        if let Some(value) = StellarValue::from_scp(value) {
+            self.file_decided(slot, value);
+        }
     }
 
     fn public_key(&self, node: NodeId) -> Option<PublicKey> {
@@ -1226,14 +1230,14 @@ mod tests {
         for _ in 0..2 {
             assert!(!h.apply_externalized(3, &next));
         }
-        assert_eq!(h.stalled_externalize.len(), 2);
+        assert_eq!(h.decided.len(), 2);
         assert_eq!(h.telemetry.registry.counter("herder.stalled_dropped"), 3);
-        // The set arrives: slot 2 closes once, slot 3 stays parked.
+        // The set arrives: slot 2 closes once, slot 3 stays filed.
         h.learn_tx_set(set);
         assert_eq!(h.header.ledger_seq, 2);
         assert_eq!(h.close_stats.len(), 1);
-        assert_eq!(h.stalled_externalize.len(), 1);
-        assert_eq!(h.stalled_externalize[0].0, 3);
+        assert_eq!(h.decided.len(), 1);
+        assert_eq!(h.decided.keys().next(), Some(&3));
     }
 
     #[test]

@@ -197,14 +197,9 @@ impl Validator {
         Some(self.drain_outputs())
     }
 
-    /// Moves freshly externalized values into ledger closes.
+    /// Closes what SCP decided ([`Herder::close_decided`]).
     fn process_externalized(&mut self) {
-        let pending = std::mem::take(&mut self.herder.pending_externalize);
-        for (slot, value) in pending {
-            if let Some(sv) = StellarValue::from_scp(&value) {
-                self.herder.apply_externalized(slot, &sv);
-            }
-        }
+        self.herder.close_decided();
         // Old slots' SCP state is only useful for stragglers; keep a
         // short window.
         let keep_from = self.herder.current_slot().saturating_sub(SLOT_WINDOW);

@@ -177,20 +177,13 @@ impl LedgerStore {
     }
 
     /// Rebuilds a store (in-RAM backend) from a flat entry dump
-    /// (bucket-list catch-up).
+    /// (bucket-list catch-up), bumping the offer-id allocator past any
+    /// loaded offer. Entries go in 8 192 at a time, so no second copy of
+    /// the whole dump is ever held.
     pub fn from_entries(entries: impl IntoIterator<Item = LedgerEntry>) -> LedgerStore {
-        let mut store = LedgerStore::new();
-        store.load_entries(entries);
-        store
-    }
-
-    /// Bulk-loads entries into this store's backend, bumping the offer-id
-    /// allocator past any loaded offer. Applies in bounded chunks so a
-    /// disk backend can flush between them instead of buffering the whole
-    /// dump in its cache.
-    pub fn load_entries(&mut self, entries: impl IntoIterator<Item = LedgerEntry>) {
         const CHUNK: usize = 8192;
-        let mut next_offer_id = self.backend.next_offer_id();
+        let mut store = LedgerStore::new();
+        let mut next_offer_id = store.backend.next_offer_id();
         let mut batch = Vec::with_capacity(CHUNK);
         for e in entries {
             if let LedgerEntry::Offer(o) = &e {
@@ -198,14 +191,15 @@ impl LedgerStore {
             }
             batch.push((e.key(), Some(e)));
             if batch.len() >= CHUNK {
-                self.backend.apply(&batch);
+                store.backend.apply(&batch);
                 batch.clear();
             }
         }
         if !batch.is_empty() {
-            self.backend.apply(&batch);
+            store.backend.apply(&batch);
         }
-        self.backend.set_next_offer_id(next_offer_id);
+        store.backend.set_next_offer_id(next_offer_id);
+        store
     }
 
     /// Makes all committed state durable (disk backends). `true` in RAM.

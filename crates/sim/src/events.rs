@@ -122,14 +122,12 @@ impl EventQueue {
         self.heap.peek().map(|Reverse(q)| q.time)
     }
 
-    /// Removes every pending `Deliver` addressed to `node`, returning how
-    /// many were purged. Called on crash so a dead node's inbound traffic
-    /// doesn't sit in the heap for the rest of the run.
-    pub fn purge_deliveries_to(&mut self, node: NodeId) -> usize {
-        let before = self.heap.len();
+    /// Removes every pending `Deliver` addressed to `node`. Called on
+    /// crash so a dead node's inbound traffic doesn't sit in the heap for
+    /// the rest of the run.
+    pub fn purge_deliveries_to(&mut self, node: NodeId) {
         let to_node = |q: &Queued| matches!(q.event, Event::Deliver { to, .. } if to == node);
         self.heap.retain(|Reverse(q)| !to_node(q));
-        before - self.heap.len()
     }
 
     /// Number of pending `Deliver` events addressed to `node`.
@@ -138,16 +136,6 @@ impl EventQueue {
             .iter()
             .filter(|Reverse(q)| matches!(q.event, Event::Deliver { to, .. } if to == node))
             .count()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 

@@ -15,7 +15,7 @@ impl Node {
     /// costs signature checks or flooding. Returns whether it was
     /// admitted.
     pub(crate) fn admit(&mut self, tx: &TransactionEnvelope, now: u64) -> bool {
-        let (Some(p), Some(v)) = (self.horizon.as_mut(), self.validator.as_ref()) else {
+        let (Some(p), Some(v)) = (self.horizon.as_mut(), self.state.validator()) else {
             return true;
         };
         let verdict = p.admission.admit(tx.tx.source, now, v.herder.queue.len());
@@ -31,7 +31,7 @@ impl Node {
     /// walk, and fee stats — the three staple reads — timed together in
     /// wall-clock nanoseconds.
     fn query(&mut self, n_accounts: u64) {
-        let (Some(p), Some(v)) = (self.horizon.as_ref(), self.validator.as_ref()) else {
+        let (Some(p), Some(v)) = (self.horizon.as_ref(), self.state.validator()) else {
             return;
         };
         // Deterministic client choice without touching the sim RNG
@@ -53,7 +53,7 @@ impl Node {
 
     /// Drains the herder's close-event feed into the pipeline.
     pub(crate) fn ingest(&mut self) {
-        if let (Some(p), Some(v)) = (self.horizon.as_mut(), self.validator.as_mut()) {
+        if let (Some(p), Some(v)) = (self.horizon.as_mut(), self.state.validator_mut()) {
             p.on_close(&mut v.herder);
         }
     }
@@ -62,7 +62,7 @@ impl Node {
     /// (`ingest.*`, `stream.*`, `admission.*`) plus the load accounting
     /// (`horizon.*`), or `enabled: false`.
     pub(crate) fn horizon_json(&self) -> Json {
-        let (Some(p), Some(v)) = (&self.horizon, &self.validator) else {
+        let (Some(p), Some(v)) = (&self.horizon, self.state.validator()) else {
             return Json::obj().set("enabled", false);
         };
         let head = v.herder.header.ledger_seq;

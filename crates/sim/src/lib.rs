@@ -18,9 +18,9 @@
 //!   and delivery; it hands each event to its node and carries out the
 //!   effects that come back;
 //! * [`node`] — one node behind one sans-I/O boundary (validator, flood
-//!   engine, pacing, Horizon pipeline; a watcher has no validator), and
-//!   the simulator's per-node hooks: one boot path for first start and
-//!   reboot, crash, durable recovery, catch-up, puppets;
+//!   engine, pacing, Horizon pipeline; one liveness state: live, puppet,
+//!   watcher or down), its crash and its reboot from durable state, and
+//!   the simulator's per-node hooks: boot, catch-up, inspection;
 //! * `horizon` — Horizon workload driving on the observer: admission,
 //!   query batches, ingestion cadence;
 //! * [`metrics`] — per-ledger latency decomposition (nomination,

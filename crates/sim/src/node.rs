@@ -29,19 +29,21 @@
 //! * **SCP timers.** Call [`Node::on_timer`] at each [`Effect::Timer`]'s
 //!   deadline; a timer the validator replaced, cancelled or armed in an
 //!   earlier process is ignored, so the embedder keeps no timer state.
-//! * **Liveness.** A crashed node ignores deliveries, timers and
-//!   submissions, misses its ticks and asks for its trigger again an
-//!   interval later. A puppet never triggers, votes or takes a
-//!   submission, but relays and ticks, and keeps what it is delivered in
-//!   an inbox for its driver.
+//! * **Liveness.** A node is in one state: a live validator, a
+//!   puppet, a watcher, or down. A down node ([`Node::crash`]) ignores
+//!   deliveries, timers and submissions and misses its ticks and
+//!   triggers; [`Node::reboot`] returns it to its role, and a rebooted
+//!   validator re-arms its trigger on its pacing grid. A puppet never
+//!   triggers, votes or takes a submission, but relays and ticks, and
+//!   keeps what it is delivered in an inbox for its adversary.
 //! * **Pacing.** A node triggers the next ledger once it has closed the
 //!   previous one *and* an interval has passed since its last trigger
 //!   ([`next_trigger_ms`]; §7: "the system runs SCP at 5-second
 //!   intervals"). The pacing base survives a reboot.
 //!
-//! Below the node: `Genesis`, which builds each validator process, and
-//! the simulator's per-node hooks — boot, crash and reboot, catch-up,
-//! faults, puppets and inspection.
+//! Below the node: [`Genesis`], which builds each validator process and
+//! rebuilds it at reboot, and the simulator's per-node hooks — boot,
+//! crash and restart, catch-up and inspection.
 
 use crate::events::Flooded;
 use crate::simulation::{SimConfig, Simulation};
@@ -60,7 +62,7 @@ use stellar_overlay::{Actions, FloodEngine, FloodMessage};
 use stellar_persist::DurableStore;
 use stellar_scp::driver::{ScpEvent, TimerKind};
 use stellar_scp::{NodeId, QuorumSet, SlotIndex, Value};
-use stellar_telemetry::{NodeTelemetry, Registry, SpanPhase, TraceStore};
+use stellar_telemetry::{Registry, SpanPhase, TraceStore};
 
 /// Deterministic seed for a validator's signing identity.
 pub fn validator_keys(id: NodeId) -> KeyPair {
@@ -91,10 +93,45 @@ pub enum Effect {
 /// What one node call asks of its embedder, in order.
 pub type NodeActions = Vec<Effect>;
 
-/// One node of the peer graph: a validator or a watcher.
+/// What a node is right now.
+pub(crate) enum State {
+    /// A validator taking part in consensus.
+    Live(Validator),
+    /// A validator demoted to a puppet, with what it was delivered since
+    /// its inbox was last drained. It holds real keys and appears in
+    /// quorum sets but runs no validator logic; an external adversary
+    /// speaks for it.
+    Puppet(Validator, Vec<(NodeId, Flooded)>),
+    /// A node without a validator: it only relays.
+    Watcher,
+    /// Crashed: the process image as it went down. A reboot reads it,
+    /// and so does inspection.
+    Down(Box<State>),
+}
+
+impl State {
+    /// The validator, live, a puppet's or a down node's image.
+    pub(crate) fn validator(&self) -> Option<&Validator> {
+        match self {
+            State::Live(v) | State::Puppet(v, _) => Some(v),
+            State::Watcher => None,
+            State::Down(image) => image.validator(),
+        }
+    }
+
+    pub(crate) fn validator_mut(&mut self) -> Option<&mut Validator> {
+        match self {
+            State::Live(v) | State::Puppet(v, _) => Some(v),
+            State::Watcher => None,
+            State::Down(image) => image.validator_mut(),
+        }
+    }
+}
+
+/// One node of the peer graph: a validator, a puppet or a watcher.
 pub struct Node {
-    /// The consensus node; a watcher has none and only relays.
-    pub(crate) validator: Option<Validator>,
+    /// What the node is; each entry point matches it once.
+    pub(crate) state: State,
     /// The node's overlay, with its run-long traffic counters.
     pub(crate) engine: FloodEngine,
     /// The ledger trigger interval (production: 5 000 ms).
@@ -105,12 +142,6 @@ pub struct Node {
     last_trigger_time: Option<u64>,
     /// The last ledger seq observed closed.
     last_closed: u64,
-    /// Crashed: no receive, no send, no timers.
-    pub(crate) crashed: bool,
-    /// A puppet's inbox: what it was delivered since its driver last
-    /// drained it. A puppet holds real keys and appears in quorum sets
-    /// but runs no validator logic; an external driver speaks for it.
-    pub(crate) puppet: Option<Vec<(NodeId, Flooded)>>,
     /// The Horizon pipeline this node hosts (the observer, when the run
     /// configures one). It is RAM: a reboot attaches a fresh one.
     pub(crate) horizon: Option<HorizonPipeline>,
@@ -130,28 +161,64 @@ impl Node {
     /// pipeline ingests every close.
     pub fn new(engine: FloodEngine, interval_ms: u64, ingest_each_close: bool) -> Node {
         Node {
-            validator: None,
+            state: State::Watcher,
             engine,
             interval_ms,
             last_triggered_slot: 0,
             last_trigger_time: None,
             last_closed: 1,
-            crashed: false,
-            puppet: None,
             horizon: None,
             ingest_each_close,
             horizon_load: Registry::new(),
         }
     }
 
-    /// The node's validator; `None` for a watcher.
+    /// The node's validator, as it runs or as it went down; `None` for a
+    /// watcher.
     pub fn validator(&self) -> Option<&Validator> {
-        self.validator.as_ref()
+        self.state.validator()
     }
 
-    /// Whether the node takes part in consensus right now.
-    pub fn is_live(&self) -> bool {
-        !self.crashed && self.puppet.is_none()
+    /// The validator of a node that takes part in consensus right now.
+    pub fn live_validator(&self) -> Option<&Validator> {
+        match &self.state {
+            State::Live(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Whether the node is down.
+    pub fn is_down(&self) -> bool {
+        matches!(self.state, State::Down(_))
+    }
+
+    /// Whether the node is a puppet, up or down.
+    pub fn is_puppet(&self) -> bool {
+        match &self.state {
+            State::Puppet(..) => true,
+            State::Down(image) => matches!(**image, State::Puppet(..)),
+            _ => false,
+        }
+    }
+
+    /// Demotes a live validator to a puppet: it keeps its keys and its
+    /// place in other nodes' quorum sets, but runs no validator logic.
+    /// Its inbound traffic lands in an inbox for an external Byzantine
+    /// adversary to read, and anything it "says" is injected via
+    /// [`Simulation::inject_direct`] / [`Simulation::inject_broadcast`].
+    pub fn make_puppet(&mut self) {
+        self.state = match std::mem::replace(&mut self.state, State::Watcher) {
+            State::Live(v) => State::Puppet(v, Vec::new()),
+            other => other,
+        };
+    }
+
+    /// Takes what a puppet was delivered since its last drain.
+    pub fn drain_inbox(&mut self) -> Vec<(NodeId, Flooded)> {
+        match &mut self.state {
+            State::Puppet(_, inbox) => std::mem::take(inbox),
+            _ => Vec::new(),
+        }
     }
 
     /// Starts `v` as this node's process — the one boot path of a first
@@ -162,7 +229,6 @@ impl Node {
     /// backfilled from its archive (restart-mid-ingestion recovery); live
     /// closes then arrive through the feed.
     pub fn boot(&mut self, mut v: Validator, horizon: Option<AdmissionConfig>) {
-        self.crashed = false;
         self.last_triggered_slot = 0;
         self.last_closed = v.ledger_seq();
         self.engine.reset();
@@ -173,7 +239,42 @@ impl Node {
                 self.horizon_load.inc("horizon.reattached");
             }
         }
-        self.validator = Some(v);
+        self.state = State::Live(v);
+    }
+
+    /// The process dies: it stops receiving, sending and firing timers,
+    /// and misses its ticks and triggers. Its image stays for a reboot
+    /// and for inspection.
+    pub fn crash(&mut self) {
+        if !self.is_down() {
+            let image = std::mem::replace(&mut self.state, State::Watcher);
+            self.state = State::Down(Box::new(image));
+        }
+    }
+
+    /// Crashes the node if it is up, then brings it back in its role. A
+    /// validator's devices take the power loss (unsynced writes are lost,
+    /// a pending record may be torn), its process is rebuilt from what
+    /// survived (`Genesis::reboot`), booted — with a fresh Horizon
+    /// pipeline of the same configuration if it hosted one — and rejoins
+    /// ([`Node::rejoin`]); a puppet or a watcher comes back as it went
+    /// down, with a fresh engine. Returns the ledgers replayed and what
+    /// the node asks of its embedder.
+    pub fn reboot(&mut self, genesis: &Genesis, cfg: &SimConfig, now: u64) -> (u64, NodeActions) {
+        self.on_disks(DurableStore::crash);
+        let image = match std::mem::replace(&mut self.state, State::Watcher) {
+            State::Down(image) => *image,
+            up => up,
+        };
+        if let State::Live(old) = image {
+            let (v, replayed) = genesis.reboot(old, cfg, now);
+            let horizon = self.horizon.as_ref().map(|p| *p.admission.config());
+            self.boot(v, horizon);
+            return (replayed, self.rejoin(now));
+        }
+        self.engine.reset();
+        self.state = image;
+        (0, Vec::new())
     }
 
     /// A rebooted validator rejoins: it floods what its recovery
@@ -191,7 +292,7 @@ impl Node {
     /// Applies `fault` to each device the node writes: the write-ahead
     /// log and, on the disk backend, the ledger data disk.
     pub fn on_disks(&mut self, fault: impl Fn(&mut DurableStore)) {
-        let Some(v) = self.validator.as_mut() else {
+        let Some(v) = self.state.validator_mut() else {
             return; // a watcher has no disks
         };
         fault(&mut v.herder.persist);
@@ -214,42 +315,42 @@ impl Node {
     /// relays it.
     pub fn on_deliver(&mut self, from: NodeId, msg: Flooded, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        if self.crashed {
-            return out;
-        }
-        if let Some(inbox) = self.puppet.as_mut() {
-            inbox.push((from, msg.clone()));
-        }
-        if msg.msg.is_pull_control() {
-            if self.puppet.is_some() {
-                self.engine.traffic.recv_kind(msg.msg.kind(), msg.size);
-            } else {
+        let control = msg.msg.is_pull_control();
+        match &mut self.state {
+            State::Down(_) => return out,
+            State::Puppet(_, inbox) => {
+                inbox.push((from, msg.clone()));
+                if control {
+                    self.engine.traffic.recv_kind(msg.msg.kind(), msg.size);
+                    return out;
+                }
+            }
+            State::Live(_) | State::Watcher if control => {
                 let actions = self.engine.on_control(from, &msg, now);
                 self.flood(actions, now, &mut out);
+                return out;
             }
-            return out;
+            State::Live(_) | State::Watcher => {}
         }
         self.engine.accept(&msg, now);
-        let telemetry = self.validator.as_mut().map(|v| &mut v.herder.telemetry);
+        let telemetry = self.state.validator_mut().map(|v| &mut v.herder.telemetry);
         if let Some(t) = telemetry.filter(|t| t.spans.enabled()) {
             for trace in msg.msg.trace_ids() {
                 t.span(trace, now, SpanPhase::FloodRecv { from: from.0 });
             }
         }
-        if self.puppet.is_none() {
-            self.step(now, &mut out, |v| match &msg.msg {
-                FloodMessage::Scp(env) => v.receive_envelope(env),
-                FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
-                FloodMessage::Tx(tx) => {
-                    let _ = v.submit_transaction(tx.clone());
-                    Outputs::default()
-                }
-                FloodMessage::Advert(_) | FloodMessage::Demand(_) => Outputs::default(),
-            });
-            if let (FloodMessage::Scp(env), Some(v)) = (&msg.msg, &self.validator) {
-                if env.statement.slot >= v.herder.current_slot() + 2 {
-                    out.push(Effect::CatchUp);
-                }
+        self.step(now, &mut out, |v| match &msg.msg {
+            FloodMessage::Scp(env) => v.receive_envelope(env),
+            FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
+            FloodMessage::Tx(tx) => {
+                let _ = v.submit_transaction(tx.clone());
+                Outputs::default()
+            }
+            FloodMessage::Advert(_) | FloodMessage::Demand(_) => Outputs::default(),
+        });
+        if let (FloodMessage::Scp(env), State::Live(v)) = (&msg.msg, &self.state) {
+            if env.statement.slot >= v.herder.current_slot() + 2 {
+                out.push(Effect::CatchUp);
             }
         }
         let actions = self.engine.relay(from, msg, now);
@@ -272,13 +373,9 @@ impl Node {
     /// it last triggered starts consensus on the next one.
     pub fn on_trigger(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        let Some(v) = self.validator.as_ref().filter(|_| self.puppet.is_none()) else {
+        let State::Live(v) = &self.state else {
             return out;
         };
-        if self.crashed {
-            out.push(Effect::Trigger(now + self.interval_ms)); // it may be revived
-            return out;
-        }
         let slot = v.herder.current_slot();
         if slot <= self.last_triggered_slot {
             return out; // still working on the slot it triggered
@@ -294,7 +391,7 @@ impl Node {
     /// traffic follows a revival arms the next one.
     pub fn on_tick(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        if self.crashed {
+        if let State::Down(_) = self.state {
             self.engine.tick_missed();
         } else {
             let actions = self.engine.tick(now);
@@ -314,10 +411,9 @@ impl Node {
         deadline: u64,
         now: u64,
     ) -> Option<NodeActions> {
-        if !self.is_live() {
+        let State::Live(v) = &mut self.state else {
             return None;
-        }
-        let v = self.validator.as_mut()?;
+        };
         v.set_time_ms(now);
         let reply = v.on_timer(slot, kind, deadline)?;
         let mut out = Vec::new();
@@ -332,7 +428,7 @@ impl Node {
     /// span or flood.
     pub fn on_submit(&mut self, tx: TransactionEnvelope, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        if !self.is_live() || self.validator.is_none() {
+        if !matches!(self.state, State::Live(_)) {
             return out;
         }
         let admitted = self.admit(&tx, now);
@@ -354,13 +450,16 @@ impl Node {
     /// Replaces the node's quorum set. A live validator re-steps its slot
     /// in flight — statements it already holds may form a quorum under
     /// the new slices, and a stalled node would otherwise never look
-    /// again; a crashed node or a puppet only stores it.
+    /// again; a down node or a puppet only stores it.
     pub fn reconfigure_quorum(&mut self, qset: QuorumSet, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        if self.is_live() {
-            self.step(now, &mut out, |v| v.reconfigure_quorum_set(qset));
-        } else if let Some(v) = self.validator.as_mut() {
-            v.scp.set_quorum_set(qset);
+        match &mut self.state {
+            State::Live(_) => self.step(now, &mut out, |v| v.reconfigure_quorum_set(qset)),
+            state => {
+                if let Some(v) = state.validator_mut() {
+                    v.scp.set_quorum_set(qset);
+                }
+            }
         }
         out
     }
@@ -373,7 +472,7 @@ impl Node {
     /// older re-flood as not newer than the statement it already has.
     pub fn reconnect(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
-        let Some(v) = self.validator.as_ref().filter(|_| self.is_live()) else {
+        let State::Live(v) = &self.state else {
             return out;
         };
         let (sets, envelopes) = (v.scp_state_tx_sets(), v.scp_state_envelopes());
@@ -401,7 +500,7 @@ impl Node {
     /// Takes what the engine asked for: pull steps become spans (watchers
     /// carry no telemetry), sends and the tick become effects.
     fn flood(&mut self, actions: Actions, now: u64, out: &mut NodeActions) {
-        if let Some(v) = self.validator.as_mut() {
+        if let Some(v) = self.state.validator_mut() {
             for (hash, phase) in actions.spans {
                 v.herder.telemetry.span(hash.prefix_u64(), now, phase);
             }
@@ -411,10 +510,10 @@ impl Node {
         out.extend(actions.tick_at.map(Effect::Tick));
     }
 
-    /// Runs `f` on the validator at `now` and takes its reply; a watcher
-    /// does nothing.
+    /// Runs `f` on a live validator at `now` and takes its reply; any
+    /// other node does nothing.
     fn step(&mut self, now: u64, out: &mut NodeActions, f: impl FnOnce(&mut Validator) -> Outputs) {
-        if let Some(v) = self.validator.as_mut() {
+        if let State::Live(v) = &mut self.state {
             v.set_time_ms(now);
             let reply = f(v);
             self.reply(reply, now, out);
@@ -440,7 +539,7 @@ impl Node {
     /// the pacing grid. Without an ingestion cadence, a hosted Horizon
     /// pipeline ingests every close.
     fn check_closed(&mut self, now: u64, out: &mut NodeActions) {
-        let Some(v) = self.validator.as_ref() else {
+        let State::Live(v) = &self.state else {
             return;
         };
         let seq = v.ledger_seq();
@@ -477,7 +576,7 @@ pub fn next_trigger_ms(base: u64, interval: u64, now: u64, own_slot: bool) -> u6
 /// The genesis ledger every validator starts from, built once per
 /// simulation: the entry store template, the bucket list seeded from it
 /// (level hashes already computed) and the header committing to both.
-pub(crate) struct Genesis {
+pub struct Genesis {
     store: LedgerStore,
     buckets: BucketList,
     header: LedgerHeader,
@@ -486,7 +585,9 @@ pub(crate) struct Genesis {
 }
 
 impl Genesis {
-    pub(crate) fn new(store: LedgerStore, validators: &[NodeId]) -> Genesis {
+    /// The genesis ledger over `store`, with the signing keys of
+    /// `validators`.
+    pub fn new(store: LedgerStore, validators: &[NodeId]) -> Genesis {
         let mut buckets = BucketList::seed(store.all_entries());
         let header = LedgerHeader::genesis(buckets.hash());
         let registry = validators
@@ -508,7 +609,7 @@ impl Genesis {
     /// streams it onto a fresh simulated data disk) and a clone of the
     /// seeded bucket list, whose slots are `Rc`-shared, spilling to that
     /// node's own disk.
-    pub(crate) fn validator(
+    pub fn validator(
         &self,
         id: NodeId,
         qset: QuorumSet,
@@ -603,13 +704,8 @@ impl Genesis {
 }
 
 impl Simulation {
-    /// The Horizon configuration `id` boots with: the run's, on the
-    /// observer only.
-    fn horizon_cfg(&self, id: NodeId) -> Option<AdmissionConfig> {
-        self.cfg.horizon.filter(|_| id == self.observer)
-    }
-
-    /// Builds and boots every validator of `qsets` at genesis.
+    /// Builds and boots every validator of `qsets` at genesis; the
+    /// observer hosts the run's Horizon pipeline, if it has one.
     pub(crate) fn boot_all(&mut self, qsets: &[(NodeId, QuorumSet)]) {
         for (id, qset) in qsets {
             let wal = if self.cfg.persistence {
@@ -620,7 +716,7 @@ impl Simulation {
             let v = self
                 .genesis
                 .validator(*id, qset.clone(), &self.cfg, wal, None);
-            let horizon = self.horizon_cfg(*id);
+            let horizon = self.cfg.horizon.filter(|_| *id == self.observer);
             self.node_mut(*id).boot(v, horizon);
         }
     }
@@ -634,7 +730,7 @@ impl Simulation {
         let Some(node) = self.nodes.get_mut(&id) else {
             return; // not a node of this network
         };
-        node.crashed = true;
+        node.crash();
         self.queue.purge_deliveries_to(id);
     }
 
@@ -648,30 +744,21 @@ impl Simulation {
         }
     }
 
-    /// Crash-restarts a node in place: every byte of in-memory state is
-    /// discarded, both its devices take the power loss (unsynced writes
-    /// are lost, a pending record may be torn), and the validator is
-    /// rebuilt solely from what survived (see `Genesis::reboot`). The
-    /// remaining ledger gap is then closed from a reachable live peer's
-    /// archive and the reconnect state exchange runs — which is also how
-    /// the node relearns its peers' latest statements.
+    /// Crash-restarts a node in place ([`Node::reboot`]): every byte of
+    /// in-memory state is discarded and a validator is rebuilt solely
+    /// from what survived. The remaining ledger gap is then closed from a
+    /// reachable live peer's archive and the reconnect state exchange
+    /// runs — which is also how the node relearns its peers' latest
+    /// statements.
     ///
-    /// Works on live nodes too (an atomic reboot) and clears the crashed
-    /// flag for nodes that were down.
+    /// Works on live nodes too (an atomic reboot) and brings a down node
+    /// back in its role.
     pub fn restart(&mut self, id: NodeId) {
-        let Some(node) = self.nodes.get_mut(&id).filter(|n| n.puppet.is_none()) else {
+        let Some(node) = self.nodes.get_mut(&id) else {
             return;
         };
         let started = std::time::Instant::now();
-        node.on_disks(DurableStore::crash);
-        let Some(old) = node.validator.take() else {
-            return; // a watcher has nothing durable to reboot from
-        };
-        let (v, replayed) = self.genesis.reboot(old, &self.cfg, self.now);
-        let (horizon, now) = (self.horizon_cfg(id), self.now);
-        let node = self.node_mut(id);
-        node.boot(v, horizon);
-        let actions = node.rejoin(now);
+        let (replayed, actions) = node.reboot(&self.genesis, &self.cfg, self.now);
         self.busy_until_us.remove(&id);
         self.queue.purge_deliveries_to(id);
         let replayed = replayed + self.carry_out(id, actions);
@@ -680,7 +767,7 @@ impl Simulation {
         self.restarts += 1;
         self.recovery_replayed += replayed;
         self.recovery_us += dur_us;
-        if let Some(v) = self.node_mut(id).validator.as_mut() {
+        if let Some(v) = self.node_mut(id).state.validator_mut() {
             let reg = &mut v.herder.telemetry.registry;
             reg.inc("recovery.restarts");
             reg.add("recovery.ledgers_replayed", replayed);
@@ -695,28 +782,22 @@ impl Simulation {
     /// Returns the number of ledgers applied; 0 when nobody reachable is
     /// ahead.
     pub(crate) fn catch_up(&mut self, id: NodeId) -> u64 {
-        let own_seq = self.ledger_seq_of(id);
-        let best = self
+        // The node steps out of the map while it reads a peer's archive.
+        let Some(mut node) = self.nodes.remove(&id) else {
+            return 0;
+        };
+        let own_seq = node.validator().map_or(0, Validator::ledger_seq);
+        let reachable = self
             .nodes
             .iter()
-            .filter(|(peer, n)| **peer != id && n.is_live() && self.link_open(**peer, id))
-            .filter_map(|(peer, n)| Some((*peer, n.validator.as_ref()?.ledger_seq())))
-            .max_by_key(|(_, seq)| *seq);
-        let Some((peer, _)) = best.filter(|(_, seq)| *seq > own_seq) else {
-            return 0;
-        };
-        let (mut node, mut archive) = (None, None);
-        for (n, record) in self.nodes.iter_mut() {
-            if *n == id {
-                node = Some(record);
-            } else if *n == peer {
-                archive = record.validator.as_ref().map(|v| &v.herder.archive);
-            }
-        }
-        let (Some(node), Some(archive)) = (node, archive) else {
-            return 0;
-        };
-        let (applied, actions) = node.catch_up(archive, self.now);
+            .filter(|(peer, _)| self.link_open(**peer, id));
+        let best = reachable.filter_map(|(_, n)| n.live_validator());
+        let ahead = best
+            .max_by_key(|v| v.ledger_seq())
+            .filter(|v| v.ledger_seq() > own_seq);
+        let catch_up = |v: &Validator| node.catch_up(&v.herder.archive, self.now);
+        let (applied, actions) = ahead.map(catch_up).unwrap_or_default();
+        self.nodes.insert(id, node);
         self.carry_out(id, actions);
         applied
     }
@@ -752,7 +833,7 @@ impl Simulation {
         desired: BTreeSet<stellar_herder::Upgrade>,
     ) {
         for id in ids {
-            if let Some(v) = self.nodes.get_mut(id).and_then(|n| n.validator.as_mut()) {
+            if let Some(v) = self.nodes.get_mut(id).and_then(|n| n.state.validator_mut()) {
                 v.herder.upgrade_policy = stellar_herder::UpgradePolicy {
                     governing: true,
                     desired: desired.clone(),
@@ -764,17 +845,12 @@ impl Simulation {
     /// The validator at `id`, if `id` names one (callers may be handed a
     /// watcher or an id from outside the graph).
     fn find_validator(&self, id: NodeId) -> Option<&Validator> {
-        self.nodes.get(&id)?.validator.as_ref()
+        self.nodes.get(&id)?.validator()
     }
 
     /// A validator, for post-run inspection.
     pub fn validator(&self, id: NodeId) -> &Validator {
         self.find_validator(id).expect("a validator")
-    }
-
-    /// A node's telemetry (metrics registry + flight recorder).
-    pub fn telemetry(&self, id: NodeId) -> &NodeTelemetry {
-        &self.validator(id).herder.telemetry
     }
 
     /// Every node's quorum set (input to intactness computation).
@@ -786,31 +862,24 @@ impl Simulation {
 
     /// Everything `id` has externalized so far, as `(slot, value)` pairs.
     pub fn externalizations(&self, id: NodeId) -> Vec<(SlotIndex, Value)> {
-        self.find_validator(id)
-            .map(|v| {
-                v.herder
-                    .events
-                    .iter()
-                    .filter_map(|(_, e)| match e {
-                        ScpEvent::Externalized { slot, value } => Some((*slot, value.clone())),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let events = self
+            .find_validator(id)
+            .into_iter()
+            .flat_map(|v| &v.herder.events);
+        let externalized = |(_, e): &(u64, ScpEvent)| match e {
+            ScpEvent::Externalized { slot, value } => Some((*slot, value.clone())),
+            _ => None,
+        };
+        events.filter_map(externalized).collect()
     }
 
     /// Ledger header hashes `id` has committed, as `(seq, hash)` pairs.
     pub fn header_hashes(&self, id: NodeId) -> Vec<(u64, Hash256)> {
-        self.find_validator(id)
-            .map(|v| {
-                v.herder
-                    .close_stats
-                    .iter()
-                    .map(|cs| (cs.ledger_seq, cs.header_hash))
-                    .collect()
-            })
-            .unwrap_or_default()
+        let closes = self
+            .find_validator(id)
+            .into_iter()
+            .flat_map(|v| &v.herder.close_stats);
+        closes.map(|cs| (cs.ledger_seq, cs.header_hash)).collect()
     }
 
     /// Current ledger sequence of `id`.
@@ -820,51 +889,7 @@ impl Simulation {
 
     /// Whether `id` is currently crashed.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|n| n.crashed)
-    }
-
-    /// Arms `n` failing fsyncs on `id`'s devices (chaos hook). The
-    /// write-ahead gate reacts by withholding outbound envelopes until a
-    /// later sync succeeds; a failed close flush of the data disk keeps
-    /// the delta dirty in the write-back cache and retries at the next
-    /// close.
-    pub fn fail_next_fsyncs(&mut self, id: NodeId, n: u32) {
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.on_disks(|d| d.fail_next_fsyncs(n));
-        }
-    }
-
-    /// Arms a torn write on `id`'s devices: its next crash commits only a
-    /// strict prefix of the oldest unsynced record (chaos hook; recovery
-    /// must treat the torn record as absent, and a torn data-disk record
-    /// is caught by the segment/manifest checksums, which refuses the
-    /// fast path).
-    pub fn tear_next_crash(&mut self, id: NodeId) {
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.on_disks(DurableStore::tear_next_crash);
-        }
-    }
-
-    /// Demotes a validator to a puppet: it keeps its keys and its place
-    /// in other nodes' quorum sets, but runs no validator logic. Its
-    /// inbound traffic lands in an inbox for an external driver (a
-    /// Byzantine adversary) to read, and anything it "says" is injected
-    /// via [`Simulation::inject_direct`] / [`Simulation::inject_broadcast`].
-    pub fn make_puppet(&mut self, id: NodeId) {
-        if let Some(node) = self.nodes.get_mut(&id) {
-            node.puppet.get_or_insert_with(Vec::new);
-        }
-    }
-
-    /// Whether `id` is a puppet.
-    pub fn is_puppet(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|n| n.puppet.is_some())
-    }
-
-    /// Takes the messages delivered to puppet `id` since the last drain.
-    pub fn drain_puppet_inbox(&mut self, id: NodeId) -> Vec<(NodeId, Flooded)> {
-        let inbox = self.nodes.get_mut(&id).and_then(|n| n.puppet.as_mut());
-        inbox.map(std::mem::take).unwrap_or_default()
+        self.nodes.get(&id).is_some_and(Node::is_down)
     }
 
     /// Injects a message from `from` to a single peer `to` (adversary
@@ -906,26 +931,12 @@ mod tests {
         assert_eq!(next_trigger_ms(base, interval, 26_000, false), 31_000);
     }
 
-    /// Every timer handed out, `(deadline, node, slot, kind)`.
-    type Timers = BTreeSet<(u64, usize, SlotIndex, TimerKind)>;
-    type Wire = VecDeque<(usize, NodeId, Flooded)>;
-
     /// Node `id` of a two-validator network in which each needs the
     /// other, peered with the other alone.
-    fn validator_node(id: u32) -> Node {
-        let ids = vec![NodeId(0), NodeId(1)];
-        let registry = ids
-            .iter()
-            .map(|n| (*n, validator_keys(*n).public()))
-            .collect();
-        let qset = QuorumSet::majority(ids);
-        let v = Validator::new(
-            NodeId(id),
-            validator_keys(NodeId(id)),
-            qset,
-            genesis_store(10, 1000),
-            registry,
-        );
+    fn validator_node(id: u32, genesis: &Genesis) -> Node {
+        let qset = QuorumSet::majority(vec![NodeId(0), NodeId(1)]);
+        let cfg = SimConfig::default();
+        let v = genesis.validator(NodeId(id), qset, &cfg, DurableStore::new(), None);
         let mut node = Node::new(
             FloodEngine::new(FloodMode::Push, vec![NodeId(1 - id)]),
             5_000,
@@ -935,58 +946,123 @@ mod tests {
         node
     }
 
-    /// The hand-written embedder: sends go on a zero-latency wire,
-    /// timers into a deadline table; nobody falls behind.
-    fn carry_out(from: usize, actions: NodeActions, timers: &mut Timers, wire: &mut Wire) {
-        for effect in actions {
-            match effect {
-                Effect::Send(to, msg) => wire.push_back((to.0 as usize, NodeId(from as u32), msg)),
-                Effect::Timer(slot, kind, at) => {
-                    timers.insert((at, from, slot, kind));
+    fn genesis() -> Genesis {
+        Genesis::new(genesis_store(10, 1000), &[NodeId(0), NodeId(1)])
+    }
+
+    /// An SCP timer `(slot, kind)`, or the ledger trigger (`None`).
+    type Due = Option<(SlotIndex, TimerKind)>;
+
+    /// The hand-written embedder: sends go on a zero-latency wire, timers
+    /// and triggers into one deadline table; nobody falls behind.
+    #[derive(Default)]
+    struct Embedder {
+        wire: VecDeque<(usize, NodeId, Flooded)>,
+        due: BTreeSet<(u64, usize, Due)>,
+        now: u64,
+    }
+
+    impl Embedder {
+        fn carry_out(&mut self, from: usize, actions: NodeActions) {
+            for effect in actions {
+                match effect {
+                    Effect::Send(to, msg) => {
+                        self.wire
+                            .push_back((to.0 as usize, NodeId(from as u32), msg))
+                    }
+                    Effect::Timer(slot, kind, at) => {
+                        self.due.insert((at, from, Some((slot, kind))));
+                    }
+                    Effect::Trigger(at) => {
+                        self.due.insert((at, from, None));
+                    }
+                    Effect::CatchUp => panic!("node {from} fell behind"),
+                    Effect::Tick(_) | Effect::Triggered(_) | Effect::Closed(..) => {}
                 }
-                Effect::CatchUp => panic!("node {from} fell behind"),
-                Effect::Tick(_)
-                | Effect::Trigger(_)
-                | Effect::Triggered(_)
-                | Effect::Closed(..) => {}
             }
         }
+
+        /// Delivers what is on the wire, else fires the earliest timer or
+        /// trigger, until both nodes have closed ledger `seq`.
+        fn run_until_closed(&mut self, nodes: &mut [Node; 2], seq: u64) {
+            let closed = |nodes: &[Node; 2]| {
+                nodes
+                    .iter()
+                    .all(|n| n.validator().is_some_and(|v| v.ledger_seq() >= seq))
+            };
+            for _ in 0..10_000 {
+                if closed(nodes) {
+                    return;
+                }
+                if let Some((to, from, msg)) = self.wire.pop_front() {
+                    let node = &mut nodes[to];
+                    if msg.msg.is_pull_control() || !node.suppress_duplicate(&msg) {
+                        let actions = node.on_deliver(from, msg, self.now);
+                        self.carry_out(to, actions);
+                    }
+                    continue;
+                }
+                let (at, i, due) = self.due.pop_first().expect("a timer or trigger is due");
+                self.now = self.now.max(at);
+                let actions = match due {
+                    Some((slot, kind)) => nodes[i].on_timer(slot, kind, at, self.now),
+                    None => Some(nodes[i].on_trigger(self.now)),
+                };
+                self.carry_out(i, actions.unwrap_or_default());
+            }
+            panic!("both nodes close ledger {seq}");
+        }
+    }
+
+    fn header_hash(node: &Node) -> Option<Hash256> {
+        node.validator().map(|v| v.herder.header.hash())
     }
 
     #[test]
     fn two_nodes_driven_by_hand_close_ledger_2_alike() {
-        let mut nodes = [validator_node(0), validator_node(1)];
-        let (mut timers, mut wire, mut now) = (Timers::new(), Wire::new(), 5_000);
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let actions = node.on_trigger(now);
-            carry_out(i, actions, &mut timers, &mut wire);
-        }
-        let closed = |nodes: &[Node; 2]| {
-            nodes
-                .iter()
-                .all(|n| n.validator().is_some_and(|v| v.ledger_seq() >= 2))
+        let genesis = genesis();
+        let mut nodes = [validator_node(0, &genesis), validator_node(1, &genesis)];
+        let mut net = Embedder::default();
+        net.due.extend([(5_000, 0, None), (5_000, 1, None)]);
+        net.run_until_closed(&mut nodes, 2);
+        assert_eq!(header_hash(&nodes[0]), header_hash(&nodes[1]));
+    }
+
+    #[test]
+    fn a_node_crashed_and_rebooted_by_hand_retriggers_on_its_grid_and_closes_ledger_3() {
+        let genesis = genesis();
+        let mut nodes = [validator_node(0, &genesis), validator_node(1, &genesis)];
+        let mut net = Embedder::default();
+        net.due.extend([(5_000, 0, None), (5_000, 1, None)]);
+        net.run_until_closed(&mut nodes, 2);
+
+        // Down, node 1 takes nothing and asks for nothing, not even its
+        // next trigger. What was on its way to it is lost.
+        nodes[1].crash();
+        assert!(nodes[1].is_down());
+        assert!(nodes[1].on_trigger(6_000).is_empty());
+        let tx = LoadGen::new(10, 1.0, 7).make_payment();
+        assert!(nodes[1].on_submit(tx, 6_000).is_empty());
+        net.wire.retain(|(to, ..)| *to == 0);
+
+        // It comes back at ledger 2 and asks to trigger at the next point
+        // of its grid (5 000 + k·5 000 ms), not at once.
+        let cfg = SimConfig::default();
+        net.now = 7_000;
+        let (_, actions) = nodes[1].reboot(&genesis, &cfg, net.now);
+        assert!(!nodes[1].is_down());
+        assert_eq!(nodes[1].validator().map(Validator::ledger_seq), Some(2));
+        let [.., Effect::CatchUp, Effect::Trigger(at)] = actions.as_slice() else {
+            panic!("{actions:?}");
         };
-        for _ in 0..10_000 {
-            if closed(&nodes) {
-                break;
-            }
-            if let Some((to, from, msg)) = wire.pop_front() {
-                let node = &mut nodes[to];
-                if msg.msg.is_pull_control() || !node.suppress_duplicate(&msg) {
-                    let actions = node.on_deliver(from, msg, now);
-                    carry_out(to, actions, &mut timers, &mut wire);
-                }
-                continue;
-            }
-            let (at, i, slot, kind) = timers.pop_first().expect("a timer is armed");
-            now = now.max(at);
-            if let Some(actions) = nodes[i].on_timer(slot, kind, at, now) {
-                carry_out(i, actions, &mut timers, &mut wire);
-            }
-        }
-        assert!(closed(&nodes), "both nodes close ledger 2");
-        let hash = |n: &Node| n.validator().map(|v| v.herder.header.hash());
-        assert_eq!(hash(&nodes[0]), hash(&nodes[1]));
+        assert_eq!(*at, 10_000);
+        let rest = actions
+            .into_iter()
+            .filter(|e| !matches!(e, Effect::CatchUp));
+        net.carry_out(1, rest.collect());
+
+        net.run_until_closed(&mut nodes, 3);
+        assert_eq!(header_hash(&nodes[0]), header_hash(&nodes[1]));
     }
 
     #[test]

@@ -241,13 +241,16 @@ impl Simulation {
         sim
     }
 
-    /// A graph node's record. Every id the simulator routes by — event
-    /// targets, peers, validators — names a node of the peer graph.
-    pub(crate) fn node(&self, id: NodeId) -> &Node {
+    /// A graph node's record, for inspection and per-node faults. Every
+    /// id the simulator routes by — event targets, peers, validators —
+    /// names a node of the peer graph; any other id panics.
+    pub fn node(&self, id: NodeId) -> &Node {
         self.nodes.get(&id).expect("node of the peer graph")
     }
 
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
+    /// A graph node's record, mutably: demote it to a puppet, drain its
+    /// inbox, or fault its disks ([`Node::on_disks`]).
+    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         self.nodes.get_mut(&id).expect("node of the peer graph")
     }
 
@@ -255,7 +258,7 @@ impl Simulation {
     pub(crate) fn validators(&self) -> impl Iterator<Item = (NodeId, &Validator)> {
         self.nodes
             .iter()
-            .filter_map(|(id, n)| n.validator.as_ref().map(|v| (*id, v)))
+            .filter_map(|(id, n)| n.validator().map(|v| (*id, v)))
     }
 
     /// The validator a client hands `tx` to: a deterministic pick by
@@ -360,12 +363,6 @@ impl Simulation {
         self.queue.peek_time()
     }
 
-    /// Number of pending delivery events addressed to `id` (regression
-    /// hook: must stay 0 for crashed nodes).
-    pub fn pending_deliveries_to(&self, id: NodeId) -> usize {
-        self.queue.count_deliveries_to(id)
-    }
-
     /// The run configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -386,9 +383,8 @@ impl Simulation {
     /// Whether every live validator has closed ledger `seq`; crashed
     /// nodes and puppets are not waited for.
     pub fn reached(&self, seq: u64) -> bool {
-        let live = self.nodes.values().filter(|n| n.is_live());
-        live.filter_map(|n| n.validator.as_ref())
-            .all(|v| v.ledger_seq() >= seq)
+        let mut live = self.nodes.values().filter_map(Node::live_validator);
+        live.all(|v| v.ledger_seq() >= seq)
     }
 
     /// Advances the simulation by exactly one event. Returns `false` when
@@ -430,12 +426,16 @@ impl Simulation {
         let seqs: Vec<(NodeId, u64)> = self
             .nodes
             .iter()
-            .filter(|(_, n)| n.puppet.is_none())
-            .filter_map(|(id, n)| Some((*id, n.validator.as_ref()?.ledger_seq())))
+            .filter(|(_, n)| !n.is_puppet())
+            .filter_map(|(id, n)| Some((*id, n.validator()?.ledger_seq())))
             .collect();
         self.watchdog.observe(self.now, &seqs);
         for (id, lag) in self.watchdog.ledger_lag() {
-            if let Some(v) = self.nodes.get_mut(&id).and_then(|n| n.validator.as_mut()) {
+            let validator = self
+                .nodes
+                .get_mut(&id)
+                .and_then(|n| n.state.validator_mut());
+            if let Some(v) = validator {
                 let registry = &mut v.herder.telemetry.registry;
                 registry.set_gauge("health.ledger_lag", lag as i64);
             }
@@ -511,14 +511,14 @@ impl Simulation {
         (1 + self.cfg.target_ledgers + 4) * self.cfg.ledger_interval_ms
     }
 
-    /// A message reaches `to` from peer `from`. Pull-mode control
-    /// messages are tiny and a duplicate costs one seen-cache lookup, so
-    /// only a fresh payload meets the processing-capacity model: it
-    /// queues behind a busy node (offered again when it finally runs),
-    /// then charges [`PROC_COST_US_PER_MSG`].
+    /// A message reaches `to` from peer `from` (a down node has none
+    /// queued). Pull-mode control messages are tiny and a duplicate costs
+    /// one seen-cache lookup, so only a fresh payload meets the
+    /// processing-capacity model: it queues behind a busy node (offered
+    /// again when it finally runs), then charges [`PROC_COST_US_PER_MSG`].
     fn deliver(&mut self, to: NodeId, from: NodeId, msg: Flooded) {
         let now = self.now;
-        let Some(node) = self.nodes.get_mut(&to).filter(|n| !n.crashed) else {
+        let Some(node) = self.nodes.get_mut(&to) else {
             return;
         };
         let msg_id = msg.id;
@@ -588,13 +588,13 @@ impl Simulation {
         applied
     }
 
-    /// The delivery chokepoint every sent message funnels through: crashed
+    /// The delivery chokepoint every sent message funnels through: down
     /// targets are dropped here (not at pop time), partitions gate the
     /// link, and per-link fault models decide drop/duplicate/delay fates.
     /// Fault decisions draw from a dedicated RNG stream, so a run with no
     /// faults configured is bit-identical to one without the chaos layer.
     pub(crate) fn enqueue_delivery(&mut self, from: NodeId, to: NodeId, msg: Flooded) {
-        if self.nodes.get(&to).is_none_or(|n| n.crashed) {
+        if self.nodes.get(&to).is_none_or(Node::is_down) {
             return; // nobody there to receive it
         }
         if !self.link_open(from, to) {
@@ -723,7 +723,7 @@ mod tests {
         );
         assert!(net.in_count(stellar_overlay::MsgKind::Scp) > 0);
         // Flight recorder: the observer traced the run's slots.
-        let recorder = &sim.telemetry(sim.observer_id()).recorder;
+        let recorder = &sim.validator(sim.observer_id()).herder.telemetry.recorder;
         assert!(!recorder.is_empty(), "flight recorder must have events");
         assert!(recorder.latest_slot() > 0, "recorder saw at least one slot");
         // The latest slot may still be mid-nomination at shutdown; pick
@@ -1056,13 +1056,13 @@ mod crash_tests {
         while sim.now_ms() < 8_000 && sim.step() {}
         sim.crash(NodeId(3));
         assert_eq!(
-            sim.pending_deliveries_to(NodeId(3)),
+            sim.queue.count_deliveries_to(NodeId(3)),
             0,
             "crash must purge queued deliveries"
         );
         let mut max_pending = 0;
         while sim.step() {
-            max_pending = max_pending.max(sim.pending_deliveries_to(NodeId(3)));
+            max_pending = max_pending.max(sim.queue.count_deliveries_to(NodeId(3)));
         }
         assert_eq!(
             max_pending, 0,
@@ -1091,7 +1091,7 @@ mod crash_tests {
             let tx = crate::loadgen::LoadGen::new(50, 1.0, 70).make_payment();
             let down = sim.submission_target(&tx);
             if puppet {
-                sim.make_puppet(down);
+                sim.node_mut(down).make_puppet();
             } else {
                 sim.crash(down);
             }
@@ -1119,6 +1119,50 @@ mod crash_tests {
                 assert_eq!(sent(&sim), sent_before, "the crashed node sent");
             }
         }
+    }
+
+    /// Every role survives a crash followed by a revive: the watcher
+    /// relays again and the puppet's inbox fills again.
+    #[test]
+    fn a_watcher_and_a_puppet_come_back_in_their_roles_after_a_revive() {
+        let mut sim = Simulation::new(SimConfig {
+            scenario: Scenario::PublicNetwork {
+                n_orgs: 4,
+                validators_per_org: 3,
+                n_watchers: 4,
+            },
+            n_accounts: 50,
+            tx_rate: 5.0,
+            seed: 71,
+            max_sim_time_ms: 120_000,
+            ..SimConfig::default()
+        });
+        let validators = sim.validator_ids();
+        let watcher = *sim
+            .nodes
+            .keys()
+            .find(|id| !validators.contains(id))
+            .unwrap();
+        let puppet = validators[validators.len() - 1];
+        sim.node_mut(puppet).make_puppet();
+        while sim.now_ms() < 8_000 && sim.step() {}
+        sim.crash(watcher);
+        sim.crash(puppet);
+        while sim.now_ms() < 16_000 && sim.step() {}
+        let relayed = |sim: &Simulation| sim.node(watcher).engine.traffic.msgs_out;
+        let relayed_while_down = relayed(&sim);
+        assert!(sim.node_mut(puppet).drain_inbox().is_empty());
+        for id in [watcher, puppet] {
+            sim.revive(id);
+            assert!(!sim.is_crashed(id), "{id:?} is still down");
+        }
+        assert!(sim.node(puppet).is_puppet());
+        while sim.now_ms() < 26_000 && sim.step() {}
+        assert!(relayed(&sim) > relayed_while_down, "the watcher relays");
+        assert!(
+            !sim.node_mut(puppet).drain_inbox().is_empty(),
+            "the puppet's inbox fills"
+        );
     }
 
     #[test]
@@ -1360,9 +1404,9 @@ mod crash_tests {
         });
         while sim.now_ms() < 12_300 && sim.step() {}
         // Arm a device fault so unsynced bytes exist, then tear them.
-        sim.fail_next_fsyncs(NodeId(1), 1);
+        sim.node_mut(NodeId(1)).on_disks(|d| d.fail_next_fsyncs(1));
         while sim.now_ms() < 17_300 && sim.step() {}
-        sim.tear_next_crash(NodeId(1));
+        sim.node_mut(NodeId(1)).on_disks(|d| d.tear_next_crash());
         sim.restart(NodeId(1));
         let report = sim.run();
         assert!(report.ledgers.len() >= 5);

@@ -155,58 +155,43 @@ impl HealthWatchdog {
     /// simulated time `now_ms`. Raises stuck-slot and slow-close alerts
     /// as thresholds are crossed.
     pub fn observe(&mut self, now_ms: u64, seqs: &[(NodeId, u64)]) {
-        for (node, seq) in seqs {
-            match self.progress.get_mut(node) {
-                None => {
-                    self.progress.insert(
-                        *node,
-                        Progress {
-                            seq: *seq,
-                            since_ms: now_ms,
-                        },
-                    );
+        for &(node, seq) in seqs {
+            let Some(p) = self.progress.get_mut(&node) else {
+                let since_ms = now_ms;
+                self.progress.insert(node, Progress { seq, since_ms });
+                continue;
+            };
+            let (since, stalled_for) = (p.since_ms, now_ms.saturating_sub(p.since_ms));
+            let alert = if seq > p.seq {
+                // Sequence jumps (catch-up replay) close several ledgers
+                // at once; the interval belongs to the whole jump and
+                // still flags a node that fell behind.
+                *p = Progress {
+                    seq,
+                    since_ms: now_ms,
+                };
+                (stalled_for > self.cfg.slow_close_ms).then_some(HealthAlert::SlowClose {
+                    node,
+                    seq,
+                    interval_ms: stalled_for,
+                    detected_at_ms: now_ms,
+                })
+            } else {
+                let seq = p.seq;
+                let stuck = stalled_for >= self.cfg.stuck_slot_ms;
+                (stuck && self.stuck_raised.insert((node, seq))).then_some(HealthAlert::StuckSlot {
+                    node,
+                    seq,
+                    stuck_for_ms: stalled_for,
+                    detected_at_ms: now_ms,
+                })
+            };
+            match alert {
+                Some(a) if self.stall_is_expected(node, since, now_ms) => {
+                    self.expected_alerts.push(a)
                 }
-                Some(p) if *seq > p.seq => {
-                    let interval = now_ms.saturating_sub(p.since_ms);
-                    let since = p.since_ms;
-                    // Sequence jumps (catch-up replay) close several
-                    // ledgers at once; the interval belongs to the whole
-                    // jump and still flags a node that fell behind.
-                    p.seq = *seq;
-                    p.since_ms = now_ms;
-                    if interval > self.cfg.slow_close_ms {
-                        let alert = HealthAlert::SlowClose {
-                            node: *node,
-                            seq: *seq,
-                            interval_ms: interval,
-                            detected_at_ms: now_ms,
-                        };
-                        if self.stall_is_expected(*node, since, now_ms) {
-                            self.expected_alerts.push(alert);
-                        } else {
-                            self.alerts.push(alert);
-                        }
-                    }
-                }
-                Some(p) => {
-                    let stuck_for = now_ms.saturating_sub(p.since_ms);
-                    let since = p.since_ms;
-                    let seq = p.seq;
-                    if stuck_for >= self.cfg.stuck_slot_ms && self.stuck_raised.insert((*node, seq))
-                    {
-                        let alert = HealthAlert::StuckSlot {
-                            node: *node,
-                            seq,
-                            stuck_for_ms: stuck_for,
-                            detected_at_ms: now_ms,
-                        };
-                        if self.stall_is_expected(*node, since, now_ms) {
-                            self.expected_alerts.push(alert);
-                        } else {
-                            self.alerts.push(alert);
-                        }
-                    }
-                }
+                Some(a) => self.alerts.push(a),
+                None => {}
             }
         }
     }

@@ -142,7 +142,7 @@ fn main() {
     // observer's latest decided slot — the same artifact a violating
     // chaos run attaches to its report (`ChaosReport::flight_recording`).
     let observer = run.sim().observer_id();
-    let recorder = &run.sim().telemetry(observer).recorder;
+    let recorder = &run.sim().validator(observer).herder.telemetry.recorder;
     let decided = recorder
         .events()
         .filter(|e| matches!(e.kind, stellar::telemetry::TraceKind::Externalized))

@@ -16,7 +16,8 @@
 //!
 //! Re-recorded again when every originator started pushing and a rebooted
 //! validator started re-triggering on its pacing grid, and once more when
-//! a crashed node or a puppet started refusing client submissions; each
+//! a crashed node or a puppet started refusing client submissions, and
+//! once more when a down node stopped re-arming its ledger trigger; each
 //! moved pin names its latest reason. The push mesh has no crash and no
 //! puppet, so it did not move.
 
@@ -170,11 +171,13 @@ fn pull_public_network_with_crash_and_restart_is_pinned() {
     );
     let pulled: u64 = report.traffic.values().map(|t| t.pull_fulfilled).sum();
     assert!(pulled > 0, "payloads crossed by advert and demand");
-    // Moved by design: the crashed victim refuses the client submissions
-    // routed to it instead of queueing and flooding them.
+    // Moved by design: the crashed victim no longer asks for its ledger
+    // trigger every interval while down, so its trigger events leave the
+    // trace; the trigger its reboot queues on its pacing grid is the only
+    // one that brings it back.
     assert_eq!(
         digest(&sim, &report),
-        "c1d9479798c757a481acbdf30121c6267fe2fbe0abb2f0963cc04508a207dddc"
+        "2d24a21f2bbb4b971099f68833f7bac8a6e18c1db3940f76118b60444e26484c"
     );
 }
 
@@ -192,7 +195,7 @@ fn faulty_links_with_a_puppet_are_pinned() {
     });
     sim.enable_trace();
     let puppet = NodeId(6);
-    sim.make_puppet(puppet);
+    sim.node_mut(puppet).make_puppet();
     sim.link_faults_mut().set_default(
         LinkFault::none()
             .with_drop(0.05)
@@ -202,7 +205,7 @@ fn faulty_links_with_a_puppet_are_pinned() {
     );
     let report = sim.run();
     assert!(report.ledgers.len() >= 4);
-    assert!(!sim.drain_puppet_inbox(puppet).is_empty());
+    assert!(!sim.node_mut(puppet).drain_inbox().is_empty());
     let timeouts: u64 = report.traffic.values().map(|t| t.pull_timeouts).sum();
     assert!(timeouts > 0, "lost demands were retried");
     // Moved by design: the puppet refuses the client submissions routed

@@ -132,7 +132,13 @@ fn validators_share_envelopes_remember_a_window_and_a_crashed_one_rejoins() {
     );
     let pruned: u64 = ids
         .iter()
-        .map(|id| sim.telemetry(*id).registry.counter("herder.tx_sets_pruned"))
+        .map(|id| {
+            sim.validator(*id)
+                .herder
+                .telemetry
+                .registry
+                .counter("herder.tx_sets_pruned")
+        })
         .sum();
     assert!(pruned > 0, "no validator ever forgot a set");
     println!("max known_tx_sets on one validator: {max_known} (bound {KNOWN_SETS_BOUND}); pruned {pruned}; {archived} archived sets in {allocations} allocations");
