@@ -247,7 +247,7 @@ pub const SHAPES: [Shape; 19] = [
     Shape {
         id: "E15",
         paper: "§7.5: naive flooding sends every payload over every link (production later moved to advert/demand pull)",
-        shape: "every run closes its target; pull never floods more bytes than push, saves more as load grows at 36 nodes, and at 36 nodes / 20 tx/s saves at least 40% (43.7% since every originator pushes and relays advertise; 41.9% when only SCP originators pushed; 33.8% when SCP relays pushed too); no demand times out",
+        shape: "every run closes its target; pull never floods more bytes than push, saves more as load grows at 36 nodes, and at 36 nodes / 20 tx/s saves at least 40% (41.4% since a set crosses only when SCP names it, which cuts push bytes more than pull; 43.7% when every proposer pushed its set; 41.9% when only SCP originators pushed; 33.8% when SCP relays pushed too); no demand times out",
         holds: |o| {
             let at36 = at(o, "saving", "nodes", 36.0);
             pairwise(o, "ledgers", "target_ledgers", |l, t| l >= t)

@@ -138,6 +138,12 @@ fn envelope_in_key(class: &str) -> &'static str {
     }
 }
 
+/// The transaction sets the values of `env` name.
+pub(crate) fn named_tx_sets(env: &Envelope) -> impl Iterator<Item = Hash256> {
+    let values = env.statement.kind.values().into_iter();
+    values.filter_map(|v| StellarValue::from_scp(&v).map(|sv| sv.tx_set_hash))
+}
+
 /// Trace label for a timer kind.
 fn timer_name(kind: TimerKind) -> &'static str {
     match kind {
@@ -170,10 +176,15 @@ pub struct Herder {
     pub sig_cache: SigVerifyCache,
     /// Governance stance.
     pub upgrade_policy: UpgradePolicy,
-    /// Known transaction sets by hash (gossiped alongside SCP traffic).
+    /// Known transaction sets by hash; they also answer peers' demands.
     /// Sets that arrive through [`Herder::make_proposal`] and
     /// [`Herder::learn_tx_set`] are forgotten [`SLOT_WINDOW`] closes later.
     pub known_tx_sets: HashMap<Hash256, TransactionSet>,
+    /// This node's proposal until an envelope it emits names it; a set a
+    /// peer flooded first is that peer's to ship.
+    unshipped: Option<Hash256>,
+    /// Set hashes a validated or decided value named but this node lacks.
+    pub(crate) lacking: BTreeSet<Hash256>,
     /// The slot that was current when each ageing set was last proposed
     /// or learned. A set inserted into `known_tx_sets` directly has no
     /// entry here and is never aged.
@@ -278,6 +289,8 @@ impl Herder {
             sig_cache: SigVerifyCache::new(1 << 16),
             upgrade_policy: UpgradePolicy::default(),
             known_tx_sets: HashMap::new(),
+            unshipped: None,
+            lacking: BTreeSet::new(),
             tx_set_learned_at: HashMap::new(),
             now: 1,
             clock_ms: 1000,
@@ -350,8 +363,9 @@ impl Herder {
     /// transaction set from the queue and wraps it in a [`StellarValue`]
     /// with any desired upgrades.
     ///
-    /// Returns the value plus the set (which the caller must flood so
-    /// peers can validate and apply it).
+    /// Returns the value plus the set, which is flooded only once an
+    /// envelope this node emits names it
+    /// ([`crate::validator::Validator::drain_outputs`]).
     pub fn make_proposal(&mut self) -> (StellarValue, TransactionSet) {
         let candidates = self.queue.candidates(&self.store);
         let set = TransactionSet::assemble(
@@ -360,7 +374,9 @@ impl Herder {
             self.header.params.max_tx_set_ops,
         );
         let close_time = self.now.max(self.header.close_time + 1);
+        let learned = self.known_tx_sets.contains_key(&set.hash());
         let tx_set_hash = self.remember_tx_set(&set);
+        self.unshipped = (!learned).then_some(tx_set_hash);
         let mut value = StellarValue::new(tx_set_hash, close_time);
         if self.upgrade_policy.governing {
             value.upgrades = self
@@ -384,9 +400,21 @@ impl Herder {
         (value, set)
     }
 
+    /// This node's proposal, the first time one of `envelopes` names it.
+    pub(crate) fn take_named_proposal(&mut self, envelopes: &[Envelope]) -> Option<TransactionSet> {
+        let hash = self.unshipped?;
+        envelopes
+            .iter()
+            .flat_map(named_tx_sets)
+            .find(|h| *h == hash)?;
+        self.unshipped = None;
+        self.known_tx_sets.get(&hash).cloned()
+    }
+
     /// Registers a transaction set learned from a peer.
     pub fn learn_tx_set(&mut self, set: TransactionSet) {
-        self.remember_tx_set(&set);
+        let hash = self.remember_tx_set(&set);
+        self.unshipped = self.unshipped.filter(|h| *h != hash);
         self.close_decided();
     }
 
@@ -442,7 +470,9 @@ impl Herder {
             let Some(due) = self.decided.first_entry().filter(|e| *e.key() == current) else {
                 return;
             };
-            let Some(set) = self.known_tx_sets.get(&due.get().tx_set_hash).cloned() else {
+            let hash = due.get().tx_set_hash;
+            let Some(set) = self.known_tx_sets.get(&hash).cloned() else {
+                self.lacking.insert(hash);
                 return;
             };
             let value = due.remove();
@@ -472,6 +502,7 @@ impl Herder {
             Some(set) if set.prev_ledger_hash == self.header_hash => Validity::FullyValidated,
             Some(_) => Validity::Invalid,
             None => {
+                self.lacking.insert(value.tx_set_hash);
                 if nomination {
                     // Don't vote for sets we can't inspect.
                     Validity::Invalid

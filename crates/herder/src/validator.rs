@@ -17,12 +17,20 @@
 //! the disk always holds what the node said, and a crash-restarted node
 //! replays those records ([`Validator::recover_scp_state`]) instead of
 //! contradicting a vote it sent (§3, §5.4).
+//!
+//! An SCP value names its transaction set by hash (§5.3), and a set
+//! crosses the network only when SCP names it: the validator floods its
+//! own proposal with the first released envelope that names it — its
+//! own NOMINATE voting for it, as round leader — and a received envelope
+//! naming a set this node lacks reports the hash
+//! ([`Outputs::missing_tx_sets`]) so the embedder can fetch it from the
+//! envelope's sender, who answers from its `known_tx_sets`.
 
-use crate::herder::{Herder, LEDGER_VALIDITY_BRACKET, SLOT_WINDOW};
+use crate::herder::{named_tx_sets, Herder, LEDGER_VALIDITY_BRACKET, SLOT_WINDOW};
 use crate::queue::QueueError;
-use crate::value::StellarValue;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use stellar_crypto::sign::KeyPair;
+use stellar_crypto::Hash256;
 use stellar_ledger::store::LedgerStore;
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_ledger::txset::TransactionSet;
@@ -35,8 +43,13 @@ use stellar_telemetry::SpanPhase;
 pub struct Outputs {
     /// SCP envelopes to flood.
     pub envelopes: Vec<Envelope>,
-    /// Transaction sets to flood (peers need them to validate values).
+    /// Transaction sets to flood: this node's proposal, once one of
+    /// `envelopes` names it (peers need it to validate the value).
     pub tx_sets: Vec<TransactionSet>,
+    /// Transaction sets SCP needed but this node lacks — a leader's vote,
+    /// a value accepted or decided. After [`Validator::receive_envelope`],
+    /// those the envelope names: its sender can be asked for them.
+    pub missing_tx_sets: Vec<Hash256>,
     /// Timers to fire: call [`Validator::on_timer`] with this slot, kind
     /// and deadline once the clock reaches the deadline (ms). Replacing
     /// and cancelling are the validator's own business: a deadline it no
@@ -47,7 +60,10 @@ pub struct Outputs {
 impl Outputs {
     /// True when nothing was produced.
     pub fn is_empty(&self) -> bool {
-        self.envelopes.is_empty() && self.tx_sets.is_empty() && self.timers.is_empty()
+        self.envelopes.is_empty()
+            && self.tx_sets.is_empty()
+            && self.missing_tx_sets.is_empty()
+            && self.timers.is_empty()
     }
 }
 
@@ -132,15 +148,14 @@ impl Validator {
         result
     }
 
-    /// Kicks off consensus for the next ledger: assembles the proposal,
-    /// floods its transaction set, and starts nomination.
+    /// Kicks off consensus for the next ledger: assembles the proposal
+    /// and starts nomination. The proposal's set is flooded only if, now
+    /// or in a later round it leads, this node votes for it.
     pub fn trigger_next_ledger(&mut self) -> Outputs {
         let slot = self.herder.current_slot();
-        let (value, set) = self.herder.make_proposal();
+        let (value, _) = self.herder.make_proposal();
         self.scp.propose(&mut self.herder, slot, value.to_scp());
-        let mut out = self.drain_outputs();
-        out.tx_sets.push(set);
-        out
+        self.drain_outputs()
     }
 
     /// Replaces this node's quorum slices at runtime and re-evaluates
@@ -170,7 +185,12 @@ impl Validator {
             self.scp.receive(&mut self.herder, env);
             self.process_externalized();
         }
-        self.drain_outputs()
+        let mut out = self.drain_outputs();
+        if !out.missing_tx_sets.is_empty() {
+            let named: BTreeSet<Hash256> = named_tx_sets(env).collect();
+            out.missing_tx_sets.retain(|h| named.contains(h));
+        }
+        out
     }
 
     /// Handles an incoming transaction set from a peer.
@@ -211,43 +231,12 @@ impl Validator {
         self.herder.header.ledger_seq
     }
 
-    /// This node's own latest SCP envelopes for the slot in progress,
-    /// for the peer-connect state exchange (see
-    /// [`stellar_scp::ScpNode::own_latest_envelopes`]).
-    pub fn scp_state_envelopes(&self) -> Vec<Envelope> {
-        self.scp.own_latest_envelopes(self.herder.current_slot())
-    }
-
-    /// The transaction sets backing [`Self::scp_state_envelopes`].
-    /// Tx sets flood separately from votes, so a reconnecting peer that
-    /// learns our votes also needs the sets those values name — without
-    /// them it cannot validate the values and nomination deadlocks
-    /// (production stellar-core serves these on demand via
-    /// `GET_TX_SET`; the simulation pushes them with the state).
-    pub fn scp_state_tx_sets(&self) -> Vec<TransactionSet> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for env in self.scp_state_envelopes() {
-            for value in env.statement.kind.values() {
-                let Some(sv) = StellarValue::from_scp(&value) else {
-                    continue;
-                };
-                if seen.insert(sv.tx_set_hash) {
-                    if let Some(set) = self.herder.known_tx_sets.get(&sv.tx_set_hash) {
-                        out.push(set.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Rebuilds in-memory SCP state from the durable store after a crash
     /// restart: every slot at or above the current one that has records
     /// is replayed from our own latest envelopes (decided values
     /// re-notify), then any decided-but-unapplied value is pushed through
     /// the close path. Peers' statements come back through the reconnect
-    /// exchange ([`Self::scp_state_envelopes`]). Returns the number of
+    /// exchange ([`ScpNode::own_latest_envelopes`]). Returns the number of
     /// slots restored.
     pub fn recover_scp_state(&mut self) -> usize {
         let current = self.herder.current_slot();
@@ -286,9 +275,13 @@ impl Validator {
             self.herder.outbox.splice(0..0, envelopes);
             Vec::new()
         };
+        let tx_sets = self.herder.take_named_proposal(&envelopes);
         Outputs {
             envelopes,
-            tx_sets: Vec::new(),
+            tx_sets: tx_sets.into_iter().collect(),
+            missing_tx_sets: std::mem::take(&mut self.herder.lacking)
+                .into_iter()
+                .collect(),
             timers,
         }
     }

@@ -37,12 +37,15 @@
 //!   payload caches it and advertises its hash on the next tick instead,
 //!   so a peer that missed the push demands it. Push mode is the one
 //!   exception: it push-relays `Tx`/`TxSet` payloads to all peers but
-//!   the sender. In pull mode a `Tx`/`TxSet` the originator already held
-//!   (a catch-up re-flood, or a set a peer's push delivered first) is
-//!   advertised, not pushed, since its peers hold it too. Cached payloads
-//!   answer demands for the longest demand loop one advert can start.
+//!   the sender. Cached payloads answer demands for the longest demand
+//!   loop one advert can start; past that, a demand is answered from
+//!   what the embedder holds (a validator's transaction sets).
 //!   [`FloodEngine::originate`] stamps the originator's own seen-cache at
 //!   the caller's `now_ms`, so a copy coming back is a duplicate.
+//! * **Named sets.** [`FloodEngine::want_named`] is the fetch for a
+//!   transaction set an SCP envelope named and the node lacks: a deferred
+//!   want on the envelope's sender, demanded only if the set is still
+//!   missing one [`DEMAND_TIMEOUT_MS`] later.
 //! * **Restart.** [`FloodEngine::reset`] is a process reboot: seen-cache,
 //!   demand state, payload cache and the armed-tick flag are gone (as is
 //!   the embedder's CPU backlog); [`FloodEngine::traffic`] is the run's
@@ -147,28 +150,6 @@ impl FloodEngine {
         out.sends.extend(targets.map(|p| (*p, msg.clone())));
     }
 
-    /// The onward step once the seen-cache is stamped: push to every peer
-    /// but `except` (the sender; `None` for the originator), or, if
-    /// `pull`, keep the payload to answer demands and advertise its hash
-    /// on the next tick.
-    fn forward(
-        &mut self,
-        except: Option<NodeId>,
-        msg: Flooded,
-        now_ms: u64,
-        pull: bool,
-    ) -> Actions {
-        let mut out = Actions::default();
-        if pull {
-            self.demands.queue_advert(msg.id);
-            self.payloads.insert(msg.id, msg, now_ms);
-            self.arm_tick(now_ms, &mut out);
-        } else {
-            self.push(except, &msg, &mut out);
-        }
-        out
-    }
-
     /// Ids the seen-cache currently remembers.
     pub fn seen_ids(&self) -> usize {
         self.seen.remembered()
@@ -181,14 +162,27 @@ impl FloodEngine {
     }
 
     /// Floods a message this node originates: its own SCP envelope, a
-    /// transaction a client handed it, a transaction set it proposes. It
-    /// is pushed to every peer, so each holds it one hop after it exists.
-    /// In pull mode a `Tx`/`TxSet` the node already held is advertised
-    /// instead: its peers hold it too.
+    /// transaction a client handed it, the transaction set it proposed
+    /// once its own vote names it. It is pushed to every peer, so each
+    /// holds it one hop after it exists, and is no longer wanted here.
     pub fn originate(&mut self, msg: Flooded, now_ms: u64) -> Actions {
-        let held = !self.seen.record_at(msg.id, now_ms);
-        let pull = held && self.mode == FloodMode::Pull && !msg.msg.is_scp();
-        self.forward(None, msg, now_ms, pull)
+        self.seen.record_at(msg.id, now_ms);
+        self.demands.on_fulfilled(msg.id);
+        let mut out = Actions::default();
+        self.push(None, &msg, &mut out);
+        out
+    }
+
+    /// An SCP envelope from `holder` named the set `id`, which the node
+    /// lacks: unless it has arrived, want it from `holder`, deferred one
+    /// demand timeout so a push in flight is not fetched too.
+    pub fn want_named(&mut self, holder: NodeId, id: Hash256, now_ms: u64) -> Actions {
+        let mut out = Actions::default();
+        if !self.seen.contains(id) {
+            self.demands.defer(holder, id, now_ms);
+            self.arm_tick(now_ms, &mut out);
+        }
+        out
     }
 
     /// Accounts and drops a payload this node has already seen. Returns
@@ -218,14 +212,29 @@ impl FloodEngine {
         if self.demands.on_fulfilled(msg.id) {
             self.traffic.record_pull_fulfilled();
         }
-        let pull = self.mode == FloodMode::Pull || msg.msg.is_scp();
-        self.forward(Some(from), msg, now_ms, pull)
+        let mut out = Actions::default();
+        if self.mode == FloodMode::Push && !msg.msg.is_scp() {
+            self.push(Some(from), &msg, &mut out);
+        } else {
+            // Keep it to answer demands, and advertise it next tick.
+            self.demands.queue_advert(msg.id);
+            self.payloads.insert(msg.id, msg, now_ms);
+            self.arm_tick(now_ms, &mut out);
+        }
+        out
     }
 
-    /// Handles an advert or a demand from peer `from`.
-    /// One carrying more than [`MAX_IDS_PER_CONTROL`] hashes is counted
-    /// and dropped whole.
-    pub fn on_control(&mut self, from: NodeId, msg: &Flooded, now_ms: u64) -> Actions {
+    /// Handles an advert or a demand from peer `from`. A demand is
+    /// answered from the payload cache, or else by `held`, the payloads
+    /// the embedder keeps itself. One carrying more than
+    /// [`MAX_IDS_PER_CONTROL`] hashes is counted and dropped whole.
+    pub fn on_control(
+        &mut self,
+        from: NodeId,
+        msg: &Flooded,
+        now_ms: u64,
+        held: impl Fn(&Hash256) -> Option<FloodMessage>,
+    ) -> Actions {
         self.traffic.recv_kind(msg.msg.kind(), msg.size);
         let mut out = Actions::default();
         match &msg.msg {
@@ -235,13 +244,14 @@ impl FloodEngine {
                 self.traffic.control_oversized += 1;
             }
             FloodMessage::Advert(ids) => self.on_advert(from, ids, now_ms, &mut out),
-            // Answer every hash still cached. Evicted or never-held
-            // hashes go unanswered; the demander's timeout retries
-            // another advertiser.
+            // Answer every hash still held. The rest go unanswered; the
+            // demander's timeout retries another advertiser.
             FloodMessage::Demand(ids) => {
-                let held = ids.iter().filter_map(|id| self.payloads.get(*id, now_ms));
-                out.sends
-                    .extend(held.map(|payload| (from, payload.clone())));
+                let answers = ids.iter().filter_map(|id| {
+                    let cached = self.payloads.get(*id, now_ms).cloned();
+                    cached.or_else(|| held(id).map(Flooded::new))
+                });
+                out.sends.extend(answers.map(|payload| (from, payload)));
             }
             _ => debug_assert!(false, "on_control takes adverts and demands"),
         }
@@ -261,6 +271,7 @@ impl FloodEngine {
         out.spans
             .extend(missing.iter().map(|id| (*id, seen.clone())));
         let demand_now = self.demands.on_advert(from, &missing, now_ms);
+        self.count_set_demands(&demand_now);
         if !demand_now.is_empty() {
             let sent = SpanPhase::DemandSent {
                 to: from.0,
@@ -299,6 +310,9 @@ impl FloodEngine {
                 ))
             }));
         }
+        for (_, ids) in &due.demands {
+            self.count_set_demands(ids);
+        }
         for batch in due.adverts.chunks(MAX_IDS_PER_CONTROL) {
             let advert = Flooded::new(FloodMessage::Advert(batch.to_vec()));
             self.push(None, &advert, &mut out);
@@ -313,6 +327,17 @@ impl FloodEngine {
             self.arm_tick(now_ms, &mut out);
         }
         out
+    }
+
+    /// Counts the demands in `ids` for a set an SCP value named.
+    fn count_set_demands(&mut self, ids: &[Hash256]) {
+        let named = ids.iter().filter(|id| self.demands.is_named(**id));
+        self.traffic.set_demands += named.count() as u64;
+    }
+
+    /// Hashes the node still wants, by advert or by name.
+    pub fn wants(&self) -> usize {
+        self.demands.wanted()
     }
 
     /// The embedder could not run a requested tick. Queued adverts and
@@ -468,7 +493,7 @@ mod tests {
 
         // A's advert: one demand straight back to A, and a tick to watch
         // the timeout.
-        let first = e.on_control(A, &advert, 1000);
+        let first = e.on_control(A, &advert, 1000, |_| None);
         assert_eq!(targets(&first), vec![A]);
         assert_eq!(first.sends[0].1.msg, FloodMessage::Demand(vec![payload.id]));
         assert_eq!(first.tick_at, Some(1000 + ADVERT_INTERVAL_MS));
@@ -486,7 +511,7 @@ mod tests {
             ]
         );
         // B's advert of the same hash only registers a fallback.
-        let second = e.on_control(B, &advert, 1010);
+        let second = e.on_control(B, &advert, 1010, |_| None);
         assert!(second.sends.is_empty());
         assert_eq!(second.tick_at, None, "one tick pending at a time");
 
@@ -528,12 +553,12 @@ mod tests {
         // asked: control messages are never de-duplicated.
         let demand = Flooded::new(FloodMessage::Demand(vec![payload.id, tx(99).id]));
         for _ in 0..2 {
-            let answer = e.on_control(C, &demand, 1600);
+            let answer = e.on_control(C, &demand, 1600, |_| None);
             assert_eq!(targets(&answer), vec![C]);
             assert_eq!(answer.sends[0].1.id, payload.id);
         }
         // An advert for a payload already held asks for nothing.
-        assert!(e.on_control(C, &advert, 1700).sends.is_empty());
+        assert!(e.on_control(C, &advert, 1700, |_| None).sends.is_empty());
     }
 
     #[test]
@@ -541,7 +566,12 @@ mod tests {
         let mut e = FloodEngine::new(FloodMode::Pull, vec![A]);
         let wanted = tx(1).id;
         let mut now = 0;
-        let mut next = e.on_control(A, &Flooded::new(FloodMessage::Advert(vec![wanted])), now);
+        let mut next = e.on_control(
+            A,
+            &Flooded::new(FloodMessage::Advert(vec![wanted])),
+            now,
+            |_| None,
+        );
         let mut demands = next.sends.len() as u32;
         let mut last_timeout = None;
         while let Some(at) = next.tick_at {
@@ -561,7 +591,12 @@ mod tests {
         assert!(now >= u64::from(MAX_DEMAND_ATTEMPTS) * DEMAND_TIMEOUT_MS);
         // The engine went quiet: no tick pending, and a fresh advert
         // starts over.
-        let again = e.on_control(A, &Flooded::new(FloodMessage::Advert(vec![wanted])), now);
+        let again = e.on_control(
+            A,
+            &Flooded::new(FloodMessage::Advert(vec![wanted])),
+            now,
+            |_| None,
+        );
         assert_eq!(again.sends.len(), 1);
     }
 
@@ -569,7 +604,12 @@ mod tests {
     fn a_tick_sends_adverts_before_retry_demands() {
         let mut e = engine(FloodMode::Pull);
         let wanted = tx(1).id;
-        e.on_control(C, &Flooded::new(FloodMessage::Advert(vec![wanted])), 0);
+        e.on_control(
+            C,
+            &Flooded::new(FloodMessage::Advert(vec![wanted])),
+            0,
+            |_| None,
+        );
         deliver(&mut e, B, &tx(2), DEMAND_TIMEOUT_MS - 10).expect("fresh");
         let out = e.tick(DEMAND_TIMEOUT_MS);
         assert_eq!(targets(&out), vec![A, B, C, C]);
@@ -609,47 +649,85 @@ mod tests {
     }
 
     #[test]
-    fn a_tx_or_set_the_originator_already_holds_is_advertised_in_pull_mode() {
-        // A re-flood of a set this node proposed (a catch-up resync) is
-        // held and advertised, not pushed a second time: its peers have
-        // it from the first push.
+    fn a_named_set_is_demanded_from_its_holder_only_after_the_timeout() {
         let mut e = engine(FloodMode::Pull);
-        let mine = set(1);
-        assert_eq!(
-            kinds(&e.originate(mine.clone(), 10)),
-            vec![MsgKind::TxSet; 3]
-        );
-        let again = e.originate(mine.clone(), 20);
-        assert!(again.sends.is_empty());
-        assert_eq!(again.tick_at, Some(20 + ADVERT_INTERVAL_MS));
-        let advert = e.tick(20 + ADVERT_INTERVAL_MS);
-        assert_eq!(targets(&advert), vec![A, B, C]);
-        assert_eq!(advert.sends[0].1.msg, FloodMessage::Advert(vec![mine.id]));
-        // The re-flood answers demands from the cache.
-        let demand = Flooded::new(FloodMessage::Demand(vec![mine.id]));
-        assert_eq!(targets(&e.on_control(C, &demand, 200)), vec![C]);
+        let named = set(1);
+        // A's envelope names the set: a tick to watch the wait, no send.
+        let armed = e.want_named(A, named.id, 1000);
+        assert!(armed.sends.is_empty() && armed.spans.is_empty());
+        assert_eq!(armed.tick_at, Some(1000 + ADVERT_INTERVAL_MS));
+        // B names it too: a fallback holder.
+        assert!(e.want_named(B, named.id, 1050).tick_at.is_none());
+        for now in [1100, 1200, 1300] {
+            assert!(e.tick(now).sends.is_empty(), "no demand before the timeout");
+        }
+        // The wait ends: the first demand goes to the first holder, and
+        // the wait itself counts as no timeout.
+        let first = e.tick(1000 + DEMAND_TIMEOUT_MS);
+        assert_eq!(targets(&first), vec![A]);
+        assert_eq!(first.sends[0].1.msg, FloodMessage::Demand(vec![named.id]));
+        let sent = |to: NodeId, attempt| SpanPhase::DemandSent { to: to.0, attempt };
+        assert_eq!(first.spans, vec![(named.id, sent(A, 1))]);
+        assert_eq!((e.traffic.pull_timeouts, e.traffic.set_demands), (0, 1));
+        // Unanswered: the retry goes to the next holder.
+        let retry = e.tick(1400 + DEMAND_TIMEOUT_MS);
+        assert_eq!(targets(&retry), vec![B]);
+        assert_eq!((e.traffic.pull_timeouts, e.traffic.set_demands), (1, 2));
+        assert_eq!(e.wants(), 1);
+        // The set arrives: the want is settled and nothing is demanded again.
+        deliver(&mut e, B, &named, 1900).expect("fresh");
+        assert_eq!(e.traffic.pull_fulfilled, 1);
+        assert_eq!(kinds(&e.tick(2400)), vec![MsgKind::Advert; 3]);
+        assert!(e.tick(4000).sends.is_empty());
+        assert_eq!((e.wants(), e.traffic.set_demands), (0, 2));
+        // A set the node holds is never wanted.
+        let held = e.want_named(C, named.id, 4100);
+        assert!(held.sends.is_empty() && held.tick_at.is_none());
+    }
 
-        // A proposer whose set a peer's push already delivered (two
-        // proposers building the same, often empty, set) advertises it
-        // once, with the relay's own advert.
-        let theirs = set(5);
-        deliver(&mut e, B, &theirs, 300).expect("fresh");
-        let proposed = e.originate(theirs.clone(), 310);
-        assert!(proposed.sends.is_empty() && proposed.tick_at.is_none());
-        let once = e.tick(400);
-        assert_eq!(targets(&once), vec![A, B, C]);
-        assert_eq!(once.sends[0].1.msg, FloodMessage::Advert(vec![theirs.id]));
-
-        // Push mode pushes a re-flood again, and an SCP envelope's
-        // re-flood is pushed in both modes.
-        let mut push = engine(FloodMode::Push);
-        push.originate(mine.clone(), 10);
-        assert_eq!(kinds(&push.originate(mine, 20)), vec![MsgKind::TxSet; 3]);
+    #[test]
+    fn a_push_inside_the_wait_cancels_a_named_want_and_an_advert_ends_the_wait() {
         for mode in [FloodMode::Push, FloodMode::Pull] {
             let mut e = engine(mode);
-            e.originate(scp(1), 10);
-            assert_eq!(kinds(&e.originate(scp(1), 20)), vec![MsgKind::Scp; 3]);
+            let named = set(2);
+            e.want_named(A, named.id, 0);
+            deliver(&mut e, A, &named, 100).expect("fresh");
+            assert_eq!(e.traffic.pull_fulfilled, 0, "{mode:?}: no demand was out");
+            assert_eq!((e.wants(), e.traffic.set_demands), (0, 0), "{mode:?}");
+            let later = e.tick(DEMAND_TIMEOUT_MS + ADVERT_INTERVAL_MS);
+            assert!(!kinds(&later).contains(&MsgKind::Demand), "{mode:?}");
         }
+        // An advert is proof the advertiser holds it: demand it now.
+        let mut e = engine(FloodMode::Pull);
+        let named = set(3);
+        e.want_named(A, named.id, 0);
+        let advert = Flooded::new(FloodMessage::Advert(vec![named.id]));
+        let now = e.on_control(B, &advert, 50, |_| None);
+        assert_eq!(targets(&now), vec![B]);
+        assert_eq!(kinds(&now), vec![MsgKind::Demand]);
+        assert_eq!(e.traffic.set_demands, 1);
+        // Its retry goes back to the named holder.
+        assert_eq!(targets(&e.tick(50 + DEMAND_TIMEOUT_MS)), vec![A]);
+    }
+
+    #[test]
+    fn originating_a_wanted_payload_settles_the_want() {
+        // A peer's identical set was advertised, and demanded, before this
+        // node's own vote named the set it proposed.
+        let mut e = engine(FloodMode::Pull);
+        let mine = set(4);
+        let advert = Flooded::new(FloodMessage::Advert(vec![mine.id]));
+        assert_eq!(targets(&e.on_control(B, &advert, 0, |_| None)), vec![B]);
+        assert_eq!(e.wants(), 1);
+        e.originate(mine.clone(), 10);
+        assert_eq!(e.wants(), 0);
+        // The demanded copy lands as a duplicate, and nothing is retried.
+        assert!(e.suppress_duplicate(&mine));
+        assert!(e
+            .tick(DEMAND_TIMEOUT_MS + ADVERT_INTERVAL_MS)
+            .sends
+            .is_empty());
+        assert_eq!(e.traffic.pull_timeouts, 0);
     }
 
     #[test]
@@ -670,7 +748,7 @@ mod tests {
             assert_eq!(advert.tick_at, None);
 
             let demand = Flooded::new(FloodMessage::Demand(vec![envelope.id]));
-            let answer = e.on_control(C, &demand, 200);
+            let answer = e.on_control(C, &demand, 200, |_| None);
             assert_eq!(targets(&answer), vec![C], "{mode:?}");
             assert_eq!(answer.sends[0].1.id, envelope.id);
         }
@@ -682,14 +760,19 @@ mod tests {
         let envelope = scp(4);
         deliver(&mut e, A, &envelope, 0).expect("fresh");
         let demand = Flooded::new(FloodMessage::Demand(vec![envelope.id]));
-        let last = e.on_control(C, &demand, PAYLOAD_RETENTION_MS - 1);
+        let last = e.on_control(C, &demand, PAYLOAD_RETENTION_MS - 1, |_| None);
         assert_eq!(targets(&last), vec![C]);
         // Past the window the demander hears nothing, and its timeout
         // moves the demand to the next advertiser (see the retry test).
         assert!(e
-            .on_control(C, &demand, PAYLOAD_RETENTION_MS)
+            .on_control(C, &demand, PAYLOAD_RETENTION_MS, |_| None)
             .sends
             .is_empty());
+        // Unless the embedder still holds the payload itself.
+        let held = |id: &Hash256| (*id == envelope.id).then(|| envelope.msg.clone());
+        let answer = e.on_control(C, &demand, 10 * PAYLOAD_RETENTION_MS, held);
+        assert_eq!(targets(&answer), vec![C]);
+        assert_eq!(answer.sends[0].1.id, envelope.id);
     }
 
     #[test]
@@ -698,7 +781,12 @@ mod tests {
         let held = tx(1);
         let wanted = tx(2).id;
         deliver(&mut e, A, &held, 10).expect("fresh");
-        e.on_control(B, &Flooded::new(FloodMessage::Advert(vec![wanted])), 20);
+        e.on_control(
+            B,
+            &Flooded::new(FloodMessage::Advert(vec![wanted])),
+            20,
+            |_| None,
+        );
         let before = e.traffic;
         assert!(before.msgs_in == 2 && e.tick_armed);
 
@@ -710,7 +798,7 @@ mod tests {
         assert!(!e.suppress_duplicate(&held));
         // Payload cache: a demand for it goes unanswered.
         let demand = Flooded::new(FloodMessage::Demand(vec![held.id]));
-        assert!(e.on_control(C, &demand, 30).sends.is_empty());
+        assert!(e.on_control(C, &demand, 30, |_| None).sends.is_empty());
         // Demand state and armed tick: nothing queued, nothing retried,
         // and new work asks for a tick of its own.
         let quiet = e.tick(10_000);
@@ -761,7 +849,7 @@ mod tests {
         let cap = MAX_IDS_PER_CONTROL as u64;
         // At the cap: every hash is wanted and demanded straight back.
         let mut e = engine(FloodMode::Pull);
-        let full = e.on_control(A, &advert(0, cap), 0);
+        let full = e.on_control(A, &advert(0, cap), 0, |_| None);
         assert_eq!(batch_sizes(&full), vec![(A, MAX_IDS_PER_CONTROL)]);
         assert_eq!(full.spans.len(), 2 * MAX_IDS_PER_CONTROL);
         assert_eq!(e.traffic.control_oversized, 0);
@@ -769,7 +857,7 @@ mod tests {
         // One over: received and counted, but no want, span or tick.
         let mut e = engine(FloodMode::Pull);
         for over in [advert(0, cap + 1), demand(0, cap + 1)] {
-            let out = e.on_control(A, &over, 0);
+            let out = e.on_control(A, &over, 0, |_| None);
             assert!(out.sends.is_empty() && out.spans.is_empty() && out.tick_at.is_none());
         }
         assert_eq!(e.traffic.control_oversized, 2);
@@ -795,10 +883,10 @@ mod tests {
         // 2 000 expired wants whose next advertiser is C go to C as two
         // demands of 1 000.
         let mut e = engine(FloodMode::Pull);
-        e.on_control(A, &advert(0, cap), 0);
-        e.on_control(B, &advert(cap, 2 * cap), 0);
-        e.on_control(C, &advert(0, cap), 0);
-        e.on_control(C, &advert(cap, 2 * cap), 0);
+        e.on_control(A, &advert(0, cap), 0, |_| None);
+        e.on_control(B, &advert(cap, 2 * cap), 0, |_| None);
+        e.on_control(C, &advert(0, cap), 0, |_| None);
+        e.on_control(C, &advert(cap, 2 * cap), 0, |_| None);
         let retry = e.tick(DEMAND_TIMEOUT_MS);
         assert_eq!(batch_sizes(&retry), vec![(C, full), (C, full)]);
         assert_eq!(kinds(&retry), vec![MsgKind::Demand; 2]);
@@ -841,7 +929,7 @@ mod tests {
             let e = engines.get_mut(&to).unwrap();
             actions = match event {
                 None => e.tick(now),
-                Some((from, m)) if m.msg.is_pull_control() => e.on_control(from, &m, now),
+                Some((from, m)) if m.msg.is_pull_control() => e.on_control(from, &m, now, |_| None),
                 Some((from, m)) => match deliver(e, from, &m, now) {
                     Some(onward) => {
                         reached.insert(to);

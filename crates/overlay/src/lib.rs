@@ -34,6 +34,6 @@ pub mod topology;
 pub use engine::{Actions, FloodEngine};
 pub use fault::{LinkFault, LinkFaultTable};
 pub use message::{FloodMessage, Flooded, FloodedData};
-pub use pull::FloodMode;
+pub use pull::{FloodMode, MAX_DEMAND_ATTEMPTS};
 pub use stats::{MsgKind, TrafficStats};
 pub use topology::PeerGraph;

@@ -9,17 +9,22 @@
 //! advertiser, retrying from the next advertiser after a deterministic
 //! timeout. SCP envelopes take the same path in both modes. Whatever the
 //! kind, the originator pushes to every peer, since transaction → leader
-//! and leader's set → voters are both on the consensus critical path. On
+//! and a voted set → voters are both on the consensus critical path. On
 //! a mesh every peer then already holds the payload a relay has, so the
 //! relay's copy costs one hash in a batched advert, and the advert →
 //! demand round trip is paid only by a peer the push did not reach.
+//!
+//! A transaction set also has a second way in, in both modes: an SCP
+//! envelope that names a set the node lacks makes its sender a *holder*,
+//! and the set is demanded from it only if it has not arrived one demand
+//! timeout later — by then the proposer's push has landed if it is coming.
 //!
 //! This module holds the per-node bookkeeping [`crate::FloodEngine`]
 //! composes; the engine's embedder supplies the clock and the links:
 //!
 //! * [`DemandScheduler`] — batches outgoing adverts per flood tick and
-//!   tracks wanted hashes: who advertised them, whom we demanded from,
-//!   and when to give up and try the next advertiser;
+//!   tracks wanted hashes: who advertised or named them, whom we
+//!   demanded from, and when to give up and try the next one;
 //! * [`PayloadCache`] — a bounded FIFO map of recently learned payloads,
 //!   from which incoming demands are answered while they are recent.
 
@@ -47,14 +52,16 @@ pub const MAX_DEMAND_ATTEMPTS: u32 = 8;
 /// demand, if any.
 #[derive(Debug)]
 struct Want {
-    /// Peers that advertised the hash, in arrival order.
+    /// Peers that advertised or named the hash, in arrival order.
     advertisers: Vec<NodeId>,
     /// Index into `advertisers` of the next peer to try.
     next: usize,
-    /// Demand attempts made so far.
+    /// Demand attempts made so far; 0 while a deferred want waits.
     attempts: u32,
-    /// Deadline of the outstanding demand (simulated ms).
+    /// Deadline of the outstanding demand, or of the deferral (ms).
     deadline_ms: u64,
+    /// An SCP value named it ([`DemandScheduler::defer`]).
+    named: bool,
 }
 
 /// What a scheduler tick asks the embedder to transmit.
@@ -108,36 +115,61 @@ impl DemandScheduler {
     /// the hashes to demand from `from` right now — those with no other
     /// outstanding demand. Hashes already being demanded elsewhere just
     /// gain `from` as a fallback advertiser for the retry path.
+    /// A deferred want counts as no demand: the advert ends its wait.
     pub fn on_advert(&mut self, from: NodeId, missing: &[Hash256], now_ms: u64) -> Vec<Hash256> {
         let mut demand_now = Vec::new();
+        let deadline_ms = now_ms + self.demand_timeout_ms;
         for id in missing {
-            match self.wanted.get_mut(id) {
-                Some(w) => {
-                    if !w.advertisers.contains(&from) {
-                        w.advertisers.push(from);
-                    }
-                }
-                None => {
-                    self.wanted.insert(
-                        *id,
-                        Want {
-                            advertisers: vec![from],
-                            next: 1,
-                            attempts: 1,
-                            deadline_ms: now_ms + self.demand_timeout_ms,
-                        },
-                    );
-                    demand_now.push(*id);
-                }
+            let w = self.want(*id, from, now_ms);
+            if w.attempts == 0 {
+                w.next = w.advertisers.iter().position(|p| *p == from).unwrap_or(0) + 1;
+                w.attempts = 1;
+                w.deadline_ms = deadline_ms;
+                demand_now.push(*id);
             }
         }
         demand_now
     }
 
+    /// Registers `holder` for a hash an SCP value named. A new want is
+    /// *deferred*: its first demand goes out only once the demand timeout
+    /// passes with the payload still missing, and that expiry counts as
+    /// no timeout.
+    pub fn defer(&mut self, holder: NodeId, id: Hash256, now_ms: u64) {
+        self.want(id, holder, now_ms).named = true;
+    }
+
+    /// Whether an SCP value named the wanted hash `id`.
+    pub fn is_named(&self, id: Hash256) -> bool {
+        self.wanted.get(&id).is_some_and(|w| w.named)
+    }
+
+    /// Hashes the node still wants.
+    pub fn wanted(&self) -> usize {
+        self.wanted.len()
+    }
+
+    /// The want for `id`, with `from` among its advertisers; a new one
+    /// waits one demand timeout from `now_ms`.
+    fn want(&mut self, id: Hash256, from: NodeId, now_ms: u64) -> &mut Want {
+        let deadline_ms = now_ms + self.demand_timeout_ms;
+        let w = self.wanted.entry(id).or_insert_with(|| Want {
+            advertisers: Vec::new(),
+            next: 0,
+            attempts: 0,
+            deadline_ms,
+            named: false,
+        });
+        if !w.advertisers.contains(&from) {
+            w.advertisers.push(from);
+        }
+        w
+    }
+
     /// Marks a wanted payload as arrived; returns `true` if a demand was
     /// outstanding for it (the fulfilled counter).
     pub fn on_fulfilled(&mut self, id: Hash256) -> bool {
-        self.wanted.remove(&id).is_some()
+        self.wanted.remove(&id).is_some_and(|w| w.attempts > 0)
     }
 
     /// Demand attempts made so far for a wanted hash (1 = the immediate
@@ -148,9 +180,10 @@ impl DemandScheduler {
     }
 
     /// One flood tick: drains the advert batch and re-demands every
-    /// expired want from its next advertiser (round-robin). Wants that
-    /// exhausted [`MAX_DEMAND_ATTEMPTS`] are dropped — a later advert
-    /// recreates them.
+    /// expired want from its next advertiser (round-robin); a deferred
+    /// want sends its first demand. Wants that exhausted
+    /// [`MAX_DEMAND_ATTEMPTS`] are dropped — a later advert recreates
+    /// them.
     pub fn tick(&mut self, now_ms: u64) -> TickActions {
         let adverts = std::mem::take(&mut self.pending_adverts);
         self.queued.clear();
@@ -161,7 +194,9 @@ impl DemandScheduler {
             if w.deadline_ms > now_ms {
                 continue;
             }
-            expired.push((*id, w.attempts));
+            if w.attempts > 0 {
+                expired.push((*id, w.attempts));
+            }
             if w.attempts >= MAX_DEMAND_ATTEMPTS {
                 give_up.push(*id);
                 continue;

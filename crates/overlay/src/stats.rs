@@ -42,6 +42,10 @@ pub struct TrafficStats {
     pub in_by_kind: [u64; 5],
     /// Sent messages by type.
     pub out_by_kind: [u64; 5],
+    /// Received bytes by type, indexed like `in_by_kind`.
+    pub in_bytes_by_kind: [u64; 5],
+    /// Sent bytes by type.
+    pub out_bytes_by_kind: [u64; 5],
     /// Deliveries dropped by the flood seen-cache (duplicate
     /// suppression hits) — the §7.5 cost of naïve flooding.
     pub dup_suppressed: u64,
@@ -49,6 +53,10 @@ pub struct TrafficStats {
     pub pull_fulfilled: u64,
     /// Pull mode: demands that expired and were retried (or given up).
     pub pull_timeouts: u64,
+    /// Demands sent, in either mode, for a transaction set an SCP value
+    /// named and the node lacked ([`crate::FloodEngine::want_named`]);
+    /// a fault-free run needs none.
+    pub set_demands: u64,
     /// Adverts and demands dropped whole for carrying more than
     /// [`crate::engine::MAX_IDS_PER_CONTROL`] hashes.
     pub control_oversized: u64,
@@ -76,6 +84,7 @@ impl TrafficStats {
     pub fn recv_kind(&mut self, kind: MsgKind, bytes: usize) {
         self.recv(bytes);
         self.in_by_kind[Self::idx(kind)] += 1;
+        self.in_bytes_by_kind[Self::idx(kind)] += bytes as u64;
     }
 
     /// Records a sent message of `bytes` bytes.
@@ -88,6 +97,7 @@ impl TrafficStats {
     pub fn send_kind(&mut self, kind: MsgKind, bytes: usize) {
         self.send(bytes);
         self.out_by_kind[Self::idx(kind)] += 1;
+        self.out_bytes_by_kind[Self::idx(kind)] += bytes as u64;
     }
 
     /// Records a delivery suppressed as a duplicate by the flood cache.
@@ -113,6 +123,16 @@ impl TrafficStats {
     /// Sent-message count for one type.
     pub fn out_count(&self, kind: MsgKind) -> u64 {
         self.out_by_kind[Self::idx(kind)]
+    }
+
+    /// Received bytes of one type.
+    pub fn in_bytes(&self, kind: MsgKind) -> u64 {
+        self.in_bytes_by_kind[Self::idx(kind)]
+    }
+
+    /// Sent bytes of one type.
+    pub fn out_bytes(&self, kind: MsgKind) -> u64 {
+        self.out_bytes_by_kind[Self::idx(kind)]
     }
 
     /// Fraction of received messages that were duplicate-suppressed.
@@ -144,10 +164,13 @@ impl TrafficStats {
         for i in 0..5 {
             self.in_by_kind[i] += other.in_by_kind[i];
             self.out_by_kind[i] += other.out_by_kind[i];
+            self.in_bytes_by_kind[i] += other.in_bytes_by_kind[i];
+            self.out_bytes_by_kind[i] += other.out_bytes_by_kind[i];
         }
         self.dup_suppressed += other.dup_suppressed;
         self.pull_fulfilled += other.pull_fulfilled;
         self.pull_timeouts += other.pull_timeouts;
+        self.set_demands += other.set_demands;
         self.control_oversized += other.control_oversized;
     }
 }
@@ -179,6 +202,8 @@ mod tests {
         assert_eq!(s.in_count(MsgKind::Tx), 1);
         assert_eq!(s.in_count(MsgKind::TxSet), 0);
         assert_eq!(s.out_count(MsgKind::TxSet), 1);
+        assert_eq!(s.in_bytes(MsgKind::Scp), 200);
+        assert_eq!(s.out_bytes(MsgKind::TxSet), 500);
         // Typed records also feed the untyped totals.
         assert_eq!(s.msgs_in, 3);
         assert_eq!(s.bytes_in, 240);
@@ -216,6 +241,7 @@ mod tests {
         b.dup_hit();
         b.record_pull_fulfilled();
         b.record_pull_timeouts(2);
+        b.set_demands = 4;
         b.control_oversized = 1;
         a.merge(&b);
         assert_eq!(a.bytes_in, 10);
@@ -223,9 +249,15 @@ mod tests {
         assert_eq!(a.scp_originated, 3);
         assert_eq!(a.in_count(MsgKind::Scp), 1);
         assert_eq!(a.out_count(MsgKind::Tx), 1);
+        assert_eq!((a.in_bytes(MsgKind::Scp), a.in_bytes(MsgKind::Tx)), (10, 0));
+        assert_eq!(
+            (a.out_bytes(MsgKind::Tx), a.out_bytes(MsgKind::Scp)),
+            (20, 0)
+        );
         assert_eq!(a.dup_suppressed, 2);
         assert_eq!(a.pull_fulfilled, 1);
         assert_eq!(a.pull_timeouts, 2);
+        assert_eq!(a.set_demands, 4);
         assert_eq!(a.control_oversized, 1);
     }
 

@@ -13,10 +13,20 @@
 //! * **Order.** Carrying the effects out in list order — one latency
 //!   sample per [`Effect::Send`], each timer, tick and trigger queued as
 //!   it comes — replays bit-identically. A delivered payload yields the
-//!   validator's reply (its timers; each envelope's sends and tick;
-//!   each transaction set's; [`Effect::Closed`] and the next
-//!   [`Effect::Trigger`] if a ledger closed), then [`Effect::CatchUp`] if
-//!   the node fell behind, then the relay's sends and tick.
+//!   validator's reply (its timers; each envelope's sends and tick; the
+//!   sends of the set its envelope first named; [`Effect::Closed`] and
+//!   the next [`Effect::Trigger`] if a ledger closed), then the tick a
+//!   set the envelope named and the node lacks asks for, then
+//!   [`Effect::CatchUp`] if the node fell behind, then the relay's sends
+//!   and tick.
+//! * **Transaction sets** cross the network only when SCP names them. A
+//!   validator floods its proposal once an envelope it emits votes for
+//!   it; a set a received envelope names and SCP needs, but the node
+//!   lacks, is wanted from that envelope's sender and demanded only if it
+//!   is still missing a demand timeout later
+//!   ([`FloodEngine::want_named`]). A validator answers such a demand
+//!   from its `known_tx_sets`, which span the slot window, not just the
+//!   payload cache's few seconds.
 //! * **Catch-up.** At [`Effect::CatchUp`] the embedder hands
 //!   [`Node::catch_up`] the archive of the most advanced live peer the
 //!   node can reach, if that peer is ahead, and carries out what it
@@ -309,7 +319,8 @@ impl Node {
 
     /// An advert, a demand or a fresh payload arrives from peer `from`.
     /// The node stamps a flood-receive span per transaction carried,
-    /// hands the payload to its validator, asks to catch up when an
+    /// hands the payload to its validator, wants from `from` the sets an
+    /// envelope names that the validator lacks, asks to catch up when an
     /// envelope shows the network two or more slots ahead (flooding never
     /// retransmits what was lost; production enters catchup, §6), and
     /// relays it.
@@ -326,7 +337,12 @@ impl Node {
                 }
             }
             State::Live(_) | State::Watcher if control => {
-                let actions = self.engine.on_control(from, &msg, now);
+                // A validator also answers a demand for a set it knows.
+                let known = |id: &Hash256| {
+                    let set = self.state.validator()?.herder.known_tx_sets.get(id)?;
+                    Some(FloodMessage::TxSet(set.clone()))
+                };
+                let actions = self.engine.on_control(from, &msg, now, known);
                 self.flood(actions, now, &mut out);
                 return out;
             }
@@ -339,8 +355,13 @@ impl Node {
                 t.span(trace, now, SpanPhase::FloodRecv { from: from.0 });
             }
         }
+        let mut missing = Vec::new();
         self.step(now, &mut out, |v| match &msg.msg {
-            FloodMessage::Scp(env) => v.receive_envelope(env),
+            FloodMessage::Scp(env) => {
+                let mut reply = v.receive_envelope(env);
+                missing = std::mem::take(&mut reply.missing_tx_sets);
+                reply
+            }
             FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
             FloodMessage::Tx(tx) => {
                 let _ = v.submit_transaction(tx.clone());
@@ -348,6 +369,10 @@ impl Node {
             }
             FloodMessage::Advert(_) | FloodMessage::Demand(_) => Outputs::default(),
         });
+        for id in missing {
+            let actions = self.engine.want_named(from, id, now);
+            self.flood(actions, now, &mut out);
+        }
         if let (FloodMessage::Scp(env), State::Live(v)) = (&msg.msg, &self.state) {
             if env.statement.slot >= v.herder.current_slot() + 2 {
                 out.push(Effect::CatchUp);
@@ -465,33 +490,21 @@ impl Node {
     }
 
     /// The peer-(re)connect state exchange: a live validator re-floods its
-    /// own latest SCP envelopes, the transaction sets they name first (a
-    /// peer that sees a vote before its set cannot validate the value).
-    /// In pull mode the sets are re-advertised: the seen-cache holds them.
-    /// Peers drop what their seen-caches still hold, and SCP drops an
+    /// own latest SCP envelopes; a peer lacking a set they name fetches
+    /// it. Peers drop what their seen-caches still hold, and SCP drops an
     /// older re-flood as not newer than the statement it already has.
     pub fn reconnect(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
         let State::Live(v) = &self.state else {
             return out;
         };
-        let (sets, envelopes) = (v.scp_state_tx_sets(), v.scp_state_envelopes());
-        for set in sets {
-            self.originate_into(FloodMessage::TxSet(set), now, &mut out);
-        }
-        for env in envelopes {
+        for env in v.scp.own_latest_envelopes(v.herder.current_slot()) {
             self.originate_into(FloodMessage::Scp(env), now, &mut out);
         }
         out
     }
 
     /// Floods a message the node originates.
-    pub fn originate(&mut self, msg: FloodMessage, now: u64) -> NodeActions {
-        let mut out = Vec::new();
-        self.originate_into(msg, now, &mut out);
-        out
-    }
-
     fn originate_into(&mut self, msg: FloodMessage, now: u64, out: &mut NodeActions) {
         let actions = self.engine.originate(Flooded::new(msg), now);
         self.flood(actions, now, out);
@@ -894,18 +907,26 @@ impl Simulation {
 
     /// Injects a message from `from` to a single peer `to` (adversary
     /// equivocation path: different payloads to different peers). Honest
-    /// receivers process and relay it through their normal paths.
+    /// receivers process and relay it through their normal paths. A down
+    /// node says nothing.
     pub fn inject_direct(&mut self, from: NodeId, to: NodeId, msg: FloodMessage) {
+        if self.is_crashed(from) {
+            return;
+        }
         let flooded = Flooded::new(msg);
         let now = self.now;
         self.node_mut(from).engine.note_sent(&flooded, now); // don't bounce back
         self.enqueue_delivery(from, to, flooded);
     }
 
-    /// Injects a message `from` floods the way its own overlay would.
+    /// Injects a message `from` floods the way its own overlay would; a
+    /// down node floods nothing.
     pub fn inject_broadcast(&mut self, from: NodeId, msg: FloodMessage) {
-        let now = self.now;
-        let actions = self.node_mut(from).originate(msg, now);
+        if self.is_crashed(from) {
+            return;
+        }
+        let (now, mut actions) = (self.now, Vec::new());
+        self.node_mut(from).originate_into(msg, now, &mut actions);
         self.carry_out(from, actions);
     }
 }
@@ -1063,6 +1084,96 @@ mod tests {
 
         net.run_until_closed(&mut nodes, 3);
         assert_eq!(header_hash(&nodes[0]), header_hash(&nodes[1]));
+    }
+
+    /// A hostile peer cannot make a node fetch without end. Its slot-2
+    /// round-1 leader names unknown sets: an envelope with a bad
+    /// signature or beyond the slot window creates no want, a signed one
+    /// does, and a thousand signed NOMINATEs naming a thousand distinct
+    /// unknown sets leave no want behind once the demand loop has run out.
+    #[test]
+    fn a_peer_naming_sets_nobody_holds_leaves_no_wants_behind() {
+        use stellar_herder::herder::LEDGER_VALIDITY_BRACKET;
+        use stellar_herder::StellarValue;
+        use stellar_overlay::engine::{ADVERT_INTERVAL_MS, DEMAND_TIMEOUT_MS};
+        use stellar_overlay::MAX_DEMAND_ATTEMPTS;
+        use stellar_scp::statement::{Statement, StatementKind};
+        use stellar_scp::{leader, Envelope};
+
+        let genesis = genesis();
+        let qset = QuorumSet::majority(vec![NodeId(0), NodeId(1)]);
+        // Both nodes see the same round-1 leader: it is the hostile peer.
+        let hostile = leader::round_leader(NodeId(0), &qset, 2, 1);
+        let victim_id = NodeId(1 - hostile.0);
+        let mut victim = validator_node(victim_id.0, &genesis);
+        victim.on_trigger(5_000);
+        let close_time = victim.validator().map_or(0, |v| v.herder.header.close_time) + 1;
+        let unknown = |n: u64| {
+            let mut h = [0xEE; 32];
+            h[..8].copy_from_slice(&n.to_le_bytes());
+            StellarValue::new(Hash256(h), close_time).to_scp()
+        };
+        let nominate = |slot, voted: BTreeSet<Value>, keys: &KeyPair| {
+            let kind = StatementKind::Nominate {
+                voted,
+                accepted: BTreeSet::new(),
+            };
+            let quorum_set = qset.clone();
+            let statement = Statement {
+                node: hostile,
+                slot,
+                quorum_set,
+                kind,
+            };
+            Flooded::new(FloodMessage::Scp(Envelope::sign(statement, keys)))
+        };
+        let keys = validator_keys(hostile);
+        // Delivers from the hostile peer, keeping the ticks asked for.
+        let mut ticks = BTreeSet::new();
+        let mut deliver = |victim: &mut Node, msg: Flooded, now| {
+            assert!(!victim.suppress_duplicate(&msg));
+            for effect in victim.on_deliver(hostile, msg, now) {
+                if let Effect::Tick(at) = effect {
+                    ticks.insert(at);
+                }
+            }
+        };
+
+        let forged = nominate(2, [unknown(0)].into(), &KeyPair::from_seed(99));
+        deliver(&mut victim, forged, 5_010);
+        let far = nominate(2 + LEDGER_VALIDITY_BRACKET + 1, [unknown(0)].into(), &keys);
+        deliver(&mut victim, far, 5_020);
+        assert_eq!(
+            victim.engine.wants(),
+            0,
+            "a rejected envelope created a want"
+        );
+        deliver(&mut victim, nominate(2, [unknown(0)].into(), &keys), 5_030);
+        assert_eq!(
+            victim.engine.wants(),
+            1,
+            "a leader's signed vote is fetched"
+        );
+
+        // Each NOMINATE adds one unknown set to the votes before it, so
+        // SCP takes every one as newer and validates all it names.
+        let start = 5_100;
+        let mut voted = BTreeSet::from([unknown(0)]);
+        for n in 1..=1_000 {
+            voted.insert(unknown(n));
+            deliver(&mut victim, nominate(2, voted.clone(), &keys), start);
+        }
+        assert!(victim.engine.wants() > 1_000, "{}", victim.engine.wants());
+        let bound = u64::from(MAX_DEMAND_ATTEMPTS) * (DEMAND_TIMEOUT_MS + ADVERT_INTERVAL_MS);
+        while let Some(at) = ticks.pop_first().filter(|at| *at <= start + bound) {
+            for effect in victim.on_tick(at) {
+                if let Effect::Tick(next) = effect {
+                    ticks.insert(next);
+                }
+            }
+        }
+        assert_eq!(victim.engine.wants(), 0, "wants outlived the demand loop");
+        assert!(ticks.is_empty(), "the engine still asks for ticks");
     }
 
     #[test]

@@ -1121,6 +1121,40 @@ mod crash_tests {
         }
     }
 
+    /// A crashed puppet says nothing: what its adversary injects, by
+    /// broadcast or point to point, queues no delivery and counts no send.
+    #[test]
+    fn a_down_puppet_injects_nothing() {
+        let mut sim = Simulation::new(SimConfig {
+            scenario: Scenario::ControlledMesh { n_validators: 4 },
+            n_accounts: 20,
+            seed: 71,
+            max_sim_time_ms: 60_000,
+            ..SimConfig::default()
+        });
+        while sim.now_ms() < 3_000 && sim.step() {}
+        let puppet = NodeId(3);
+        sim.node_mut(puppet).make_puppet();
+        sim.crash(puppet);
+        let queued = |sim: &Simulation| {
+            let peers = [NodeId(0), NodeId(1), NodeId(2)];
+            peers
+                .map(|p| sim.queue.count_deliveries_to(p))
+                .iter()
+                .sum::<usize>()
+        };
+        let (queued_before, sent_before) = (queued(&sim), sim.node(puppet).engine.traffic.msgs_out);
+        let tx = crate::loadgen::LoadGen::new(20, 1.0, 71).make_payment();
+        sim.inject_broadcast(puppet, stellar_overlay::FloodMessage::Tx(tx.clone()));
+        sim.inject_direct(puppet, NodeId(0), stellar_overlay::FloodMessage::Tx(tx));
+        assert_eq!(
+            queued(&sim),
+            queued_before,
+            "a down puppet's injection was queued"
+        );
+        assert_eq!(sim.node(puppet).engine.traffic.msgs_out, sent_before);
+    }
+
     /// Every role survives a crash followed by a revive: the watcher
     /// relays again and the puppet's inbox fills again.
     #[test]
@@ -1217,6 +1251,63 @@ mod crash_tests {
             first_close >= 60_000,
             "no ledger closes under a quorum-splitting partition ({first_close}ms)"
         );
+    }
+
+    /// Every slice needs all four validators, so while one is cut off —
+    /// longer than the 4 s a relay caches a payload — nobody closes, and
+    /// the sets the other three vote for never reach it. After the heal
+    /// their re-flooded envelopes name those sets: the cut-off validator
+    /// demands them from the envelopes' senders, and a sender's herder
+    /// answers (push mode caches no set, so no cache can), and all four
+    /// close the slot alike.
+    #[test]
+    fn a_validator_cut_off_past_the_payload_window_fetches_the_named_set() {
+        let mut sim = Simulation::new(SimConfig {
+            scenario: Scenario::ControlledMesh { n_validators: 4 },
+            n_accounts: 50,
+            tx_rate: 5.0,
+            target_ledgers: 3,
+            seed: 67,
+            max_sim_time_ms: 120_000,
+            ..SimConfig::default()
+        });
+        let ids = sim.validator_ids();
+        for id in &ids {
+            sim.reconfigure_quorum(*id, stellar_scp::QuorumSet::threshold_of(4, ids.clone()));
+        }
+        let cut = NodeId(3);
+        let others: Vec<NodeId> = ids.iter().copied().filter(|id| *id != cut).collect();
+        let retention = stellar_overlay::MAX_DEMAND_ATTEMPTS as u64
+            * (stellar_overlay::engine::DEMAND_TIMEOUT_MS
+                + stellar_overlay::engine::ADVERT_INTERVAL_MS);
+        // Ledger 2 closes on the empty set everyone proposes; the cut
+        // falls between it and slot 3's trigger at 6 s, so from then on
+        // each side's queue holds transactions the other's lacks.
+        while sim.now_ms() < 3_000 && sim.step() {}
+        assert!(ids.iter().all(|id| sim.ledger_seq_of(*id) == 2));
+        let heal = 6_000 + retention + 2_000;
+        sim.set_partition(&[others, vec![cut]], Some(heal));
+        while sim.now_ms() < heal && sim.step() {}
+        for id in &ids {
+            assert_eq!(
+                sim.ledger_seq_of(*id),
+                2,
+                "{id:?} closed without the fourth"
+            );
+        }
+
+        let report = sim.run();
+        assert!(
+            sim.ledger_seq_of(cut) >= 4,
+            "the cut-off validator closes again"
+        );
+        let chain = sim.header_hashes(NodeId(0));
+        for id in &ids {
+            assert_eq!(sim.header_hashes(*id), chain, "{id:?} diverged");
+        }
+        let traffic = &report.traffic[&cut];
+        assert!(traffic.set_demands > 0, "the named set was demanded");
+        assert!(traffic.pull_fulfilled > 0, "and a herder answered");
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! once more when a down node stopped re-arming its ledger trigger; each
 //! moved pin names its latest reason. The push mesh has no crash and no
 //! puppet, so it did not move.
+//!
+//! All four re-recorded when a transaction set started crossing the
+//! network only when SCP names it: a proposer floods its set once its own
+//! vote names it, a node fetches a named set it lacks, and the reconnect
+//! exchange re-floods envelopes only.
 
 use stellar::crypto::hex;
 use stellar::crypto::sha256::Sha256;
@@ -133,9 +138,10 @@ fn push_mesh_under_load_is_pinned() {
     sim.enable_trace();
     let report = sim.run();
     assert!(report.ledgers.len() >= 4);
+    // Moved by design: a set crosses the network only when SCP names it.
     assert_eq!(
         digest(&sim, &report),
-        "d9f1a164db2c5cb19b453545cf54ec2a48f6eb6d69b238db16be83e5480701aa"
+        "5551122a4bea08744f8074eddaa489b6a935372b6ca7a28c9fe17493271572de"
     );
 }
 
@@ -171,13 +177,10 @@ fn pull_public_network_with_crash_and_restart_is_pinned() {
     );
     let pulled: u64 = report.traffic.values().map(|t| t.pull_fulfilled).sum();
     assert!(pulled > 0, "payloads crossed by advert and demand");
-    // Moved by design: the crashed victim no longer asks for its ledger
-    // trigger every interval while down, so its trigger events leave the
-    // trace; the trigger its reboot queues on its pacing grid is the only
-    // one that brings it back.
+    // Moved by design: a set crosses the network only when SCP names it.
     assert_eq!(
         digest(&sim, &report),
-        "2d24a21f2bbb4b971099f68833f7bac8a6e18c1db3940f76118b60444e26484c"
+        "b8464a0d80fbf0c0d1230e69de04ce70f6d19f3985d94931181e67b6bd3cc2d4"
     );
 }
 
@@ -208,11 +211,10 @@ fn faulty_links_with_a_puppet_are_pinned() {
     assert!(!sim.node_mut(puppet).drain_inbox().is_empty());
     let timeouts: u64 = report.traffic.values().map(|t| t.pull_timeouts).sum();
     assert!(timeouts > 0, "lost demands were retried");
-    // Moved by design: the puppet refuses the client submissions routed
-    // to it instead of queueing and flooding them.
+    // Moved by design: a set crosses the network only when SCP names it.
     assert_eq!(
         digest(&sim, &report),
-        "249681319a36f1741466602cb1dc6553e86e4dfab2e929260a6b742f7797f47f"
+        "b127cc98207cbe88e113e1ba0cf798913014179d46cf8e8ed54caec4aa3e8821"
     );
 }
 
@@ -282,10 +284,9 @@ fn observer_horizon_on_disk_with_crash_and_restart_is_pinned() {
             put(&mut h, v.as_f64().expect("a number") as i64 as u64);
         }
     }
-    // Moved by design: the crashed observer refuses the client
-    // submissions routed to it instead of queueing and flooding them.
+    // Moved by design: a set crosses the network only when SCP names it.
     assert_eq!(
         hex::encode(&h.finish().0),
-        "5dac486495f4a19b8401488e495732387bf6f4affc03ac3eaf462f794737739b"
+        "ae0c15c2344ddd612e383b28db5d58f8d398fd6bc11af10fd1a78a477e5ab072"
     );
 }

@@ -9,8 +9,19 @@
 //! return to push relay, while the validators still agree on every
 //! header. Each processed envelope also costs few slice checks: quorum
 //! evaluation runs only when an envelope may change a verdict.
+//!
+//! A transaction set crosses the network only when SCP names it: a
+//! validator floods its proposal once its own envelope votes for it, and
+//! a fault-free run never has to fetch a set.
 
+use std::collections::{BTreeMap, BTreeSet};
+use stellar::crypto::codec::Decode;
+use stellar::crypto::Hash256;
+use stellar::herder::herder::scp_record_key;
+use stellar::herder::StellarValue;
 use stellar::overlay::{FloodMode, MsgKind, TrafficStats};
+use stellar::scp::{Envelope, NodeId};
+use stellar::sim::events::TraceEntry;
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
@@ -70,6 +81,107 @@ fn scp_envelopes_cross_each_link_once_in_both_modes() {
         assert!(
             per_envelope <= 2.5,
             "{mode:?}: {per_envelope:.2} slice checks per processed envelope"
+        );
+    }
+}
+
+#[test]
+fn a_tx_set_crosses_the_network_only_when_an_envelope_names_it() {
+    let n = 16;
+    for mode in [FloodMode::Push, FloodMode::Pull] {
+        let mut sim = Simulation::new(SimConfig {
+            scenario: Scenario::ControlledMesh { n_validators: n },
+            n_accounts: 1_000,
+            tx_rate: 100.0,
+            target_ledgers: 3,
+            seed: 0x5E7,
+            flood_mode: mode,
+            ..SimConfig::default()
+        });
+        sim.enable_trace();
+        let report = sim.run();
+        assert!(
+            report.ledgers.len() >= 3,
+            "{mode:?}: closed too few ledgers"
+        );
+
+        // Every set a validator proposed or learned, and the sets named by
+        // the envelopes each one emitted: its write-ahead records are the
+        // envelopes it sent, and in this short run no slot has left the
+        // window yet, so nothing was pruned.
+        let mut sets = BTreeSet::new();
+        let mut named: BTreeMap<NodeId, BTreeSet<Hash256>> = BTreeMap::new();
+        for id in sim.validator_ids() {
+            let herder = &sim.validator(id).herder;
+            assert_eq!(
+                herder.telemetry.registry.counter("herder.tx_sets_pruned"),
+                0
+            );
+            sets.extend(herder.known_tx_sets.keys().copied());
+            for slot in 1..=herder.current_slot() {
+                for nomination in [true, false] {
+                    let Some(bytes) = herder.persist.read(&scp_record_key(slot, nomination)) else {
+                        continue;
+                    };
+                    let env = Envelope::from_bytes(&bytes).expect("a record");
+                    let values = env.statement.kind.values().into_iter();
+                    let sets = values.filter_map(|v| StellarValue::from_scp(&v));
+                    named
+                        .entry(id)
+                        .or_default()
+                        .extend(sets.map(|v| v.tx_set_hash));
+                }
+            }
+        }
+
+        // A node that sends a set no later than it first receives one
+        // originated it; a relay's copy lands after its own receipt.
+        let delivered = sim.trace().iter().filter_map(|e| match e {
+            TraceEntry::Deliver {
+                time,
+                from,
+                to,
+                msg_id,
+            } if sets.contains(msg_id) => Some((*time, *from, *to, *msg_id)),
+            _ => None,
+        });
+        let delivered: Vec<_> = delivered.collect();
+        let mut first_in = BTreeMap::new();
+        for (time, _, to, set) in &delivered {
+            first_in.entry((*to, *set)).or_insert(*time);
+        }
+        let mut originated = BTreeSet::new();
+        for (time, from, _, set) in &delivered {
+            if *time <= first_in.get(&(*from, *set)).copied().unwrap_or(u64::MAX) {
+                originated.insert((*from, *set));
+            }
+        }
+        assert!(
+            !originated.is_empty(),
+            "{mode:?}: no set crossed the network"
+        );
+        for (node, set) in &originated {
+            let own = named.get(node).is_some_and(|n| n.contains(set));
+            assert!(
+                own,
+                "{mode:?}: {node:?} flooded a set none of its envelopes named"
+            );
+        }
+
+        let mut net = TrafficStats::default();
+        for t in report.traffic.values() {
+            net.merge(t);
+        }
+        assert_eq!(
+            net.set_demands, 0,
+            "{mode:?}: a fault-free run fetched a set"
+        );
+        println!(
+            "{mode:?}: {} sets known, {} originations; TxSet {} B of {} B sent",
+            sets.len(),
+            originated.len(),
+            net.out_bytes(MsgKind::TxSet),
+            net.bytes_out
         );
     }
 }
