@@ -20,6 +20,8 @@
 //!   which production `stellar-core` uses) so that hashes of structures are
 //!   well-defined and identical across nodes.
 //! * [`hex`] — hex encoding for display and test vectors.
+//! * [`idhash`] — [`IdState`], the keyed multiply-fold hasher behind every
+//!   hash table in the workspace ([`IdMap`], [`IdSet`]).
 //!
 //! The central type is [`Hash256`], a 32-byte digest used pervasively as a
 //! content address (ledger headers, buckets, transaction sets, values).
@@ -29,8 +31,11 @@
 
 pub mod codec;
 pub mod hex;
+pub mod idhash;
 pub mod sha256;
 pub mod sign;
+
+pub use idhash::{IdMap, IdSet, IdState};
 
 use std::fmt;
 

@@ -11,12 +11,12 @@ use crate::queue::TxQueue;
 use crate::upgrade::{UpgradePolicy, UpgradeVerdict};
 use crate::value::StellarValue;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 use stellar_buckets::{BucketList, HistoryArchive};
 use stellar_crypto::codec::{Decode, Encode};
 use stellar_crypto::sign::PublicKey;
-use stellar_crypto::Hash256;
+use stellar_crypto::{Hash256, IdMap};
 use stellar_ledger::apply::close_ledger;
 use stellar_ledger::entry::{LedgerEntry, LedgerKey};
 use stellar_ledger::header::{LedgerHeader, LedgerParams};
@@ -140,7 +140,7 @@ fn envelope_in_key(class: &str) -> &'static str {
 
 /// The transaction sets the values of `env` name; a value repeated in the
 /// next field (a vote also accepted) is decoded once.
-pub(crate) fn named_tx_sets(env: &Envelope) -> impl Iterator<Item = Hash256> + '_ {
+pub fn named_tx_sets(env: &Envelope) -> impl Iterator<Item = Hash256> + '_ {
     let mut last = None;
     let values = env.statement.kind.values();
     let fresh = values.filter(move |v| last.replace(*v) != Some(*v));
@@ -182,11 +182,11 @@ pub struct Herder {
     /// Known transaction sets by hash; they also answer peers' demands.
     /// Sets that arrive through [`Herder::make_proposal`] and
     /// [`Herder::learn_tx_set`] are forgotten [`SLOT_WINDOW`] closes later.
-    pub known_tx_sets: HashMap<Hash256, TransactionSet>,
+    pub known_tx_sets: IdMap<Hash256, TransactionSet>,
     /// The slot that was current when each ageing set was last proposed
     /// or learned. A set inserted into `known_tx_sets` directly has no
     /// entry here and is never aged.
-    tx_set_learned_at: HashMap<Hash256, SlotIndex>,
+    tx_set_learned_at: IdMap<Hash256, SlotIndex>,
     /// Wall clock, supplied by the embedder (seconds). Close-time
     /// validation measures against this.
     pub now: u64,
@@ -286,8 +286,8 @@ impl Herder {
             queue: TxQueue::new(),
             sig_cache: SigVerifyCache::new(1 << 16),
             upgrade_policy: UpgradePolicy::default(),
-            known_tx_sets: HashMap::new(),
-            tx_set_learned_at: HashMap::new(),
+            known_tx_sets: IdMap::default(),
+            tx_set_learned_at: IdMap::default(),
             now: 1,
             clock_ms: 1000,
             max_time_slip: 60,

@@ -6,8 +6,8 @@
 //! minimum fee) and orders per-account transactions by sequence number so
 //! a candidate set never contains gaps.
 
-use std::collections::{BTreeMap, HashSet};
-use stellar_crypto::Hash256;
+use std::collections::BTreeMap;
+use stellar_crypto::{Hash256, IdSet};
 use stellar_ledger::amount::BASE_FEE;
 use stellar_ledger::entry::AccountId;
 use stellar_ledger::sigcache::SigVerifyCache;
@@ -50,7 +50,7 @@ impl QueueError {
 #[derive(Debug, Default)]
 pub struct TxQueue {
     by_account: BTreeMap<AccountId, BTreeMap<u64, TransactionEnvelope>>,
-    seen: HashSet<Hash256>,
+    seen: IdSet<Hash256>,
     /// Admission cap on queued transactions (`None` = unbounded, the
     /// historical behavior). Set by the Horizon admission layer so a
     /// submit flood backs up at the front end instead of growing the

@@ -21,7 +21,7 @@
 //! An SCP value names its transaction set by hash (§5.3). The embedder,
 //! which owns the overlay, ships and fetches sets: it asks which held sets
 //! released envelopes name ([`Validator::sets_to_ship`]) and which sets a
-//! taken envelope names ([`Outputs::named_tx_sets`]).
+//! taken envelope names ([`Outputs::taken`], [`named_tx_sets`]).
 
 use crate::herder::{named_tx_sets, Herder, LEDGER_VALIDITY_BRACKET, SLOT_WINDOW};
 use crate::queue::QueueError;
@@ -40,9 +40,9 @@ use stellar_telemetry::SpanPhase;
 pub struct Outputs {
     /// SCP envelopes to flood.
     pub envelopes: Vec<Envelope>,
-    /// The sets an envelope [`Validator::receive_envelope`] took names:
-    /// its sender can be asked for them.
-    pub named_tx_sets: Vec<Hash256>,
+    /// SCP took the envelope [`Validator::receive_envelope`] handled: its
+    /// sender can be asked for the sets it names ([`named_tx_sets`]).
+    pub taken: bool,
     /// Timers to fire: call [`Validator::on_timer`] with this slot, kind
     /// and deadline once the clock reaches the deadline (ms). Replacing
     /// and cancelling are the validator's own business: a deadline it no
@@ -157,8 +157,7 @@ impl Validator {
     /// Handles an incoming SCP envelope; one for a slot more than
     /// [`LEDGER_VALIDITY_BRACKET`] above the current one, or below the
     /// [`SLOT_WINDOW`] of slots this validator keeps, is dropped
-    /// unverified. An envelope SCP takes reports the sets it names
-    /// ([`Outputs::named_tx_sets`]).
+    /// unverified. Whether SCP took it is [`Outputs::taken`].
     pub fn receive_envelope(&mut self, env: &Envelope) -> Outputs {
         let current = self.herder.current_slot();
         let mut taken = false;
@@ -170,11 +169,10 @@ impl Validator {
             taken = self.scp.receive(&mut self.herder, env);
             self.process_externalized();
         }
-        let mut out = self.drain_outputs();
-        if taken {
-            out.named_tx_sets = named_tx_sets(env).collect();
+        Outputs {
+            taken,
+            ..self.drain_outputs()
         }
-        out
     }
 
     /// Handles an incoming transaction set from a peer.
@@ -261,7 +259,7 @@ impl Validator {
         };
         Outputs {
             envelopes,
-            named_tx_sets: Vec::new(),
+            taken: false,
             timers,
         }
     }
@@ -309,7 +307,7 @@ mod tests {
     }
 
     fn produced_nothing(out: &Outputs) -> bool {
-        out.envelopes.is_empty() && out.named_tx_sets.is_empty() && out.timers.is_empty()
+        out.envelopes.is_empty() && !out.taken && out.timers.is_empty()
     }
 
     fn user_keys(n: u64) -> KeyPair {

@@ -31,9 +31,9 @@
 
 use crate::api::{HorizonError, Page};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use stellar_buckets::HistoryArchive;
-use stellar_crypto::Hash256;
+use stellar_crypto::{Hash256, IdMap, IdState};
 use stellar_herder::{CloseEvent, Herder};
 use stellar_ledger::amount::Price;
 use stellar_ledger::asset::Asset;
@@ -231,12 +231,13 @@ pub struct Indexer {
     /// accounts it touches.
     rows: Vec<HistoryRow>,
     /// One row per account: its tracked XLM balance, history and effects.
-    /// Keyed by std's `RandomState`, because account ids are peer-chosen;
-    /// nothing iterates it, so hash order reaches no page or counter.
-    accounts: HashMap<AccountId, AccountRow>,
+    /// Keyed per indexer ([`IdState`]), because account ids are
+    /// peer-chosen; nothing iterates it, so hash order reaches no page or
+    /// counter.
+    accounts: IdMap<AccountId, AccountRow>,
     /// Tracked trust-line balances. Deltas against these and against
     /// [`AccountRow::native`] become effect cells.
-    trustlines: HashMap<(AccountId, Asset), i64>,
+    trustlines: IdMap<(AccountId, Asset), i64>,
     /// Every asset an effect names, once; an id is an index here.
     assets: Vec<Asset>,
     /// The id of each asset in `assets`.
@@ -264,8 +265,11 @@ impl Indexer {
             ingested_seq: head,
             attached_seq: head,
             rows: Vec::new(),
-            accounts: HashMap::with_capacity(herder.store.account_count()),
-            trustlines: HashMap::new(),
+            accounts: IdMap::with_capacity_and_hasher(
+                herder.store.account_count(),
+                IdState::default(),
+            ),
+            trustlines: IdMap::default(),
             assets: Vec::new(),
             asset_ids: BTreeMap::new(),
             trades: BTreeMap::new(),
@@ -1160,8 +1164,8 @@ mod tests {
         assert_pages_match_reference(&late, &accounts);
     }
 
-    /// Two indexers in one process hash with different `RandomState`
-    /// keys. Fed the same closes, they serve the same pages and counters,
+    /// Two indexers in one process hash with different [`IdState`] keys.
+    /// Fed the same closes, they serve the same pages and counters,
     /// so no hash order leaks out; and the per-close counters equal the
     /// reference's one-row-per-participant totals.
     #[test]

@@ -20,9 +20,8 @@
 //! Negative results are cached too: a flood of copies of one bad
 //! signature costs one verification, not one per copy.
 
-use std::collections::HashMap;
 use stellar_crypto::sign::{verify_hash, PublicKey, Signature};
-use stellar_crypto::Hash256;
+use stellar_crypto::{Hash256, IdMap};
 
 /// Cache key: the signed message hash plus the full `(key, signature)`
 /// triple, so distinct signatures over one transaction never collide.
@@ -39,9 +38,9 @@ pub struct SigVerifyCache {
     /// Maximum total entries across both generations (0 = disabled).
     capacity: usize,
     /// Fresh generation: receives all inserts.
-    young: HashMap<SigKey, bool>,
+    young: IdMap<SigKey, bool>,
     /// Previous generation: read-only; hits are promoted back to `young`.
-    old: HashMap<SigKey, bool>,
+    old: IdMap<SigKey, bool>,
     hits: u64,
     misses: u64,
 }
@@ -51,8 +50,8 @@ impl SigVerifyCache {
     pub fn new(capacity: usize) -> SigVerifyCache {
         SigVerifyCache {
             capacity,
-            young: HashMap::new(),
-            old: HashMap::new(),
+            young: IdMap::default(),
+            old: IdMap::default(),
             hits: 0,
             misses: 0,
         }

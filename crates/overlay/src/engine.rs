@@ -190,14 +190,14 @@ impl FloodEngine {
     pub fn want_named(
         &mut self,
         holder: NodeId,
-        ids: &[Hash256],
+        ids: impl IntoIterator<Item = Hash256>,
         now_ms: u64,
         held: impl Fn(&Hash256) -> Option<FloodMessage>,
     ) -> Actions {
         let mut out = Actions::default();
         for id in ids {
-            if self.lacks(*id, &held) {
-                self.demands.defer(holder, *id, now_ms);
+            if self.lacks(id, &held) {
+                self.demands.defer(holder, id, now_ms);
                 self.arm_tick(now_ms, &mut out);
             }
         }
@@ -680,12 +680,12 @@ mod tests {
         let mut e = engine(FloodMode::Pull);
         let named = set(1);
         // A's envelope names the set: a tick to watch the wait, no send.
-        let armed = e.want_named(A, &[named.id], 1000, |_| None);
+        let armed = e.want_named(A, [named.id], 1000, |_| None);
         assert!(armed.sends.is_empty() && armed.spans.is_empty());
         assert_eq!(armed.tick_at, Some(1000 + ADVERT_INTERVAL_MS));
         // B names it too: a fallback holder.
         assert!(e
-            .want_named(B, &[named.id], 1050, |_| None)
+            .want_named(B, [named.id], 1050, |_| None)
             .tick_at
             .is_none());
         for now in [1100, 1200, 1300] {
@@ -712,11 +712,11 @@ mod tests {
         assert_eq!((e.wants(), e.traffic.set_demands), (0, 2));
         // A set the node holds is never wanted: one it saw, nor one only
         // the embedder keeps.
-        let seen = e.want_named(C, &[named.id], 4100, |_| None);
+        let seen = e.want_named(C, [named.id], 4100, |_| None);
         assert!(seen.sends.is_empty() && seen.tick_at.is_none());
         let kept = set(7);
         let held = |id: &Hash256| (*id == kept.id).then(|| kept.msg.clone());
-        assert!(e.want_named(C, &[kept.id], 4200, held).tick_at.is_none());
+        assert!(e.want_named(C, [kept.id], 4200, held).tick_at.is_none());
         assert_eq!(e.wants(), 0);
     }
 
@@ -725,7 +725,7 @@ mod tests {
         for mode in [FloodMode::Push, FloodMode::Pull] {
             let mut e = engine(mode);
             let named = set(2);
-            e.want_named(A, &[named.id], 0, |_| None);
+            e.want_named(A, [named.id], 0, |_| None);
             deliver(&mut e, A, &named, 100).expect("fresh");
             assert_eq!(e.traffic.pull_fulfilled, 0, "{mode:?}: no demand was out");
             assert_eq!((e.wants(), e.traffic.set_demands), (0, 0), "{mode:?}");
@@ -735,7 +735,7 @@ mod tests {
         // An advert is proof the advertiser holds it: demand it now.
         let mut e = engine(FloodMode::Pull);
         let named = set(3);
-        e.want_named(A, &[named.id], 0, |_| None);
+        e.want_named(A, [named.id], 0, |_| None);
         let advert = Flooded::new(FloodMessage::Advert(vec![named.id]));
         let now = e.on_control(B, &advert, 50, |_| None);
         assert_eq!(targets(&now), vec![B]);

@@ -14,16 +14,15 @@
 //! within round-trip time, far inside one window, so the revisit hits the
 //! de-duplication check and the loop dies.
 
-use std::collections::HashSet;
-use stellar_crypto::Hash256;
+use stellar_crypto::{Hash256, IdSet};
 
 /// Flood bookkeeping for one node.
 #[derive(Debug)]
 pub struct FloodState {
     /// Ids first recorded in the current window.
-    current: HashSet<Hash256>,
+    current: IdSet<Hash256>,
     /// Ids first recorded in the window before it.
-    previous: HashSet<Hash256>,
+    previous: IdSet<Hash256>,
     window_ms: u64,
     /// Start of the next window; the first record at or after it rotates.
     rotate_at: u64,
@@ -35,8 +34,8 @@ impl FloodState {
     pub fn new(window_ms: u64) -> FloodState {
         let window_ms = window_ms.max(1);
         FloodState {
-            current: HashSet::new(),
-            previous: HashSet::new(),
+            current: IdSet::default(),
+            previous: IdSet::default(),
             window_ms,
             rotate_at: window_ms,
         }
@@ -59,7 +58,7 @@ impl FloodState {
             let aged = std::mem::take(&mut self.current);
             // Two or more windows passed: the last generation is stale too.
             let stale = now_ms >= self.rotate_at + self.window_ms;
-            self.previous = if stale { HashSet::new() } else { aged };
+            self.previous = if stale { IdSet::default() } else { aged };
             self.rotate_at = (now_ms / self.window_ms + 1) * self.window_ms;
         }
         !self.previous.contains(&id) && self.current.insert(id)

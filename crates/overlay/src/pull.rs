@@ -29,8 +29,9 @@
 //! * [`PayloadCache`] — a bounded FIFO map of recently learned payloads,
 //!   from which incoming demands are answered while they are recent.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use stellar_crypto::Hash256;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
+use stellar_crypto::{Hash256, IdMap, IdSet};
 use stellar_scp::NodeId;
 
 /// How a simulation floods large payloads (transactions and tx sets).
@@ -90,7 +91,7 @@ pub struct DemandScheduler {
     /// Hashes learned since the last tick, to advertise in one batch,
     /// and the same hashes as a set for the O(1) duplicate test.
     pending_adverts: Vec<Hash256>,
-    queued: HashSet<Hash256>,
+    queued: IdSet<Hash256>,
     /// Hashes we lack, keyed for deterministic iteration.
     wanted: BTreeMap<Hash256, Want>,
     demand_timeout_ms: u64,
@@ -104,7 +105,7 @@ impl DemandScheduler {
     pub fn new(demand_timeout_ms: u64) -> DemandScheduler {
         DemandScheduler {
             pending_adverts: Vec::new(),
-            queued: HashSet::new(),
+            queued: IdSet::default(),
             wanted: BTreeMap::new(),
             demand_timeout_ms: demand_timeout_ms.max(1),
             dropped: 0,
@@ -247,8 +248,9 @@ impl DemandScheduler {
 #[derive(Debug)]
 pub struct PayloadCache<V> {
     /// Each payload with the time it was inserted (ms).
-    map: HashMap<Hash256, (u64, V)>,
-    order: VecDeque<Hash256>,
+    map: IdMap<Hash256, (u64, V)>,
+    /// The same ids and times, oldest first: eviction reads the time here.
+    order: VecDeque<(u64, Hash256)>,
     capacity: usize,
     retention_ms: u64,
 }
@@ -258,7 +260,7 @@ impl<V> PayloadCache<V> {
     /// `retention_ms`.
     pub fn new(capacity: usize, retention_ms: u64) -> PayloadCache<V> {
         PayloadCache {
-            map: HashMap::new(),
+            map: IdMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
             retention_ms,
@@ -268,20 +270,20 @@ impl<V> PayloadCache<V> {
     /// Evicts what has expired by `now_ms`, then inserts a payload
     /// (no-op if the hash is still cached).
     pub fn insert(&mut self, id: Hash256, payload: V, now_ms: u64) {
-        while let Some(old) = self.order.front() {
-            if self.map[old].0 + self.retention_ms > now_ms {
+        while let Some(&(at, old)) = self.order.front() {
+            if at + self.retention_ms > now_ms {
                 break;
             }
-            self.map.remove(old);
+            self.map.remove(&old);
             self.order.pop_front();
         }
-        if self.map.contains_key(&id) {
+        let Entry::Vacant(slot) = self.map.entry(id) else {
             return;
-        }
-        self.map.insert(id, (now_ms, payload));
-        self.order.push_back(id);
+        };
+        slot.insert((now_ms, payload));
+        self.order.push_back((now_ms, id));
         if self.order.len() > self.capacity {
-            let old = self.order.pop_front().expect("non-empty");
+            let (_, old) = self.order.pop_front().expect("non-empty");
             self.map.remove(&old);
         }
     }

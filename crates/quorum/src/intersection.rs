@@ -30,7 +30,8 @@
 //! federated voting uses, [`stellar_scp::quorum::QuorumKernel`]; this
 //! module keeps only what is specific to checking.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use stellar_crypto::IdMap;
 use stellar_scp::quorum::{CompiledQSet, NodeBits, QuorumKernel};
 use stellar_scp::{NodeId, QuorumSet};
 
@@ -206,7 +207,7 @@ fn check(sys: &FbaSystem, closed_form: bool) -> (IntersectionResult, CheckStats)
     let mut search = SplitSearch {
         kernel: &kernel,
         domain: &domain,
-        memo: HashMap::new(),
+        memo: IdMap::default(),
         branches: 0,
         prune_checks: 0,
         memo_hits: 0,
@@ -398,7 +399,7 @@ fn split_symmetric(q: &CompiledQSet, core: &NodeBits, n: usize) -> Option<(NodeB
 struct SplitSearch<'a> {
     kernel: &'a QuorumKernel,
     domain: &'a [usize],
-    memo: HashMap<NodeBits, bool>,
+    memo: IdMap<NodeBits, bool>,
     branches: u64,
     prune_checks: u64,
     memo_hits: u64,

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stellar_crypto::sign::KeyPair;
+use stellar_crypto::IdMap;
 use stellar_ledger::amount::{xlm, BASE_FEE};
 use stellar_ledger::asset::Asset;
 use stellar_ledger::entry::{AccountEntry, AccountId};
@@ -43,7 +44,7 @@ pub struct LoadGen {
     rate_tps: f64,
     rng: StdRng,
     /// Next sequence number per account index (sparse).
-    next_seq: std::collections::HashMap<u64, u64>,
+    next_seq: IdMap<u64, u64>,
     /// Total transactions generated.
     pub generated: u64,
 }
@@ -55,7 +56,7 @@ impl LoadGen {
             n_accounts,
             rate_tps,
             rng: StdRng::seed_from_u64(seed ^ 0x10AD),
-            next_seq: std::collections::HashMap::new(),
+            next_seq: IdMap::default(),
             generated: 0,
         }
     }

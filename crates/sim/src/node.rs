@@ -22,8 +22,8 @@
 //! * **Transaction sets** cross when SCP names them. *Ship:* released
 //!   envelopes flood each set they name that the validator holds and the
 //!   engine has not seen ([`Validator::sets_to_ship`]). *Fetch:* a set a
-//!   taken envelope names ([`Outputs::named_tx_sets`]) that the node
-//!   lacks is wanted from its sender ([`FloodEngine::want_named`]).
+//!   taken envelope names ([`Outputs::taken`], [`named_tx_sets`]) that
+//!   the node lacks is wanted from its sender ([`FloodEngine::want_named`]).
 //! * **Catch-up.** At [`Effect::CatchUp`] the embedder hands
 //!   [`Node::catch_up`] the archive of the most advanced live peer the
 //!   node can reach, if that peer is ahead, and carries out what it
@@ -59,7 +59,7 @@ use stellar_buckets::{BucketList, HistoryArchive};
 use stellar_crypto::codec::Decode;
 use stellar_crypto::sign::{KeyPair, PublicKey};
 use stellar_crypto::Hash256;
-use stellar_herder::herder::{LclRecord, LCL_KEY};
+use stellar_herder::herder::{named_tx_sets, LclRecord, LCL_KEY};
 use stellar_herder::validator::{Outputs, Validator};
 use stellar_horizon::{AdmissionConfig, HorizonPipeline};
 use stellar_ledger::header::LedgerHeader;
@@ -347,11 +347,11 @@ impl Node {
                 t.span(trace, now, SpanPhase::FloodRecv { from: from.0 });
             }
         }
-        let mut named = Vec::new();
+        let mut taken = false;
         self.step(now, &mut out, |v| match &msg.msg {
             FloodMessage::Scp(env) => {
-                let mut reply = v.receive_envelope(env);
-                named = std::mem::take(&mut reply.named_tx_sets);
+                let reply = v.receive_envelope(env);
+                taken = reply.taken;
                 reply
             }
             FloodMessage::TxSet(set) => v.receive_tx_set(set.clone()),
@@ -361,8 +361,12 @@ impl Node {
             }
             FloodMessage::Advert(_) | FloodMessage::Demand(_) => Outputs::default(),
         });
-        let actions = self.engine.want_named(from, &named, now, held(&self.state));
-        self.flood(actions, now, &mut out);
+        if let (FloodMessage::Scp(env), true) = (&msg.msg, taken) {
+            let actions = self
+                .engine
+                .want_named(from, named_tx_sets(env), now, held(&self.state));
+            self.flood(actions, now, &mut out);
+        }
         if let (FloodMessage::Scp(env), State::Live(v)) = (&msg.msg, &self.state) {
             if env.statement.slot >= v.herder.current_slot() + 2 {
                 out.push(Effect::CatchUp);
