@@ -19,6 +19,7 @@ use stellar_herder::Herder;
 use stellar_ledger::asset::Asset;
 use stellar_ledger::entry::AccountId;
 use stellar_ledger::pathfind::{find_best_path, quote_path};
+use stellar_ledger::store::book_key;
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_telemetry::{Registry, SpanEvent};
 
@@ -218,8 +219,14 @@ impl Horizon {
     }
 
     /// The aggregated order book for a pair: `(price, total amount)`
-    /// levels, best price first. The cursor is the level index to resume
-    /// from.
+    /// levels, best price first; adjacent offers share a level when their
+    /// prices are the same fraction. The cursor is the level index to
+    /// resume from.
+    ///
+    /// The book is read in pages through the index, and reading stops
+    /// once the level after the requested window has started: that level
+    /// only shows a continuation exists, so its partial total is never
+    /// returned.
     pub fn order_book(
         herder: &Herder,
         selling: &Asset,
@@ -228,12 +235,30 @@ impl Horizon {
         limit: usize,
     ) -> Result<Page<(stellar_ledger::amount::Price, i64)>, HorizonError> {
         check_limit(limit)?;
+        let end = usize::try_from(cursor.unwrap_or(0))
+            .unwrap_or(usize::MAX)
+            .saturating_add(limit);
         let mut levels: Vec<(stellar_ledger::amount::Price, i64)> = Vec::new();
-        for offer in herder.store.offers_for_pair(selling, buying) {
-            match levels.last_mut() {
-                Some((p, total)) if *p == offer.price => *total += offer.amount,
-                _ => levels.push((offer.price, offer.amount)),
+        let mut after = None;
+        // Starting `end + 1` levels takes at least that many offers.
+        let mut want = end.saturating_add(1);
+        'book: loop {
+            let page = herder.store.offers_page(selling, buying, after, want);
+            let exhausted = page.len() < want;
+            after = page.last().map(book_key);
+            for offer in page {
+                match levels.last_mut() {
+                    Some((p, total)) if *p == offer.price => *total += offer.amount,
+                    _ => levels.push((offer.price, offer.amount)),
+                }
+                if levels.len() > end {
+                    break 'book;
+                }
             }
+            if exhausted {
+                break;
+            }
+            want = want.saturating_mul(2);
         }
         Ok(Page::slice(levels, cursor, limit))
     }
@@ -620,6 +645,67 @@ mod tests {
         let all = Horizon::order_book(&h, &usd, &Asset::Native, None, 10).unwrap();
         let stitched: Vec<_> = first.records.iter().chain(&rest.records).cloned().collect();
         assert_eq!(stitched, all.records);
+    }
+
+    /// Every page of the level view read through the index equals the
+    /// same page sliced from the whole book's levels, on a book whose
+    /// levels repeat a price and sit Ord-equal prices (1/2, 2/4) side by
+    /// side, which stay separate levels.
+    #[test]
+    fn order_book_pages_equal_the_whole_book_levels() {
+        let usd = Asset::issued(acct(2), "USD");
+        let mut store = LedgerStore::new();
+        let mut d = store.begin();
+        let prices = [
+            (1, 2),
+            (2, 4),
+            (1, 2),
+            (1, 1),
+            (1, 1),
+            (3, 2),
+            (6, 4),
+            (2, 1),
+        ];
+        for (k, &(n, den)) in prices.iter().cycle().take(40).enumerate() {
+            d.put_offer(stellar_ledger::entry::OfferEntry {
+                id: k as u64 + 1,
+                account: acct(0),
+                selling: usd.clone(),
+                buying: Asset::Native,
+                amount: k as i64 + 1,
+                price: Price::new(n, den + k as u32 / 8),
+                passive: false,
+            });
+        }
+        store.commit(d.into_changes());
+        let h = Herder::new(NodeId(0), store, BTreeMap::new());
+        let mut whole: Vec<(Price, i64)> = Vec::new();
+        for offer in h.store.offers_for_pair(&usd, &Asset::Native) {
+            match whole.last_mut() {
+                Some((p, total)) if *p == offer.price => *total += offer.amount,
+                _ => whole.push((offer.price, offer.amount)),
+            }
+        }
+        assert!(
+            whole.len() > 20 && whole.len() < 40,
+            "{} levels",
+            whole.len()
+        );
+        let n = whole.len() as u64;
+        for cursor in std::iter::once(None).chain((0..=n + 1).map(Some)) {
+            for limit in 1..=whole.len() + 1 {
+                let page = Horizon::order_book(&h, &usd, &Asset::Native, cursor, limit).unwrap();
+                assert_eq!(
+                    page,
+                    Page::slice(whole.clone(), cursor, limit),
+                    "cursor {cursor:?} limit {limit}"
+                );
+            }
+        }
+        assert_eq!(
+            Horizon::order_book(&h, &usd, &Asset::Native, Some(u64::MAX), 3).unwrap(),
+            Page::slice(whole, Some(u64::MAX), 3)
+        );
     }
 
     #[test]

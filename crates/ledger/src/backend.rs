@@ -49,6 +49,15 @@ pub fn book_key(offer: &OfferEntry) -> BookCursor {
 }
 
 fn index_insert(book: &mut BookIndex, offer: &OfferEntry) {
+    // A pair already on the book takes the position without cloning
+    // either asset.
+    if let Some(set) = book
+        .get_mut(&offer.selling)
+        .and_then(|buys| buys.get_mut(&offer.buying))
+    {
+        set.insert(book_key(offer));
+        return;
+    }
     book.entry(offer.selling.clone())
         .or_default()
         .entry(offer.buying.clone())

@@ -15,8 +15,10 @@ use crate::asset::Asset;
 use crate::entry::{AccountId, OfferEntry};
 use crate::store::{book_key, BookCursor, LedgerDelta};
 
-/// Resting offers fetched from the book per matching round. Most orders
-/// fill within one page; deep sweeps fetch more pages as they go.
+/// The largest page of resting offers one matching round fetches.
+/// Pages start at one offer and double up to this, so a taker filled by
+/// the best maker reads one offer, and a deep sweep reads at most one
+/// page past the offer that stops it.
 const BOOK_PAGE: usize = 16;
 
 /// Outcome of crossing an incoming order against the book.
@@ -84,16 +86,19 @@ pub fn cross(
     let mut remaining_buy = caps.max_buy;
 
     // Resting offers sell `buying` and buy `selling`. Page through the
-    // book index lazily — a typical order fills within the first page, so
-    // a 10k-offer book costs the same as a 16-offer one. The cursor
-    // advances past each examined maker; consumed offers mutate only at
-    // or before the cursor, so pages never replay them.
+    // book index lazily, in pages of 1, 2, 4, … offers — a typical order
+    // fills against the first maker or two, so a 10k-offer book costs the
+    // same as a 2-offer one. The cursor advances past each examined
+    // maker; consumed offers mutate only at or before the cursor, so
+    // pages never replay them.
     let mut cursor: Option<BookCursor> = None;
-    'sweep: loop {
-        let page = delta.offers_page(buying, selling, cursor, BOOK_PAGE);
+    let mut page_size = 1;
+    'sweep: while remaining_sell > 0 && remaining_buy > 0 {
+        let page = delta.offers_page(buying, selling, cursor, page_size);
         if page.is_empty() {
             break;
         }
+        page_size = (page_size * 2).min(BOOK_PAGE);
         for maker in page {
             cursor = Some(book_key(&maker));
             if remaining_sell <= 0 || remaining_buy <= 0 {

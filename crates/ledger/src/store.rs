@@ -29,15 +29,20 @@
 //!   maps (`account → asset → entry`), not by `(AccountId, Asset)` tuples,
 //!   so point reads never clone an `Asset` or build a scratch `String`
 //!   just to form a lookup key.
-//! * **Order-book index.** Backends maintain a side index
+//! * **Order-book index per layer.** Backends maintain a side index
 //!   `selling → buying → {(price, offer id)}` kept in lockstep with the
-//!   offer map at commit time. `offers_for_pair` walks the index in order
-//!   — O(log n + k) for k results — instead of scanning and sorting every
-//!   live offer; the matching engine pages through it lazily so a deep
-//!   book costs only what it fills.
+//!   offer map at commit time, and every delta keeps the same index
+//!   ([`BookIndex`], through [`book_apply`]) over the live offers that
+//!   layer wrote. A book page is a range read of each layer's index plus
+//!   lower-layer chunks sized to the request: O(log n + k) per layer for
+//!   k positions consumed, never a scan of what the close has written.
+//!   The matching engine pages lazily, from one offer up, so a deep book
+//!   costs only what the taker fills.
 
 use crate::asset::Asset;
-use crate::backend::{LedgerBackend, LedgerRead, MemBackend, StoreIoStats};
+use crate::backend::{
+    book_apply, book_range, BookIndex, LedgerBackend, LedgerRead, MemBackend, StoreIoStats,
+};
 use crate::entry::{
     AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
 };
@@ -150,8 +155,20 @@ impl LedgerStore {
     /// first, ties by offer id (time priority). Served from the book
     /// index: O(log n + k), already in order.
     pub fn offers_for_pair(&self, selling: &Asset, buying: &Asset) -> Vec<OfferEntry> {
+        self.offers_page(selling, buying, None, usize::MAX)
+    }
+
+    /// Up to `limit` offers for a pair strictly after `after` in book
+    /// order: one index range read, then one point read per offer.
+    pub fn offers_page(
+        &self,
+        selling: &Asset,
+        buying: &Asset,
+        after: Option<BookCursor>,
+        limit: usize,
+    ) -> Vec<OfferEntry> {
         self.backend
-            .book_page(selling, buying, None, usize::MAX)
+            .book_page(selling, buying, after, limit)
             .into_iter()
             .map(|(_, id)| self.backend.offer(id).expect("indexed offer exists"))
             .collect()
@@ -270,8 +287,14 @@ pub struct DeltaChanges {
     trustlines: BTreeMap<AccountId, BTreeMap<Asset, Option<TrustLineEntry>>>,
     offers: BTreeMap<u64, Option<OfferEntry>>,
     data: BTreeMap<AccountId, BTreeMap<String, Option<DataEntry>>>,
+    /// Book positions of the live offers in `offers`, maintained by
+    /// [`book_apply`] on every offer write.
+    book: BookIndex,
     next_offer_id: u64,
 }
+
+/// The most book positions a delta asks of the layer below in one call.
+const LOWER_CHUNK: usize = 64;
 
 /// A scratch overlay over any [`LedgerRead`]: a backend or another delta.
 ///
@@ -327,10 +350,12 @@ impl LedgerRead for LedgerDelta<'_> {
         }
     }
 
-    /// The one overlay-over-lower-layer book merge. The lower layer pages
-    /// in bounded chunks (so a disk backend, or a deeper delta, produces
-    /// only what the merge consumes), this layer contributes the offers
-    /// it wrote, and both sides order by [`book_key`] so the merged order
+    /// The one overlay-over-lower-layer book merge. This layer's side is
+    /// a range read of its own book index; the lower layer pages in
+    /// chunks that start at the request's size and double up to
+    /// `LOWER_CHUNK`, so a short page reads a short prefix below and a
+    /// run of k positions this layer shadows is skipped in O(log k)
+    /// calls. Both sides order by [`book_key`], so the merged order
     /// cannot diverge from the backend's index.
     fn book_page(
         &self,
@@ -339,34 +364,29 @@ impl LedgerRead for LedgerDelta<'_> {
         after: Option<BookCursor>,
         limit: usize,
     ) -> Vec<BookCursor> {
-        const CHUNK: usize = 64;
         let offers = &self.changes.offers;
-        let mut overlay: Vec<BookCursor> = offers
-            .values()
-            .filter_map(Option::as_ref)
-            .filter(|o| &o.selling == selling && &o.buying == buying)
-            .map(book_key)
-            .filter(|k| after.is_none_or(|cursor| *k > cursor))
-            .collect();
-        overlay.sort_unstable();
-        let mut overlay = overlay.into_iter().peekable();
-
+        if offers.is_empty() {
+            return self.base.book_page(selling, buying, after, limit);
+        }
+        let mut overlay = book_range(&self.changes.book, selling, buying, after, limit)
+            .into_iter()
+            .peekable();
         let mut lower: VecDeque<BookCursor> = VecDeque::new();
         let mut lower_cursor = after;
         let mut lower_done = false;
+        let mut want = limit.clamp(1, LOWER_CHUNK);
         let mut out = Vec::new();
         while out.len() < limit {
             // Refill from below, skipping ids this layer has a slot for
             // (updated, deleted, or merely re-written): it owns those.
             while lower.is_empty() && !lower_done {
-                let chunk = self.base.book_page(selling, buying, lower_cursor, CHUNK);
-                if chunk.len() < CHUNK {
-                    lower_done = true;
-                }
+                let chunk = self.base.book_page(selling, buying, lower_cursor, want);
+                lower_done = chunk.len() < want;
                 if let Some(&last) = chunk.last() {
                     lower_cursor = Some(last);
                 }
                 lower.extend(chunk.into_iter().filter(|(_, id)| !offers.contains_key(id)));
+                want = (want * 2).min(LOWER_CHUNK);
             }
             let next = match (lower.front().copied(), overlay.peek().copied()) {
                 (None, None) => break,
@@ -426,12 +446,18 @@ impl LedgerDelta<'_> {
 
     /// Writes an offer.
     pub fn put_offer(&mut self, offer: OfferEntry) {
-        self.changes.offers.insert(offer.id, Some(offer));
+        let own = &mut self.changes;
+        let prev = own.offers.get(&offer.id).and_then(Option::as_ref);
+        book_apply(&mut own.book, prev, Some(&offer));
+        own.offers.insert(offer.id, Some(offer));
     }
 
     /// Deletes an offer.
     pub fn delete_offer(&mut self, id: u64) {
-        self.changes.offers.insert(id, None);
+        let own = &mut self.changes;
+        if let Some(Some(prev)) = own.offers.insert(id, None) {
+            book_apply(&mut own.book, Some(&prev), None);
+        }
     }
 
     /// Allocates a fresh ledger-unique offer id.
@@ -498,7 +524,11 @@ impl LedgerDelta<'_> {
         for (id, by_asset) in child.trustlines {
             own.trustlines.entry(id).or_default().extend(by_asset);
         }
-        own.offers.extend(child.offers);
+        for (id, slot) in child.offers {
+            let prev = own.offers.get(&id).and_then(Option::as_ref);
+            book_apply(&mut own.book, prev, slot.as_ref());
+            own.offers.insert(id, slot);
+        }
         for (id, by_name) in child.data {
             own.data.entry(id).or_default().extend(by_name);
         }
@@ -683,6 +713,86 @@ mod tests {
         let cursor = book_key(page1.last().unwrap());
         let page2 = delta.offers_page(&Asset::Native, &usd, Some(cursor), 2);
         assert_eq!(page2.iter().map(|o| o.id).collect::<Vec<_>>(), vec![2]);
+    }
+
+    /// Counts the `book_page` calls and positions a delta asks of the
+    /// layer below it.
+    struct Counting<'a> {
+        inner: &'a dyn LedgerRead,
+        calls: std::cell::Cell<usize>,
+        positions: std::cell::Cell<usize>,
+    }
+
+    impl LedgerRead for Counting<'_> {
+        fn account(&self, id: AccountId) -> Option<AccountEntry> {
+            self.inner.account(id)
+        }
+        fn trustline(&self, id: AccountId, asset: &Asset) -> Option<TrustLineEntry> {
+            self.inner.trustline(id, asset)
+        }
+        fn offer(&self, id: u64) -> Option<OfferEntry> {
+            self.inner.offer(id)
+        }
+        fn data(&self, id: AccountId, name: &str) -> Option<DataEntry> {
+            self.inner.data(id, name)
+        }
+        fn book_page(
+            &self,
+            selling: &Asset,
+            buying: &Asset,
+            after: Option<BookCursor>,
+            limit: usize,
+        ) -> Vec<BookCursor> {
+            let page = self.inner.book_page(selling, buying, after, limit);
+            self.calls.set(self.calls.get() + 1);
+            self.positions.set(self.positions.get() + page.len());
+            page
+        }
+    }
+
+    /// A page reads below only what the merge consumes: a short page a
+    /// short prefix, and a run of k positions this layer shadows in
+    /// O(log k) calls (a fixed 64-position chunk read 64 for a limit-1
+    /// page).
+    #[test]
+    fn lower_layer_reads_are_sized_to_the_request() {
+        let usd = Asset::issued(acct(9), "USD");
+        let mut store = LedgerStore::new();
+        let mut d = store.begin();
+        for id in 1..=200 {
+            d.put_offer(offer(id, 1 + (id % 7) as u32, &usd));
+        }
+        store.commit(d.into_changes());
+        let lower = Counting {
+            inner: store.backend.as_ref(),
+            calls: Default::default(),
+            positions: Default::default(),
+        };
+        let book: Vec<BookCursor> = lower.book_page(&Asset::Native, &usd, None, usize::MAX);
+        lower.calls.set(0);
+        lower.positions.set(0);
+
+        // An upper layer with a write elsewhere still reads one position
+        // for a limit-1 page.
+        let mut upper = LedgerDelta::over(&lower, store.next_offer_id());
+        upper.put_offer(OfferEntry {
+            buying: Asset::issued(acct(9), "EUR"),
+            ..offer(500, 1, &usd)
+        });
+        assert_eq!(upper.book_page(&Asset::Native, &usd, None, 1), book[..1]);
+        assert_eq!((lower.calls.get(), lower.positions.get()), (1, 1));
+
+        // Delete the best 100 positions: the next page skips them in at
+        // most ceil(log2 100) + 2 calls and returns the 101st.
+        for &(_, id) in &book[..100] {
+            upper.delete_offer(id);
+        }
+        lower.calls.set(0);
+        assert_eq!(
+            upper.book_page(&Asset::Native, &usd, None, 1),
+            book[100..101]
+        );
+        assert!(lower.calls.get() <= 7 + 2, "{} calls", lower.calls.get());
     }
 
     #[test]

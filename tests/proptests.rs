@@ -1072,6 +1072,23 @@ mod layered_delta {
                         delete(delta, flat, LedgerKey::Offer(o.id));
                     }
                 }
+                // Delete, or reprice to n/d, a run of up to 16·n
+                // consecutive positions of the deep pair's book: runs
+                // longer than the lower layer's largest chunk.
+                17 | 18 => {
+                    let (s, b) = pairs()[0].clone();
+                    let book = flat.book(base, &s, &b);
+                    let start = pick as usize % book.len().max(1);
+                    for mut o in book.into_iter().skip(start).take(16 * n as usize) {
+                        if kind == 17 {
+                            delete(delta, flat, LedgerKey::Offer(o.id));
+                        } else {
+                            o.price = Price::new(n, d);
+                            cursors.insert(book_key(&o));
+                            put(delta, flat, LedgerEntry::Offer(o));
+                        }
+                    }
+                }
                 13 | 14 if depth < 3 => {
                     let mut child_flat = flat.clone();
                     let mut child = delta.fork();
@@ -1104,7 +1121,9 @@ mod layered_delta {
         true
     }
 
-    fn genesis() -> Vec<LedgerEntry> {
+    /// The seeded store, with `deep` more offers on the first pair at
+    /// prices that repeat and sit Ord-equal (1/1 and 2/2, 3/2 and 6/4).
+    fn genesis(deep: u64) -> Vec<LedgerEntry> {
         let [_, usd, _] = assets();
         let mut entries = vec![
             LedgerEntry::Account(AccountEntry::new(id(0), 100)),
@@ -1135,22 +1154,38 @@ mod layered_delta {
                 }));
             }
         }
+        let (selling, buying) = pairs()[0].clone();
+        let prices = [(1, 1), (2, 2), (3, 2), (6, 4), (2, 1)];
+        for k in 0..deep {
+            let (n, d) = prices[k as usize % prices.len()];
+            entries.push(LedgerEntry::Offer(OfferEntry {
+                id: 10 + k,
+                account: id(1),
+                selling: selling.clone(),
+                buying: buying.clone(),
+                amount: 10,
+                price: Price::new(n, d),
+                passive: false,
+            }));
+        }
         entries
     }
 
     proptest! {
         /// Random put/delete/fork/absorb/discard sequences, forks nested
-        /// to depth 3, over a seeded store on the backend CI selects:
+        /// to depth 3, over a seeded store (one pair's book deeper than a
+        /// delta's largest lower-layer chunk) on the backend CI selects:
         /// after every step every live layer reads exactly what the flat
         /// clone-per-fork model reads, and each committed round leaves
         /// the store holding exactly the model's entries.
         #[test]
         fn layered_delta_matches_flat_clone_model(
-            ops in proptest::collection::vec((0u8..17, any::<u64>(), 1u32..6, 1u32..6), 1..48),
+            deep in 65u64..100,
+            ops in proptest::collection::vec((0u8..19, any::<u64>(), 1u32..6, 1u32..6), 1..48),
         ) {
             let cfg = DiskConfig { cache_capacity: 8, ..DiskConfig::default() };
-            let mut store = open(&LedgerStore::from_entries(genesis()), BackendKind::from_env(), &cfg);
-            let mut base: Base = genesis().into_iter().map(|e| (e.key(), e)).collect();
+            let mut store = open(&LedgerStore::from_entries(genesis(deep)), BackendKind::from_env(), &cfg);
+            let mut base: Base = genesis(deep).into_iter().map(|e| (e.key(), e)).collect();
             let mut cursors: BTreeSet<BookCursor> = base
                 .values()
                 .filter_map(|e| match e {
