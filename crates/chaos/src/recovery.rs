@@ -175,7 +175,6 @@ pub fn restart_storm_on(
         adversaries: Vec::new(),
         schedule,
         liveness_bound_ms: 60_000,
-        monitor_interval_ms: 250,
         record_trace: false,
     })
     .run()
@@ -214,7 +213,6 @@ pub fn disk_fault_storm(seed: u64, n_restarts: usize, target_ledgers: u64) -> Ch
         adversaries: Vec::new(),
         schedule: b.build(),
         liveness_bound_ms: 60_000,
-        monitor_interval_ms: 250,
         record_trace: false,
     })
     .run()

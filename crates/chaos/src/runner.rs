@@ -22,6 +22,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use stellar_scp::NodeId;
 use stellar_sim::{events::TraceEntry, node::validator_keys, HealthAlert, SimConfig, Simulation};
 
+/// Minimum simulated time between monitor sweeps (ms).
+const MONITOR_INTERVAL_MS: u64 = 250;
+
 /// Configuration of a chaos experiment.
 pub struct ChaosConfig {
     /// The underlying network/run parameters.
@@ -33,8 +36,6 @@ pub struct ChaosConfig {
     /// Longest a connected intact quorum may go without closing a
     /// ledger before the monitor reports a stall; 0 disables.
     pub liveness_bound_ms: u64,
-    /// Minimum simulated time between monitor sweeps.
-    pub monitor_interval_ms: u64,
     /// Record the full event trace (costs memory; on for replays).
     pub record_trace: bool,
 }
@@ -46,7 +47,6 @@ impl Default for ChaosConfig {
             // 10 ledger intervals of silence from a connected intact
             // quorum is a stall by any reading of §7's pacing.
             liveness_bound_ms: 10 * sim.ledger_interval_ms,
-            monitor_interval_ms: 250,
             record_trace: true,
             adversaries: Vec::new(),
             schedule: FaultSchedule::empty(),
@@ -115,7 +115,6 @@ pub struct ChaosRun {
     adversaries: Vec<Adversary>,
     monitor: InvariantMonitor,
     last_monitor_ms: u64,
-    monitor_interval_ms: u64,
     target_seq: u64,
 }
 
@@ -178,7 +177,6 @@ impl ChaosRun {
             adversaries,
             monitor: InvariantMonitor::new(byzantine, cfg.liveness_bound_ms),
             last_monitor_ms: 0,
-            monitor_interval_ms: cfg.monitor_interval_ms.max(1),
             target_seq,
         }
     }
@@ -302,7 +300,7 @@ impl ChaosRun {
         }
         self.adversary_turns();
         let now = self.sim.now_ms();
-        if now >= self.last_monitor_ms + self.monitor_interval_ms {
+        if now >= self.last_monitor_ms + MONITOR_INTERVAL_MS {
             self.last_monitor_ms = now;
             self.monitor.on_tick(&self.sim);
         }

@@ -8,6 +8,7 @@
 //! externalizes.
 
 use crate::queue::TxQueue;
+use crate::record::{counter_name, SlotRecord, Traced};
 use crate::upgrade::{UpgradePolicy, UpgradeVerdict};
 use crate::value::StellarValue;
 use std::collections::btree_map::Entry;
@@ -26,9 +27,9 @@ use stellar_ledger::tx::{TransactionEnvelope, TxResult};
 use stellar_ledger::txset::TransactionSet;
 use stellar_ledger::StoreIoStats;
 use stellar_persist::DurableStore;
-use stellar_scp::driver::{Driver, Rejection, ScpEvent, TimerKind, Validity};
+use stellar_scp::driver::{Driver, ScpEvent, TimerKind, Validity};
 use stellar_scp::{Envelope, NodeId, SlotIndex, Value};
-use stellar_telemetry::{NodeTelemetry, SpanPhase, TraceKind};
+use stellar_telemetry::{NodeTelemetry, SpanPhase};
 
 /// Durable-store key prefix of the SCP write-ahead records: per slot, the
 /// latest NOMINATE and the latest ballot [`Envelope`] this node sent,
@@ -127,17 +128,6 @@ fn envelope_out_key(class: &str) -> &'static str {
     }
 }
 
-/// Static metric key for an inbound envelope of a statement class.
-fn envelope_in_key(class: &str) -> &'static str {
-    match class {
-        "nominate" => "scp.envelope_in.nominate",
-        "prepare" => "scp.envelope_in.prepare",
-        "confirm" => "scp.envelope_in.confirm",
-        "externalize" => "scp.envelope_in.externalize",
-        _ => "scp.envelope_in.other",
-    }
-}
-
 /// The transaction sets the values of `env` name; a value repeated in the
 /// next field (a vote also accepted) is decoded once.
 pub fn named_tx_sets(env: &Envelope) -> impl Iterator<Item = Hash256> + '_ {
@@ -145,14 +135,6 @@ pub fn named_tx_sets(env: &Envelope) -> impl Iterator<Item = Hash256> + '_ {
     let values = env.statement.kind.values();
     let fresh = values.filter(move |v| last.replace(*v) != Some(*v));
     fresh.filter_map(|v| StellarValue::from_scp(v).map(|sv| sv.tx_set_hash))
-}
-
-/// Trace label for a timer kind.
-fn timer_name(kind: TimerKind) -> &'static str {
-    match kind {
-        TimerKind::Nomination => "nomination",
-        TimerKind::Ballot => "ballot",
-    }
 }
 
 /// Application state + buffered driver outputs for one validator.
@@ -196,9 +178,11 @@ pub struct Herder {
     pub max_time_slip: u64,
     /// Resolves peers' signature keys.
     pub key_registry: BTreeMap<NodeId, PublicKey>,
-    /// This node's observability bundle: metrics registry + flight
-    /// recorder, updated on the hot path by every driver hook.
-    pub telemetry: NodeTelemetry,
+    /// This node's observability bundle: metrics registry, flight
+    /// recorder and span buffer. Every event SCP reports bumps the
+    /// counter named after it and is flight-recorded as it came, beside
+    /// the envelopes, timers and closes of the driver's own calls.
+    pub telemetry: NodeTelemetry<Traced>,
     /// This node's simulated disk: our own SCP envelopes are written here
     /// write-ahead of their release, and the latest closed ledger at
     /// every close, so a crash-restarted node recovers without amnesia
@@ -229,8 +213,12 @@ pub struct Herder {
     pub outbox: Vec<Envelope>,
     /// Timer arms requested: (slot, kind, deadline in ms).
     pub timer_requests: Vec<(SlotIndex, TimerKind, u64)>,
-    /// Protocol events (metrics), every kind but `EnvelopeProcessed`.
-    pub events: Vec<(u64, ScpEvent)>,
+    /// What consensus did per slot since this process booted: when
+    /// nomination, the current round and the first ballot started, when
+    /// and to what the slot externalized, and its timeouts. The
+    /// per-ledger metrics, the `scp.nomination_round_ms` histogram and
+    /// the simulator's externalizations read it.
+    pub slot_records: BTreeMap<SlotIndex, SlotRecord>,
     /// Ledger close statistics, most recent last.
     pub close_stats: Vec<CloseStats>,
     /// Decided slots not yet closed, with the value SCP externalized for
@@ -298,7 +286,7 @@ impl Herder {
             armed: BTreeMap::new(),
             outbox: Vec::new(),
             timer_requests: Vec::new(),
-            events: Vec::new(),
+            slot_records: BTreeMap::new(),
             close_stats: Vec::new(),
             decided: BTreeMap::new(),
         }
@@ -592,13 +580,9 @@ impl Herder {
         self.telemetry
             .registry
             .observe("ledger.ops_per_ledger", set.op_count() as u64);
-        self.telemetry.trace(
-            self.clock_ms,
-            slot,
-            TraceKind::LedgerClosed {
-                tx_count: set.txs.len() as u32,
-            },
-        );
+        let tx_count = set.txs.len() as u32;
+        self.telemetry
+            .trace(self.clock_ms, slot, Traced::LedgerClosed(tx_count));
         // Data disk first, then the write-ahead LCL record: the LCL
         // never vouches for state the data disk has not made durable.
         self.flush_store();
@@ -848,32 +832,26 @@ impl Driver for Herder {
     fn emit_envelope(&mut self, envelope: &Envelope) {
         let class = envelope.statement.kind.class_name();
         self.telemetry.registry.inc(envelope_out_key(class));
-        self.telemetry.trace(
-            self.clock_ms,
-            envelope.statement.slot,
-            TraceKind::EnvelopeSent { statement: class },
-        );
+        let slot = envelope.statement.slot;
+        self.telemetry
+            .trace(self.clock_ms, slot, Traced::EnvelopeSent(class));
         self.outbox.push(envelope.clone());
     }
 
     fn set_timer(&mut self, slot: SlotIndex, kind: TimerKind, delay: Option<Duration>) {
-        let timer = timer_name(kind);
         match delay {
             Some(d) => {
                 let delay_ms = d.as_millis() as u64;
                 self.telemetry.registry.inc("scp.timer_arms");
-                self.telemetry.trace(
-                    self.clock_ms,
-                    slot,
-                    TraceKind::TimerArmed { timer, delay_ms },
-                );
+                self.telemetry
+                    .trace(self.clock_ms, slot, Traced::TimerArmed(kind, delay_ms));
                 let deadline = self.clock_ms + delay_ms;
                 self.armed.insert((slot, kind), deadline);
                 self.timer_requests.push((slot, kind, deadline));
             }
             None => {
                 self.telemetry
-                    .trace(self.clock_ms, slot, TraceKind::TimerCanceled { timer });
+                    .trace(self.clock_ms, slot, Traced::TimerCanceled(kind));
                 self.armed.remove(&(slot, kind));
             }
         }
@@ -891,103 +869,20 @@ impl Driver for Herder {
 
     fn on_event(&mut self, event: ScpEvent) {
         let t = self.clock_ms;
-        match &event {
-            ScpEvent::NominationStarted { slot } => {
-                self.telemetry.registry.inc("scp.nomination_started");
-                self.telemetry.trace(
-                    t,
-                    *slot,
-                    TraceKind::Phase {
-                        phase: "nomination",
-                    },
-                );
-            }
-            ScpEvent::NominationRoundStarted { slot, round } => {
-                self.telemetry.nomination_round(t, *slot, *round);
-            }
-            ScpEvent::NewCandidate { slot, .. } => {
-                self.telemetry.registry.inc("scp.candidates");
-                self.telemetry
-                    .trace(t, *slot, TraceKind::Phase { phase: "candidate" });
-            }
-            ScpEvent::BallotBumped { slot, counter } => {
-                self.telemetry.registry.inc("scp.ballot_bumps");
-                self.telemetry
-                    .trace(t, *slot, TraceKind::BallotBump { counter: *counter });
-            }
-            ScpEvent::AcceptedPrepared { slot, counter } => {
-                self.telemetry.registry.inc("scp.accepted_prepared");
-                self.telemetry.trace(
-                    t,
-                    *slot,
-                    TraceKind::QuorumThreshold {
-                        milestone: "accept-prepare",
-                        counter: *counter,
-                    },
-                );
-            }
-            ScpEvent::ConfirmedPrepared { slot, counter } => {
-                self.telemetry.registry.inc("scp.confirmed_prepared");
-                self.telemetry.trace(
-                    t,
-                    *slot,
-                    TraceKind::QuorumThreshold {
-                        milestone: "confirm-prepare",
-                        counter: *counter,
-                    },
-                );
-            }
-            ScpEvent::AcceptedCommit { slot, counter } => {
-                self.telemetry.registry.inc("scp.accepted_commit");
-                self.telemetry.trace(
-                    t,
-                    *slot,
-                    TraceKind::QuorumThreshold {
-                        milestone: "accept-commit",
-                        counter: *counter,
-                    },
-                );
-            }
-            ScpEvent::TimeoutFired { slot, kind } => {
-                self.telemetry.registry.inc(match kind {
-                    TimerKind::Nomination => "scp.timeout.nomination",
-                    TimerKind::Ballot => "scp.timeout.ballot",
-                });
-                self.telemetry.trace(
-                    t,
-                    *slot,
-                    TraceKind::TimerFired {
-                        timer: timer_name(*kind),
-                    },
-                );
-            }
-            ScpEvent::Externalized { slot, .. } => {
-                self.telemetry.slot_externalized(t, *slot);
-            }
-            ScpEvent::EnvelopeRejected { reason, .. } => {
-                self.telemetry.registry.inc(match reason {
-                    Rejection::BadSignature => "scp.bad_signatures",
-                    Rejection::MalformedQset => "scp.malformed_qsets",
-                    Rejection::Insane => "scp.insane_statements",
-                });
-                return;
-            }
-            ScpEvent::EnvelopeProcessed { slot, from, kind } => {
-                self.telemetry.registry.inc(envelope_in_key(kind));
-                self.telemetry.trace(
-                    t,
-                    *slot,
-                    TraceKind::EnvelopeReceived {
-                        statement: kind,
-                        from: from.0,
-                    },
-                );
-                // Counted and flight-recorded, not retained: one per
-                // received envelope would be nearly all of the log.
-                return;
+        self.telemetry.registry.inc(counter_name(&event));
+        // A rejected envelope reached no slot: it is only counted.
+        let Some(slot) = event.slot() else {
+            return;
+        };
+        // One per fresh envelope: counted and recorded, nothing more.
+        if !matches!(event, ScpEvent::EnvelopeProcessed { .. }) {
+            let record = self.slot_records.entry(slot).or_default();
+            if let Some(round_ms) = record.note(t, &event) {
+                let registry = &mut self.telemetry.registry;
+                registry.observe("scp.nomination_round_ms", round_ms);
             }
         }
-        self.events.push((self.clock_ms, event));
+        self.telemetry.trace(t, slot, Traced::Scp(event));
     }
 
     fn ballot_timeout(&self, counter: u32) -> Duration {
@@ -1364,6 +1259,39 @@ mod tests {
         for (name, delta) in wal_counters.into_iter().chain(disk_counters) {
             assert_eq!(reg.counter(name), delta, "{name}");
         }
+    }
+
+    #[test]
+    fn nomination_rounds_are_timed_until_the_decision() {
+        let mut h = herder();
+        let value = Value::new(b"x".to_vec());
+        let events = [
+            (1000, ScpEvent::NominationRoundStarted { slot: 2, round: 1 }),
+            // Round 1 lasted 1000 ms.
+            (2000, ScpEvent::NominationRoundStarted { slot: 2, round: 2 }),
+            // Round 2 lasted 400 ms.
+            (
+                2400,
+                ScpEvent::Externalized {
+                    slot: 2,
+                    value: value.clone(),
+                },
+            ),
+        ];
+        for (t, event) in events {
+            h.clock_ms = t;
+            h.on_event(event);
+        }
+        let reg = &h.telemetry.registry;
+        let rounds = reg.histogram("scp.nomination_round_ms").unwrap();
+        assert_eq!((rounds.count(), rounds.max(), rounds.min()), (2, 1000, 400));
+        assert_eq!(reg.counter("scp.nomination_rounds"), 2);
+        assert_eq!(reg.counter("scp.externalized"), 1);
+        assert_eq!(h.slot_records[&2].externalized, Some((2400, value)));
+        assert_eq!(h.slot_records[&2].round_started_ms, None);
+        // Events carry the node tag.
+        assert_eq!(h.telemetry.recorder.len(), 3);
+        assert!(h.telemetry.recorder.events().all(|e| e.node == h.node_id.0));
     }
 
     #[test]

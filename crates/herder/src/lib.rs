@@ -17,19 +17,24 @@
 //!
 //! [`validator::Validator`] packages an
 //! [`stellar_scp::ScpNode`] with a [`herder::Herder`]
-//! into the complete node the overlay and simulator drive.
+//! into the complete node the overlay and simulator drive. [`record`]
+//! holds what a validator keeps of its own consensus, read off SCP's
+//! events: the counter each bumps, the flight-recorder payload and the
+//! per-slot measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod herder;
 pub mod queue;
+pub mod record;
 pub mod upgrade;
 pub mod validator;
 pub mod value;
 
 pub use herder::{CloseEvent, Herder};
 pub use queue::TxQueue;
+pub use record::{SlotRecord, Traced};
 pub use upgrade::{Upgrade, UpgradePolicy};
 pub use validator::Validator;
 pub use value::StellarValue;

@@ -493,7 +493,9 @@ mod tests {
                 .registry
                 .counter("scp.timeout.nomination");
             let own = v.scp.slot(slot).map(|s| s.own_statements(v.id()));
-            (v.herder.armed.clone(), v.herder.events.len(), timeouts, own)
+            let records = v.herder.slot_records.clone();
+            let registry = v.herder.telemetry.registry.snapshot();
+            (v.herder.armed.clone(), records, registry, timeouts, own)
         };
         let ignored = |v: &mut Validator, kind, deadline| {
             let before = state(v);

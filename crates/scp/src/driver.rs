@@ -72,6 +72,25 @@ pub enum ScpEvent {
     Externalized { slot: SlotIndex, value: Value },
 }
 
+impl ScpEvent {
+    /// The slot the event belongs to; a rejected envelope reached none.
+    pub fn slot(&self) -> Option<SlotIndex> {
+        match self {
+            ScpEvent::EnvelopeRejected { .. } => None,
+            ScpEvent::NominationStarted { slot }
+            | ScpEvent::NominationRoundStarted { slot, .. }
+            | ScpEvent::EnvelopeProcessed { slot, .. }
+            | ScpEvent::NewCandidate { slot, .. }
+            | ScpEvent::BallotBumped { slot, .. }
+            | ScpEvent::AcceptedPrepared { slot, .. }
+            | ScpEvent::ConfirmedPrepared { slot, .. }
+            | ScpEvent::AcceptedCommit { slot, .. }
+            | ScpEvent::TimeoutFired { slot, .. }
+            | ScpEvent::Externalized { slot, .. } => Some(*slot),
+        }
+    }
+}
+
 /// Why a peer envelope was dropped before reaching any slot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rejection {

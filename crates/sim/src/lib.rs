@@ -55,4 +55,4 @@ pub use metrics::{percentile, SimReport};
 pub use scenario::Scenario;
 pub use simulation::{SimConfig, Simulation};
 pub use tracing::{build_tx_traces, phase_stats, render_causal_trace, PhaseStats, TxTrace};
-pub use watchdog::{HealthAlert, HealthWatchdog, WatchdogConfig};
+pub use watchdog::{HealthAlert, HealthWatchdog};

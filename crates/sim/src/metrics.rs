@@ -11,8 +11,8 @@ use crate::tracing::{build_tx_traces, trace_summary_json, TxTrace};
 use crate::watchdog::HealthAlert;
 use std::collections::BTreeMap;
 use stellar_herder::herder::CloseStats;
+use stellar_herder::SlotRecord;
 use stellar_overlay::TrafficStats;
-use stellar_scp::driver::{ScpEvent, TimerKind};
 use stellar_scp::{NodeId, SlotIndex};
 use stellar_telemetry::Json;
 
@@ -268,60 +268,18 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// Builds per-ledger metrics from an observer's SCP event log and close
-/// statistics.
+/// Builds per-ledger metrics from an observer's slot records and close
+/// statistics: one row per slot that nominated, balloted and decided.
 pub fn build_ledger_metrics(
-    events: &[(u64, ScpEvent)],
+    records: &BTreeMap<SlotIndex, SlotRecord>,
     close_stats: &[CloseStats],
 ) -> Vec<LedgerMetrics> {
-    #[derive(Default)]
-    struct SlotTimes {
-        nomination_started: Option<u64>,
-        first_prepare: Option<u64>,
-        externalized: Option<u64>,
-        nom_timeouts: u64,
-        ballot_timeouts: u64,
-    }
-    let mut slots: BTreeMap<SlotIndex, SlotTimes> = BTreeMap::new();
-    for (t, ev) in events {
-        match ev {
-            ScpEvent::NominationStarted { slot } => {
-                slots
-                    .entry(*slot)
-                    .or_default()
-                    .nomination_started
-                    .get_or_insert(*t);
-            }
-            ScpEvent::BallotBumped { slot, .. } => {
-                slots
-                    .entry(*slot)
-                    .or_default()
-                    .first_prepare
-                    .get_or_insert(*t);
-            }
-            ScpEvent::Externalized { slot, .. } => {
-                slots
-                    .entry(*slot)
-                    .or_default()
-                    .externalized
-                    .get_or_insert(*t);
-            }
-            ScpEvent::TimeoutFired { slot, kind } => {
-                let s = slots.entry(*slot).or_default();
-                match kind {
-                    TimerKind::Nomination => s.nom_timeouts += 1,
-                    TimerKind::Ballot => s.ballot_timeouts += 1,
-                }
-            }
-            _ => {}
-        }
-    }
     let closes: BTreeMap<u64, &CloseStats> =
         close_stats.iter().map(|c| (c.ledger_seq, c)).collect();
     let mut out = Vec::new();
-    for (slot, st) in slots {
-        let (Some(n0), Some(p0), Some(e0)) =
-            (st.nomination_started, st.first_prepare, st.externalized)
+    for (&slot, r) in records {
+        let (Some(n0), Some(p0), Some((e0, _))) =
+            (r.nomination_started_ms, r.first_ballot_ms, &r.externalized)
         else {
             continue;
         };
@@ -333,9 +291,9 @@ pub fn build_ledger_metrics(
             ledger_update_ms: close.map_or(0.0, |c| c.apply_time.as_secs_f64() * 1000.0),
             tx_count: close.map_or(0, |c| c.tx_count),
             op_count: close.map_or(0, |c| c.op_count),
-            nomination_timeouts: st.nom_timeouts,
-            ballot_timeouts: st.ballot_timeouts,
-            externalized_at_ms: e0,
+            nomination_timeouts: r.nomination_timeouts,
+            ballot_timeouts: r.ballot_timeouts,
+            externalized_at_ms: *e0,
         });
     }
     out
@@ -346,7 +304,7 @@ impl Simulation {
     pub(crate) fn report(&self) -> SimReport {
         let observer = self.validator(self.observer);
         let mut ledgers =
-            build_ledger_metrics(&observer.herder.events, &observer.herder.close_stats);
+            build_ledger_metrics(&observer.herder.slot_records, &observer.herder.close_stats);
         // Drop ledgers beyond the target (stragglers of shutdown).
         ledgers.retain(|l| l.slot <= 1 + self.cfg.target_ledgers);
         let tx_traces = build_tx_traces(&self.span_events());
@@ -419,7 +377,18 @@ impl Simulation {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use stellar_scp::driver::{ScpEvent, TimerKind};
     use stellar_scp::Value;
+
+    /// The slot records a herder keeps of `events`.
+    fn records(events: &[(u64, ScpEvent)]) -> BTreeMap<SlotIndex, SlotRecord> {
+        let mut records = BTreeMap::<SlotIndex, SlotRecord>::new();
+        for (t, event) in events {
+            let slot = event.slot().expect("a slot event");
+            records.entry(slot).or_default().note(*t, event);
+        }
+        records
+    }
 
     #[test]
     fn percentile_nearest_rank() {
@@ -461,7 +430,7 @@ mod tests {
             failed_tx_count: 0,
             header_hash: stellar_crypto::Hash256::ZERO,
         }];
-        let m = build_ledger_metrics(&events, &close);
+        let m = build_ledger_metrics(&records(&events), &close);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].nomination_ms, 80);
         assert_eq!(m[0].balloting_ms, 120);
@@ -473,7 +442,7 @@ mod tests {
     #[test]
     fn incomplete_slots_skipped() {
         let events = vec![(1000, ScpEvent::NominationStarted { slot: 2 })];
-        assert!(build_ledger_metrics(&events, &[]).is_empty());
+        assert!(build_ledger_metrics(&records(&events), &[]).is_empty());
     }
 
     #[test]
@@ -665,7 +634,7 @@ mod tests {
             (1000, ScpEvent::NominationStarted { slot: 2 }),
             (1200, ScpEvent::Externalized { slot: 2, value: v }),
         ];
-        let m = build_ledger_metrics(&events, &[]);
+        let m = build_ledger_metrics(&records(&events), &[]);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].nomination_ms, 0, "negative span saturates");
         assert_eq!(m[0].balloting_ms, 300);
@@ -693,7 +662,7 @@ mod tests {
             // A replayed copy (e.g. from a reconnect state exchange).
             (4000, ScpEvent::Externalized { slot: 2, value: v }),
         ];
-        let m = build_ledger_metrics(&events, &[]);
+        let m = build_ledger_metrics(&records(&events), &[]);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].externalized_at_ms, 1200, "first externalize wins");
         assert_eq!(m[0].balloting_ms, 150);
@@ -713,7 +682,7 @@ mod tests {
             ),
             (1200, ScpEvent::Externalized { slot: 2, value: v }),
         ];
-        let m = build_ledger_metrics(&events, &[]);
+        let m = build_ledger_metrics(&records(&events), &[]);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].tx_count, 0);
         assert_eq!(m[0].op_count, 0);
@@ -744,7 +713,7 @@ mod tests {
                 },
             ),
         ];
-        let m = build_ledger_metrics(&events, &[]);
+        let m = build_ledger_metrics(&records(&events), &[]);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].ballot_timeouts, 1);
         assert_eq!(m[0].externalized_at_ms, 1200);

@@ -61,13 +61,14 @@ use stellar_crypto::sign::{KeyPair, PublicKey};
 use stellar_crypto::Hash256;
 use stellar_herder::herder::{named_tx_sets, LclRecord, LCL_KEY};
 use stellar_herder::validator::{Outputs, Validator};
+use stellar_herder::SlotRecord;
 use stellar_horizon::{AdmissionConfig, HorizonPipeline};
 use stellar_ledger::header::LedgerHeader;
 use stellar_ledger::store::LedgerStore;
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_overlay::{Actions, FloodEngine, FloodMessage};
 use stellar_persist::DurableStore;
-use stellar_scp::driver::{ScpEvent, TimerKind};
+use stellar_scp::driver::TimerKind;
 use stellar_scp::{NodeId, QuorumSet, SlotIndex, Value};
 use stellar_telemetry::{Registry, SpanPhase, TraceStore};
 
@@ -878,17 +879,17 @@ impl Simulation {
             .collect()
     }
 
-    /// Everything `id` has externalized so far, as `(slot, value)` pairs.
+    /// Everything `id` has externalized since it booted, as `(slot,
+    /// value)` pairs in slot order.
     pub fn externalizations(&self, id: NodeId) -> Vec<(SlotIndex, Value)> {
-        let events = self
+        let records = self
             .find_validator(id)
             .into_iter()
-            .flat_map(|v| &v.herder.events);
-        let externalized = |(_, e): &(u64, ScpEvent)| match e {
-            ScpEvent::Externalized { slot, value } => Some((*slot, value.clone())),
-            _ => None,
+            .flat_map(|v| &v.herder.slot_records);
+        let decided = |(slot, r): (&SlotIndex, &SlotRecord)| {
+            r.externalized.as_ref().map(|(_, v)| (*slot, v.clone()))
         };
-        events.filter_map(externalized).collect()
+        records.filter_map(decided).collect()
     }
 
     /// Ledger header hashes `id` has committed, as `(seq, hash)` pairs.

@@ -16,7 +16,7 @@ use crate::loadgen::{genesis_store, LoadGen};
 use crate::metrics::TriggerTimes;
 use crate::node::{Effect, Genesis, Node, NodeActions};
 use crate::scenario::Scenario;
-use crate::watchdog::{HealthWatchdog, WatchdogConfig};
+use crate::watchdog::HealthWatchdog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -221,7 +221,7 @@ impl Simulation {
             restarts: 0,
             recovery_replayed: 0,
             recovery_us: 0,
-            watchdog: HealthWatchdog::new(WatchdogConfig::default()),
+            watchdog: HealthWatchdog::new(),
             watchdog_next_ms: 0,
             triggers: TriggerTimes::default(),
             cfg,
@@ -630,7 +630,9 @@ mod tests {
     use super::*;
     use crate::watchdog::HealthAlert;
     use stellar_crypto::Hash256;
+    use stellar_herder::Traced;
     use stellar_overlay::LinkFault;
+    use stellar_scp::driver::ScpEvent;
     use stellar_telemetry::{Json, SpanPhase};
 
     #[test]
@@ -730,7 +732,7 @@ mod tests {
         // one the recorder saw externalize.
         let slot = recorder
             .events()
-            .filter(|e| matches!(e.kind, stellar_telemetry::TraceKind::Externalized))
+            .filter(|e| matches!(e.kind, Traced::Scp(ScpEvent::Externalized { .. })))
             .last()
             .map(|e| e.slot)
             .expect("an externalized slot within the retention window");

@@ -20,25 +20,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use stellar_scp::NodeId;
 use stellar_telemetry::Json;
 
-/// Watchdog thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// A node whose ledger has not advanced for this long is stuck.
-    /// Default: three 5-second ledger intervals.
-    pub stuck_slot_ms: u64,
-    /// A close interval longer than this raises a slow-close alert.
-    /// Default: 8000 ms (the 5-second pacing plus generous slack).
-    pub slow_close_ms: u64,
-}
+/// A node whose ledger has not advanced for this long (ms) is stuck:
+/// three 5-second ledger intervals.
+const STUCK_SLOT_MS: u64 = 15_000;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            stuck_slot_ms: 15_000,
-            slow_close_ms: 8_000,
-        }
-    }
-}
+/// A close interval longer than this (ms) raises a slow-close alert: the
+/// 5-second pacing plus generous slack.
+const SLOW_CLOSE_MS: u64 = 8_000;
 
 /// A health finding, timestamped in simulated time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,7 +96,6 @@ struct Progress {
 /// simulated cadence via [`HealthWatchdog::observe`].
 #[derive(Clone, Debug, Default)]
 pub struct HealthWatchdog {
-    cfg: WatchdogConfig,
     progress: BTreeMap<NodeId, Progress>,
     /// Stuck alerts already raised, keyed `(node, seq)` so a node stuck
     /// on one slot alerts once, not once per observation.
@@ -122,12 +109,9 @@ pub struct HealthWatchdog {
 }
 
 impl HealthWatchdog {
-    /// A watchdog with the given thresholds.
-    pub fn new(cfg: WatchdogConfig) -> HealthWatchdog {
-        HealthWatchdog {
-            cfg,
-            ..HealthWatchdog::default()
-        }
+    /// A watchdog that has observed nothing yet.
+    pub fn new() -> HealthWatchdog {
+        HealthWatchdog::default()
     }
 
     /// Registers a scheduled-downtime window for `node`: deliberate chaos
@@ -170,7 +154,7 @@ impl HealthWatchdog {
                     seq,
                     since_ms: now_ms,
                 };
-                (stalled_for > self.cfg.slow_close_ms).then_some(HealthAlert::SlowClose {
+                (stalled_for > SLOW_CLOSE_MS).then_some(HealthAlert::SlowClose {
                     node,
                     seq,
                     interval_ms: stalled_for,
@@ -178,7 +162,7 @@ impl HealthWatchdog {
                 })
             } else {
                 let seq = p.seq;
-                let stuck = stalled_for >= self.cfg.stuck_slot_ms;
+                let stuck = stalled_for >= STUCK_SLOT_MS;
                 (stuck && self.stuck_raised.insert((node, seq))).then_some(HealthAlert::StuckSlot {
                     node,
                     seq,
@@ -262,7 +246,7 @@ mod tests {
 
     #[test]
     fn healthy_progress_raises_nothing() {
-        let mut w = HealthWatchdog::new(WatchdogConfig::default());
+        let mut w = HealthWatchdog::new();
         for step in 0..5u64 {
             let now = 1000 + step * 5000;
             w.observe(now, &seqs(&[(0, 2 + step), (1, 2 + step)]));
@@ -273,7 +257,7 @@ mod tests {
 
     #[test]
     fn stuck_slot_alerts_once_per_slot() {
-        let mut w = HealthWatchdog::new(WatchdogConfig::default());
+        let mut w = HealthWatchdog::new();
         w.observe(0, &seqs(&[(0, 5)]));
         w.observe(14_000, &seqs(&[(0, 5)]));
         assert!(w.alerts().is_empty(), "inside the bound");
@@ -298,7 +282,7 @@ mod tests {
 
     #[test]
     fn slow_close_measures_the_interval() {
-        let mut w = HealthWatchdog::new(WatchdogConfig::default());
+        let mut w = HealthWatchdog::new();
         w.observe(1000, &seqs(&[(0, 2)]));
         w.observe(6000, &seqs(&[(0, 3)])); // 5 s: fine
         w.observe(16_000, &seqs(&[(0, 4)])); // 10 s: slow
@@ -314,7 +298,7 @@ mod tests {
 
     #[test]
     fn ledger_lag_tracks_the_tip() {
-        let mut w = HealthWatchdog::new(WatchdogConfig::default());
+        let mut w = HealthWatchdog::new();
         w.observe(0, &seqs(&[(0, 10), (1, 7), (2, 10)]));
         let lag = w.ledger_lag();
         assert_eq!(lag[&NodeId(0)], 0);
@@ -331,7 +315,7 @@ mod tests {
 
     #[test]
     fn scheduled_downtime_annotates_alerts_as_expected() {
-        let mut w = HealthWatchdog::new(WatchdogConfig::default());
+        let mut w = HealthWatchdog::new();
         // Node 0 is deliberately failed from 10 s to 40 s; node 1 keeps
         // closing on the 5-second cadence throughout.
         w.expect_downtime(NodeId(0), 10_000, 40_000);
@@ -371,12 +355,9 @@ mod tests {
 
     #[test]
     fn alerts_render_as_json() {
-        let mut w = HealthWatchdog::new(WatchdogConfig {
-            stuck_slot_ms: 10,
-            slow_close_ms: 5,
-        });
+        let mut w = HealthWatchdog::new();
         w.observe(0, &seqs(&[(3, 1)]));
-        w.observe(20, &seqs(&[(3, 1)]));
+        w.observe(20_000, &seqs(&[(3, 1)]));
         let j = w.to_json();
         let alerts = j.get("alerts").and_then(Json::as_arr).expect("array");
         assert_eq!(alerts.len(), 1);

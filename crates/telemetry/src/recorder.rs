@@ -1,5 +1,5 @@
-//! The slot-scoped flight recorder: a bounded ring of structured trace
-//! events covering the last N consensus slots.
+//! The slot-scoped flight recorder: a bounded ring of timestamped events
+//! covering the last N consensus slots.
 //!
 //! Metrics say *that* a slot was slow; the flight recorder says *why*. It
 //! retains the full consensus timeline — phase transitions, quorum
@@ -8,105 +8,18 @@
 //! run costs the same memory as a short one. Chaos runs attach its
 //! [`FlightRecorder::timeline`] when an invariant breaks: a stalled slot
 //! rendered as a story a human can read top to bottom.
+//!
+//! The payload `K` is the embedder's own event type; the recorder asks of
+//! it only a one-line [`fmt::Display`] rendering. A validator records the
+//! events SCP reports to its driver plus the driver calls it makes
+//! (`stellar_herder::Traced`), so this crate depends on nothing.
 
 use std::collections::VecDeque;
-
-/// What happened (the structured payload of a [`TraceEvent`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A consensus phase began or changed (`"nomination"`, `"ballot"`,
-    /// `"externalize"`, ...).
-    Phase {
-        /// Name of the phase entered.
-        phase: &'static str,
-    },
-    /// A federated-voting threshold was crossed (accepted/confirmed
-    /// prepare, accepted commit) at a ballot counter.
-    QuorumThreshold {
-        /// Which milestone (`"accept-prepare"`, `"confirm-prepare"`,
-        /// `"accept-commit"`).
-        milestone: &'static str,
-        /// The ballot counter it crossed at.
-        counter: u32,
-    },
-    /// A new ballot was started.
-    BallotBump {
-        /// The new ballot counter.
-        counter: u32,
-    },
-    /// A nomination round began (round 1 = nomination start).
-    NominationRound {
-        /// The round number.
-        round: u32,
-    },
-    /// A timer was armed (or re-armed).
-    TimerArmed {
-        /// `"nomination"` or `"ballot"`.
-        timer: &'static str,
-        /// Delay until expiry (ms).
-        delay_ms: u64,
-    },
-    /// A timer was cancelled.
-    TimerCanceled {
-        /// `"nomination"` or `"ballot"`.
-        timer: &'static str,
-    },
-    /// A timer fired.
-    TimerFired {
-        /// `"nomination"` or `"ballot"`.
-        timer: &'static str,
-    },
-    /// This node broadcast an SCP statement.
-    EnvelopeSent {
-        /// Statement class (`"nominate"`, `"prepare"`, `"confirm"`,
-        /// `"externalize"`).
-        statement: &'static str,
-    },
-    /// This node processed a peer's SCP statement.
-    EnvelopeReceived {
-        /// Statement class.
-        statement: &'static str,
-        /// Originating node.
-        from: u32,
-    },
-    /// The slot decided a value.
-    Externalized,
-    /// The ledger for this slot was applied.
-    LedgerClosed {
-        /// Transactions in the applied set.
-        tx_count: u32,
-    },
-}
-
-impl TraceKind {
-    fn describe(&self) -> String {
-        match self {
-            TraceKind::Phase { phase } => format!("phase → {phase}"),
-            TraceKind::QuorumThreshold { milestone, counter } => {
-                format!("quorum threshold: {milestone} at counter {counter}")
-            }
-            TraceKind::BallotBump { counter } => format!("ballot bumped to counter {counter}"),
-            TraceKind::NominationRound { round } => format!("nomination round {round}"),
-            TraceKind::TimerArmed { timer, delay_ms } => {
-                format!("{timer} timer armed (+{delay_ms}ms)")
-            }
-            TraceKind::TimerCanceled { timer } => format!("{timer} timer canceled"),
-            TraceKind::TimerFired { timer } => format!("{timer} timer FIRED"),
-            TraceKind::EnvelopeSent { statement } => format!("sent {statement}"),
-            TraceKind::EnvelopeReceived { statement, from } => {
-                format!("recv {statement} from node {from}")
-            }
-            TraceKind::Externalized => "EXTERNALIZED".to_string(),
-            TraceKind::LedgerClosed { tx_count } => {
-                format!("ledger closed: {tx_count} txs applied")
-            }
-        }
-    }
-}
+use std::fmt;
 
 /// One entry of the consensus timeline: when, who, which slot, what.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
+pub struct TraceEvent<K> {
     /// Timestamp (ms; simulated time in the simulator).
     pub t_ms: u64,
     /// The node this event happened on.
@@ -114,7 +27,7 @@ pub struct TraceEvent {
     /// The consensus slot it belongs to.
     pub slot: u64,
     /// The structured payload.
-    pub kind: TraceKind,
+    pub kind: K,
 }
 
 /// Bounded, slot-scoped event ring.
@@ -124,23 +37,23 @@ pub struct TraceEvent {
 /// total event count is hard-capped (oldest evicted first) so a
 /// pathological slot cannot grow memory without bound either.
 #[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    events: VecDeque<TraceEvent>,
+pub struct FlightRecorder<K> {
+    events: VecDeque<TraceEvent<K>>,
     keep_slots: u64,
     max_events: usize,
     max_slot: u64,
 }
 
-impl Default for FlightRecorder {
+impl<K> Default for FlightRecorder<K> {
     fn default() -> Self {
         FlightRecorder::new(8, 16_384)
     }
 }
 
-impl FlightRecorder {
+impl<K> FlightRecorder<K> {
     /// A recorder keeping the last `keep_slots` slots, at most
     /// `max_events` events total.
-    pub fn new(keep_slots: u64, max_events: usize) -> FlightRecorder {
+    pub fn new(keep_slots: u64, max_events: usize) -> FlightRecorder<K> {
         FlightRecorder {
             events: VecDeque::new(),
             keep_slots: keep_slots.max(1),
@@ -150,7 +63,7 @@ impl FlightRecorder {
     }
 
     /// Records one event.
-    pub fn record(&mut self, t_ms: u64, node: u32, slot: u64, kind: TraceKind) {
+    pub fn record(&mut self, t_ms: u64, node: u32, slot: u64, kind: K) {
         if slot > self.max_slot {
             self.max_slot = slot;
             let cutoff = self.max_slot.saturating_sub(self.keep_slots - 1);
@@ -171,12 +84,12 @@ impl FlightRecorder {
     }
 
     /// All retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn events(&self) -> impl Iterator<Item = &TraceEvent<K>> {
         self.events.iter()
     }
 
     /// Retained events for one slot, oldest first.
-    pub fn slot_events(&self, slot: u64) -> Vec<&TraceEvent> {
+    pub fn slot_events(&self, slot: u64) -> Vec<&TraceEvent<K>> {
         self.events.iter().filter(|e| e.slot == slot).collect()
     }
 
@@ -194,7 +107,9 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+}
 
+impl<K: fmt::Display> FlightRecorder<K> {
     /// Human-readable timeline of one slot: one line per event with a
     /// relative-time column, e.g.
     ///
@@ -220,7 +135,7 @@ impl FlightRecorder {
                 "{:>9}  [node {}] {}\n",
                 format!("+{}ms", e.t_ms - t0),
                 e.node,
-                e.kind.describe()
+                e.kind
             ));
         }
         out
@@ -231,23 +146,43 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn rec(fr: &mut FlightRecorder, t: u64, slot: u64, kind: TraceKind) {
+    /// A stand-in payload: the recorder only stores and renders it.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Ev {
+        Round(u32),
+        Recv(u32),
+        Bump(u32),
+        Decided,
+    }
+
+    impl fmt::Display for Ev {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                Ev::Round(round) => write!(f, "nomination round {round}"),
+                Ev::Recv(from) => write!(f, "recv prepare from node {from}"),
+                Ev::Bump(counter) => write!(f, "ballot bumped to counter {counter}"),
+                Ev::Decided => write!(f, "EXTERNALIZED"),
+            }
+        }
+    }
+
+    fn rec(fr: &mut FlightRecorder<Ev>, t: u64, slot: u64, kind: Ev) {
         fr.record(t, 0, slot, kind);
     }
 
     #[test]
     fn slot_window_evicts_old_slots() {
         let mut fr = FlightRecorder::new(2, 1000);
-        rec(&mut fr, 10, 1, TraceKind::Externalized);
-        rec(&mut fr, 20, 2, TraceKind::Externalized);
+        rec(&mut fr, 10, 1, Ev::Decided);
+        rec(&mut fr, 20, 2, Ev::Decided);
         assert_eq!(fr.len(), 2);
-        rec(&mut fr, 30, 3, TraceKind::Externalized);
+        rec(&mut fr, 30, 3, Ev::Decided);
         // Slot 1 aged out; slots 2 and 3 retained.
         assert!(fr.slot_events(1).is_empty());
         assert_eq!(fr.slot_events(2).len(), 1);
         assert_eq!(fr.slot_events(3).len(), 1);
         // Late arrival for an evicted slot is dropped, not resurrected.
-        rec(&mut fr, 40, 1, TraceKind::Externalized);
+        rec(&mut fr, 40, 1, Ev::Decided);
         assert!(fr.slot_events(1).is_empty());
     }
 
@@ -255,7 +190,7 @@ mod tests {
     fn event_cap_evicts_oldest() {
         let mut fr = FlightRecorder::new(10, 3);
         for t in 0..5u64 {
-            rec(&mut fr, t, 1, TraceKind::BallotBump { counter: t as u32 });
+            rec(&mut fr, t, 1, Ev::Bump(t as u32));
         }
         assert_eq!(fr.len(), 3);
         assert_eq!(fr.events().next().unwrap().t_ms, 2);
@@ -264,17 +199,9 @@ mod tests {
     #[test]
     fn timeline_renders_relative_times() {
         let mut fr = FlightRecorder::default();
-        rec(&mut fr, 1000, 7, TraceKind::NominationRound { round: 1 });
-        fr.record(
-            1080,
-            2,
-            7,
-            TraceKind::EnvelopeReceived {
-                statement: "prepare",
-                from: 2,
-            },
-        );
-        rec(&mut fr, 2010, 7, TraceKind::Externalized);
+        rec(&mut fr, 1000, 7, Ev::Round(1));
+        fr.record(1080, 2, 7, Ev::Recv(2));
+        rec(&mut fr, 2010, 7, Ev::Decided);
         let text = fr.timeline(7);
         assert!(text.contains("slot 7 timeline (3 events, 1010ms span)"));
         assert!(text.contains("+0ms"));
@@ -292,12 +219,7 @@ mod tests {
         let mut fr = FlightRecorder::new(10, 4);
         for t in 0..8u64 {
             let slot = 1 + (t % 2); // events alternate slots 1 and 2
-            rec(
-                &mut fr,
-                t,
-                slot,
-                TraceKind::BallotBump { counter: t as u32 },
-            );
+            rec(&mut fr, t, slot, Ev::Bump(t as u32));
         }
         assert_eq!(fr.len(), 4);
         let times: Vec<u64> = fr.events().map(|e| e.t_ms).collect();
@@ -313,19 +235,19 @@ mod tests {
         // wrapped counter) must neither resurrect old events nor change
         // an existing render.
         let mut fr = FlightRecorder::new(2, 100);
-        rec(&mut fr, 10, 5, TraceKind::NominationRound { round: 1 });
-        rec(&mut fr, 20, 5, TraceKind::Externalized);
+        rec(&mut fr, 10, 5, Ev::Round(1));
+        rec(&mut fr, 20, 5, Ev::Decided);
         let first_render = fr.timeline(5);
         assert!(first_render.contains("slot 5 timeline (2 events, 10ms span)"));
         // Rendering is a pure read: byte-identical on repeat.
         assert_eq!(fr.timeline(5), first_render);
         // Advance far enough that slot 5 ages out of the keep window.
-        rec(&mut fr, 30, 6, TraceKind::Externalized);
-        rec(&mut fr, 40, 7, TraceKind::Externalized);
+        rec(&mut fr, 30, 6, Ev::Decided);
+        rec(&mut fr, 40, 7, Ev::Decided);
         assert!(fr.timeline(5).contains("no recorded events"));
         // Late arrivals for the evicted slot stay dropped; the render
         // reflects only what the ring actually retains.
-        rec(&mut fr, 50, 5, TraceKind::BallotBump { counter: 9 });
+        rec(&mut fr, 50, 5, Ev::Bump(9));
         assert!(fr.timeline(5).contains("no recorded events"));
         // The live slots are unaffected by the reuse attempt.
         assert_eq!(fr.slot_events(6).len(), 1);

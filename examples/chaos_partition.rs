@@ -23,7 +23,8 @@
 //! ```
 
 use stellar::chaos::{ChaosConfig, ChaosRun, FaultSchedule};
-use stellar::scp::NodeId;
+use stellar::herder::Traced;
+use stellar::scp::{NodeId, ScpEvent};
 use stellar::sim::scenario::Scenario;
 use stellar::sim::SimConfig;
 
@@ -145,7 +146,7 @@ fn main() {
     let recorder = &run.sim().validator(observer).herder.telemetry.recorder;
     let decided = recorder
         .events()
-        .filter(|e| matches!(e.kind, stellar::telemetry::TraceKind::Externalized))
+        .filter(|e| matches!(e.kind, Traced::Scp(ScpEvent::Externalized { .. })))
         .last()
         .map(|e| e.slot)
         .expect("observer externalized within the retention window");

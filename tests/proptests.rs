@@ -1222,8 +1222,10 @@ mod scp_write_ahead {
     use stellar::crypto::Hash256;
     use stellar::herder::herder::{scp_record_key, Herder, SCP_SLOT_PREFIX, SLOT_WINDOW};
     use stellar::herder::validator::{Outputs, Validator};
+    use stellar::herder::SlotRecord;
     use stellar::scp::driver::TimerKind;
     use stellar::scp::{Envelope, ScpNode, SlotIndex, Statement};
+    use stellar::telemetry::Json;
 
     /// The node whose disk is under test; the other three only keep
     /// consensus moving.
@@ -1416,11 +1418,13 @@ mod scp_write_ahead {
     }
 
     /// What firing a timer could change on a validator: its armed
-    /// timers, outbox, protocol events, disk and own statements.
+    /// timers, outbox, slot records, registry (every protocol event
+    /// bumps a counter), disk and own statements.
     type Fingerprint = (
         BTreeMap<(SlotIndex, TimerKind), u64>,
         usize,
-        usize,
+        BTreeMap<SlotIndex, SlotRecord>,
+        Json,
         u64,
         Vec<Statement>,
     );
@@ -1434,7 +1438,8 @@ mod scp_write_ahead {
         (
             v.herder.armed.clone(),
             v.herder.outbox.len(),
-            v.herder.events.len(),
+            v.herder.slot_records.clone(),
+            v.herder.telemetry.registry.snapshot(),
             disk,
             own,
         )
