@@ -465,7 +465,7 @@ mod tests {
         let stages = plan(CascadeOrder::Random, 3).stages(&topo);
         let a = analyze_cascade(&topo, &stages);
         let doc = a.to_json();
-        let parsed = Json::parse(&doc.render_pretty()).expect("valid json");
+        let parsed = Json::parse(&doc.render()).expect("valid json");
         assert_eq!(
             parsed.get("frontier").and_then(Json::as_f64),
             Some(a.frontier as f64)

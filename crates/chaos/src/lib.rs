@@ -22,8 +22,8 @@
 //!   marks, crashes, halt-and-reconfigure healing) and computes the
 //!   *survival frontier* analytically from the quorum structure.
 //! - [`recovery`] — crash-restart recovery scenarios: the amnesia
-//!   equivocation demonstration (reboot a mid-ballot quorum with and
-//!   without durable persistence), randomized restart storms, and
+//!   equivocation demonstration (reboot a mid-ballot quorum with its
+//!   disks intact and with them wiped), randomized restart storms, and
 //!   persistence twin runs comparing a rebooted run's ledger headers
 //!   against an undisturbed twin.
 //!

@@ -1,18 +1,21 @@
 //! Crash-restart recovery scenarios: amnesia equivocation and storms.
 //!
-//! Stellar-core persists its SCP state to disk *before* emitting any
+//! Every validator persists its SCP state to disk *before* emitting any
 //! envelope derived from it, so a rebooted validator can never
-//! contradict a vote the network already holds (§3, §5.4). This module
-//! packages the two experiments that make that discipline falsifiable:
+//! contradict a vote the network already holds (§3, §5.4). There is no
+//! run without that discipline; what it cannot survive is a disk that
+//! comes back empty. This module packages the experiments that make the
+//! discipline falsifiable:
 //!
 //! - [`amnesia_restart_scenario`] — the targeted safety demonstration.
 //!   One node externalizes a slot first; the other three (a quorum by
-//!   themselves) are rebooted while still mid-ballot, *after* their
-//!   confirm-commit votes for value `x` are out. With persistence off
-//!   they forget those votes, re-nominate with a later close time, and
-//!   commit `y ≠ x` — the invariant monitor flags the divergence. With
-//!   persistence on the restored ballot state pins them to `x` and the
-//!   run stays clean.
+//!   themselves) crash while still mid-ballot, *after* their
+//!   confirm-commit votes for value `x` are out. If their disks are
+//!   wiped at the crash they reboot without those votes, re-nominate
+//!   with a later close time, and commit `y ≠ x` — the invariant
+//!   monitor flags the divergence. If their disks survive, the restored
+//!   ballot state pins them to `x` and the run stays clean. Up to the
+//!   crash both arms are the same run.
 //! - [`restart_storm`] / [`persistence_twin_run`] — the statistical and
 //!   differential checks: randomized reboot storms must stay
 //!   violation-free, and a run disturbed by mid-run reboots must
@@ -26,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use stellar_crypto::Hash256;
+use stellar_persist::DurableStore;
 use stellar_scp::{NodeId, SlotIndex};
 use stellar_sim::scenario::Scenario;
 use stellar_sim::{SimConfig, Simulation};
@@ -45,16 +49,16 @@ pub struct AmnesiaOutcome {
 }
 
 /// Drives the targeted amnesia experiment (see the module docs) and
-/// returns the monitor's findings. `persistence` selects whether nodes
-/// keep a durable store; the same seed with the two settings is the
-/// paper's safety argument in executable form.
-pub fn amnesia_restart_scenario(persistence: bool, seed: u64) -> AmnesiaOutcome {
+/// returns the monitor's findings. `keep_disks` selects whether the
+/// crashed nodes' disks survive (`true`) or are emptied at the crash
+/// (`false`); the same seed with the two settings is the paper's safety
+/// argument in executable form.
+pub fn amnesia_restart_scenario(keep_disks: bool, seed: u64) -> AmnesiaOutcome {
     let mut sim = Simulation::new(SimConfig {
         scenario: Scenario::ControlledMesh { n_validators: 4 },
         n_accounts: 10,
         target_ledgers: 6,
         seed,
-        persistence,
         max_sim_time_ms: 240_000,
         ..SimConfig::default()
     });
@@ -89,6 +93,9 @@ pub fn amnesia_restart_scenario(persistence: bool, seed: u64) -> AmnesiaOutcome 
     sim.set_partition(&[vec![first], others.clone()], None);
     for id in &others {
         sim.crash(*id);
+        if !keep_disks {
+            sim.node_mut(*id).on_disks(|d| *d = DurableStore::new());
+        }
     }
     let resume_at = sim.now_ms() + 3_000;
     while sim.now_ms() < resume_at && sim.step() {}
@@ -136,8 +143,8 @@ pub fn restart_storm_schedule(
     b.build()
 }
 
-/// Runs one randomized restart storm on a 4-validator mesh with
-/// persistence on and returns the chaos report. A clean report means no
+/// Runs one randomized restart storm on a 4-validator mesh and returns
+/// the chaos report. A clean report means no
 /// restarted node equivocated (safety) and everyone still reached the
 /// ledger target (no stall).
 pub fn restart_storm(seed: u64, n_restarts: usize, target_ledgers: u64) -> ChaosReport {
@@ -249,7 +256,7 @@ impl TwinOutcome {
 }
 
 /// Runs the persistence twin experiment: the same `SimConfig` (zero tx
-/// load, persistence on) twice, once undisturbed and once with the
+/// load) twice, once undisturbed and once with the
 /// given `(at_ms, node)` reboots applied mid-run, and returns both
 /// observer header chains for comparison.
 pub fn persistence_twin_run(seed: u64, restarts: &[(u64, NodeId)]) -> TwinOutcome {

@@ -567,13 +567,10 @@ impl Herder {
         for u in &value.upgrades {
             u.apply(&mut params);
         }
-        let apply_time = self
-            .close(set, value.close_time, params, None)
+        self.close(set, value.close_time, params, None)
             .expect("no archived header to disagree with");
         self.queue.prune(&self.store);
-        let apply_us = apply_time.as_micros() as u64;
         self.telemetry.registry.inc("ledger.closed");
-        self.telemetry.registry.observe("ledger.apply_us", apply_us);
         self.telemetry
             .registry
             .observe("ledger.txset_size", set.txs.len() as u64);
@@ -589,7 +586,7 @@ impl Herder {
         self.persist_lcl();
         // Per-transaction lifecycle milestones, in pipeline order. They
         // share one simulated-ms timestamp (the close is atomic in sim
-        // time); wall-clock apply cost lives in `ledger.apply_us`.
+        // time); wall-clock apply cost lives in `CloseStats::apply_time`.
         if self.telemetry.spans.enabled() {
             let t = self.clock_ms;
             for tx in &set.txs {
@@ -709,9 +706,6 @@ impl Herder {
     /// succeeds (otherwise a crash could make this node contradict a
     /// vote the network already saw).
     pub fn persist_scp(&mut self, envelopes: &[Envelope]) -> bool {
-        if !self.persist.is_enabled() {
-            return true;
-        }
         let before = self.persist.stats().bytes_written;
         let keep_from = self.current_slot().saturating_sub(SLOT_WINDOW);
         let kept = self.scp_record_slots.split_off(&keep_from);
@@ -746,9 +740,6 @@ impl Herder {
     /// already holds the full history, this record is the node-local
     /// integrity anchor recovery verifies against.
     pub fn persist_lcl(&mut self) -> bool {
-        if !self.persist.is_enabled() {
-            return true;
-        }
         let rec = LclRecord {
             header: self.header.clone(),
             bucket_hashes: self.buckets.level_hashes(),

@@ -20,6 +20,11 @@
 //!   deserialize: every record is framed with a length prefix and a
 //!   trailing SHA-256, so `read` reports them as absent.
 //!
+//! A store always keeps what it synced: there is no mode that discards
+//! writes. A node that forgets its votes is what it physically is, a
+//! node whose disk came back empty — the amnesia experiment replaces its
+//! store with [`DurableStore::new`] at the crash.
+//!
 //! Everything is in-memory and deterministic — no real I/O — so simulation
 //! runs stay byte-for-byte reproducible.
 
@@ -86,12 +91,8 @@ pub struct PersistStats {
 
 /// The simulated durable store: a key→framed-record map plus a staging
 /// area of unsynced writes.
-///
-/// A disabled store (persistence off) accepts and immediately discards all
-/// writes — the configuration the amnesia chaos scenarios run under.
 #[derive(Clone, Debug)]
 pub struct DurableStore {
-    enabled: bool,
     durable: BTreeMap<String, Vec<u8>>,
     /// Unsynced writes in write order. A later write to the same key
     /// shadows the earlier one at sync time (last write wins). `None`
@@ -109,10 +110,9 @@ impl Default for DurableStore {
 }
 
 impl DurableStore {
-    /// A fresh, enabled store.
+    /// A fresh, empty store.
     pub fn new() -> DurableStore {
         DurableStore {
-            enabled: true,
             durable: BTreeMap::new(),
             pending: Vec::new(),
             fail_next_fsyncs: 0,
@@ -121,23 +121,8 @@ impl DurableStore {
         }
     }
 
-    /// A store with persistence disabled: writes vanish, reads find nothing.
-    pub fn disabled() -> DurableStore {
-        let mut s = DurableStore::new();
-        s.enabled = false;
-        s
-    }
-
-    /// Whether persistence is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Stages a record for `key`. Nothing is durable until `sync` succeeds.
     pub fn write(&mut self, key: &str, payload: &[u8]) {
-        if !self.enabled {
-            return;
-        }
         let rec = frame(payload);
         self.stats.bytes_written += rec.len() as u64;
         self.pending.push((key.to_string(), Some(rec)));
@@ -146,9 +131,6 @@ impl DurableStore {
     /// Stages a deletion of `key` (segment reclamation after compaction).
     /// Like `write`, nothing happens until `sync` succeeds.
     pub fn remove(&mut self, key: &str) {
-        if !self.enabled {
-            return;
-        }
         self.pending.push((key.to_string(), None));
     }
 
@@ -156,9 +138,6 @@ impl DurableStore {
     /// the writes staged) while fsync-failure faults are armed; callers
     /// must treat `false` as "this state is NOT on disk yet".
     pub fn sync(&mut self) -> bool {
-        if !self.enabled {
-            return true;
-        }
         if self.fail_next_fsyncs > 0 {
             self.fail_next_fsyncs -= 1;
             self.stats.failed_syncs += 1;
@@ -341,15 +320,6 @@ mod tests {
         s.write("k", b"b");
         assert!(s.sync());
         assert_eq!(s.read("k").unwrap(), b"b");
-    }
-
-    #[test]
-    fn disabled_store_drops_everything() {
-        let mut s = DurableStore::disabled();
-        s.write("lcl", b"header");
-        assert!(s.sync());
-        assert_eq!(s.read("lcl"), None);
-        assert_eq!(s.durable_len(), 0);
     }
 
     #[test]

@@ -69,8 +69,6 @@ pub struct BallotProtocol {
     composite: Option<Value>,
     /// Counter value for which the ballot timer is currently armed.
     timer_armed_for: Option<u32>,
-    /// Ballot timeouts experienced (Fig. 8 metrics).
-    timeouts: u64,
     /// Set once `externalized` was delivered, to guarantee exactly-once.
     decided: Option<Value>,
 }
@@ -94,7 +92,6 @@ impl BallotProtocol {
             latest: LatestStatements::default(),
             composite: None,
             timer_armed_for: None,
-            timeouts: 0,
             decided: None,
         }
     }
@@ -112,11 +109,6 @@ impl BallotProtocol {
     /// The decided value, if externalized.
     pub fn decision(&self) -> Option<&Value> {
         self.decided.as_ref()
-    }
-
-    /// Number of ballot timeouts experienced on this slot.
-    pub fn timeout_count(&self) -> u64 {
-        self.timeouts
     }
 
     /// The latest ballot statement seen from `node`.
@@ -207,7 +199,6 @@ impl BallotProtocol {
         let Some(cur) = self.current.clone() else {
             return;
         };
-        self.timeouts += 1;
         ctx.driver.on_event(ScpEvent::TimeoutFired {
             slot: ctx.slot,
             kind: TimerKind::Ballot,
@@ -1088,7 +1079,16 @@ mod tests {
         let cur = fx.bp.current_ballot().unwrap().clone();
         assert_eq!(cur.counter, 2);
         assert_eq!(cur.value, val("x"), "confirmed-prepared value carries over");
-        assert_eq!(fx.bp.timeout_count(), 1);
+        let timeouts = fx.driver.events.iter().filter(|e| {
+            matches!(
+                e,
+                ScpEvent::TimeoutFired {
+                    kind: TimerKind::Ballot,
+                    ..
+                }
+            )
+        });
+        assert_eq!(timeouts.count(), 1);
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub struct NominationProtocol {
     pub(crate) latest: LatestStatements,
     /// The locally proposed value (from the application), if we lead.
     proposed: Option<Value>,
-    /// Counts round timeouts, for Fig. 8-style metrics.
-    timeouts: u64,
 }
 
 impl NominationProtocol {
@@ -63,11 +61,6 @@ impl NominationProtocol {
     /// Current leader set (grows with rounds).
     pub fn leaders(&self) -> &BTreeSet<NodeId> {
         &self.leaders
-    }
-
-    /// Number of round timeouts experienced so far on this slot.
-    pub fn timeout_count(&self) -> u64 {
-        self.timeouts
     }
 
     /// Whether nomination has begun.
@@ -137,7 +130,6 @@ impl NominationProtocol {
         if !self.started || self.stopped {
             return false;
         }
-        self.timeouts += 1;
         ctx.driver.on_event(ScpEvent::TimeoutFired {
             slot: ctx.slot,
             kind: TimerKind::Nomination,
@@ -569,7 +561,6 @@ mod tests {
             fx.with_ctx(|np, ctx| np.on_timeout(ctx));
         }
         assert!(fx.np.leaders().len() >= l1, "leader set only grows");
-        assert_eq!(fx.np.timeout_count(), 6);
         assert_eq!(
             fx.driver
                 .events

@@ -28,8 +28,7 @@ impl Node {
     }
 
     /// One client query batch: an account summary, an indexed history
-    /// walk, and fee stats — the three staple reads — timed together in
-    /// wall-clock nanoseconds.
+    /// walk, and fee stats — the three staple reads.
     fn query(&mut self, n_accounts: u64) {
         let (Some(p), Some(v)) = (self.horizon.as_ref(), self.state.validator()) else {
             return;
@@ -39,13 +38,10 @@ impl Node {
         let q = self.horizon_load.counter("horizon.queries");
         let id = crate::loadgen::user_account(q.wrapping_mul(2654435761) % n_accounts.max(1));
         let head = v.herder.header.ledger_seq;
-        let started = std::time::Instant::now();
         let _ = Horizon::account(&v.herder, id);
         let _ = p.indexer.account_history(id, None, 32);
         let _ = p.indexer.account_effects(id, None, 32);
         let _ = Horizon::fee_stats(&v.herder);
-        let ns = started.elapsed().as_nanos() as u64;
-        self.horizon_load.observe("horizon.query_ns", ns);
         self.horizon_load
             .observe("horizon.lag_at_query", p.indexer.lag(head));
         self.horizon_load.inc("horizon.queries");

@@ -346,9 +346,7 @@ impl Simulation {
                 "recovery",
                 Json::obj()
                     .set("restarts", self.restarts)
-                    .set("ledgers_replayed", self.recovery_replayed)
-                    .set("recovery_us", self.recovery_us)
-                    .set("persistence", self.cfg.persistence),
+                    .set("ledgers_replayed", self.recovery_replayed),
             )
             .set(
                 "store",
@@ -570,10 +568,7 @@ mod tests {
                 detected_at_ms: 35_000, // kept
             },
         ];
-        let telemetry = Json::obj().set(
-            "recovery",
-            Json::obj().set("restarts", 3u64).set("recovery_us", 500u64),
-        );
+        let telemetry = Json::obj().set("recovery", Json::obj().set("restarts", 3u64));
         let report = SimReport {
             ledgers,
             scp_msgs_originated: 280,

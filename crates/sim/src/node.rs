@@ -56,10 +56,9 @@ use crate::events::Flooded;
 use crate::simulation::{SimConfig, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
 use stellar_buckets::{BucketList, HistoryArchive};
-use stellar_crypto::codec::Decode;
 use stellar_crypto::sign::{KeyPair, PublicKey};
 use stellar_crypto::Hash256;
-use stellar_herder::herder::{named_tx_sets, LclRecord, LCL_KEY};
+use stellar_herder::herder::named_tx_sets;
 use stellar_herder::validator::{Outputs, Validator};
 use stellar_herder::SlotRecord;
 use stellar_horizon::{AdmissionConfig, HorizonPipeline};
@@ -669,22 +668,19 @@ impl Genesis {
     ///    sequence split across the two disks, wrong snapshot hash —
     ///    re-images the disk and starts from genesis instead.
     /// 2. The node replays its own archive (archives model external
-    ///    durable storage and survive in both persistence modes) and
-    ///    checks the tip against the durable LCL record.
+    ///    durable storage and survive even a wiped disk) and checks the
+    ///    tip against the LCL record read in step 1.
     /// 3. SCP voting state is replayed from the node's own latest
     ///    envelopes on disk, so it can never contradict a vote it already
-    ///    published (with persistence off it forgets those votes — the
-    ///    amnesia-equivocation hazard the chaos layer demonstrates); a
-    ///    decided slot re-fires into the close path. The caller routes
+    ///    published (a disk emptied at the crash forgets those votes —
+    ///    the amnesia-equivocation hazard the chaos layer demonstrates);
+    ///    a decided slot re-fires into the close path. The caller routes
     ///    what that produced.
     fn reboot(&self, old: Validator, cfg: &SimConfig, now: u64) -> (Validator, u64) {
         let id = old.herder.node_id;
         let qset = old.scp.quorum_set().clone();
         let herder = old.herder;
-        let lcl = herder
-            .persist
-            .read(LCL_KEY)
-            .and_then(|b| LclRecord::from_bytes(&b).ok());
+        let lcl = herder.recover_lcl();
         let recovered = match (herder.store.disk(), &lcl) {
             (Some(dd), Some(lcl)) => stellar_store::recover_node(
                 dd,
@@ -706,7 +702,7 @@ impl Genesis {
         // it is intact and covers the replayed tip, the hashes must line
         // up — a mismatch means local corruption, which we surface as a
         // counter rather than trusting either side blindly.
-        if let Some(lcl) = v.herder.recover_lcl() {
+        if let Some(lcl) = lcl {
             if lcl.header.ledger_seq == v.ledger_seq()
                 && lcl.header.hash() != v.herder.header.hash()
             {
@@ -727,11 +723,7 @@ impl Simulation {
     /// observer hosts the run's Horizon pipeline, if it has one.
     pub(crate) fn boot_all(&mut self, qsets: &[(NodeId, QuorumSet)]) {
         for (id, qset) in qsets {
-            let wal = if self.cfg.persistence {
-                DurableStore::new()
-            } else {
-                DurableStore::disabled()
-            };
+            let wal = DurableStore::new();
             let v = self
                 .genesis
                 .validator(*id, qset.clone(), &self.cfg, wal, None);
@@ -776,21 +768,17 @@ impl Simulation {
         let Some(node) = self.nodes.get_mut(&id) else {
             return;
         };
-        let started = std::time::Instant::now();
         let (replayed, actions) = node.reboot(&self.genesis, &self.cfg, self.now);
         self.busy_until_us.remove(&id);
         self.queue.purge_deliveries_to(id);
         let replayed = replayed + self.carry_out(id, actions);
         self.resync();
-        let dur_us = started.elapsed().as_micros() as u64;
         self.restarts += 1;
         self.recovery_replayed += replayed;
-        self.recovery_us += dur_us;
         if let Some(v) = self.node_mut(id).state.validator_mut() {
             let reg = &mut v.herder.telemetry.registry;
             reg.inc("recovery.restarts");
             reg.add("recovery.ledgers_replayed", replayed);
-            reg.observe("recovery.duration_us", dur_us);
         }
     }
 

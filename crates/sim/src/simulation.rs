@@ -50,12 +50,6 @@ pub struct SimConfig {
     /// envelope is pushed by its originator and advertised by relays, and
     /// in pull mode so is every other payload.
     pub flood_mode: FloodMode,
-    /// Whether nodes write each SCP envelope they send, and the latest
-    /// closed ledger, to a (simulated) durable store before releasing it
-    /// (§3, §5.4). On by default, as in production stellar-core; turning
-    /// it off makes a crash-restarted node amnesiac — the configuration
-    /// the chaos layer uses to demonstrate restart equivocation.
-    pub persistence: bool,
     /// Which ledger storage backend every validator runs on: the
     /// original in-RAM maps or the log-structured disk store. Defaults
     /// from `STELLAR_STORE_BACKEND` so an entire test run can be flipped
@@ -72,8 +66,7 @@ pub struct SimConfig {
     /// off-consensus, so externalized headers are identical either way.
     pub horizon: Option<AdmissionConfig>,
     /// Horizon query load against the observer's pipeline, in queries
-    /// per second; `0` disables. Query batches are timed in wall-clock
-    /// nanoseconds (`horizon.query_ns`), the E20 latency measurement.
+    /// per second; `0` disables.
     pub horizon_query_rate: f64,
     /// Ingestion cadence: `0` drains the close-event feed at every close
     /// (no lag); otherwise the indexer only drains every this-many
@@ -112,7 +105,6 @@ impl Default for SimConfig {
             max_tx_set_ops: 1000,
             max_sim_time_ms: 3_600_000,
             flood_mode: FloodMode::Push,
-            persistence: true,
             store_backend: stellar_store::BackendKind::from_env(),
             trace_sample_every: 1,
             horizon: None,
@@ -162,8 +154,6 @@ pub struct Simulation {
     pub(crate) restarts: u64,
     /// Ledgers replayed from history archives during recoveries.
     pub(crate) recovery_replayed: u64,
-    /// Wall-clock time spent rebuilding restarted nodes (µs).
-    pub(crate) recovery_us: u64,
     /// Liveness health monitor (stuck slots, slow closes, ledger lag).
     pub(crate) watchdog: HealthWatchdog,
     /// Next simulated time the watchdog takes an observation round.
@@ -220,7 +210,6 @@ impl Simulation {
             genesis: Genesis::new(genesis, &built.validators),
             restarts: 0,
             recovery_replayed: 0,
-            recovery_us: 0,
             watchdog: HealthWatchdog::new(),
             watchdog_next_ms: 0,
             triggers: TriggerTimes::default(),
@@ -712,7 +701,7 @@ mod tests {
         assert!(externalized >= 4.0, "externalized counter: {externalized}");
         let hists = registry.get("histograms").expect("histograms");
         assert!(hists.get("consensus.total_ms").is_some());
-        assert!(hists.get("ledger.apply_us").is_some());
+        assert!(hists.get("ledger.txset_size").is_some());
         // Traffic: typed split + duplicate suppression (full mesh floods
         // every message along multiple paths, so dups are guaranteed).
         let mut net = stellar_overlay::TrafficStats::default();
@@ -976,6 +965,7 @@ mod crash_tests {
     use crate::scenario::Scenario;
     use stellar_crypto::Hash256;
     use stellar_overlay::MsgKind;
+    use stellar_persist::DurableStore;
 
     #[test]
     fn network_survives_minority_org_crash() {
@@ -1393,9 +1383,6 @@ mod crash_tests {
                 .and_then(stellar_telemetry::Json::as_f64),
             Some(1.0)
         );
-        assert!(rec
-            .get("persistence")
-            .is_some_and(|j| matches!(j, stellar_telemetry::Json::Bool(true))));
     }
 
     #[test]
@@ -1577,24 +1564,52 @@ mod crash_tests {
     }
 
     #[test]
+    fn telemetry_depends_only_on_config_and_seed() {
+        // No wall-clock value reaches the report's telemetry: two runs of
+        // one seed, with an observer restart and Horizon queries, render
+        // it byte for byte alike.
+        let run = || {
+            let mut sim = Simulation::new(SimConfig {
+                scenario: Scenario::ControlledMesh { n_validators: 4 },
+                n_accounts: 20,
+                tx_rate: 10.0,
+                target_ledgers: 5,
+                seed: 71,
+                max_sim_time_ms: 120_000,
+                horizon: Some(AdmissionConfig::default()),
+                horizon_query_rate: 20.0,
+                ..SimConfig::default()
+            });
+            while sim.now_ms() < 12_300 && sim.step() {}
+            sim.restart(sim.observer_id());
+            sim.run().telemetry.render()
+        };
+        let first = run();
+        assert!(first.contains("\"horizon.queries\"") && first.contains("\"restarts\":1"));
+        assert_eq!(first, run());
+    }
+
+    #[test]
     fn restart_without_persistence_forgets_scp_votes() {
-        // With persistence disabled the durable store holds nothing: a
-        // restarted node comes back with archive state only (closed
-        // ledgers survive — archives model external storage) but zero
-        // SCP voting state. This is the amnesia configuration whose
-        // safety consequences the chaos recovery scenarios demonstrate.
+        // A node whose disks come back empty: the restarted node has
+        // archive state only (closed ledgers survive — archives model
+        // external storage) but zero SCP voting state. This is the
+        // amnesia whose safety consequences the chaos recovery
+        // scenarios demonstrate.
         let mut sim = Simulation::new(SimConfig {
             scenario: Scenario::ControlledMesh { n_validators: 4 },
             n_accounts: 20,
             target_ledgers: 4,
             seed: 68,
-            persistence: false,
             max_sim_time_ms: 120_000,
             ..SimConfig::default()
         });
         while sim.now_ms() < 12_300 && sim.step() {}
         let seq_before = sim.validator(NodeId(1)).ledger_seq();
         assert!(seq_before > 1, "some ledgers closed before the restart");
+        sim.crash(NodeId(1));
+        sim.node_mut(NodeId(1))
+            .on_disks(|d| *d = DurableStore::new());
         sim.restart(NodeId(1));
         let v = sim.validator(NodeId(1));
         assert_eq!(
@@ -1606,6 +1621,6 @@ mod crash_tests {
             v.ledger_seq() >= seq_before,
             "closed ledgers still recover from the (external) archive"
         );
-        assert!(!v.herder.persist.is_enabled());
+        assert!(v.herder.recover_lcl().is_some(), "it writes ahead again");
     }
 }

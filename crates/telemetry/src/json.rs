@@ -90,15 +90,6 @@ impl Json {
         out
     }
 
-    /// Renders with two-space indentation (diff-friendly and
-    /// human-skimmable).
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -127,45 +118,6 @@ impl Json {
                 }
                 out.push('}');
             }
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        let pad = |out: &mut String, d: usize| {
-            for _ in 0..d {
-                out.push_str("  ");
-            }
-        };
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, depth);
-                out.push(']');
-            }
-            Json::Obj(map) if !map.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in map.iter().enumerate() {
-                    pad(out, depth + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                    if i + 1 < map.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, depth);
-                out.push('}');
-            }
-            other => other.write(out),
         }
     }
 
@@ -474,10 +426,8 @@ mod tests {
                 "items",
                 Json::Arr(vec![Json::Num(1.0), Json::Str("a\"b\n".into())]),
             );
-        for text in [doc.render(), doc.render_pretty()] {
-            let back = Json::parse(&text).expect("parse");
-            assert_eq!(back, doc);
-        }
+        let back = Json::parse(&doc.render()).expect("parse");
+        assert_eq!(back, doc);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Histogram {
 /// One node's metric store.
 ///
 /// Metric names are dotted paths (`scp.envelope_in.prepare`,
-/// `ledger.apply_us`); the snapshot groups them flat under `counters`,
+/// `ledger.txset_size`); the snapshot groups them flat under `counters`,
 /// `gauges`, and `histograms`. Unknown names spring into existence on
 /// first touch — instrumentation sites never pre-register.
 #[derive(Clone, Debug, Default)]

@@ -256,8 +256,7 @@ fn observer_horizon_on_disk_with_crash_and_restart_is_pinned() {
     };
     assert_eq!(count(registry, "recovery.durable_store"), 1);
 
-    // The pipeline's deterministic state joins the digest; the wall-clock
-    // `horizon.query_ns` histogram stays out.
+    // The pipeline's state joins the digest.
     let horizon = report.telemetry.get("horizon").expect("horizon section");
     let pipeline = horizon.get("registry").expect("pipeline registry");
     assert!(count(pipeline, "horizon.reattached") >= 1);
