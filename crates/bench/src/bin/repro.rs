@@ -284,7 +284,7 @@ fn a1() -> Row {
 }
 
 fn e13() -> Row {
-    // 7 validators with n - f slices, every run watched by the monitor.
+    // 7 validators with n - f slices, every run watched by the watchdog.
     let chaos = |seed, cfg: ChaosConfig| {
         let mesh = Scenario::ByzantineMesh { n_validators: 7 };
         let mut sim = config(mesh, 100, 5.0, 4, seed);

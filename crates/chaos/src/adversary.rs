@@ -13,8 +13,8 @@
 //! nodes may say arbitrary, contradictory things to different peers, but
 //! cannot forge other nodes' signatures. SCP guarantees safety for
 //! *intact* nodes as long as befouled sets stay below the quorum
-//! intersection threshold — which is exactly what the
-//! [`crate::monitor::InvariantMonitor`] checks while these adversaries
+//! intersection threshold — which is exactly what the simulation's run
+//! watchdog ([`stellar_sim::watchdog`]) checks while these adversaries
 //! run.
 
 use rand::rngs::StdRng;

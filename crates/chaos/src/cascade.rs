@@ -18,7 +18,7 @@
 //! - [`CascadePlan`] compiles a campaign into a [`FaultSchedule`] —
 //!   stage marks, per-validator crashes, and optionally a
 //!   halt-and-reconfigure heal — to run against a real simulation,
-//!   where the invariant monitor observes the frontier empirically.
+//!   where the run watchdog observes the frontier empirically.
 //! - [`analyze_cascade`] computes the same frontier analytically from
 //!   the quorum structure alone (no simulation), which scales to the
 //!   500-org topologies of experiment E21 where simulating every

@@ -3,8 +3,12 @@
 //! The paper's claims are conditional ("safety for intact nodes",
 //! "liveness when a quorum survives"); this crate is the apparatus that
 //! attacks those conditions on purpose and checks that the guarantees
-//! hold exactly when promised. Three pillars, layered on the
-//! discrete-event simulator:
+//! hold exactly when promised. The simulator's run watchdog
+//! ([`stellar_sim::watchdog`]) keeps the score: it computes the *intact*
+//! set the FBA way and checks, at every close, that no two intact nodes
+//! diverge and, in each observation round, that connected intact quorums
+//! keep closing ledgers. Four pillars, layered on the discrete-event
+//! simulator, attack those conditions:
 //!
 //! - [`schedule`] — a timed fault-script DSL: crashes and revivals,
 //!   network partitions with scheduled heals, and per-link
@@ -14,9 +18,6 @@
 //!   real signed envelopes (equivocating nomination votes, split ballot
 //!   confirmations, stale replays, strategic silence) so honest nodes
 //!   exercise their full validation paths.
-//! - [`monitor`] — an invariant monitor computing the *intact* set the
-//!   FBA way and checking, every tick, that no two intact nodes diverge
-//!   and that connected intact quorums keep closing ledgers.
 //! - [`cascade`] — staged org-failure campaigns over generated FBAS
 //!   topologies: compiles cascade plans into fault schedules (stage
 //!   marks, crashes, halt-and-reconfigure healing) and computes the
@@ -29,7 +30,8 @@
 //!
 //! [`runner::ChaosRun`] glues them together; every run from one seed is
 //! bit-reproducible, and the resulting [`runner::ChaosReport`] carries
-//! the full event trace for replaying any violation it found.
+//! the watchdog's violations and the full event trace for replaying any
+//! of them.
 //!
 //! ```
 //! use stellar_chaos::adversary::Strategy;
@@ -62,18 +64,15 @@
 
 pub mod adversary;
 pub mod cascade;
-pub mod monitor;
 pub mod recovery;
 pub mod runner;
 pub mod schedule;
 
 pub use adversary::{Adversary, Injection, Strategy};
 pub use cascade::{analyze_cascade, CascadeAnalysis, CascadeOrder, CascadePlan, CascadeStage};
-pub use monitor::{
-    intact_nodes, CollapseKind, FrontierReport, InvariantMonitor, StageMark, Violation,
-};
 pub use recovery::{
     amnesia_restart_scenario, persistence_twin_run, restart_storm, AmnesiaOutcome, TwinOutcome,
 };
-pub use runner::{ChaosConfig, ChaosReport, ChaosRun};
+pub use runner::{ChaosConfig, ChaosReport, ChaosRun, CollapseKind, FrontierReport, StageMark};
 pub use schedule::{FaultAction, FaultSchedule};
+pub use stellar_sim::Violation;

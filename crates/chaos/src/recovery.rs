@@ -12,32 +12,31 @@
 //!   themselves) crash while still mid-ballot, *after* their
 //!   confirm-commit votes for value `x` are out. If their disks are
 //!   wiped at the crash they reboot without those votes, re-nominate
-//!   with a later close time, and commit `y ≠ x` — the invariant
-//!   monitor flags the divergence. If their disks survive, the restored
-//!   ballot state pins them to `x` and the run stays clean. Up to the
-//!   crash both arms are the same run.
+//!   with a later close time, and commit `y ≠ x` — the simulation's
+//!   watchdog flags the divergence at the close. If their disks
+//!   survive, the restored ballot state pins them to `x` and the run
+//!   stays clean. Up to the crash both arms are the same run.
 //! - [`restart_storm`] / [`persistence_twin_run`] — the statistical and
 //!   differential checks: randomized reboot storms must stay
 //!   violation-free, and a run disturbed by mid-run reboots must
 //!   externalize byte-identical ledger headers to an undisturbed twin
 //!   from the same seed.
 
-use crate::monitor::{InvariantMonitor, Violation};
 use crate::runner::{ChaosConfig, ChaosReport, ChaosRun};
 use crate::schedule::FaultSchedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use stellar_crypto::Hash256;
 use stellar_persist::DurableStore;
 use stellar_scp::{NodeId, SlotIndex};
 use stellar_sim::scenario::Scenario;
-use stellar_sim::{SimConfig, Simulation};
+use stellar_sim::{SimConfig, Simulation, Violation};
 
 /// What [`amnesia_restart_scenario`] observed.
 #[derive(Clone, Debug)]
 pub struct AmnesiaOutcome {
-    /// Monitor findings (empty = the restarted quorum never
+    /// The watchdog's violations (empty = the restarted quorum never
     /// contradicted its pre-reboot votes).
     pub violations: Vec<Violation>,
     /// The contested slot.
@@ -49,7 +48,7 @@ pub struct AmnesiaOutcome {
 }
 
 /// Drives the targeted amnesia experiment (see the module docs) and
-/// returns the monitor's findings. `keep_disks` selects whether the
+/// returns the watchdog's findings. `keep_disks` selects whether the
 /// crashed nodes' disks survive (`true`) or are emptied at the crash
 /// (`false`); the same seed with the two settings is the paper's safety
 /// argument in executable form.
@@ -62,7 +61,6 @@ pub fn amnesia_restart_scenario(keep_disks: bool, seed: u64) -> AmnesiaOutcome {
         max_sim_time_ms: 240_000,
         ..SimConfig::default()
     });
-    let mut monitor = InvariantMonitor::new(BTreeSet::new(), 0);
     let ids = sim.validator_ids();
     // Step until exactly one node has externalized a slot the other
     // three have not: the three laggards are mid-ballot, their
@@ -107,17 +105,15 @@ pub fn amnesia_restart_scenario(keep_disks: bool, seed: u64) -> AmnesiaOutcome {
     let deadline = sim.now_ms() + 60_000;
     let mut decided = false;
     while sim.now_ms() < deadline && sim.step() {
-        monitor.on_tick(&sim);
         decided = others
             .iter()
             .all(|o| sim.externalizations(*o).iter().any(|(s, _)| *s == slot));
-        if decided || !monitor.is_clean() {
+        if decided || !sim.watchdog().violations().is_empty() {
             break;
         }
     }
-    monitor.on_tick(&sim);
     AmnesiaOutcome {
-        violations: monitor.violations().to_vec(),
+        violations: sim.watchdog().violations().to_vec(),
         slot,
         first_externalizer: first,
         trio_decided: decided,
@@ -127,7 +123,7 @@ pub fn amnesia_restart_scenario(keep_disks: bool, seed: u64) -> AmnesiaOutcome {
 /// Builds a randomized reboot schedule: `n_restarts` atomic restarts of
 /// pseudo-random validators at pseudo-random times in `window_ms`,
 /// deterministic in `seed`.
-pub fn restart_storm_schedule(
+fn restart_storm_schedule(
     seed: u64,
     n_validators: u32,
     n_restarts: usize,

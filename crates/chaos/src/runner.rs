@@ -1,14 +1,18 @@
-//! The chaos runner: schedule + adversaries + monitor around one sim.
+//! The chaos runner: schedule + adversaries around one sim.
 //!
 //! [`ChaosRun`] wraps a [`Simulation`] and, around every event step,
-//! interleaves the three chaos pillars deterministically:
+//! interleaves the chaos pillars deterministically:
 //!
 //! 1. fault-schedule actions due at or before the next event apply
 //!    first (crashes, partitions, link-fault changes);
 //! 2. the event fires;
 //! 3. each adversary (in node-id order) drains its puppet's inbox and
-//!    its injections enter the delivery pipeline;
-//! 4. the invariant monitor checks safety/liveness at a bounded cadence.
+//!    its injections enter the delivery pipeline.
+//!
+//! The simulation's own watchdog checks safety at every close and
+//! intact-quorum liveness (with the configured bound) in its observation
+//! round; the runner reads its violations and, for cascade campaigns,
+//! attributes the first break to a stage.
 //!
 //! Everything draws from seeded RNG streams, so one `(config, seed)`
 //! pair always produces the same event trace — enable tracing and two
@@ -16,14 +20,11 @@
 //! become replayable.
 
 use crate::adversary::{Adversary, Injection, Strategy};
-use crate::monitor::{FrontierReport, InvariantMonitor, StageMark, Violation};
 use crate::schedule::{FaultAction, FaultSchedule};
 use std::collections::{BTreeMap, BTreeSet};
 use stellar_scp::NodeId;
+use stellar_sim::Violation;
 use stellar_sim::{events::TraceEntry, node::validator_keys, HealthAlert, SimConfig, Simulation};
-
-/// Minimum simulated time between monitor sweeps (ms).
-const MONITOR_INTERVAL_MS: u64 = 250;
 
 /// Configuration of a chaos experiment.
 pub struct ChaosConfig {
@@ -34,7 +35,7 @@ pub struct ChaosConfig {
     /// Scripted faults.
     pub schedule: FaultSchedule,
     /// Longest a connected intact quorum may go without closing a
-    /// ledger before the monitor reports a stall; 0 disables.
+    /// ledger before the watchdog reports a stall; 0 disables.
     pub liveness_bound_ms: u64,
     /// Record the full event trace (costs memory; on for replays).
     pub record_trace: bool,
@@ -108,19 +109,82 @@ impl ChaosReport {
     }
 }
 
+/// A cascade-campaign stage the schedule marked.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StageMark {
+    /// 1-based stage number.
+    pub stage: usize,
+    /// The failing org (or other stage label).
+    pub label: String,
+    /// Simulated time the stage began (ms).
+    pub at_ms: u64,
+}
+
+/// How a cascade campaign first broke through the survival frontier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CollapseKind {
+    /// A safety or liveness violation was recorded.
+    Violation,
+    /// The intact set became empty: SCP promises nothing beyond this
+    /// point — the Kim/Kwon/Kim cascade outcome (liveness loss, and
+    /// divergence is no longer excluded).
+    IntactCollapse,
+}
+
+/// The survival frontier as observed in the run: how many staged
+/// failures the network absorbed before anything broke.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrontierReport {
+    /// Largest stage prefix under which every invariant held and the
+    /// intact set stayed non-empty. Equal to the number of marked stages
+    /// when nothing ever broke.
+    pub frontier: usize,
+    /// The stage whose failures first broke through (stage number and
+    /// org label), when anything did.
+    pub triggering_stage: Option<StageMark>,
+    /// What broke at the triggering stage.
+    pub collapse: Option<CollapseKind>,
+}
+
+/// The survival frontier of a campaign that marked `marks`, given when
+/// the first violation and the first empty intact set were seen. Each
+/// belongs to the last stage marked at or before it (the first stage if
+/// it came earlier); the one in the earlier stage triggers, a violation
+/// on a tie. A run without marks has a frontier of zero and no trigger.
+fn frontier(
+    marks: &[StageMark],
+    (violation_ms, empty_ms): (Option<u64>, Option<u64>),
+) -> FrontierReport {
+    let stage_at = |t: u64| marks.iter().rev().find(|m| m.at_ms <= t).or(marks.first());
+    let breaks = [
+        (violation_ms, CollapseKind::Violation),
+        (empty_ms, CollapseKind::IntactCollapse),
+    ];
+    let trigger = breaks
+        .into_iter()
+        .filter_map(|(t, kind)| Some((stage_at(t?)?, kind)))
+        .min_by_key(|(mark, _)| mark.stage);
+    FrontierReport {
+        frontier: trigger.map_or(marks.last().map_or(0, |m| m.stage), |(m, _)| {
+            m.stage.saturating_sub(1)
+        }),
+        triggering_stage: trigger.map(|(m, _)| m.clone()),
+        collapse: trigger.map(|(_, kind)| kind),
+    }
+}
+
 /// An in-flight chaos experiment.
 pub struct ChaosRun {
     sim: Simulation,
     schedule: FaultSchedule,
     adversaries: Vec<Adversary>,
-    monitor: InvariantMonitor,
-    last_monitor_ms: u64,
+    stage_marks: Vec<StageMark>,
     target_seq: u64,
 }
 
 impl ChaosRun {
     /// Builds the network, demotes the adversaries' nodes to puppets,
-    /// and arms the monitor.
+    /// and bounds the watchdog's liveness rule.
     pub fn new(cfg: ChaosConfig) -> ChaosRun {
         let target_seq = 1 + cfg.sim.target_ledgers;
         let seed = cfg.sim.seed;
@@ -128,6 +192,7 @@ impl ChaosRun {
         if cfg.record_trace {
             sim.enable_trace();
         }
+        sim.bound_liveness(cfg.liveness_bound_ms);
         let byzantine: BTreeSet<NodeId> = cfg.adversaries.iter().map(|(id, _)| *id).collect();
         let honest: Vec<NodeId> = sim
             .validator_ids()
@@ -175,8 +240,7 @@ impl ChaosRun {
             sim,
             schedule: cfg.schedule,
             adversaries,
-            monitor: InvariantMonitor::new(byzantine, cfg.liveness_bound_ms),
-            last_monitor_ms: 0,
+            stage_marks: Vec::new(),
             target_seq,
         }
     }
@@ -186,9 +250,9 @@ impl ChaosRun {
         &self.sim
     }
 
-    /// The monitor's findings so far.
+    /// The watchdog's violations so far.
     pub fn violations(&self) -> &[Violation] {
-        self.monitor.violations()
+        self.sim.watchdog().violations()
     }
 
     /// Renders the observer's flight-recorder timeline for every slot
@@ -214,7 +278,7 @@ impl ChaosRun {
     /// slot, so it attaches the traces of every transaction still in
     /// flight instead — the pipeline state of exactly the load the
     /// stalled slot was supposed to carry.
-    pub fn causal_traces_for_violations(&self, violations: &[Violation]) -> String {
+    fn causal_traces_for_violations(&self, violations: &[Violation]) -> String {
         let mut slots: BTreeSet<u64> = BTreeSet::new();
         let mut pending = false;
         for v in violations {
@@ -260,17 +324,23 @@ impl ChaosRun {
                 FaultAction::Partition { groups, heal_at_ms } => {
                     self.sim.set_partition(&groups, heal_at_ms)
                 }
-                FaultAction::Heal => self.sim.clear_partition(),
                 FaultAction::LinkFault { from, to, fault } => {
                     self.sim.link_faults_mut().set_link(from, to, fault)
                 }
                 FaultAction::DefaultLinkFault(fault) => {
                     self.sim.link_faults_mut().set_default(fault)
                 }
-                FaultAction::ClearLinkFaults => self.sim.link_faults_mut().clear(),
                 FaultAction::Reconfigure { node, qset } => self.sim.reconfigure_quorum(node, qset),
                 FaultAction::StageMark { stage, label } => {
-                    self.monitor.mark_stage(stage, &label, self.sim.now_ms())
+                    let at_ms = self.sim.now_ms();
+                    self.stage_marks.push(StageMark {
+                        stage,
+                        label,
+                        at_ms,
+                    });
+                    // From the first mark on, the watchdog times the
+                    // first empty intact set to the event.
+                    self.sim.intact();
                 }
             }
         }
@@ -291,42 +361,36 @@ impl ChaosRun {
         }
     }
 
-    /// One chaos step: faults, one simulation event, adversary turns,
-    /// monitor sweep. Returns `false` when the simulation is exhausted.
+    /// One chaos step: faults, one simulation event, adversary turns.
+    /// Returns `false` when the simulation is exhausted.
     pub fn step(&mut self) -> bool {
         self.apply_due_faults();
         if !self.sim.step() {
             return false;
         }
         self.adversary_turns();
-        let now = self.sim.now_ms();
-        if now >= self.last_monitor_ms + MONITOR_INTERVAL_MS {
-            self.last_monitor_ms = now;
-            self.monitor.on_tick(&self.sim);
-        }
         true
     }
 
     /// Runs until the fault script has fully played out **and** every
     /// non-puppet, non-crashed node reaches the target ledger count (or
-    /// the simulation runs dry), then returns the report. The monitor
-    /// always gets a final sweep.
+    /// the simulation runs dry), then returns the report.
     pub fn run(mut self) -> ChaosReport {
         while self.step() {
             if self.schedule.remaining() == 0 && self.sim.reached(self.target_seq) {
                 break;
             }
         }
-        self.monitor.on_tick(&self.sim);
         let final_seqs = self
             .sim
             .validator_ids()
             .into_iter()
             .map(|id| (id, self.sim.ledger_seq_of(id)))
             .collect();
-        let intact = self.monitor.intact(&self.sim);
+        let intact = self.sim.intact();
         let injections = self.adversaries.iter().map(Adversary::injected).sum();
-        let violations = self.monitor.violations().to_vec();
+        let violations = self.sim.watchdog().violations().to_vec();
+        let frontier = frontier(&self.stage_marks, self.sim.watchdog().first_breaks());
         let (flight_recording, causal_traces) = if violations.is_empty() {
             (String::new(), String::new())
         } else {
@@ -345,9 +409,39 @@ impl ChaosRun {
             flight_recording,
             health: self.sim.watchdog().alerts().to_vec(),
             causal_traces,
-            stage_marks: self.monitor.stage_marks().to_vec(),
-            frontier: self.monitor.frontier_report(),
+            stage_marks: self.stage_marks,
+            frontier,
             expected_health: self.sim.watchdog().expected_alerts().to_vec(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn frontier_report_attributes_to_the_marked_stage() {
+        let mark = |stage, label: &str, at_ms| StageMark {
+            stage,
+            label: label.into(),
+            at_ms,
+        };
+        let mut marks = vec![mark(1, "org-a", 10_000), mark(2, "org-b", 20_000)];
+        assert_eq!(
+            frontier(&marks, (None, None)),
+            FrontierReport {
+                frontier: 2,
+                triggering_stage: None,
+                collapse: None,
+            },
+            "clean campaign survives every marked stage"
+        );
+        // Simulate stage 3 collapsing intactness.
+        marks.push(mark(3, "org-c", 30_000));
+        let r = frontier(&marks, (None, Some(30_500)));
+        assert_eq!(r.frontier, 2);
+        assert_eq!(r.collapse, Some(CollapseKind::IntactCollapse));
+        assert_eq!(r.triggering_stage.unwrap().label, "org-c");
     }
 }

@@ -60,8 +60,6 @@ pub enum FaultAction {
         /// Absolute simulated time at which the partition heals, if any.
         heal_at_ms: Option<u64>,
     },
-    /// Heal any active partition now.
-    Heal,
     /// Install a fault model on the directed link `from -> to`.
     LinkFault {
         /// Sending side.
@@ -73,8 +71,6 @@ pub enum FaultAction {
     },
     /// Install a fault model on every link without a per-link override.
     DefaultLinkFault(LinkFault),
-    /// Remove all link-fault models (partitions are unaffected).
-    ClearLinkFaults,
     /// Replace a node's quorum set at runtime — the halt-and-reconfigure
     /// self-healing action: after a staged org failure, survivors receive
     /// a freshly synthesized configuration that excludes the dead orgs.
@@ -84,9 +80,9 @@ pub enum FaultAction {
         /// Its new quorum set.
         qset: QuorumSet,
     },
-    /// Marks the start of a cascade-campaign stage; routed to the
-    /// invariant monitor so violations and intactness collapse are
-    /// attributed to the org failure that triggered them.
+    /// Marks the start of a cascade-campaign stage: the runner records
+    /// it, so violations and intactness collapse are attributed to the
+    /// org failure that triggered them.
     StageMark {
         /// 1-based stage number.
         stage: usize,
@@ -217,11 +213,6 @@ impl FaultScheduleBuilder {
         self.push(at_ms, FaultAction::Partition { groups, heal_at_ms })
     }
 
-    /// Heal any active partition at `at_ms`.
-    pub fn heal_at(self, at_ms: u64) -> Self {
-        self.push(at_ms, FaultAction::Heal)
-    }
-
     /// Install `fault` on the directed link `from -> to` at `at_ms`.
     pub fn link_fault_at(self, at_ms: u64, from: NodeId, to: NodeId, fault: LinkFault) -> Self {
         self.push(at_ms, FaultAction::LinkFault { from, to, fault })
@@ -230,11 +221,6 @@ impl FaultScheduleBuilder {
     /// Install `fault` as the all-links default at `at_ms`.
     pub fn default_link_fault_at(self, at_ms: u64, fault: LinkFault) -> Self {
         self.push(at_ms, FaultAction::DefaultLinkFault(fault))
-    }
-
-    /// Remove every link-fault model at `at_ms`.
-    pub fn clear_link_faults_at(self, at_ms: u64) -> Self {
-        self.push(at_ms, FaultAction::ClearLinkFaults)
     }
 
     /// Replace `node`'s quorum set at `at_ms` (halt-and-reconfigure).
@@ -274,13 +260,13 @@ mod tests {
         let mut s = FaultSchedule::builder()
             .revive_at(20_000, NodeId(1))
             .crash_at(5_000, NodeId(1))
-            .heal_at(5_000) // same instant as the crash, added later
+            .torn_write_at(5_000, NodeId(2)) // same instant as the crash, added later
             .build();
         assert_eq!(s.len(), 3);
         let first = s.pop_due(5_000).unwrap();
         assert!(matches!(first.action, FaultAction::Crash(NodeId(1))));
         let second = s.pop_due(5_000).unwrap();
-        assert!(matches!(second.action, FaultAction::Heal));
+        assert!(matches!(second.action, FaultAction::TornWrite(NodeId(2))));
         assert!(s.pop_due(5_000).is_none(), "revive not due yet");
         assert_eq!(s.remaining(), 1);
         assert_eq!(s.peek_time(), Some(20_000));

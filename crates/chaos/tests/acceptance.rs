@@ -4,9 +4,9 @@
 
 use std::collections::BTreeSet;
 use stellar_chaos::adversary::Strategy;
-use stellar_chaos::monitor::Violation;
 use stellar_chaos::runner::{ChaosConfig, ChaosRun};
 use stellar_chaos::schedule::FaultSchedule;
+use stellar_chaos::Violation;
 use stellar_overlay::LinkFault;
 use stellar_scp::NodeId;
 use stellar_sim::scenario::Scenario;

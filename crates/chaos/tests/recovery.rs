@@ -1,10 +1,11 @@
 //! Acceptance: durable persistence is what stands between a reboot and
 //! an SCP safety violation (§3, §5.4).
 //!
-//! The same amnesia scenario runs with persistence off (the rebooted
-//! quorum forgets its confirm-commit votes and contradicts them — the
-//! monitor must catch the divergence) and on (the restored ballot state
-//! pins the quorum to its pre-reboot value — the run must stay clean).
+//! The same amnesia scenario runs with the crashed quorum's disks emptied
+//! at the crash (the rebooted quorum forgets its confirm-commit votes and
+//! contradicts them — the watchdog must catch the divergence) and with
+//! them kept (the restored ballot state pins the quorum to its pre-reboot
+//! value — the run must stay clean).
 //! Randomized restart storms and a differential twin run then check the
 //! property statistically and byte-for-byte.
 

@@ -112,7 +112,7 @@ pub struct CloseStats {
     /// Transactions that failed or were invalid.
     pub failed_tx_count: usize,
     /// Hash of the resulting ledger header. Nodes that applied the same
-    /// slot must agree on it — the safety invariant chaos monitors check.
+    /// slot must agree on it — the safety invariant the run watchdog checks.
     pub header_hash: Hash256,
 }
 

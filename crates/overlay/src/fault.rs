@@ -119,23 +119,12 @@ impl LinkFaultTable {
         self.links.insert((from, to), fault);
     }
 
-    /// Removes every fault (default and per-link).
-    pub fn clear(&mut self) {
-        self.default_fault = None;
-        self.links.clear();
-    }
-
     /// The fault model for `from -> to`, if any applies.
     pub fn get(&self, from: NodeId, to: NodeId) -> Option<&LinkFault> {
         self.links
             .get(&(from, to))
             .or(self.default_fault.as_ref())
             .filter(|f| !f.is_none())
-    }
-
-    /// True when no fault is configured anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.default_fault.is_none() && self.links.is_empty()
     }
 }
 
@@ -183,8 +172,6 @@ mod tests {
         t.set_link(NodeId(0), NodeId(1), LinkFault::none().with_drop(0.9));
         assert_eq!(t.get(NodeId(0), NodeId(1)).unwrap().drop_p, 0.9);
         assert_eq!(t.get(NodeId(1), NodeId(0)).unwrap().drop_p, 0.1);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -129,14 +129,6 @@ impl EventQueue {
         let to_node = |q: &Queued| matches!(q.event, Event::Deliver { to, .. } if to == node);
         self.heap.retain(|Reverse(q)| !to_node(q));
     }
-
-    /// Number of pending `Deliver` events addressed to `node`.
-    pub fn count_deliveries_to(&self, node: NodeId) -> usize {
-        self.heap
-            .iter()
-            .filter(|Reverse(q)| matches!(q.event, Event::Deliver { to, .. } if to == node))
-            .count()
-    }
 }
 
 /// One entry of the deterministic event trace (see
@@ -198,6 +190,17 @@ pub enum TraceEntry {
 pub(crate) fn record(trace: &mut Option<Vec<TraceEntry>>, entry: impl FnOnce() -> TraceEntry) {
     if let Some(t) = trace {
         t.push(entry());
+    }
+}
+
+#[cfg(test)]
+impl EventQueue {
+    /// Number of pending `Deliver` events addressed to `node`.
+    pub(crate) fn count_deliveries_to(&self, node: NodeId) -> usize {
+        self.heap
+            .iter()
+            .filter(|Reverse(q)| matches!(q.event, Event::Deliver { to, .. } if to == node))
+            .count()
     }
 }
 

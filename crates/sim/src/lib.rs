@@ -33,8 +33,10 @@
 //!   streams into per-transaction rows and the submit→apply phase-level
 //!   latency decomposition (p50/p99 per phase, Fig. 7-style CDF), and
 //!   renders causal traces for chaos reports;
-//! * [`watchdog`] — the health watchdog: stuck-slot and slow-close
-//!   detection plus the ledger-lag gauge, feeding sim and chaos reports.
+//! * [`watchdog`] — the run watchdog: stuck-slot and slow-close alerts
+//!   and the ledger-lag gauge, and SCP's safety and liveness promises
+//!   checked over intact nodes (safety at the close that breaks it),
+//!   feeding sim and chaos reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,4 +57,4 @@ pub use metrics::{percentile, SimReport};
 pub use scenario::Scenario;
 pub use simulation::{SimConfig, Simulation};
 pub use tracing::{build_tx_traces, phase_stats, render_causal_trace, PhaseStats, TxTrace};
-pub use watchdog::{HealthAlert, HealthWatchdog};
+pub use watchdog::{HealthAlert, HealthWatchdog, Violation};

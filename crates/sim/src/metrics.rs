@@ -8,7 +8,7 @@
 
 use crate::simulation::Simulation;
 use crate::tracing::{build_tx_traces, trace_summary_json, TxTrace};
-use crate::watchdog::HealthAlert;
+use crate::watchdog::{HealthAlert, Violation};
 use std::collections::BTreeMap;
 use stellar_herder::herder::CloseStats;
 use stellar_herder::SlotRecord;
@@ -63,6 +63,9 @@ pub struct SimReport {
     pub tx_traces: Vec<TxTrace>,
     /// Health-watchdog findings, in detection order.
     pub health: Vec<HealthAlert>,
+    /// Safety and liveness violations, in detection order (whole run,
+    /// like the telemetry snapshot).
+    pub violations: Vec<Violation>,
     /// How far apart the validators trigger each slot, over the whole
     /// run (`herder.trigger_skew_ms`).
     pub trigger_skew: TriggerSkew,
@@ -323,6 +326,7 @@ impl Simulation {
             n_validators: self.validators().count(),
             tx_traces,
             health: self.watchdog.alerts().to_vec(),
+            violations: self.watchdog.violations().to_vec(),
             trigger_skew: self.triggers.skew(),
         }
     }
@@ -466,6 +470,7 @@ mod tests {
             telemetry: Json::Null,
             tx_traces: Vec::new(),
             health: Vec::new(),
+            violations: Vec::new(),
             trigger_skew: TriggerSkew::default(),
         };
         assert!((report.mean_nomination_ms() - 85.0).abs() < 1e-9);
@@ -504,6 +509,7 @@ mod tests {
             telemetry: Json::Null,
             tx_traces: Vec::new(),
             health: Vec::new(),
+            violations: Vec::new(),
             trigger_skew: TriggerSkew::default(),
         };
         let before = report.scp_msgs_per_ledger();
@@ -579,6 +585,7 @@ mod tests {
             telemetry,
             tx_traces,
             health,
+            violations: Vec::new(),
             trigger_skew: TriggerSkew::default(),
         };
         let rows_per_ledger = report.tx_traces.len() as f64 / report.ledgers.len() as f64;

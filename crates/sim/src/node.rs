@@ -53,7 +53,7 @@
 //! crash and restart, catch-up and inspection.
 
 use crate::events::Flooded;
-use crate::simulation::{SimConfig, Simulation};
+use crate::simulation::{ill, SimConfig, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
 use stellar_buckets::{BucketList, HistoryArchive};
 use stellar_crypto::sign::{KeyPair, PublicKey};
@@ -729,6 +729,7 @@ impl Simulation {
                 .validator(*id, qset.clone(), &self.cfg, wal, None);
             let horizon = self.cfg.horizon.filter(|_| *id == self.observer);
             self.node_mut(*id).boot(v, horizon);
+            self.watchdog.set_quorum(*id, qset.clone());
         }
     }
 
@@ -743,6 +744,7 @@ impl Simulation {
         };
         node.crash();
         self.queue.purge_deliveries_to(id);
+        self.watchdog.rejudge(self.now, || ill(&self.nodes));
     }
 
     /// Revives a crashed node. The node does **not** keep its pre-crash
@@ -769,6 +771,7 @@ impl Simulation {
             return;
         };
         let (replayed, actions) = node.reboot(&self.genesis, &self.cfg, self.now);
+        self.watchdog.restarted(id);
         self.busy_until_us.remove(&id);
         self.queue.purge_deliveries_to(id);
         let replayed = replayed + self.carry_out(id, actions);
@@ -780,6 +783,7 @@ impl Simulation {
             reg.inc("recovery.restarts");
             reg.add("recovery.ledgers_replayed", replayed);
         }
+        self.watchdog.rejudge(self.now, || ill(&self.nodes));
     }
 
     /// Replays ledgers the node missed from the most-advanced live
@@ -827,9 +831,11 @@ impl Simulation {
     /// satisfiable quorum so consensus can resume.
     pub fn reconfigure_quorum(&mut self, id: NodeId, qset: QuorumSet) {
         let now = self.now;
-        if let Some(node) = self.nodes.get_mut(&id) {
+        if let Some(node) = self.nodes.get_mut(&id).filter(|n| n.validator().is_some()) {
+            self.watchdog.set_quorum(id, qset.clone());
             let actions = node.reconfigure_quorum(qset, now);
             self.carry_out(id, actions);
+            self.watchdog.rejudge(self.now, || ill(&self.nodes));
         }
     }
 
@@ -858,13 +864,6 @@ impl Simulation {
     /// A validator, for post-run inspection.
     pub fn validator(&self, id: NodeId) -> &Validator {
         self.find_validator(id).expect("a validator")
-    }
-
-    /// Every node's quorum set (input to intactness computation).
-    pub fn quorum_sets(&self) -> BTreeMap<NodeId, QuorumSet> {
-        self.validators()
-            .map(|(id, v)| (id, v.scp.quorum_set().clone()))
-            .collect()
     }
 
     /// Everything `id` has externalized since it booted, as `(slot,

@@ -5,7 +5,7 @@
 //! [`Validator`] (SCP + herder + ledger + buckets) beside a real
 //! `FloodEngine`, or a watcher with the engine alone. The simulator keeps
 //! only what is not a node: the event queue and the clock, the links
-//! (latency, faults, partitions), the processing-cost model, the health
+//! (latency, faults, partitions), the processing-cost model, the run
 //! watchdog and the god's-eye report. It hands each event to its node and
 //! carries out the [`NodeActions`] that come back, in order,
 //! deterministically from a single seed.
@@ -19,7 +19,7 @@ use crate::scenario::Scenario;
 use crate::watchdog::HealthWatchdog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use stellar_herder::validator::Validator;
 use stellar_horizon::AdmissionConfig;
 use stellar_ledger::tx::TransactionEnvelope;
@@ -154,7 +154,7 @@ pub struct Simulation {
     pub(crate) restarts: u64,
     /// Ledgers replayed from history archives during recoveries.
     pub(crate) recovery_replayed: u64,
-    /// Liveness health monitor (stuck slots, slow closes, ledger lag).
+    /// The run watchdog: health alerts, safety and liveness violations.
     pub(crate) watchdog: HealthWatchdog,
     /// Next simulated time the watchdog takes an observation round.
     watchdog_next_ms: u64,
@@ -300,19 +300,6 @@ impl Simulation {
         });
     }
 
-    /// Heals any active partition immediately and runs the reconnect
-    /// state exchange.
-    pub fn clear_partition(&mut self) {
-        if self.partition.take().is_some() {
-            self.resync();
-        }
-    }
-
-    /// Whether a partition is currently in force.
-    pub fn partition_active(&self) -> bool {
-        self.partition.is_some()
-    }
-
     /// Whether the directed link `from -> to` is currently open under the
     /// active partition (probabilistic link faults are not consulted).
     pub fn link_open(&self, from: NodeId, to: NodeId) -> bool {
@@ -419,6 +406,9 @@ impl Simulation {
             .filter_map(|(id, n)| Some((*id, n.validator()?.ledger_seq())))
             .collect();
         self.watchdog.observe(self.now, &seqs);
+        let partitioned = self.partition.is_some();
+        let ill = || ill(&self.nodes);
+        self.watchdog.judge_liveness(self.now, partitioned, ill);
         for (id, lag) in self.watchdog.ledger_lag() {
             let validator = self
                 .nodes
@@ -431,9 +421,32 @@ impl Simulation {
         }
     }
 
-    /// The health watchdog (alerts + lag gauges).
+    /// The run watchdog: alerts, lag gauges and violations.
     pub fn watchdog(&self) -> &HealthWatchdog {
         &self.watchdog
+    }
+
+    /// Bounds intact-quorum liveness ([`crate::Violation::LivenessStall`]);
+    /// 0, the default, disables the rule.
+    pub fn bound_liveness(&mut self, bound_ms: u64) {
+        self.watchdog.liveness_bound_ms = bound_ms;
+    }
+
+    /// The intact set now ([`intact_nodes`](crate::watchdog::intact_nodes) over the
+    /// puppets and down nodes). From the first call on, the watchdog keeps
+    /// it current at every crash, restart and reconfiguration.
+    pub fn intact(&mut self) -> BTreeSet<NodeId> {
+        self.watchdog.watch_intact = true;
+        self.watchdog.intact(self.now, &ill(&self.nodes)).clone()
+    }
+
+    /// Hands the watchdog what `id` committed up to ledger `seq`.
+    fn watch_close(&mut self, id: NodeId, seq: u64) {
+        if let Some(v) = self.nodes.get(&id).and_then(Node::validator) {
+            let (closes, slots) = (&v.herder.close_stats, &v.herder.slot_records);
+            let ill = || ill(&self.nodes);
+            self.watchdog.closed(self.now, id, seq, closes, slots, ill);
+        }
     }
 
     /// Registers a scheduled-downtime window with the health watchdog:
@@ -570,6 +583,7 @@ impl Simulation {
                         seq,
                         header_hash,
                     });
+                    self.watch_close(id, seq);
                 }
                 Effect::CatchUp => applied += self.catch_up(id),
             }
@@ -611,6 +625,21 @@ impl Simulation {
                 }
             }
         }
+    }
+}
+
+/// The ill-behaved validators among `nodes`: puppets and down nodes.
+pub(crate) fn ill(nodes: &BTreeMap<NodeId, Node>) -> BTreeSet<NodeId> {
+    let is_ill = |n: &Node| n.validator().is_some() && (n.is_puppet() || n.is_down());
+    let ill = nodes.iter().filter(|(_, n)| is_ill(n));
+    ill.map(|(id, _)| *id).collect()
+}
+
+#[cfg(test)]
+impl Simulation {
+    /// Whether a partition is currently in force.
+    pub(crate) fn partition_active(&self) -> bool {
+        self.partition.is_some()
     }
 }
 
@@ -791,6 +820,7 @@ mod tests {
         assert!(render.contains("applied"), "{render}");
         // A healthy run raises no alerts and no node lags the tip.
         assert!(report.health.is_empty(), "{:?}", report.health);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(sim.watchdog().max_ledger_lag(), 0);
     }
 

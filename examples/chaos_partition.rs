@@ -13,10 +13,10 @@
 //!   the tx sets they name, and org2 replays the ledgers it missed from
 //!   a peer's history archive (§6 catchup) — then rejoins consensus.
 //!
-//! The chaos invariant monitor watches the whole run: no two intact
-//! nodes may externalize different values for a slot or diverge in
-//! ledger hashes, and the declared partition suspends (not excuses)
-//! liveness judgment.
+//! The simulation's watchdog watches the whole run: no two intact nodes
+//! may externalize different values for a slot or diverge in ledger
+//! hashes, and the declared partition suspends (not excuses) liveness
+//! judgment.
 //!
 //! ```sh
 //! cargo run --release --example chaos_partition
@@ -131,11 +131,11 @@ fn main() {
     );
     assert!(
         run.violations().is_empty(),
-        "invariant monitor flagged: {:?}",
+        "watchdog flagged: {:?}",
         run.violations()
     );
     println!(
-        "invariant monitor: clean — the partition cost org2 liveness for {}s, never safety",
+        "watchdog: clean — the partition cost org2 liveness for {}s, never safety",
         (HEAL_AT_MS - PARTITION_AT_MS) / 1000
     );
 

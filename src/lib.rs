@@ -14,8 +14,8 @@
 //! | Herder: consensus values, upgrades, validators | [`herder`] | §5.3 |
 //! | Horizon, bridge, compliance, federation | [`horizon`] | §5.4, Fig. 5 |
 //! | Overlay: flooding, topology, traffic stats | [`overlay`] | §5.4 |
-//! | Discrete-event simulation & experiments | [`sim`] | §7 |
-//! | Fault injection, Byzantine adversaries, invariant monitoring | [`chaos`] | §3, §6 |
+//! | Discrete-event simulation & experiments, run watchdog (health, safety, liveness) | [`sim`] | §3, §7 |
+//! | Fault injection, Byzantine adversaries, cascade campaigns | [`chaos`] | §3, §6 |
 //! | Metrics registry, flight recorder, JSON export | [`telemetry`] | §7 |
 //!
 //! ## Quickstart
