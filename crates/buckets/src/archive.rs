@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use stellar_crypto::codec::Decode;
-use stellar_crypto::Hash256;
+use stellar_crypto::{heap, Hash256};
 use stellar_ledger::header::LedgerHeader;
 use stellar_ledger::txset::TransactionSet;
 
@@ -130,6 +130,45 @@ impl HistoryArchive {
     /// Number of checkpoints taken.
     pub fn checkpoint_count(&self) -> usize {
         self.checkpoints.len()
+    }
+
+    /// Heap bytes the archive holds. A bucket blob that a resident level
+    /// still shares, and a stored set's encoding that the set's handles
+    /// share, count by their share.
+    pub fn resident_bytes(&self) -> u64 {
+        let blobs: u64 = self
+            .blobs
+            .values()
+            .map(|b| {
+                let own = heap::RC_HEADER + (std::mem::size_of::<Vec<u8>>() + b.capacity()) as u64;
+                heap::shared(own, Rc::strong_count(b))
+            })
+            .sum();
+        let tx_sets: u64 = self
+            .tx_sets
+            .values()
+            .map(|b| heap::shared(heap::RC_HEADER + b.len() as u64, Arc::strong_count(b)))
+            .sum();
+        let hashes: u64 = self
+            .checkpoints
+            .values()
+            .map(|c| heap::array::<Hash256>(c.bucket_hashes.capacity()))
+            .sum();
+        heap::btree(
+            self.blobs.len(),
+            std::mem::size_of::<(Hash256, Rc<Vec<u8>>)>(),
+        ) + blobs
+            + heap::btree(self.tx_sets.len(), std::mem::size_of::<(u64, Arc<[u8]>)>())
+            + tx_sets
+            + heap::btree(
+                self.headers.len(),
+                std::mem::size_of::<(u64, LedgerHeader)>(),
+            )
+            + heap::btree(
+                self.checkpoints.len(),
+                std::mem::size_of::<(u64, Checkpoint)>(),
+            )
+            + hashes
     }
 
     /// The highest ledger sequence published, if any.

@@ -14,7 +14,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::rc::Rc;
 use stellar_crypto::codec::{Decode, DecodeError, Encode};
-use stellar_crypto::{sha256::sha256, Hash256};
+use stellar_crypto::{heap, sha256::sha256, Hash256};
 use stellar_ledger::entry::{LedgerEntry, LedgerKey};
 
 /// One slot in a bucket: the latest version of an entry, or a tombstone
@@ -145,6 +145,17 @@ impl Bucket {
     /// per slot.
     pub(crate) fn resident_bytes(&self) -> u64 {
         self.encoded_len() + (4 * self.starts.len()) as u64
+    }
+
+    /// This bucket's share of the heap its encoding and offsets hold: a
+    /// bucket list that shares its encoding with a clone of itself or
+    /// with an archive counts it by share, and the holders together
+    /// count it once.
+    pub(crate) fn resident_share(&self) -> u64 {
+        let bytes =
+            heap::RC_HEADER + (std::mem::size_of::<Vec<u8>>() + self.bytes.capacity()) as u64;
+        heap::shared(bytes, Rc::strong_count(&self.bytes))
+            + heap::array::<u32>(self.starts.capacity())
     }
 
     /// Number of slots (live + tombstones).

@@ -260,6 +260,20 @@ impl BucketList {
             .sum()
     }
 
+    /// This list's share of the heap its resident levels hold, for the
+    /// memory census: a level's encoding that a clone of the list or an
+    /// archive shares counts by its share.
+    /// [`BucketList::resident_bytes`] charges every resident level whole.
+    pub fn resident_share(&self) -> u64 {
+        self.levels
+            .iter()
+            .map(|l| match l {
+                LevelSlot::Ram(b) => b.resident_share(),
+                LevelSlot::Spilled { .. } => 0,
+            })
+            .sum()
+    }
+
     /// Bytes of durable blob the spilled (non-resident) levels occupy.
     pub fn spilled_bytes(&self) -> u64 {
         self.levels

@@ -22,6 +22,7 @@
 //! * [`hex`] — hex encoding for display and test vectors.
 //! * [`idhash`] — [`IdState`], the keyed multiply-fold hasher behind every
 //!   hash table in the workspace ([`IdMap`], [`IdSet`]).
+//! * [`heap`] — the heap-size estimators the memory census sums.
 //!
 //! The central type is [`Hash256`], a 32-byte digest used pervasively as a
 //! content address (ledger headers, buckets, transaction sets, values).
@@ -30,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod heap;
 pub mod hex;
 pub mod idhash;
 pub mod sha256;

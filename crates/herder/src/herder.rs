@@ -17,7 +17,7 @@ use std::time::Duration;
 use stellar_buckets::{BucketList, HistoryArchive};
 use stellar_crypto::codec::{Decode, Encode};
 use stellar_crypto::sign::PublicKey;
-use stellar_crypto::{Hash256, IdMap};
+use stellar_crypto::{heap, Hash256, IdMap};
 use stellar_ledger::apply::close_ledger;
 use stellar_ledger::entry::{LedgerEntry, LedgerKey};
 use stellar_ledger::header::{LedgerHeader, LedgerParams};
@@ -155,9 +155,12 @@ pub struct Herder {
     /// Pending transactions.
     pub queue: TxQueue,
     /// Node-level verified-signature cache. One transaction is
-    /// signature-checked at submission, nomination validation, and apply;
-    /// this cache makes the second and third checks free. Purely an
-    /// optimization: externalized state is identical with it disabled.
+    /// signature-checked at admission and at apply; this cache makes the
+    /// second check free. Each close ages it, so an outcome lives until
+    /// the second close after its last use; its count cap bounds what a
+    /// flood of distinct signatures between two closes can make it hold.
+    /// Purely an optimization: externalized state is identical with it
+    /// disabled.
     pub sig_cache: SigVerifyCache,
     /// Governance stance.
     pub upgrade_policy: UpgradePolicy,
@@ -290,6 +293,36 @@ impl Herder {
             close_stats: Vec::new(),
             decided: BTreeMap::new(),
         }
+    }
+
+    /// Heap bytes of the transaction sets the herder knows, by its share
+    /// of each, and of their ageing table.
+    pub fn tx_sets_resident_bytes(&self) -> u64 {
+        let sets: u64 = self
+            .known_tx_sets
+            .values()
+            .map(TransactionSet::resident_bytes)
+            .sum();
+        let known = std::mem::size_of::<(Hash256, TransactionSet)>();
+        let learned = std::mem::size_of::<(Hash256, SlotIndex)>();
+        heap::table(self.known_tx_sets.len(), known)
+            + sets
+            + heap::table(self.tx_set_learned_at.len(), learned)
+    }
+
+    /// Heap bytes of what the herder records of its own run: the
+    /// telemetry bundle, the slot records and the close statistics.
+    pub fn records_resident_bytes(&self) -> u64 {
+        let slots: u64 = self
+            .slot_records
+            .values()
+            .map(SlotRecord::resident_bytes)
+            .sum();
+        let table = std::mem::size_of::<(SlotIndex, SlotRecord)>();
+        self.telemetry.resident_bytes(Traced::resident_bytes)
+            + heap::btree(self.slot_records.len(), table)
+            + slots
+            + heap::array::<CloseStats>(self.close_stats.capacity())
     }
 
     /// Turns on the close-event feed for an ingestion consumer, keeping

@@ -7,7 +7,7 @@
 //! a candidate set never contains gaps.
 
 use std::collections::BTreeMap;
-use stellar_crypto::{Hash256, IdSet};
+use stellar_crypto::{heap, Hash256, IdSet};
 use stellar_ledger::amount::BASE_FEE;
 use stellar_ledger::entry::AccountId;
 use stellar_ledger::sigcache::SigVerifyCache;
@@ -76,6 +76,24 @@ impl TxQueue {
         self.capacity
     }
 
+    /// Heap bytes the queue holds, with its share of each queued
+    /// transaction.
+    pub fn resident_bytes(&self) -> u64 {
+        let per_account = std::mem::size_of::<(u64, TransactionEnvelope)>();
+        let accounts: u64 = self
+            .by_account
+            .values()
+            .map(|txs| {
+                let shares: u64 = txs.values().map(TransactionEnvelope::resident_bytes).sum();
+                heap::btree(txs.len(), per_account) + shares
+            })
+            .sum();
+        let table = std::mem::size_of::<(AccountId, BTreeMap<u64, TransactionEnvelope>)>();
+        heap::btree(self.by_account.len(), table)
+            + accounts
+            + heap::table(self.seen.len(), std::mem::size_of::<Hash256>())
+    }
+
     /// Number of queued transactions.
     pub fn len(&self) -> usize {
         self.by_account.values().map(BTreeMap::len).sum()
@@ -90,7 +108,7 @@ impl TxQueue {
     ///
     /// `sig_cache` is the node-level signature-verify cache: the
     /// verification done here is remembered, so the same transaction's
-    /// later checks (nomination, apply) hit the cache. Pass
+    /// check at apply hits the cache. Pass
     /// `&mut SigVerifyCache::disabled()` where no node cache exists.
     pub fn submit(
         &mut self,

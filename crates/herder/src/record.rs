@@ -31,6 +31,18 @@ fn timer_name(kind: &TimerKind) -> &'static str {
     }
 }
 
+impl Traced {
+    /// Heap bytes the payload holds beyond its own size: the share of the
+    /// value a candidate or a decision carries.
+    pub fn resident_bytes(&self) -> u64 {
+        match self {
+            Traced::Scp(ScpEvent::NewCandidate { value, .. })
+            | Traced::Scp(ScpEvent::Externalized { value, .. }) => value.resident_bytes(),
+            _ => 0,
+        }
+    }
+}
+
 impl fmt::Display for Traced {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let threshold = |f: &mut fmt::Formatter<'_>, milestone: &str, counter: &u32| {
@@ -124,6 +136,13 @@ pub struct SlotRecord {
 }
 
 impl SlotRecord {
+    /// Heap bytes the record holds beyond its own size.
+    pub fn resident_bytes(&self) -> u64 {
+        self.externalized
+            .as_ref()
+            .map_or(0, |(_, v)| v.resident_bytes())
+    }
+
     /// Folds `event`, reported at `t_ms`, into the record. Returns the
     /// length of the nomination round it ended, if it ended one: a new
     /// round ends the previous one, and the decision ends the last.

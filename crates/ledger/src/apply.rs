@@ -52,7 +52,7 @@ pub struct ApplyStats {
 /// Validates a transaction against current state (no effects).
 ///
 /// `sig_cache` memoizes Schnorr verification, so a transaction already
-/// checked at submission or nomination does not re-verify at apply.
+/// checked at admission does not re-verify at apply.
 /// Callers without a cache pass `&mut SigVerifyCache::disabled()` — a
 /// capacity-0 cache that costs one stack allocation.
 pub fn check_validity(
@@ -199,10 +199,12 @@ pub fn apply_transaction(
 /// the header afterwards, or close in two phases as `stellar-herder` does.
 ///
 /// `sig_cache` is the node's signature-verify cache: transactions this
-/// node already verified at submission or nomination skip Schnorr
-/// verification entirely at apply. The cache never changes results — it
-/// memoizes a pure function — so cached and disabled-cache closes
-/// externalize identical headers (`tests/cache_determinism.rs`).
+/// node already verified at admission skip Schnorr verification entirely
+/// at apply. Every close ages it by one generation
+/// ([`SigVerifyCache::rotate`]), so what the cache holds is what the last
+/// two ledgers used. The cache never changes results — it memoizes a pure
+/// function — so cached and disabled-cache closes externalize identical
+/// headers (`tests/cache_determinism.rs`).
 pub fn close_ledger(
     store: &mut LedgerStore,
     prev: &LedgerHeader,
@@ -230,6 +232,7 @@ pub fn close_ledger(
         results.push(r);
     }
     let changes = store.commit(delta.into_changes());
+    sig_cache.rotate();
 
     let header = LedgerHeader {
         ledger_seq: prev.ledger_seq + 1,

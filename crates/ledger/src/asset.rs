@@ -65,6 +65,15 @@ pub enum Asset {
 }
 
 impl Asset {
+    /// Heap bytes the asset holds beyond its own size: an issued asset's
+    /// code.
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            Asset::Native => 0,
+            Asset::Issued { code, .. } => code.0.capacity() as u64,
+        }
+    }
+
     /// Convenience constructor for issued assets.
     pub fn issued(issuer: AccountId, code: &str) -> Asset {
         Asset::Issued {

@@ -26,12 +26,14 @@
 use crate::amount::Price;
 use crate::asset::Asset;
 use crate::entry::{
-    AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
+    AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, Signer, TrustLineEntry,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of;
 use std::ops::Bound;
 use std::rc::Rc;
+use stellar_crypto::heap;
 use stellar_persist::DurableStore;
 
 /// Position in a pair's book: `(price, offer id)` — the canonical
@@ -40,6 +42,25 @@ pub type BookCursor = (Price, u64);
 
 /// The order-book side index: selling asset → buying asset → positions.
 pub type BookIndex = BTreeMap<Asset, BTreeMap<Asset, BTreeSet<BookCursor>>>;
+
+/// Heap bytes of an order-book side index.
+pub fn book_heap_bytes(book: &BookIndex) -> u64 {
+    let sides: u64 = book
+        .iter()
+        .map(|(selling, by_buying)| {
+            let books: u64 = by_buying
+                .iter()
+                .map(|(buying, cursors)| {
+                    buying.heap_bytes() + heap::btree(cursors.len(), size_of::<BookCursor>())
+                })
+                .sum();
+            let table = size_of::<(Asset, BTreeSet<BookCursor>)>();
+            selling.heap_bytes() + heap::btree(by_buying.len(), table) + books
+        })
+        .sum();
+    let table = size_of::<(Asset, BTreeMap<Asset, BTreeSet<BookCursor>>)>();
+    heap::btree(book.len(), table) + sides
+}
 
 /// The book position of an offer — the one definition of book ordering
 /// shared by the base index and every delta merge, so price/time priority
@@ -222,8 +243,14 @@ pub trait LedgerBackend: LedgerRead {
         StoreIoStats::default()
     }
 
-    /// Approximate bytes of RAM the backend currently holds entries in.
+    /// Approximate bytes of RAM the backend currently holds entries in:
+    /// a fixed weight per entry ([`approx_entry_bytes`]), what the
+    /// resident-bytes gauges report.
     fn resident_bytes(&self) -> u64;
+
+    /// Heap bytes the backend holds, estimated from its tables' lengths
+    /// (`stellar_crypto::heap`): what the memory census counts.
+    fn heap_bytes(&self) -> u64;
 
     /// Clones the backend behind the trait object.
     fn boxed_clone(&self) -> Box<dyn LedgerBackend>;
@@ -402,6 +429,53 @@ impl LedgerBackend for MemBackend {
             + tls as u64 * 112
             + self.offers.len() as u64 * 120
             + data as u64 * 112
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        let signers = |a: &AccountEntry| heap::array::<Signer>(a.signers.capacity());
+        let accounts: u64 = self.accounts.values().map(signers).sum();
+        let lines: u64 = self
+            .trustlines
+            .values()
+            .map(|t| {
+                let assets: u64 = t
+                    .iter()
+                    .map(|(a, line)| a.heap_bytes() + line.asset.heap_bytes())
+                    .sum();
+                heap::btree(t.len(), size_of::<(Asset, TrustLineEntry)>()) + assets
+            })
+            .sum();
+        let offers: u64 = self
+            .offers
+            .values()
+            .map(|o| o.selling.heap_bytes() + o.buying.heap_bytes())
+            .sum();
+        let data: u64 = self
+            .data
+            .values()
+            .map(|d| {
+                let bytes: u64 = d
+                    .iter()
+                    .map(|(k, e)| (k.capacity() + e.name.capacity() + e.value.capacity()) as u64)
+                    .sum();
+                heap::btree(d.len(), size_of::<(String, DataEntry)>()) + bytes
+            })
+            .sum();
+        heap::btree(self.accounts.len(), size_of::<(AccountId, AccountEntry)>())
+            + accounts
+            + heap::btree(
+                self.trustlines.len(),
+                size_of::<(AccountId, BTreeMap<Asset, TrustLineEntry>)>(),
+            )
+            + lines
+            + heap::btree(self.offers.len(), size_of::<(u64, OfferEntry)>())
+            + offers
+            + heap::btree(
+                self.data.len(),
+                size_of::<(AccountId, BTreeMap<String, DataEntry>)>(),
+            )
+            + data
+            + book_heap_bytes(&self.book)
     }
 
     fn boxed_clone(&self) -> Box<dyn LedgerBackend> {

@@ -346,6 +346,18 @@ pub enum LedgerEntry {
 }
 
 impl LedgerEntry {
+    /// Heap bytes the entry holds beyond its own size.
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            LedgerEntry::Account(a) => {
+                (a.signers.capacity() * std::mem::size_of::<Signer>()) as u64
+            }
+            LedgerEntry::TrustLine(t) => t.asset.heap_bytes(),
+            LedgerEntry::Offer(o) => o.selling.heap_bytes() + o.buying.heap_bytes(),
+            LedgerEntry::Data(d) => (d.name.capacity() + d.value.capacity()) as u64,
+        }
+    }
+
     /// A stable key identifying the entry across versions.
     pub fn key(&self) -> LedgerKey {
         match self {
@@ -383,6 +395,17 @@ stellar_crypto::impl_codec_enum!(LedgerKey: u8 {
     2 => Offer(id),
     3 => Data(account, name),
 });
+
+impl LedgerKey {
+    /// Heap bytes the key holds beyond its own size.
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            LedgerKey::Account(_) | LedgerKey::Offer(_) => 0,
+            LedgerKey::TrustLine(_, asset) => asset.heap_bytes(),
+            LedgerKey::Data(_, name) => name.capacity() as u64,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

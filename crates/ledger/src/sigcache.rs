@@ -1,27 +1,36 @@
 //! Verified-signature cache.
 //!
-//! Every transaction is signature-checked at least three times on its way
-//! into a ledger: once when it is admitted to the pending queue, once when
-//! the nominated transaction set is validated, and once inside
+//! A validator signature-checks each transaction twice on its way into a
+//! ledger: when it is admitted to the pending queue, and inside
 //! `close_ledger` when it is applied (§5.2: every validator replays the
-//! full apply path). The Schnorr verification each check performs — two
-//! modular exponentiations — is the most expensive single operation on the
-//! close path, yet its outcome is a pure function of `(message, key,
-//! signature)`. Production stellar-core keeps exactly such a cache; this
-//! is ours.
+//! full apply path; validating a nominated set checks no signature). The
+//! Schnorr verification each check performs — two modular
+//! exponentiations — is the most expensive single operation on the close
+//! path, yet its outcome is a pure function of `(message, key,
+//! signature)`. Production stellar-core keeps such a cache; this is ours.
 //!
-//! The cache is **two-generation bounded**: inserts go to a fresh
-//! generation, and when it fills to half the configured capacity the old
-//! generation is discarded wholesale and the fresh one takes its place.
-//! That keeps eviction O(1) amortized and deterministic (no clocks, no
-//! randomized LRU sampling), so twin runs produce identical results — a
-//! cache hit returns bit-for-bit what verification would have.
+//! The cache **ages by ledger**. It keeps two generations: checks insert
+//! into the fresh one, a hit in the old one moves the outcome back to the
+//! fresh one, and every close (whatever calls `close_ledger`: a live
+//! close, catch-up replay or a driver of its own) makes the fresh
+//! generation the old one and drops what the old one held. An outcome
+//! therefore lives until the second close after its last use: long enough
+//! to carry the admission check to the apply check, and no longer, since
+//! nothing asks again once its transaction is applied.
+//!
+//! A **count cap** is the bound a hostile submitter meets: a flood of
+//! distinct signatures between two closes rotates the generations early
+//! whenever the fresh one fills to half the capacity, so the cache never
+//! holds more than its capacity. Both rotations are O(1) amortized and
+//! deterministic (no clocks, no randomized LRU sampling), so twin runs
+//! produce identical results — a hit returns bit-for-bit what
+//! verification would have.
 //!
 //! Negative results are cached too: a flood of copies of one bad
 //! signature costs one verification, not one per copy.
 
 use stellar_crypto::sign::{verify_hash, PublicKey, Signature};
-use stellar_crypto::{Hash256, IdMap};
+use stellar_crypto::{heap, Hash256, IdMap};
 
 /// Cache key: the signed message hash plus the full `(key, signature)`
 /// triple, so distinct signatures over one transaction never collide.
@@ -41,6 +50,9 @@ pub struct SigVerifyCache {
     young: IdMap<SigKey, bool>,
     /// Previous generation: read-only; hits are promoted back to `young`.
     old: IdMap<SigKey, bool>,
+    /// `old`'s length when it took its last insert: what its table holds
+    /// room for, since hits only remove from it.
+    old_grown: usize,
     hits: u64,
     misses: u64,
 }
@@ -52,6 +64,7 @@ impl SigVerifyCache {
             capacity,
             young: IdMap::default(),
             old: IdMap::default(),
+            old_grown: 0,
             hits: 0,
             misses: 0,
         }
@@ -91,9 +104,17 @@ impl SigVerifyCache {
 
     fn insert(&mut self, key: SigKey, ok: bool) {
         if self.young.len() >= self.capacity.div_ceil(2).max(1) {
-            self.old = std::mem::take(&mut self.young);
+            self.rotate();
         }
         self.young.insert(key, ok);
+    }
+
+    /// Ages the cache by one generation: the fresh generation becomes the
+    /// old one and what the old one held is forgotten. `close_ledger`
+    /// calls it once per close.
+    pub fn rotate(&mut self) {
+        self.old = std::mem::take(&mut self.young);
+        self.old_grown = self.old.len();
     }
 
     /// Checks answered from memory.
@@ -114,6 +135,12 @@ impl SigVerifyCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.young.is_empty() && self.old.is_empty()
+    }
+
+    /// Heap bytes the two generations hold.
+    pub fn resident_bytes(&self) -> u64 {
+        let entry = std::mem::size_of::<(SigKey, bool)>();
+        heap::table(self.young.len(), entry) + heap::table(self.old_grown, entry)
     }
 }
 
@@ -173,6 +200,74 @@ mod tests {
         assert!(c.len() <= 32 + 1, "len {} exceeds bound", c.len());
         // The hot key was touched every round: almost all of its checks hit.
         assert!(c.hits() > 900, "hits {}", c.hits());
+    }
+
+    #[test]
+    fn an_outcome_unused_for_two_closes_is_forgotten() {
+        let kp = KeyPair::from_seed(6);
+        let sig = kp.sign(msg(1).as_bytes());
+        let mut c = SigVerifyCache::new(64);
+        assert!(c.check(&msg(1), kp.public(), &sig));
+        c.rotate();
+        assert_eq!(c.len(), 1, "one close later the outcome is still held");
+        c.rotate();
+        assert!(c.is_empty());
+        assert_eq!(c.resident_bytes(), 0);
+        assert!(c.check(&msg(1), kp.public(), &sig));
+        assert_eq!((c.hits(), c.misses()), (0, 2));
+    }
+
+    #[test]
+    fn an_outcome_used_at_every_close_survives() {
+        let kp = KeyPair::from_seed(7);
+        let sig = kp.sign(msg(2).as_bytes());
+        let mut c = SigVerifyCache::new(64);
+        for _ in 0..10 {
+            assert!(c.check(&msg(2), kp.public(), &sig));
+            c.rotate();
+        }
+        assert_eq!((c.hits(), c.misses()), (9, 1));
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn negative_outcomes_age_the_same_way() {
+        let kp = KeyPair::from_seed(8);
+        let bad = kp.sign(msg(4).as_bytes()); // valid for a different msg
+        let mut c = SigVerifyCache::new(64);
+        assert!(!c.check(&msg(3), kp.public(), &bad));
+        c.rotate();
+        assert!(!c.check(&msg(3), kp.public(), &bad));
+        assert_eq!(c.hits(), 1, "used within one close: a hit");
+        c.rotate();
+        c.rotate();
+        assert!(c.is_empty());
+        assert!(!c.check(&msg(3), kp.public(), &bad));
+        assert_eq!(c.misses(), 2);
+    }
+
+    #[test]
+    fn a_flood_between_two_closes_stays_within_the_count_cap() {
+        let kp = KeyPair::from_seed(9);
+        // A cache that took 32 distinct outcomes holds as much as any.
+        let mut full = SigVerifyCache::new(32);
+        for i in 0..32u64 {
+            let bad = Signature { e: i + 1, s: i + 1 };
+            full.check(&msg(5), kp.public(), &bad);
+        }
+        let bound = full.resident_bytes();
+        let mut c = SigVerifyCache::new(32);
+        for i in 0..10_000u64 {
+            let bad = Signature {
+                e: i % stellar_crypto::sign::Q,
+                s: (i * 7 + 1) % stellar_crypto::sign::Q,
+            };
+            assert!(!c.check(&msg(5), kp.public(), &bad));
+            assert!(c.len() <= 32, "len {} exceeds the cap", c.len());
+            assert!(c.resident_bytes() <= bound);
+        }
+        c.rotate();
+        assert!(c.len() <= 16);
     }
 
     #[test]

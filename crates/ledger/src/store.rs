@@ -239,6 +239,11 @@ impl LedgerStore {
         self.backend.resident_bytes()
     }
 
+    /// Heap bytes the backend holds, as the memory census counts them.
+    pub fn heap_bytes(&self) -> u64 {
+        self.backend.heap_bytes()
+    }
+
     /// Starts a delta (scratch overlay) over this store.
     pub fn begin(&self) -> LedgerDelta<'_> {
         LedgerDelta::over(self.backend.as_ref(), self.backend.next_offer_id())

@@ -14,7 +14,7 @@ use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 use stellar_crypto::codec::{Decode, DecodeError, Encode};
 use stellar_crypto::sign::{KeyPair, PublicKey, Signature};
-use stellar_crypto::Hash256;
+use stellar_crypto::{heap, Hash256};
 
 /// Transaction memo: a small tag for off-ledger reconciliation.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -168,6 +168,18 @@ impl Operation {
             Operation::SetOptions { .. } | Operation::AccountMerge { .. } => ThresholdLevel::High,
             Operation::AllowTrust { .. } | Operation::BumpSequence { .. } => ThresholdLevel::Low,
             _ => ThresholdLevel::Medium,
+        }
+    }
+
+    /// Heap bytes the operation holds beyond its own size.
+    fn heap_bytes(&self) -> u64 {
+        match self {
+            Operation::PathPayment { path, .. } => heap::array::<Asset>(path.capacity()),
+            Operation::ManageData { name, value } => {
+                (name.capacity() + value.as_ref().map_or(0, Vec::capacity)) as u64
+            }
+            Operation::AllowTrust { asset_code, .. } => asset_code.capacity() as u64,
+            _ => 0,
         }
     }
 }
@@ -393,8 +405,8 @@ impl TransactionEnvelope {
     }
 
     /// Like [`valid_signer_keys`](Self::valid_signer_keys), but consults
-    /// `cache` so a signature already verified at submission or nomination
-    /// is not re-verified at apply.
+    /// `cache` so a signature already verified at admission is not
+    /// re-verified at apply.
     pub fn valid_signer_keys_cached(
         &self,
         cache: &mut crate::sigcache::SigVerifyCache,
@@ -413,6 +425,27 @@ impl TransactionEnvelope {
         *self
             .cached_env_hash
             .get_or_init(|| stellar_crypto::hash_xdr(self))
+    }
+
+    /// This handle's share of the heap bytes the envelope holds: every
+    /// handle to one envelope together count it once.
+    pub fn resident_bytes(&self) -> u64 {
+        let tx = &self.tx;
+        let ops: u64 = tx.operations.iter().map(|o| o.op.heap_bytes()).sum();
+        let memo = match &tx.memo {
+            Memo::Text(text) => text.capacity() as u64,
+            _ => 0,
+        };
+        let preimages: u64 = self.preimages.iter().map(|p| p.capacity() as u64).sum();
+        let own = heap::RC_HEADER
+            + std::mem::size_of::<EnvelopeData>() as u64
+            + heap::array::<SourcedOperation>(tx.operations.capacity())
+            + ops
+            + memo
+            + heap::array::<(PublicKey, Signature)>(self.signatures.capacity())
+            + heap::array::<Vec<u8>>(self.preimages.capacity())
+            + preimages;
+        heap::shared(own, Arc::strong_count(&self.0))
     }
 }
 

@@ -11,7 +11,7 @@ use crate::tx::TransactionEnvelope;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 use stellar_crypto::codec::{Decode, DecodeError, Encode};
-use stellar_crypto::Hash256;
+use stellar_crypto::{heap, Hash256};
 
 /// An ordered set of transactions for one ledger: an immutable, shared
 /// handle like [`TransactionEnvelope`]. `clone()` bumps a reference count,
@@ -172,6 +172,27 @@ impl TransactionSet {
     /// over), built on the first call and shared by every later one.
     pub fn encoding(&self) -> Arc<[u8]> {
         self.encoding.get_or_init(|| self.to_bytes().into()).clone()
+    }
+
+    /// This handle's share of the heap bytes the set holds, its members'
+    /// shares and its encoding's share included: every handle to one set
+    /// together count it once.
+    pub fn resident_bytes(&self) -> u64 {
+        let txs: u64 = self
+            .txs
+            .iter()
+            .map(TransactionEnvelope::resident_bytes)
+            .sum();
+        let encoding = self.encoding.get().map_or(0, |bytes| {
+            let own = heap::RC_HEADER + bytes.len() as u64;
+            heap::shared(own, Arc::strong_count(bytes))
+        });
+        let own = heap::RC_HEADER
+            + std::mem::size_of::<TxSetData>() as u64
+            + heap::array::<TransactionEnvelope>(self.txs.capacity())
+            + txs
+            + encoding;
+        heap::shared(own, Arc::strong_count(&self.0))
     }
 
     /// Total operations across all transactions (the §5.3 nomination

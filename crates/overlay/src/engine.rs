@@ -56,7 +56,7 @@ use crate::flood::FloodState;
 use crate::message::{FloodMessage, Flooded};
 use crate::pull::{DemandScheduler, FloodMode, PayloadCache, MAX_DEMAND_ATTEMPTS};
 use crate::stats::TrafficStats;
-use stellar_crypto::Hash256;
+use stellar_crypto::{heap, Hash256};
 use stellar_scp::NodeId;
 use stellar_telemetry::SpanPhase;
 
@@ -116,6 +116,15 @@ pub struct FloodEngine {
 }
 
 impl FloodEngine {
+    /// Heap bytes the engine holds: the seen generations, the wants and
+    /// advert batch, and the payload cache with its share of each payload.
+    pub fn resident_bytes(&self) -> u64 {
+        heap::array::<NodeId>(self.peers.capacity())
+            + self.seen.resident_bytes()
+            + self.demands.resident_bytes()
+            + self.payloads.resident_bytes(Flooded::resident_bytes)
+    }
+
     /// An engine flooding to `peers` (kept in the given order).
     pub fn new(mode: FloodMode, peers: Vec<NodeId>) -> FloodEngine {
         FloodEngine {

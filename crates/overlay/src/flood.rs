@@ -14,7 +14,7 @@
 //! within round-trip time, far inside one window, so the revisit hits the
 //! de-duplication check and the loop dies.
 
-use stellar_crypto::{Hash256, IdSet};
+use stellar_crypto::{heap, Hash256, IdSet};
 
 /// Flood bookkeeping for one node.
 #[derive(Debug)]
@@ -49,6 +49,13 @@ impl FloodState {
     /// Ids currently remembered, both generations.
     pub fn remembered(&self) -> usize {
         self.current.len() + self.previous.len()
+    }
+
+    /// Heap bytes the two generations hold. Each grows by insertion only
+    /// and is replaced, never cleared, so its length sizes its table.
+    pub fn resident_bytes(&self) -> u64 {
+        let entry = std::mem::size_of::<Hash256>();
+        heap::table(self.current.len(), entry) + heap::table(self.previous.len(), entry)
     }
 
     /// Records `id` as seen at `now_ms`; returns `true` if it is new

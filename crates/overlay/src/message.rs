@@ -3,7 +3,7 @@
 use crate::stats::MsgKind;
 use std::sync::Arc;
 use stellar_crypto::codec::Encode;
-use stellar_crypto::Hash256;
+use stellar_crypto::{heap, Hash256};
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_ledger::txset::TransactionSet;
 use stellar_scp::Envelope;
@@ -112,6 +112,21 @@ pub struct FloodedData {
 pub struct Flooded(Arc<FloodedData>);
 
 impl Flooded {
+    /// This handle's share of the heap bytes the payload holds: every
+    /// handle to one payload together count it once.
+    pub fn resident_bytes(&self) -> u64 {
+        let msg = match &self.msg {
+            FloodMessage::Scp(e) => e.resident_bytes(),
+            FloodMessage::TxSet(s) => s.resident_bytes(),
+            FloodMessage::Tx(t) => t.resident_bytes(),
+            FloodMessage::Advert(ids) | FloodMessage::Demand(ids) => {
+                heap::array::<Hash256>(ids.capacity())
+            }
+        };
+        let own = heap::RC_HEADER + std::mem::size_of::<FloodedData>() as u64 + msg;
+        heap::shared(own, Arc::strong_count(&self.0))
+    }
+
     /// Wraps a message, hashing and sizing it once.
     pub fn new(msg: FloodMessage) -> Flooded {
         Flooded(Arc::new(FloodedData {

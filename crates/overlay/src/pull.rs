@@ -31,7 +31,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use stellar_crypto::{Hash256, IdMap, IdSet};
+use stellar_crypto::{heap, Hash256, IdMap, IdSet};
 use stellar_scp::NodeId;
 
 /// How a simulation floods large payloads (transactions and tx sets).
@@ -100,6 +100,19 @@ pub struct DemandScheduler {
 }
 
 impl DemandScheduler {
+    /// Heap bytes the advert batch and the wants hold.
+    pub fn resident_bytes(&self) -> u64 {
+        let advertisers: u64 = self
+            .wanted
+            .values()
+            .map(|w| heap::array::<NodeId>(w.advertisers.capacity()))
+            .sum();
+        heap::array::<Hash256>(self.pending_adverts.capacity())
+            + heap::table(self.queued.len(), std::mem::size_of::<Hash256>())
+            + heap::btree(self.wanted.len(), std::mem::size_of::<(Hash256, Want)>())
+            + advertisers
+    }
+
     /// A scheduler that retries an unanswered demand after
     /// `demand_timeout_ms` of simulated time.
     pub fn new(demand_timeout_ms: u64) -> DemandScheduler {
@@ -201,7 +214,7 @@ impl DemandScheduler {
     /// them.
     pub fn tick(&mut self, now_ms: u64) -> TickActions {
         let adverts = std::mem::take(&mut self.pending_adverts);
-        self.queued.clear();
+        self.queued = IdSet::default();
         let mut demands: BTreeMap<NodeId, Vec<Hash256>> = BTreeMap::new();
         let mut expired = Vec::new();
         let mut give_up = Vec::new();
@@ -256,6 +269,15 @@ pub struct PayloadCache<V> {
 }
 
 impl<V> PayloadCache<V> {
+    /// Heap bytes the cache holds, with `payload` the bytes one payload
+    /// holds beyond its own size.
+    pub fn resident_bytes(&self, payload: impl Fn(&V) -> u64) -> u64 {
+        let payloads: u64 = self.map.values().map(|(_, v)| payload(v)).sum();
+        heap::table(self.map.len(), std::mem::size_of::<(Hash256, (u64, V))>())
+            + heap::array::<(u64, Hash256)>(self.order.capacity())
+            + payloads
+    }
+
     /// A cache holding at most `capacity` payloads, each for less than
     /// `retention_ms`.
     pub fn new(capacity: usize, retention_ms: u64) -> PayloadCache<V> {

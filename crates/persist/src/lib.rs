@@ -32,6 +32,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use stellar_crypto::heap;
 use stellar_crypto::sha256::sha256;
 
 /// Bytes of framing overhead added to each record: an 8-byte big-endian
@@ -110,6 +111,25 @@ impl Default for DurableStore {
 }
 
 impl DurableStore {
+    /// Heap bytes the device holds: its durable records and the staged
+    /// writes, keys included.
+    pub fn resident_bytes(&self) -> u64 {
+        let durable: u64 = self
+            .durable
+            .iter()
+            .map(|(k, v)| (k.capacity() + v.capacity()) as u64)
+            .sum();
+        let pending: u64 = self
+            .pending
+            .iter()
+            .map(|(k, v)| (k.capacity() + v.as_ref().map_or(0, Vec::capacity)) as u64)
+            .sum();
+        heap::btree(self.durable.len(), std::mem::size_of::<(String, Vec<u8>)>())
+            + durable
+            + heap::array::<(String, Option<Vec<u8>>)>(self.pending.capacity())
+            + pending
+    }
+
     /// A fresh, empty store.
     pub fn new() -> DurableStore {
         DurableStore {

@@ -80,6 +80,20 @@ impl Default for BallotProtocol {
 }
 
 impl BallotProtocol {
+    /// Heap bytes the protocol state holds.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        let ballots = [
+            &self.current,
+            &self.prepared,
+            &self.prepared_prime,
+            &self.high,
+            &self.commit,
+        ];
+        let ballots = ballots.into_iter().flatten().map(|b| &b.value);
+        let values = ballots.chain(&self.composite).chain(&self.decided);
+        values.map(Value::resident_bytes).sum::<u64>() + self.latest.resident_bytes()
+    }
+
     /// Creates an idle ballot protocol.
     pub fn new() -> Self {
         BallotProtocol {

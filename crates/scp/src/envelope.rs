@@ -20,6 +20,11 @@ pub struct Envelope {
 }
 
 impl Envelope {
+    /// Heap bytes the envelope holds beyond its own size.
+    pub fn resident_bytes(&self) -> u64 {
+        self.statement.resident_bytes()
+    }
+
     /// Signs `statement` with `keys`, producing a verifiable envelope.
     pub fn sign(statement: Statement, keys: &KeyPair) -> Envelope {
         let signature = sign::sign_xdr(keys, &statement);

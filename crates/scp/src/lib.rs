@@ -145,6 +145,21 @@ impl Value {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// This handle's share of the value's heap bytes: every handle to one
+    /// value together count it once.
+    pub fn resident_bytes(&self) -> u64 {
+        let own = stellar_crypto::heap::RC_HEADER
+            + std::mem::size_of::<Vec<u8>>() as u64
+            + self.0.capacity() as u64;
+        stellar_crypto::heap::shared(own, std::sync::Arc::strong_count(&self.0))
+    }
+}
+
+/// Heap bytes of a set of values: its B-tree and each value's share.
+pub(crate) fn value_set_bytes(set: &std::collections::BTreeSet<Value>) -> u64 {
+    let values: u64 = set.iter().map(Value::resident_bytes).sum();
+    stellar_crypto::heap::btree(set.len(), std::mem::size_of::<Value>()) + values
 }
 
 impl std::fmt::Debug for Value {

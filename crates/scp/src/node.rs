@@ -25,6 +25,13 @@ pub struct ScpNode {
 }
 
 impl ScpNode {
+    /// Heap bytes the node's slots and quorum set hold.
+    pub fn resident_bytes(&self) -> u64 {
+        let slots: u64 = self.slots.values().map(Slot::resident_bytes).sum();
+        let table = std::mem::size_of::<(SlotIndex, Slot)>();
+        self.qset.resident_bytes() + stellar_crypto::heap::btree(self.slots.len(), table) + slots
+    }
+
     /// Creates a node with the given identity, signing keys, and slices.
     ///
     /// # Panics

@@ -48,6 +48,16 @@ pub struct NominationProtocol {
 }
 
 impl NominationProtocol {
+    /// Heap bytes the protocol state holds.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        stellar_crypto::heap::btree(self.leaders.len(), std::mem::size_of::<NodeId>())
+            + crate::value_set_bytes(&self.voted)
+            + crate::value_set_bytes(&self.accepted)
+            + crate::value_set_bytes(&self.candidates)
+            + self.latest.resident_bytes()
+            + self.proposed.as_ref().map_or(0, Value::resident_bytes)
+    }
+
     /// Creates an idle nomination protocol.
     pub fn new() -> Self {
         Self::default()

@@ -18,6 +18,7 @@ use crate::statement::{Ballot, Statement, StatementKind};
 use crate::{NodeId, QuorumSet, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use stellar_crypto::heap;
 
 /// A set of interned nodes: bit `i` stands for [`QuorumKernel::id`]`(i)`.
 ///
@@ -108,6 +109,21 @@ pub struct CompiledQSet {
 }
 
 impl CompiledQSet {
+    /// Heap bytes the tree holds beyond its own size.
+    fn resident_bytes(&self) -> u64 {
+        let inner: u64 = self.inner.iter().map(CompiledQSet::resident_bytes).sum();
+        heap::array::<u32>(self.validators.capacity())
+            + heap::array::<CompiledQSet>(self.inner.capacity())
+            + inner
+    }
+
+    /// One handle's share of a shared tree.
+    fn shared_bytes(tree: &Arc<CompiledQSet>) -> u64 {
+        let own =
+            heap::RC_HEADER + std::mem::size_of::<CompiledQSet>() as u64 + tree.resident_bytes();
+        heap::shared(own, Arc::strong_count(tree))
+    }
+
     /// Whether `set` contains one of this set's slices: at least
     /// `threshold` entries satisfied.
     pub fn satisfied_by(&self, set: &NodeBits) -> bool {
@@ -151,6 +167,28 @@ pub struct QuorumKernel {
 }
 
 impl QuorumKernel {
+    /// Heap bytes the kernel holds: its tables and its share of each
+    /// compiled tree.
+    fn resident_bytes(&self) -> u64 {
+        let slices: u64 = self
+            .slices
+            .iter()
+            .flatten()
+            .map(CompiledQSet::shared_bytes)
+            .sum();
+        let compiled: u64 = self
+            .compiled
+            .iter()
+            .map(|(q, tree)| q.resident_bytes() + CompiledQSet::shared_bytes(tree))
+            .sum();
+        heap::array::<NodeId>(self.ids.capacity())
+            + heap::array::<(NodeId, u32)>(self.bits.capacity())
+            + heap::array::<Option<Arc<CompiledQSet>>>(self.slices.capacity())
+            + heap::array::<(QuorumSet, Arc<CompiledQSet>)>(self.compiled.capacity())
+            + slices
+            + compiled
+    }
+
     /// Number of interned nodes: the width of this kernel's sets.
     pub fn width(&self) -> usize {
         self.ids.len()
@@ -354,6 +392,15 @@ pub(crate) enum Question {
 }
 
 impl Question {
+    /// Heap bytes the question holds beyond its own size.
+    fn resident_bytes(&self) -> u64 {
+        match self {
+            Question::Prepare(b) | Question::Commit(b) => b.value.resident_bytes(),
+            Question::Nominate(v) => v.resident_bytes(),
+            Question::AtLeast(_) => 0,
+        }
+    }
+
     /// Whether `kind` votes for, and whether it accepts, this question.
     fn test(&self, kind: &StatementKind) -> (bool, bool) {
         match self {
@@ -489,6 +536,36 @@ pub(crate) struct LatestStatements {
 }
 
 impl LatestStatements {
+    /// Heap bytes the statements, the kernel and the memo hold.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        let statements: u64 = self
+            .statements
+            .iter()
+            .flatten()
+            .map(Statement::resident_bytes)
+            .sum();
+        let mentions: u64 = self.mentions.keys().map(Question::resident_bytes).sum();
+        let memo: u64 = self
+            .memo
+            .iter()
+            .map(|(q, v)| {
+                q.resident_bytes()
+                    + heap::array::<u64>(v.voted.words.capacity() + v.accepted.words.capacity())
+            })
+            .sum();
+        let local = self.local.as_ref().map_or(0, |(q, tree, _)| {
+            q.resident_bytes() + CompiledQSet::shared_bytes(tree)
+        });
+        heap::array::<Option<Statement>>(self.statements.capacity())
+            + statements
+            + self.kernel.resident_bytes()
+            + heap::btree(self.mentions.len(), std::mem::size_of::<(Question, u32)>())
+            + mentions
+            + heap::btree(self.memo.len(), std::mem::size_of::<(Question, Votes)>())
+            + memo
+            + local
+    }
+
     /// The statements, in sender order.
     pub fn values(&self) -> impl Iterator<Item = &Statement> {
         self.kernel

@@ -43,6 +43,14 @@ stellar_crypto::impl_codec_struct!(QuorumSet {
 });
 
 impl QuorumSet {
+    /// Heap bytes the set holds beyond its own size.
+    pub fn resident_bytes(&self) -> u64 {
+        let inner: u64 = self.inner.iter().map(QuorumSet::resident_bytes).sum();
+        stellar_crypto::heap::array::<NodeId>(self.validators.capacity())
+            + stellar_crypto::heap::array::<QuorumSet>(self.inner.capacity())
+            + inner
+    }
+
     /// Builds a flat `threshold`-of-`validators` quorum set.
     ///
     /// # Panics

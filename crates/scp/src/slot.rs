@@ -39,6 +39,11 @@ pub struct Slot {
 }
 
 impl Slot {
+    /// Heap bytes the slot's two protocols hold.
+    pub fn resident_bytes(&self) -> u64 {
+        self.nomination.resident_bytes() + self.ballot.resident_bytes()
+    }
+
     /// Creates an idle slot.
     pub fn new(index: SlotIndex) -> Slot {
         Slot {

@@ -363,6 +363,20 @@ pub struct Statement {
     pub kind: StatementKind,
 }
 
+impl Statement {
+    /// Heap bytes the statement holds beyond its own size: its quorum
+    /// set, its value sets and each value's share.
+    pub fn resident_bytes(&self) -> u64 {
+        let kind = match &self.kind {
+            StatementKind::Nominate { voted, accepted } => {
+                crate::value_set_bytes(voted) + crate::value_set_bytes(accepted)
+            }
+            kind => kind.values().map(Value::resident_bytes).sum(),
+        };
+        self.quorum_set.resident_bytes() + kind
+    }
+}
+
 stellar_crypto::impl_codec_struct!(Statement {
     node,
     slot,

@@ -7,7 +7,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use stellar_crypto::Hash256;
+use stellar_crypto::{heap, Hash256};
 use stellar_ledger::tx::TransactionEnvelope;
 pub use stellar_overlay::{Flooded, FloodedData};
 use stellar_scp::driver::TimerKind;
@@ -120,6 +120,21 @@ impl EventQueue {
     /// Time of the earliest scheduled event, if any.
     pub fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(q)| q.time)
+    }
+
+    /// Heap bytes the queue holds, with each event's share of the
+    /// payload it carries.
+    pub fn resident_bytes(&self) -> u64 {
+        let payloads: u64 = self
+            .heap
+            .iter()
+            .map(|Reverse(q)| match &q.event {
+                Event::Deliver { msg, .. } => msg.resident_bytes(),
+                Event::SubmitTx { tx, .. } => tx.resident_bytes(),
+                _ => 0,
+            })
+            .sum();
+        heap::array::<Reverse<Queued>>(self.heap.capacity()) + payloads
     }
 
     /// Removes every pending `Deliver` addressed to `node`. Called on

@@ -8,6 +8,8 @@
 //! and bucket-list code, and ledger-update latency is measured with a
 //! wall clock, exactly the split the paper's latency components have.
 //!
+//! * [`census`] — the memory census: heap bytes per holder over every
+//!   node, reported with each run;
 //! * [`latency`] — seeded link-latency models (LAN, same-region EC2, WAN);
 //! * [`events`] — the event queue (deliveries, SCP timer deadlines,
 //!   ledger triggers, load arrivals), which holds no timer state, and the
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod census;
 pub mod events;
 mod horizon;
 pub mod latency;
@@ -52,6 +55,7 @@ pub mod simulation;
 pub mod tracing;
 pub mod watchdog;
 
+pub use census::MemoryCensus;
 pub use latency::LatencyModel;
 pub use metrics::{percentile, SimReport};
 pub use scenario::Scenario;

@@ -6,6 +6,7 @@
 //! confirming a ballot; **Ledger update**: time to apply consensus value;
 //! **Transaction count**: confirmed transactions per ledger."
 
+use crate::census::MemoryCensus;
 use crate::simulation::Simulation;
 use crate::tracing::{build_tx_traces, trace_summary_json, TxTrace};
 use crate::watchdog::{HealthAlert, Violation};
@@ -69,6 +70,8 @@ pub struct SimReport {
     /// How far apart the validators trigger each slot, over the whole
     /// run (`herder.trigger_skew_ms`).
     pub trigger_skew: TriggerSkew,
+    /// Heap bytes per holder over every node when the report was taken.
+    pub memory: MemoryCensus,
 }
 
 /// The spread between a slot's earliest and latest validator trigger,
@@ -328,6 +331,7 @@ impl Simulation {
             health: self.watchdog.alerts().to_vec(),
             violations: self.watchdog.violations().to_vec(),
             trigger_skew: self.triggers.skew(),
+            memory: self.census(),
         }
     }
 
@@ -472,6 +476,7 @@ mod tests {
             health: Vec::new(),
             violations: Vec::new(),
             trigger_skew: TriggerSkew::default(),
+            memory: MemoryCensus::default(),
         };
         assert!((report.mean_nomination_ms() - 85.0).abs() < 1e-9);
         assert!((report.mean_balloting_ms() - 105.0).abs() < 1e-9);
@@ -511,6 +516,7 @@ mod tests {
             health: Vec::new(),
             violations: Vec::new(),
             trigger_skew: TriggerSkew::default(),
+            memory: MemoryCensus::default(),
         };
         let before = report.scp_msgs_per_ledger();
         let trimmed = report.without_warmup(2);
@@ -587,6 +593,7 @@ mod tests {
             health,
             violations: Vec::new(),
             trigger_skew: TriggerSkew::default(),
+            memory: MemoryCensus::default(),
         };
         let rows_per_ledger = report.tx_traces.len() as f64 / report.ledgers.len() as f64;
         // Cut the first two ledgers (slots 2 and 3; boundary at 15 s).

@@ -987,6 +987,50 @@ mod tests {
         let alerts = health.get("alerts").and_then(Json::as_arr).expect("alerts");
         assert!(!alerts.is_empty());
     }
+
+    /// Each close ages a validator's signature cache by one generation,
+    /// so right after a close the cache holds no more outcomes than the
+    /// node checked since the close before: what the last two ledgers
+    /// used, not what the run has seen.
+    #[test]
+    fn a_sig_cache_holds_only_what_the_last_two_ledgers_checked() {
+        let mut sim = Simulation::new(SimConfig {
+            n_accounts: 1_000,
+            tx_rate: 40.0,
+            target_ledgers: 8,
+            flood_mode: FloodMode::Pull,
+            ..SimConfig::default()
+        });
+        let ids = sim.validator_ids();
+        let checks = |sim: &Simulation, id: NodeId| {
+            let cache = &sim.validator(id).herder.sig_cache;
+            (cache.len() as u64, cache.hits() + cache.misses())
+        };
+        // Each validator's last closed seq and its check count then.
+        let mut last: BTreeMap<NodeId, (u64, u64)> = ids.iter().map(|id| (*id, (1, 0))).collect();
+        let mut closes = 0;
+        while !sim.reached(1 + 8) && sim.step() {
+            for id in &ids {
+                let seq = sim.ledger_seq_of(*id);
+                let (closed, checked_then) = last[id];
+                if seq == closed {
+                    continue;
+                }
+                let (held, checked) = checks(&sim, *id);
+                assert!(
+                    held <= checked - checked_then,
+                    "node {} holds {held} outcomes after closing {seq}, having checked {} since {closed}",
+                    id.0,
+                    checked - checked_then
+                );
+                last.insert(*id, (seq, checked));
+                closes += 1;
+            }
+        }
+        assert!(closes >= 4 * 8, "{closes} closes observed");
+        let checked: u64 = ids.iter().map(|id| checks(&sim, *id).1).sum();
+        assert!(checked > 4 * 40 * 5 * 8, "the load was checked: {checked}");
+    }
 }
 
 #[cfg(test)]

@@ -43,11 +43,13 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of;
 use std::rc::Rc;
 use stellar_crypto::codec::{Decode, Encode};
+use stellar_crypto::heap;
 use stellar_ledger::backend::{
-    approx_entry_bytes, book_apply, book_range, BookCursor, BookIndex, LedgerBackend, LedgerRead,
-    StoreIoStats,
+    approx_entry_bytes, book_apply, book_heap_bytes, book_range, BookCursor, BookIndex,
+    LedgerBackend, LedgerRead, StoreIoStats,
 };
 use stellar_ledger::entry::{
     AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
@@ -907,6 +909,31 @@ impl LedgerBackend for DiskBackend {
 
     fn resident_bytes(&self) -> u64 {
         self.state.borrow().resident + self.index.len() as u64 * INDEX_ENTRY_BYTES
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        let st = self.state.borrow();
+        let keys = |keys: &mut dyn Iterator<Item = &LedgerKey>| -> u64 {
+            keys.map(LedgerKey::heap_bytes).sum()
+        };
+        let cached: u64 = st
+            .entries
+            .iter()
+            .map(|(k, slot)| {
+                k.heap_bytes() + slot.entry.as_ref().map_or(0, LedgerEntry::heap_bytes)
+            })
+            .sum();
+        heap::btree(self.index.len(), size_of::<(LedgerKey, EntryLoc)>())
+            + keys(&mut self.index.keys())
+            + heap::btree(self.segs.len(), size_of::<(u64, SegInfo)>())
+            + book_heap_bytes(&self.book)
+            + heap::array::<u64>(self.orphans.capacity())
+            + heap::btree(st.entries.len(), size_of::<(LedgerKey, CacheSlot)>())
+            + cached
+            + heap::btree(st.dirty.len(), size_of::<LedgerKey>())
+            + keys(&mut st.dirty.iter())
+            + heap::btree(st.lru.len(), size_of::<(u64, LedgerKey)>())
+            + keys(&mut st.lru.values())
     }
 
     fn boxed_clone(&self) -> Box<dyn LedgerBackend> {

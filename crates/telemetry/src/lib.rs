@@ -65,6 +65,15 @@ impl<K> NodeTelemetry<K> {
         }
     }
 
+    /// Heap bytes the registry, the flight recorder and the span buffer
+    /// hold, with `payload` the bytes one recorded event's payload holds
+    /// beyond its own size.
+    pub fn resident_bytes(&self, payload: impl Fn(&K) -> u64) -> u64 {
+        self.registry.resident_bytes()
+            + self.recorder.resident_bytes(payload)
+            + self.spans.resident_bytes()
+    }
+
     /// Records a flight-recorder event stamped with this node's id.
     pub fn trace(&mut self, t_ms: u64, slot: u64, kind: K) {
         self.recorder.record(t_ms, self.node, slot, kind);

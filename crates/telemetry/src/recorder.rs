@@ -62,6 +62,13 @@ impl<K> FlightRecorder<K> {
         }
     }
 
+    /// Heap bytes the buffered events hold, with `payload` the bytes one
+    /// event's payload holds beyond its own size.
+    pub fn resident_bytes(&self, payload: impl Fn(&K) -> u64) -> u64 {
+        let payloads: u64 = self.events.iter().map(|e| payload(&e.kind)).sum();
+        (self.events.capacity() * std::mem::size_of::<TraceEvent<K>>()) as u64 + payloads
+    }
+
     /// Records one event.
     pub fn record(&mut self, t_ms: u64, node: u32, slot: u64, kind: K) {
         if slot > self.max_slot {

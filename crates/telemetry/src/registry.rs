@@ -159,10 +159,23 @@ pub struct Registry {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Heap bytes of a metric table: each name's bytes, and a B-tree node of
+/// 11 slots for about every 7 entries.
+fn table_bytes<V>(table: &BTreeMap<String, V>) -> u64 {
+    let names: usize = table.keys().map(String::capacity).sum();
+    let nodes = table.len().div_ceil(7);
+    (names + nodes * (16 + 11 * std::mem::size_of::<(String, V)>())) as u64
+}
+
 impl Registry {
     /// A fresh, empty registry.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// Heap bytes the counters, gauges and histograms hold.
+    pub fn resident_bytes(&self) -> u64 {
+        table_bytes(&self.counters) + table_bytes(&self.gauges) + table_bytes(&self.histograms)
     }
 
     /// Increments counter `name` by 1.

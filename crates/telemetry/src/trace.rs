@@ -168,6 +168,11 @@ impl TraceStore {
         }
     }
 
+    /// Heap bytes the span buffer holds.
+    pub fn resident_bytes(&self) -> u64 {
+        (self.spans.capacity() * std::mem::size_of::<SpanEvent>()) as u64
+    }
+
     /// Sets the sampling knob and buffer capacity.
     pub fn configure(&mut self, sample_every: u64, cap: usize) {
         self.sample_every = sample_every;

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Prints, per crate, the lines of `crates/<crate>/src` that lie above each
-# file's first `#[cfg(test)]` (a file without one counts whole), then
-# their total: the non-test size a `[simplicity]` change is measured by.
-# A file that a `#[cfg(test)] mod name;` declares is test code all through
-# and counts nothing; the declaration itself does not end its own file's
-# non-test part. It is a measure, not a gate.
+# Prints, per crate, the lines of `crates/<crate>/src` that are not test
+# code, then their total: the non-test size a `[simplicity]` change is
+# measured by. Every item gated by `#[cfg(test)]` is left out, with the
+# attributes and doc comments between the gate and the item: a
+# brace-balanced block (a `mod tests`, an `impl`, a function), or else
+# one line up to its `;` or `,` (a field, a `use`, a declaration). A
+# file that a `#[cfg(test)] mod name;` declares is test code all through
+# and counts nothing. It is a measure, not a gate.
 #
 #   scripts/nontest_lines.sh                  # every crate
 #   scripts/nontest_lines.sh herder overlay   # the named crates
@@ -35,11 +37,40 @@ for crate in "$@"; do
     lines=0
     for file in $files; do
         case " $test_only " in *" $file "*) continue ;; esac
-        above=$(awk -v decl="$test_mod" '
-                cfg && $0 !~ decl { print cfg - 1; found = 1; exit }
-                { cfg = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\]/) ? NR : 0 }
-                END { if (!found) print (cfg ? cfg - 1 : NR) }' "$file")
-        lines=$((lines + above))
+        kept=$(awk '
+            # The code of a line: string and char literals and a trailing
+            # comment removed, so only the braces of the code are counted.
+            function code(line) {
+                gsub(/"([^"\\]|\\.)*"/, "", line)
+                gsub(/'"'"'([^'"'"'\\]|\\.)'"'"'/, "", line)
+                sub(/\/\/.*/, "", line)
+                return line
+            }
+            function item(line,   c, opens, closes) {
+                c = code(line)
+                opens = gsub(/\{/, "{", c)
+                closes = gsub(/\}/, "}", c)
+                depth += opens - closes
+                if (opens > 0) opened = 1
+                sub(/[[:space:]]+$/, "", c)
+                if ((opened && depth <= 0) || (!opened && c ~ /[;,]$/)) state = 0
+            }
+            state == 2 { skipped++; item($0); next }
+            state == 1 {
+                skipped++
+                if ($0 !~ /^[[:space:]]*(#\[|\/\/|$)/) { state = 2; item($0) }
+                next
+            }
+            /^[[:space:]]*#\[cfg\(test\)\]/ {
+                skipped++
+                rest = $0
+                sub(/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*/, "", rest)
+                depth = 0; opened = 0
+                if (rest == "") state = 1; else { state = 2; item(rest) }
+                next
+            }
+            END { print NR - skipped }' "$file")
+        lines=$((lines + kept))
     done
     printf '%-10s %6d\n' "$crate" "$lines"
     total=$((total + lines))

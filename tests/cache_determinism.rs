@@ -1,7 +1,7 @@
 //! Twin-run determinism: the close-path caches are pure optimizations.
 //!
 //! Two nodes replay the identical transaction stream through the full
-//! submission → nomination-check → apply → snapshot pipeline, one with
+//! submission → apply → snapshot pipeline, one with
 //! the signature-verify cache enabled and one with it disabled. Every
 //! externalized artifact — per-ledger header hash and the final bucket
 //! level hashes — must be bit-for-bit identical, otherwise a cache could

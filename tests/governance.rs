@@ -5,6 +5,10 @@ use stellar::herder::Upgrade;
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 fn run_with_governance(
     desired: BTreeSet<Upgrade>,
     governing_count: usize,
@@ -20,6 +24,7 @@ fn run_with_governance(
     let ids = sim.validator_ids();
     sim.configure_governance(&ids[..governing_count], desired);
     let report = sim.run();
+    assert_no_violations(&report.violations);
     (sim, report)
 }
 
@@ -85,7 +90,7 @@ fn satisfied_upgrades_stop_being_proposed() {
         [Upgrade::BaseFee(stellar::ledger::amount::BASE_FEE)].into(),
     );
     // Desired == current params: nothing proposed.
-    let _ = probe.run();
+    assert_no_violations(&probe.run().violations);
     for id in probe.validator_ids() {
         assert_eq!(
             probe.validator(id).herder.header.params.base_fee,

@@ -24,6 +24,10 @@ use stellar::scp::NodeId;
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 const ACCOUNTS: u64 = 16;
 const LEDGERS: u64 = 6;
 
@@ -154,6 +158,8 @@ fn sim_twin_runs_with_and_without_pipeline_close_identically() {
     let mut without = Simulation::new(cfg(None));
     let r_with = with.run();
     let r_without = without.run();
+    assert_no_violations(&r_with.violations);
+    assert_no_violations(&r_without.violations);
     assert!(r_with.ledgers.len() >= 5 && r_without.ledgers.len() >= 5);
 
     let obs = with.observer_id();

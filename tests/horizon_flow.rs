@@ -16,6 +16,10 @@ use stellar::sim::scenario::Scenario;
 use stellar::sim::simulation::SimSetup;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 fn keys(n: u64) -> KeyPair {
     KeyPair::from_seed(0xF10A + n)
 }
@@ -121,7 +125,7 @@ fn federation_compliance_submission_bridge_roundtrip() {
         },
     );
     sim.submit_transaction_at(1100, envelope);
-    sim.run();
+    assert_no_violations(&sim.run().violations);
 
     let herder = &sim.validator(sim.observer_id()).herder;
     // Bridge notification fires once with the routing memo.

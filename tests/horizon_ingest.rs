@@ -25,6 +25,10 @@ use stellar::sim::loadgen::user_account;
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 const N: u64 = 8;
 
 fn keys(n: u64) -> KeyPair {
@@ -181,7 +185,7 @@ fn restart_mid_ingestion_recovers_on_both_backends() {
         // the restart re-attaches a fresh one and backfills from the
         // archive.
         sim.restart(obs);
-        let _report = sim.run();
+        assert_no_violations(&sim.run().violations);
         // (The restarted observer's RAM event log is gone, so the
         // report's per-ledger metrics undercount; the chain head is the
         // progress witness.)

@@ -12,6 +12,10 @@ use stellar::sim::scenario::Scenario;
 use stellar::sim::simulation::SimSetup;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 fn keys(n: u64) -> KeyPair {
     KeyPair::from_seed(0x0ABC_0000 + n)
 }
@@ -72,7 +76,7 @@ fn payments_replicate_identically() {
     sim.submit_transaction_at(1100, pay(0, 1, 1, xlm(10)));
     sim.submit_transaction_at(1200, pay(1, 2, 1, xlm(5)));
     sim.submit_transaction_at(6100, pay(0, 2, 2, xlm(1)));
-    sim.run();
+    assert_no_violations(&sim.run().violations);
     let ids = sim.validator_ids();
     let reference = sim.validator(ids[0]).herder.header.hash();
     for id in &ids {
@@ -92,7 +96,7 @@ fn sequence_gap_waits_for_missing_transaction() {
     // Submit seq 2 first; it must not execute before seq 1 arrives.
     sim.submit_transaction_at(1100, pay(0, 1, 2, xlm(2)));
     sim.submit_transaction_at(9000, pay(0, 1, 1, xlm(1)));
-    sim.run();
+    assert_no_violations(&sim.run().violations);
     let ids = sim.validator_ids();
     for id in &ids {
         let v = sim.validator(*id);
@@ -188,7 +192,7 @@ fn order_book_trades_through_consensus() {
         &[&k],
     );
     sim.submit_transaction_at(1100, buy);
-    sim.run();
+    assert_no_violations(&sim.run().violations);
     for id in sim.validator_ids() {
         let st = &sim.validator(id).herder.store;
         assert_eq!(
@@ -254,7 +258,7 @@ fn surge_pricing_under_congestion_through_consensus() {
     sim.submit_transaction_at(1100, mk(0, 1));
     sim.submit_transaction_at(1100, mk(1, 10));
     sim.submit_transaction_at(1100, mk(2, 5));
-    sim.run();
+    assert_no_violations(&sim.run().violations);
     for id in sim.validator_ids() {
         let st = &sim.validator(id).herder.store;
         // High bidders executed; both charged the clearing rate (5×).
@@ -275,7 +279,7 @@ fn surge_pricing_under_congestion_through_consensus() {
 fn history_archive_records_consensus_ledgers() {
     let mut sim = sim_with(genesis(3), 3);
     sim.submit_transaction_at(1100, pay(0, 1, 1, xlm(1)));
-    sim.run();
+    assert_no_violations(&sim.run().violations);
     let id = sim.validator_ids()[0];
     let herder = &sim.validator(id).herder;
     for seq in 2..=herder.header.ledger_seq {
@@ -416,7 +420,7 @@ fn independent_runs_are_bit_identical() {
             seed: 31337,
             ..SimConfig::default()
         });
-        sim.run();
+        assert_no_violations(&sim.run().violations);
         sim.validator_ids()
             .iter()
             .map(|id| sim.validator(*id).herder.header.hash())

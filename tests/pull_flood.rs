@@ -17,6 +17,10 @@ use stellar::sim::scenario::Scenario;
 use stellar::sim::simulation::SimSetup;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 fn keys(n: u64) -> KeyPair {
     KeyPair::from_seed(0x9011 + n)
 }
@@ -86,6 +90,7 @@ fn scripted_run(
     sim.submit_transaction_at(1_300, payment(1, 1, 2, 5));
     sim.submit_transaction_at(6_100, payment(0, 2, 2, 3));
     let report = sim.run();
+    assert_no_violations(&report.violations);
     let hashes = sim.header_hashes(sim.observer_id());
     (hashes, report, sim)
 }
@@ -181,7 +186,7 @@ fn pull_mode_chaos_with_lossy_reordering_links_stays_clean() {
     })
     .run();
 
-    assert!(report.is_clean(), "violations: {:?}", report.violations);
+    assert_no_violations(&report.violations);
     let intact: BTreeSet<NodeId> = report.intact.iter().copied().collect();
     assert_eq!(intact.len(), n as usize, "every validator should be intact");
     for (id, seq) in &report.final_seqs {

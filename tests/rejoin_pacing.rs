@@ -16,6 +16,10 @@ use stellar::sim::loadgen::{user_account, user_keys};
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 const ACCOUNTS: u64 = 1_000;
 const INTERVAL_MS: u64 = 5_000;
 const CRASH_MS: u64 = 8_500;
@@ -75,6 +79,7 @@ fn a_validator_rebooted_off_the_beat_closes_no_ledger_on_a_stale_set() {
     step_until(&mut sim, RESTART_MS);
     sim.restart(victim);
     let report = sim.run();
+    assert_no_violations(&report.violations);
 
     // Each slot's earliest trigger among the peers (a node's trigger is
     // for the slot after the last ledger it closed), and each

@@ -8,6 +8,10 @@ use stellar::scp::{NodeId, SlotIndex};
 use stellar::sim::events::TraceEntry;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 fn config() -> SimConfig {
     SimConfig {
         n_accounts: 10,
@@ -56,6 +60,7 @@ fn a_rebooted_validator_fires_no_timer_its_predecessor_armed() {
         );
     }
     let report = sim.run();
+    assert_no_violations(&report.violations);
     assert!(report.ledgers.len() >= 5, "the network keeps closing");
 }
 
@@ -88,6 +93,7 @@ fn no_live_validator_holds_a_deadline_that_has_passed() {
             assert_eq!(passed, None, "node {id} at {now} ms");
         }
         if sim.ledger_seq_of(ids[0]) > 6 {
+            assert_no_violations(sim.watchdog().violations());
             return;
         }
     }

@@ -25,6 +25,10 @@ use stellar::sim::events::TraceEntry;
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 #[test]
 fn scp_envelopes_cross_each_link_once_in_both_modes() {
     let n = 16;
@@ -39,6 +43,7 @@ fn scp_envelopes_cross_each_link_once_in_both_modes() {
             ..SimConfig::default()
         });
         let report = sim.run();
+        assert_no_violations(&report.violations);
         assert!(
             report.ledgers.len() >= 3,
             "{mode:?}: closed too few ledgers"
@@ -100,6 +105,7 @@ fn a_tx_set_crosses_the_network_only_when_an_envelope_names_it() {
         });
         sim.enable_trace();
         let report = sim.run();
+        assert_no_violations(&report.violations);
         assert!(
             report.ledgers.len() >= 3,
             "{mode:?}: closed too few ledgers"

@@ -15,6 +15,10 @@ use stellar::scp::NodeId;
 use stellar::sim::scenario::Scenario;
 use stellar::sim::{SimConfig, Simulation};
 
+#[path = "support/violations.rs"]
+mod violations;
+use violations::assert_no_violations;
+
 const LEDGERS: u64 = 8;
 const VALIDATORS: usize = 12;
 
@@ -73,6 +77,7 @@ fn validators_share_envelopes_remember_a_window_and_a_crashed_one_rejoins() {
     sim.restart(victim);
     let all_closed = |s: &Simulation| ids.iter().all(|id| s.ledger_seq_of(*id) > LEDGERS);
     run_until(&mut sim, all_closed, &mut max_known);
+    assert_no_violations(sim.watchdog().violations());
 
     // Agreement, and the restarted validator is back at the tip.
     let chain = sim.header_hashes(observer);
