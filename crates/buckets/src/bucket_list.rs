@@ -295,14 +295,6 @@ impl BucketList {
         acc.live_entries().collect()
     }
 
-    /// Which levels differ from another list (reconciliation after a
-    /// disconnect downloads only these).
-    pub fn diff_levels(&mut self, other: &mut BucketList) -> Vec<usize> {
-        let a = self.level_hashes();
-        let b = other.level_hashes();
-        (0..NUM_LEVELS).filter(|&i| a[i] != b[i]).collect()
-    }
-
     // ---- disk spill ----
 
     /// Attaches the node's data disk: persists every level blob now
@@ -519,21 +511,6 @@ mod tests {
         let mut got = bl.reconstruct_state();
         got.sort_by_key(|e| e.key());
         assert_eq!(got.len(), entries.len());
-    }
-
-    #[test]
-    fn diff_levels_detects_divergence() {
-        let mut a = BucketList::new();
-        let mut b = BucketList::new();
-        for seq in 1..=20u64 {
-            let batch = [change(seq, seq as i64)];
-            a.add_batch(seq, &batch);
-            b.add_batch(seq, &batch);
-        }
-        assert!(a.diff_levels(&mut b).is_empty());
-        b.add_batch(21, &[change(999, 1)]);
-        a.add_batch(21, &[]);
-        assert!(!a.diff_levels(&mut b).is_empty());
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //!     ..ChaosConfig::default()
 //! })
 //! .run();
-//! assert!(report.is_clean(), "{:?}", report.violations);
+//! assert!(report.violations.is_empty(), "{:?}", report.violations);
 //! ```
 
 #![forbid(unsafe_code)]

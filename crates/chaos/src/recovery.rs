@@ -26,7 +26,6 @@ use crate::runner::{ChaosConfig, ChaosReport, ChaosRun};
 use crate::schedule::FaultSchedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use stellar_crypto::Hash256;
 use stellar_persist::DurableStore;
 use stellar_scp::{NodeId, SlotIndex};
@@ -139,24 +138,14 @@ fn restart_storm_schedule(
     b.build()
 }
 
-/// Runs one randomized restart storm on a 4-validator mesh and returns
-/// the chaos report. A clean report means no
-/// restarted node equivocated (safety) and everyone still reached the
-/// ledger target (no stall).
-pub fn restart_storm(seed: u64, n_restarts: usize, target_ledgers: u64) -> ChaosReport {
-    restart_storm_on(
-        seed,
-        n_restarts,
-        target_ledgers,
-        stellar_store::BackendKind::from_env(),
-    )
-}
-
-/// [`restart_storm`] pinned to a specific ledger storage backend. On
+/// Runs one randomized restart storm on a 4-validator mesh with the
+/// ledger on `backend` and returns the chaos report. A clean report
+/// means no restarted node equivocated (safety) and everyone still
+/// reached the ledger target (no stall). On
 /// [`stellar_store::BackendKind::Disk`] every reboot also crashes the
 /// node's data disk, so recovery exercises the durable-store fast path
 /// (or its genesis-replay fallback) under the storm.
-pub fn restart_storm_on(
+pub fn restart_storm(
     seed: u64,
     n_restarts: usize,
     target_ledgers: u64,
@@ -231,24 +220,6 @@ pub struct TwinOutcome {
     pub disturbed: Vec<(u64, Hash256)>,
     /// The highest sequence both runs were asked to reach.
     pub target_seq: u64,
-}
-
-impl TwinOutcome {
-    /// True when both runs externalized byte-identical headers for every
-    /// sequence up to the target — durable recovery left no trace in the
-    /// chain the network agreed on.
-    pub fn headers_identical(&self) -> bool {
-        let up_to = |chain: &[(u64, Hash256)]| -> BTreeMap<u64, Hash256> {
-            chain
-                .iter()
-                .copied()
-                .filter(|(seq, _)| *seq <= self.target_seq)
-                .collect()
-        };
-        let a = up_to(&self.undisturbed);
-        let b = up_to(&self.disturbed);
-        !a.is_empty() && a == b
-    }
 }
 
 /// Runs the persistence twin experiment: the same `SimConfig` (zero tx

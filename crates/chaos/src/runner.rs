@@ -102,13 +102,6 @@ pub struct ChaosReport {
     pub expected_health: Vec<HealthAlert>,
 }
 
-impl ChaosReport {
-    /// True when every invariant held for the whole run.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
 /// A cascade-campaign stage the schedule marked.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageMark {
@@ -257,7 +250,7 @@ impl ChaosRun {
 
     /// Renders the observer's flight-recorder timeline for every slot
     /// still in its retention window, newest-slot-last.
-    pub fn flight_recording(&self) -> String {
+    fn flight_recording(&self) -> String {
         let rec = &self
             .sim
             .validator(self.sim.observer_id())

@@ -132,7 +132,7 @@ fn silence_and_crash_below_threshold_stay_clean_and_live() {
         ..ChaosConfig::default()
     })
     .run();
-    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(
         report.intact.len() >= 5,
         "after the revive the intact set must cover every honest node: {:?}",
@@ -155,7 +155,7 @@ fn stale_replay_is_harmless() {
         ..ChaosConfig::default()
     })
     .run();
-    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(report.injections > 0, "replayer must actually replay");
 }
 
@@ -240,7 +240,7 @@ fn clean_run_attaches_no_flight_recording() {
         ..ChaosConfig::default()
     })
     .run();
-    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(report.flight_recording.is_empty());
     assert!(report.causal_traces.is_empty());
     assert!(
@@ -269,7 +269,7 @@ fn declared_partition_suspends_liveness_judgment() {
         ..ChaosConfig::default()
     })
     .run();
-    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
     let seqs: BTreeSet<u64> = report.final_seqs.iter().map(|(_, s)| *s).collect();
     assert!(
         seqs.iter().all(|s| *s >= 5),

@@ -9,12 +9,28 @@
 //! Randomized restart storms and a differential twin run then check the
 //! property statistically and byte-for-byte.
 
+use std::collections::BTreeMap;
 use stellar_chaos::recovery::{
-    amnesia_restart_scenario, disk_fault_storm, persistence_twin_run, restart_storm,
-    restart_storm_on,
+    amnesia_restart_scenario, disk_fault_storm, persistence_twin_run, restart_storm, TwinOutcome,
 };
 use stellar_chaos::Violation;
 use stellar_scp::NodeId;
+use stellar_store::BackendKind;
+
+/// True when both runs externalized byte-identical headers for every
+/// sequence up to the target: durable recovery left no trace in the
+/// chain the network agreed on.
+fn headers_identical(twin: &TwinOutcome) -> bool {
+    let up_to = |chain: &[(u64, stellar_crypto::Hash256)]| -> BTreeMap<_, _> {
+        chain
+            .iter()
+            .copied()
+            .filter(|(seq, _)| *seq <= twin.target_seq)
+            .collect()
+    };
+    let a = up_to(&twin.undisturbed);
+    !a.is_empty() && a == up_to(&twin.disturbed)
+}
 
 #[test]
 fn amnesiac_restart_equivocates_without_persistence() {
@@ -54,8 +70,12 @@ fn restart_storms_stay_safe_with_persistence() {
     // equivocate (safety) and everybody must still reach the ledger
     // target (no stall).
     for trial in 0..25u64 {
-        let report = restart_storm(9_000 + trial, 6, 6);
-        assert!(report.is_clean(), "trial {trial}: {:?}", report.violations);
+        let report = restart_storm(9_000 + trial, 6, 6, BackendKind::from_env());
+        assert!(
+            report.violations.is_empty(),
+            "trial {trial}: {:?}",
+            report.violations
+        );
         for (id, seq) in &report.final_seqs {
             assert!(*seq >= 7, "trial {trial}: node {id} stalled at seq {seq}");
         }
@@ -69,8 +89,12 @@ fn restart_storms_stay_safe_on_the_disk_backend() {
     // recovery (manifest + segment checksum verification, bucket-blob
     // cross-checks) under concurrent consensus.
     for trial in 0..8u64 {
-        let report = restart_storm_on(9_100 + trial, 6, 6, stellar_store::BackendKind::Disk);
-        assert!(report.is_clean(), "trial {trial}: {:?}", report.violations);
+        let report = restart_storm(9_100 + trial, 6, 6, BackendKind::Disk);
+        assert!(
+            report.violations.is_empty(),
+            "trial {trial}: {:?}",
+            report.violations
+        );
         for (id, seq) in &report.final_seqs {
             assert!(*seq >= 7, "trial {trial}: node {id} stalled at seq {seq}");
         }
@@ -86,7 +110,11 @@ fn disk_fault_storms_stay_safe() {
     // equivocate nor stall.
     for trial in 0..6u64 {
         let report = disk_fault_storm(9_300 + trial, 5, 6);
-        assert!(report.is_clean(), "trial {trial}: {:?}", report.violations);
+        assert!(
+            report.violations.is_empty(),
+            "trial {trial}: {:?}",
+            report.violations
+        );
         for (id, seq) in &report.final_seqs {
             assert!(*seq >= 7, "trial {trial}: node {id} stalled at seq {seq}");
         }
@@ -107,7 +135,7 @@ fn rebooted_run_externalizes_identical_ledgers() {
         ],
     );
     assert!(
-        twin.headers_identical(),
+        headers_identical(&twin),
         "disturbed run diverged from its twin:\n  undisturbed: {:?}\n  disturbed: {:?}",
         twin.undisturbed,
         twin.disturbed

@@ -73,15 +73,6 @@ impl Hash256 {
     pub fn to_hex(&self) -> String {
         hex::encode(&self.0)
     }
-
-    /// Parses a 64-character hex string into a digest.
-    ///
-    /// Returns `None` if the input is not exactly 32 bytes of valid hex.
-    pub fn from_hex(s: &str) -> Option<Hash256> {
-        let bytes = hex::decode(s)?;
-        let arr: [u8; 32] = bytes.try_into().ok()?;
-        Some(Hash256(arr))
-    }
 }
 
 impl fmt::Debug for Hash256 {
@@ -134,15 +125,7 @@ mod tests {
     fn hash256_hex_roundtrip() {
         let h = sha256::sha256(b"roundtrip");
         let s = h.to_hex();
-        assert_eq!(Hash256::from_hex(&s), Some(h));
-    }
-
-    #[test]
-    fn hash256_from_hex_rejects_bad_input() {
-        assert_eq!(Hash256::from_hex("zz"), None);
-        assert_eq!(Hash256::from_hex("abcd"), None); // too short
-        let long = "ab".repeat(33);
-        assert_eq!(Hash256::from_hex(&long), None); // too long
+        assert_eq!(hex::decode(&s).as_deref(), Some(&h.0[..]));
     }
 
     #[test]

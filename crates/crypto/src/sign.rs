@@ -219,6 +219,7 @@ pub fn verify_xdr<T: Encode>(public: PublicKey, value: &T, sig: &Signature) -> b
     verify(public, crate::hash_xdr(value).as_bytes(), sig)
 }
 
+#[cfg(test)]
 /// Deterministic Miller–Rabin primality check for `u64`.
 ///
 /// With the witness set below, the test is *deterministic* (not
@@ -258,6 +259,7 @@ pub fn is_prime_u64(n: u64) -> bool {
     true
 }
 
+#[cfg(test)]
 fn pow_mod_n(mut base: u64, mut exp: u64, n: u64) -> u64 {
     let mut acc: u64 = 1;
     base %= n;

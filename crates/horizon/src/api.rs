@@ -18,7 +18,7 @@ use stellar_herder::queue::QueueError;
 use stellar_herder::Herder;
 use stellar_ledger::asset::Asset;
 use stellar_ledger::entry::AccountId;
-use stellar_ledger::pathfind::{find_best_path, quote_path};
+use stellar_ledger::pathfind::quote_path;
 use stellar_ledger::store::book_key;
 use stellar_ledger::tx::TransactionEnvelope;
 use stellar_telemetry::{Registry, SpanEvent};
@@ -130,7 +130,7 @@ impl<T> Page<T> {
     }
 }
 
-/// An archive hit from [`Horizon::find_transaction`]: where the
+/// An archive hit from [`Horizon::find_transaction_exhaustive`]: where the
 /// transaction landed, plus — when this node's span store still holds
 /// them — its per-phase lifecycle timeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,10 +163,10 @@ pub struct FeeStats {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubmitResult {
     /// The accepted transaction's content hash — the key for
-    /// [`Horizon::find_transaction`] once it lands.
+    /// [`Horizon::find_transaction_exhaustive`] once it lands.
     pub tx_hash: Hash256,
     /// The lifecycle trace id (E18): the hash's u64 prefix, matching the
-    /// span timeline [`Horizon::transaction_timeline`] serves.
+    /// span timeline a [`TxRecord`] carries.
     pub trace: u64,
 }
 
@@ -263,20 +263,6 @@ impl Horizon {
         Ok(Page::slice(levels, cursor, limit))
     }
 
-    /// Finds the cheapest payment path delivering `dest_amount` (§5.4:
-    /// "features such as payment path finding are implemented entirely in
-    /// horizon").
-    pub fn find_payment_path(
-        herder: &Herder,
-        send_asset: &Asset,
-        dest_asset: &Asset,
-        dest_amount: i64,
-        candidate_mids: &[Asset],
-    ) -> Option<(Vec<Asset>, i64)> {
-        let delta = herder.store.begin();
-        find_best_path(&delta, send_asset, dest_asset, dest_amount, candidate_mids)
-    }
-
     /// Quotes the cost of a specific path without executing it.
     pub fn quote(
         herder: &Herder,
@@ -319,7 +305,7 @@ impl Horizon {
     /// including the node-local lifecycle timeline when the trace store
     /// still holds it — and ends the scan; an empty page with a cursor
     /// means "not found yet, resume here".
-    pub fn find_transaction(
+    fn find_transaction(
         herder: &Herder,
         tx_hash: stellar_crypto::Hash256,
         cursor: Option<u64>,
@@ -369,7 +355,7 @@ impl Horizon {
     /// transaction's content hash, in causal order. Cursor-paged like
     /// every other listing; a transaction that was sampled out, evicted,
     /// or never seen here yields an empty, exhausted page.
-    pub fn transaction_timeline(
+    fn transaction_timeline(
         herder: &Herder,
         tx_hash: stellar_crypto::Hash256,
         cursor: Option<u64>,
@@ -588,8 +574,8 @@ mod tests {
         let disk_book = Horizon::order_book(&disk, &usd, &Asset::Native, None, 10).unwrap();
         assert_eq!(ram_book.records, disk_book.records);
         assert_eq!(
-            Horizon::find_payment_path(&ram, &Asset::Native, &usd, 50, &[]),
-            Horizon::find_payment_path(&disk, &Asset::Native, &usd, 50, &[]),
+            Horizon::quote(&ram, &Asset::Native, &usd, 50, &[]),
+            Horizon::quote(&disk, &Asset::Native, &usd, 50, &[]),
         );
     }
 
@@ -680,7 +666,7 @@ mod tests {
         store.commit(d.into_changes());
         let h = Herder::new(NodeId(0), store, BTreeMap::new());
         let mut whole: Vec<(Price, i64)> = Vec::new();
-        for offer in h.store.offers_for_pair(&usd, &Asset::Native) {
+        for offer in h.store.offers_page(&usd, &Asset::Native, None, usize::MAX) {
             match whole.last_mut() {
                 Some((p, total)) if *p == offer.price => *total += offer.amount,
                 _ => whole.push((offer.price, offer.amount)),
@@ -714,15 +700,9 @@ mod tests {
         // XLM can deliver USD: 50 USD costs 100 XLM.
         let h = herder();
         let usd = Asset::issued(acct(2), "USD");
-        let (path, cost) = Horizon::find_payment_path(&h, &Asset::Native, &usd, 50, &[]).unwrap();
-        assert!(path.is_empty());
-        assert_eq!(cost, 100);
         assert_eq!(Horizon::quote(&h, &Asset::Native, &usd, 50, &[]), Some(100));
         // The reverse direction has no offers.
-        assert_eq!(
-            Horizon::find_payment_path(&h, &usd, &Asset::Native, 50, &[]),
-            None
-        );
+        assert_eq!(Horizon::quote(&h, &usd, &Asset::Native, 50, &[]), None);
     }
 
     #[test]

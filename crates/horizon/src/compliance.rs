@@ -5,9 +5,9 @@
 //! for compliance with sanctions lists." The protocol here is the
 //! pre-submission handshake: the sending institution shares sender info,
 //! the receiving institution screens both parties and answers
-//! allow/deny/pending, and only an allowed payment proceeds to submission.
+//! allow/deny, and only an allowed payment proceeds to submission.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use stellar_ledger::entry::AccountId;
 
 /// KYC information exchanged about a party.
@@ -28,8 +28,6 @@ pub enum ComplianceDecision {
     Allowed,
     /// The payment must not proceed (sanctions hit).
     Denied,
-    /// Manual review required; retry later.
-    Pending,
 }
 
 /// A receiving institution's compliance endpoint.
@@ -37,14 +35,8 @@ pub enum ComplianceDecision {
 pub struct ComplianceServer {
     /// Sanctioned legal names (uppercased).
     sanctioned_names: BTreeSet<String>,
-    /// Embargoed country codes.
-    embargoed_countries: BTreeSet<String>,
-    /// Accounts flagged for manual review.
-    review_queue: BTreeSet<AccountId>,
     /// Audit log of decisions: (sender name, decision).
     pub audit_log: Vec<(String, ComplianceDecision)>,
-    /// Per-account info records shared by counterparties.
-    received_info: BTreeMap<AccountId, PartyInfo>,
 }
 
 impl ComplianceServer {
@@ -58,51 +50,20 @@ impl ComplianceServer {
         self.sanctioned_names.insert(name.to_uppercase());
     }
 
-    /// Embargoes a country code.
-    pub fn embargo_country(&mut self, code: &str) {
-        self.embargoed_countries.insert(code.to_uppercase());
-    }
-
-    /// Flags an account for manual review.
-    pub fn flag_for_review(&mut self, account: AccountId) {
-        self.review_queue.insert(account);
-    }
-
-    /// Clears a manual-review flag (review completed).
-    pub fn clear_review(&mut self, account: AccountId) {
-        self.review_queue.remove(&account);
-    }
-
     /// The §5.4 handshake: the sending institution shares sender and
     /// beneficiary info; the receiver screens and decides.
     pub fn screen(&mut self, sender: &PartyInfo, beneficiary: &PartyInfo) -> ComplianceDecision {
-        self.received_info.insert(sender.account, sender.clone());
         let decision = if self.sanctioned_names.contains(&sender.name.to_uppercase())
             || self
                 .sanctioned_names
                 .contains(&beneficiary.name.to_uppercase())
-            || self
-                .embargoed_countries
-                .contains(&sender.country.to_uppercase())
-            || self
-                .embargoed_countries
-                .contains(&beneficiary.country.to_uppercase())
         {
             ComplianceDecision::Denied
-        } else if self.review_queue.contains(&sender.account)
-            || self.review_queue.contains(&beneficiary.account)
-        {
-            ComplianceDecision::Pending
         } else {
             ComplianceDecision::Allowed
         };
         self.audit_log.push((sender.name.clone(), decision));
         decision
-    }
-
-    /// Info previously shared about an account (regulator queries).
-    pub fn info_for(&self, account: AccountId) -> Option<&PartyInfo> {
-        self.received_info.get(&account)
     }
 }
 
@@ -139,40 +100,5 @@ mod tests {
             c.screen(&party("A", "US", 1), &party("EVIL CORP", "MX", 2)),
             ComplianceDecision::Denied
         );
-    }
-
-    #[test]
-    fn embargoed_country_denied() {
-        let mut c = ComplianceServer::new();
-        c.embargo_country("ZZ");
-        assert_eq!(
-            c.screen(&party("A", "zz", 1), &party("B", "MX", 2)),
-            ComplianceDecision::Denied
-        );
-    }
-
-    #[test]
-    fn review_flag_pends_then_clears() {
-        let mut c = ComplianceServer::new();
-        let a = AccountId(PublicKey(1));
-        c.flag_for_review(a);
-        assert_eq!(
-            c.screen(&party("A", "US", 1), &party("B", "MX", 2)),
-            ComplianceDecision::Pending
-        );
-        c.clear_review(a);
-        assert_eq!(
-            c.screen(&party("A", "US", 1), &party("B", "MX", 2)),
-            ComplianceDecision::Allowed
-        );
-    }
-
-    #[test]
-    fn shared_info_retained_for_audits() {
-        let mut c = ComplianceServer::new();
-        let sender = party("Alice", "US", 1);
-        c.screen(&sender, &party("B", "MX", 2));
-        assert_eq!(c.info_for(sender.account), Some(&sender));
-        assert_eq!(c.info_for(AccountId(PublicKey(99))), None);
     }
 }

@@ -62,14 +62,6 @@ impl FederationServer {
         }
         self.records.get(&name.to_lowercase())
     }
-
-    /// Reverse lookup: the address for an account, if registered.
-    pub fn reverse(&self, account: AccountId) -> Option<String> {
-        self.records
-            .iter()
-            .find(|(_, r)| r.account == account)
-            .map(|(name, _)| format!("{name}*{}", self.domain))
-    }
 }
 
 #[cfg(test)]
@@ -108,14 +100,6 @@ mod tests {
         assert!(f.resolve("alice").is_none());
         assert!(f.resolve("*example.org").is_none());
         assert!(f.resolve("bob*example.org").is_none());
-    }
-
-    #[test]
-    fn reverse_lookup() {
-        let mut f = FederationServer::new("example.org");
-        f.register("alice", acct(1), None);
-        assert_eq!(f.reverse(acct(1)), Some("alice*example.org".into()));
-        assert_eq!(f.reverse(acct(2)), None);
     }
 
     #[test]

@@ -152,14 +152,6 @@ impl SubscriptionHub {
         id
     }
 
-    /// Drops a subscription. Returns whether it existed.
-    pub fn unsubscribe(&mut self, id: u64) -> bool {
-        let existed = self.subs.remove(&id).is_some();
-        self.registry
-            .set_gauge("stream.subscribers", self.subs.len() as i64);
-        existed
-    }
-
     /// Live subscription count.
     pub fn len(&self) -> usize {
         self.subs.len()
@@ -497,8 +489,5 @@ mod tests {
                 reason: "limit must be positive"
             })
         );
-        assert!(hub.unsubscribe(sub));
-        assert!(!hub.unsubscribe(sub));
-        assert!(hub.is_empty());
     }
 }

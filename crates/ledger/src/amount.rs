@@ -70,16 +70,6 @@ impl Price {
         f64::from(self.n) / f64::from(self.d)
     }
 
-    /// Exact comparison `self < other` via cross multiplication.
-    pub fn lt(&self, other: &Price) -> bool {
-        u64::from(self.n) * u64::from(other.d) < u64::from(other.n) * u64::from(self.d)
-    }
-
-    /// Exact comparison `self <= other`.
-    pub fn le(&self, other: &Price) -> bool {
-        u64::from(self.n) * u64::from(other.d) <= u64::from(other.n) * u64::from(self.d)
-    }
-
     /// Whether two prices `p` (selling A for B) and `q` (selling B for A)
     /// cross: `p · q ≤ 1`, i.e. the asks meet.
     pub fn crosses(&self, counter: &Price) -> bool {
@@ -146,7 +136,6 @@ mod tests {
         let b = Price::new(2, 5);
         let c = Price::new(1, 2);
         assert!(a < b && b < c);
-        assert!(a.lt(&b) && b.le(&c) && c.le(&c));
     }
 
     #[test]

@@ -254,7 +254,7 @@ pub fn close_ledger(
 }
 
 /// Hashes the result list (success flags + fee charged + error codes).
-pub fn hash_results(results: &[TxResult]) -> Hash256 {
+fn hash_results(results: &[TxResult]) -> Hash256 {
     let mut buf = Vec::new();
     for r in results {
         match r {

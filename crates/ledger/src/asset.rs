@@ -82,11 +82,6 @@ impl Asset {
         }
     }
 
-    /// True for the native asset.
-    pub fn is_native(&self) -> bool {
-        matches!(self, Asset::Native)
-    }
-
     /// The issuer, if this is an issued asset.
     pub fn issuer(&self) -> Option<AccountId> {
         match self {
@@ -129,7 +124,6 @@ mod tests {
 
     #[test]
     fn native_properties() {
-        assert!(Asset::Native.is_native());
         assert_eq!(Asset::Native.issuer(), None);
         assert_eq!(Asset::issued(acct(1), "EUR").issuer(), Some(acct(1)));
     }

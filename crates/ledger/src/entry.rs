@@ -96,14 +96,6 @@ impl Signer {
             weight,
         }
     }
-
-    /// Convenience constructor for hash-preimage signers.
-    pub fn hash_x(hash: stellar_crypto::Hash256, weight: u8) -> Signer {
-        Signer {
-            key: SignerKey::HashX(hash),
-            weight,
-        }
-    }
 }
 
 stellar_crypto::impl_codec_struct!(Signer { key, weight });

@@ -127,7 +127,7 @@ pub fn debit(
 
 /// Moves balances for a batch of order-book fills: the taker sold
 /// `selling` and bought `buying` from each maker.
-pub fn settle_fills(
+fn settle_fills(
     delta: &mut LedgerDelta<'_>,
     taker: AccountId,
     selling: &Asset,
@@ -948,7 +948,10 @@ mod tests {
             passive: false,
         };
         apply_operation(&mut d, acct(1), &sell, &env()).unwrap();
-        assert_eq!(d.offers_for_pair(&usd, &Asset::Native).len(), 1);
+        assert_eq!(
+            d.offers_page(&usd, &Asset::Native, None, usize::MAX).len(),
+            1
+        );
 
         // Account 2 buys USD by selling XLM; needs a trustline first.
         apply_operation(
@@ -1017,7 +1020,7 @@ mod tests {
             &env(),
         )
         .unwrap();
-        let book = d.offers_for_pair(&usd, &Asset::Native);
+        let book = d.offers_page(&usd, &Asset::Native, None, usize::MAX);
         let id = book[0].id;
         // Update amount.
         apply_operation(

@@ -75,11 +75,6 @@ impl SigVerifyCache {
         SigVerifyCache::new(0)
     }
 
-    /// True when the cache actually memoizes.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Verifies `sig` by `pk` over `msg`, consulting the cache first.
     pub fn check(&mut self, msg: &Hash256, pk: PublicKey, sig: &Signature) -> bool {
         if self.capacity == 0 {
@@ -174,7 +169,6 @@ mod tests {
         let kp = KeyPair::from_seed(2);
         let sig = kp.sign(msg(1).as_bytes());
         let mut c = SigVerifyCache::disabled();
-        assert!(!c.is_enabled());
         assert!(c.check(&msg(1), kp.public(), &sig));
         assert!(c.check(&msg(1), kp.public(), &sig));
         assert_eq!(c.hits(), 0);

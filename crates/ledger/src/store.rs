@@ -151,15 +151,9 @@ impl LedgerStore {
             .collect()
     }
 
-    /// All offers selling `selling` for `buying`, best (lowest) price
-    /// first, ties by offer id (time priority). Served from the book
-    /// index: O(log n + k), already in order.
-    pub fn offers_for_pair(&self, selling: &Asset, buying: &Asset) -> Vec<OfferEntry> {
-        self.offers_page(selling, buying, None, usize::MAX)
-    }
-
     /// Up to `limit` offers for a pair strictly after `after` in book
-    /// order: one index range read, then one point read per offer.
+    /// order — best (lowest) price first, ties by offer id (time
+    /// priority): one index range read, then one point read per offer.
     pub fn offers_page(
         &self,
         selling: &Asset,
@@ -495,11 +489,6 @@ impl LedgerDelta<'_> {
             .insert(name.to_string(), None);
     }
 
-    /// Offers for a pair, merged through every layer, best price first.
-    pub fn offers_for_pair(&self, selling: &Asset, buying: &Asset) -> Vec<OfferEntry> {
-        self.offers_page(selling, buying, None, usize::MAX)
-    }
-
     /// Up to `limit` offers for a pair strictly after `after` in book
     /// order (best price first, ties by id) — the matching engine's lazy
     /// view of the book: [`LedgerRead::book_page`] for the positions,
@@ -624,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn offers_for_pair_sorted_by_price_then_id() {
+    fn offers_page_sorts_by_price_then_id() {
         let mut store = LedgerStore::new();
         let usd = Asset::issued(acct(9), "USD");
         let mk = |id: u64, n: u32| OfferEntry {
@@ -642,7 +631,7 @@ mod tests {
         delta.put_offer(mk(3, 1));
         let changes = delta.into_changes();
         store.commit(changes);
-        let book = store.offers_for_pair(&Asset::Native, &usd);
+        let book = store.offers_page(&Asset::Native, &usd, None, usize::MAX);
         assert_eq!(book.iter().map(|o| o.id).collect::<Vec<_>>(), vec![3, 1, 2]);
     }
 
@@ -665,7 +654,7 @@ mod tests {
         store.commit(d.into_changes());
         assert_eq!(
             store
-                .offers_for_pair(&Asset::Native, &usd)
+                .offers_page(&Asset::Native, &usd, None, usize::MAX)
                 .iter()
                 .map(|o| o.id)
                 .collect::<Vec<_>>(),
@@ -676,12 +665,17 @@ mod tests {
         d.put_offer(mk(1, 1));
         d.delete_offer(2);
         store.commit(d.into_changes());
-        let book = store.offers_for_pair(&Asset::Native, &usd);
+        let book = store.offers_page(&Asset::Native, &usd, None, usize::MAX);
         assert_eq!(book.iter().map(|o| o.id).collect::<Vec<_>>(), vec![1]);
         assert_eq!(book[0].price, Price::new(1, 1));
         // No stale index entries: a fresh delta sees exactly one offer.
         let delta = store.begin();
-        assert_eq!(delta.offers_for_pair(&Asset::Native, &usd).len(), 1);
+        assert_eq!(
+            delta
+                .offers_page(&Asset::Native, &usd, None, usize::MAX)
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -707,7 +701,7 @@ mod tests {
         delta.put_offer(mk(2, 5)); // overlay reprice of a base offer
         delta.delete_offer(3); // overlay delete of a base offer
         let ids: Vec<u64> = delta
-            .offers_for_pair(&Asset::Native, &usd)
+            .offers_page(&Asset::Native, &usd, None, usize::MAX)
             .iter()
             .map(|o| o.id)
             .collect();
@@ -884,9 +878,16 @@ mod tests {
         assert!(inner.account(acct(1)).is_none());
         assert!(inner.account(acct(2)).is_none());
         assert!(inner.offer(1).is_none() && inner.offer(2).is_none());
-        assert!(inner.offers_for_pair(&Asset::Native, &usd).is_empty());
+        assert!(inner
+            .offers_page(&Asset::Native, &usd, None, usize::MAX)
+            .is_empty());
         // The parent still sees both until it absorbs the deletes.
-        assert_eq!(outer.offers_for_pair(&Asset::Native, &usd).len(), 2);
+        assert_eq!(
+            outer
+                .offers_page(&Asset::Native, &usd, None, usize::MAX)
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -901,7 +902,7 @@ mod tests {
         outer.put_offer(offer(3, 3, &usd)); // parent insert between them
         let mut inner = outer.fork();
         inner.put_offer(offer(1, 5, &usd)); // base offer 1: best -> worst
-        let book = inner.offers_for_pair(&Asset::Native, &usd);
+        let book = inner.offers_page(&Asset::Native, &usd, None, usize::MAX);
         assert_eq!(book.iter().map(|o| o.id).collect::<Vec<_>>(), vec![3, 2, 1]);
         assert_eq!(book[2].price, Price::new(5, 1));
         // Paging from a cursor past the offer's *old* position must not
@@ -989,6 +990,11 @@ mod tests {
         ]);
         let mut d = store.begin();
         assert_eq!(d.allocate_offer_id(), 42);
-        assert_eq!(store.offers_for_pair(&Asset::Native, &usd).len(), 1);
+        assert_eq!(
+            store
+                .offers_page(&Asset::Native, &usd, None, usize::MAX)
+                .len(),
+            1
+        );
     }
 }

@@ -399,13 +399,14 @@ impl TransactionEnvelope {
         *self.cached_tx_hash.get_or_init(|| self.tx.hash())
     }
 
+    #[cfg(test)]
     /// The keys whose signatures verify against the transaction hash.
     pub fn valid_signer_keys(&self) -> Vec<PublicKey> {
         self.valid_signer_keys_cached(&mut crate::sigcache::SigVerifyCache::disabled())
     }
 
-    /// Like [`valid_signer_keys`](Self::valid_signer_keys), but consults
-    /// `cache` so a signature already verified at admission is not
+    /// The keys whose signatures verify against the transaction hash,
+    /// consulting `cache` so a signature already verified at admission is not
     /// re-verified at apply.
     pub fn valid_signer_keys_cached(
         &self,

@@ -206,14 +206,6 @@ impl TransactionSet {
         self.txs.iter().map(|t| t.tx.fee).sum()
     }
 
-    /// The fee a transaction actually pays in this set: its bid capped by
-    /// the clearing rate × its operations.
-    pub fn effective_fee(&self, tx: &TransactionEnvelope) -> i64 {
-        tx.tx
-            .fee
-            .min(self.base_fee_rate * tx.tx.op_count().max(1) as i64)
-    }
-
     /// Encoded size in bytes (overlay and archive accounting), from the
     /// same single encoding as [`hash`](Self::hash).
     pub fn wire_size(&self) -> usize {
@@ -280,25 +272,6 @@ mod tests {
         assert!(sources.contains(&2) && sources.contains(&3), "{sources:?}");
         // Clearing rate = lowest included bid.
         assert_eq!(set.base_fee_rate, BASE_FEE * 5);
-    }
-
-    #[test]
-    fn effective_fee_is_capped_by_clearing_rate() {
-        let set = TransactionSet::assemble(
-            Hash256::ZERO,
-            vec![
-                envelope(1, 1, BASE_FEE * 10, 1),
-                envelope(2, 1, BASE_FEE * 5, 1),
-                envelope(3, 1, BASE_FEE, 1),
-            ],
-            2,
-        );
-        let top = set
-            .txs
-            .iter()
-            .find(|t| t.tx.source.0 .0 == 2 || t.tx.source.0 .0 == 1)
-            .unwrap();
-        assert_eq!(set.effective_fee(top), BASE_FEE * 5);
     }
 
     #[test]

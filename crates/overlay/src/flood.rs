@@ -18,7 +18,7 @@ use stellar_crypto::{heap, Hash256, IdSet};
 
 /// Flood bookkeeping for one node.
 #[derive(Debug)]
-pub struct FloodState {
+pub(crate) struct FloodState {
     /// Ids first recorded in the current window.
     current: IdSet<Hash256>,
     /// Ids first recorded in the window before it.
@@ -31,7 +31,7 @@ pub struct FloodState {
 impl FloodState {
     /// A flood cache whose windows are `window_ms` long: an id is
     /// remembered for at least `window_ms` and for less than twice that.
-    pub fn new(window_ms: u64) -> FloodState {
+    pub(crate) fn new(window_ms: u64) -> FloodState {
         let window_ms = window_ms.max(1);
         FloodState {
             current: IdSet::default(),
@@ -42,25 +42,25 @@ impl FloodState {
     }
 
     /// Whether `id` has been seen (read-only check).
-    pub fn contains(&self, id: Hash256) -> bool {
+    pub(crate) fn contains(&self, id: Hash256) -> bool {
         self.current.contains(&id) || self.previous.contains(&id)
     }
 
     /// Ids currently remembered, both generations.
-    pub fn remembered(&self) -> usize {
+    pub(crate) fn remembered(&self) -> usize {
         self.current.len() + self.previous.len()
     }
 
     /// Heap bytes the two generations hold. Each grows by insertion only
     /// and is replaced, never cleared, so its length sizes its table.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         let entry = std::mem::size_of::<Hash256>();
         heap::table(self.current.len(), entry) + heap::table(self.previous.len(), entry)
     }
 
     /// Records `id` as seen at `now_ms`; returns `true` if it is new
     /// (and should be processed and relayed) or `false` on a duplicate.
-    pub fn record_at(&mut self, id: Hash256, now_ms: u64) -> bool {
+    pub(crate) fn record_at(&mut self, id: Hash256, now_ms: u64) -> bool {
         if now_ms >= self.rotate_at {
             let aged = std::mem::take(&mut self.current);
             // Two or more windows passed: the last generation is stale too.

@@ -72,7 +72,7 @@ struct Want {
 
 /// What a scheduler tick asks the embedder to transmit.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct TickActions {
+pub(crate) struct TickActions {
     /// Hash batch to advertise to every peer (empty: no advert).
     pub adverts: Vec<Hash256>,
     /// Retry demands, grouped per target peer.
@@ -87,7 +87,7 @@ pub struct TickActions {
 /// explicit timestamps, so embedding it in a deterministic simulation
 /// keeps runs bit-identical.
 #[derive(Debug)]
-pub struct DemandScheduler {
+pub(crate) struct DemandScheduler {
     /// Hashes learned since the last tick, to advertise in one batch,
     /// and the same hashes as a set for the O(1) duplicate test.
     pending_adverts: Vec<Hash256>,
@@ -101,7 +101,7 @@ pub struct DemandScheduler {
 
 impl DemandScheduler {
     /// Heap bytes the advert batch and the wants hold.
-    pub fn resident_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         let advertisers: u64 = self
             .wanted
             .values()
@@ -115,7 +115,7 @@ impl DemandScheduler {
 
     /// A scheduler that retries an unanswered demand after
     /// `demand_timeout_ms` of simulated time.
-    pub fn new(demand_timeout_ms: u64) -> DemandScheduler {
+    pub(crate) fn new(demand_timeout_ms: u64) -> DemandScheduler {
         DemandScheduler {
             pending_adverts: Vec::new(),
             queued: IdSet::default(),
@@ -126,7 +126,7 @@ impl DemandScheduler {
     }
 
     /// Queues a freshly learned payload hash for the next advert batch.
-    pub fn queue_advert(&mut self, id: Hash256) {
+    pub(crate) fn queue_advert(&mut self, id: Hash256) {
         if self.queued.insert(id) {
             self.pending_adverts.push(id);
         }
@@ -138,7 +138,12 @@ impl DemandScheduler {
     /// outstanding demand. Hashes already being demanded elsewhere just
     /// gain `from` as a fallback advertiser for the retry path.
     /// A deferred want counts as no demand: the advert ends its wait.
-    pub fn on_advert(&mut self, from: NodeId, missing: &[Hash256], now_ms: u64) -> Vec<Hash256> {
+    pub(crate) fn on_advert(
+        &mut self,
+        from: NodeId,
+        missing: &[Hash256],
+        now_ms: u64,
+    ) -> Vec<Hash256> {
         let mut demand_now = Vec::new();
         let deadline_ms = now_ms + self.demand_timeout_ms;
         for id in missing {
@@ -156,19 +161,19 @@ impl DemandScheduler {
     /// *deferred*: its first demand goes out only once the demand timeout
     /// passes with the payload still missing, and that expiry counts as
     /// no timeout.
-    pub fn defer(&mut self, holder: NodeId, id: Hash256, now_ms: u64) {
+    pub(crate) fn defer(&mut self, holder: NodeId, id: Hash256, now_ms: u64) {
         if let Some(w) = self.want(id, holder, now_ms) {
             w.named = true;
         }
     }
 
     /// Whether an SCP value named the wanted hash `id`.
-    pub fn is_named(&self, id: Hash256) -> bool {
+    pub(crate) fn is_named(&self, id: Hash256) -> bool {
         self.wanted.get(&id).is_some_and(|w| w.named)
     }
 
     /// Hashes the node still wants.
-    pub fn wanted(&self) -> usize {
+    pub(crate) fn wanted(&self) -> usize {
         self.wanted.len()
     }
 
@@ -196,14 +201,14 @@ impl DemandScheduler {
 
     /// Marks a wanted payload as arrived; returns `true` if a demand was
     /// outstanding for it (the fulfilled counter).
-    pub fn on_fulfilled(&mut self, id: Hash256) -> bool {
+    pub(crate) fn on_fulfilled(&mut self, id: Hash256) -> bool {
         self.wanted.remove(&id).is_some_and(|w| w.attempts > 0)
     }
 
     /// Demand attempts made so far for a wanted hash (1 = the immediate
     /// first ask). Lets the embedder stamp demand-round span events with
     /// the attempt number.
-    pub fn attempt_of(&self, id: Hash256) -> Option<u32> {
+    pub(crate) fn attempt_of(&self, id: Hash256) -> Option<u32> {
         self.wanted.get(&id).map(|w| w.attempts)
     }
 
@@ -212,7 +217,7 @@ impl DemandScheduler {
     /// want sends its first demand. Wants that exhausted
     /// [`MAX_DEMAND_ATTEMPTS`] are dropped — a later advert recreates
     /// them.
-    pub fn tick(&mut self, now_ms: u64) -> TickActions {
+    pub(crate) fn tick(&mut self, now_ms: u64) -> TickActions {
         let adverts = std::mem::take(&mut self.pending_adverts);
         self.queued = IdSet::default();
         let mut demands: BTreeMap<NodeId, Vec<Hash256>> = BTreeMap::new();
@@ -247,7 +252,7 @@ impl DemandScheduler {
 
     /// True when a future tick still has work to do (advert batch to
     /// send or demands to watch for expiry).
-    pub fn has_work(&self) -> bool {
+    pub(crate) fn has_work(&self) -> bool {
         !self.pending_adverts.is_empty() || !self.wanted.is_empty()
     }
 }
@@ -259,7 +264,7 @@ impl DemandScheduler {
 /// retries another advertiser (mirroring production, where a peer may
 /// have pruned an old tx set). Callers' clocks never go backwards.
 #[derive(Debug)]
-pub struct PayloadCache<V> {
+pub(crate) struct PayloadCache<V> {
     /// Each payload with the time it was inserted (ms).
     map: IdMap<Hash256, (u64, V)>,
     /// The same ids and times, oldest first: eviction reads the time here.
@@ -271,7 +276,7 @@ pub struct PayloadCache<V> {
 impl<V> PayloadCache<V> {
     /// Heap bytes the cache holds, with `payload` the bytes one payload
     /// holds beyond its own size.
-    pub fn resident_bytes(&self, payload: impl Fn(&V) -> u64) -> u64 {
+    pub(crate) fn resident_bytes(&self, payload: impl Fn(&V) -> u64) -> u64 {
         let payloads: u64 = self.map.values().map(|(_, v)| payload(v)).sum();
         heap::table(self.map.len(), std::mem::size_of::<(Hash256, (u64, V))>())
             + heap::array::<(u64, Hash256)>(self.order.capacity())
@@ -280,7 +285,7 @@ impl<V> PayloadCache<V> {
 
     /// A cache holding at most `capacity` payloads, each for less than
     /// `retention_ms`.
-    pub fn new(capacity: usize, retention_ms: u64) -> PayloadCache<V> {
+    pub(crate) fn new(capacity: usize, retention_ms: u64) -> PayloadCache<V> {
         PayloadCache {
             map: IdMap::default(),
             order: VecDeque::new(),
@@ -291,7 +296,7 @@ impl<V> PayloadCache<V> {
 
     /// Evicts what has expired by `now_ms`, then inserts a payload
     /// (no-op if the hash is still cached).
-    pub fn insert(&mut self, id: Hash256, payload: V, now_ms: u64) {
+    pub(crate) fn insert(&mut self, id: Hash256, payload: V, now_ms: u64) {
         while let Some(&(at, old)) = self.order.front() {
             if at + self.retention_ms > now_ms {
                 break;
@@ -311,7 +316,7 @@ impl<V> PayloadCache<V> {
     }
 
     /// The payload behind `id`, if cached and not yet expired at `now_ms`.
-    pub fn get(&self, id: Hash256, now_ms: u64) -> Option<&V> {
+    pub(crate) fn get(&self, id: Hash256, now_ms: u64) -> Option<&V> {
         let (at, payload) = self.map.get(&id)?;
         (now_ms < at + self.retention_ms).then_some(payload)
     }

@@ -42,9 +42,7 @@ pub struct TrafficStats {
     pub in_by_kind: [u64; 5],
     /// Sent messages by type.
     pub out_by_kind: [u64; 5],
-    /// Received bytes by type, indexed like `in_by_kind`.
-    pub in_bytes_by_kind: [u64; 5],
-    /// Sent bytes by type.
+    /// Sent bytes by type, indexed like `in_by_kind`.
     pub out_bytes_by_kind: [u64; 5],
     /// Deliveries dropped by the flood seen-cache (duplicate
     /// suppression hits) — the §7.5 cost of naïve flooding.
@@ -81,7 +79,6 @@ impl TrafficStats {
         self.msgs_in += 1;
         self.bytes_in += bytes as u64;
         self.in_by_kind[Self::idx(kind)] += 1;
-        self.in_bytes_by_kind[Self::idx(kind)] += bytes as u64;
     }
 
     /// Records a sent message of `bytes` bytes.
@@ -100,11 +97,6 @@ impl TrafficStats {
     /// Sent-message count for one type.
     pub fn out_count(&self, kind: MsgKind) -> u64 {
         self.out_by_kind[Self::idx(kind)]
-    }
-
-    /// Received bytes of one type.
-    pub fn in_bytes(&self, kind: MsgKind) -> u64 {
-        self.in_bytes_by_kind[Self::idx(kind)]
     }
 
     /// Sent bytes of one type.
@@ -141,7 +133,6 @@ impl TrafficStats {
         for i in 0..5 {
             self.in_by_kind[i] += other.in_by_kind[i];
             self.out_by_kind[i] += other.out_by_kind[i];
-            self.in_bytes_by_kind[i] += other.in_bytes_by_kind[i];
             self.out_bytes_by_kind[i] += other.out_bytes_by_kind[i];
         }
         self.dup_suppressed += other.dup_suppressed;
@@ -180,7 +171,6 @@ mod tests {
         assert_eq!(s.in_count(MsgKind::Tx), 1);
         assert_eq!(s.in_count(MsgKind::TxSet), 0);
         assert_eq!(s.out_count(MsgKind::TxSet), 1);
-        assert_eq!(s.in_bytes(MsgKind::Scp), 200);
         assert_eq!(s.out_bytes(MsgKind::TxSet), 500);
         // Typed records also feed the untyped totals.
         assert_eq!(s.msgs_in, 3);
@@ -229,7 +219,6 @@ mod tests {
         assert_eq!(a.scp_originated, 3);
         assert_eq!(a.in_count(MsgKind::Scp), 1);
         assert_eq!(a.out_count(MsgKind::Tx), 1);
-        assert_eq!((a.in_bytes(MsgKind::Scp), a.in_bytes(MsgKind::Tx)), (10, 0));
         assert_eq!(
             (a.out_bytes(MsgKind::Tx), a.out_bytes(MsgKind::Scp)),
             (20, 0)

@@ -51,6 +51,7 @@ impl PeerGraph {
         self.adj.keys().copied()
     }
 
+    #[cfg(test)]
     /// Total undirected links.
     pub fn link_count(&self) -> usize {
         self.adj.values().map(BTreeSet::len).sum::<usize>() / 2
@@ -67,6 +68,7 @@ impl PeerGraph {
         g
     }
 
+    #[cfg(test)]
     /// A connected random graph where every node gets ≈`degree` links:
     /// a ring (for connectivity) plus random chords.
     pub fn random_regular<R: Rng + ?Sized>(

@@ -260,11 +260,6 @@ impl DurableStore {
         self.stats
     }
 
-    /// Number of durable records (readable or torn).
-    pub fn durable_len(&self) -> usize {
-        self.durable.len()
-    }
-
     /// Total bytes occupying durable storage (framed records).
     pub fn durable_bytes(&self) -> u64 {
         self.durable.values().map(|rec| rec.len() as u64).sum()
@@ -360,7 +355,7 @@ mod tests {
         s.write("seg/2", b"compacted segment");
         assert!(s.sync());
         assert_eq!(s.read("seg/1"), None);
-        assert_eq!(s.durable_len(), 1);
+        assert_eq!(s.keys_with_prefix("").len(), 1);
         assert_eq!(s.read("seg/2").unwrap(), b"compacted segment");
     }
 

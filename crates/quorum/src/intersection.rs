@@ -69,6 +69,7 @@ impl FbaSystem {
         kernel
     }
 
+    #[cfg(test)]
     /// Whether `set` contains a quorum of this system.
     pub fn contains_quorum(&self, set: &BTreeSet<NodeId>) -> bool {
         !self.max_quorum_in(set).is_empty()
@@ -469,7 +470,7 @@ impl SplitSearch<'_> {
 
 /// Strongly connected components of the trust digraph restricted to
 /// `within` (iterative Tarjan).
-pub fn trust_sccs(sys: &FbaSystem, within: &BTreeSet<NodeId>) -> Vec<BTreeSet<NodeId>> {
+fn trust_sccs(sys: &FbaSystem, within: &BTreeSet<NodeId>) -> Vec<BTreeSet<NodeId>> {
     // Build adjacency restricted to `within`.
     let idx_of: BTreeMap<NodeId, usize> = within
         .iter()

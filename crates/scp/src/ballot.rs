@@ -115,6 +115,7 @@ impl BallotProtocol {
         self.phase
     }
 
+    #[cfg(test)]
     /// The current ballot, if balloting has started.
     pub fn current_ballot(&self) -> Option<&Ballot> {
         self.current.as_ref()

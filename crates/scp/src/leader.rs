@@ -34,7 +34,7 @@ fn h(i: u8, slot: SlotIndex, round: u32, node: NodeId) -> u64 {
 
 /// `weight(u, v)` where `u` owns `qset`: the fraction of `u`'s slices
 /// containing `v`. A node always fully trusts itself (`weight = 1`).
-pub fn node_weight(self_id: NodeId, qset: &QuorumSet, v: NodeId) -> f64 {
+fn node_weight(self_id: NodeId, qset: &QuorumSet, v: NodeId) -> f64 {
     if v == self_id {
         1.0
     } else {
@@ -44,13 +44,7 @@ pub fn node_weight(self_id: NodeId, qset: &QuorumSet, v: NodeId) -> f64 {
 
 /// Tests `H0(v) < hmax · weight(u, v)`: is `v` one of `u`'s neighbors for
 /// this `(slot, round)`?
-pub fn is_neighbor(
-    self_id: NodeId,
-    qset: &QuorumSet,
-    slot: SlotIndex,
-    round: u32,
-    v: NodeId,
-) -> bool {
+fn is_neighbor(self_id: NodeId, qset: &QuorumSet, slot: SlotIndex, round: u32, v: NodeId) -> bool {
     let w = node_weight(self_id, qset, v);
     if w <= 0.0 {
         return false;
@@ -66,7 +60,7 @@ pub fn priority(slot: SlotIndex, round: u32, v: NodeId) -> u64 {
 
 /// The candidate pool for leader selection: every validator named in the
 /// quorum set, plus the node itself.
-pub fn candidate_pool(self_id: NodeId, qset: &QuorumSet) -> BTreeSet<NodeId> {
+fn candidate_pool(self_id: NodeId, qset: &QuorumSet) -> BTreeSet<NodeId> {
     let mut pool = qset.all_validators();
     pool.insert(self_id);
     pool
@@ -103,21 +97,6 @@ pub fn round_leader(self_id: NodeId, qset: &QuorumSet, slot: SlotIndex, round: u
         .unwrap_or(self_id)
 }
 
-/// The cumulative leader set after `round` rounds (rounds are 1-based).
-///
-/// "To accommodate failure, the set of leaders keeps growing as timeouts
-/// occur" — the set is the union of each round's pick.
-pub fn leaders_up_to(
-    self_id: NodeId,
-    qset: &QuorumSet,
-    slot: SlotIndex,
-    round: u32,
-) -> BTreeSet<NodeId> {
-    (1..=round)
-        .map(|r| round_leader(self_id, qset, slot, r))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,16 +123,6 @@ mod tests {
             assert_eq!(l1, l2);
             assert!(pool.contains(&l1));
         }
-    }
-
-    #[test]
-    fn leaders_accumulate_over_rounds() {
-        let q = QuorumSet::threshold_of(3, ids(&[0, 1, 2, 3, 4]));
-        let l1 = leaders_up_to(NodeId(0), &q, 3, 1);
-        let l5 = leaders_up_to(NodeId(0), &q, 3, 5);
-        assert_eq!(l1.len(), 1);
-        assert!(l5.is_superset(&l1));
-        assert!(l5.len() <= 5);
     }
 
     #[test]

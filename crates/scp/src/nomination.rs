@@ -68,6 +68,7 @@ impl NominationProtocol {
         &self.candidates
     }
 
+    #[cfg(test)]
     /// Current leader set (grows with rounds).
     pub fn leaders(&self) -> &BTreeSet<NodeId> {
         &self.leaders

@@ -567,7 +567,7 @@ impl LatestStatements {
     }
 
     /// The statements, in sender order.
-    pub fn values(&self) -> impl Iterator<Item = &Statement> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Statement> {
         self.kernel
             .bits
             .iter()
@@ -575,14 +575,14 @@ impl LatestStatements {
     }
 
     /// The latest statement from `node`.
-    pub fn get(&self, node: &NodeId) -> Option<&Statement> {
+    pub(crate) fn get(&self, node: &NodeId) -> Option<&Statement> {
         self.statements.get(self.kernel.bit(*node)?)?.as_ref()
     }
 
     /// Stores `st` as its sender's latest statement, declaring its slices,
     /// re-testing the sender against every memoized question and counting
     /// what it mentions in place of what its previous statement did.
-    pub fn insert(&mut self, st: Statement) {
+    pub(crate) fn insert(&mut self, st: Statement) {
         let bit = self.kernel.intern(st.node);
         let slices = |kernel: &QuorumKernel| kernel.slices[bit].as_ref().map(Arc::as_ptr);
         let before = slices(&self.kernel);
@@ -641,7 +641,7 @@ impl LatestStatements {
     /// a slice retune (§3.1.1) that quorum evaluation must see, or it
     /// keeps using the sender's abandoned slices forever. Returns whether
     /// `st` was stored.
-    pub fn record(&mut self, st: &Statement) -> bool {
+    pub(crate) fn record(&mut self, st: &Statement) -> bool {
         let stale = self.get(&st.node).is_some_and(|old| {
             !st.kind.is_newer_than(&old.kind)
                 && (old.kind != st.kind || old.quorum_set == st.quorum_set)
@@ -653,13 +653,13 @@ impl LatestStatements {
     }
 
     /// The questions the statements mention, ascending.
-    pub fn mentions(&self) -> impl DoubleEndedIterator<Item = &Question> {
+    pub(crate) fn mentions(&self) -> impl DoubleEndedIterator<Item = &Question> {
         self.mentions.keys()
     }
 
     /// Whether an evaluation by `node`, whose slices are `qset`, could
     /// change anything: an input of the last one changed since it settled.
-    pub fn unsettled(&mut self, node: NodeId, qset: &QuorumSet) -> bool {
+    pub(crate) fn unsettled(&mut self, node: NodeId, qset: &QuorumSet) -> bool {
         self.set_local(node, qset);
         #[cfg(test)]
         if self.oracle {
@@ -669,14 +669,14 @@ impl LatestStatements {
     }
 
     /// Starts an evaluation by `node`, whose slices are `qset`.
-    pub fn begin(&mut self, node: NodeId, qset: &QuorumSet) {
+    pub(crate) fn begin(&mut self, node: NodeId, qset: &QuorumSet) {
         self.set_local(node, qset);
         self.memo.values_mut().for_each(|votes| votes.asked = false);
     }
 
     /// Ends an evaluation, dropping the memos of questions it did not ask.
     /// `fixpoint` says running it again would change nothing.
-    pub fn end(&mut self, fixpoint: bool) {
+    pub(crate) fn end(&mut self, fixpoint: bool) {
         self.memo.retain(|_, votes| votes.asked);
         self.settled = fixpoint;
     }
@@ -700,14 +700,14 @@ impl LatestStatements {
     }
 
     /// The work done since the last call.
-    pub fn take_work(&mut self) -> Work {
+    pub(crate) fn take_work(&mut self) -> Work {
         std::mem::take(&mut self.work)
     }
 
     /// The local node's verdict on `q` under `check`: the memoized one
     /// while it holds, else computed on the memoized votes (built from
     /// every statement when `q` is first asked).
-    pub fn verdict(&mut self, q: &Question, check: usize) -> bool {
+    pub(crate) fn verdict(&mut self, q: &Question, check: usize) -> bool {
         #[cfg(test)]
         if self.oracle {
             let (accept, confirm, v_blocking) = self.scratch(q);
@@ -745,7 +745,7 @@ impl LatestStatements {
     /// evaluator before the memo reached them: voters and accepters
     /// rebuilt from every statement, the local slices compiled afresh,
     /// and v-blocking judged on the peers' statements alone.
-    pub fn scratch(&mut self, q: &Question) -> (bool, bool, bool) {
+    pub(crate) fn scratch(&mut self, q: &Question) -> (bool, bool, bool) {
         let (qset, _, node) = self.local.clone().expect("an evaluation has begun");
         let local = self.kernel.compile(&qset);
         let me = self.kernel.id(node);

@@ -183,7 +183,7 @@ impl InMemoryNetwork {
 
     /// Fires the earliest pending timer (advancing the virtual clock).
     /// Returns `false` when no timers are pending.
-    pub fn fire_next_timer(&mut self) -> bool {
+    fn fire_next_timer(&mut self) -> bool {
         let mut best: Option<(u64, usize, SlotIndex, TimerKind)> = None;
         for (i, d) in self.drivers.iter().enumerate() {
             if self.crashed.contains(&self.nodes[i].id()) {

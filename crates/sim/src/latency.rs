@@ -37,6 +37,7 @@ impl LatencyModel {
         }
     }
 
+    #[cfg(test)]
     /// Zero-delay (pure protocol-logic tests).
     pub fn instant() -> LatencyModel {
         LatencyModel {

@@ -276,7 +276,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Builds per-ledger metrics from an observer's slot records and close
 /// statistics: one row per slot that nominated, balloted and decided.
-pub fn build_ledger_metrics(
+fn build_ledger_metrics(
     records: &BTreeMap<SlotIndex, SlotRecord>,
     close_stats: &[CloseStats],
 ) -> Vec<LedgerMetrics> {

@@ -39,13 +39,13 @@
 //! * **Liveness.** A node is in one state: a live validator, a
 //!   puppet, a watcher, or down. A down node ([`Node::crash`]) ignores
 //!   deliveries, timers and submissions and misses its ticks and
-//!   triggers; [`Node::reboot`] returns it to its role, and a rebooted
+//!   triggers; `Node::reboot` returns it to its role, and a rebooted
 //!   validator re-arms its trigger on its pacing grid. A puppet never
 //!   triggers, votes or takes a submission, but relays and ticks, and
 //!   keeps what it is delivered in an inbox for its adversary.
 //! * **Pacing.** A node triggers the next ledger once it has closed the
 //!   previous one *and* an interval has passed since its last trigger
-//!   ([`next_trigger_ms`]; §7: "the system runs SCP at 5-second
+//!   (`next_trigger_ms`; §7: "the system runs SCP at 5-second
 //!   intervals"). The pacing base survives a reboot.
 //!
 //! Below the node: [`Genesis`], which builds each validator process and
@@ -163,7 +163,7 @@ pub struct Node {
 
 impl Node {
     /// A node flooding through `engine` that triggers a ledger every
-    /// `interval_ms` once [`Node::boot`] gives it a validator (a watcher
+    /// `interval_ms` once `Node::boot` gives it a validator (a watcher
     /// never gets one). With `ingest_each_close` a hosted Horizon
     /// pipeline ingests every close.
     pub fn new(engine: FloodEngine, interval_ms: u64, ingest_each_close: bool) -> Node {
@@ -235,7 +235,7 @@ impl Node {
     /// set the node hosts a fresh pipeline, seeded from `v`'s state and
     /// backfilled from its archive (restart-mid-ingestion recovery); live
     /// closes then arrive through the feed.
-    pub fn boot(&mut self, mut v: Validator, horizon: Option<AdmissionConfig>) {
+    fn boot(&mut self, mut v: Validator, horizon: Option<AdmissionConfig>) {
         self.last_triggered_slot = 0;
         self.last_closed = v.ledger_seq();
         self.engine.reset();
@@ -267,7 +267,7 @@ impl Node {
     /// ([`Node::rejoin`]); a puppet or a watcher comes back as it went
     /// down, with a fresh engine. Returns the ledgers replayed and what
     /// the node asks of its embedder.
-    pub fn reboot(&mut self, genesis: &Genesis, cfg: &SimConfig, now: u64) -> (u64, NodeActions) {
+    fn reboot(&mut self, genesis: &Genesis, cfg: &SimConfig, now: u64) -> (u64, NodeActions) {
         self.on_disks(DurableStore::crash);
         let image = match std::mem::replace(&mut self.state, State::Watcher) {
             State::Down(image) => *image,
@@ -287,7 +287,7 @@ impl Node {
     /// A rebooted validator rejoins: it floods what its recovery
     /// produced, asks to catch up, and re-triggers at the next point of
     /// its pacing grid, not the instant it boots.
-    pub fn rejoin(&mut self, now: u64) -> NodeActions {
+    fn rejoin(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
         self.step(now, &mut out, Validator::drain_outputs);
         let grid = |base| next_trigger_ms(base, self.interval_ms, now, false);
@@ -487,7 +487,7 @@ impl Node {
     /// own latest SCP envelopes; a peer lacking a set they name fetches
     /// it. Peers drop what their seen-caches still hold, and SCP drops an
     /// older re-flood as not newer than the statement it already has.
-    pub fn reconnect(&mut self, now: u64) -> NodeActions {
+    fn reconnect(&mut self, now: u64) -> NodeActions {
         let mut out = Vec::new();
         let State::Live(v) = &self.state else {
             return out;
@@ -583,7 +583,7 @@ fn held(state: &State) -> impl Fn(&Hash256) -> Option<FloodMessage> + '_ {
 /// `base + k·interval`, which is where the rest of the network triggers:
 /// triggering at once would have it propose a whole interval ahead of
 /// its peers, and close on a stale set each slot it leads.
-pub fn next_trigger_ms(base: u64, interval: u64, now: u64, own_slot: bool) -> u64 {
+fn next_trigger_ms(base: u64, interval: u64, now: u64, own_slot: bool) -> u64 {
     if own_slot {
         (base + interval).max(now + 1)
     } else {
@@ -763,7 +763,7 @@ impl Simulation {
         }
     }
 
-    /// Crash-restarts a node in place ([`Node::reboot`]): every byte of
+    /// Crash-restarts a node in place (`Node::reboot`): every byte of
     /// in-memory state is discarded and a validator is rebuilt solely
     /// from what survived. The remaining ledger gap is then closed from a
     /// reachable live peer's archive and the reconnect state exchange

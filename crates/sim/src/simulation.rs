@@ -432,7 +432,7 @@ impl Simulation {
         self.watchdog.liveness_bound_ms = bound_ms;
     }
 
-    /// The intact set now ([`intact_nodes`](crate::watchdog::intact_nodes) over the
+    /// The intact set now (`watchdog::intact_nodes` over the
     /// puppets and down nodes). From the first call on, the watchdog keeps
     /// it current at every crash, restart and reconfiguration.
     pub fn intact(&mut self) -> BTreeSet<NodeId> {
@@ -745,7 +745,6 @@ mod tests {
         // Flight recorder: the observer traced the run's slots.
         let recorder = &sim.validator(sim.observer_id()).herder.telemetry.recorder;
         assert!(!recorder.is_empty(), "flight recorder must have events");
-        assert!(recorder.latest_slot() > 0, "recorder saw at least one slot");
         // The latest slot may still be mid-nomination at shutdown; pick
         // one the recorder saw externalize.
         let slot = recorder
@@ -1631,7 +1630,13 @@ mod crash_tests {
         for boot in 1..=3 {
             sim.restart(NodeId(2));
             while sim.now_ms() < 62_300 + boot * 20_000 && sim.step() {}
-            lens.push(sim.validator(NodeId(2)).herder.persist.durable_len());
+            lens.push(
+                sim.validator(NodeId(2))
+                    .herder
+                    .persist
+                    .keys_with_prefix("")
+                    .len(),
+            );
         }
         assert!(lens.iter().all(|len| *len <= bound), "{lens:?} > {bound}");
         assert!(lens[2] <= lens[0], "durable key set grew: {lens:?}");

@@ -190,7 +190,7 @@ pub fn phase_stats(rows: &[TxTrace]) -> Vec<PhaseStats> {
 
 /// The submit→apply latency CDF on a fixed percentile grid (Fig. 7's
 /// axes: confirmation latency vs fraction of transactions).
-pub fn submit_to_apply_cdf(rows: &[TxTrace]) -> Json {
+fn submit_to_apply_cdf(rows: &[TxTrace]) -> Json {
     let mut xs: Vec<f64> = rows
         .iter()
         .filter_map(|r| Some(r.applied_ms?.saturating_sub(r.submit_ms) as f64))

@@ -7,7 +7,7 @@
 //! §7.3) — and keeps a **ledger-lag** gauge.
 //!
 //! It also checks SCP's promises, which hold only for **intact** nodes
-//! ([`intact_nodes`]; the ill-behaved set is puppets plus down nodes).
+//! (`intact_nodes`; the ill-behaved set is puppets plus down nodes).
 //! The intact set is computed only when a verdict needs it and cached
 //! until the ill set or a quorum set changes. A broken promise is a
 //! typed [`Violation`]:
@@ -99,7 +99,7 @@ pub enum Violation {
 /// promises nothing. (This is the standard one-DSet approximation: it
 /// treats all ill-behaved nodes as one failure event rather than
 /// minimizing over every DSet containing them.)
-pub fn intact_nodes(
+pub(crate) fn intact_nodes(
     qsets: &BTreeMap<NodeId, QuorumSet>,
     ill: &BTreeSet<NodeId>,
 ) -> BTreeSet<NodeId> {
@@ -405,7 +405,7 @@ impl HealthWatchdog {
     }
 
     /// The worst current lag (0 when every node is at the tip).
-    pub fn max_ledger_lag(&self) -> u64 {
+    pub(crate) fn max_ledger_lag(&self) -> u64 {
         self.ledger_lag().into_values().max().unwrap_or(0)
     }
 

@@ -352,7 +352,7 @@ impl DiskBackend {
     }
 
     /// A fresh backend around an existing disk (recovery, tests).
-    pub fn with_disk(disk: Rc<RefCell<DurableStore>>, cfg: DiskConfig) -> DiskBackend {
+    fn with_disk(disk: Rc<RefCell<DurableStore>>, cfg: DiskConfig) -> DiskBackend {
         DiskBackend {
             disk,
             cfg,

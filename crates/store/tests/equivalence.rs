@@ -156,8 +156,8 @@ proptest! {
         for s in 0..3u64 {
             for b in 0..3u64 {
                 prop_assert_eq!(
-                    mem.offers_for_pair(&asset(s), &asset(b)),
-                    disk.offers_for_pair(&asset(s), &asset(b))
+                    mem.offers_page(&asset(s), &asset(b), None, usize::MAX),
+                    disk.offers_page(&asset(s), &asset(b), None, usize::MAX)
                 );
             }
         }

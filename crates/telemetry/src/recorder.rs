@@ -96,13 +96,8 @@ impl<K> FlightRecorder<K> {
     }
 
     /// Retained events for one slot, oldest first.
-    pub fn slot_events(&self, slot: u64) -> Vec<&TraceEvent<K>> {
+    fn slot_events(&self, slot: u64) -> Vec<&TraceEvent<K>> {
         self.events.iter().filter(|e| e.slot == slot).collect()
-    }
-
-    /// Newest slot that has recorded events.
-    pub fn latest_slot(&self) -> u64 {
-        self.max_slot
     }
 
     /// Number of retained events.

@@ -106,7 +106,7 @@ impl Histogram {
 
     /// Nearest-rank quantile estimate (`p` in 0–100): the upper bound of
     /// the bucket holding the p-th sample, clamped to the observed max.
-    pub fn quantile(&self, p: f64) -> u64 {
+    fn quantile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -208,6 +208,7 @@ impl Registry {
         }
     }
 
+    #[cfg(test)]
     /// Current value of gauge `name` (0 if never set).
     pub fn gauge(&self, name: &str) -> i64 {
         self.gauges.get(name).copied().unwrap_or(0)

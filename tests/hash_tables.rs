@@ -1,8 +1,9 @@
 //! Every hash table in the crates hashes with `stellar_crypto::IdState`.
 //!
-//! The rule: in each `crates/*/src`, on every line above the file's first
-//! `#[cfg(test)]`, with `//` comments cut off (the scan `panic_budget.rs`
-//! uses), no `HashMap` or `HashSet` may take std's default hasher — not as
+//! The rule: in the non-test code of each `crates/*/src` — every file with
+//! its `//` comments and each `#[cfg(test)]`-gated item cut off, wherever
+//! the gate stands (the scan `panic_budget.rs` uses) — no `HashMap` or
+//! `HashSet` may take std's default hasher — not as
 //! a type that leaves the hasher parameter out, and not through
 //! `::new(` or `::with_capacity(`, which exist only for it. Use
 //! `IdMap`/`IdSet` and `IdState::default()` instead: the tables are keyed
@@ -74,11 +75,15 @@ fn the_detector_tells_default_tables_from_keyed_ones() {
     assert_eq!(flagged("HashSet<(u8, u8), IdState>"), 0);
     assert_eq!(flagged("use std::collections::{HashMap, HashSet};"), 0);
     assert_eq!(flagged("IdMap::default(); MyHashMap::new()"), 0);
+    // Gated code may use the default hasher; code below a gated field may not.
+    let file = "#[cfg(test)]\nfn t() { HashMap::<u8, u8>::new(); }\n\
+                struct S {\n    #[cfg(test)]\n    x: u8,\n}\nfn f() { HashSet::<u8>::new(); }";
+    assert_eq!(flagged(&source_scan::non_test_code(file)), 1);
 }
 
 #[test]
 fn no_crate_table_uses_the_default_hasher() {
-    let sources = source_scan::sources();
+    let sources = source_scan::non_test_sources();
     assert!(
         sources.iter().any(|(path, _)| path == ALIASES),
         "scan did not reach {ALIASES}"
@@ -87,9 +92,6 @@ fn no_crate_table_uses_the_default_hasher() {
         .iter()
         .filter(|(path, _)| path.starts_with("crates/"))
         .flat_map(|(path, code)| {
-            let code = code
-                .find("#[cfg(test)]")
-                .map_or(&code[..], |at| &code[..at]);
             default_hasher_tables(code)
                 .into_iter()
                 .map(move |hit| format!("{path}: {hit}"))

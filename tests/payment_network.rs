@@ -301,7 +301,7 @@ fn hash_preimage_signer_enables_htlc_style_claims() {
     // time bounds, permits atomic cross-chain trading."
     use stellar::crypto::sha256::sha256;
     use stellar::ledger::apply::{apply_transaction, check_validity};
-    use stellar::ledger::entry::Signer;
+    use stellar::ledger::entry::{Signer, SignerKey};
     use stellar::ledger::ops::ExecEnv;
     use stellar::ledger::sigcache::SigVerifyCache;
     use stellar::ledger::tx::{TimeBounds, TxError, TxResult};
@@ -317,7 +317,10 @@ fn hash_preimage_signer_enables_htlc_style_claims() {
     {
         let mut e = stellar::ledger::entry::AccountEntry::new(escrow, xlm(50));
         e.thresholds.master_weight = 0;
-        e.signers.push(Signer::hash_x(lock, 1));
+        e.signers.push(Signer {
+            key: SignerKey::HashX(lock),
+            weight: 1,
+        });
         store.put_account(e);
         store.put_account(stellar::ledger::entry::AccountEntry::new(claimer, xlm(5)));
     }

@@ -582,7 +582,7 @@ proptest! {
                         continue;
                     }
                     let got: Vec<u64> = delta
-                        .offers_for_pair(s, b)
+                        .offers_page(s, b, None, usize::MAX)
                         .iter()
                         .map(|o| o.id)
                         .collect();
@@ -612,7 +612,7 @@ proptest! {
                         continue;
                     }
                     let got: Vec<u64> = store
-                        .offers_for_pair(s, b)
+                        .offers_page(s, b, None, usize::MAX)
                         .iter()
                         .map(|o| o.id)
                         .collect();
@@ -968,7 +968,11 @@ mod layered_delta {
         }
         for (s, b) in pairs() {
             let book = flat.book(base, &s, &b);
-            assert_eq!(delta.offers_for_pair(&s, &b), book, "book {s:?}/{b:?}");
+            assert_eq!(
+                delta.offers_page(&s, &b, None, usize::MAX),
+                book,
+                "book {s:?}/{b:?}"
+            );
             for cursor in std::iter::once(None).chain(cursors.iter().copied().map(Some)) {
                 let rest: Vec<&OfferEntry> = book
                     .iter()

@@ -11,11 +11,11 @@ use rand::Rng;
 use std::collections::BTreeMap;
 
 /// Each declaring node's quorum set.
-pub type Fbas = BTreeMap<NodeId, QuorumSet>;
+pub(crate) type Fbas = BTreeMap<NodeId, QuorumSet>;
 
 /// A well-formed quorum set over nodes `0..universe`, nested up to
 /// `depth` more levels.
-pub fn random_qset(rng: &mut StdRng, universe: u32, depth: u32) -> QuorumSet {
+pub(crate) fn random_qset(rng: &mut StdRng, universe: u32, depth: u32) -> QuorumSet {
     let mut pool: Vec<NodeId> = (0..universe).map(NodeId).collect();
     pool.shuffle(rng);
     pool.truncate(rng.gen_range(0..=4usize.min(pool.len())));
@@ -35,7 +35,7 @@ pub fn random_qset(rng: &mut StdRng, universe: u32, depth: u32) -> QuorumSet {
 
 /// Up to 12 nodes; the first `declared` declare a quorum set, the
 /// rest are only ever named in someone else's.
-pub fn random_fbas(rng: &mut StdRng) -> (Fbas, u32) {
+pub(crate) fn random_fbas(rng: &mut StdRng) -> (Fbas, u32) {
     let universe = rng.gen_range(2..=12u32);
     let declared = rng.gen_range(1..=universe);
     let fbas = (0..declared)

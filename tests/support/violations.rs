@@ -7,7 +7,7 @@ use stellar::sim::Violation;
 /// Asserts that `violations` (a report's, or the run watchdog's while the
 /// simulation is still stepped by hand) is empty, listing each one if not.
 #[track_caller]
-pub fn assert_no_violations(violations: &[Violation]) {
+pub(crate) fn assert_no_violations(violations: &[Violation]) {
     if violations.is_empty() {
         return;
     }

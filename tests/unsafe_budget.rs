@@ -8,6 +8,8 @@
 //! fails on a second `unsafe`, a second opt-out, or a crate root that lost
 //! its lint.
 
+// This scan reads test code too, so the non-test cut goes unused here.
+#[allow(dead_code)]
 #[path = "support/source_scan.rs"]
 mod source_scan;
 

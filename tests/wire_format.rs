@@ -492,7 +492,7 @@ fn scp_slot_record_is_pinned() {
     let mut herder = Herder::new(NodeId(0), LedgerStore::new(), Default::default());
     assert!(herder.persist_scp(&[envelope]));
     assert_eq!(scp_record_key(7, false), "scp/7/ballot");
-    assert_eq!(herder.persist.durable_len(), 1);
+    assert_eq!(herder.persist.keys_with_prefix("").len(), 1);
     let record = herder
         .persist
         .raw("scp/7/ballot")
