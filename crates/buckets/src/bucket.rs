@@ -73,11 +73,45 @@ impl Bucket {
         Bucket::from_sorted(sorted.into_iter().map(|(key, e)| (key, e.as_ref())))
     }
 
-    /// Builds a bucket of live entries from a full state snapshot.
+    /// Builds a bucket of live entries from a full state snapshot, a
+    /// later version of a key replacing an earlier one.
+    ///
+    /// Input in strictly ascending key order — what every store snapshot
+    /// yields — is encoded as it streams in, straight into the bucket's
+    /// bytes, whose buffer is sized from the slots so far and the length
+    /// the input still promises, so it is not doubled past the state. At
+    /// the first key out of order, the slots encoded so far are decoded
+    /// back and, with the rest of the input, sorted and encoded anew.
     pub(crate) fn from_entries(entries: impl IntoIterator<Item = LedgerEntry>) -> Bucket {
-        let mut entries: Vec<LedgerEntry> = entries.into_iter().collect();
-        entries.sort_by_key(LedgerEntry::key);
-        Bucket::from_sorted(entries.iter().map(|e| (e.key(), Some(e))))
+        let mut entries = entries.into_iter();
+        let (mut bytes, mut starts) = (Vec::new(), Vec::with_capacity(entries.size_hint().0));
+        let mut last: Option<LedgerKey> = None;
+        while let Some(entry) = entries.next() {
+            let key = entry.key();
+            if last.as_ref().is_some_and(|last| *last >= key) {
+                let prefix = Bucket::new(bytes, starts);
+                let mut all: Vec<LedgerEntry> = prefix.live_entries().collect();
+                drop(prefix);
+                all.push(entry);
+                all.extend(entries);
+                // Stable: a key's versions keep input order, so the last wins.
+                all.sort_by_key(LedgerEntry::key);
+                return Bucket::from_sorted(all.iter().map(|e| (e.key(), Some(e))));
+            }
+            if let Some(per_slot) = bytes.len().checked_div(starts.len()) {
+                if bytes.capacity() - bytes.len() < per_slot {
+                    match entries.size_hint().0 {
+                        0 => bytes.reserve(per_slot),
+                        rest => bytes.reserve_exact((per_slot + 1) * (rest + 1)),
+                    }
+                }
+            }
+            starts.push(next_start(&bytes));
+            key.encode(&mut bytes);
+            (LIVE_TAG, &entry).encode(&mut bytes);
+            last = Some(key);
+        }
+        Bucket::new(bytes, starts)
     }
 
     /// Encodes key-sorted slots in which a key's versions are adjacent,
@@ -372,6 +406,43 @@ mod tests {
                 let entries = live.into_values().rev().flatten();
                 prop_assert_eq!(&Bucket::from_entries(entries), &bottom);
             }
+        }
+    }
+
+    proptest! {
+        /// `from_entries` streams key-ordered input and sorts the rest:
+        /// both agree with a bucket encoded from the input sorted up
+        /// front (stably, so a repeated key's last version wins), for the
+        /// input in key order and for the same entries shuffled.
+        #[test]
+        fn streamed_and_sorted_from_entries_agree(
+            items in proptest::collection::vec((0u8..4, 0u64..6, 0i64..1000, any::<u64>()), 0..48),
+        ) {
+            let sorted_reference = |mut entries: Vec<LedgerEntry>| {
+                entries.sort_by_key(LedgerEntry::key);
+                Bucket::from_sorted(entries.iter().map(|e| (e.key(), Some(e))))
+            };
+            let mut shuffled: Vec<(u64, LedgerEntry)> = items
+                .iter()
+                .map(|&(kind, n, v, rank)| (rank, entry(kind, n, v)))
+                .collect();
+            shuffled.sort_by_key(|(rank, _)| *rank);
+            let shuffled: Vec<LedgerEntry> = shuffled.into_iter().map(|(_, e)| e).collect();
+            let in_order: Vec<LedgerEntry> = shuffled
+                .iter()
+                .map(|e| (e.key(), e.clone()))
+                .collect::<BTreeMap<_, _>>()
+                .into_values()
+                .collect();
+
+            prop_assert_eq!(
+                Bucket::from_entries(in_order.clone()),
+                sorted_reference(in_order)
+            );
+            prop_assert_eq!(
+                Bucket::from_entries(shuffled.clone()),
+                sorted_reference(shuffled)
+            );
         }
     }
 

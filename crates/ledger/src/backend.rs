@@ -221,9 +221,11 @@ pub trait LedgerBackend: LedgerRead {
     /// Number of open offers.
     fn offer_count(&self) -> usize;
 
-    /// Every live entry: accounts, trustlines, offers, data — each kind
-    /// in key order (snapshot hashing, bucket seeding).
-    fn all_entries(&self) -> Vec<LedgerEntry>;
+    /// Every live entry in `LedgerKey` order — accounts, trustlines,
+    /// offers, data — as a lazy walk over the backend's own tables, one
+    /// entry at a time: a whole-state pass (snapshot hashing, bucket
+    /// seeding, a disk genesis) never holds a second copy of the state.
+    fn all_entries(&self) -> Box<dyn Iterator<Item = LedgerEntry> + '_>;
 
     /// Makes everything applied so far durable, tagged with the ledger
     /// it belongs to. Returns `false` if the disk sync failed (the data
@@ -243,34 +245,19 @@ pub trait LedgerBackend: LedgerRead {
         StoreIoStats::default()
     }
 
-    /// Approximate bytes of RAM the backend currently holds entries in:
-    /// a fixed weight per entry ([`approx_entry_bytes`]), what the
-    /// resident-bytes gauges report.
-    fn resident_bytes(&self) -> u64;
-
     /// Heap bytes the backend holds, estimated from its tables' lengths
-    /// (`stellar_crypto::heap`): what the memory census counts.
-    fn heap_bytes(&self) -> u64;
+    /// and the running totals `apply` keeps (`stellar_crypto::heap`), with
+    /// no walk over the state: what the memory census counts and the
+    /// resident-bytes gauges report each close.
+    fn resident_bytes(&self) -> u64;
 
     /// Clones the backend behind the trait object.
     fn boxed_clone(&self) -> Box<dyn LedgerBackend>;
 }
 
-/// Approximate in-RAM weight of an entry, by kind, for resident-bytes
-/// gauges: struct size plus typical map/allocation overhead. Precision is
-/// not the point — trend and order of magnitude are.
-pub fn approx_entry_bytes(key: &LedgerKey) -> u64 {
-    match key {
-        LedgerKey::Account(_) => 136,
-        LedgerKey::TrustLine(..) => 112,
-        LedgerKey::Offer(_) => 120,
-        LedgerKey::Data(..) => 112,
-    }
-}
-
 /// The original in-RAM backend: ordered maps, split-keyed so point reads
 /// never build scratch tuple keys.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct MemBackend {
     accounts: BTreeMap<AccountId, AccountEntry>,
     trustlines: BTreeMap<AccountId, BTreeMap<Asset, TrustLineEntry>>,
@@ -279,6 +266,56 @@ pub struct MemBackend {
     /// Side index over `offers`, maintained by every offer mutation.
     book: BookIndex,
     next_offer_id: u64,
+    /// [`MemBackend::entry_heap`], kept current by `apply`, so the
+    /// per-close resident-bytes gauge costs no walk over the state.
+    entry_heap: u64,
+}
+
+impl Clone for MemBackend {
+    fn clone(&self) -> MemBackend {
+        let mut copy = MemBackend {
+            accounts: self.accounts.clone(),
+            trustlines: self.trustlines.clone(),
+            offers: self.offers.clone(),
+            data: self.data.clone(),
+            book: self.book.clone(),
+            next_offer_id: self.next_offer_id,
+            entry_heap: 0,
+        };
+        // A copied entry holds no spare capacity; count what it holds.
+        copy.entry_heap = copy.entry_heap();
+        copy
+    }
+}
+
+/// Heap an account entry holds beyond its own size.
+fn signers_heap(account: &AccountEntry) -> u64 {
+    heap::array::<Signer>(account.signers.capacity())
+}
+
+/// Heap of one account's trustline map: its nodes, and the asset held
+/// in each key and each line.
+fn lines_heap(lines: &BTreeMap<Asset, TrustLineEntry>) -> u64 {
+    let assets: u64 = lines
+        .iter()
+        .map(|(a, line)| a.heap_bytes() + line.asset.heap_bytes())
+        .sum();
+    heap::btree(lines.len(), size_of::<(Asset, TrustLineEntry)>()) + assets
+}
+
+/// Heap of an offer entry beyond its own size: its two assets.
+fn offer_heap(offer: &OfferEntry) -> u64 {
+    offer.selling.heap_bytes() + offer.buying.heap_bytes()
+}
+
+/// Heap of one account's data map: its nodes, and the name held in each
+/// key and each entry, and each value.
+fn data_heap(data: &BTreeMap<String, DataEntry>) -> u64 {
+    let bytes: u64 = data
+        .iter()
+        .map(|(k, e)| (k.capacity() + e.name.capacity() + e.value.capacity()) as u64)
+        .sum();
+    heap::btree(data.len(), size_of::<(String, DataEntry)>()) + bytes
 }
 
 impl MemBackend {
@@ -289,6 +326,68 @@ impl MemBackend {
             ..MemBackend::default()
         }
     }
+
+    /// A backend holding `entries`, a later version of a key replacing an
+    /// earlier one, with the offer-id allocator past the highest offer.
+    /// Each map is bulk-built from its sorted run (`BTreeMap::from_iter`
+    /// sorts stably, keeps the last of equal keys and fills every node),
+    /// so a genesis or catch-up load costs one sort per kind, not one
+    /// tree descent and split per entry.
+    pub(crate) fn from_entries(entries: impl IntoIterator<Item = LedgerEntry>) -> MemBackend {
+        let (mut accounts, mut lines, mut offers, mut data) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for entry in entries {
+            match entry {
+                LedgerEntry::Account(a) => accounts.push((a.id, a)),
+                LedgerEntry::TrustLine(t) => lines.push(((t.account, t.asset.clone()), t)),
+                LedgerEntry::Offer(o) => offers.push((o.id, o)),
+                LedgerEntry::Data(d) => data.push(((d.account, d.name.clone()), d)),
+            }
+        }
+        let offers: BTreeMap<u64, OfferEntry> = offers.into_iter().collect();
+        let mut book = BookIndex::new();
+        for offer in offers.values() {
+            book_apply(&mut book, None, Some(offer));
+        }
+        let mut backend = MemBackend {
+            accounts: accounts.into_iter().collect(),
+            trustlines: nest(lines),
+            next_offer_id: offers.keys().next_back().map_or(1, |id| id + 1),
+            offers,
+            data: nest(data),
+            book,
+            entry_heap: 0,
+        };
+        backend.entry_heap = backend.entry_heap();
+        backend
+    }
+
+    /// Heap the entries hold beyond the four outer maps' nodes and the
+    /// book: each entry's own heap, and each account's trustline and data
+    /// maps whole. The definition the running `entry_heap` total keeps.
+    fn entry_heap(&self) -> u64 {
+        let accounts: u64 = self.accounts.values().map(signers_heap).sum();
+        let lines: u64 = self.trustlines.values().map(lines_heap).sum();
+        let offers: u64 = self.offers.values().map(offer_heap).sum();
+        let data: u64 = self.data.values().map(data_heap).sum();
+        accounts + lines + offers + data
+    }
+}
+
+/// Per-account maps from `((account, key), value)` pairs: one stable
+/// sort, then each account's run and the outer map bulk-built in order.
+fn nest<K: Ord, V>(mut pairs: Vec<((AccountId, K), V)>) -> BTreeMap<AccountId, BTreeMap<K, V>> {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut runs: Vec<(AccountId, Vec<(K, V)>)> = Vec::new();
+    for ((account, key), value) in pairs {
+        match runs.last_mut() {
+            Some((last, run)) if *last == account => run.push((key, value)),
+            _ => runs.push((account, vec![(key, value)])),
+        }
+    }
+    runs.into_iter()
+        .map(|(account, run)| (account, run.into_iter().collect()))
+        .collect()
 }
 
 impl LedgerRead for MemBackend {
@@ -332,46 +431,63 @@ impl LedgerBackend for MemBackend {
     }
 
     fn apply(&mut self, feed: &[(LedgerKey, Option<LedgerEntry>)]) {
+        // Each arm counts the copy it stores (a copy holds no spare
+        // capacity), and adds that before taking off what it frees, so
+        // the running total never underflows.
         for (key, slot) in feed {
             match (key, slot) {
                 (LedgerKey::Account(id), Some(LedgerEntry::Account(a))) => {
-                    self.accounts.insert(*id, a.clone());
+                    let a = a.clone();
+                    self.entry_heap += signers_heap(&a);
+                    if let Some(old) = self.accounts.insert(*id, a) {
+                        self.entry_heap -= signers_heap(&old);
+                    }
                 }
                 (LedgerKey::Account(id), None) => {
-                    self.accounts.remove(id);
+                    if let Some(old) = self.accounts.remove(id) {
+                        self.entry_heap -= signers_heap(&old);
+                    }
                 }
                 (LedgerKey::TrustLine(id, asset), Some(LedgerEntry::TrustLine(t))) => {
-                    self.trustlines
-                        .entry(*id)
-                        .or_default()
-                        .insert(asset.clone(), t.clone());
+                    let lines = self.trustlines.entry(*id).or_default();
+                    let before = lines_heap(lines);
+                    lines.insert(asset.clone(), t.clone());
+                    self.entry_heap = self.entry_heap + lines_heap(lines) - before;
                 }
                 (LedgerKey::TrustLine(id, asset), None) => {
                     if let Some(m) = self.trustlines.get_mut(id) {
+                        let before = lines_heap(m);
                         m.remove(asset);
+                        self.entry_heap = self.entry_heap + lines_heap(m) - before;
                         if m.is_empty() {
                             self.trustlines.remove(id);
                         }
                     }
                 }
                 (LedgerKey::Offer(id), Some(LedgerEntry::Offer(o))) => {
-                    let prev = self.offers.insert(*id, o.clone());
+                    let copy = o.clone();
+                    self.entry_heap += offer_heap(&copy);
+                    let prev = self.offers.insert(*id, copy);
                     book_apply(&mut self.book, prev.as_ref(), Some(o));
+                    self.entry_heap -= prev.as_ref().map_or(0, offer_heap);
                 }
                 (LedgerKey::Offer(id), None) => {
                     if let Some(prev) = self.offers.remove(id) {
                         book_apply(&mut self.book, Some(&prev), None);
+                        self.entry_heap -= offer_heap(&prev);
                     }
                 }
                 (LedgerKey::Data(id, name), Some(LedgerEntry::Data(d))) => {
-                    self.data
-                        .entry(*id)
-                        .or_default()
-                        .insert(name.clone(), d.clone());
+                    let data = self.data.entry(*id).or_default();
+                    let before = data_heap(data);
+                    data.insert(name.clone(), d.clone());
+                    self.entry_heap = self.entry_heap + data_heap(data) - before;
                 }
                 (LedgerKey::Data(id, name), None) => {
                     if let Some(m) = self.data.get_mut(id) {
+                        let before = data_heap(m);
                         m.remove(name);
+                        self.entry_heap = self.entry_heap + data_heap(m) - before;
                         if m.is_empty() {
                             self.data.remove(id);
                         }
@@ -401,84 +517,111 @@ impl LedgerBackend for MemBackend {
         self.offers.len()
     }
 
-    fn all_entries(&self) -> Vec<LedgerEntry> {
-        let mut out = Vec::new();
-        out.extend(self.accounts.values().cloned().map(LedgerEntry::Account));
-        out.extend(
-            self.trustlines
-                .values()
-                .flat_map(BTreeMap::values)
-                .cloned()
-                .map(LedgerEntry::TrustLine),
-        );
-        out.extend(self.offers.values().cloned().map(LedgerEntry::Offer));
-        out.extend(
-            self.data
-                .values()
-                .flat_map(BTreeMap::values)
-                .cloned()
-                .map(LedgerEntry::Data),
-        );
-        out
+    fn all_entries(&self) -> Box<dyn Iterator<Item = LedgerEntry> + '_> {
+        let accounts = self.accounts.values().cloned().map(LedgerEntry::Account);
+        let lines = self.trustlines.values().flat_map(BTreeMap::values);
+        let offers = self.offers.values().cloned().map(LedgerEntry::Offer);
+        let data = self.data.values().flat_map(BTreeMap::values);
+        Box::new(
+            accounts
+                .chain(lines.cloned().map(LedgerEntry::TrustLine))
+                .chain(offers)
+                .chain(data.cloned().map(LedgerEntry::Data)),
+        )
     }
 
     fn resident_bytes(&self) -> u64 {
-        let tls: usize = self.trustlines.values().map(BTreeMap::len).sum();
-        let data: usize = self.data.values().map(BTreeMap::len).sum();
-        self.accounts.len() as u64 * 136
-            + tls as u64 * 112
-            + self.offers.len() as u64 * 120
-            + data as u64 * 112
-    }
-
-    fn heap_bytes(&self) -> u64 {
-        let signers = |a: &AccountEntry| heap::array::<Signer>(a.signers.capacity());
-        let accounts: u64 = self.accounts.values().map(signers).sum();
-        let lines: u64 = self
-            .trustlines
-            .values()
-            .map(|t| {
-                let assets: u64 = t
-                    .iter()
-                    .map(|(a, line)| a.heap_bytes() + line.asset.heap_bytes())
-                    .sum();
-                heap::btree(t.len(), size_of::<(Asset, TrustLineEntry)>()) + assets
-            })
-            .sum();
-        let offers: u64 = self
-            .offers
-            .values()
-            .map(|o| o.selling.heap_bytes() + o.buying.heap_bytes())
-            .sum();
-        let data: u64 = self
-            .data
-            .values()
-            .map(|d| {
-                let bytes: u64 = d
-                    .iter()
-                    .map(|(k, e)| (k.capacity() + e.name.capacity() + e.value.capacity()) as u64)
-                    .sum();
-                heap::btree(d.len(), size_of::<(String, DataEntry)>()) + bytes
-            })
-            .sum();
         heap::btree(self.accounts.len(), size_of::<(AccountId, AccountEntry)>())
-            + accounts
             + heap::btree(
                 self.trustlines.len(),
                 size_of::<(AccountId, BTreeMap<Asset, TrustLineEntry>)>(),
             )
-            + lines
             + heap::btree(self.offers.len(), size_of::<(u64, OfferEntry)>())
-            + offers
             + heap::btree(
                 self.data.len(),
                 size_of::<(AccountId, BTreeMap<String, DataEntry>)>(),
             )
-            + data
+            + self.entry_heap
             + book_heap_bytes(&self.book)
     }
 
     fn boxed_clone(&self) -> Box<dyn LedgerBackend> {
         Box::new(self.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use stellar_crypto::sign::PublicKey;
+
+    fn acct(n: u64) -> AccountId {
+        AccountId(PublicKey(n))
+    }
+
+    /// A feed item over a small key space of every kind: `op` picks the
+    /// kind and whether it deletes, `n` the key, `v` the contents (and
+    /// how much heap the entry holds).
+    fn item(op: u8, n: u64, v: u8) -> (LedgerKey, Option<LedgerEntry>) {
+        let asset = Asset::issued(acct(9), ["USD", "EURO", "MXNX"][n as usize % 3]);
+        let entry = match op % 4 {
+            0 => {
+                let mut a = AccountEntry::new(acct(n), i64::from(v));
+                // Pushed one by one, as an operation adds signers: the
+                // feed's vector may hold spare capacity the stored copy
+                // does not.
+                for w in 0..v % 3 {
+                    a.signers.push(Signer::key(PublicKey(u64::from(w)), 1));
+                }
+                LedgerEntry::Account(a)
+            }
+            1 => LedgerEntry::TrustLine(TrustLineEntry {
+                account: acct(n % 4),
+                asset,
+                balance: i64::from(v),
+                limit: 1000,
+                authorized: true,
+            }),
+            2 => LedgerEntry::Offer(OfferEntry {
+                id: n,
+                account: acct(1),
+                selling: Asset::Native,
+                buying: asset,
+                amount: i64::from(v) + 1,
+                price: Price::new(1, u32::from(v) + 1),
+                passive: false,
+            }),
+            _ => LedgerEntry::Data(DataEntry {
+                account: acct(n % 4),
+                name: format!("k{}", n % 3),
+                value: vec![v; usize::from(v % 5)],
+            }),
+        };
+        (entry.key(), (op < 4).then_some(entry))
+    }
+
+    proptest! {
+        /// The running heap total `apply` keeps equals a walk over the
+        /// maps, from a bulk-built start, through puts and deletes of
+        /// every kind, and in a clone.
+        #[test]
+        fn the_running_heap_total_equals_a_walk(
+            genesis in proptest::collection::vec((0u8..4, 0u64..8, any::<u8>()), 0..24),
+            feeds in proptest::collection::vec(
+                proptest::collection::vec((0u8..8, 0u64..8, any::<u8>()), 0..12),
+                1..6),
+        ) {
+            let entries = genesis.iter().filter_map(|&(op, n, v)| item(op, n, v).1);
+            let mut b = MemBackend::from_entries(entries);
+            prop_assert_eq!(b.entry_heap, b.entry_heap());
+            for feed in &feeds {
+                let feed: Vec<_> = feed.iter().map(|&(op, n, v)| item(op, n, v)).collect();
+                b.apply(&feed);
+                prop_assert_eq!(b.entry_heap, b.entry_heap());
+            }
+            let copy = b.clone();
+            prop_assert_eq!(copy.entry_heap, copy.entry_heap());
+        }
     }
 }

@@ -143,7 +143,6 @@ impl LedgerStore {
     pub fn offers(&self) -> Vec<OfferEntry> {
         self.backend
             .all_entries()
-            .into_iter()
             .filter_map(|e| match e {
                 LedgerEntry::Offer(o) => Some(o),
                 _ => None,
@@ -182,35 +181,19 @@ impl LedgerStore {
             .apply(&[(key, Some(LedgerEntry::TrustLine(tl)))]);
     }
 
-    /// Iterates over every live entry (snapshot hashing, bucket seeding).
-    pub fn all_entries(&self) -> impl Iterator<Item = LedgerEntry> {
-        self.backend.all_entries().into_iter()
+    /// Iterates over every live entry in key order, lazily: the backend
+    /// reads one entry per step (snapshot hashing, bucket seeding).
+    pub fn all_entries(&self) -> impl Iterator<Item = LedgerEntry> + '_ {
+        self.backend.all_entries()
     }
 
-    /// Rebuilds a store (in-RAM backend) from a flat entry dump
-    /// (bucket-list catch-up), bumping the offer-id allocator past any
-    /// loaded offer. Entries go in 8 192 at a time, so no second copy of
-    /// the whole dump is ever held.
+    /// A store on the in-RAM backend holding `entries` (bucket-list
+    /// catch-up, a generated genesis), a later version of a key replacing
+    /// an earlier one and the offer-id allocator past any loaded offer.
+    /// The entries are gathered once, sorted per kind and the maps
+    /// bulk-built from the sorted runs.
     pub fn from_entries(entries: impl IntoIterator<Item = LedgerEntry>) -> LedgerStore {
-        const CHUNK: usize = 8192;
-        let mut store = LedgerStore::new();
-        let mut next_offer_id = store.backend.next_offer_id();
-        let mut batch = Vec::with_capacity(CHUNK);
-        for e in entries {
-            if let LedgerEntry::Offer(o) = &e {
-                next_offer_id = next_offer_id.max(o.id + 1);
-            }
-            batch.push((e.key(), Some(e)));
-            if batch.len() >= CHUNK {
-                store.backend.apply(&batch);
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            store.backend.apply(&batch);
-        }
-        store.backend.set_next_offer_id(next_offer_id);
-        store
+        LedgerStore::with_backend(Box::new(MemBackend::from_entries(entries)))
     }
 
     /// Makes all committed state durable (disk backends). `true` in RAM.
@@ -228,14 +211,10 @@ impl LedgerStore {
         self.backend.io_stats()
     }
 
-    /// Approximate bytes of RAM the backend holds entries in.
+    /// Heap bytes the backend holds, as the memory census counts them:
+    /// what the resident-bytes gauges report, on either backend.
     pub fn resident_bytes(&self) -> u64 {
         self.backend.resident_bytes()
-    }
-
-    /// Heap bytes the backend holds, as the memory census counts them.
-    pub fn heap_bytes(&self) -> u64 {
-        self.backend.heap_bytes()
     }
 
     /// Starts a delta (scratch overlay) over this store.

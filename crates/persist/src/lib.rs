@@ -56,6 +56,11 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// torn, truncated, or corrupt. No strict prefix of a valid frame unframes
 /// successfully (the embedded length pins the exact frame size).
 pub fn unframe(record: &[u8]) -> Option<Vec<u8>> {
+    unframed(record).map(<[u8]>::to_vec)
+}
+
+/// [`unframe`] without the copy: the verified payload, borrowed.
+fn unframed(record: &[u8]) -> Option<&[u8]> {
     if record.len() < FRAME_OVERHEAD {
         return None;
     }
@@ -68,7 +73,7 @@ pub fn unframe(record: &[u8]) -> Option<Vec<u8>> {
     if sha256(payload).as_bytes() != digest {
         return None;
     }
-    Some(payload.to_vec())
+    Some(payload)
 }
 
 /// Counters describing a store's lifetime I/O, for telemetry.
@@ -209,6 +214,13 @@ impl DurableStore {
         unframe(self.durable.get(key)?)
     }
 
+    /// [`Self::read`] without the copy: the payload of the durable record
+    /// for `key`, borrowed in place, its frame verified the same way.
+    /// Recovery scans segments through it one at a time.
+    pub fn read_in_place(&self, key: &str) -> Option<&[u8]> {
+        unframed(self.durable.get(key)?)
+    }
+
     /// The payload of the durable record for `key`, borrowed in place,
     /// with the frame's length checked but its SHA-256 **not** verified.
     ///
@@ -218,7 +230,8 @@ impl DurableStore {
     /// full-length record with corrupt bytes: the caller must verify
     /// whatever it slices out — the disk backend checks each record's
     /// CRC-32C, spilled bucket blobs are checked against their level
-    /// hash — and recovery, which trusts nothing, uses [`Self::read`].
+    /// hash — and recovery, which trusts nothing, uses [`Self::read`] or
+    /// [`Self::read_in_place`].
     pub fn read_unverified(&self, key: &str) -> Option<&[u8]> {
         let record = self.durable.get(key)?;
         let len = u64::from_be_bytes(record.get(..8)?.try_into().ok()?);

@@ -63,7 +63,7 @@ impl MemoryCensus {
         let h = &v.herder;
         self.sig_caches += h.sig_cache.resident_bytes();
         let data_disk = h.store.disk().map_or(0, |d| d.borrow().resident_bytes());
-        self.stores += h.store.heap_bytes() + data_disk + h.persist.resident_bytes();
+        self.stores += h.store.resident_bytes() + data_disk + h.persist.resident_bytes();
         self.bucket_lists += h.buckets.resident_share();
         self.archives += h.archive.resident_bytes();
         self.queues += h.queue.resident_bytes() + h.tx_sets_resident_bytes();

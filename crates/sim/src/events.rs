@@ -92,6 +92,10 @@ impl Ord for Queued {
     }
 }
 
+/// Capacity the queue never shrinks below: a small heap's churn is not
+/// worth a reallocation.
+const MIN_CAPACITY: usize = 64;
+
 /// Deterministic time-ordered event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue {
@@ -112,9 +116,17 @@ impl EventQueue {
         self.heap.push(Reverse(Queued { time, seq, event }));
     }
 
-    /// Pops the earliest event, returning `(time, event)`.
+    /// Pops the earliest event, returning `(time, event)`. A heap that
+    /// has drained below a quarter of its capacity gives half of it back,
+    /// so a burst scheduled up front (a run's pre-drawn arrivals) does not
+    /// keep its peak allocation for the rest of the run.
     pub fn pop(&mut self) -> Option<(u64, Event)> {
-        self.heap.pop().map(|Reverse(q)| (q.time, q.event))
+        let popped = self.heap.pop();
+        let capacity = self.heap.capacity();
+        if capacity > MIN_CAPACITY && self.heap.len() < capacity / 4 {
+            self.heap.shrink_to(capacity / 2);
+        }
+        popped.map(|Reverse(q)| (q.time, q.event))
     }
 
     /// Time of the earliest scheduled event, if any.

@@ -11,7 +11,7 @@ use stellar_crypto::sign::KeyPair;
 use stellar_crypto::IdMap;
 use stellar_ledger::amount::{xlm, BASE_FEE};
 use stellar_ledger::asset::Asset;
-use stellar_ledger::entry::{AccountEntry, AccountId};
+use stellar_ledger::entry::{AccountEntry, AccountId, LedgerEntry};
 use stellar_ledger::store::LedgerStore;
 use stellar_ledger::tx::{Memo, Operation, SourcedOperation, Transaction, TransactionEnvelope};
 
@@ -31,11 +31,8 @@ pub fn user_account(i: u64) -> AccountId {
 /// Builds the genesis store with `n_accounts` accounts, each funded with
 /// `funding` XLM.
 pub fn genesis_store(n_accounts: u64, funding_xlm: i64) -> LedgerStore {
-    let mut store = LedgerStore::new();
-    for i in 0..n_accounts {
-        store.put_account(AccountEntry::new(user_account(i), xlm(funding_xlm)));
-    }
-    store
+    let account = |i| LedgerEntry::Account(AccountEntry::new(user_account(i), xlm(funding_xlm)));
+    LedgerStore::from_entries((0..n_accounts).map(account))
 }
 
 /// Poisson payment generator over the synthetic accounts.

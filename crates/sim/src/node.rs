@@ -623,7 +623,7 @@ impl Genesis {
     /// Heap bytes of the genesis ledger: the store template's, and the
     /// seeded bucket list's share of the levels its clones still share.
     pub(crate) fn resident_bytes(&self) -> (u64, u64) {
-        (self.store.heap_bytes(), self.buckets.resident_share())
+        (self.store.resident_bytes(), self.buckets.resident_share())
     }
 
     /// A validator process with the run's per-node settings and `wal` as

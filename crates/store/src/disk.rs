@@ -22,7 +22,7 @@
 //! then checks the record's CRC and that the decoded entry carries the
 //! key that was looked up; either mismatch means the node's own durable
 //! state is corrupt, and the read panics. Recovery trusts nothing: it
-//! reads every segment through [`DurableStore::read`] (whole-frame
+//! reads every segment through [`DurableStore::read_in_place`] (whole-frame
 //! SHA-256) and checks every record's CRC, refusing the disk on any
 //! mismatch.
 //!
@@ -42,14 +42,16 @@
 //! the configured threshold and retires the old ones.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::iter::Peekable;
 use std::mem::size_of;
+use std::ops::Bound;
 use std::rc::Rc;
 use stellar_crypto::codec::{Decode, Encode};
 use stellar_crypto::heap;
 use stellar_ledger::backend::{
-    approx_entry_bytes, book_apply, book_heap_bytes, book_range, BookCursor, BookIndex,
-    LedgerBackend, LedgerRead, StoreIoStats,
+    book_apply, book_heap_bytes, book_range, BookCursor, BookIndex, LedgerBackend, LedgerRead,
+    StoreIoStats,
 };
 use stellar_ledger::entry::{
     AccountEntry, AccountId, DataEntry, LedgerEntry, LedgerKey, OfferEntry, TrustLineEntry,
@@ -62,10 +64,6 @@ const META_KEY: &str = "store/meta";
 
 /// Version stamp of the manifest format.
 const STORE_META_VERSION: u32 = 1;
-
-/// Approximate RAM cost of one sparse-index entry (key + location +
-/// node overhead).
-const INDEX_ENTRY_BYTES: u64 = 72;
 
 /// Bytes of the CRC-32C trailer on a live record.
 const CRC_LEN: usize = 4;
@@ -173,9 +171,50 @@ struct CacheState {
     /// Clean slots by LRU generation (oldest first).
     lru: BTreeMap<u64, LedgerKey>,
     gen: u64,
-    /// Approximate bytes held by cached entries.
-    resident: u64,
+    /// What `walk_heap` sums, kept current as slots come and go.
+    heap: u64,
     stats: StoreIoStats,
+}
+
+/// Heap a cached slot holds beyond the maps' nodes: its entry's, and its
+/// key's twice — every cached key also sits in exactly one of `dirty`
+/// (a dirty slot) and `lru` (a clean one).
+fn slot_heap(key: &LedgerKey, slot: &CacheSlot) -> u64 {
+    2 * key.heap_bytes() + slot.entry.as_ref().map_or(0, LedgerEntry::heap_bytes)
+}
+
+impl CacheState {
+    /// Heap the cache's keys and entries hold beyond its maps' nodes: the
+    /// definition the running `heap` total keeps.
+    #[cfg(test)]
+    fn walk_heap(&self) -> u64 {
+        let slots: u64 = self
+            .entries
+            .iter()
+            .map(|(k, slot)| {
+                k.heap_bytes() + slot.entry.as_ref().map_or(0, LedgerEntry::heap_bytes)
+            })
+            .sum();
+        let dirty: u64 = self.dirty.iter().map(LedgerKey::heap_bytes).sum();
+        let lru: u64 = self.lru.values().map(LedgerKey::heap_bytes).sum();
+        slots + dirty + lru
+    }
+
+    /// Puts `slot` under `key`, returning the slot it replaced.
+    fn put_slot(&mut self, key: &LedgerKey, slot: CacheSlot) -> Option<CacheSlot> {
+        let key = key.clone();
+        self.heap += slot_heap(&key, &slot);
+        let old = self.entries.get(&key).map(|old| slot_heap(&key, old));
+        self.heap -= old.unwrap_or(0);
+        self.entries.insert(key, slot)
+    }
+
+    /// Removes `key`'s slot.
+    fn drop_slot(&mut self, key: &LedgerKey) -> Option<CacheSlot> {
+        let (key, slot) = self.entries.remove_entry(key)?;
+        self.heap -= slot_heap(&key, &slot);
+        Some(slot)
+    }
 }
 
 /// The log-structured, write-back-cached ledger backend.
@@ -185,6 +224,8 @@ pub struct DiskBackend {
     cfg: DiskConfig,
     /// Sparse index over durable segments.
     index: BTreeMap<LedgerKey, EntryLoc>,
+    /// Heap the index's keys hold, kept current by `index_rec`.
+    index_heap: u64,
     segs: BTreeMap<u64, SegInfo>,
     /// The in-RAM order-book side index (small: one cursor per offer).
     book: BookIndex,
@@ -207,6 +248,7 @@ impl Clone for DiskBackend {
             disk: Rc::new(RefCell::new(self.disk.borrow().clone())),
             cfg: self.cfg.clone(),
             index: self.index.clone(),
+            index_heap: self.index_heap,
             segs: self.segs.clone(),
             book: self.book.clone(),
             counts: self.counts,
@@ -248,6 +290,31 @@ enum Body<'a> {
     Tombstone,
 }
 
+/// Appends one record to `buf`, `tag ‖ key` and then its body. Returns
+/// the length of its `tag ‖ key` and, for a live record, the offset and
+/// length of its entry encoding in `buf`.
+fn put_record(buf: &mut Vec<u8>, key: &LedgerKey, body: Body<'_>) -> (u32, Option<(u32, u32)>) {
+    let start = buf.len();
+    // Tag 0: live, 1: tombstone.
+    u8::from(matches!(body, Body::Tombstone)).encode(buf);
+    key.encode(buf);
+    let off = buf.len();
+    let live = match body {
+        Body::Entry(e) => {
+            e.encode(buf);
+            let crc = crc32c(&buf[off..]);
+            buf.extend_from_slice(&crc.to_le_bytes());
+            Some((off as u32, (buf.len() - off - CRC_LEN) as u32))
+        }
+        Body::Sealed(record) => {
+            buf.extend_from_slice(record);
+            Some((off as u32, (record.len() - CRC_LEN) as u32))
+        }
+        Body::Tombstone => None,
+    };
+    ((off - start) as u32, live)
+}
+
 /// Packs records into target-sized segments, taking ids from
 /// `next_seg_id`. Returns `(id, payload, records)` per segment.
 fn seal_records<'a>(
@@ -259,27 +326,10 @@ fn seal_records<'a>(
     let mut buf: Vec<u8> = Vec::new();
     let mut recs: Vec<NewRec> = Vec::new();
     for (key, body) in items {
-        let start = buf.len();
-        // Tag 0: live, 1: tombstone.
-        u8::from(matches!(body, Body::Tombstone)).encode(&mut buf);
-        key.encode(&mut buf);
-        let off = buf.len();
-        let live = match body {
-            Body::Entry(e) => {
-                e.encode(&mut buf);
-                let crc = crc32c(&buf[off..]);
-                buf.extend_from_slice(&crc.to_le_bytes());
-                Some((off as u32, (buf.len() - off - CRC_LEN) as u32))
-            }
-            Body::Sealed(record) => {
-                buf.extend_from_slice(record);
-                Some((off as u32, (record.len() - CRC_LEN) as u32))
-            }
-            Body::Tombstone => None,
-        };
+        let (head, live) = put_record(&mut buf, key, body);
         recs.push(NewRec {
             key: key.clone(),
-            head: (off - start) as u32,
+            head,
             live,
         });
         if buf.len() >= target_bytes {
@@ -298,11 +348,31 @@ fn seal_records<'a>(
     out
 }
 
+/// The manifest: format version, ledger sequence of the durable state,
+/// offer-id allocator, next segment id and the live segment ids.
+fn encode_meta(
+    ledger_seq: u64,
+    next_offer_id: u64,
+    next_seg_id: u64,
+    ids: impl ExactSizeIterator<Item = u64>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    STORE_META_VERSION.encode(&mut out);
+    ledger_seq.encode(&mut out);
+    next_offer_id.encode(&mut out);
+    next_seg_id.encode(&mut out);
+    (ids.len() as u64).encode(&mut out);
+    for id in ids {
+        id.encode(&mut out);
+    }
+    out
+}
+
 /// Parses a frame-verified segment payload back into its records,
-/// checking every live record's CRC and that its entry decodes under
-/// its key. `None` on any mismatch or malformed record.
-fn parse_segment(payload: &[u8]) -> Option<Vec<NewRec>> {
-    let mut recs = Vec::new();
+/// handing each to `each` as it is read, and checking every live
+/// record's CRC and that its entry decodes under its key. `None` on any
+/// mismatch or malformed record.
+fn parse_segment(payload: &[u8], mut each: impl FnMut(NewRec)) -> Option<()> {
     let mut input = payload;
     while !input.is_empty() {
         let start = payload.len() - input.len();
@@ -324,13 +394,13 @@ fn parse_segment(payload: &[u8]) -> Option<Vec<NewRec>> {
             1 => None,
             _ => return None,
         };
-        recs.push(NewRec {
+        each(NewRec {
             key,
             head: (off - start) as u32,
             live,
         });
     }
-    Some(recs)
+    Some(())
 }
 
 /// `entry ‖ crc` of the live record at `loc`, sliced in place out of its
@@ -347,8 +417,56 @@ fn record_at(disk: &DurableStore, loc: EntryLoc) -> &[u8] {
 
 impl DiskBackend {
     /// A fresh backend on a fresh simulated disk.
-    pub fn new(cfg: DiskConfig) -> DiskBackend {
+    #[cfg(test)]
+    fn new(cfg: DiskConfig) -> DiskBackend {
         DiskBackend::with_disk(Rc::new(RefCell::new(DurableStore::new())), cfg)
+    }
+
+    /// Writes a genesis state onto a fresh data disk as the durable
+    /// image of ledger 0 and boots it through [`DiskBackend::recover`],
+    /// as a restart boots: the entries are sealed into segments as they
+    /// stream in, the manifest follows, and one sync lands them all. A
+    /// later version of a key replaces an earlier one. The backend starts
+    /// with an empty cache, and its index is built the one way recovery
+    /// builds it. `None` only if the fresh disk fails its sync or does not
+    /// read back what was just written.
+    pub(crate) fn genesis(
+        entries: impl IntoIterator<Item = LedgerEntry>,
+        next_offer_id: u64,
+        cfg: DiskConfig,
+    ) -> Option<DiskBackend> {
+        let mut disk = DurableStore::new();
+        // A segment is written before a record would take it past the
+        // target, so its buffer is allocated once; each record is
+        // encoded on its own first to learn its length.
+        let target = cfg.segment_target_bytes;
+        let (mut segment, mut record) = (Vec::with_capacity(target), Vec::new());
+        let mut ids = Vec::new();
+        let mut write = |segment: &mut Vec<u8>| {
+            disk.write(&seg_key(ids.len() as u64), segment);
+            ids.push(ids.len() as u64);
+            segment.clear();
+        };
+        for entry in entries {
+            record.clear();
+            put_record(&mut record, &entry.key(), Body::Entry(&entry));
+            if !segment.is_empty() && segment.len() + record.len() > target {
+                write(&mut segment);
+            }
+            segment.extend_from_slice(&record);
+        }
+        if !segment.is_empty() {
+            write(&mut segment);
+        }
+        // The buffer goes before recovery builds the index.
+        drop(segment);
+        let meta = encode_meta(0, next_offer_id, ids.len() as u64, ids.into_iter());
+        disk.write(META_KEY, &meta);
+        if !disk.sync() {
+            return None;
+        }
+        let (backend, _) = DiskBackend::recover(Rc::new(RefCell::new(disk)), cfg)?;
+        Some(backend)
     }
 
     /// A fresh backend around an existing disk (recovery, tests).
@@ -357,6 +475,7 @@ impl DiskBackend {
             disk,
             cfg,
             index: BTreeMap::new(),
+            index_heap: 0,
             segs: BTreeMap::new(),
             book: BookIndex::new(),
             counts: [0; 4],
@@ -413,12 +532,10 @@ impl DiskBackend {
     /// `cap`. Dirty slots are pinned and never evicted.
     fn evict_to_cap(st: &mut CacheState, cap: usize) {
         while st.entries.len() > cap {
-            let Some((&gen, _)) = st.lru.iter().next() else {
+            let Some((_, key)) = st.lru.pop_first() else {
                 break; // everything left is dirty
             };
-            let key = st.lru.remove(&gen).expect("just observed");
-            if st.entries.remove(&key).is_some() {
-                st.resident = st.resident.saturating_sub(approx_entry_bytes(&key));
+            if st.drop_slot(&key).is_some() {
                 st.stats.cache_evicts += 1;
             }
         }
@@ -438,15 +555,12 @@ impl DiskBackend {
         let entry = self.read_at(&mut st, key, loc);
         st.gen += 1;
         let gen = st.gen;
-        st.entries.insert(
-            key.clone(),
-            CacheSlot {
-                entry: Some(entry.clone()),
-                gen,
-            },
-        );
+        let slot = CacheSlot {
+            entry: Some(entry.clone()),
+            gen,
+        };
+        st.put_slot(key, slot);
         st.lru.insert(gen, key.clone());
-        st.resident += approx_entry_bytes(key);
         Self::evict_to_cap(&mut st, self.cfg.cache_capacity);
         Some(entry)
     }
@@ -461,49 +575,55 @@ impl DiskBackend {
         }
     }
 
-    fn encode_meta(&self, ledger_seq: u64, extra_segs: &[u64]) -> Vec<u8> {
-        let mut out = Vec::new();
-        STORE_META_VERSION.encode(&mut out);
-        ledger_seq.encode(&mut out);
-        self.next_offer_id.encode(&mut out);
-        self.next_seg_id.encode(&mut out);
-        let ids: Vec<u64> = self
-            .segs
-            .keys()
-            .copied()
-            .chain(extra_segs.iter().copied())
-            .collect();
-        (ids.len() as u64).encode(&mut out);
-        for id in ids {
-            id.encode(&mut out);
-        }
-        out
+    /// The cached slot after `after` (the first one for `None`) in key
+    /// order, copied out: the overlay side of a snapshot walk.
+    fn cached_after(&self, after: Option<&LedgerKey>) -> Option<(LedgerKey, Option<LedgerEntry>)> {
+        let st = self.state.borrow();
+        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+        let (key, slot) = st.entries.range((lower, Bound::Unbounded)).next()?;
+        Some((key.clone(), slot.entry.clone()))
     }
 
     /// Indexes one durable segment's records — a flushed, compacted or
-    /// recovered one — with dead-byte accounting: each version a record
-    /// supersedes is a live record of the same key, so its
-    /// `head + len + CRC` bytes turn dead in its segment.
-    fn index_seg(&mut self, seg: u64, total: u64, recs: &[NewRec]) {
+    /// recovered one.
+    fn index_seg(&mut self, seg: u64, total: u64, recs: Vec<NewRec>) {
         self.segs.insert(seg, SegInfo { total, dead: 0 });
         for rec in recs {
-            let superseded = match rec.live {
-                Some((off, len)) => self
-                    .index
-                    .insert(rec.key.clone(), EntryLoc { seg, off, len }),
-                None => {
-                    // The tombstone record itself is dead weight from
-                    // birth; it exists only for replay.
-                    if let Some(si) = self.segs.get_mut(&seg) {
-                        si.dead += u64::from(rec.head);
-                    }
-                    self.index.remove(&rec.key)
+            self.index_rec(seg, rec);
+        }
+    }
+
+    /// Indexes one record of segment `seg` (already in `segs`), with
+    /// dead-byte accounting: each version a record supersedes is a live
+    /// record of the same key, so its `head + len + CRC` bytes turn dead
+    /// in its segment.
+    fn index_rec(&mut self, seg: u64, rec: NewRec) {
+        let superseded = match rec.live {
+            Some((off, len)) => {
+                let key_heap = rec.key.heap_bytes();
+                // A key already indexed keeps its stored copy.
+                let old = self.index.insert(rec.key, EntryLoc { seg, off, len });
+                if old.is_none() {
+                    self.index_heap += key_heap;
                 }
-            };
-            if let Some(old) = superseded {
-                if let Some(si) = self.segs.get_mut(&old.seg) {
-                    si.dead += u64::from(rec.head) + u64::from(old.len) + CRC_LEN as u64;
+                old
+            }
+            None => {
+                // The tombstone record itself is dead weight from birth;
+                // it exists only for replay.
+                if let Some(si) = self.segs.get_mut(&seg) {
+                    si.dead += u64::from(rec.head);
                 }
+                let removed = self.index.remove_entry(&rec.key);
+                removed.map(|(key, old)| {
+                    self.index_heap -= key.heap_bytes();
+                    old
+                })
+            }
+        };
+        if let Some(old) = superseded {
+            if let Some(si) = self.segs.get_mut(&old.seg) {
+                si.dead += u64::from(rec.head) + u64::from(old.len) + CRC_LEN as u64;
             }
         }
     }
@@ -536,12 +656,8 @@ impl DiskBackend {
             }
         }
         // Manifest listing only the fresh segments.
-        let meta = {
-            let saved = std::mem::take(&mut self.segs);
-            let meta = self.encode_meta(ledger_seq, &new_ids);
-            self.segs = saved;
-            meta
-        };
+        let ids = new_ids.iter().copied();
+        let meta = encode_meta(ledger_seq, self.next_offer_id, self.next_seg_id, ids);
         self.disk.borrow_mut().write(META_KEY, &meta);
         {
             let mut st = self.state.borrow_mut();
@@ -559,8 +675,8 @@ impl DiskBackend {
             // next flush.
             self.orphans.extend(old_ids);
             self.segs.clear();
-            for (seg_id, buf, recs) in &out {
-                self.index_seg(*seg_id, buf.len() as u64, recs);
+            for (seg_id, buf, recs) in out {
+                self.index_seg(seg_id, buf.len() as u64, recs);
             }
         } else {
             st.stats.failed_fsyncs += 1;
@@ -600,9 +716,11 @@ impl DiskBackend {
         // ascending and ids are never reused, so the last record seen
         // for a key is its latest version.
         for id in ids {
-            let payload = disk.borrow().read(&seg_key(id))?;
-            let recs = parse_segment(&payload)?;
-            backend.index_seg(id, payload.len() as u64, &recs);
+            let disk = disk.borrow();
+            let payload = disk.read_in_place(&seg_key(id))?;
+            let total = payload.len() as u64;
+            backend.segs.insert(id, SegInfo { total, dead: 0 });
+            parse_segment(payload, |rec| backend.index_rec(id, rec))?;
         }
 
         // Counts from the index; book index by decoding live offers.
@@ -731,20 +849,14 @@ impl LedgerBackend for DiskBackend {
 
             let mut st = self.state.borrow_mut();
             let newly_dirty = st.dirty.insert(key.clone());
-            let old = st.entries.insert(
-                key.clone(),
-                CacheSlot {
-                    entry: slot.clone(),
-                    gen: 0,
-                },
-            );
-            match old {
-                // A clean slot turning dirty leaves the LRU (pinned).
-                Some(old) if newly_dirty => {
-                    st.lru.remove(&old.gen);
-                }
-                Some(_) => {}
-                None => st.resident += approx_entry_bytes(key),
+            let dirty_slot = CacheSlot {
+                entry: slot.clone(),
+                gen: 0,
+            };
+            let old = st.put_slot(key, dirty_slot);
+            // A clean slot turning dirty leaves the LRU (pinned).
+            if let Some(old) = old.filter(|_| newly_dirty) {
+                st.lru.remove(&old.gen);
             }
         }
     }
@@ -765,43 +877,12 @@ impl LedgerBackend for DiskBackend {
         self.counts[2]
     }
 
-    fn all_entries(&self) -> Vec<LedgerEntry> {
-        // Overlay snapshot first (bounded by the cache), then a merged
-        // sweep over the sparse index. `LedgerKey`'s ordering groups
-        // kinds exactly like the in-RAM backend's per-kind maps, so the
-        // output order matches MemBackend byte for byte.
-        let overlay: Vec<(LedgerKey, Option<LedgerEntry>)> = {
-            let st = self.state.borrow();
-            st.entries
-                .iter()
-                .map(|(k, s)| (k.clone(), s.entry.clone()))
-                .collect()
-        };
-        let mut ov = overlay.into_iter().peekable();
-        let mut st = self.state.borrow_mut();
-        let mut out = Vec::with_capacity(self.index.len());
-        for (key, loc) in &self.index {
-            while let Some((k, _)) = ov.peek() {
-                if k < key {
-                    let (_, e) = ov.next().expect("just peeked");
-                    out.extend(e);
-                } else {
-                    break;
-                }
-            }
-            if let Some((k, _)) = ov.peek() {
-                if k == key {
-                    let (_, e) = ov.next().expect("just peeked");
-                    out.extend(e);
-                    continue;
-                }
-            }
-            out.push(self.read_at(&mut st, key, *loc));
-        }
-        for (_, e) in ov {
-            out.extend(e);
-        }
-        out
+    fn all_entries(&self) -> Box<dyn Iterator<Item = LedgerEntry> + '_> {
+        Box::new(Snapshot {
+            backend: self,
+            index: self.index.iter().peekable(),
+            cached: self.cached_after(None),
+        })
     }
 
     fn flush(&mut self, ledger_seq: u64) -> bool {
@@ -834,7 +915,13 @@ impl LedgerBackend for DiskBackend {
         );
         let new_ids: Vec<u64> = new_segs.iter().map(|(id, _, _)| *id).collect();
 
-        let meta = self.encode_meta(ledger_seq, &new_ids);
+        let ids: Vec<u64> = self.segs.keys().chain(&new_ids).copied().collect();
+        let meta = encode_meta(
+            ledger_seq,
+            self.next_offer_id,
+            self.next_seg_id,
+            ids.into_iter(),
+        );
         {
             let mut disk = self.disk.borrow_mut();
             for (id, buf, _) in &new_segs {
@@ -860,8 +947,8 @@ impl LedgerBackend for DiskBackend {
             return false;
         }
         self.state.borrow_mut().stats.fsyncs += 1;
-        for (seg_id, buf, recs) in &new_segs {
-            self.index_seg(*seg_id, buf.len() as u64, recs);
+        for (seg_id, buf, recs) in new_segs {
+            self.index_seg(seg_id, buf.len() as u64, recs);
         }
 
         // Dirty slots become clean (deletions leave the cache — negative
@@ -871,8 +958,7 @@ impl LedgerBackend for DiskBackend {
             st.dirty.clear();
             for (key, entry) in dirty {
                 if entry.is_none() {
-                    st.entries.remove(&key);
-                    st.resident = st.resident.saturating_sub(approx_entry_bytes(&key));
+                    st.drop_slot(&key);
                 } else {
                     st.gen += 1;
                     let gen = st.gen;
@@ -908,36 +994,65 @@ impl LedgerBackend for DiskBackend {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.state.borrow().resident + self.index.len() as u64 * INDEX_ENTRY_BYTES
-    }
-
-    fn heap_bytes(&self) -> u64 {
         let st = self.state.borrow();
-        let keys = |keys: &mut dyn Iterator<Item = &LedgerKey>| -> u64 {
-            keys.map(LedgerKey::heap_bytes).sum()
-        };
-        let cached: u64 = st
-            .entries
-            .iter()
-            .map(|(k, slot)| {
-                k.heap_bytes() + slot.entry.as_ref().map_or(0, LedgerEntry::heap_bytes)
-            })
-            .sum();
         heap::btree(self.index.len(), size_of::<(LedgerKey, EntryLoc)>())
-            + keys(&mut self.index.keys())
+            + self.index_heap
             + heap::btree(self.segs.len(), size_of::<(u64, SegInfo)>())
             + book_heap_bytes(&self.book)
             + heap::array::<u64>(self.orphans.capacity())
             + heap::btree(st.entries.len(), size_of::<(LedgerKey, CacheSlot)>())
-            + cached
             + heap::btree(st.dirty.len(), size_of::<LedgerKey>())
-            + keys(&mut st.dirty.iter())
             + heap::btree(st.lru.len(), size_of::<(u64, LedgerKey)>())
-            + keys(&mut st.lru.values())
+            + st.heap
     }
 
     fn boxed_clone(&self) -> Box<dyn LedgerBackend> {
         Box::new(self.clone())
+    }
+}
+
+/// A key-ordered walk of a disk backend's live state: the sparse index
+/// merged with the cache overlaid on it, one segment record read per
+/// indexed entry. It holds one cached slot at a time, never a copy of
+/// the cache or of the state. `LedgerKey`'s order groups kinds exactly
+/// like the in-RAM backend's per-kind maps, so the walk yields what
+/// `MemBackend`'s does, entry for entry.
+struct Snapshot<'a> {
+    backend: &'a DiskBackend,
+    index: Peekable<btree_map::Iter<'a, LedgerKey, EntryLoc>>,
+    /// The next cached slot the walk has not passed.
+    cached: Option<(LedgerKey, Option<LedgerEntry>)>,
+}
+
+impl Iterator for Snapshot<'_> {
+    type Item = LedgerEntry;
+
+    fn next(&mut self) -> Option<LedgerEntry> {
+        loop {
+            let cache_first = match (self.index.peek(), &self.cached) {
+                (_, None) => false,
+                (None, Some(_)) => true,
+                (Some((indexed, _)), Some((cached, _))) => cached <= *indexed,
+            };
+            if !cache_first {
+                let (key, loc) = self.index.next()?;
+                let mut st = self.backend.state.borrow_mut();
+                return Some(self.backend.read_at(&mut st, key, *loc));
+            }
+            let (key, slot) = self.cached.take()?;
+            // The cached version shadows the durable one.
+            if self
+                .index
+                .peek()
+                .is_some_and(|(indexed, _)| **indexed == key)
+            {
+                self.index.next();
+            }
+            self.cached = self.backend.cached_after(Some(&key));
+            if slot.is_some() {
+                return slot;
+            }
+        }
     }
 }
 
@@ -1069,6 +1184,50 @@ mod tests {
                 "segment {id}"
             );
         }
+    }
+
+    /// The running heap totals equal walks over the index and the cache.
+    fn assert_heap_totals(b: &DiskBackend) {
+        let keys: u64 = b.index.keys().map(LedgerKey::heap_bytes).sum();
+        assert_eq!(b.index_heap, keys);
+        let st = b.state.borrow();
+        assert_eq!(st.heap, st.walk_heap());
+    }
+
+    #[test]
+    fn running_heap_totals_follow_every_cache_and_index_change() {
+        use stellar_ledger::entry::DataEntry;
+        let cfg = DiskConfig {
+            cache_capacity: 3,
+            segment_target_bytes: 200,
+            compact_dead_ratio_pct: 30,
+        };
+        // Data keys hold a name on the heap, so every map's share moves.
+        let data = |n: u64, v: u8| {
+            let entry = LedgerEntry::Data(DataEntry {
+                account: acct(n % 3),
+                name: format!("name-{}", n % 5),
+                value: vec![v; usize::from(v % 7)],
+            });
+            (entry.key(), Some(entry))
+        };
+        let mut b = DiskBackend::new(cfg.clone());
+        for round in 0..12u64 {
+            let mut feed: Vec<_> = (0..6).map(|n| data(n + round, round as u8)).collect();
+            feed.push((data(round + 2, 0).0, None));
+            b.apply(&feed);
+            assert_heap_totals(&b);
+            for n in 0..8 {
+                b.data(acct(n % 3), &format!("name-{}", n % 5));
+            }
+            assert_heap_totals(&b);
+            assert!(b.flush(round + 1));
+            assert_heap_totals(&b);
+        }
+        assert!(b.io_stats().compactions > 0, "compaction ran");
+        assert_heap_totals(&b.clone());
+        let (back, _) = DiskBackend::recover(b.disk.clone(), cfg).expect("intact");
+        assert_heap_totals(&back);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use stellar_buckets::BucketList;
 use stellar_crypto::Hash256;
 use stellar_ledger::entry::LedgerEntry;
 use stellar_ledger::header::LedgerHeader;
-use stellar_ledger::{LedgerBackend, LedgerStore};
+use stellar_ledger::LedgerStore;
 use stellar_persist::DurableStore;
 
 /// Which storage backend a node runs on.
@@ -69,16 +69,12 @@ impl BackendKind {
     }
 }
 
-/// Entries applied per batch while streaming a genesis state onto disk —
-/// bounds the transient dirty set (each chunk is flushed before the
-/// next).
-const GENESIS_CHUNK: usize = 8192;
-
 /// Builds a node's ledger store from a genesis template on the chosen
-/// backend. `Mem` clones the template; `Disk` streams its entries onto a
-/// fresh simulated disk in flushed chunks, so even a 10M-account genesis
-/// never holds more than a chunk of dirty state plus the configured
-/// cache.
+/// backend. `Mem` clones the template; `Disk` streams the template's
+/// entries, in key order, onto a fresh data disk and boots it the way
+/// [`recover_node`] boots a restart ([`open_streaming`]). Beyond the store
+/// it returns, a disk open holds one segment being sealed, or read back,
+/// at a time.
 pub fn open(genesis: &LedgerStore, kind: BackendKind, cfg: &DiskConfig) -> LedgerStore {
     match kind {
         BackendKind::Mem => genesis.clone(),
@@ -87,28 +83,21 @@ pub fn open(genesis: &LedgerStore, kind: BackendKind, cfg: &DiskConfig) -> Ledge
 }
 
 /// Disk-backed [`open`] from a raw entry stream (large benchmarks build
-/// entries on the fly instead of materializing a RAM store first).
+/// entries on the fly instead of materializing a RAM store first): the
+/// entries are sealed into segments as they arrive, the manifest follows,
+/// one sync lands them, and the store boots through
+/// [`DiskBackend::recover`] with an empty cache, exactly as a restarted
+/// node does. A later version of a key replaces an earlier one.
 pub fn open_streaming(
     entries: impl IntoIterator<Item = LedgerEntry>,
     next_offer_id: u64,
     cfg: &DiskConfig,
 ) -> LedgerStore {
-    let mut backend = DiskBackend::new(cfg.clone());
-    let mut feed = Vec::with_capacity(GENESIS_CHUNK);
-    for e in entries {
-        feed.push((e.key(), Some(e)));
-        if feed.len() == GENESIS_CHUNK {
-            backend.apply(&feed);
-            feed.clear();
-            assert!(backend.flush(0), "genesis flush cannot fail");
-        }
-    }
-    if !feed.is_empty() {
-        backend.apply(&feed);
-    }
-    backend.set_next_offer_id(next_offer_id);
-    assert!(backend.flush(0), "genesis flush cannot fail");
-    LedgerStore::with_backend(Box::new(backend))
+    let store = DiskBackend::genesis(entries, next_offer_id, cfg.clone())
+        .map(|backend| LedgerStore::with_backend(Box::new(backend)));
+    // A disk nobody else holds yet cannot fail its sync or lose a write.
+    assert!(store.is_some(), "a fresh data disk refused its genesis");
+    store.unwrap_or_default()
 }
 
 /// Rebuilds a node's ledger store and bucket list from its data disk

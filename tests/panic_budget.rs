@@ -42,7 +42,7 @@ const BUDGET: [(&str, usize); 15] = [
     ("stellar-quorum", 4),
     ("stellar-scp", 4),
     ("stellar-sim", 4),
-    ("stellar-store", 8),
+    ("stellar-store", 5),
     ("stellar-telemetry", 2),
 ];
 
